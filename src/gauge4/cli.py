@@ -10,6 +10,7 @@ described manifold or matrix is rejected.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -112,6 +113,13 @@ def build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_parse)
 
     return parser
+
+
+@functools.cache
+def _parser() -> _Parser:
+    """The parser run() uses, built once per process (building takes about a
+    millisecond, as long as a whole query); parse_args leaves it unchanged."""
+    return build_parser()
 
 
 # --------------------------------------------------------------------------
@@ -258,9 +266,8 @@ def _cmd_parse(args: argparse.Namespace) -> str:
 
 
 def run(argv: list[str]) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

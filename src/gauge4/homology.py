@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from math import gcd
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import terms as _t
@@ -166,69 +167,130 @@ class SNFResult(NamedTuple):
 def smith_normal_form(mat: IntMatrix) -> SNFResult:
     """Invariant factors d1 | d2 | ... of an integer matrix, and its rank.
 
-    Classic elimination over Z: pull the smallest nonzero entry into the
-    working corner, reduce its row and column with exact quotients (any
-    nonzero remainder becomes a strictly smaller corner, so this
-    terminates), then absorb a row witnessing any divisibility failure in
-    the rest of the block and repeat.  Only the nonzero diagonal is
-    returned; rank equals its length.
+    Elimination over Z: the smallest nonzero entry of the remaining block
+    is the pivot, its row and column are cleared with round-to-nearest
+    quotients (a remainder, at most half the pivot, becomes the next
+    pivot), and a row holding an entry the pivot does not divide is added
+    to the pivot row.  Small inputs finish this way with small entries.
+
+    Should an entry pass ``_GROWTH_LIMIT``, the elimination restarts
+    modulo D, which bounds every entry by D/2 (Kannan–Bachem 1979; Cohen,
+    *A Course in Computational Algebraic Number Theory*, 2.4).  D = |M|
+    for a nonzero r x r minor M, r the rank, both from fraction-free
+    elimination; D is a multiple of d1 * ... * dr, so modulo D the same
+    steps find gcd(di, D) = di, except that a di equal to D reads as 0.
+    Only the nonzero diagonal is returned; rank equals its length.
     """
-    m, n = mat.rows, mat.cols
-    a = [list(row) for row in mat.entries]
-    factors: list[int] = []
-    t = 0
-    while t < m and t < n:
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if a[i][j] and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        _swap_rows(a, t, best[0])
-        _swap_cols(a, t, best[1])
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(t + 1, m):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    for j in range(t, n):
-                        a[i][j] -= q * a[t][j]
-                    if a[i][t]:
-                        _swap_rows(a, t, i)
-                        dirty = True
-            for j in range(t + 1, n):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    for i in range(t, m):
-                        a[i][j] -= q * a[i][t]
-                    if a[t][j]:
-                        _swap_cols(a, t, j)
-                        dirty = True
-            if not dirty:
-                corner = a[t][t]
-                for i in range(t + 1, m):
-                    bad = next((j for j in range(t + 1, n) if a[i][j] % corner), None)
-                    if bad is not None:
-                        for k in range(t, n):
-                            a[t][k] += a[i][k]
-                        dirty = True
-                        break
-        factors.append(abs(a[t][t]))
-        t += 1
+    try:
+        factors = _diagonalize(mat.entries, 0)
+    except _Growth:
+        rank, det = _rank_and_minor(mat.entries)
+        factors = _diagonalize(mat.entries, det) if det > 1 else []
+        factors += [det] * (rank - len(factors))
     return SNFResult(tuple(factors), len(factors))
 
 
-def _swap_rows(a: list[list[int]], i: int, j: int) -> None:
-    if i != j:
-        a[i], a[j] = a[j], a[i]
+#: Entries past this make the elimination over Z restart modulo D.
+_GROWTH_LIMIT = 2**62
 
 
-def _swap_cols(a: list[list[int]], i: int, j: int) -> None:
-    if i != j:
-        for row in a:
-            row[i], row[j] = row[j], row[i]
+class _Growth(Exception):
+    """An entry of the elimination over Z passed _GROWTH_LIMIT."""
+
+
+def _diagonalize(rows: Sequence[Sequence[int]], det: int) -> list[int]:
+    """The nonzero diagonal of the elimination described in smith_normal_form.
+
+    det = 0 works over Z and raises _Growth once an entry passes
+    _GROWTH_LIMIT; det > 1 works modulo det, and a cleared pivot p becomes
+    gcd(p, det).  The remaining block is checked (or reduced) whenever its
+    smallest entry is sought, at each new diagonal position.  In between,
+    each pass pivots on the smallest remainder, at most half the pivot
+    before it, so the growth the passes allow telescopes and every entry
+    stays polynomial in max(limit, det).
+    """
+    a = [list(row) for row in rows if any(row)]
+    m, n = len(a), len(rows[0]) if rows else 0
+    half = det // 2
+    factors: list[int] = []
+    for t in range(min(m, n)):
+        if det:
+            a[t:] = [[(v + half) % det - half for v in row] for row in a[t:]]
+        if t == m - 1 or t == n - 1:  # one row or column left: its gcd ends the chain
+            g = gcd(*(v for row in a[t:] for v in row[t:]))
+            return factors + [gcd(g, det)] if g else factors
+        sizes = [abs(v) for row in a[t:] for v in row[t:]]
+        best = min(filter(None, sizes), default=0)
+        if not best:
+            return factors
+        if not det and max(sizes) > _GROWTH_LIMIT:
+            raise _Growth
+        i, j = divmod(sizes.index(best), n - t)
+        pivot = (t + i, t + j)
+        while True:
+            i, j = pivot
+            a[t], a[i] = a[i], a[t]
+            if j != t:
+                for row in a:
+                    row[t], row[j] = row[j], row[t]
+            top = a[t]
+            p = top[t]
+            # Clear column t, then row t, with round-to-nearest quotients;
+            # the smallest remainder left becomes the next pivot.
+            pivot, least = None, 0
+            for i in range(t + 1, m):
+                v = a[i][t]
+                if v:
+                    q = (2 * v + p) // (2 * p)
+                    a[i] = [x - q * y for x, y in zip(a[i], top)]
+                    r = abs(a[i][t])
+                    if r and (not least or r < least):
+                        pivot, least = (i, t), r
+            for j in range(t + 1, n):
+                v = top[j]
+                if v:
+                    q = (2 * v + p) // (2 * p)
+                    for row in a[t:]:
+                        if row[t]:
+                            row[j] -= q * row[t]
+                    r = abs(top[j])
+                    if r and (not least or r < least):
+                        pivot, least = (t, j), r
+            if pivot:
+                continue
+            g = top[t] = gcd(p, det)
+            bad = g > 1 and next((row for row in a[t + 1:] if any(v % g for v in row)), None)
+            if not bad:
+                break
+            a[t] = [x + y for x, y in zip(top, bad)]
+            pivot = (t, t)
+        factors.append(g)
+    return factors
+
+
+def _rank_and_minor(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
+    """Rank r of an integer matrix and |M| for a nonzero r x r minor M.
+
+    Fraction-free (Bareiss) elimination: after k pivots every entry it
+    holds is a (k+1) x (k+1) minor of the input, so nothing grows past
+    Hadamard's bound, and the last pivot is M.  Rank 0 gives (0, 1).
+    """
+    work = [list(row) for row in rows if any(row)]
+    rank, prev = 0, 1
+    for c in range(len(rows[0]) if rows else 0):
+        if rank == len(work):
+            break
+        k = next((i for i in range(rank, len(work)) if work[i][c]), None)
+        if k is None:
+            continue
+        work[rank], work[k] = work[k], work[rank]
+        top = work[rank]
+        p = top[c]
+        for i in range(rank + 1, len(work)):
+            v = work[i][c]
+            work[i] = [(p * x - v * y) // prev for x, y in zip(work[i], top)]
+        rank, prev = rank + 1, p
+    return rank, abs(prev)
 
 
 def _mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
@@ -341,6 +403,8 @@ def parse_matrix(text: str) -> IntMatrix:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"bad matrix syntax: {exc}") from None
+    except RecursionError:
+        raise ValueError("bad matrix syntax: brackets nested too deeply") from None
     if not isinstance(data, list) or any(not isinstance(r, list) for r in data):
         raise ValueError("matrix must be a list of rows")
     for row in data:

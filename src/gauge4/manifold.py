@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 
-from .arith import prime_power
+from .arith import is_prime, prime_power
 
 
 class InvalidSpecError(ValueError):
@@ -33,19 +33,30 @@ class Pi1ParseError(ValueError):
 class Pi1Descriptor:
     """Free product Z^{*free_rank} * (Z/p1^r1) * ... * (Z/pk^rk).
 
-    Cyclic factors are (p, r) pairs kept sorted, so two descriptors of the
-    same group are equal as values.  Primality of p is guaranteed on the
-    parsing path (the grammar only admits prime-power moduli); validate()
-    rejects even p.
+    Cyclic factors are (p, r) pairs with p prime, kept sorted, so two
+    descriptors of the same group are equal as values: a prime-power base
+    is rewritten, (9, 1) to (3, 2), and any other base is rejected.
+    validate() rejects even p and r < 1.
     """
 
     free_rank: int = 0
     cyclic_factors: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
+        if isinstance(self.free_rank, bool):
+            raise InvalidSpecError([f"free rank must be an integer, got {self.free_rank}"])
         if self.free_rank < 0:
             raise InvalidSpecError([f"free rank must be >= 0, got {self.free_rank}"])
-        object.__setattr__(self, "cyclic_factors", tuple(sorted(self.cyclic_factors)))
+        factors = []
+        for p, r in self.cyclic_factors:
+            if not is_prime(p):
+                pr = prime_power(p)
+                if pr is None:
+                    power = "" if r == 1 else f"^{r}"
+                    raise InvalidSpecError([f"modulus {p}{power} is not a prime power"])
+                p, r = pr[0], pr[1] * r
+            factors.append((p, r))
+        object.__setattr__(self, "cyclic_factors", tuple(sorted(factors)))
 
 
 TRIVIAL_PI1 = Pi1Descriptor()
@@ -88,6 +99,8 @@ class ManifoldSpec:
     sigma_f_trivial: bool = True
 
     def __post_init__(self) -> None:
+        if isinstance(self.b2, bool):
+            raise InvalidSpecError([f"b2 must be an integer, got {self.b2}"])
         if self.b2 < 0:
             raise InvalidSpecError([f"b2 must be >= 0, got {self.b2}"])
 
@@ -176,12 +189,11 @@ def parse_pi1(text: str) -> Pi1Descriptor:
         if m.group(1) is None:
             free_rank += 1
             continue
-        q = int(m.group(1))
-        pr = prime_power(q)
-        if pr is None:
-            raise Pi1ParseError(f"modulus {q} is not a prime power")
-        factors.append(pr)
-    return Pi1Descriptor(free_rank, tuple(factors))
+        factors.append((int(m.group(1)), 1))
+    try:
+        return Pi1Descriptor(free_rank, tuple(factors))
+    except InvalidSpecError as exc:  # the descriptor splits each q into p^r, or rejects it
+        raise Pi1ParseError(str(exc)) from None
 
 
 def render_pi1(pi1: Pi1Descriptor) -> str:

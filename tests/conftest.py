@@ -1,7 +1,10 @@
 """Shared helpers: seeded random generators for specs, terms, matrices,
-plus the acceptance-criteria verdict report."""
+the acceptance-criteria verdict report, and a per-test hang guard."""
 
 import random
+import signal
+
+import pytest
 
 from gauge4 import ManifoldSpec, Moore, Pi1Descriptor, Point, Sphere, SuspCP2, Wedge
 
@@ -19,6 +22,30 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in _ACCEPTANCE_LINES:
             terminalreporter.line(line)
+
+
+#: Wall-clock seconds a test using hang_guard may run before it fails.
+HANG_GUARD_S = 5.0
+
+
+@pytest.fixture
+def hang_guard():
+    """Fail the test, rather than hang the suite, once it runs HANG_GUARD_S.
+
+    A real-time interval timer delivers SIGALRM to the main thread, where
+    the handler fails the test from whatever Python code is running.
+    """
+
+    def expire(signum, frame):
+        pytest.fail(f"still running after the {HANG_GUARD_S} s hang guard", pytrace=False)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, HANG_GUARD_S)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def random_pi1(rng: random.Random, max_free=5, max_cyclic=4, max_r=3) -> Pi1Descriptor:

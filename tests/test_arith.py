@@ -1,0 +1,99 @@
+"""Primality, prime powers and factorization: small ranges against a sieve,
+proven Miller–Rabin cutoffs, large moduli, and the 2**64 cap."""
+
+import random
+
+import pytest
+
+from gauge4.arith import MAX_MODULUS, divisor_count, factorize, is_prime, prime_power, prime_power_parts
+
+MERSENNE_61 = 2**61 - 1
+#: The largest prime below 2**64, and two primes just below 2**32.
+BELOW_2_64 = 2**64 - 59
+P32, Q32 = 4294967291, 4294967279
+
+
+def sieve(n):
+    flags = [True] * n
+    flags[:2] = [False, False]
+    for i in range(2, int(n**0.5) + 1):
+        if flags[i]:
+            flags[i * i :: i] = [False] * len(flags[i * i :: i])
+    return flags
+
+
+def test_is_prime_matches_a_sieve():
+    # 2**12 is where trial division hands over to Miller–Rabin.
+    flags = sieve(30000)
+    assert [n for n in range(-5, 30000) if is_prime(n)] == [n for n in range(30000) if flags[n]]
+
+
+def test_is_prime_rejects_strong_pseudoprimes_at_every_base_cutoff(hang_guard):
+    # Each is the least strong pseudoprime to the bases of the cutoff below
+    # it, so each needs the next, longer prefix of 2..37.
+    for n in (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+              341550071728321, 3825123056546413051):
+        assert not is_prime(n), n
+    for n in (561, 41041, 825265, 321197185, 5394826801):  # Carmichael numbers
+        assert not is_prime(n), n
+
+
+def test_is_prime_on_large_primes(hang_guard):
+    for p in (1000003, 1000000007, 2**31 - 1, MERSENNE_61, P32, Q32, BELOW_2_64):
+        assert is_prime(p), p
+    assert not is_prime(P32 * Q32)
+    assert not is_prime(MAX_MODULUS)
+
+
+def test_prime_power_edge_cases(hang_guard):
+    assert prime_power(1) is None
+    assert prime_power(0) is None
+    assert prime_power(-9) is None
+    assert prime_power(9) == (3, 2)
+    assert prime_power(12) is None
+    assert prime_power(36) is None
+    assert prime_power(3**40) == (3, 40)
+    assert prime_power(2**64) == (2, 64)
+    assert prime_power(1000003**3) == (1000003, 3)
+    assert prime_power(MERSENNE_61) == (MERSENNE_61, 1)
+    assert prime_power(BELOW_2_64) == (BELOW_2_64, 1)
+    assert prime_power(P32 * Q32) is None
+    assert prime_power(10**18) is None
+
+
+def test_factorize_edge_cases(hang_guard):
+    assert factorize(1) == {}
+    assert factorize(3**40) == {3: 40}
+    assert factorize(2**64) == {2: 64}
+    assert factorize(P32 * Q32) == {Q32: 1, P32: 1}
+    assert list(factorize(P32 * Q32)) == [Q32, P32]
+    assert factorize(1000003 * 1000033 * 1000037) == {1000003: 1, 1000033: 1, 1000037: 1}
+    assert factorize(2 * 3**5 * 1000003**2) == {2: 1, 3: 5, 1000003: 2}
+    assert factorize(MERSENNE_61) == {MERSENNE_61: 1}
+    assert prime_power_parts(12 * 999999937**2) == (3, 4, 999999937**2)
+    assert divisor_count(P32 * Q32) == 4
+    assert divisor_count(9 * 1000003**2) == 9
+    with pytest.raises(ValueError):
+        factorize(0)
+
+
+def test_factorize_random_against_trial_division():
+    rng = random.Random(61)
+    for _ in range(300):
+        n = rng.randint(1, 10**6)
+        expected, m, d = {}, n, 2
+        while d * d <= m:
+            while m % d == 0:
+                expected[d] = expected.get(d, 0) + 1
+                m //= d
+            d += 1
+        if m > 1:
+            expected[m] = expected.get(m, 0) + 1
+        assert factorize(n) == expected
+
+
+def test_moduli_above_the_cap_raise(hang_guard):
+    for n in (MAX_MODULUS + 1, 2**89 - 1, 3**41):
+        for fn in (is_prime, prime_power, factorize):
+            with pytest.raises(ValueError, match="larger than 2\\*\\*64"):
+                fn(n)

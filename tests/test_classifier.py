@@ -180,6 +180,20 @@ def test_classify_rejects_non_primes():
         classify(SU(2), SPIN_SPEC, 0, 0, primes=(4,))
 
 
+def test_classify_at_large_primes(hang_guard):
+    # A 61-bit prime gets the verdict of any other large odd prime.
+    mersenne = 2**61 - 1
+    for group, t, s in ((SU(2), 1, 2), (SU(3), 5, 7), (Sp(2), 3, 9)):
+        big = classify(group, SPIN_SPEC, t, s, primes=(mersenne,))
+        small = classify(group, SPIN_SPEC, t, s, primes=(1000003,))
+        assert big.local[mersenne] == small.local[1000003]
+        assert big.integral == small.integral
+    with pytest.raises(ValueError, match="not a prime"):
+        classify(SU(2), SPIN_SPEC, 0, 0, primes=(mersenne * 3,))
+    with pytest.raises(ValueError, match="larger than 2\\*\\*64"):
+        classify(SU(2), SPIN_SPEC, 0, 0, primes=(2**64 + 13,))
+
+
 def test_classify_validates_the_spec():
     with pytest.raises(ValueError, match="even torsion prime"):
         classify(SU(2), ManifoldSpec(Pi1Descriptor(0, ((2, 1),)), 1, True), 0, 0)

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -189,6 +190,10 @@ def test_output_is_deterministic(capsys):
         (["snf", "--matrix", "[[1,2"], 2, "bad matrix syntax"),
         (["snf", "--matrix", "[[1],[2,3]]"], 2, "ragged"),
         (["nonsense"], 1, "invalid choice"),
+        (["snf", "--matrix", "[" * 5000 + "]" * 5000], 2, "bad matrix syntax"),
+        (["parse", "--pi1", f"Z/{2**64 + 1}"], 2, "larger than 2**64"),
+        (["classify", "--group", "SU(2)", "--t", "1", "--s", "2", "--primes", str(2**64 + 13)],
+         2, "larger than 2**64"),
     ],
 )
 def test_error_exits(capsys, argv, code, fragment):
@@ -208,3 +213,25 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "1 1\n"
+
+
+def test_61_bit_modulus_parses_fast(capsys, hang_guard):
+    p = 2**61 - 1
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "parse", "--pi1", f"Z/{p}")
+    assert time.perf_counter() - start < 0.05
+    assert (code, out, err) == (0, f"pi1 = Z/{p}; b2 = 0; sigma-f = trivial\n", "")
+
+
+def test_one_parser_serves_many_runs(capsys):
+    # run() reuses one parser per process: after a usage error, a success
+    # and --json must print what a fresh process prints.
+    calls = [
+        ["decompose", "--b2", "x"],
+        ["decompose", "--pi1", "Z*Z/3", "--b2", "1", "--t", "7"],
+        ["decompose", "--pi1", "Z*Z/3", "--b2", "1", "--t", "7", "--json"],
+    ]
+    for argv in calls:
+        got = invoke(capsys, *argv)
+        proc = subprocess.run([sys.executable, "-m", "gauge4", *argv], capture_output=True, text=True)
+        assert got == (proc.returncode, proc.stdout, proc.stderr)

@@ -2,8 +2,9 @@
 closed-form homology; the suspension shift."""
 
 import random
+import time
 from itertools import combinations
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
@@ -25,6 +26,7 @@ from gauge4 import (
     suspend,
     wedge,
 )
+from gauge4 import homology
 from gauge4.homology import direct_sum, render_graded
 
 
@@ -94,6 +96,156 @@ def test_snf_matches_minor_oracle():
     rng = random.Random(20213)
     for _ in range(80):
         check_against_minors(random_matrix_rows(rng))
+
+
+def test_snf_modulo_d_matches_minor_oracle(monkeypatch):
+    # With the growth limit at 0 every nonzero input leaves the elimination
+    # over Z at once, so this covers the modular pass alone.
+    monkeypatch.setattr(homology, "_GROWTH_LIMIT", 0)
+    rng = random.Random(20214)
+    for _ in range(80):
+        check_against_minors(random_matrix_rows(rng))
+    for rows, expected in [([[6]], (6,)), ([[2, 4], [6, 8]], (2, 4)), ([[4, 6], [6, 9]], (1,)),
+                           ([[2, 0], [0, 3]], (1, 6)), ([[0, 7, 0]], (7,))]:
+        assert smith_normal_form(IntMatrix.from_rows(rows)).invariant_factors == expected
+
+
+def test_snf_both_passes_agree_on_rectangular_and_low_rank(monkeypatch):
+    rng = random.Random(77)
+    cases = []
+    for _ in range(150):
+        m, n, k = rng.randint(1, 7), rng.randint(1, 7), rng.randint(1, 4)
+        left = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(m)]
+        right = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
+        cases.append([[sum(left[i][x] * right[x][j] for x in range(k)) for j in range(n)]
+                      for i in range(m)])
+    over_z = [smith_normal_form(IntMatrix.from_rows(rows)) for rows in cases]
+    monkeypatch.setattr(homology, "_GROWTH_LIMIT", 0)
+    assert [smith_normal_form(IntMatrix.from_rows(rows)) for rows in cases] == over_z
+
+
+# --------------------------------------------------------------------------
+# SNF sweep over dense matrices, with an oracle that factors nothing
+
+
+def bareiss(rows):
+    """(rank over Q, determinant or 0 when singular or not square)."""
+    work = [list(r) for r in rows]
+    m, n = len(work), len(work[0])
+    rank, prev, sign = 0, 1, 1
+    for c in range(n):
+        k = next((i for i in range(rank, m) if work[i][c]), None)
+        if k is None:
+            continue
+        if k != rank:
+            work[rank], work[k] = work[k], work[rank]
+            sign = -sign
+        for i in range(rank + 1, m):
+            for j in range(c + 1, n):
+                work[i][j] = (work[rank][c] * work[i][j] - work[i][c] * work[rank][j]) // prev
+            work[i][c] = 0
+        prev = work[rank][c]
+        rank += 1
+    det = sign * prev if rank == m == n else 0
+    return rank, det
+
+
+def rank_mod(rows, p):
+    work = [[v % p for v in r] for r in rows]
+    rank = 0
+    for c in range(len(work[0])):
+        k = next((i for i in range(rank, len(work)) if work[i][c]), None)
+        if k is None:
+            continue
+        work[rank], work[k] = work[k], work[rank]
+        inv = pow(work[rank][c], -1, p)
+        work[rank] = [v * inv % p for v in work[rank]]
+        for i in range(len(work)):
+            if i != rank and work[i][c]:
+                f = work[i][c]
+                work[i] = [(a - f * b) % p for a, b in zip(work[i], work[rank])]
+        rank += 1
+    return rank
+
+
+SWEEP = [(4, 25), (6, 25), (7, 25), (8, 25), (12, 8), (16, 4), (32, 2)]
+
+
+@pytest.mark.parametrize("side,count", SWEEP, ids=[f"{n}x{n}" for n, _ in SWEEP])
+def test_snf_sweep_on_dense_matrices(hang_guard, side, count):
+    rng = random.Random(side)
+    for _ in range(count):
+        rows = [[rng.randint(-9, 9) for _ in range(side)] for _ in range(side)]
+        start = time.process_time()
+        factors, rank = smith_normal_form(IntMatrix.from_rows(rows))
+        assert time.process_time() - start < 1.0
+        assert rank == len(factors)
+        assert all(d > 0 for d in factors)
+        assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
+        q_rank, det = bareiss(rows)
+        assert rank == q_rank
+        if det:
+            assert prod(factors) == abs(det)
+        for p in (2, 3, 5, 7):
+            assert sum(1 for d in factors if d % p == 0) == rank - rank_mod(rows, p)
+
+
+# --------------------------------------------------------------------------
+# conjugated cellular chain complexes
+
+
+def unimodular(rng, n):
+    """A seeded unimodular n x n matrix and its inverse, from 3n elementary
+    row operations with multipliers +-1 and +-2."""
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    inv = [row[:] for row in u]
+    for _ in range(3 * n if n >= 2 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        u[i] = [a + c * b for a, b in zip(u[i], u[j])]
+        for row in inv:
+            row[j] -= c * row[i]
+    return u, inv
+
+
+def matmul(a, b, inner, cols):
+    return [[sum(row[k] * b[k][j] for k in range(inner)) for j in range(cols)] for row in a]
+
+
+def handle_complex(rng, spec):
+    """Boundary maps d1..d4 of a handle decomposition of M, conjugated.
+
+    C_1 = Z^{m+k}, C_2 = Z^{b2+2k}, C_3 = Z^{m+k}: the 2-cell r_i bounds
+    q_i times the 1-cell x_i, and the 3-cell dual to x_i bounds q_i times
+    the 2-cell dual to r_i.  d_j becomes U_{j-1} d_j U_j^{-1}.
+    """
+    m, b2 = spec.pi1.free_rank, spec.b2
+    moduli = [p**r for p, r in spec.pi1.cyclic_factors]
+    k = len(moduli)
+    dims = [1, m + k, b2 + 2 * k, m + k, 1]
+    d = [[[0] * dims[j] for _ in range(dims[j - 1])] for j in range(1, 5)]
+    for i, q in enumerate(moduli):
+        d[1][m + i][b2 + i] = q
+        d[2][b2 + k + i][m + i] = q
+    basis = [unimodular(rng, n) for n in dims]
+    out = []
+    for j in range(1, 5):
+        r, c = dims[j - 1], dims[j]
+        conj = matmul(matmul(basis[j - 1][0], d[j - 1], r, c), basis[j][1], c, c)
+        out.append(IntMatrix.from_rows(conj, c))
+    return out
+
+
+def test_conjugated_complexes_with_three_coprime_moduli(hang_guard):
+    # Z^{*2} * Z/125 * Z/343 * Z/169 with b2 = 2: d3 is 8 x 5, the shape on
+    # which elimination without a growth bound ran away.
+    spec = ManifoldSpec(Pi1Descriptor(2, ((5, 3), (7, 3), (13, 2))), 2, True)
+    expected = homology_of_manifold(spec)
+    rng = random.Random(27)
+    for _ in range(200):
+        g = chain_homology(handle_complex(rng, spec))
+        assert g == expected
+        assert g.euler_characteristic == 2 - 2 * 2 + 2
 
 
 def test_snf_invariant_under_transpose():
@@ -305,3 +457,8 @@ def test_parse_matrix_rejections():
     for bad in ["[[1,0],[0", "[[1],[2,3]]", "[[1.5]]", '[["x"]]', "5", "[[true]]"]:
         with pytest.raises(ValueError):
             parse_matrix(bad)
+
+
+def test_parse_matrix_rejects_deep_nesting():
+    with pytest.raises(ValueError, match="bad matrix syntax"):
+        parse_matrix("[" * 5000 + "]" * 5000)

@@ -176,3 +176,46 @@ def test_manifold_constructor_sugar():
     assert manifold("1", 1, sigma_f_trivial=True) == manifold("1", 1, spin=True)
     with pytest.raises(InvalidSpecError):
         manifold("1", 1, sigma_f_trivial=True, spin=False)
+
+
+# --------------------------------------------------------------------------
+# domain invariants enforced where values are built
+
+
+def test_descriptor_rejects_bases_that_are_not_prime_powers():
+    for base in (15, 12, 1, 0, -3):
+        with pytest.raises(InvalidSpecError, match="not a prime power"):
+            Pi1Descriptor(0, ((base, 1),))
+
+
+def test_descriptor_canonicalises_prime_power_bases():
+    assert Pi1Descriptor(0, ((9, 1),)) == Pi1Descriptor(0, ((3, 2),))
+    assert Pi1Descriptor(1, ((27, 2), (5, 1))).cyclic_factors == ((3, 6), (5, 1))
+    assert render_pi1(Pi1Descriptor(0, ((25, 1), (3, 1)))) == "Z/3*Z/25"
+
+
+def test_descriptor_keeps_p_2_for_validate_to_reject():
+    pi1 = Pi1Descriptor(0, ((4, 1),))
+    assert pi1.cyclic_factors == ((2, 2),)
+    with pytest.raises(InvalidSpecError, match="even torsion prime"):
+        validate(ManifoldSpec(pi1, 1, True))
+
+
+def test_boolean_counts_are_rejected():
+    for flag in (True, False):
+        with pytest.raises(InvalidSpecError, match="b2 must be an integer"):
+            manifold(b2=flag)
+        with pytest.raises(InvalidSpecError, match="b2 must be an integer"):
+            ManifoldSpec(b2=flag)
+        with pytest.raises(InvalidSpecError, match="free rank must be an integer"):
+            Pi1Descriptor(flag)
+
+
+def test_parse_pi1_with_a_61_bit_prime_modulus(hang_guard):
+    p = 2**61 - 1
+    assert parse_pi1(f"Z*Z/{p}") == Pi1Descriptor(1, ((p, 1),))
+    assert parse_pi1(f"Z/{p}*Z/9") == Pi1Descriptor(0, ((3, 2), (p, 1)))
+    with pytest.raises(Pi1ParseError, match="not a prime power"):
+        parse_pi1(f"Z/{(2**31 - 1) * 1000003}")
+    with pytest.raises(ValueError, match="larger than 2\\*\\*64"):
+        parse_pi1(f"Z/{2**64 + 1}")
