@@ -99,7 +99,6 @@ class ClassRule:
     k: int
     scope: str
     odd_prime_bound: int | None = None
-    iff: bool = True
 
     def applies_at(self, p: int) -> bool:
         """Does this row decide p-local equivalence at the prime p?"""

@@ -20,8 +20,8 @@ from .classifier import (
     classify,
     parse_group,
 )
-from .manifold import ManifoldSpec, parse_pi1, render_pi1, validate
-from .terms import SYMBOLIC, GaugeExpr, Moore, SpaceTerm, Sphere, SuspCP2
+from .manifold import ManifoldSpec, Pi1Kind, parse_pi1, render_pi1, validate
+from .terms import Moore, SpaceTerm, Sphere, SuspCP2, map_space
 
 
 class UsageError(Exception):
@@ -136,15 +136,8 @@ def _atom_json(atom: SpaceTerm) -> dict:
     raise ValueError(f"no JSON form for {atom!r}")
 
 
-def _gauge_json(expr: GaugeExpr) -> dict:
-    return {
-        "base": expr.base,
-        "t": expr.t,
-        "factors": [
-            {"loop_order": f.loop_order, "modulus": f.modulus} for f in expr.factors
-        ],
-        "stabilization": expr.stabilization,
-    }
+def _case_json(kind: Pi1Kind) -> str:
+    return "simply_connected" if kind is Pi1Kind.TRIVIAL else kind.value
 
 
 def _verdict_json(v: EquivalenceVerdict) -> dict:
@@ -154,7 +147,7 @@ def _verdict_json(v: EquivalenceVerdict) -> dict:
             "k": v.rule_used.k,
             "scope": v.rule_used.scope,
             "odd_prime_bound": v.rule_used.odd_prime_bound,
-            "iff": v.rule_used.iff,
+            "iff": True,  # every rule row is an if-and-only-if characterization
         }
     return {
         "integral": v.integral,
@@ -176,11 +169,21 @@ def _cmd_decompose(args: argparse.Namespace) -> str:
     spec = _spec_from_args(args)
     dec = decomposer.decompose(spec, args.t, d=args.d)
     if args.json:
+        atoms = dec.summands
         return _dump(
             {
-                "case": dec.case_used.value,
-                "suspension": [_atom_json(a) for a in decomposer.presentation_summands(dec.suspension)],
-                "gauge": _gauge_json(dec.gauge),
+                "case": _case_json(dec.case_used),
+                "suspension": [_atom_json(a) for a in atoms],
+                "gauge": {
+                    "base": dec.base,
+                    "t": dec.t,
+                    # Map*(summand, G) keeps the display order, which is GaugeExpr's.
+                    "factors": [
+                        {"loop_order": f.loop_order, "modulus": f.modulus}
+                        for f in map(map_space, atoms[1:])
+                    ],
+                    "stabilization": dec.stabilization,
+                },
             }
         )
     return decomposer.render_decomposition(dec)
@@ -192,8 +195,8 @@ def _cmd_suspension(args: argparse.Namespace) -> str:
     if args.json:
         return _dump(
             {
-                "case": dec.case_used.value,
-                "suspension": [_atom_json(a) for a in decomposer.presentation_summands(dec.suspension)],
+                "case": _case_json(dec.case_used),
+                "suspension": [_atom_json(a) for a in dec.summands],
                 "stabilization": dec.stabilization,
             }
         )

@@ -8,20 +8,26 @@ group, so the gauge group G_t(M) splits as a product of a base gauge group
 — over S^4 or CP^2 — and loop factors.  This module builds both halves and
 keeps them in correspondence.
 
+A splitting is stored once, as (wedge summand, count) blocks in display
+order; the wedge, the gauge product and both rendered halves are read off
+those blocks, the gauge half through map_space, and both are printed by
+the one block renderer terms.render_blocks.  The cost is therefore the
+number of distinct summands, not b2.
+
 Four fundamental-group shapes are handled.  Trivial and free pi1, and a
 single odd prime-power cyclic pi1, split on the nose.  A genuinely mixed
 free product splits after stabilizing, i.e. after taking the connected sum
-with d copies of S^2 x S^2; d may be left symbolic, in which case the
-stored wedge/product hold only the d-independent part and the renderer
-reinstates the (S^3)^{2d} / (O^2G)^{2d} blocks.
+with d copies of S^2 x S^2.  A concrete d is the splitting of the
+stabilized manifold; a symbolic d keeps only the d-independent count in
+the S^3 block, which renders as (S^3)^{n+2d}.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from enum import Enum
 
-from .manifold import ManifoldSpec, Pi1Kind, classify_pi1, validate
+from .manifold import ManifoldSpec, Pi1Kind, classify_pi1, stabilize, validate
 from .terms import (
     SYMBOLIC,
     GaugeExpr,
@@ -33,6 +39,7 @@ from .terms import (
     TermError,
     map_space,
     render,
+    render_blocks,
     summands,
     wedge,
 )
@@ -42,59 +49,90 @@ class DecompositionError(ValueError):
     """A wedge that does not correspond to any gauge-group product."""
 
 
-class Case(Enum):
-    """Which decomposition produced a result."""
+#: The base summands, and the base of the gauge group each one pairs with.
+_GAUGE_BASE = {Sphere(5): "S4", SuspCP2(): "CP2"}
 
-    SIMPLY_CONNECTED = "simply_connected"
-    FREE = "free"
-    CYCLIC = "cyclic"
-    MIXED = "mixed"
+
+def _display_key(atom: SpaceTerm) -> tuple[int, int, int]:
+    # Splittings are written top dimension down, so the 5-dimensional base
+    # comes first, and at equal dimension spheres before Moore spaces; the
+    # gauge factors Map*(atom, G) then come out in GaugeExpr's order too.
+    if isinstance(atom, Sphere):
+        return (-atom.dim, 0, 0)
+    if isinstance(atom, Moore):
+        return (-atom.dim, 1, atom.modulus)
+    if isinstance(atom, SuspCP2):
+        return (-5, 0, 0)
+    raise DecompositionError(f"unexpected summand {atom!r}")
 
 
 @dataclass(frozen=True, slots=True)
 class Decomposition:
     """Both halves of one splitting, plus how it was obtained.
 
-    ``suspension`` is the normalized wedge (exactly one base summand: S^5
-    or SCP^2) and ``gauge`` the corresponding product.  ``stabilization``
-    mirrors gauge.stabilization: 0 for the on-the-nose cases, a positive d
-    or SYMBOLIC for the stabilized one.
+    ``blocks`` are (wedge summand, count) pairs with exactly one base
+    summand (S^5 or SCP^2) of count 1.  On construction equal summands are
+    merged, empty blocks dropped except S^3 (the block stabilization
+    grows, so a symbolic d always has a slot), and the blocks sorted into
+    display order.  ``stabilization`` is 0 for the on-the-nose cases, a
+    d >= 0 or SYMBOLIC for the stabilized one; with SYMBOLIC the S^3 count
+    is the d-independent part.
     """
 
-    suspension: SpaceTerm
-    gauge: GaugeExpr
+    blocks: tuple[tuple[SpaceTerm, int], ...]
+    t: int
     stabilization: Stabilization
-    case_used: Case
+    case_used: Pi1Kind
+
+    def __post_init__(self) -> None:
+        counts: Counter = Counter({Sphere(3): 0})
+        for atom, count in self.blocks:
+            if count < 0:
+                raise DecompositionError(f"negative count {count} of {render(atom)}")
+            counts[atom] += count
+        blocks = sorted(
+            ((a, n) for a, n in counts.items() if n or a == Sphere(3)),
+            key=lambda block: _display_key(block[0]),
+        )
+        if [b for b in blocks if b[0] in _GAUGE_BASE] != blocks[:1] or blocks[0][1] != 1:
+            raise DecompositionError("a splitting needs exactly one base summand")
+        object.__setattr__(self, "blocks", tuple(blocks))
+
+    @property
+    def summands(self) -> list[SpaceTerm]:
+        """Every wedge summand, one per copy, in display order."""
+        return [atom for atom, count in self.blocks for _ in range(count)]
+
+    @property
+    def suspension(self) -> SpaceTerm:
+        """The normalized wedge."""
+        return wedge(self.summands)
+
+    @property
+    def gauge(self) -> GaugeExpr:
+        """The corresponding product G_t(base) x Map*(summand, G) x ..."""
+        factors = tuple(map_space(a) for a in self.summands[1:])
+        return GaugeExpr(self.base, self.t, factors, self.stabilization)
+
+    @property
+    def base(self) -> str:
+        """The base of the gauge group: "S4" or "CP2"."""
+        return _GAUGE_BASE[self.blocks[0][0]]
 
 
-_CASE_FOR_KIND = {
-    Pi1Kind.TRIVIAL: Case.SIMPLY_CONNECTED,
-    Pi1Kind.FREE: Case.FREE,
-    Pi1Kind.CYCLIC: Case.CYCLIC,
-}
-
-
-def decompose(
-    spec: ManifoldSpec,
-    t: int = 0,
-    *,
-    d: int | None = None,
-    group: object | None = None,
-) -> Decomposition:
+def decompose(spec: ManifoldSpec, t: int = 0, *, d: int | None = None) -> Decomposition:
     """Split the suspension and the gauge group G_t(M) of a described M.
 
     ``d`` is the stabilization count and only matters when pi1 is a mixed
     free product; None keeps it symbolic there and is ignored elsewhere.
-    ``group`` names the structure group; the shape of the splitting never
-    depends on it (it stays the formal symbol G), so it is accepted purely
-    so callers can thread one value through decomposition and
-    classification.
+    The structure group stays the formal symbol G: the shape of the
+    splitting never depends on it.
     """
     validate(spec)
     kind = classify_pi1(spec.pi1)
     if kind is Pi1Kind.MIXED:
         return mixed_decomposition(spec, t, d=d)
-    return _assemble(spec, t, extra_s3=0, stabilization=0, case=_CASE_FOR_KIND[kind])
+    return _assemble(spec, t, 0, kind)
 
 
 def mixed_decomposition(spec: ManifoldSpec, t: int = 0, *, d: int | None = None) -> Decomposition:
@@ -102,42 +140,26 @@ def mixed_decomposition(spec: ManifoldSpec, t: int = 0, *, d: int | None = None)
 
     This is the formula decompose() dispatches to for mixed free products;
     it is exposed separately so the exact cases can be compared against
-    their stabilized counterparts at d = 0.
+    their stabilized counterparts at d = 0.  A concrete d is the exact
+    formula applied to the stabilized manifold.
     """
     validate(spec)
     if d is None:
-        return _assemble(spec, t, extra_s3=0, stabilization=SYMBOLIC, case=Case.MIXED)
+        return _assemble(spec, t, SYMBOLIC, Pi1Kind.MIXED)
     if d < 0:
         raise DecompositionError(f"stabilization count must be >= 0, got {d}")
-    return _assemble(spec, t, extra_s3=2 * d, stabilization=d, case=Case.MIXED)
+    return _assemble(stabilize(spec, d), t, d, Pi1Kind.MIXED)
 
 
-def _assemble(
-    spec: ManifoldSpec,
-    t: int,
-    extra_s3: int,
-    stabilization: Stabilization,
-    case: Case,
-) -> Decomposition:
+def _assemble(spec: ManifoldSpec, t: int, stabilization: Stabilization, kind: Pi1Kind) -> Decomposition:
     m = spec.pi1.free_rank
-    moduli = [p**r for p, r in spec.pi1.cyclic_factors]
     if spec.sigma_f_trivial:
-        base_atom: SpaceTerm = Sphere(5)
-        base = "S4"
-        n3 = spec.b2 + extra_s3
+        base, n3 = Sphere(5), spec.b2
     else:
-        base_atom = SuspCP2()
-        base = "CP2"
-        n3 = spec.b2 - 1 + extra_s3  # one 2-cell is spent on the CP^2 block
-    atoms: list[SpaceTerm] = [base_atom]
-    atoms += [Sphere(4)] * m
-    atoms += [Moore(4, q) for q in moduli]
-    atoms += [Sphere(3)] * n3
-    atoms += [Moore(3, q) for q in moduli]
-    atoms += [Sphere(2)] * m
-    factors = [map_space(a) for a in atoms[1:]]
-    gauge = GaugeExpr(base, t, tuple(factors), stabilization)
-    return Decomposition(wedge(atoms), gauge, stabilization, case)
+        base, n3 = SuspCP2(), spec.b2 - 1  # one 2-cell is spent on the CP^2 block
+    blocks = [(base, 1), (Sphere(4), m), (Sphere(3), n3), (Sphere(2), m)]
+    blocks += [(Moore(dim, p**r), 1) for p, r in spec.pi1.cyclic_factors for dim in (3, 4)]
+    return Decomposition(tuple(blocks), t, stabilization, kind)
 
 
 def suspension_of_spec(spec: ManifoldSpec, d: int | None = None) -> SpaceTerm:
@@ -156,7 +178,7 @@ def gauge_from_suspension(susp: SpaceTerm, t: int) -> GaugeExpr:
     base = None
     rest: list[SpaceTerm] = []
     for atom in summands(susp):
-        if atom == Sphere(5) or atom == SuspCP2():
+        if atom in _GAUGE_BASE:
             if base is not None:
                 raise DecompositionError("multiple base summands")
             base = atom
@@ -168,61 +190,16 @@ def gauge_from_suspension(susp: SpaceTerm, t: int) -> GaugeExpr:
         factors = tuple(map_space(a) for a in rest)
     except TermError as exc:
         raise DecompositionError(f"summand outside the correspondence: {exc}") from None
-    return GaugeExpr("S4" if base == Sphere(5) else "CP2", t, factors, 0)
+    return GaugeExpr(_GAUGE_BASE[base], t, factors, 0)
 
 
 # --------------------------------------------------------------------------
 # rendering
 
 
-def _presentation_key(atom: SpaceTerm) -> tuple[int, int, int]:
-    # Splittings are conventionally written top dimension first, and at
-    # equal dimension spheres before Moore spaces — unlike the canonical
-    # stored order, which sorts ascending.
-    if isinstance(atom, Sphere):
-        return (-atom.dim, 0, 0)
-    if isinstance(atom, Moore):
-        return (-atom.dim, 1, atom.modulus)
-    raise DecompositionError(f"unexpected summand {atom!r}")
-
-
-def presentation_summands(susp: SpaceTerm) -> list[SpaceTerm]:
-    """Wedge summands reordered for display: base first, then top-down."""
-    base = None
-    rest: list[SpaceTerm] = []
-    for atom in summands(susp):
-        if base is None and (atom == Sphere(5) or atom == SuspCP2()):
-            base = atom
-        else:
-            rest.append(atom)
-    if base is None:
-        raise DecompositionError("no base summand")
-    rest.sort(key=_presentation_key)
-    return [base] + rest
-
-
 def render_suspension_half(dec: Decomposition) -> str:
     """``SM = ...`` (or the connected-sum left side when stabilized)."""
-    ordered = presentation_summands(dec.suspension)
-    if dec.stabilization == SYMBOLIC:
-        pieces = [render(ordered[0])]
-        n3 = sum(1 for a in ordered[1:] if a == Sphere(3))
-        merged = False
-        for atom in ordered[1:]:
-            if atom == Sphere(3):
-                if not merged:
-                    pieces.append(f"(S^3)^{{{n3}+2d}}")
-                    merged = True
-            else:
-                if not merged and _presentation_key(atom) > _presentation_key(Sphere(3)):
-                    pieces.append("(S^3)^{2d}")
-                    merged = True
-                pieces.append(render(atom))
-        if not merged:
-            pieces.append("(S^3)^{2d}")
-        body = " v ".join(pieces)
-    else:
-        body = " v ".join(render(a) for a in ordered)
+    body = " v ".join(render_blocks(dec.blocks, dec.stabilization == SYMBOLIC))
     return f"{_suspension_left(dec.stabilization)} = {body}"
 
 
@@ -235,8 +212,10 @@ def _suspension_left(stab: Stabilization) -> str:
 
 def render_gauge_half(dec: Decomposition) -> str:
     """``G_t(M) = ...``, or the stabilized ``G_t(M) x (O^2G)^{2d} ~ ...``."""
-    right = render(dec.gauge)
-    t = dec.gauge.t
+    factors = [(map_space(atom), count) for atom, count in dec.blocks[1:]]
+    pieces = render_blocks(factors, dec.stabilization == SYMBOLIC)
+    right = " x ".join([render(GaugeExpr(dec.base, dec.t)), *pieces])
+    t = dec.t
     stab = dec.stabilization
     if stab == 0:
         return f"G_{t}(M) = {right}"

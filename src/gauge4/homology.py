@@ -372,24 +372,30 @@ def homology_of_manifold(spec: ManifoldSpec) -> GradedAbelianGroup:
 
 
 def homology_of_term(term: _t.SpaceTerm) -> GradedAbelianGroup:
-    """Unreduced integral homology of a space term (a Z in degree 0)."""
-    total = GradedAbelianGroup.of({0: (1, ())})
+    """Unreduced integral homology of a space term (a Z in degree 0).
+
+    One pass adds up the ranks and the torsion of every summand per
+    degree, so the cost is linear in the number of summands.
+    """
+    ranks = [1] + [0] * MAX_DEGREE
+    torsion: list[list[int]] = [[] for _ in ranks]
     for atom in _t.summands(term):
-        total = direct_sum(total, _reduced_atom_homology(atom))
-    return total
+        for deg, rank, tors in _reduced_atom_homology(atom):
+            ranks[deg] += rank
+            torsion[deg] += tors
+    return GradedAbelianGroup(tuple(zip(ranks, map(tuple, torsion))))
 
 
-def _reduced_atom_homology(atom: _t.SpaceTerm) -> GradedAbelianGroup:
+def _reduced_atom_homology(atom: _t.SpaceTerm) -> list[tuple[int, int, tuple[int, ...]]]:
+    """(degree, rank, torsion) of each nonzero reduced homology group."""
+    if isinstance(atom, (_t.Sphere, _t.Moore)) and atom.dim > MAX_DEGREE:
+        raise ValueError(f"degree {atom.dim} outside 0..{MAX_DEGREE}")
     if isinstance(atom, _t.Sphere):
-        if atom.dim > MAX_DEGREE:
-            raise ValueError(f"degree {atom.dim} outside 0..{MAX_DEGREE}")
-        return GradedAbelianGroup.of({atom.dim: (1, ())})
+        return [(atom.dim, 1, ())]
     if isinstance(atom, _t.Moore):
-        if atom.dim > MAX_DEGREE:
-            raise ValueError(f"degree {atom.dim} outside 0..{MAX_DEGREE}")
-        return GradedAbelianGroup.of({atom.dim - 1: (0, (atom.modulus,))})
+        return [(atom.dim - 1, 0, (atom.modulus,))]
     if isinstance(atom, _t.SuspCP2):
-        return GradedAbelianGroup.of({3: (1, ()), 5: (1, ())})
+        return [(3, 1, ()), (5, 1, ())]
     raise _t.TermError(f"no homology rule for {atom!r}")
 
 

@@ -20,6 +20,7 @@ product of such factors over a base gauge group on ``S^4`` or ``CP^2``.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Union
 
@@ -35,9 +36,6 @@ class TermError(ValueError):
 @dataclass(frozen=True, slots=True)
 class Point:
     """The one-point space; unit for wedge sum."""
-
-    def __repr__(self) -> str:
-        return "Point()"
 
 
 @dataclass(frozen=True, slots=True)
@@ -227,8 +225,9 @@ def render(obj: SpaceTerm | GaugeExpr | LoopFactor) -> str:
     Wedges are normalized before rendering, so the output is always the
     canonical form (``S^3 v P^3(9)``); gauge expressions render as the
     right-hand side of their product decomposition
-    (``G_2(S^4) x O^3G x O^1G``), merging the plain O^2G block into
-    ``(O^2G)^{b+2d}`` when the stabilization is symbolic.
+    (``G_2(S^4) x O^3G x O^1G``) through render_blocks, which writes the
+    plain O^2G block as ``(O^2G)^{b+2d}`` when the stabilization is
+    symbolic.
     """
     if isinstance(obj, GaugeExpr):
         return _render_gauge(obj)
@@ -257,35 +256,31 @@ def _render_factor(f: LoopFactor) -> str:
 
 
 def _render_gauge(expr: GaugeExpr) -> str:
-    pieces = [f"G_{expr.t}({_BASE_NAMES[expr.base]})"]
-    if expr.stabilization == SYMBOLIC:
-        plain2 = LoopFactor(2)
-        count = sum(1 for f in expr.factors if f == plain2)
-        emitted = False
-        for f in expr.factors:
-            if f == plain2:
-                if not emitted:
-                    power = f"{count}+2d" if count else "2d"
-                    pieces.append(f"(O^2G)^{{{power}}}")
-                    emitted = True
-            else:
-                pieces.append(_render_factor(f))
-        if not emitted:
-            # No d-independent O^2G block: splice the symbolic block into
-            # its canonical slot anyway.
-            merged = [f"G_{expr.t}({_BASE_NAMES[expr.base]})"]
-            placed = False
-            for f in expr.factors:
-                if not placed and _factor_key(f) > _factor_key(plain2):
-                    merged.append("(O^2G)^{2d}")
-                    placed = True
-                merged.append(_render_factor(f))
-            if not placed:
-                merged.append("(O^2G)^{2d}")
-            pieces = merged
-    else:
-        pieces.extend(_render_factor(f) for f in expr.factors)
-    return " x ".join(pieces)
+    counts = Counter(expr.factors)
+    counts.setdefault(LoopFactor(2), 0)  # the slot of a symbolic (O^2G)^{2d}
+    blocks = sorted(counts.items(), key=lambda block: _factor_key(block[0]))
+    pieces = render_blocks(blocks, expr.stabilization == SYMBOLIC)
+    return " x ".join([f"G_{expr.t}({_BASE_NAMES[expr.base]})", *pieces])
+
+
+#: The summand, and its gauge factor, that each S^2 x S^2 adds twice.
+_STABLE_TERMS = (Sphere(3), LoopFactor(2))
+
+
+def render_blocks(blocks: Iterable[tuple[SpaceTerm | LoopFactor, int]], symbolic: bool) -> list[str]:
+    """The rendered terms of (term, count) blocks, ``count`` copies each.
+
+    With a symbolic stabilization count d the S^3 / O^2G block is one
+    piece, ``(X)^{n+2d}``, or ``(X)^{2d}`` when n = 0.
+    """
+    pieces: list[str] = []
+    for term, count in blocks:
+        text = render(term)
+        if symbolic and term in _STABLE_TERMS:
+            pieces.append(f"({text})^{{{count}+2d}}" if count else f"({text})^{{2d}}")
+        else:
+            pieces.extend([text] * count)
+    return pieces
 
 
 # --------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from conftest import ODD_PRIMES, random_spec, random_term, record_acceptance
 from test_homology import check_against_minors, cp2_complex, moore_complex
 
 from gauge4 import (
-    Case,
     IntMatrix,
     ManifoldSpec,
     Moore,
@@ -192,7 +191,7 @@ def test_criterion_4_d0_matches_cyclic():
         t = rng.randrange(0, 9)
         plain = decompose(spec, t)
         stabilized = mixed_decomposition(spec, t, d=0)
-        assert plain.case_used is Case.CYCLIC
+        assert plain.case_used is Pi1Kind.CYCLIC
         assert stabilized.suspension == plain.suspension
         assert stabilized.gauge == plain.gauge
         assert stabilized.stabilization == 0

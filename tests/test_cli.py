@@ -8,15 +8,16 @@ import time
 import pytest
 
 from gauge4 import (
-    Case,
     Decomposition,
     GaugeExpr,
     LoopFactor,
     Moore,
+    Pi1Kind,
     Sphere,
     SuspCP2,
+    decompose,
+    manifold,
     render_decomposition,
-    wedge,
 )
 from gauge4.cli import run
 
@@ -149,7 +150,7 @@ def test_decompose_json_round_trip(capsys, argv):
     code, blob, _ = invoke(capsys, "decompose", *argv, "--json")
     assert code == 0
     data = json.loads(blob)
-    susp = wedge([rebuild_atom(o) for o in data["suspension"]])
+    atoms = [rebuild_atom(o) for o in data["suspension"]]
     g = data["gauge"]
     gauge = GaugeExpr(
         g["base"],
@@ -157,7 +158,10 @@ def test_decompose_json_round_trip(capsys, argv):
         tuple(LoopFactor(f["loop_order"], f["modulus"]) for f in g["factors"]),
         g["stabilization"],
     )
-    dec = Decomposition(susp, gauge, g["stabilization"], Case(data["case"]))
+    case = Pi1Kind.TRIVIAL if data["case"] == "simply_connected" else Pi1Kind(data["case"])
+    dec = Decomposition(tuple((a, 1) for a in atoms), g["t"], g["stabilization"], case)
+    assert dec.summands == atoms
+    assert dec.gauge == gauge
     assert render_decomposition(dec) + "\n" == text
 
 
@@ -235,3 +239,15 @@ def test_one_parser_serves_many_runs(capsys):
         got = invoke(capsys, *argv)
         proc = subprocess.run([sys.executable, "-m", "gauge4", *argv], capture_output=True, text=True)
         assert got == (proc.returncode, proc.stdout, proc.stderr)
+
+
+def test_symbolic_b2_of_a_billion_is_one_block(capsys, hang_guard):
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "suspension", "--pi1", "Z*Z/3", "--b2", "1000000000")
+    assert time.perf_counter() - start < 0.05
+    assert (code, err) == (0, "")
+    assert out == (
+        "S(M #_d(S^2xS^2)) = S^5 v S^4 v P^4(3) v (S^3)^{1000000000+2d} v P^3(3) v S^2\n"
+    )
+    line = render_decomposition(decompose(manifold("Z*Z/3", 10**9)))
+    assert line.endswith("x (O^2G)^{1000000000+2d} x O^2G{3} x O^1G")

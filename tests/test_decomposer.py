@@ -7,7 +7,7 @@ import pytest
 
 from conftest import ODD_PRIMES, random_spec
 from gauge4 import (
-    Case,
+    Decomposition,
     DecompositionError,
     GaugeExpr,
     LoopFactor,
@@ -29,7 +29,7 @@ from gauge4 import (
     suspension_of_spec,
     wedge,
 )
-from gauge4.decomposer import presentation_summands, render_suspension_half
+from gauge4.decomposer import render_suspension_half
 from gauge4.manifold import TRIVIAL_PI1
 from gauge4.terms import SYMBOLIC
 
@@ -42,7 +42,7 @@ def O(k, q=None):
 
 def test_simply_connected_spin():
     dec = decompose(ManifoldSpec(TRIVIAL_PI1, 2, True), 3)
-    assert dec.case_used is Case.SIMPLY_CONNECTED
+    assert dec.case_used is Pi1Kind.TRIVIAL
     assert dec.suspension == wedge([Sphere(5), Sphere(3), Sphere(3)])
     assert dec.gauge == GaugeExpr("S4", 3, (O(2), O(2)))
     assert dec.stabilization == 0
@@ -62,7 +62,7 @@ def test_sphere_itself_is_the_bare_base():
 
 def test_free_case():
     dec = decompose(ManifoldSpec(Pi1Descriptor(1), 0, True), 2)
-    assert dec.case_used is Case.FREE
+    assert dec.case_used is Pi1Kind.FREE
     assert dec.suspension == wedge([Sphere(5), Sphere(4), Sphere(2)])
     assert dec.gauge == GaugeExpr("S4", 2, (O(3), O(1)))
 
@@ -75,7 +75,7 @@ def test_free_case():
 
 def test_cyclic_case():
     dec = decompose(ManifoldSpec(Pi1Descriptor(0, ((3, 2),)), 1, True), 2)
-    assert dec.case_used is Case.CYCLIC
+    assert dec.case_used is Pi1Kind.CYCLIC
     assert dec.suspension == wedge([Sphere(5), Moore(4, 9), Sphere(3), Moore(3, 9)])
     assert dec.gauge == GaugeExpr("S4", 2, (O(3, 9), O(2), O(2, 9)))
 
@@ -87,7 +87,7 @@ def test_cyclic_case():
 def test_mixed_case_symbolic_by_default():
     spec = ManifoldSpec(Pi1Descriptor(1, ((3, 1),)), 1, True)
     dec = decompose(spec, 7)
-    assert dec.case_used is Case.MIXED
+    assert dec.case_used is Pi1Kind.MIXED
     assert dec.stabilization == SYMBOLIC
     assert dec.gauge.stabilization == SYMBOLIC
     # the stored wedge/product keep only the d-independent part
@@ -131,15 +131,65 @@ def test_dispatch_covers_all_kinds():
         dec = decompose(spec)
         kind = classify_pi1(spec.pi1)
         seen.add(kind)
-        expected = {
-            Pi1Kind.TRIVIAL: Case.SIMPLY_CONNECTED,
-            Pi1Kind.FREE: Case.FREE,
-            Pi1Kind.CYCLIC: Case.CYCLIC,
-            Pi1Kind.MIXED: Case.MIXED,
-        }[kind]
-        assert dec.case_used is expected
+        assert dec.case_used is kind
         assert (dec.gauge.base == "S4") == spec.sigma_f_trivial
     assert seen == set(Pi1Kind)
+
+
+def test_decomposition_blocks_are_one_normal_form():
+    dec = Decomposition(
+        (
+            (Moore(3, 9), 1),
+            (Sphere(2), 1),
+            (Moore(3, 5), 1),
+            (Sphere(5), 1),
+            (Moore(3, 9), 1),
+            (Sphere(4), 0),
+        ),
+        2,
+        0,
+        Pi1Kind.MIXED,
+    )
+    # equal summands merged, empty blocks dropped but for S^3, display order
+    assert dec.blocks == (
+        (Sphere(5), 1),
+        (Sphere(3), 0),
+        (Moore(3, 5), 1),
+        (Moore(3, 9), 2),
+        (Sphere(2), 1),
+    )
+    assert Decomposition(dec.blocks, 2, 0, Pi1Kind.MIXED) == dec
+    assert dec.summands == [Sphere(5), Moore(3, 5), Moore(3, 9), Moore(3, 9), Sphere(2)]
+    assert dec.gauge == GaugeExpr("S4", 2, (O(2, 5), O(2, 9), O(2, 9), O(1)))
+    for bad in [
+        ((Sphere(3), 2),),
+        ((Sphere(5), 1), (SuspCP2(), 1)),
+        ((Sphere(5), 2),),
+        ((Sphere(6), 1), (Sphere(5), 1)),
+    ]:
+        with pytest.raises(DecompositionError, match="exactly one base summand"):
+            Decomposition(bad, 0, 0, Pi1Kind.TRIVIAL)
+    with pytest.raises(DecompositionError, match="negative count"):
+        Decomposition(((Sphere(5), 1), (Sphere(3), -1)), 0, 0, Pi1Kind.TRIVIAL)
+
+
+def test_blocks_grow_with_distinct_summands_not_b2(hang_guard):
+    spec = ManifoldSpec(Pi1Descriptor(1, ((3, 1), (3, 1), (5, 2))), 10**9, False)
+    dec = decompose(spec, 1)
+    assert dec.blocks == (
+        (SuspCP2(), 1),
+        (Sphere(4), 1),
+        (Moore(4, 3), 2),
+        (Moore(4, 25), 1),
+        (Sphere(3), 10**9 - 1),
+        (Moore(3, 3), 2),
+        (Moore(3, 25), 1),
+        (Sphere(2), 1),
+    )
+    assert render_suspension_half(dec) == (
+        "S(M #_d(S^2xS^2)) = SCP^2 v S^4 v P^4(3) v P^4(3) v P^4(25)"
+        " v (S^3)^{999999999+2d} v P^3(3) v P^3(3) v P^3(25) v S^2"
+    )
 
 
 def test_decompose_validates_first():
@@ -206,9 +256,9 @@ def test_mixed_formula_at_d0_matches_cyclic_branch():
         spec = ManifoldSpec(Pi1Descriptor(0, ((p, r),)), b2, flag)
         t = rng.randint(-6, 6)
         exact = decompose(spec, t)
-        assert exact.case_used is Case.CYCLIC
+        assert exact.case_used is Pi1Kind.CYCLIC
         stabilized = mixed_decomposition(spec, t, d=0)
-        assert stabilized.case_used is Case.MIXED
+        assert stabilized.case_used is Pi1Kind.MIXED
         assert stabilized.suspension == exact.suspension
         assert stabilized.gauge == exact.gauge
 
@@ -260,8 +310,7 @@ def test_suspension_homology_matches_after_stabilization():
 def test_presentation_puts_base_first_then_top_down():
     spec = ManifoldSpec(Pi1Descriptor(2, ((3, 1), (5, 2))), 2, False)
     dec = decompose(spec, 0, d=0)
-    ordered = presentation_summands(dec.suspension)
-    assert ordered == [
+    assert dec.summands == [
         SuspCP2(),
         Sphere(4),
         Sphere(4),

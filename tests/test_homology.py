@@ -413,6 +413,23 @@ def test_wedge_homology_is_additive():
         assert combined == GradedAbelianGroup(tuple(expected_groups))
 
 
+def test_wedge_of_many_moore_spaces_is_one_pass(hang_guard):
+    # 1 600 cyclic factors give 3 200 Moore summands; folding direct_sum
+    # over them re-split all the torsion so far at every step (10 s).
+    factors = tuple(((3, 5, 7, 11)[i % 4], 1 + i % 3) for i in range(1600))
+    spec = ManifoldSpec(Pi1Descriptor(0, factors), 4, True)
+    moduli = sorted(p**r for p, r in factors)
+    term = wedge([Sphere(5), *[Sphere(3)] * 4]
+                 + [Moore(dim, q) for q in moduli for dim in (3, 4)])
+    start = time.perf_counter()
+    got = homology_of_term(term)
+    assert time.perf_counter() - start < 1.0
+    assert got == GradedAbelianGroup.of(
+        {0: (1, ()), 2: (0, moduli), 3: (4, moduli), 5: (1, ())}
+    )
+    assert got == suspend(homology_of_manifold(spec))
+
+
 def test_suspend_shifts_reduced_part():
     g = GradedAbelianGroup.of({0: (1, ()), 1: (2, (3,)), 4: (1, ())})
     assert suspend(g) == GradedAbelianGroup.of({0: (1, ()), 2: (2, (3,)), 5: (1, ())})
