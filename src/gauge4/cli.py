@@ -21,7 +21,7 @@ from .classifier import (
     parse_group,
 )
 from .manifold import ManifoldSpec, Pi1Kind, parse_pi1, render_pi1, validate
-from .terms import Moore, SpaceTerm, Sphere, SuspCP2, map_space
+from .terms import Moore, SpaceTerm, Sphere, SuspCP2
 
 
 class UsageError(Exception):
@@ -169,18 +169,17 @@ def _cmd_decompose(args: argparse.Namespace) -> str:
     spec = _spec_from_args(args)
     dec = decomposer.decompose(spec, args.t, d=args.d)
     if args.json:
-        atoms = dec.summands
         return _dump(
             {
                 "case": _case_json(dec.case_used),
-                "suspension": [_atom_json(a) for a in atoms],
+                "suspension": [_atom_json(a) for a in dec.summands],
                 "gauge": {
                     "base": dec.base,
                     "t": dec.t,
-                    # Map*(summand, G) keeps the display order, which is GaugeExpr's.
                     "factors": [
                         {"loop_order": f.loop_order, "modulus": f.modulus}
-                        for f in map(map_space, atoms[1:])
+                        for f, count in dec.gauge.blocks
+                        for _ in range(count)
                     ],
                     "stabilization": dec.stabilization,
                 },

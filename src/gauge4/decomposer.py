@@ -8,11 +8,10 @@ group, so the gauge group G_t(M) splits as a product of a base gauge group
 — over S^4 or CP^2 — and loop factors.  This module builds both halves and
 keeps them in correspondence.
 
-A splitting is stored once, as (wedge summand, count) blocks in display
-order; the wedge, the gauge product and both rendered halves are read off
-those blocks, the gauge half through map_space, and both are printed by
-the one block renderer terms.render_blocks.  The cost is therefore the
-number of distinct summands, not b2.
+A splitting is stored once, as its normalized wedge, whose (summand,
+count) blocks are in display order; the gauge product is read off them
+through map_space, and terms.render_blocks prints both halves.  Every view
+but the expanded summand list costs the number of distinct summands.
 
 Four fundamental-group shapes are handled.  Trivial and free pi1, and a
 single odd prime-power cyclic pi1, split on the nose.  A genuinely mixed
@@ -24,7 +23,6 @@ the S^3 block, which renders as (S^3)^{n+2d}.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from .manifold import ManifoldSpec, Pi1Kind, classify_pi1, stabilize, validate
@@ -37,11 +35,12 @@ from .terms import (
     Stabilization,
     SuspCP2,
     TermError,
+    Wedge,
+    blocks,
     map_space,
+    normalize,
     render,
     render_blocks,
-    summands,
-    wedge,
 )
 
 
@@ -53,50 +52,33 @@ class DecompositionError(ValueError):
 _GAUGE_BASE = {Sphere(5): "S4", SuspCP2(): "CP2"}
 
 
-def _display_key(atom: SpaceTerm) -> tuple[int, int, int]:
-    # Splittings are written top dimension down, so the 5-dimensional base
-    # comes first, and at equal dimension spheres before Moore spaces; the
-    # gauge factors Map*(atom, G) then come out in GaugeExpr's order too.
-    if isinstance(atom, Sphere):
-        return (-atom.dim, 0, 0)
-    if isinstance(atom, Moore):
-        return (-atom.dim, 1, atom.modulus)
-    if isinstance(atom, SuspCP2):
-        return (-5, 0, 0)
-    raise DecompositionError(f"unexpected summand {atom!r}")
-
-
 @dataclass(frozen=True, slots=True)
 class Decomposition:
     """Both halves of one splitting, plus how it was obtained.
 
-    ``blocks`` are (wedge summand, count) pairs with exactly one base
-    summand (S^5 or SCP^2) of count 1.  On construction equal summands are
-    merged, empty blocks dropped except S^3 (the block stabilization
-    grows, so a symbolic d always has a slot), and the blocks sorted into
-    display order.  ``stabilization`` is 0 for the on-the-nose cases, a
-    d >= 0 or SYMBOLIC for the stabilized one; with SYMBOLIC the S^3 count
-    is the d-independent part.
+    ``suspension`` is the wedge, normalized on construction; its first
+    block must be the one base summand (S^5 or SCP^2), of count 1.
+    ``stabilization`` is 0 for the on-the-nose cases, a d >= 0 or SYMBOLIC
+    for the stabilized one; with SYMBOLIC the S^3 count is the
+    d-independent part.
     """
 
-    blocks: tuple[tuple[SpaceTerm, int], ...]
+    suspension: SpaceTerm
     t: int
     stabilization: Stabilization
     case_used: Pi1Kind
 
     def __post_init__(self) -> None:
-        counts: Counter = Counter({Sphere(3): 0})
-        for atom, count in self.blocks:
-            if count < 0:
-                raise DecompositionError(f"negative count {count} of {render(atom)}")
-            counts[atom] += count
-        blocks = sorted(
-            ((a, n) for a, n in counts.items() if n or a == Sphere(3)),
-            key=lambda block: _display_key(block[0]),
-        )
-        if [b for b in blocks if b[0] in _GAUGE_BASE] != blocks[:1] or blocks[0][1] != 1:
+        susp = normalize(self.suspension)
+        bases = [atom for atom, _ in blocks(susp) if atom in _GAUGE_BASE]
+        if len(bases) != 1 or blocks(susp)[0] != (bases[0], 1):
             raise DecompositionError("a splitting needs exactly one base summand")
-        object.__setattr__(self, "blocks", tuple(blocks))
+        object.__setattr__(self, "suspension", susp)
+
+    @property
+    def blocks(self) -> tuple[tuple[SpaceTerm, int], ...]:
+        """The (wedge summand, count) blocks, base first, in display order."""
+        return blocks(self.suspension)
 
     @property
     def summands(self) -> list[SpaceTerm]:
@@ -104,14 +86,9 @@ class Decomposition:
         return [atom for atom, count in self.blocks for _ in range(count)]
 
     @property
-    def suspension(self) -> SpaceTerm:
-        """The normalized wedge."""
-        return wedge(self.summands)
-
-    @property
     def gauge(self) -> GaugeExpr:
         """The corresponding product G_t(base) x Map*(summand, G) x ..."""
-        factors = tuple(map_space(a) for a in self.summands[1:])
+        factors = tuple((map_space(atom), count) for atom, count in self.blocks[1:])
         return GaugeExpr(self.base, self.t, factors, self.stabilization)
 
     @property
@@ -159,7 +136,7 @@ def _assemble(spec: ManifoldSpec, t: int, stabilization: Stabilization, kind: Pi
         base, n3 = SuspCP2(), spec.b2 - 1  # one 2-cell is spent on the CP^2 block
     blocks = [(base, 1), (Sphere(4), m), (Sphere(3), n3), (Sphere(2), m)]
     blocks += [(Moore(dim, p**r), 1) for p, r in spec.pi1.cyclic_factors for dim in (3, 4)]
-    return Decomposition(tuple(blocks), t, stabilization, kind)
+    return Decomposition(Wedge(tuple(blocks)), t, stabilization, kind)
 
 
 def suspension_of_spec(spec: ManifoldSpec, d: int | None = None) -> SpaceTerm:
@@ -176,18 +153,18 @@ def gauge_from_suspension(susp: SpaceTerm, t: int) -> GaugeExpr:
     manifold, only at the wedge.
     """
     base = None
-    rest: list[SpaceTerm] = []
-    for atom in summands(susp):
+    rest: list[tuple[SpaceTerm, int]] = []
+    for atom, count in blocks(susp):
         if atom in _GAUGE_BASE:
-            if base is not None:
+            if base is not None or count > 1:
                 raise DecompositionError("multiple base summands")
             base = atom
         else:
-            rest.append(atom)
+            rest.append((atom, count))
     if base is None:
         raise DecompositionError("no base summand")
     try:
-        factors = tuple(map_space(a) for a in rest)
+        factors = tuple((map_space(atom), count) for atom, count in rest)
     except TermError as exc:
         raise DecompositionError(f"summand outside the correspondence: {exc}") from None
     return GaugeExpr(_GAUGE_BASE[base], t, factors, 0)
@@ -199,7 +176,8 @@ def gauge_from_suspension(susp: SpaceTerm, t: int) -> GaugeExpr:
 
 def render_suspension_half(dec: Decomposition) -> str:
     """``SM = ...`` (or the connected-sum left side when stabilized)."""
-    body = " v ".join(render_blocks(dec.blocks, dec.stabilization == SYMBOLIC))
+    stable = Sphere(3) if dec.stabilization == SYMBOLIC else None
+    body = " v ".join(render_blocks(dec.blocks, stable))
     return f"{_suspension_left(dec.stabilization)} = {body}"
 
 
@@ -212,9 +190,7 @@ def _suspension_left(stab: Stabilization) -> str:
 
 def render_gauge_half(dec: Decomposition) -> str:
     """``G_t(M) = ...``, or the stabilized ``G_t(M) x (O^2G)^{2d} ~ ...``."""
-    factors = [(map_space(atom), count) for atom, count in dec.blocks[1:]]
-    pieces = render_blocks(factors, dec.stabilization == SYMBOLIC)
-    right = " x ".join([render(GaugeExpr(dec.base, dec.t)), *pieces])
+    right = render(dec.gauge)
     t = dec.t
     stab = dec.stabilization
     if stab == 0:

@@ -68,10 +68,6 @@ class GradedAbelianGroup:
             groups[deg] = (rank, tuple(torsion))
         return cls(tuple(groups))
 
-    @classmethod
-    def trivial(cls) -> "GradedAbelianGroup":
-        return cls.of({})
-
     def rank(self, degree: int) -> int:
         return self.groups[degree][0]
 
@@ -374,15 +370,16 @@ def homology_of_manifold(spec: ManifoldSpec) -> GradedAbelianGroup:
 def homology_of_term(term: _t.SpaceTerm) -> GradedAbelianGroup:
     """Unreduced integral homology of a space term (a Z in degree 0).
 
-    One pass adds up the ranks and the torsion of every summand per
-    degree, so the cost is linear in the number of summands.
+    One pass adds up the ranks and the torsion of every (summand, count)
+    block per degree, each times its count, so the cost is linear in the
+    number of distinct summands plus the torsion written out.
     """
     ranks = [1] + [0] * MAX_DEGREE
     torsion: list[list[int]] = [[] for _ in ranks]
-    for atom in _t.summands(term):
+    for atom, count in _t.blocks(term):
         for deg, rank, tors in _reduced_atom_homology(atom):
-            ranks[deg] += rank
-            torsion[deg] += tors
+            ranks[deg] += rank * count
+            torsion[deg] += tors * count
     return GradedAbelianGroup(tuple(zip(ranks, map(tuple, torsion))))
 
 

@@ -4,25 +4,29 @@ The term language covers exactly the spaces that show up when a closed
 orientable 4-manifold is suspended: spheres ``S^n``, Moore spaces ``P^n(q)``
 (the complex whose only reduced homology is ``Z/q`` in degree ``n-1``), the
 suspended complex projective plane ``SCP^2``, the one-point space ``pt``, and
-finite wedges of these.  Wedges carry a unique normal form — flat, sorted,
-point-free — so two decompositions can be compared by plain equality.
+finite wedges of these.
 
 On the gauge side, ``LoopFactor`` stands for an iterated loop space of the
 structure group ``G`` (``O^kG``), optionally the mod-``q`` variant ``O^kG{q}``
 given by pointed maps out of a Moore space, and ``GaugeExpr`` is a finite
 product of such factors over a base gauge group on ``S^4`` or ``CP^2``.
 
+Wedges and products are multisets of ``(term, count)`` blocks with one
+normal form (merged, zero-free, sorted by ``_atom_key``), so they compare
+by plain equality and cost the number of distinct terms, not of copies.
+
 ``map_space`` is the bridge between the two sides: it sends a wedge summand
 ``Y`` to the factor ``Map*(Y, G)`` contributes to a gauge group, using
-``Map*(S^k, G) = O^kG`` and ``Map*(P^k(q), G) = O^{k-1}G{q}``.
+``Map*(S^k, G) = O^kG`` and ``Map*(P^k(q), G) = O^{k-1}G{q}``; a factor sorts
+where its summand does.
 """
 
 from __future__ import annotations
 
 import re
-from collections import Counter
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 
 class TermError(ValueError):
@@ -74,69 +78,91 @@ class SuspCP2:
 
 @dataclass(frozen=True, slots=True)
 class Wedge:
-    """Wedge sum of atomic terms, kept in canonical order (see normalize)."""
+    """Wedge sum of (term, count) blocks, ``count`` copies of each term; a
+    raw wedge may nest wedges and points (see normalize)."""
 
-    summands: tuple["SpaceTerm", ...]
+    blocks: tuple[tuple["SpaceTerm", int], ...]
+
+    def __post_init__(self) -> None:
+        for term, count in self.blocks:
+            if not isinstance(term, (Point, Sphere, Moore, SuspCP2, Wedge)):
+                raise TermError(f"not a space term: {term!r}")
+            if count < 0:
+                raise TermError(f"negative count {count} of {term!r}")
 
 
 SpaceTerm = Union[Point, Sphere, Moore, SuspCP2, Wedge]
 
 
-def _atom_key(term: SpaceTerm) -> tuple[int, int, int]:
-    """Canonical sort key: kind, then dimension, then modulus."""
+def _atom_key(term: SpaceTerm | LoopFactor) -> tuple[int, int, int]:
+    """The one order of summands: top dimension down; at equal dimension
+    spheres, then Moore spaces by modulus, then SCP^2.  A loop factor sorts
+    as the summand it comes from (O^kG{q} as P^{k+1}(q)), so map_space keeps
+    the order and the two halves of a splitting are written in step."""
     if isinstance(term, Sphere):
-        return (0, term.dim, 0)
+        return (-term.dim, 0, 0)
     if isinstance(term, Moore):
-        return (1, term.dim, term.modulus)
+        return (-term.dim, 1, term.modulus)
     if isinstance(term, SuspCP2):
-        return (2, 5, 0)
+        return (-5, 2, 0)
+    if isinstance(term, LoopFactor):
+        return (-term.loop_order - 1, 0 if term.modulus is None else 1, term.modulus or 0)
     raise TermError(f"not an atomic wedge summand: {term!r}")
 
 
-def summands(term: SpaceTerm) -> tuple[SpaceTerm, ...]:
-    """The atomic wedge summands of a term (empty for the point)."""
+def _merge(blocks: Iterable[tuple[SpaceTerm | LoopFactor, int]]) -> tuple:
+    """Blocks in normal form, in one pass: nested wedges flattened (their
+    counts multiplied), points and zero blocks dropped, equal terms merged,
+    then sorted by _atom_key.  A negative count raises TermError."""
+    merged: dict = {}
+    _add(merged, blocks, 1)
+    return tuple([merged[key] for key in sorted(merged)])
+
+
+def _add(merged: dict, blocks: Iterable[tuple[SpaceTerm | LoopFactor, int]], times: int) -> None:
+    # _atom_key is one-to-one on summands and on loop factors, so it is the
+    # merge key as well as the sort key.
+    for term, count in blocks:
+        if count < 0:
+            raise TermError(f"negative count {count} of {term!r}")
+        if isinstance(term, Wedge):
+            _add(merged, term.blocks, times * count)
+        elif count and not isinstance(term, Point):
+            key = _atom_key(term)
+            merged[key] = (term, times * count + merged.get(key, (term, 0))[1])
+
+
+def blocks(term: SpaceTerm) -> tuple[tuple[SpaceTerm, int], ...]:
+    """The (atom, count) blocks of a term (none for the point)."""
     if isinstance(term, Point):
         return ()
     if isinstance(term, Wedge):
-        return term.summands
-    return (term,)
-
-
-def normalize(term: SpaceTerm) -> SpaceTerm:
-    """Rewrite a term to its unique normal form.
-
-    Nested wedges are flattened, point summands dropped, summands sorted
-    (spheres, then Moore spaces, then SCP^2; within a kind by ascending
-    dimension, then ascending modulus).  An empty wedge collapses to the
-    point and a one-summand wedge to its summand, so a normal form is never
-    a singleton Wedge.
-    """
-    flat: list[SpaceTerm] = []
-    _flatten(term, flat)
-    flat.sort(key=_atom_key)
-    if not flat:
-        return Point()
-    if len(flat) == 1:
-        return flat[0]
-    return Wedge(tuple(flat))
-
-
-def _flatten(term: SpaceTerm, out: list[SpaceTerm]) -> None:
-    if isinstance(term, Point):
-        return
-    if isinstance(term, Wedge):
-        for part in term.summands:
-            _flatten(part, out)
-        return
+        return term.blocks
     if isinstance(term, (Sphere, Moore, SuspCP2)):
-        out.append(term)
-        return
+        return ((term, 1),)
     raise TermError(f"not a space term: {term!r}")
 
 
+def normalize(term: SpaceTerm) -> SpaceTerm:
+    """Rewrite a term to its unique normal form, in one pass.
+
+    Nested wedges are flattened, their counts multiplied; points and zero
+    blocks are dropped, equal atoms merged, and the blocks sorted top
+    dimension down (at equal dimension spheres, then Moore spaces by
+    ascending modulus, then SCP^2).  An empty wedge collapses to the point
+    and a single copy of one atom to that atom.
+    """
+    merged = _merge(blocks(term))
+    if not merged:
+        return Point()
+    if len(merged) == 1 and merged[0][1] == 1:
+        return merged[0][0]
+    return Wedge(merged)
+
+
 def wedge(parts: Iterable[SpaceTerm]) -> SpaceTerm:
-    """Normalized wedge sum of any iterable of terms."""
-    return normalize(Wedge(tuple(parts)))
+    """Normalized wedge sum of any iterable of terms, one copy each."""
+    return normalize(Wedge(tuple((part, 1) for part in parts)))
 
 
 # --------------------------------------------------------------------------
@@ -163,26 +189,22 @@ SYMBOLIC = "symbolic"
 Stabilization = Union[int, str]
 
 
-def _factor_key(f: LoopFactor) -> tuple[int, int, int]:
-    # Descending loop order; plain factors before mod-q ones; ascending modulus.
-    return (-f.loop_order, 0 if f.modulus is None else 1, f.modulus or 0)
-
-
 @dataclass(frozen=True, slots=True)
 class GaugeExpr:
     """A product decomposition G_t(base) x (loop factors), possibly stabilized.
 
-    ``stabilization`` counts connected sums with S^2 x S^2: 0 means the
-    equivalence holds for the manifold itself, a positive integer d means it
-    holds after d stabilizations (and the factor list already includes the
-    2d extra copies of O^2G the stabilization contributes on the right),
-    and SYMBOLIC means d is kept as a formal variable, in which case the
-    factor list holds only the d-independent part.
+    ``blocks`` are (loop factor, count) pairs, normalized on construction
+    as a wedge's are.  ``stabilization`` counts connected sums with
+    S^2 x S^2: 0 means the equivalence holds for the manifold itself, a
+    positive integer d means it holds after d stabilizations (and the
+    blocks already include the 2d extra copies of O^2G the stabilization
+    contributes on the right), and SYMBOLIC means d is kept as a formal
+    variable, in which case the blocks hold only the d-independent part.
     """
 
     base: str  # "S4" | "CP2"
     t: int
-    factors: tuple[LoopFactor, ...] = ()
+    blocks: tuple[tuple[LoopFactor, int], ...] = ()
     stabilization: Stabilization = 0
 
     def __post_init__(self) -> None:
@@ -193,7 +215,9 @@ class GaugeExpr:
                 raise TermError("stabilization count must be >= 0")
         elif self.stabilization != SYMBOLIC:
             raise TermError(f"bad stabilization: {self.stabilization!r}")
-        object.__setattr__(self, "factors", tuple(sorted(self.factors, key=_factor_key)))
+        if not all(isinstance(factor, LoopFactor) for factor, _ in self.blocks):
+            raise TermError(f"gauge blocks must hold loop factors: {self.blocks!r}")
+        object.__setattr__(self, "blocks", _merge(self.blocks))
 
 
 def map_space(summand: SpaceTerm) -> LoopFactor:
@@ -244,7 +268,7 @@ def render(obj: SpaceTerm | GaugeExpr | LoopFactor) -> str:
     if isinstance(obj, Wedge):
         norm = normalize(obj)
         if isinstance(norm, Wedge):
-            return " v ".join(render(s) for s in norm.summands)
+            return " v ".join(render_blocks(norm.blocks))
         return render(norm)
     raise TermError(f"cannot render {obj!r}")
 
@@ -256,30 +280,32 @@ def _render_factor(f: LoopFactor) -> str:
 
 
 def _render_gauge(expr: GaugeExpr) -> str:
-    counts = Counter(expr.factors)
-    counts.setdefault(LoopFactor(2), 0)  # the slot of a symbolic (O^2G)^{2d}
-    blocks = sorted(counts.items(), key=lambda block: _factor_key(block[0]))
-    pieces = render_blocks(blocks, expr.stabilization == SYMBOLIC)
+    stable = LoopFactor(2) if expr.stabilization == SYMBOLIC else None
+    pieces = render_blocks(expr.blocks, stable)
     return " x ".join([f"G_{expr.t}({_BASE_NAMES[expr.base]})", *pieces])
 
 
-#: The summand, and its gauge factor, that each S^2 x S^2 adds twice.
-_STABLE_TERMS = (Sphere(3), LoopFactor(2))
+def render_blocks(
+    blocks: Sequence[tuple[SpaceTerm | LoopFactor, int]], stable: Sphere | LoopFactor | None = None
+) -> list[str]:
+    """The rendered terms of sorted (term, count) blocks, ``count`` copies each.
 
-
-def render_blocks(blocks: Iterable[tuple[SpaceTerm | LoopFactor, int]], symbolic: bool) -> list[str]:
-    """The rendered terms of (term, count) blocks, ``count`` copies each.
-
-    With a symbolic stabilization count d the S^3 / O^2G block is one
-    piece, ``(X)^{n+2d}``, or ``(X)^{2d}`` when n = 0.
+    ``stable`` is the term each S^2 x S^2 adds twice, S^3 or O^2G, when the
+    stabilization count d is symbolic.  Its block, present or not, is then
+    one piece in its place: ``(X)^{n+2d}``, or ``(X)^{2d}`` when n = 0.
     """
+    if stable is not None:
+        i = bisect_left(blocks, _atom_key(stable), key=lambda block: _atom_key(block[0]))
+        n = dict(blocks[i : i + 1]).get(stable, 0)
+        power = f"{n}+2d" if n else "2d"
+        return [
+            *render_blocks(blocks[:i]),
+            f"({render(stable)})^{{{power}}}",
+            *render_blocks(blocks[i + 1 if n else i :]),
+        ]
     pieces: list[str] = []
     for term, count in blocks:
-        text = render(term)
-        if symbolic and term in _STABLE_TERMS:
-            pieces.append(f"({text})^{{{count}+2d}}" if count else f"({text})^{{2d}}")
-        else:
-            pieces.extend([text] * count)
+        pieces.extend([render(term)] * count)
     return pieces
 
 

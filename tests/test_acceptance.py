@@ -9,7 +9,7 @@ import math
 import random
 import time
 
-from conftest import ODD_PRIMES, random_spec, random_term, record_acceptance
+from conftest import ODD_PRIMES, handle_complex, random_spec, random_term, record_acceptance
 from test_homology import check_against_minors, cp2_complex, moore_complex
 
 from gauge4 import (
@@ -124,20 +124,28 @@ def test_criterion_1_branch_goldens():
 
 
 # ---------------------------------------------------------------------------
-# criterion 2: suspension output agrees with the independent chain-level
-# homology engine on >= 1000 random specs, exactly, within 5 seconds.
+# criterion 2: suspension output agrees with the closed-form homology and
+# with the independent chain-level engine (a conjugated handle complex
+# reduced by Smith normal form) on >= 1000 random specs, exactly, within
+# 5 seconds.
 # ---------------------------------------------------------------------------
 
 
 @criterion(2, "homology cross-validation on 1000 random specs")
 def test_criterion_2_homology_cross_validation():
     rng = random.Random(424242)
+    # Its own stream for the conjugating matrices, so that rng draws the
+    # same specs as criterion 3.
+    crng = random.Random(434343)
     start = time.perf_counter()
     for _ in range(1000):
         spec = random_spec(rng)
         expected = suspend(homology_of_manifold(spec))
         actual = homology_of_term(suspension_of_spec(spec))
         assert actual == expected, spec
+        cellular = chain_homology(handle_complex(crng, spec))
+        assert suspend(cellular) == actual, spec
+        assert cellular.euler_characteristic == 2 - 2 * spec.pi1.free_rank + spec.b2
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0, f"1000 specs took {elapsed:.3f}s (budget 5s)"
 
@@ -165,7 +173,7 @@ def test_criterion_3_gauge_from_suspension():
                 derived = gauge_from_suspension(dec.suspension, t)
                 assert derived.base == dec.gauge.base
                 assert derived.t == dec.gauge.t
-                assert derived.factors == dec.gauge.factors
+                assert derived.blocks == dec.gauge.blocks
         else:
             dec = decompose(spec, t)
             derived = gauge_from_suspension(dec.suspension, t)

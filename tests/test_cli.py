@@ -1,12 +1,15 @@
 """Byte-level goldens, JSON round-trips, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import gauge4
 from gauge4 import (
     Decomposition,
     GaugeExpr,
@@ -18,6 +21,7 @@ from gauge4 import (
     decompose,
     manifold,
     render_decomposition,
+    wedge,
 )
 from gauge4.cli import run
 
@@ -26,6 +30,14 @@ def invoke(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def spawn(*argv):
+    """``python -m gauge4 ...`` in a fresh process that imports this gauge4."""
+    src = str(Path(gauge4.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run([sys.executable, "-m", "gauge4", *argv], capture_output=True, text=True, env=env)
 
 
 def test_decompose_golden(capsys):
@@ -155,11 +167,11 @@ def test_decompose_json_round_trip(capsys, argv):
     gauge = GaugeExpr(
         g["base"],
         g["t"],
-        tuple(LoopFactor(f["loop_order"], f["modulus"]) for f in g["factors"]),
+        tuple((LoopFactor(f["loop_order"], f["modulus"]), 1) for f in g["factors"]),
         g["stabilization"],
     )
     case = Pi1Kind.TRIVIAL if data["case"] == "simply_connected" else Pi1Kind(data["case"])
-    dec = Decomposition(tuple((a, 1) for a in atoms), g["t"], g["stabilization"], case)
+    dec = Decomposition(wedge(atoms), g["t"], g["stabilization"], case)
     assert dec.summands == atoms
     assert dec.gauge == gauge
     assert render_decomposition(dec) + "\n" == text
@@ -210,11 +222,7 @@ def test_error_exits(capsys, argv, code, fragment):
 
 
 def test_module_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "gauge4", "snf", "--matrix", "[[1,0],[0,1]]"],
-        capture_output=True,
-        text=True,
-    )
+    proc = spawn("snf", "--matrix", "[[1,0],[0,1]]")
     assert proc.returncode == 0
     assert proc.stdout == "1 1\n"
 
@@ -237,7 +245,7 @@ def test_one_parser_serves_many_runs(capsys):
     ]
     for argv in calls:
         got = invoke(capsys, *argv)
-        proc = subprocess.run([sys.executable, "-m", "gauge4", *argv], capture_output=True, text=True)
+        proc = spawn(*argv)
         assert got == (proc.returncode, proc.stdout, proc.stderr)
 
 

@@ -17,12 +17,16 @@ from gauge4 import (
     Pi1Kind,
     Sphere,
     SuspCP2,
+    TermError,
+    Wedge,
     classify_pi1,
     decompose,
     gauge_from_suspension,
     homology_of_manifold,
     homology_of_term,
+    manifold,
     mixed_decomposition,
+    render,
     render_decomposition,
     stabilize,
     suspend,
@@ -44,14 +48,14 @@ def test_simply_connected_spin():
     dec = decompose(ManifoldSpec(TRIVIAL_PI1, 2, True), 3)
     assert dec.case_used is Pi1Kind.TRIVIAL
     assert dec.suspension == wedge([Sphere(5), Sphere(3), Sphere(3)])
-    assert dec.gauge == GaugeExpr("S4", 3, (O(2), O(2)))
+    assert dec.gauge == GaugeExpr("S4", 3, ((O(2), 2),))
     assert dec.stabilization == 0
 
 
 def test_simply_connected_non_spin():
     dec = decompose(ManifoldSpec(TRIVIAL_PI1, 3, False), 1)
     assert dec.suspension == wedge([SuspCP2(), Sphere(3), Sphere(3)])
-    assert dec.gauge == GaugeExpr("CP2", 1, (O(2), O(2)))
+    assert dec.gauge == GaugeExpr("CP2", 1, ((O(2), 2),))
 
 
 def test_sphere_itself_is_the_bare_base():
@@ -64,24 +68,24 @@ def test_free_case():
     dec = decompose(ManifoldSpec(Pi1Descriptor(1), 0, True), 2)
     assert dec.case_used is Pi1Kind.FREE
     assert dec.suspension == wedge([Sphere(5), Sphere(4), Sphere(2)])
-    assert dec.gauge == GaugeExpr("S4", 2, (O(3), O(1)))
+    assert dec.gauge == GaugeExpr("S4", 2, ((O(3), 1), (O(1), 1)))
 
     dec = decompose(ManifoldSpec(Pi1Descriptor(2), 1, True), 0)
     assert dec.suspension == wedge(
         [Sphere(5), Sphere(4), Sphere(4), Sphere(3), Sphere(2), Sphere(2)]
     )
-    assert dec.gauge == GaugeExpr("S4", 0, (O(3), O(3), O(2), O(1), O(1)))
+    assert dec.gauge == GaugeExpr("S4", 0, ((O(3), 2), (O(2), 1), (O(1), 2)))
 
 
 def test_cyclic_case():
     dec = decompose(ManifoldSpec(Pi1Descriptor(0, ((3, 2),)), 1, True), 2)
     assert dec.case_used is Pi1Kind.CYCLIC
     assert dec.suspension == wedge([Sphere(5), Moore(4, 9), Sphere(3), Moore(3, 9)])
-    assert dec.gauge == GaugeExpr("S4", 2, (O(3, 9), O(2), O(2, 9)))
+    assert dec.gauge == GaugeExpr("S4", 2, ((O(3, 9), 1), (O(2), 1), (O(2, 9), 1)))
 
     dec = decompose(ManifoldSpec(Pi1Descriptor(0, ((3, 1),)), 2, False), 4)
     assert dec.suspension == wedge([SuspCP2(), Moore(4, 3), Sphere(3), Moore(3, 3)])
-    assert dec.gauge == GaugeExpr("CP2", 4, (O(3, 3), O(2), O(2, 3)))
+    assert dec.gauge == GaugeExpr("CP2", 4, ((O(3, 3), 1), (O(2), 1), (O(2, 3), 1)))
 
 
 def test_mixed_case_symbolic_by_default():
@@ -94,7 +98,7 @@ def test_mixed_case_symbolic_by_default():
     assert dec.suspension == wedge(
         [Sphere(5), Sphere(4), Moore(4, 3), Sphere(3), Moore(3, 3), Sphere(2)]
     )
-    assert dec.gauge.factors == (O(3), O(3, 3), O(2), O(2, 3), O(1))
+    assert dec.gauge.blocks == ((O(3), 1), (O(3, 3), 1), (O(2), 1), (O(2, 3), 1), (O(1), 1))
 
 
 def test_mixed_case_concrete_d():
@@ -107,7 +111,7 @@ def test_mixed_case_concrete_d():
         + [Moore(3, 3), Sphere(2)]
     )
     assert dec.gauge == GaugeExpr(
-        "S4", 7, (O(3), O(3, 3)) + (O(2),) * 5 + (O(2, 3), O(1)), 2
+        "S4", 7, ((O(3), 1), (O(3, 3), 1), (O(2), 5), (O(2, 3), 1), (O(1), 1)), 2
     )
     with pytest.raises(DecompositionError):
         decompose(spec, 7, d=-1)
@@ -138,39 +142,42 @@ def test_dispatch_covers_all_kinds():
 
 def test_decomposition_blocks_are_one_normal_form():
     dec = Decomposition(
-        (
-            (Moore(3, 9), 1),
-            (Sphere(2), 1),
-            (Moore(3, 5), 1),
-            (Sphere(5), 1),
-            (Moore(3, 9), 1),
-            (Sphere(4), 0),
+        Wedge(
+            (
+                (Moore(3, 9), 1),
+                (Sphere(2), 1),
+                (Moore(3, 5), 1),
+                (Sphere(5), 1),
+                (Moore(3, 9), 1),
+                (Sphere(4), 0),
+            )
         ),
         2,
         0,
         Pi1Kind.MIXED,
     )
-    # equal summands merged, empty blocks dropped but for S^3, display order
+    # equal summands merged, empty blocks dropped, display order
     assert dec.blocks == (
         (Sphere(5), 1),
-        (Sphere(3), 0),
         (Moore(3, 5), 1),
         (Moore(3, 9), 2),
         (Sphere(2), 1),
     )
-    assert Decomposition(dec.blocks, 2, 0, Pi1Kind.MIXED) == dec
+    assert dec.suspension == Wedge(dec.blocks)
+    assert Decomposition(dec.suspension, 2, 0, Pi1Kind.MIXED) == dec
     assert dec.summands == [Sphere(5), Moore(3, 5), Moore(3, 9), Moore(3, 9), Sphere(2)]
-    assert dec.gauge == GaugeExpr("S4", 2, (O(2, 5), O(2, 9), O(2, 9), O(1)))
+    assert dec.gauge == GaugeExpr("S4", 2, ((O(2, 5), 1), (O(2, 9), 2), (O(1), 1)))
     for bad in [
         ((Sphere(3), 2),),
         ((Sphere(5), 1), (SuspCP2(), 1)),
         ((Sphere(5), 2),),
         ((Sphere(6), 1), (Sphere(5), 1)),
+        (),
     ]:
         with pytest.raises(DecompositionError, match="exactly one base summand"):
-            Decomposition(bad, 0, 0, Pi1Kind.TRIVIAL)
-    with pytest.raises(DecompositionError, match="negative count"):
-        Decomposition(((Sphere(5), 1), (Sphere(3), -1)), 0, 0, Pi1Kind.TRIVIAL)
+            Decomposition(Wedge(bad), 0, 0, Pi1Kind.TRIVIAL)
+    with pytest.raises(TermError, match="negative count"):
+        Decomposition(Wedge(((Sphere(5), 1), (Sphere(3), -1))), 0, 0, Pi1Kind.TRIVIAL)
 
 
 def test_blocks_grow_with_distinct_summands_not_b2(hang_guard):
@@ -192,6 +199,24 @@ def test_blocks_grow_with_distinct_summands_not_b2(hang_guard):
     )
 
 
+def test_every_view_of_a_billion_copies_is_one_block(hang_guard):
+    spec = manifold("Z*Z/3", 10**9)
+    dec = decompose(spec, 2)
+    factors = ((O(3), 1), (O(3, 3), 1), (O(2), 10**9), (O(2, 3), 1), (O(1), 1))
+    assert dec.gauge == GaugeExpr("S4", 2, factors, SYMBOLIC)
+    assert render(dec.gauge) == (
+        "G_2(S^4) x O^3G x O^3G{3} x (O^2G)^{1000000000+2d} x O^2G{3} x O^1G"
+    )
+    atoms = (Sphere(5), Sphere(4), Moore(4, 3), Sphere(3), Moore(3, 3), Sphere(2))
+    susp = Wedge(tuple((a, 10**9 if a == Sphere(3) else 1) for a in atoms))
+    assert dec.suspension == susp
+    assert suspension_of_spec(spec) == susp
+    exact = mixed_decomposition(spec, 2, d=0)
+    assert gauge_from_suspension(exact.suspension, 2) == exact.gauge
+    assert gauge_from_suspension(dec.suspension, 2).blocks == dec.gauge.blocks
+    assert homology_of_term(dec.suspension) == suspend(homology_of_manifold(spec))
+
+
 def test_decompose_validates_first():
     with pytest.raises(ValueError, match="even torsion prime"):
         decompose(ManifoldSpec(Pi1Descriptor(0, ((2, 1),)), 1, True))
@@ -205,7 +230,7 @@ def test_decompose_validates_first():
 
 def test_gauge_from_suspension_examples():
     got = gauge_from_suspension(wedge([SuspCP2(), Sphere(2)]), 5)
-    assert got == GaugeExpr("CP2", 5, (O(1),))
+    assert got == GaugeExpr("CP2", 5, ((O(1), 1),))
     got = gauge_from_suspension(Sphere(5), 0)
     assert got == GaugeExpr("S4", 0, ())
 
@@ -232,10 +257,10 @@ def test_gauge_from_suspension_agrees_with_closed_forms():
             for d in (0, 1, 2, 3):
                 dec = mixed_decomposition(spec, t, d=d)
                 got = gauge_from_suspension(dec.suspension, t)
-                assert (got.base, got.t, got.factors) == (
+                assert (got.base, got.t, got.blocks) == (
                     dec.gauge.base,
                     dec.gauge.t,
-                    dec.gauge.factors,
+                    dec.gauge.blocks,
                 )
         else:
             dec = decompose(spec, t)
@@ -274,7 +299,7 @@ def test_mixed_formula_at_concrete_d_is_the_exact_formula_after_stabilizing():
         via_mixed = mixed_decomposition(spec, 1, d=d)
         via_exact = decompose(stab_spec, 1)
         assert via_mixed.suspension == via_exact.suspension
-        assert via_mixed.gauge.factors == via_exact.gauge.factors
+        assert via_mixed.gauge.blocks == via_exact.gauge.blocks
         assert via_mixed.gauge.base == via_exact.gauge.base
 
 

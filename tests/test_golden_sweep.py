@@ -98,7 +98,7 @@ def sweep_gauges(n: int = 60) -> list[dict]:
 
 
 def _gauge(spec: dict) -> GaugeExpr:
-    factors = tuple(LoopFactor(k, q) for k, q in spec["factors"])
+    factors = tuple((LoopFactor(k, q), 1) for k, q in spec["factors"])
     return GaugeExpr(spec["base"], spec["t"], factors, spec["stabilization"])
 
 

@@ -8,7 +8,7 @@ from math import gcd, prod
 
 import pytest
 
-from conftest import random_matrix_rows, random_spec
+from conftest import handle_complex, random_matrix_rows, random_spec
 from gauge4 import (
     ChainComplexError,
     GradedAbelianGroup,
@@ -192,48 +192,6 @@ def test_snf_sweep_on_dense_matrices(hang_guard, side, count):
 
 # --------------------------------------------------------------------------
 # conjugated cellular chain complexes
-
-
-def unimodular(rng, n):
-    """A seeded unimodular n x n matrix and its inverse, from 3n elementary
-    row operations with multipliers +-1 and +-2."""
-    u = [[int(i == j) for j in range(n)] for i in range(n)]
-    inv = [row[:] for row in u]
-    for _ in range(3 * n if n >= 2 else 0):
-        i, j = rng.sample(range(n), 2)
-        c = rng.choice((-2, -1, 1, 2))
-        u[i] = [a + c * b for a, b in zip(u[i], u[j])]
-        for row in inv:
-            row[j] -= c * row[i]
-    return u, inv
-
-
-def matmul(a, b, inner, cols):
-    return [[sum(row[k] * b[k][j] for k in range(inner)) for j in range(cols)] for row in a]
-
-
-def handle_complex(rng, spec):
-    """Boundary maps d1..d4 of a handle decomposition of M, conjugated.
-
-    C_1 = Z^{m+k}, C_2 = Z^{b2+2k}, C_3 = Z^{m+k}: the 2-cell r_i bounds
-    q_i times the 1-cell x_i, and the 3-cell dual to x_i bounds q_i times
-    the 2-cell dual to r_i.  d_j becomes U_{j-1} d_j U_j^{-1}.
-    """
-    m, b2 = spec.pi1.free_rank, spec.b2
-    moduli = [p**r for p, r in spec.pi1.cyclic_factors]
-    k = len(moduli)
-    dims = [1, m + k, b2 + 2 * k, m + k, 1]
-    d = [[[0] * dims[j] for _ in range(dims[j - 1])] for j in range(1, 5)]
-    for i, q in enumerate(moduli):
-        d[1][m + i][b2 + i] = q
-        d[2][b2 + k + i][m + i] = q
-    basis = [unimodular(rng, n) for n in dims]
-    out = []
-    for j in range(1, 5):
-        r, c = dims[j - 1], dims[j]
-        conj = matmul(matmul(basis[j - 1][0], d[j - 1], r, c), basis[j][1], c, c)
-        out.append(IntMatrix.from_rows(conj, c))
-    return out
 
 
 def test_conjugated_complexes_with_three_coprime_moduli(hang_guard):

@@ -22,36 +22,44 @@ from gauge4 import (
     render,
     wedge,
 )
+from gauge4.terms import blocks
 
 
 def test_normalize_sorts_flattens_and_drops_points():
     raw = Wedge(
         (
-            Moore(3, 9),
-            Point(),
-            Wedge((Sphere(4), SuspCP2(), Wedge(()))),
-            Sphere(2),
-            Sphere(4),
+            (Moore(3, 9), 1),
+            (Point(), 1),
+            (Wedge(((Sphere(4), 1), (SuspCP2(), 1), (Wedge(()), 1))), 1),
+            (Sphere(2), 1),
+            (Sphere(4), 1),
         )
     )
     assert normalize(raw) == Wedge(
-        (Sphere(2), Sphere(4), Sphere(4), Moore(3, 9), SuspCP2())
+        ((SuspCP2(), 1), (Sphere(4), 2), (Moore(3, 9), 1), (Sphere(2), 1))
     )
 
 
 def test_normalize_collapses_degenerate_wedges():
     assert normalize(Wedge(())) == Point()
-    assert normalize(Wedge((Point(), Point()))) == Point()
-    assert normalize(Wedge((Sphere(3),))) == Sphere(3)
-    assert normalize(Wedge((Point(), Moore(4, 5)))) == Moore(4, 5)
+    assert normalize(Wedge(((Point(), 1), (Point(), 1)))) == Point()
+    assert normalize(Wedge(((Sphere(3), 1),))) == Sphere(3)
+    assert normalize(Wedge(((Point(), 1), (Moore(4, 5), 1)))) == Moore(4, 5)
     assert normalize(Point()) == Point()
     assert normalize(Sphere(2)) == Sphere(2)
 
 
-def test_normalize_orders_by_kind_then_dim_then_modulus():
+def test_normalize_orders_by_dim_down_then_kind_then_modulus():
     got = wedge([SuspCP2(), Moore(4, 3), Moore(3, 9), Moore(3, 3), Sphere(5), Sphere(1)])
     assert got == Wedge(
-        (Sphere(1), Sphere(5), Moore(3, 3), Moore(3, 9), Moore(4, 3), SuspCP2())
+        (
+            (Sphere(5), 1),
+            (SuspCP2(), 1),
+            (Moore(4, 3), 1),
+            (Moore(3, 3), 1),
+            (Moore(3, 9), 1),
+            (Sphere(1), 1),
+        )
     )
 
 
@@ -61,7 +69,7 @@ def test_normalize_is_idempotent_and_order_insensitive():
         term = random_term(rng)
         norm = normalize(term)
         assert normalize(norm) == norm
-        parts = list(norm.summands) if isinstance(norm, Wedge) else [norm]
+        parts = [atom for atom, count in blocks(norm) for _ in range(count)]
         rng.shuffle(parts)
         assert wedge(parts) == norm
 
@@ -92,6 +100,12 @@ def test_term_constructor_guards():
         GaugeExpr("S4", 0, (), -1)
     with pytest.raises(TermError):
         GaugeExpr("S4", 0, (), "sym")
+    with pytest.raises(TermError):
+        GaugeExpr("S4", 0, ((Sphere(3), 1),))
+    with pytest.raises(TermError):
+        Wedge(((LoopFactor(2), 1),))
+    with pytest.raises(TermError):
+        normalize(LoopFactor(2))
 
 
 # --------------------------------------------------------------------------
@@ -141,20 +155,20 @@ def test_render_atoms():
 
 def test_render_wedge_uses_canonical_order():
     term = wedge([Moore(3, 3), Sphere(5), Sphere(2)])
-    assert render(term) == "S^2 v S^5 v P^3(3)"
+    assert render(term) == "S^5 v P^3(3) v S^2"
     # Raw, unnormalized wedges render through their normal form.
-    assert render(Wedge((Sphere(5), Sphere(2)))) == "S^2 v S^5"
+    assert render(Wedge(((Sphere(2), 1), (Sphere(5), 1)))) == "S^5 v S^2"
     assert render(Wedge(())) == "pt"
-    assert render(Wedge((Point(), Wedge((Sphere(3),))))) == "S^3"
+    assert render(Wedge(((Point(), 1), (Wedge(((Sphere(3), 1),)), 1)))) == "S^3"
 
 
 def test_render_gauge_expr_orders_factors():
-    expr = GaugeExpr("S4", 2, (LoopFactor(1), LoopFactor(3)))
+    expr = GaugeExpr("S4", 2, ((LoopFactor(1), 1), (LoopFactor(3), 1)))
     assert render(expr) == "G_2(S^4) x O^3G x O^1G"
     expr = GaugeExpr(
         "CP2",
         4,
-        (LoopFactor(2), LoopFactor(2, 3), LoopFactor(3, 3), LoopFactor(1)),
+        ((LoopFactor(2), 1), (LoopFactor(2, 3), 1), (LoopFactor(3, 3), 1), (LoopFactor(1), 1)),
     )
     assert render(expr) == "G_4(CP^2) x O^3G{3} x O^2G x O^2G{3} x O^1G"
 
@@ -168,23 +182,37 @@ def test_render_gauge_expr_symbolic_merges_plain_double_loops():
     expr = GaugeExpr(
         "S4",
         1,
-        (LoopFactor(2), LoopFactor(2), LoopFactor(2, 3), LoopFactor(3)),
+        ((LoopFactor(2), 2), (LoopFactor(2, 3), 1), (LoopFactor(3), 1)),
         SYMBOLIC,
     )
     assert render(expr) == "G_1(S^4) x O^3G x (O^2G)^{2+2d} x O^2G{3}"
 
 
 def test_render_gauge_expr_symbolic_with_no_plain_double_loops():
-    expr = GaugeExpr("S4", 0, (LoopFactor(3), LoopFactor(2, 9)), SYMBOLIC)
+    expr = GaugeExpr("S4", 0, ((LoopFactor(3), 1), (LoopFactor(2, 9), 1)), SYMBOLIC)
     assert render(expr) == "G_0(S^4) x O^3G x (O^2G)^{2d} x O^2G{9}"
     assert render(GaugeExpr("S4", 0, (), SYMBOLIC)) == "G_0(S^4) x (O^2G)^{2d}"
 
 
 def test_gauge_factors_are_sorted_on_construction():
-    a = GaugeExpr("S4", 0, (LoopFactor(1), LoopFactor(3, 5), LoopFactor(3)))
-    b = GaugeExpr("S4", 0, (LoopFactor(3), LoopFactor(1), LoopFactor(3, 5)))
+    a = GaugeExpr("S4", 0, ((LoopFactor(1), 1), (LoopFactor(3, 5), 1), (LoopFactor(3), 1)))
+    b = GaugeExpr("S4", 0, ((LoopFactor(3), 1), (LoopFactor(1), 1), (LoopFactor(3, 5), 1)))
     assert a == b
-    assert a.factors == (LoopFactor(3), LoopFactor(3, 5), LoopFactor(1))
+    assert a.blocks == ((LoopFactor(3), 1), (LoopFactor(3, 5), 1), (LoopFactor(1), 1))
+
+
+def test_counts_are_checked_and_merged_where_blocks_are_built():
+    with pytest.raises(TermError, match="negative count"):
+        Wedge(((Sphere(3), 2), (Moore(3, 9), -1)))
+    with pytest.raises(TermError, match="negative count"):
+        GaugeExpr("S4", 0, ((LoopFactor(2), -1),))
+    # Zero blocks vanish, equal terms merge, nested counts multiply.
+    raw = Wedge(((Sphere(4), 0), (Wedge(((Sphere(3), 2), (Point(), 5))), 3), (Sphere(3), 1)))
+    assert normalize(raw) == Wedge(((Sphere(3), 7),))
+    assert normalize(Wedge(((Sphere(4), 0),))) == Point()
+    expr = GaugeExpr("S4", 0, ((LoopFactor(3), 0), (LoopFactor(1), 2), (LoopFactor(1), 1)))
+    assert expr.blocks == ((LoopFactor(1), 3),)
+    assert expr == GaugeExpr("S4", 0, ((LoopFactor(1), 3),))
 
 
 # --------------------------------------------------------------------------
@@ -199,8 +227,8 @@ def test_parse_term_atoms():
 
 
 def test_parse_term_wedges_and_whitespace():
-    assert parse_term("S^3 v S^2") == Wedge((Sphere(2), Sphere(3)))
-    assert parse_term("  SCP^2v P^3(5)  ") == Wedge((Moore(3, 5), SuspCP2()))
+    assert parse_term("S^3 v S^2") == Wedge(((Sphere(3), 1), (Sphere(2), 1)))
+    assert parse_term("  SCP^2v P^3(5)  ") == Wedge(((SuspCP2(), 1), (Moore(3, 5), 1)))
     assert parse_term("pt v S^4") == Sphere(4)
 
 
