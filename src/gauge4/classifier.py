@@ -3,19 +3,24 @@
 For the structure groups covered here, G_t and G_s over a fixed base are
 homotopy equivalent — integrally or p-locally, depending on the row — if
 and only if gcd(k, t) = gcd(k, s) for a single integer k attached to the
-(group, base) pair.  This module stores those k-values and scopes and
-answers equivalence queries, with three-valued honesty: a query outside a
-row's scope comes back "unknown", never guessed.
+(group, base) pair.  This module stores those k-values and scopes in one
+table and answers equivalence queries, with three-valued honesty: a query
+outside every row's scope comes back "unknown", never guessed.
 
 Scopes.  An "integral" row decides genuine homotopy equivalence; an
 "all-primes" row decides p-local equivalence at every prime; an
 "odd-primes" row decides it at odd primes only, sometimes just at odd
 primes p large enough for the group (n <= (p-1)^2 + 1 for SU(n), with 2n
-in place of n for Sp(n)).  Some integral rows have a wider odd-primes row
-behind them (same family, k dividing the integral k); when the integral
-answer is "no", that row can still settle odd primes.  The refinement is
-only trusted when its k divides the specific row's k, so a row pair that
-disagrees is never merged.
+in place of n for Sp(n)).
+
+Rows.  A query is governed by an ordered list of rows, most specific
+first: the table's specific row for (group, base), if any, then the
+parametric odd-primes row of the family (SU(n) over S^4 and M, Sp(n) over
+S^4) when there is no specific row or its k divides the specific k, so a
+row pair that disagrees is never merged.  The first row gives the
+integral verdict and is the rule reported; each prime is decided by the
+first row that is not integral and reaches it, so when the integral answer
+is "no" the wider row behind it can still settle odd primes.
 
 Over a manifold with mixed free-product fundamental group the splitting
 only exists after stabilization, so verdicts there compare the stabilized
@@ -109,57 +114,56 @@ class ClassRule:
         return self.odd_prime_bound is None or self.odd_prime_bound <= (p - 1) ** 2 + 1
 
 
-_S4_SPECIFIC = {
-    ("SU", 2): ClassRule(12, INTEGRAL),
-    ("SU", 3): ClassRule(24, INTEGRAL),
-    ("SU", 5): ClassRule(120, ALL_PRIMES),
-    ("Sp", 2): ClassRule(40, ALL_PRIMES),
-    ("G2", None): ClassRule(84, ODD_PRIMES),
-}
-
-_CP2_SPECIFIC = {
-    ("SU", 2): ClassRule(6, INTEGRAL),
-    ("SU", 3): ClassRule(12, ALL_PRIMES),
-}
-
-_MANIFOLD_SPIN = {
-    ("SU", 2): ClassRule(12, INTEGRAL),
-    ("SU", 3): ClassRule(24, INTEGRAL),
-    ("Sp", 2): ClassRule(40, ODD_PRIMES),
-    ("G2", None): ClassRule(84, ODD_PRIMES),
-}
-
-_MANIFOLD_NONSPIN = {
-    ("SU", 2): ClassRule(6, INTEGRAL),
-    ("SU", 3): ClassRule(12, ALL_PRIMES),
-    ("Sp", 2): ClassRule(40, ODD_PRIMES),
-    ("G2", None): ClassRule(84, ODD_PRIMES),
+#: The specific rows, keyed by (family, n, base); a manifold row's base is
+#: (MANIFOLD, spin).  The manifold rows are written out, not derived from
+#: the base rows, because the transfer to M is not uniform: Sp(2) narrows
+#: from all primes to odd primes, SU(5) keeps no specific row, and SU(3)
+#: over a nonspin M stays all-primes.
+_ROWS = {
+    ("SU", 2, S4): ClassRule(12, INTEGRAL),
+    ("SU", 3, S4): ClassRule(24, INTEGRAL),
+    ("SU", 5, S4): ClassRule(120, ALL_PRIMES),
+    ("Sp", 2, S4): ClassRule(40, ALL_PRIMES),
+    ("G2", None, S4): ClassRule(84, ODD_PRIMES),
+    ("SU", 2, CP2): ClassRule(6, INTEGRAL),
+    ("SU", 3, CP2): ClassRule(12, ALL_PRIMES),
+    ("SU", 2, (MANIFOLD, True)): ClassRule(12, INTEGRAL),
+    ("SU", 3, (MANIFOLD, True)): ClassRule(24, INTEGRAL),
+    ("Sp", 2, (MANIFOLD, True)): ClassRule(40, ODD_PRIMES),
+    ("G2", None, (MANIFOLD, True)): ClassRule(84, ODD_PRIMES),
+    ("SU", 2, (MANIFOLD, False)): ClassRule(6, INTEGRAL),
+    ("SU", 3, (MANIFOLD, False)): ClassRule(12, ALL_PRIMES),
+    ("Sp", 2, (MANIFOLD, False)): ClassRule(40, ODD_PRIMES),
+    ("G2", None, (MANIFOLD, False)): ClassRule(84, ODD_PRIMES),
 }
 
 
-def _generic_rule(group: LieGroupSpec, base: str) -> ClassRule | None:
-    """The parametric odd-primes family rows: SU(n) everywhere the table
-    reaches, Sp(n) on S^4 only."""
-    if group.family == "SU" and base in (S4, MANIFOLD):
-        n = group.n
-        return ClassRule(n * (n * n - 1), ODD_PRIMES, odd_prime_bound=n)
-    if group.family == "Sp" and base == S4:
-        n = group.n
-        return ClassRule(4 * n * (2 * n + 1), ODD_PRIMES, odd_prime_bound=2 * n)
-    return None
+def _rows(group: LieGroupSpec, base: str, spin: bool | None) -> tuple[ClassRule, ...]:
+    """The rows governing (group, base), most specific first.
 
-
-def _specific_rule(group: LieGroupSpec, base: str, spin: bool | None) -> ClassRule | None:
-    key = (group.family, group.n)
-    if base == S4:
-        return _S4_SPECIFIC.get(key)
-    if base == CP2:
-        return _CP2_SPECIFIC.get(key)
+    The specific row, if any, then the parametric odd-primes row (SU(n) on
+    S^4 and on M, Sp(n) on S^4) when there is no specific row or its k
+    divides the specific k.
+    """
     if base == MANIFOLD:
         if spin is None:
             raise ValueError("manifold rules need the spin flag")
-        return (_MANIFOLD_SPIN if spin else _MANIFOLD_NONSPIN).get(key)
-    raise ValueError(f"unknown base {base!r}")
+        key = (MANIFOLD, bool(spin))
+    elif base == S4 or base == CP2:
+        key = base
+    else:
+        raise ValueError(f"unknown base {base!r}")
+    specific = _ROWS.get((group.family, group.n, key))
+    n = group.n
+    if group.family == "SU" and base != CP2:
+        generic = ClassRule(n * (n * n - 1), ODD_PRIMES, odd_prime_bound=n)
+    elif group.family == "Sp" and base == S4:
+        generic = ClassRule(4 * n * (2 * n + 1), ODD_PRIMES, odd_prime_bound=2 * n)
+    else:
+        return () if specific is None else (specific,)
+    if specific is None:
+        return (generic,)
+    return (specific, generic) if specific.k % generic.k == 0 else (specific,)
 
 
 def rule_for(group: LieGroupSpec, base: str, spin: bool | None = None) -> ClassRule | None:
@@ -168,21 +172,8 @@ def rule_for(group: LieGroupSpec, base: str, spin: bool | None = None) -> ClassR
     base is "S4", "CP2", or "manifold" (the latter needs spin=True/False).
     Returns None when the table has nothing to say.
     """
-    specific = _specific_rule(group, base, spin)
-    if specific is not None:
-        return specific
-    return _generic_rule(group, base)
-
-
-def _refinement(group: LieGroupSpec, base: str, spin: bool | None) -> ClassRule | None:
-    """The generic row behind a specific one, if consistent with it."""
-    specific = _specific_rule(group, base, spin)
-    if specific is None:
-        return None
-    generic = _generic_rule(group, base)
-    if generic is None or specific.k % generic.k != 0:
-        return None
-    return generic
+    rows = _rows(group, base, spin)
+    return rows[0] if rows else None
 
 
 @dataclass(frozen=True)
@@ -200,31 +191,28 @@ class EquivalenceVerdict:
     stabilized: bool = False
 
 
-def _decide(rule: ClassRule | None, refinement: ClassRule | None,
-            t: int, s: int, primes: tuple[int, ...], stabilized: bool) -> EquivalenceVerdict:
+def _decide(rows: tuple[ClassRule, ...], t: int, s: int, primes: tuple[int, ...],
+            stabilized: bool) -> EquivalenceVerdict:
     # gcd with 0 is the modulus itself, so t = 0 sits in the class of k.
-    same = rule is not None and gcd(rule.k, abs(t)) == gcd(rule.k, abs(s))
-    reflexive = abs(t) == abs(s)
-
-    if reflexive:
+    t, s = abs(t), abs(s)
+    rule = rows[0] if rows else None
+    if t == s:
         integral = YES
     elif rule is not None and rule.scope == INTEGRAL:
-        integral = YES if same else NO
+        integral = YES if gcd(rule.k, t) == gcd(rule.k, s) else NO
     else:
         integral = UNKNOWN
+    if integral == YES:
+        return EquivalenceVerdict(YES, dict.fromkeys(primes, YES), rule, stabilized)
 
+    # An integral "no" settles no prime: the first wider row that reaches p does.
     local: dict[int, str] = {}
     for p in primes:
-        if integral == YES:
-            local[p] = YES
-        elif rule is not None and rule.scope != INTEGRAL and rule.applies_at(p):
-            local[p] = YES if same else NO
-        elif rule is not None and rule.scope == INTEGRAL and refinement is not None \
-                and refinement.applies_at(p):
-            ref_same = gcd(refinement.k, abs(t)) == gcd(refinement.k, abs(s))
-            local[p] = YES if ref_same else NO
-        else:
-            local[p] = UNKNOWN
+        local[p] = UNKNOWN
+        for row in rows:
+            if row.scope != INTEGRAL and row.applies_at(p):
+                local[p] = YES if gcd(row.k, t) == gcd(row.k, s) else NO
+                break
     return EquivalenceVerdict(integral, local, rule, stabilized)
 
 
@@ -251,10 +239,8 @@ def classify(
     """
     validate(spec)
     stabilized = classify_pi1(spec.pi1) is Pi1Kind.MIXED
-    spin = spec.sigma_f_trivial
-    rule = rule_for(group, MANIFOLD, spin)
-    refinement = _refinement(group, MANIFOLD, spin)
-    return _decide(rule, refinement, t, s, _check_primes(primes), stabilized)
+    return _decide(_rows(group, MANIFOLD, spec.sigma_f_trivial), t, s, _check_primes(primes),
+                   stabilized)
 
 
 def classify_base(
@@ -267,9 +253,7 @@ def classify_base(
     """Compare G_t and G_s over a bare base space, "S4" or "CP2"."""
     if base not in (S4, CP2):
         raise ValueError(f"base must be S4 or CP2, got {base!r}")
-    rule = rule_for(group, base)
-    refinement = _refinement(group, base, None)
-    return _decide(rule, refinement, t, s, _check_primes(primes), False)
+    return _decide(_rows(group, base, None), t, s, _check_primes(primes), False)
 
 
 def count_types(group: LieGroupSpec, base: str, spin: bool | None = None) -> int | None:

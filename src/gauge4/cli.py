@@ -21,7 +21,7 @@ from .classifier import (
     parse_group,
 )
 from .manifold import ManifoldSpec, Pi1Kind, parse_pi1, render_pi1, validate
-from .terms import Moore, SpaceTerm, Sphere, SuspCP2
+from .terms import Moore, SpaceTerm, Sphere, SuspCP2, copies
 
 
 class UsageError(Exception):
@@ -178,8 +178,7 @@ def _cmd_decompose(args: argparse.Namespace) -> str:
                     "t": dec.t,
                     "factors": [
                         {"loop_order": f.loop_order, "modulus": f.modulus}
-                        for f, count in dec.gauge.blocks
-                        for _ in range(count)
+                        for f in copies(dec.gauge.blocks)
                     ],
                     "stabilization": dec.stabilization,
                 },

@@ -37,6 +37,7 @@ from .terms import (
     TermError,
     Wedge,
     blocks,
+    copies,
     map_space,
     normalize,
     render,
@@ -82,8 +83,9 @@ class Decomposition:
 
     @property
     def summands(self) -> list[SpaceTerm]:
-        """Every wedge summand, one per copy, in display order."""
-        return [atom for atom, count in self.blocks for _ in range(count)]
+        """Every wedge summand, one per copy, in display order (at most
+        MAX_COPIES of them, else ValueError)."""
+        return copies(self.blocks)
 
     @property
     def gauge(self) -> GaugeExpr:

@@ -79,15 +79,6 @@ class GradedAbelianGroup:
         return sum((-1) ** i * rank for i, (rank, _) in enumerate(self.groups))
 
 
-def direct_sum(a: GradedAbelianGroup, b: GradedAbelianGroup) -> GradedAbelianGroup:
-    return GradedAbelianGroup(
-        tuple(
-            (ra + rb, ta + tb)
-            for (ra, ta), (rb, tb) in zip(a.groups, b.groups)
-        )
-    )
-
-
 def suspend(g: GradedAbelianGroup) -> GradedAbelianGroup:
     """Shift the reduced part up one degree; degree 0 becomes a single Z.
 

@@ -28,6 +28,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
+from .arith import MAX_COPIES
+
 
 class TermError(ValueError):
     """Malformed or out-of-domain space/gauge term."""
@@ -293,20 +295,27 @@ def render_blocks(
     ``stable`` is the term each S^2 x S^2 adds twice, S^3 or O^2G, when the
     stabilization count d is symbolic.  Its block, present or not, is then
     one piece in its place: ``(X)^{n+2d}``, or ``(X)^{2d}`` when n = 0.
+    More than MAX_COPIES pieces raise ValueError, as in ``copies``.
     """
+    pieces = [(render(term), count) for term, count in blocks]
     if stable is not None:
         i = bisect_left(blocks, _atom_key(stable), key=lambda block: _atom_key(block[0]))
         n = dict(blocks[i : i + 1]).get(stable, 0)
         power = f"{n}+2d" if n else "2d"
-        return [
-            *render_blocks(blocks[:i]),
-            f"({render(stable)})^{{{power}}}",
-            *render_blocks(blocks[i + 1 if n else i :]),
-        ]
-    pieces: list[str] = []
-    for term, count in blocks:
-        pieces.extend([render(term)] * count)
-    return pieces
+        pieces[i : i + 1 if n else i] = [(f"({render(stable)})^{{{power}}}", 1)]
+    return copies(pieces)
+
+
+def copies(blocks: Sequence[tuple[object, int]]) -> list:
+    """Each item of (item, count) blocks, written out ``count`` times; more
+    than MAX_COPIES items in all raise ValueError before any is written."""
+    total = sum(count for _, count in blocks)
+    if total > MAX_COPIES:
+        raise ValueError(f"the answer writes out {total} copies, more than the limit of 10**6")
+    out = []
+    for item, count in blocks:
+        out += [item] * count
+    return out
 
 
 # --------------------------------------------------------------------------

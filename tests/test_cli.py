@@ -249,6 +249,19 @@ def test_one_parser_serves_many_runs(capsys):
         assert got == (proc.returncode, proc.stdout, proc.stderr)
 
 
+def test_more_copies_than_the_cap_exit_2_with_one_line(capsys, hang_guard):
+    calls = [
+        ("decompose", "--pi1", "1", "--b2", "1000000000"),
+        ("decompose", "--pi1", "Z*Z/3", "--b2", "1", "--d", "1000000000"),
+        ("suspension", "--pi1", "1", "--b2", "1000000000", "--json"),
+    ]
+    for argv in calls:
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+        assert "limit of 10**6" in err
+
+
 def test_symbolic_b2_of_a_billion_is_one_block(capsys, hang_guard):
     start = time.perf_counter()
     code, out, err = invoke(capsys, "suspension", "--pi1", "Z*Z/3", "--b2", "1000000000")

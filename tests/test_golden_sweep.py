@@ -5,7 +5,12 @@
 expression the string ``render`` gives.  The sweep covers decompose,
 suspension, classify and parse in text and ``--json``; ``--d`` omitted,
 ``symbolic`` and 0-3; both top-cell flags; and moduli out of order and
-repeated.  Rewrite the file only for a deliberate output change:
+repeated; then homology (with and without ``--suspension``) and small snf
+queries.  The ``verdicts`` section holds the ``repr`` of ``rule_for`` and
+``count_types`` for SU(2..8), Sp(1..4) and G2 over every base, and of
+seeded ``classify`` and ``classify_base`` verdicts with primes up to 47,
+which the CLI cannot reach (no CP2 base, and only a few groups above).
+Rewrite the file only for a deliberate output change:
 
     PYTHONPATH=src python tests/test_golden_sweep.py
 """
@@ -17,7 +22,18 @@ import pathlib
 import random
 import sys
 
-from gauge4 import SYMBOLIC, GaugeExpr, LoopFactor, render
+from gauge4 import (
+    SYMBOLIC,
+    GaugeExpr,
+    LoopFactor,
+    classify,
+    classify_base,
+    count_types,
+    manifold,
+    parse_group,
+    render,
+    rule_for,
+)
 from gauge4.cli import run
 
 DATA = pathlib.Path(__file__).parent / "data" / "golden_sweep.json"
@@ -81,6 +97,76 @@ def sweep_argvs(n: int = 300) -> list[list[str]]:
     return argvs
 
 
+def sweep_homology_snf_argvs(n: int = 80) -> list[list[str]]:
+    """Seeded homology and snf queries, alternating; appended to the CLI sweep."""
+    rng = random.Random(SEED + 2)
+    argvs = []
+    for i in range(n):
+        if i % 2 == 0:
+            argv = ["homology", *_flags(rng)]
+            if rng.random() < 0.5:
+                argv.append("--suspension")
+        else:
+            rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+            matrix = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+            argv = ["snf", "--matrix", json.dumps(matrix)]
+        if rng.random() < 0.5:
+            argv.append("--json")
+        argvs.append(argv)
+    return argvs
+
+
+VERDICT_GROUPS = (*(f"SU({n})" for n in range(2, 9)), *(f"Sp({n})" for n in range(1, 5)), "G2")
+#: (base, spin) pairs: the bare bases, then the manifold with each top-cell flag.
+VERDICT_BASES = (("S4", None), ("CP2", None), ("manifold", True), ("manifold", False))
+VERDICT_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
+def sweep_verdict_queries(n: int = 400) -> list[dict]:
+    """rule_for and count_types on every (group, base) pair and on the two
+    rejected ones, then seeded classify_base and classify queries."""
+    queries = [
+        {"fn": fn, "group": group, "base": base, "spin": spin}
+        for group in VERDICT_GROUPS
+        for base, spin in (*VERDICT_BASES, ("manifold", None), ("RP4", None))
+        for fn in ("rule_for", "count_types")
+    ]
+    rng = random.Random(SEED + 3)
+    for _ in range(n):
+        base, spin = rng.choice(VERDICT_BASES)
+        t = rng.randint(-40, 40)
+        s = rng.choice((t, -t, rng.randint(-40, 40), rng.randint(-40, 40)))
+        query = {"group": rng.choice(VERDICT_GROUPS), "t": t, "s": s,
+                 "primes": sorted(rng.sample(VERDICT_PRIMES, rng.randint(0, 6)))}
+        if base == "manifold":
+            query.update(fn="classify", pi1=rng.choice(("1", "Z", "Z/9", "Z*Z/3")),
+                         b2=rng.randint(1, 3), spin=spin)
+        else:
+            query.update(fn="classify_base", base=base)
+        queries.append(query)
+    return queries
+
+
+def _verdict(query: dict) -> str:
+    try:
+        return _call(query)
+    except ValueError as exc:
+        return repr(exc)
+
+
+def _call(query: dict) -> str:
+    group = parse_group(query["group"])
+    if query["fn"] == "rule_for":
+        return repr(rule_for(group, query["base"], query["spin"]))
+    if query["fn"] == "count_types":
+        return repr(count_types(group, query["base"], query["spin"]))
+    t, s, primes = query["t"], query["s"], query["primes"]
+    if query["fn"] == "classify_base":
+        return repr(classify_base(group, query["base"], t, s, primes))
+    spec = manifold(query["pi1"], query["b2"], spin=query["spin"])
+    return repr(classify(group, spec, t, s, primes))
+
+
 def sweep_gauges(n: int = 60) -> list[dict]:
     """Seeded gauge expressions at stabilization 0, 2 and SYMBOLIC."""
     rng = random.Random(SEED + 1)
@@ -117,6 +203,14 @@ def test_cli_sweep_is_byte_identical():
         assert got == case, f"first argv that differs: {case['argv']}"
 
 
+def test_verdict_sweep_is_identical():
+    expected = json.loads(DATA.read_text())["verdicts"]
+    assert {case["query"]["fn"] for case in expected} == {
+        "rule_for", "count_types", "classify_base", "classify"}
+    for case in expected:
+        assert _verdict(case["query"]) == case["repr"], f"first query that differs: {case['query']}"
+
+
 def test_gauge_render_sweep_is_byte_identical():
     expected = json.loads(DATA.read_text())["render"]
     assert {case["gauge"]["stabilization"] for case in expected} == {0, 2, SYMBOLIC}
@@ -127,13 +221,14 @@ def test_gauge_render_sweep_is_byte_identical():
 
 def main() -> None:
     data = {
-        "cli": [_run(argv) for argv in sweep_argvs()],
+        "cli": [_run(argv) for argv in sweep_argvs() + sweep_homology_snf_argvs()],
         "render": [{"gauge": g, "out": render(_gauge(g))} for g in sweep_gauges()],
+        "verdicts": [{"query": q, "repr": _verdict(q)} for q in sweep_verdict_queries()],
     }
     DATA.parent.mkdir(exist_ok=True)
     DATA.write_text(json.dumps(data, indent=1) + "\n")
-    print(f"wrote {len(data['cli'])} queries and {len(data['render'])} renderings to {DATA}",
-          file=sys.stderr)
+    print(f"wrote {len(data['cli'])} queries, {len(data['render'])} renderings and "
+          f"{len(data['verdicts'])} verdicts to {DATA}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -22,7 +22,8 @@ from gauge4 import (
     render,
     wedge,
 )
-from gauge4.terms import blocks
+from gauge4.arith import MAX_COPIES
+from gauge4.terms import blocks, copies, render_blocks
 
 
 def test_normalize_sorts_flattens_and_drops_points():
@@ -217,6 +218,22 @@ def test_counts_are_checked_and_merged_where_blocks_are_built():
 
 # --------------------------------------------------------------------------
 # grammar
+
+
+def test_written_out_copies_are_capped_before_expanding(hang_guard):
+    assert copies([(Sphere(3), 2), (Moore(3, 5), 0), (Sphere(2), 1)]) == [
+        Sphere(3), Sphere(3), Sphere(2)]
+    assert len(copies([(Sphere(3), MAX_COPIES - 1), (Sphere(2), 1)])) == MAX_COPIES
+    for huge in ([(Sphere(3), MAX_COPIES), (Sphere(2), 1)], [(Sphere(3), 10**18)]):
+        with pytest.raises(ValueError, match="limit of 10\\*\\*6"):
+            copies(huge)
+        with pytest.raises(ValueError, match="limit of 10\\*\\*6"):
+            render_blocks(huge)
+    # the symbolic (S^3)^{n+2d} block is one piece, whatever n
+    assert render_blocks([(Sphere(5), 1), (Sphere(3), 10**18)], Sphere(3)) == [
+        "S^5", "(S^3)^{1000000000000000000+2d}"]
+    assert render(GaugeExpr("S4", 0, ((LoopFactor(2), 10**18),), SYMBOLIC)) == (
+        "G_0(S^4) x (O^2G)^{1000000000000000000+2d}")
 
 
 def test_parse_term_atoms():
