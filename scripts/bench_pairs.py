@@ -1,0 +1,130 @@
+"""Paired benchmark runs of two commits, summarized as a BENCH_*.json file.
+
+    python3 scripts/bench_pairs.py --parent REV --out BENCH_7.json \\
+        scale=81-90 census=91-95 --traced scale=75
+
+The two sides are the committed trees of REV and of HEAD, each written by
+``git archive`` into a fresh temporary directory, as the benchmark is
+meant to be run.  For each seed of a ``WORKLOAD=SEEDS`` argument the two
+sides run the command of BENCHMARK.json with ``--workload W --seed S
+--seconds <run_seconds> --trace 0`` one after the other, the side that
+goes first alternating from seed to seed.  For every end-to-end metric the
+file gives each side's runs, median and quartiles, and the pairs the
+change won; ``--traced`` adds one ``--trace 1`` run per side with its
+per-layer figures.  Seeds are ``A-B`` ranges or comma lists.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SIDES = ("parent", "change")
+
+
+def git(*args: str) -> bytes:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True).stdout
+
+
+def checkout(rev: str, into: Path) -> None:
+    with tarfile.open(fileobj=io.BytesIO(git("archive", "--format=tar", rev))) as tar:
+        tar.extractall(into)
+
+
+def seeds(text: str) -> list[int]:
+    if "-" in text:
+        first, last = text.split("-")
+        return list(range(int(first), int(last) + 1))
+    return [int(s) for s in text.split(",")]
+
+
+def argv(spec: dict, workload: str, seed: object, trace: int) -> list[str]:
+    return [*spec["command"], "--workload", workload, "--seed", str(seed),
+            "--seconds", str(spec["run_seconds"]), "--trace", str(trace)]
+
+
+def run(spec: dict, cwd: Path, workload: str, seed: int, trace: int) -> dict:
+    out = subprocess.run(argv(spec, workload, seed, trace), cwd=cwd, check=True,
+                         capture_output=True, text=True).stdout
+    return json.loads(out.strip().splitlines()[-1])
+
+
+def summary(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"runs": values, "median": median, "q1": q1, "q3": q3}
+
+
+def paired(metrics: list[dict], runs: dict[str, list[dict]]) -> dict:
+    out = {}
+    for metric in metrics:
+        name = metric["name"]
+        values = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in SIDES}
+        sign = 1 if metric["better"] == "higher" else -1
+        wins = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
+        out[name] = {"unit": metric["unit"], "better": metric["better"], "bound": metric["bound"],
+                     **{side: summary(values[side]) for side in SIDES},
+                     "change_wins": wins, "pairs": len(values["parent"])}
+    return out
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True)
+    parser.add_argument("--out", required=True)
+    parser.add_argument("--traced", action="append", default=[], metavar="WORKLOAD=SEED")
+    parser.add_argument("pairs", nargs="+", metavar="WORKLOAD=SEEDS")
+    args = parser.parse_args()
+    revs = {"parent": args.parent, "change": "HEAD"}
+    with tempfile.TemporaryDirectory() as tmp:
+        dirs = {side: Path(tmp, side) for side in SIDES}
+        for side in SIDES:
+            checkout(revs[side], dirs[side])
+        spec = json.loads((dirs["change"] / "BENCHMARK.json").read_text())
+        doc = {
+            "command": " ".join(argv(spec, "W", "S", 0)),
+            "src_tree": {side: git("rev-parse", f"{revs[side]}:src").decode().strip()
+                         for side in SIDES},
+            "machine": {"python": platform.python_version(), "cpus": os.cpu_count()},
+            "workloads": {},
+            "traced": {},
+        }
+        for item in args.pairs:
+            workload, seed_text = item.split("=")
+            runs = {side: [] for side in SIDES}
+            first = []
+            for i, seed in enumerate(seeds(seed_text)):
+                order = SIDES if i % 2 == 0 else SIDES[::-1]
+                first.append(order[0])
+                for side in order:
+                    runs[side].append(run(spec, dirs[side], workload, seed, 0))
+                    print(workload, seed, side, runs[side][-1]["metrics"]["throughput_ops"]["value"],
+                          file=sys.stderr)
+            doc["workloads"][workload] = {
+                "seeds": seeds(seed_text),
+                "first": first,
+                "outcomes": {side: [{k: r[k] for k in ("correct", "attempted", "failed")}
+                                    for r in runs[side]] for side in SIDES},
+                "metrics": paired(spec["end_to_end"], runs),
+            }
+        for item in args.traced:
+            workload, seed = item.split("=")
+            traced = {side: run(spec, dirs[side], workload, int(seed), 1)
+                      for side in SIDES}
+            doc["traced"][workload] = {"seed": int(seed), **{
+                side: {name: m["value"] for name, m in traced[side]["metrics"].items()}
+                for side in SIDES}}
+    Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -172,14 +172,14 @@ def _cmd_decompose(args: argparse.Namespace) -> str:
         return _dump(
             {
                 "case": _case_json(dec.case_used),
-                "suspension": [_atom_json(a) for a in dec.summands],
+                "suspension": copies([(_atom_json(a), n) for a, n in dec.blocks]),
                 "gauge": {
                     "base": dec.base,
                     "t": dec.t,
-                    "factors": [
-                        {"loop_order": f.loop_order, "modulus": f.modulus}
-                        for f in copies(dec.gauge.blocks)
-                    ],
+                    "factors": copies(
+                        [({"loop_order": f.loop_order, "modulus": f.modulus}, n)
+                         for f, n in dec.gauge.blocks]
+                    ),
                     "stabilization": dec.stabilization,
                 },
             }
@@ -194,7 +194,7 @@ def _cmd_suspension(args: argparse.Namespace) -> str:
         return _dump(
             {
                 "case": _case_json(dec.case_used),
-                "suspension": [_atom_json(a) for a in dec.summands],
+                "suspension": copies([(_atom_json(a), n) for a, n in dec.blocks]),
                 "stabilization": dec.stabilization,
             }
         )

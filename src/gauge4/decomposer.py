@@ -9,9 +9,11 @@ group, so the gauge group G_t(M) splits as a product of a base gauge group
 keeps them in correspondence.
 
 A splitting is stored once, as its normalized wedge, whose (summand,
-count) blocks are in display order; the gauge product is read off them
-through map_space, and terms.render_blocks prints both halves.  Every view
-but the expanded summand list costs the number of distinct summands.
+count) blocks are in display order; equal cyclic factors of pi1 enter as
+one Moore block per dimension.  The gauge product is read off the blocks
+through map_space, and terms.render_blocks writes both halves, one string
+repeat per block.  Every view but the expanded summand list costs the
+number of distinct summands, and the text that plus its bytes.
 
 Four fundamental-group shapes are handled.  Trivial and free pi1, and a
 single odd prime-power cyclic pi1, split on the nose.  A genuinely mixed
@@ -24,6 +26,7 @@ the S^3 block, which renders as (S^3)^{n+2d}.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 from .manifold import ManifoldSpec, Pi1Kind, classify_pi1, stabilize, validate
 from .terms import (
@@ -107,11 +110,10 @@ def decompose(spec: ManifoldSpec, t: int = 0, *, d: int | None = None) -> Decomp
     The structure group stays the formal symbol G: the shape of the
     splitting never depends on it.
     """
-    validate(spec)
     kind = classify_pi1(spec.pi1)
     if kind is Pi1Kind.MIXED:
-        return mixed_decomposition(spec, t, d=d)
-    return _assemble(spec, t, 0, kind)
+        return mixed_decomposition(spec, t, d=d)  # which validates
+    return _assemble(validate(spec), t, 0, kind)
 
 
 def mixed_decomposition(spec: ManifoldSpec, t: int = 0, *, d: int | None = None) -> Decomposition:
@@ -137,7 +139,9 @@ def _assemble(spec: ManifoldSpec, t: int, stabilization: Stabilization, kind: Pi
     else:
         base, n3 = SuspCP2(), spec.b2 - 1  # one 2-cell is spent on the CP^2 block
     blocks = [(base, 1), (Sphere(4), m), (Sphere(3), n3), (Sphere(2), m)]
-    blocks += [(Moore(dim, p**r), 1) for p, r in spec.pi1.cyclic_factors for dim in (3, 4)]
+    for (p, r), run in groupby(spec.pi1.cyclic_factors):  # sorted, so equal factors adjoin
+        n = sum(1 for _ in run)
+        blocks += [(Moore(3, p**r), n), (Moore(4, p**r), n)]
     return Decomposition(Wedge(tuple(blocks)), t, stabilization, kind)
 
 
@@ -177,17 +181,12 @@ def gauge_from_suspension(susp: SpaceTerm, t: int) -> GaugeExpr:
 
 
 def render_suspension_half(dec: Decomposition) -> str:
-    """``SM = ...`` (or the connected-sum left side when stabilized)."""
-    stable = Sphere(3) if dec.stabilization == SYMBOLIC else None
-    body = " v ".join(render_blocks(dec.blocks, stable))
-    return f"{_suspension_left(dec.stabilization)} = {body}"
-
-
-def _suspension_left(stab: Stabilization) -> str:
+    """``SM = ...``, or the stabilized ``S(M #_d(S^2xS^2)) = ...``."""
+    stab = dec.stabilization
+    body = render_blocks(dec.blocks, " v ", Sphere(3) if stab == SYMBOLIC else None)
     if stab == 0:
-        return "SM"
-    d = "d" if stab == SYMBOLIC else str(stab)
-    return f"S(M #_{d}(S^2xS^2))"
+        return f"SM = {body}"
+    return f"S(M #_{'d' if stab == SYMBOLIC else stab}(S^2xS^2)) = {body}"
 
 
 def render_gauge_half(dec: Decomposition) -> str:

@@ -256,9 +256,13 @@ def render(obj: SpaceTerm | GaugeExpr | LoopFactor) -> str:
     symbolic.
     """
     if isinstance(obj, GaugeExpr):
-        return _render_gauge(obj)
+        head = f"G_{obj.t}({_BASE_NAMES[obj.base]})"
+        stable = LoopFactor(2) if obj.stabilization == SYMBOLIC else None
+        body = render_blocks(obj.blocks, " x ", stable)
+        return f"{head} x {body}" if body else head
     if isinstance(obj, LoopFactor):
-        return _render_factor(obj)
+        mod = "" if obj.modulus is None else f"{{{obj.modulus}}}"
+        return f"O^{obj.loop_order}G{mod}"
     if isinstance(obj, Point):
         return "pt"
     if isinstance(obj, Sphere):
@@ -270,32 +274,23 @@ def render(obj: SpaceTerm | GaugeExpr | LoopFactor) -> str:
     if isinstance(obj, Wedge):
         norm = normalize(obj)
         if isinstance(norm, Wedge):
-            return " v ".join(render_blocks(norm.blocks))
+            return render_blocks(norm.blocks, " v ")
         return render(norm)
     raise TermError(f"cannot render {obj!r}")
 
 
-def _render_factor(f: LoopFactor) -> str:
-    if f.modulus is None:
-        return f"O^{f.loop_order}G"
-    return f"O^{f.loop_order}G{{{f.modulus}}}"
-
-
-def _render_gauge(expr: GaugeExpr) -> str:
-    stable = LoopFactor(2) if expr.stabilization == SYMBOLIC else None
-    pieces = render_blocks(expr.blocks, stable)
-    return " x ".join([f"G_{expr.t}({_BASE_NAMES[expr.base]})", *pieces])
-
-
 def render_blocks(
-    blocks: Sequence[tuple[SpaceTerm | LoopFactor, int]], stable: Sphere | LoopFactor | None = None
-) -> list[str]:
-    """The rendered terms of sorted (term, count) blocks, ``count`` copies each.
+    blocks: Sequence[tuple[SpaceTerm | LoopFactor, int]],
+    sep: str,
+    stable: Sphere | LoopFactor | None = None,
+) -> str:
+    """Sorted (term, count) blocks, ``count`` copies each, joined by ``sep``.
 
     ``stable`` is the term each S^2 x S^2 adds twice, S^3 or O^2G, when the
     stabilization count d is symbolic.  Its block, present or not, is then
     one piece in its place: ``(X)^{n+2d}``, or ``(X)^{2d}`` when n = 0.
-    More than MAX_COPIES pieces raise ValueError, as in ``copies``.
+    More than MAX_COPIES pieces raise ValueError, as in ``copies``, before
+    any text is built; each block is one string repeat.
     """
     pieces = [(render(term), count) for term, count in blocks]
     if stable is not None:
@@ -303,19 +298,25 @@ def render_blocks(
         n = dict(blocks[i : i + 1]).get(stable, 0)
         power = f"{n}+2d" if n else "2d"
         pieces[i : i + 1 if n else i] = [(f"({render(stable)})^{{{power}}}", 1)]
-    return copies(pieces)
+    return sep.join(
+        [text if k == 1 else (text + sep) * (k - 1) + text for text, k in _capped(pieces) if k]
+    )
 
 
 def copies(blocks: Sequence[tuple[object, int]]) -> list:
-    """Each item of (item, count) blocks, written out ``count`` times; more
-    than MAX_COPIES items in all raise ValueError before any is written."""
+    """Each item of (item, count) blocks, ``count`` times; at most MAX_COPIES in all."""
+    out = []
+    for item, count in _capped(blocks):
+        out += [item] * count
+    return out
+
+
+def _capped(blocks: Sequence[tuple[object, int]]) -> Sequence[tuple[object, int]]:
+    """The blocks; ValueError if they hold more than MAX_COPIES copies."""
     total = sum(count for _, count in blocks)
     if total > MAX_COPIES:
         raise ValueError(f"the answer writes out {total} copies, more than the limit of 10**6")
-    out = []
-    for item, count in blocks:
-        out += [item] * count
-    return out
+    return blocks
 
 
 # --------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from gauge4.classifier import (
     UNKNOWN,
     YES,
     GroupParseError,
+    _rows,
     render_group,
 )
 from gauge4.manifold import TRIVIAL_PI1
@@ -142,6 +143,9 @@ def test_contradictory_wider_row_is_not_consulted():
     # equivalence of G_4 and G_8 over a non-spin manifold; the sharper
     # all-primes row (k = 12) affirms it.  The wider row only refines when
     # its k divides the sharper one's, which 24 does not divide 12.
+    # The guard itself: the rows governing SU(3) over a non-spin M are the
+    # specific k = 12 row and nothing behind it.
+    assert _rows(SU(3), MANIFOLD, spin=False) == (ClassRule(12, ALL_PRIMES),)
     v = classify(SU(3), NONSPIN_SPEC, 4, 8, primes=(3,))
     assert v.local[3] == YES
     assert gcd(24, 4) != gcd(24, 8)  # what the suppressed row would have said

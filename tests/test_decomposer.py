@@ -217,11 +217,31 @@ def test_every_view_of_a_billion_copies_is_one_block(hang_guard):
     assert homology_of_term(dec.suspension) == suspend(homology_of_manifold(spec))
 
 
+def test_equal_cyclic_factors_are_one_block_per_dimension(hang_guard):
+    n = 10**4
+    dec = decompose(ManifoldSpec(Pi1Descriptor(1, ((3, 1),) * n), 2))
+    assert dec.blocks == (
+        (Sphere(5), 1),
+        (Sphere(4), 1),
+        (Moore(4, 3), n),
+        (Sphere(3), 2),
+        (Moore(3, 3), n),
+        (Sphere(2), 1),
+    )
+    assert dec.gauge.blocks == ((O(3), 1), (O(3, 3), n), (O(2), 2), (O(2, 3), n), (O(1), 1))
+    assert render_suspension_half(dec) == (
+        "S(M #_d(S^2xS^2)) = S^5 v S^4" + " v P^4(3)" * n + " v (S^3)^{2+2d}"
+        + " v P^3(3)" * n + " v S^2"
+    )
+
+
 def test_decompose_validates_first():
     with pytest.raises(ValueError, match="even torsion prime"):
         decompose(ManifoldSpec(Pi1Descriptor(0, ((2, 1),)), 1, True))
     with pytest.raises(ValueError, match="nontrivial sigma-f"):
         decompose(ManifoldSpec(TRIVIAL_PI1, 0, False))
+    with pytest.raises(ValueError, match="even torsion prime"):
+        decompose(ManifoldSpec(Pi1Descriptor(1, ((2, 1),)), 1, True), d=3)
 
 
 # --------------------------------------------------------------------------

@@ -16,6 +16,8 @@ from gauge4 import (
     SuspCP2,
     TermError,
     Wedge,
+    decompose,
+    manifold,
     map_space,
     normalize,
     parse_term,
@@ -224,16 +226,38 @@ def test_written_out_copies_are_capped_before_expanding(hang_guard):
     assert copies([(Sphere(3), 2), (Moore(3, 5), 0), (Sphere(2), 1)]) == [
         Sphere(3), Sphere(3), Sphere(2)]
     assert len(copies([(Sphere(3), MAX_COPIES - 1), (Sphere(2), 1)])) == MAX_COPIES
+    assert render_blocks([(Sphere(3), 2), (Moore(3, 5), 0), (Sphere(2), 1)], " v ") == (
+        "S^3 v S^3 v S^2")
+    text = render_blocks([(Sphere(3), MAX_COPIES - 1), (Sphere(2), 1)], " v ")
+    assert len(text.split(" v ")) == MAX_COPIES
     for huge in ([(Sphere(3), MAX_COPIES), (Sphere(2), 1)], [(Sphere(3), 10**18)]):
         with pytest.raises(ValueError, match="limit of 10\\*\\*6"):
             copies(huge)
         with pytest.raises(ValueError, match="limit of 10\\*\\*6"):
-            render_blocks(huge)
+            render_blocks(huge, " v ")
+    # the G_t(...) head of a product is not one of the copies
+    text = render(GaugeExpr("S4", 0, ((LoopFactor(2), MAX_COPIES),)))
+    assert len(text.split(" x ")) == MAX_COPIES + 1
+    with pytest.raises(ValueError, match="limit of 10\\*\\*6"):
+        render(GaugeExpr("S4", 0, ((LoopFactor(2), MAX_COPIES + 1),)))
     # the symbolic (S^3)^{n+2d} block is one piece, whatever n
-    assert render_blocks([(Sphere(5), 1), (Sphere(3), 10**18)], Sphere(3)) == [
-        "S^5", "(S^3)^{1000000000000000000+2d}"]
+    assert render_blocks([(Sphere(5), 1), (Sphere(3), 10**18)], " v ", Sphere(3)) == (
+        "S^5 v (S^3)^{1000000000000000000+2d}")
     assert render(GaugeExpr("S4", 0, ((LoopFactor(2), 10**18),), SYMBOLIC)) == (
         "G_0(S^4) x (O^2G)^{1000000000000000000+2d}")
+
+
+def test_block_joiner_matches_joining_every_copy(hang_guard):
+    rng = random.Random(29)
+    for _ in range(300):
+        parts = blocks(normalize(random_term(rng)))
+        for sep in (" v ", " x "):
+            assert render_blocks(parts, sep) == sep.join(render(a) for a in copies(parts))
+    dec = decompose(manifold("1", MAX_COPIES - 1))
+    assert dec.blocks == ((Sphere(5), 1), (Sphere(3), MAX_COPIES - 1))
+    assert render_blocks(dec.blocks, " v ") == " v ".join(map(render, dec.summands))
+    factors = map(render, copies(dec.gauge.blocks))
+    assert render(dec.gauge) == " x ".join(["G_0(S^4)", *factors])
 
 
 def test_parse_term_atoms():
