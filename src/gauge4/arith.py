@@ -6,9 +6,10 @@ factors of Smith normal forms, so they can be large.  Every answer is
 exact and deterministic:
 
 - ``is_prime`` uses trial division for small n and above that the
-  Miller–Rabin test with a prefix of the prime bases 2..37: the prefixes
-  in ``_MR_CUTOFFS`` are proven to let no composite below their bound
-  pass (Jaeschke 1993; Jiang–Deng 2014 for all twelve, past 3 * 10**23);
+  Miller–Rabin test with the bases that ``_MR_CUTOFFS`` lists for n's
+  range, an explicit tuple per range, each proven to let no composite
+  below its bound pass (Jaeschke 1993, with 2, 7, 61 below 4 759 123 141;
+  Jiang–Deng 2014 for all twelve primes 2..37, past 3 * 10**23);
 - ``prime_power`` factors a small n by trial division, and tests a larger
   n itself, then its integer k-th roots for primes k;
 - ``factorize`` divides out primes below 2**10, then splits the cofactor
@@ -30,20 +31,20 @@ MAX_MODULUS = 2**64
 MAX_COPIES = 10**6
 
 #: The primes up to 61: the exponents k of the k-th root tests (2**64 is
-#: no proper power above the 61st), and in their first twelve the
-#: Miller–Rabin bases 2..37.
+#: no proper power above the 61st).
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
-#: (bound, k): the first k primes, as Miller–Rabin bases, decide every
-#: n < bound; all twelve (2..37) cover every n <= MAX_MODULUS.
+#: (bound, bases): these Miller–Rabin bases decide every n < bound; all
+#: but the last bound are the least strong pseudoprimes to their bases, and
+#: the twelve primes 2..37 cover every n <= MAX_MODULUS.
 _MR_CUTOFFS = (
-    (1_373_653, 2),
-    (25_326_001, 3),
-    (3_215_031_751, 4),
-    (2_152_302_898_747, 5),
-    (3_474_749_660_383, 6),
-    (341_550_071_728_321, 7),
-    (3_825_123_056_546_413_051, 9),
-    (MAX_MODULUS + 1, 12),
+    (1_373_653, (2, 3)),
+    (25_326_001, (2, 3, 5)),
+    (4_759_123_141, (2, 7, 61)),
+    (2_152_302_898_747, (2, 3, 5, 7, 11)),
+    (3_474_749_660_383, (2, 3, 5, 7, 11, 13)),
+    (341_550_071_728_321, (2, 3, 5, 7, 11, 13, 17)),
+    (3_825_123_056_546_413_051, (2, 3, 5, 7, 11, 13, 17, 19, 23)),
+    (MAX_MODULUS + 1, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)),
 )
 
 #: Below this, trial division decides primality faster than Miller–Rabin.
@@ -69,7 +70,7 @@ def is_prime(n: int) -> bool:
             d += 1 if d == 2 else 2
         return True
     _check_limit(n)
-    bases = _SMALL_PRIMES[: next(k for bound, k in _MR_CUTOFFS if n < bound)]
+    bases = next(bases for bound, bases in _MR_CUTOFFS if n < bound)
     if any(n % p == 0 for p in bases):
         return False
     d, s = n - 1, 0

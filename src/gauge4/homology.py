@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from math import gcd
+from operator import mul
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import terms as _t
@@ -155,10 +156,12 @@ def smith_normal_form(mat: IntMatrix) -> SNFResult:
     """Invariant factors d1 | d2 | ... of an integer matrix, and its rank.
 
     Elimination over Z: the smallest nonzero entry of the remaining block
-    is the pivot, its row and column are cleared with round-to-nearest
-    quotients (a remainder, at most half the pivot, becomes the next
-    pivot), and a row holding an entry the pivot does not divide is added
-    to the pivot row.  Small inputs finish this way with small entries.
+    is the pivot, and its column is cleared with round-to-nearest
+    quotients; a remainder, at most half the pivot, becomes the next pivot
+    at once.  Only once the column is clear is the pivot's row cleared the
+    same way, which then changes the pivot row alone.  A row holding an
+    entry the pivot does not divide is added to the pivot row.  Small
+    inputs finish this way with small entries.
 
     Should an entry pass ``_GROWTH_LIMIT``, the elimination restarts
     modulo D, which bounds every entry by D/2 (Kannan–Bachem 1979; Cohen,
@@ -192,9 +195,10 @@ def _diagonalize(rows: Sequence[Sequence[int]], det: int) -> list[int]:
     _GROWTH_LIMIT; det > 1 works modulo det, and a cleared pivot p becomes
     gcd(p, det).  The remaining block is checked (or reduced) whenever its
     smallest entry is sought, at each new diagonal position.  In between,
-    each pass pivots on the smallest remainder, at most half the pivot
-    before it, so the growth the passes allow telescopes and every entry
-    stays polynomial in max(limit, det).
+    a column pass, or a row pass once the column is clear, hands over to
+    the smallest remainder it leaves, at most half the pivot before it, so
+    the growth the passes allow telescopes and every entry stays
+    polynomial in max(limit, det).
     """
     a = [list(row) for row in rows if any(row)]
     m, n = len(a), len(rows[0]) if rows else 0
@@ -223,7 +227,7 @@ def _diagonalize(rows: Sequence[Sequence[int]], det: int) -> list[int]:
             top = a[t]
             p = top[t]
             # Clear column t, then row t, with round-to-nearest quotients;
-            # the smallest remainder left becomes the next pivot.
+            # the smallest remainder left becomes the next pivot at once.
             pivot, least = None, 0
             for i in range(t + 1, m):
                 v = a[i][t]
@@ -233,13 +237,13 @@ def _diagonalize(rows: Sequence[Sequence[int]], det: int) -> list[int]:
                     r = abs(a[i][t])
                     if r and (not least or r < least):
                         pivot, least = (i, t), r
+            if pivot:
+                continue
+            # Column t is clear, so the row pass changes the pivot row alone.
             for j in range(t + 1, n):
                 v = top[j]
                 if v:
-                    q = (2 * v + p) // (2 * p)
-                    for row in a[t:]:
-                        if row[t]:
-                            row[j] -= q * row[t]
+                    top[j] = v - (2 * v + p) // (2 * p) * p
                     r = abs(top[j])
                     if r and (not least or r < least):
                         pivot, least = (t, j), r
@@ -280,20 +284,6 @@ def _rank_and_minor(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
     return rank, abs(prev)
 
 
-def _mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    if a.cols != b.rows:
-        raise ValueError("inner dimensions disagree")
-    rows = tuple(
-        tuple(sum(a.entries[i][k] * b.entries[k][j] for k in range(a.cols)) for j in range(b.cols))
-        for i in range(a.rows)
-    )
-    return IntMatrix(a.rows, b.cols, rows)
-
-
-def _is_zero(mat: IntMatrix) -> bool:
-    return all(v == 0 for row in mat.entries for v in row)
-
-
 # --------------------------------------------------------------------------
 # chain complexes
 
@@ -304,7 +294,9 @@ def chain_homology(boundaries: Sequence[IntMatrix]) -> GradedAbelianGroup:
     ``boundaries[k-1]`` is the degree-k boundary map C_k -> C_{k-1}, stored
     with rows indexed by C_{k-1} and columns by C_k; zero maps must still
     be passed (with the right shape) because the matrices carry the chain
-    group dimensions.  Requires N <= 5, matching shapes, and d.d = 0.
+    group dimensions.  Requires N <= 5, matching shapes, and d.d = 0,
+    checked entry by entry, each row of one boundary against each column of
+    the next, without building the products.
     """
     n_top = len(boundaries)
     if n_top == 0:
@@ -319,7 +311,8 @@ def chain_homology(boundaries: Sequence[IntMatrix]) -> GradedAbelianGroup:
                 f"{boundaries[k - 1].cols} vs {boundaries[k].rows}"
             )
     for k in range(n_top - 1):
-        if not _is_zero(_mat_mul(boundaries[k], boundaries[k + 1])):
+        cols = list(zip(*boundaries[k + 1].entries))
+        if any(sum(map(mul, row, col)) for row in boundaries[k].entries for col in cols):
             raise ChainComplexError(f"not a chain complex: d{k + 1}.d{k + 2} != 0")
 
     snfs = [smith_normal_form(b) for b in boundaries]

@@ -47,15 +47,16 @@ class Pi1Descriptor:
             raise InvalidSpecError([f"free rank must be an integer, got {self.free_rank}"])
         if self.free_rank < 0:
             raise InvalidSpecError([f"free rank must be >= 0, got {self.free_rank}"])
+        bases: dict[int, tuple[int, int] | None] = {}  # each distinct base is decided once
         factors = []
         for p, r in self.cyclic_factors:
-            if not is_prime(p):
-                pr = prime_power(p)
-                if pr is None:
-                    power = "" if r == 1 else f"^{r}"
-                    raise InvalidSpecError([f"modulus {p}{power} is not a prime power"])
-                p, r = pr[0], pr[1] * r
-            factors.append((p, r))
+            if p not in bases:
+                bases[p] = (p, 1) if is_prime(p) else prime_power(p)
+            pr = bases[p]
+            if pr is None:
+                power = "" if r == 1 else f"^{r}"
+                raise InvalidSpecError([f"modulus {p}{power} is not a prime power"])
+            factors.append((pr[0], pr[1] * r))
         object.__setattr__(self, "cyclic_factors", tuple(sorted(factors)))
 
 
@@ -132,6 +133,7 @@ def validate(spec: ManifoldSpec) -> ManifoldSpec:
     Exactly three conditions are rejected: a torsion prime of 2 (the
     decompositions need odd torsion), a cyclic exponent r < 1, and a
     nontrivial top-cell flag with b2 = 0 (no CP^2 summand to suspend).
+    Each reason is reported once, in the order first met.
     """
     errors = []
     for p, r in spec.pi1.cyclic_factors:
@@ -142,7 +144,7 @@ def validate(spec: ManifoldSpec) -> ManifoldSpec:
     if not spec.sigma_f_trivial and spec.b2 == 0:
         errors.append("nontrivial sigma-f with b2 = 0")
     if errors:
-        raise InvalidSpecError(errors)
+        raise InvalidSpecError(list(dict.fromkeys(errors)))
     return spec
 
 

@@ -30,12 +30,24 @@ def test_is_prime_matches_a_sieve():
 
 def test_is_prime_rejects_strong_pseudoprimes_at_every_base_cutoff(hang_guard):
     # Each is the least strong pseudoprime to the bases of the cutoff below
-    # it, so each needs the next, longer prefix of 2..37.
-    for n in (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
-              341550071728321, 3825123056546413051):
+    # it (3215031751 to 2, 3, 5, 7; 4759123141 to 2, 7, 61), so each needs
+    # the bases of the next range.
+    for n in (2047, 1373653, 25326001, 3215031751, 4759123141, 2152302898747,
+              3474749660383, 341550071728321, 3825123056546413051):
         assert not is_prime(n), n
     for n in (561, 41041, 825265, 321197185, 5394826801):  # Carmichael numbers
         assert not is_prime(n), n
+
+
+def test_is_prime_with_bases_2_7_61_matches_trial_division(hang_guard):
+    # [25326001, 4759123141) is the range of the bases 2, 7, 61; the primes
+    # below 69000 reach past its square root.
+    flags = sieve(69000)
+    primes = [p for p in range(69000) if flags[p]]
+    rng = random.Random(4759)
+    for _ in range(500):
+        n = rng.randrange(25326001, 4759123141, 2)
+        assert is_prime(n) == all(n % p for p in primes if p * p <= n), n
 
 
 def test_is_prime_on_large_primes(hang_guard):

@@ -221,6 +221,10 @@ def test_error_exits(capsys, argv, code, fragment):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_a_repeated_reason_is_printed_once(capsys):
+    assert invoke(capsys, "parse", "--pi1", "Z/2*Z/4*Z/8") == (2, "", "error: even torsion prime\n")
+
+
 def test_module_entry_point():
     proc = spawn("snf", "--matrix", "[[1,0],[0,1]]")
     assert proc.returncode == 0

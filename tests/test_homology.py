@@ -179,6 +179,8 @@ def test_snf_sweep_on_dense_matrices(hang_guard, side, count):
         start = time.process_time()
         factors, rank = smith_normal_form(IntMatrix.from_rows(rows))
         assert time.process_time() - start < 1.0
+        # The column pass and the row pass differ, so the transpose is a check.
+        assert smith_normal_form(IntMatrix.from_rows(list(zip(*rows)))) == (factors, rank)
         assert rank == len(factors)
         assert all(d > 0 for d in factors)
         assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
@@ -290,6 +292,15 @@ def test_chain_complex_rejections():
         chain_homology([])
     with pytest.raises(ChainComplexError):
         chain_homology([IntMatrix.zero(1, 1)] * 6)
+    # d1.d2 is zero but for its last, bottom-right entry.
+    d1 = IntMatrix.from_rows([[1, 1, 0], [0, 1, 1]])
+    d2 = IntMatrix.from_rows([[1, 0], [-1, 0], [1, 1]])
+    with pytest.raises(ChainComplexError, match="d1.d2 != 0"):
+        chain_homology([d1, d2])
+    # An inner dimension of 0 makes d1.d2 the 2 x 3 zero matrix: a complex.
+    assert chain_homology([IntMatrix.zero(2, 0), IntMatrix.zero(0, 3)]) == GradedAbelianGroup.of(
+        {0: (2, ()), 2: (3, ())}
+    )
 
 
 def test_random_two_step_complexes_satisfy_euler_count():

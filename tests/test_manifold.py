@@ -62,7 +62,8 @@ def test_validate_rejects_nontrivial_flag_without_two_cells():
 
 
 def test_validate_reports_all_errors_at_once():
-    spec = ManifoldSpec(Pi1Descriptor(0, ((2, 0),)), 0, False)
+    # Each reason once, in the order first met, however many factors give it.
+    spec = ManifoldSpec(Pi1Descriptor(0, ((2, 0), (2, 1), (3, 0), (2, 2))), 0, False)
     with pytest.raises(InvalidSpecError) as exc:
         validate(spec)
     assert exc.value.errors == [
@@ -219,3 +220,13 @@ def test_parse_pi1_with_a_61_bit_prime_modulus(hang_guard):
         parse_pi1(f"Z/{(2**31 - 1) * 1000003}")
     with pytest.raises(ValueError, match="larger than 2\\*\\*64"):
         parse_pi1(f"Z/{2**64 + 1}")
+    # Each distinct modulus is decided once: 10**5 copies of p are one
+    # Miller–Rabin test, not 10**5, and the error names the first bad copy.
+    assert parse_pi1("*".join([f"Z/{p}"] * 10**5)) == Pi1Descriptor(0, ((p, 1),) * 10**5)
+    factors = parse_pi1("*".join(["Z/9", "Z/3"] * 10**4)).cyclic_factors
+    assert factors == ((3, 1),) * 10**4 + ((3, 2),) * 10**4
+    assert Pi1Descriptor(0, ((9, 2), (9, 1))).cyclic_factors == ((3, 2), (3, 4))
+    with pytest.raises(InvalidSpecError, match=r"^modulus 15\^2 is not a prime power$"):
+        Pi1Descriptor(0, ((3, 1), (15, 2), (15, 1)))
+    with pytest.raises(Pi1ParseError, match=r"^modulus 15 is not a prime power$"):
+        parse_pi1("*".join(["Z/15"] * 10**4))
