@@ -1,7 +1,7 @@
 """Paired benchmark runs of two commits, summarized as a BENCH_*.json file.
 
-    python3 scripts/bench_pairs.py --parent REV --out BENCH_7.json \\
-        scale=81-90 census=91-95 --traced scale=75
+    python3 scripts/bench_pairs.py --parent REV --out BENCH_9.json \\
+        scale=81-90 census=91-95 --traced scale=75-77
 
 The two sides are the committed trees of REV and of HEAD, each written by
 ``git archive`` into a fresh temporary directory, as the benchmark is
@@ -10,8 +10,11 @@ sides run the command of BENCHMARK.json with ``--workload W --seed S
 --seconds <run_seconds> --trace 0`` one after the other, the side that
 goes first alternating from seed to seed.  For every end-to-end metric the
 file gives each side's runs, median and quartiles, and the pairs the
-change won; ``--traced`` adds one ``--trace 1`` run per side with its
-per-layer figures.  Seeds are ``A-B`` ranges or comma lists.
+change won.  ``--traced WORKLOAD=SEEDS`` adds ``--trace 1`` runs, one per
+side and seed, alternating in the same way; for every per-layer metric the
+file gives each side's runs and their median, since one traced run carries
+run-to-run noise as large as a change.  Seeds are ``A-B`` ranges or comma
+lists.
 """
 
 from __future__ import annotations
@@ -59,9 +62,29 @@ def run(spec: dict, cwd: Path, workload: str, seed: int, trace: int) -> dict:
     return json.loads(out.strip().splitlines()[-1])
 
 
+def alternating(spec: dict, dirs: dict[str, Path], workload: str, seed_list: list[int],
+                trace: int) -> tuple[dict[str, list[dict]], list[str]]:
+    """Each side's runs of one workload, one per seed, and the side that went first."""
+    runs = {side: [] for side in SIDES}
+    first = []
+    for i, seed in enumerate(seed_list):
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        first.append(order[0])
+        for side in order:
+            runs[side].append(run(spec, dirs[side], workload, seed, trace))
+            ops = runs[side][-1]["metrics"]["trace.throughput_ops" if trace else "throughput_ops"]
+            print(workload, seed, side, trace, ops["value"], file=sys.stderr)
+    return runs, first
+
+
 def summary(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"runs": values, "median": median, "q1": q1, "q3": q3}
+
+
+def by_metric(runs: list[dict]) -> dict[str, list[float]]:
+    """Every metric of a side's traced runs, as the list of its values."""
+    return {name: [r["metrics"][name]["value"] for r in runs] for name in runs[0]["metrics"]}
 
 
 def paired(metrics: list[dict], runs: dict[str, list[dict]]) -> dict:
@@ -81,7 +104,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True)
     parser.add_argument("--out", required=True)
-    parser.add_argument("--traced", action="append", default=[], metavar="WORKLOAD=SEED")
+    parser.add_argument("--traced", action="append", default=[], metavar="WORKLOAD=SEEDS")
     parser.add_argument("pairs", nargs="+", metavar="WORKLOAD=SEEDS")
     args = parser.parse_args()
     revs = {"parent": args.parent, "change": "HEAD"}
@@ -100,15 +123,7 @@ def main() -> None:
         }
         for item in args.pairs:
             workload, seed_text = item.split("=")
-            runs = {side: [] for side in SIDES}
-            first = []
-            for i, seed in enumerate(seeds(seed_text)):
-                order = SIDES if i % 2 == 0 else SIDES[::-1]
-                first.append(order[0])
-                for side in order:
-                    runs[side].append(run(spec, dirs[side], workload, seed, 0))
-                    print(workload, seed, side, runs[side][-1]["metrics"]["throughput_ops"]["value"],
-                          file=sys.stderr)
+            runs, first = alternating(spec, dirs, workload, seeds(seed_text), 0)
             doc["workloads"][workload] = {
                 "seeds": seeds(seed_text),
                 "first": first,
@@ -117,11 +132,11 @@ def main() -> None:
                 "metrics": paired(spec["end_to_end"], runs),
             }
         for item in args.traced:
-            workload, seed = item.split("=")
-            traced = {side: run(spec, dirs[side], workload, int(seed), 1)
-                      for side in SIDES}
-            doc["traced"][workload] = {"seed": int(seed), **{
-                side: {name: m["value"] for name, m in traced[side]["metrics"].items()}
+            workload, seed_text = item.split("=")
+            runs, first = alternating(spec, dirs, workload, seeds(seed_text), 1)
+            doc["traced"][workload] = {"seeds": seeds(seed_text), "first": first, **{
+                side: {name: {"runs": values, "median": statistics.median(values)}
+                       for name, values in by_metric(runs[side]).items()}
                 for side in SIDES}}
     Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
 

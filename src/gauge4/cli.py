@@ -68,7 +68,7 @@ def _spec_from_args(args: argparse.Namespace) -> ManifoldSpec:
     return ManifoldSpec(parse_pi1(args.pi1), args.b2, trivial)
 
 
-def build_parser() -> _Parser:
+def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     parser = _Parser(prog="gauge4", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True)
 
@@ -112,13 +112,13 @@ def build_parser() -> _Parser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_parse)
 
-    return parser
+    return parser, subs.choices
 
 
 @functools.cache
-def _parser() -> _Parser:
-    """The parser run() uses, built once per process (building takes about a
-    millisecond, as long as a whole query); parse_args leaves it unchanged."""
+def _parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The top-level and subcommand parsers, built once per process (a millisecond,
+    as long as a query); parse_args leaves them unchanged.  run() parses argv once."""
     return build_parser()
 
 
@@ -178,7 +178,7 @@ def _cmd_decompose(args: argparse.Namespace) -> str:
                     "t": dec.t,
                     "factors": copies(
                         [({"loop_order": f.loop_order, "modulus": f.modulus}, n)
-                         for f, n in dec.gauge.blocks]
+                         for f, n in dec.factors]
                     ),
                     "stabilization": dec.stabilization,
                 },
@@ -267,8 +267,11 @@ def _cmd_parse(args: argparse.Namespace) -> str:
 
 
 def run(argv: list[str]) -> int:
+    parser, commands = _parser()
     try:
-        args = _parser().parse_args(argv)
+        if argv and argv[0] in commands:  # else help, or a missing or unknown command
+            parser, argv = commands[argv[0]], argv[1:]
+        args = parser.parse_args(argv)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -32,6 +32,7 @@ from .manifold import ManifoldSpec, Pi1Kind, classify_pi1, stabilize, validate
 from .terms import (
     SYMBOLIC,
     GaugeExpr,
+    LoopFactor,
     Moore,
     SpaceTerm,
     Sphere,
@@ -40,11 +41,12 @@ from .terms import (
     TermError,
     Wedge,
     blocks,
+    check_stabilization,
     copies,
     map_space,
     normalize,
-    render,
     render_blocks,
+    render_product,
 )
 
 
@@ -73,6 +75,7 @@ class Decomposition:
     case_used: Pi1Kind
 
     def __post_init__(self) -> None:
+        check_stabilization(self.stabilization)
         susp = normalize(self.suspension)
         bases = [atom for atom, _ in blocks(susp) if atom in _GAUGE_BASE]
         if len(bases) != 1 or blocks(susp)[0] != (bases[0], 1):
@@ -91,10 +94,14 @@ class Decomposition:
         return copies(self.blocks)
 
     @property
+    def factors(self) -> list[tuple[LoopFactor, int]]:
+        """(Map*(summand, G), count) per non-base block, in normal form as it comes."""
+        return [(map_space(atom), count) for atom, count in self.blocks[1:]]
+
+    @property
     def gauge(self) -> GaugeExpr:
         """The corresponding product G_t(base) x Map*(summand, G) x ..."""
-        factors = tuple((map_space(atom), count) for atom, count in self.blocks[1:])
-        return GaugeExpr(self.base, self.t, factors, self.stabilization)
+        return GaugeExpr(self.base, self.t, self.factors, self.stabilization)
 
     @property
     def base(self) -> str:
@@ -191,9 +198,8 @@ def render_suspension_half(dec: Decomposition) -> str:
 
 def render_gauge_half(dec: Decomposition) -> str:
     """``G_t(M) = ...``, or the stabilized ``G_t(M) x (O^2G)^{2d} ~ ...``."""
-    right = render(dec.gauge)
-    t = dec.t
-    stab = dec.stabilization
+    t, stab = dec.t, dec.stabilization
+    right = render_product(dec.base, t, dec.factors, stab)
     if stab == 0:
         return f"G_{t}(M) = {right}"
     power = "{2d}" if stab == SYMBOLIC else str(2 * stab)

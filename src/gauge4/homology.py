@@ -49,13 +49,15 @@ class GradedAbelianGroup:
         if len(self.groups) != MAX_DEGREE + 1:
             raise ValueError(f"expected {MAX_DEGREE + 1} degrees, got {len(self.groups)}")
         fixed = []
+        split: dict[int, tuple[int, ...]] = {}  # each distinct entry is factored once
         for rank, torsion in self.groups:
             if rank < 0:
                 raise ValueError(f"negative free rank {rank}")
             parts: list[int] = []
-            for q in torsion:
-                if abs(q) > 1:
-                    parts.extend(prime_power_parts(abs(q)))
+            for q in map(abs, torsion):
+                if q > 1 and q not in split:
+                    split[q] = prime_power_parts(q)
+                parts += split.get(q, ())
             fixed.append((rank, tuple(sorted(parts))))
         object.__setattr__(self, "groups", tuple(fixed))
 

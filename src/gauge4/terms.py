@@ -212,14 +212,19 @@ class GaugeExpr:
     def __post_init__(self) -> None:
         if self.base not in ("S4", "CP2"):
             raise TermError(f"gauge base must be S4 or CP2, got {self.base!r}")
-        if isinstance(self.stabilization, int):
-            if self.stabilization < 0:
-                raise TermError("stabilization count must be >= 0")
-        elif self.stabilization != SYMBOLIC:
-            raise TermError(f"bad stabilization: {self.stabilization!r}")
+        check_stabilization(self.stabilization)
         if not all(isinstance(factor, LoopFactor) for factor, _ in self.blocks):
             raise TermError(f"gauge blocks must hold loop factors: {self.blocks!r}")
         object.__setattr__(self, "blocks", _merge(self.blocks))
+
+
+def check_stabilization(stabilization: Stabilization) -> None:
+    """TermError unless the count is an int >= 0 or SYMBOLIC."""
+    if isinstance(stabilization, int):
+        if stabilization < 0:
+            raise TermError("stabilization count must be >= 0")
+    elif stabilization != SYMBOLIC:
+        raise TermError(f"bad stabilization: {stabilization!r}")
 
 
 def map_space(summand: SpaceTerm) -> LoopFactor:
@@ -251,15 +256,10 @@ def render(obj: SpaceTerm | GaugeExpr | LoopFactor) -> str:
     Wedges are normalized before rendering, so the output is always the
     canonical form (``S^3 v P^3(9)``); gauge expressions render as the
     right-hand side of their product decomposition
-    (``G_2(S^4) x O^3G x O^1G``) through render_blocks, which writes the
-    plain O^2G block as ``(O^2G)^{b+2d}`` when the stabilization is
-    symbolic.
+    (``G_2(S^4) x O^3G x O^1G``) through render_product.
     """
     if isinstance(obj, GaugeExpr):
-        head = f"G_{obj.t}({_BASE_NAMES[obj.base]})"
-        stable = LoopFactor(2) if obj.stabilization == SYMBOLIC else None
-        body = render_blocks(obj.blocks, " x ", stable)
-        return f"{head} x {body}" if body else head
+        return render_product(obj.base, obj.t, obj.blocks, obj.stabilization)
     if isinstance(obj, LoopFactor):
         mod = "" if obj.modulus is None else f"{{{obj.modulus}}}"
         return f"O^{obj.loop_order}G{mod}"
@@ -277,6 +277,15 @@ def render(obj: SpaceTerm | GaugeExpr | LoopFactor) -> str:
             return render_blocks(norm.blocks, " v ")
         return render(norm)
     raise TermError(f"cannot render {obj!r}")
+
+
+def render_product(base: str, t: int, blocks: Sequence, stabilization: Stabilization) -> str:
+    """``G_t(base) x ...`` from (loop factor, count) blocks already in normal
+    form, written as they come; with a symbolic stabilization the plain O^2G
+    block is ``(O^2G)^{b+2d}``."""
+    head = f"G_{t}({_BASE_NAMES[base]})"
+    body = render_blocks(blocks, " x ", LoopFactor(2) if stabilization == SYMBOLIC else None)
+    return f"{head} x {body}" if body else head
 
 
 def render_blocks(

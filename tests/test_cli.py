@@ -23,7 +23,9 @@ from gauge4 import (
     render_decomposition,
     wedge,
 )
-from gauge4.cli import run
+from gauge4.cli import build_parser, run
+
+GOLDEN = Path(__file__).parent / "data" / "golden_sweep.json"
 
 
 def invoke(capsys, *argv):
@@ -244,6 +246,8 @@ def test_one_parser_serves_many_runs(capsys):
     # and --json must print what a fresh process prints.
     calls = [
         ["decompose", "--b2", "x"],
+        ["classify", "--group", "SU(2)", "--t", "1"],
+        ["classify", "--group", "SU(2)", "--t", "1", "--s", "4", "--primes", "3,5"],
         ["decompose", "--pi1", "Z*Z/3", "--b2", "1", "--t", "7"],
         ["decompose", "--pi1", "Z*Z/3", "--b2", "1", "--t", "7", "--json"],
     ]
@@ -276,3 +280,79 @@ def test_symbolic_b2_of_a_billion_is_one_block(capsys, hang_guard):
     )
     line = render_decomposition(decompose(manifold("Z*Z/3", 10**9)))
     assert line.endswith("x (O^2G)^{1000000000+2d} x O^2G{3} x O^1G")
+
+
+# --------------------------------------------------------------------------
+# dispatch: a query whose first word names a subcommand is parsed once, by
+# that subcommand's parser; the top-level parser serves the rest
+
+
+def test_subcommand_parser_gives_the_top_level_namespace():
+    parser, commands = build_parser()
+    for query in json.loads(GOLDEN.read_text())["cli"]:
+        argv = query["argv"]
+        top = vars(parser.parse_args(argv))
+        assert top.pop("command") == argv[0]
+        assert vars(commands[argv[0]].parse_args(argv[1:])) == top
+
+
+CHOICES = "(choose from 'decompose', 'suspension', 'homology', 'classify', 'snf', 'parse')"
+TOP_USAGE = "usage: gauge4 [-h] {decompose,suspension,homology,classify,snf,parse} ..."
+
+
+# Exit code, stdout and stderr of argv at the edges of the dispatch, as the
+# top-level parser alone gave them (argparse wording of CPython 3.11).
+@pytest.mark.parametrize(
+    "argv,code,out,err",
+    [
+        ([], 1, "", "error: the following arguments are required: command\n"),
+        (["nonsense"], 1, "", f"error: argument command: invalid choice: 'nonsense' {CHOICES}\n"),
+        (["decomp"], 1, "", f"error: argument command: invalid choice: 'decomp' {CHOICES}\n"),
+        (["Decompose"], 1, "", f"error: argument command: invalid choice: 'Decompose' {CHOICES}\n"),
+        (["", "decompose"], 1, "", f"error: argument command: invalid choice: '' {CHOICES}\n"),
+        (["--", "decompose"], 1, "", f"error: argument command: invalid choice: '--' {CHOICES}\n"),
+        (["-x", "decompose"], 1, "", "error: unrecognized arguments: -x\n"),
+        (["--t=4", "--pi1=Z*Z/3"], 1, "", "error: the following arguments are required: command\n"),
+        (["decompose", "--pi", "Z"], 0,
+         "SM = S^5 v S^4 v S^2; G_0(M) = G_0(S^4) x O^3G x O^1G\n", ""),
+        (["decompose", "--t=4", "--pi1=Z*Z/3"], 0,
+         "S(M #_d(S^2xS^2)) = S^5 v S^4 v P^4(3) v (S^3)^{2d} v P^3(3) v S^2; "
+         "G_4(M) x (O^2G)^{2d} ~ G_4(S^4) x O^3G x O^3G{3} x (O^2G)^{2d} x O^2G{3} x O^1G\n", ""),
+        (["decompose", "--", "--pi1", "1"], 1, "", "error: unrecognized arguments: -- --pi1 1\n"),
+        (["decompose", "extra"], 1, "", "error: unrecognized arguments: extra\n"),
+        (["decompose", "decompose"], 1, "", "error: unrecognized arguments: decompose\n"),
+        (["decompose", "--b2", "1", "--b2", "2"], 0,
+         "SM = S^5 v S^3 v S^3; G_0(M) = G_0(S^4) x O^2G x O^2G\n", ""),
+        (["decompose", "--b2"], 1, "", "error: argument --b2: expected one argument\n"),
+        (["classify", "--pr", "3", "--group", "SU(2)", "--t", "1", "--s", "2"], 0,
+         "rule: k=12, integral\nintegral: no\np=3: no\nstabilized: no\n", ""),
+        (["classify", "--group", "SU(2)", "--t", "1"], 1, "",
+         "error: the following arguments are required: --s\n"),
+        (["snf"], 1, "", "error: the following arguments are required: --matrix\n"),
+        (["snf", "--matrix=[[2]]", "--json"], 0, '{"invariant_factors": [2], "rank": 1}\n', ""),
+        (["suspension", "--d", "symb"], 1, "",
+         "error: argument --d: expected an integer or 'symbolic', got 'symb'\n"),
+        (["parse", "--spin", "maybe"], 1, "",
+         "error: argument --spin: invalid choice: 'maybe' (choose from 'true', 'false')\n"),
+    ],
+)
+def test_dispatch_edges_print_what_the_top_level_parser_printed(capsys, argv, code, out, err):
+    assert invoke(capsys, *argv) == (code, out, err)
+
+
+@pytest.mark.parametrize(
+    "argv,usage",
+    [
+        (["-h"], TOP_USAGE),
+        (["--help"], TOP_USAGE),
+        (["-h", "decompose"], TOP_USAGE),
+        (["decompose", "-h"], "usage: gauge4 decompose [-h] [--pi1 PI1] [--b2 B2]"),
+        (["decompose", "--he"], "usage: gauge4 decompose [-h] [--pi1 PI1] [--b2 B2]"),
+        (["classify", "--help"], "usage: gauge4 classify [-h] [--pi1 PI1] [--b2 B2]"),
+    ],
+)
+def test_help_exits_0_with_the_usage_of_the_parser_named(capsys, argv, usage):
+    with pytest.raises(SystemExit) as exit_:
+        run(argv)
+    captured = capsys.readouterr()
+    assert (exit_.value.code, captured.out.splitlines()[0], captured.err) == (0, usage, "")

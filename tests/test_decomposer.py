@@ -33,7 +33,7 @@ from gauge4 import (
     suspension_of_spec,
     wedge,
 )
-from gauge4.decomposer import render_suspension_half
+from gauge4.decomposer import render_gauge_half, render_suspension_half
 from gauge4.manifold import TRIVIAL_PI1
 from gauge4.terms import SYMBOLIC
 
@@ -178,6 +178,16 @@ def test_decomposition_blocks_are_one_normal_form():
             Decomposition(Wedge(bad), 0, 0, Pi1Kind.TRIVIAL)
     with pytest.raises(TermError, match="negative count"):
         Decomposition(Wedge(((Sphere(5), 1), (Sphere(3), -1))), 0, 0, Pi1Kind.TRIVIAL)
+
+
+def test_decomposition_rejects_a_bad_stabilization():
+    susp = Wedge(((Sphere(5), 1), (Sphere(3), 2)))
+    with pytest.raises(TermError, match="^bad stabilization: 'foo'$"):
+        Decomposition(susp, 1, "foo", Pi1Kind.MIXED)
+    with pytest.raises(TermError, match="^stabilization count must be >= 0$"):
+        Decomposition(susp, 1, -3, Pi1Kind.MIXED)
+    for stab in (0, 2, SYMBOLIC):
+        assert Decomposition(susp, 1, stab, Pi1Kind.MIXED).stabilization == stab
 
 
 def test_blocks_grow_with_distinct_summands_not_b2(hang_guard):
@@ -391,6 +401,25 @@ def test_render_decomposition_concrete_stabilization_golden():
         "S(M #_1(S^2xS^2)) = S^5 v S^4 v P^4(3) v S^3 v S^3 v S^3 v P^3(3) v S^2; "
         "G_7(M) x (O^2G)^2 ~ G_7(S^4) x O^3G x O^3G{3} x O^2G x O^2G x O^2G x O^2G{3} x O^1G"
     )
+
+
+def test_gauge_half_is_the_rendered_gauge_product():
+    # render_gauge_half writes the mapped blocks without building dec.gauge,
+    # which merges and sorts them again; both must give the same text.
+    rng = random.Random(1609)
+    seen = set()
+    for i in range(300):
+        spec = random_spec(rng)
+        d = (None, 0, rng.randint(1, 4))[i % 3]
+        build = mixed_decomposition if i % 2 else decompose
+        dec = build(spec, rng.randint(-5, 5), d=d)
+        half = render_gauge_half(dec)
+        head, sep, right = half.partition(" = " if dec.stabilization == 0 else " ~ ")
+        assert sep and right == render(dec.gauge), half
+        assert dec.factors == list(dec.gauge.blocks)
+        seen.add((str(dec.stabilization) if dec.stabilization in (0, SYMBOLIC) else "d",
+                  spec.sigma_f_trivial))
+    assert seen == {(s, f) for s in ("0", SYMBOLIC, "d") for f in (True, False)}
 
 
 def test_render_decomposition_bare_base():

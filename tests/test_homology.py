@@ -325,11 +325,18 @@ def test_random_two_step_complexes_satisfy_euler_count():
 # graded groups, closed-form manifold homology, suspension
 
 
-def test_torsion_entries_are_split_into_prime_powers():
+def test_torsion_entries_are_split_into_prime_powers(monkeypatch):
     g = GradedAbelianGroup.of({1: (0, (12,))})
     assert g.torsion(1) == (3, 4)
     h = GradedAbelianGroup.of({1: (0, (4, 3))})
     assert g == h
+    # A repeated entry, within a degree and across degrees, one copy negative,
+    # is split once per construction.
+    calls = []
+    split = homology.prime_power_parts
+    monkeypatch.setattr(homology, "prime_power_parts", lambda n: calls.append(n) or split(n))
+    g = GradedAbelianGroup.of({1: (0, (12, -12)), 2: (1, (12,))})
+    assert (g.torsion(1), g.torsion(2), calls) == ((3, 3, 4, 4), (3, 4), [12])
 
 
 def test_manifold_homology_closed_form():
