@@ -14,7 +14,8 @@ change won.  ``--traced WORKLOAD=SEEDS`` adds ``--trace 1`` runs, one per
 side and seed, alternating in the same way; for every per-layer metric the
 file gives each side's runs and their median, since one traced run carries
 run-to-run noise as large as a change.  Seeds are ``A-B`` ranges or comma
-lists.
+lists; a pair argument needs at least 2 seeds and a ``--traced`` one at
+least 1, checked before any checkout or run.
 """
 
 from __future__ import annotations
@@ -49,6 +50,24 @@ def seeds(text: str) -> list[int]:
         first, last = text.split("-")
         return list(range(int(first), int(last) + 1))
     return [int(s) for s in text.split(",")]
+
+
+def workload_seeds(least: int, what: str):
+    """An argparse type for ``WORKLOAD=SEEDS`` that needs at least ``least`` seeds,
+    so an argument that cannot be summarised fails before any checkout or run."""
+
+    def parse(text: str) -> tuple[str, list[int]]:
+        try:
+            workload, seed_text = text.split("=")
+            seed_list = seeds(seed_text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected WORKLOAD=SEEDS, got {text!r}") from None
+        if len(seed_list) < least:
+            raise argparse.ArgumentTypeError(
+                f"{text!r}: {what} needs {least} or more seeds, got {len(seed_list)}")
+        return workload, seed_list
+
+    return parse
 
 
 def argv(spec: dict, workload: str, seed: object, trace: int) -> list[str]:
@@ -104,8 +123,11 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True)
     parser.add_argument("--out", required=True)
-    parser.add_argument("--traced", action="append", default=[], metavar="WORKLOAD=SEEDS")
-    parser.add_argument("pairs", nargs="+", metavar="WORKLOAD=SEEDS")
+    # a pair's quartiles need two seeds; a traced median needs one
+    parser.add_argument("--traced", action="append", default=[],
+                        type=workload_seeds(1, "a traced entry"), metavar="WORKLOAD=SEEDS")
+    parser.add_argument("pairs", nargs="+", type=workload_seeds(2, "a pair"),
+                        metavar="WORKLOAD=SEEDS")
     args = parser.parse_args()
     revs = {"parent": args.parent, "change": "HEAD"}
     with tempfile.TemporaryDirectory() as tmp:
@@ -121,20 +143,18 @@ def main() -> None:
             "workloads": {},
             "traced": {},
         }
-        for item in args.pairs:
-            workload, seed_text = item.split("=")
-            runs, first = alternating(spec, dirs, workload, seeds(seed_text), 0)
+        for workload, seed_list in args.pairs:
+            runs, first = alternating(spec, dirs, workload, seed_list, 0)
             doc["workloads"][workload] = {
-                "seeds": seeds(seed_text),
+                "seeds": seed_list,
                 "first": first,
                 "outcomes": {side: [{k: r[k] for k in ("correct", "attempted", "failed")}
                                     for r in runs[side]] for side in SIDES},
                 "metrics": paired(spec["end_to_end"], runs),
             }
-        for item in args.traced:
-            workload, seed_text = item.split("=")
-            runs, first = alternating(spec, dirs, workload, seeds(seed_text), 1)
-            doc["traced"][workload] = {"seeds": seeds(seed_text), "first": first, **{
+        for workload, seed_list in args.traced:
+            runs, first = alternating(spec, dirs, workload, seed_list, 1)
+            doc["traced"][workload] = {"seeds": seed_list, "first": first, **{
                 side: {name: {"runs": values, "median": statistics.median(values)}
                        for name, values in by_metric(runs[side]).items()}
                 for side in SIDES}}

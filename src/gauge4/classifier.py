@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .arith import divisor_count, is_prime
-from .manifold import ManifoldSpec, Pi1Kind, classify_pi1, validate
+from .manifold import ManifoldSpec, Pi1Kind, classify_pi1
 
 YES = "yes"
 NO = "no"
@@ -237,7 +237,6 @@ def classify(
     a mixed free product the manifold is compared after stabilization and
     the verdict says so.
     """
-    validate(spec)
     stabilized = classify_pi1(spec.pi1) is Pi1Kind.MIXED
     return _decide(_rows(group, MANIFOLD, spec.sigma_f_trivial), t, s, _check_primes(primes),
                    stabilized)

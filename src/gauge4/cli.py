@@ -20,7 +20,7 @@ from .classifier import (
     classify,
     parse_group,
 )
-from .manifold import ManifoldSpec, Pi1Kind, parse_pi1, render_pi1, validate
+from .manifold import ManifoldSpec, Pi1Kind, manifold, render_pi1
 from .terms import Moore, SpaceTerm, Sphere, SuspCP2, copies
 
 
@@ -63,9 +63,7 @@ def _spec_from_args(args: argparse.Namespace) -> ManifoldSpec:
     spin = None if args.spin is None else args.spin == "true"
     if trivial is not None and spin is not None and trivial != spin:
         raise UsageError("conflicting --sigma-f and --spin")
-    if trivial is None:
-        trivial = True if spin is None else spin
-    return ManifoldSpec(parse_pi1(args.pi1), args.b2, trivial)
+    return manifold(args.pi1, args.b2, sigma_f_trivial=trivial, spin=spin)
 
 
 def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
@@ -251,7 +249,6 @@ def _cmd_snf(args: argparse.Namespace) -> str:
 
 def _cmd_parse(args: argparse.Namespace) -> str:
     spec = _spec_from_args(args)
-    validate(spec)
     flag = "trivial" if spec.sigma_f_trivial else "nontrivial"
     if args.json:
         return _dump(

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import groupby
 
-from .manifold import ManifoldSpec, Pi1Kind, classify_pi1, stabilize, validate
+from .manifold import ManifoldSpec, Pi1Kind, classify_pi1, stabilize
 from .terms import (
     SYMBOLIC,
     GaugeExpr,
@@ -119,8 +119,8 @@ def decompose(spec: ManifoldSpec, t: int = 0, *, d: int | None = None) -> Decomp
     """
     kind = classify_pi1(spec.pi1)
     if kind is Pi1Kind.MIXED:
-        return mixed_decomposition(spec, t, d=d)  # which validates
-    return _assemble(validate(spec), t, 0, kind)
+        return mixed_decomposition(spec, t, d=d)
+    return _assemble(spec, t, 0, kind)
 
 
 def mixed_decomposition(spec: ManifoldSpec, t: int = 0, *, d: int | None = None) -> Decomposition:
@@ -131,7 +131,6 @@ def mixed_decomposition(spec: ManifoldSpec, t: int = 0, *, d: int | None = None)
     their stabilized counterparts at d = 0.  A concrete d is the exact
     formula applied to the stabilized manifold.
     """
-    validate(spec)
     if d is None:
         return _assemble(spec, t, SYMBOLIC, Pi1Kind.MIXED)
     if d < 0:

@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import terms as _t
 from .arith import prime_power_parts
-from .manifold import ManifoldSpec, validate
+from .manifold import ManifoldSpec
 
 MAX_DEGREE = 5
 
@@ -339,7 +339,6 @@ def homology_of_manifold(spec: ManifoldSpec) -> GradedAbelianGroup:
     torsion to Z^b2 (universal coefficients plus duality); H_3 is the free
     part of H_1 by duality; H_0 and H_4 are Z.
     """
-    validate(spec)
     m = spec.pi1.free_rank
     torsion = tuple(p**r for p, r in spec.pi1.cyclic_factors)
     return GradedAbelianGroup.of(
@@ -400,7 +399,4 @@ def parse_matrix(text: str) -> IntMatrix:
         for v in row:
             if not isinstance(v, int) or isinstance(v, bool):
                 raise ValueError(f"matrix entries must be integers, got {v!r}")
-    widths = {len(r) for r in data}
-    if len(widths) > 1:
-        raise ValueError("ragged matrix rows")
     return IntMatrix.from_rows(data)

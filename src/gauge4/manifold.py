@@ -36,7 +36,7 @@ class Pi1Descriptor:
     Cyclic factors are (p, r) pairs with p prime, kept sorted, so two
     descriptors of the same group are equal as values: a prime-power base
     is rewritten, (9, 1) to (3, 2), and any other base is rejected.
-    validate() rejects even p and r < 1.
+    Even p and r < 1 are kept here: ManifoldSpec rejects them.
     """
 
     free_rank: int = 0
@@ -93,7 +93,14 @@ def classify_pi1(pi1: Pi1Descriptor) -> Pi1Kind:
 
 @dataclass(frozen=True, slots=True)
 class ManifoldSpec:
-    """(fundamental group, second Betti number, top-cell suspension flag)."""
+    """(fundamental group, second Betti number, top-cell suspension flag).
+
+    Only specs in the engine's domain can be built.  Besides a negative b2,
+    exactly three conditions are rejected: a torsion prime of 2 (the
+    decompositions need odd torsion), a cyclic exponent r < 1, and a
+    nontrivial top-cell flag with b2 = 0 (no CP^2 summand to suspend).
+    Each reason is reported once, in the order first met.
+    """
 
     pi1: Pi1Descriptor = TRIVIAL_PI1
     b2: int = 0
@@ -104,6 +111,16 @@ class ManifoldSpec:
             raise InvalidSpecError([f"b2 must be an integer, got {self.b2}"])
         if self.b2 < 0:
             raise InvalidSpecError([f"b2 must be >= 0, got {self.b2}"])
+        errors = []
+        for p, r in self.pi1.cyclic_factors:
+            if p % 2 == 0:
+                errors.append("even torsion prime")
+            if r < 1:
+                errors.append("r < 1")
+        if not self.sigma_f_trivial and self.b2 == 0:
+            errors.append("nontrivial sigma-f with b2 = 0")
+        if errors:
+            raise InvalidSpecError(list(dict.fromkeys(errors)))
 
     @property
     def spin(self) -> bool:
@@ -125,27 +142,6 @@ def manifold(
     elif spin is not None and spin != sigma_f_trivial:
         raise InvalidSpecError(["conflicting sigma-f / spin flags"])
     return ManifoldSpec(pi1, b2, sigma_f_trivial)
-
-
-def validate(spec: ManifoldSpec) -> ManifoldSpec:
-    """Check a spec against the engine's domain; return it unchanged.
-
-    Exactly three conditions are rejected: a torsion prime of 2 (the
-    decompositions need odd torsion), a cyclic exponent r < 1, and a
-    nontrivial top-cell flag with b2 = 0 (no CP^2 summand to suspend).
-    Each reason is reported once, in the order first met.
-    """
-    errors = []
-    for p, r in spec.pi1.cyclic_factors:
-        if p % 2 == 0:
-            errors.append("even torsion prime")
-        if r < 1:
-            errors.append("r < 1")
-    if not spec.sigma_f_trivial and spec.b2 == 0:
-        errors.append("nontrivial sigma-f with b2 = 0")
-    if errors:
-        raise InvalidSpecError(list(dict.fromkeys(errors)))
-    return spec
 
 
 def connected_sum(a: ManifoldSpec, b: ManifoldSpec) -> ManifoldSpec:
@@ -175,7 +171,7 @@ def parse_pi1(text: str) -> Pi1Descriptor:
 
     Whitespace is ignored.  Each q must be a prime power; q = p^r with p
     odd is what the engine supports, but p = 2 is accepted here and
-    rejected by validate(), so the error message can say why.
+    rejected by ManifoldSpec, so the error message can say why.
     """
     compact = re.sub(r"\s+", "", text)
     if not compact:

@@ -207,11 +207,34 @@ def test_output_is_deterministic(capsys):
         (["classify", "--group", "SU(2)", "--t", "1", "--s", "1", "--primes", "6"], 2, "not a prime"),
         (["snf", "--matrix", "[[1,2"], 2, "bad matrix syntax"),
         (["snf", "--matrix", "[[1],[2,3]]"], 2, "ragged"),
+        (["snf", "--matrix", "[[],[1]]"], 2, "ragged"),
+        (["snf", "--matrix", "[[1,2],[]]"], 2, "ragged"),
         (["nonsense"], 1, "invalid choice"),
         (["snf", "--matrix", "[" * 5000 + "]" * 5000], 2, "bad matrix syntax"),
         (["parse", "--pi1", f"Z/{2**64 + 1}"], 2, "larger than 2**64"),
         (["classify", "--group", "SU(2)", "--t", "1", "--s", "2", "--primes", str(2**64 + 13)],
          2, "larger than 2**64"),
+        # the spec is checked before the group: an invalid spec and group
+        # give the spec's reason
+        (["classify", "--pi1", "Z/4", "--b2", "1", "--group", "E8", "--t", "1", "--s", "1"],
+         2, "even torsion prime"),
+    ]
+    + [
+        # every spec-taking subcommand rejects each reason a spec can carry;
+        # r < 1 cannot come from the grammar, where Z/1 is no prime power
+        ([command, *spec, *rest], 2, reason)
+        for command, rest in [
+            ("decompose", []),
+            ("suspension", ["--d", "2"]),
+            ("homology", ["--suspension"]),
+            ("classify", ["--group", "SU(2)", "--t", "1", "--s", "2"]),
+            ("parse", ["--json"]),
+        ]
+        for spec, reason in [
+            (["--pi1", "Z*Z/2", "--b2", "1"], "even torsion prime"),
+            (["--pi1", "Z/3", "--spin", "false"], "nontrivial sigma-f with b2 = 0"),
+            (["--pi1", "Z/1", "--b2", "1"], "modulus 1 is not a prime power"),
+        ]
     ],
 )
 def test_error_exits(capsys, argv, code, fragment):

@@ -1,5 +1,6 @@
-"""Descriptor validation, the pi1 grammar, connected sums, stabilization."""
+"""Descriptor and spec invariants, the pi1 grammar, connected sums, stabilization."""
 
+import dataclasses
 import random
 
 import pytest
@@ -16,7 +17,6 @@ from gauge4 import (
     parse_pi1,
     render_pi1,
     stabilize,
-    validate,
 )
 from gauge4.manifold import TRIVIAL_PI1, Pi1ParseError
 
@@ -41,31 +41,30 @@ def test_classify_pi1():
     assert classify_pi1(Pi1Descriptor(0, ((3, 2), (5, 1)))) is Pi1Kind.MIXED
 
 
-def test_validate_passes_valid_specs_through():
+def test_construction_accepts_valid_specs():
     spec = ManifoldSpec(Pi1Descriptor(1, ((3, 2),)), 2, False)
-    assert validate(spec) is spec
+    assert (spec.pi1, spec.b2, spec.sigma_f_trivial) == (Pi1Descriptor(1, ((3, 2),)), 2, False)
 
 
-def test_validate_rejects_even_torsion():
+def test_construction_rejects_even_torsion():
     with pytest.raises(InvalidSpecError, match="even torsion prime"):
-        validate(ManifoldSpec(Pi1Descriptor(0, ((2, 1),)), 1, True))
+        ManifoldSpec(Pi1Descriptor(0, ((2, 1),)), 1, True)
 
 
-def test_validate_rejects_nonpositive_exponent():
+def test_construction_rejects_nonpositive_exponent():
     with pytest.raises(InvalidSpecError, match="r < 1"):
-        validate(ManifoldSpec(Pi1Descriptor(0, ((3, 0),)), 1, True))
+        ManifoldSpec(Pi1Descriptor(0, ((3, 0),)), 1, True)
 
 
-def test_validate_rejects_nontrivial_flag_without_two_cells():
+def test_construction_rejects_nontrivial_flag_without_two_cells():
     with pytest.raises(InvalidSpecError, match="nontrivial sigma-f with b2 = 0"):
-        validate(ManifoldSpec(TRIVIAL_PI1, 0, False))
+        ManifoldSpec(TRIVIAL_PI1, 0, False)
 
 
-def test_validate_reports_all_errors_at_once():
+def test_construction_reports_all_errors_at_once():
     # Each reason once, in the order first met, however many factors give it.
-    spec = ManifoldSpec(Pi1Descriptor(0, ((2, 0), (2, 1), (3, 0), (2, 2))), 0, False)
     with pytest.raises(InvalidSpecError) as exc:
-        validate(spec)
+        ManifoldSpec(Pi1Descriptor(0, ((2, 0), (2, 1), (3, 0), (2, 2))), 0, False)
     assert exc.value.errors == [
         "even torsion prime",
         "r < 1",
@@ -73,10 +72,30 @@ def test_validate_reports_all_errors_at_once():
     ]
 
 
-def test_validate_rejects_nothing_else():
+def test_construction_rejects_nothing_else():
     rng = random.Random(21)
     for _ in range(300):
-        validate(random_spec(rng))
+        random_spec(rng)
+
+
+def test_no_route_builds_an_out_of_domain_spec():
+    with pytest.raises(InvalidSpecError, match="^nontrivial sigma-f with b2 = 0$"):
+        dataclasses.replace(ManifoldSpec(TRIVIAL_PI1, 1, False), b2=0)
+    with pytest.raises(InvalidSpecError, match="^even torsion prime$"):
+        dataclasses.replace(ManifoldSpec(Pi1Descriptor(1), 1, True), pi1=Pi1Descriptor(0, ((2, 1),)))
+    with pytest.raises(InvalidSpecError, match="^even torsion prime$"):
+        ManifoldSpec(Pi1Descriptor(0, ((2, 1),)), 1, True)
+    with pytest.raises(InvalidSpecError, match="^even torsion prime$"):
+        manifold("Z*Z/8", 1)
+    with pytest.raises(InvalidSpecError, match="^nontrivial sigma-f with b2 = 0$"):
+        manifold("Z/3", 0, spin=False)
+    # stabilize and connected_sum of valid specs stay in the domain: the
+    # flag of a sum is nontrivial only if a summand with b2 >= 1 has it.
+    rng = random.Random(26)
+    for _ in range(300):
+        a, b = random_spec(rng), random_spec(rng)
+        assert stabilize(a, rng.randint(0, 4)).pi1 == a.pi1
+        assert connected_sum(a, b).b2 == a.b2 + b.b2
 
 
 def test_spec_constructor_rejects_negative_b2():
@@ -149,10 +168,11 @@ def test_parse_pi1_ignores_whitespace():
 
 
 def test_parse_pi1_accepts_even_prime_powers_for_validate_to_reject():
+    # The grammar keeps p = 2 so that the spec, not the parser, says why.
     got = parse_pi1("Z/8")
     assert got == Pi1Descriptor(0, ((2, 3),))
     with pytest.raises(InvalidSpecError, match="even torsion prime"):
-        validate(ManifoldSpec(got, 1, True))
+        ManifoldSpec(got, 1, True)
 
 
 def test_parse_pi1_rejections():
@@ -199,7 +219,7 @@ def test_descriptor_keeps_p_2_for_validate_to_reject():
     pi1 = Pi1Descriptor(0, ((4, 1),))
     assert pi1.cyclic_factors == ((2, 2),)
     with pytest.raises(InvalidSpecError, match="even torsion prime"):
-        validate(ManifoldSpec(pi1, 1, True))
+        ManifoldSpec(pi1, 1, True)
 
 
 def test_boolean_counts_are_rejected():
