@@ -84,8 +84,6 @@ def test_no_route_builds_an_out_of_domain_spec():
     with pytest.raises(InvalidSpecError, match="^even torsion prime$"):
         dataclasses.replace(ManifoldSpec(Pi1Descriptor(1), 1, True), pi1=Pi1Descriptor(0, ((2, 1),)))
     with pytest.raises(InvalidSpecError, match="^even torsion prime$"):
-        ManifoldSpec(Pi1Descriptor(0, ((2, 1),)), 1, True)
-    with pytest.raises(InvalidSpecError, match="^even torsion prime$"):
         manifold("Z*Z/8", 1)
     with pytest.raises(InvalidSpecError, match="^nontrivial sigma-f with b2 = 0$"):
         manifold("Z/3", 0, spin=False)
