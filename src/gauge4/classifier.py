@@ -30,11 +30,11 @@ gauge groups and say so.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from math import gcd
 
 from .arith import divisor_count, is_prime
 from .manifold import ManifoldSpec, Pi1Kind, classify_pi1
+from .value import Value
 
 YES = "yes"
 NO = "no"
@@ -53,25 +53,24 @@ class GroupParseError(ValueError):
     """Unparseable structure-group name."""
 
 
-@dataclass(frozen=True, slots=True)
-class LieGroupSpec:
+class LieGroupSpec(Value):
     """A structure group: SU(n), Sp(n), or the exceptional group G2."""
 
-    family: str  # "SU" | "Sp" | "G2"
-    n: int | None = None
+    __slots__ = ("family", "n")
 
-    def __post_init__(self) -> None:
-        if self.family == "SU":
-            if self.n is None or self.n < 2:
+    def __init__(self, family: str, n: int | None = None) -> None:
+        if family == "SU":
+            if n is None or n < 2:
                 raise GroupParseError("SU(n) needs n >= 2")
-        elif self.family == "Sp":
-            if self.n is None or self.n < 1:
+        elif family == "Sp":
+            if n is None or n < 1:
                 raise GroupParseError("Sp(n) needs n >= 1")
-        elif self.family == "G2":
-            if self.n is not None:
+        elif family == "G2":
+            if n is not None:
                 raise GroupParseError("G2 takes no rank")
         else:
-            raise GroupParseError(f"unknown group family {self.family!r}")
+            raise GroupParseError(f"unknown group family {family!r}")
+        self._set(family, n)
 
 
 _GROUP_RE = re.compile(r"^(SU|Sp)\((\d+)\)$")
@@ -91,8 +90,7 @@ def render_group(group: LieGroupSpec) -> str:
     return "G2" if group.family == "G2" else f"{group.family}({group.n})"
 
 
-@dataclass(frozen=True, slots=True)
-class ClassRule:
+class ClassRule(Value):
     """One table row: gcd modulus k, scope, optional odd-prime cutoff.
 
     ``odd_prime_bound`` is the value that must satisfy
@@ -101,9 +99,10 @@ class ClassRule:
     All rows are if-and-only-if characterizations.
     """
 
-    k: int
-    scope: str
-    odd_prime_bound: int | None = None
+    __slots__ = ("k", "scope", "odd_prime_bound")
+
+    def __init__(self, k: int, scope: str, odd_prime_bound: int | None = None) -> None:
+        self._set(k, scope, odd_prime_bound)
 
     def applies_at(self, p: int) -> bool:
         """Does this row decide p-local equivalence at the prime p?"""
@@ -176,8 +175,7 @@ def rule_for(group: LieGroupSpec, base: str, spin: bool | None = None) -> ClassR
     return rows[0] if rows else None
 
 
-@dataclass(frozen=True)
-class EquivalenceVerdict:
+class EquivalenceVerdict(Value):
     """Answer to "is G_t equivalent to G_s?", integrally and per prime.
 
     ``integral`` and each ``local[p]`` are "yes" / "no" / "unknown".
@@ -185,10 +183,11 @@ class EquivalenceVerdict:
     stabilizing the manifold (mixed free-product fundamental group).
     """
 
-    integral: str
-    local: dict[int, str]
-    rule_used: ClassRule | None
-    stabilized: bool = False
+    __slots__ = ("integral", "local", "rule_used", "stabilized")
+
+    def __init__(self, integral: str, local: dict[int, str], rule_used: ClassRule | None,
+                 stabilized: bool = False) -> None:
+        self._set(integral, local, rule_used, stabilized)
 
 
 def _decide(rows: tuple[ClassRule, ...], t: int, s: int, primes: tuple[int, ...],

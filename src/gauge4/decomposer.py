@@ -25,7 +25,6 @@ the S^3 block, which renders as (S^3)^{n+2d}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import groupby
 
 from .manifold import ManifoldSpec, Pi1Kind, classify_pi1, stabilize
@@ -48,6 +47,7 @@ from .terms import (
     render_blocks,
     render_product,
 )
+from .value import Value
 
 
 class DecompositionError(ValueError):
@@ -58,8 +58,7 @@ class DecompositionError(ValueError):
 _GAUGE_BASE = {Sphere(5): "S4", SuspCP2(): "CP2"}
 
 
-@dataclass(frozen=True, slots=True)
-class Decomposition:
+class Decomposition(Value):
     """Both halves of one splitting, plus how it was obtained.
 
     ``suspension`` is the wedge, normalized on construction; its first
@@ -69,18 +68,16 @@ class Decomposition:
     d-independent part.
     """
 
-    suspension: SpaceTerm
-    t: int
-    stabilization: Stabilization
-    case_used: Pi1Kind
+    __slots__ = ("suspension", "t", "stabilization", "case_used")
 
-    def __post_init__(self) -> None:
-        check_stabilization(self.stabilization)
-        susp = normalize(self.suspension)
+    def __init__(self, suspension: SpaceTerm, t: int, stabilization: Stabilization,
+                 case_used: Pi1Kind) -> None:
+        check_stabilization(stabilization)
+        susp = normalize(suspension)
         bases = [atom for atom, _ in blocks(susp) if atom in _GAUGE_BASE]
         if len(bases) != 1 or blocks(susp)[0] != (bases[0], 1):
             raise DecompositionError("a splitting needs exactly one base summand")
-        object.__setattr__(self, "suspension", susp)
+        self._set(susp, t, stabilization, case_used)
 
     @property
     def blocks(self) -> tuple[tuple[SpaceTerm, int], ...]:
@@ -112,13 +109,13 @@ class Decomposition:
 def decompose(spec: ManifoldSpec, t: int = 0, *, d: int | None = None) -> Decomposition:
     """Split the suspension and the gauge group G_t(M) of a described M.
 
-    ``d`` is the stabilization count and only matters when pi1 is a mixed
-    free product; None keeps it symbolic there and is ignored elsewhere.
-    The structure group stays the formal symbol G: the shape of the
+    ``d`` is the stabilization count; only a mixed free product uses it,
+    where None keeps it symbolic, but a negative d is rejected for every
+    pi1.  The structure group stays the formal symbol G: the shape of the
     splitting never depends on it.
     """
     kind = classify_pi1(spec.pi1)
-    if kind is Pi1Kind.MIXED:
+    if kind is Pi1Kind.MIXED or d is not None and d < 0:  # mixed_decomposition rejects d < 0
         return mixed_decomposition(spec, t, d=d)
     return _assemble(spec, t, 0, kind)
 

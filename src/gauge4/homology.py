@@ -14,7 +14,6 @@ have equal representations no matter how they were computed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from math import gcd
 from operator import mul
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -22,6 +21,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 from . import terms as _t
 from .arith import prime_power_parts
 from .manifold import ManifoldSpec
+from .value import Value
 
 MAX_DEGREE = 5
 
@@ -34,8 +34,7 @@ class ChainComplexError(ValueError):
 # graded abelian groups
 
 
-@dataclass(frozen=True, slots=True)
-class GradedAbelianGroup:
+class GradedAbelianGroup(Value):
     """A finitely generated abelian group in each degree 0..5.
 
     ``groups[i]`` is ``(free_rank, torsion)`` with torsion a sorted tuple
@@ -43,14 +42,14 @@ class GradedAbelianGroup:
     into prime powers first, so Z/12 and Z/4 + Z/3 are the same value.
     """
 
-    groups: tuple[tuple[int, tuple[int, ...]], ...]
+    __slots__ = ("groups",)
 
-    def __post_init__(self) -> None:
-        if len(self.groups) != MAX_DEGREE + 1:
-            raise ValueError(f"expected {MAX_DEGREE + 1} degrees, got {len(self.groups)}")
+    def __init__(self, groups: Sequence[tuple[int, Iterable[int]]]) -> None:
+        if len(groups) != MAX_DEGREE + 1:
+            raise ValueError(f"expected {MAX_DEGREE + 1} degrees, got {len(groups)}")
         fixed = []
         split: dict[int, tuple[int, ...]] = {}  # each distinct entry is factored once
-        for rank, torsion in self.groups:
+        for rank, torsion in groups:
             if rank < 0:
                 raise ValueError(f"negative free rank {rank}")
             parts: list[int] = []
@@ -59,7 +58,7 @@ class GradedAbelianGroup:
                     split[q] = prime_power_parts(q)
                 parts += split.get(q, ())
             fixed.append((rank, tuple(sorted(parts))))
-        object.__setattr__(self, "groups", tuple(fixed))
+        self._set(tuple(fixed))
 
     @classmethod
     def of(cls, parts: Mapping[int, tuple[int, Iterable[int]]]) -> "GradedAbelianGroup":
@@ -70,6 +69,13 @@ class GradedAbelianGroup:
                 raise ValueError(f"degree {deg} outside 0..{MAX_DEGREE}")
             groups[deg] = (rank, tuple(torsion))
         return cls(tuple(groups))
+
+    @classmethod
+    def _of_prime_powers(cls, groups: Sequence[tuple[int, tuple]]) -> "GradedAbelianGroup":
+        """The group as given: its torsion must be sorted prime powers already."""
+        g = cls.__new__(cls)
+        g._set(tuple(groups))
+        return g
 
     def rank(self, degree: int) -> int:
         return self.groups[degree][0]
@@ -87,7 +93,7 @@ def suspend(g: GradedAbelianGroup) -> GradedAbelianGroup:
 
     The degree-0 group contributes its rank beyond one (extra connected
     components) to degree 1.  A nonzero reduced group in degree 5 has
-    nowhere to go and is an error.
+    nowhere to go and is an error.  The torsion, already split, moves as it is.
     """
     top_rank, top_torsion = g.groups[MAX_DEGREE]
     if top_rank or top_torsion:
@@ -96,7 +102,7 @@ def suspend(g: GradedAbelianGroup) -> GradedAbelianGroup:
     if rank0 < 1:
         raise ValueError("cannot suspend an empty space: degree 0 is zero")
     shifted = [(1, ())] + [(rank0 - 1, torsion0)] + list(g.groups[1:MAX_DEGREE])
-    return GradedAbelianGroup(tuple(shifted))
+    return GradedAbelianGroup._of_prime_powers(shifted)
 
 
 def render_graded(g: GradedAbelianGroup) -> str:
@@ -121,21 +127,19 @@ def _render_group(rank: int, torsion: tuple[int, ...]) -> str:
 # integer matrices and Smith normal form
 
 
-@dataclass(frozen=True, slots=True)
-class IntMatrix:
+class IntMatrix(Value):
     """An immutable rows x cols integer matrix; either side may be 0."""
 
-    rows: int
-    cols: int
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = ("rows", "cols", "entries")
 
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, entries: tuple[tuple[int, ...], ...]) -> None:
+        if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be >= 0")
-        if len(self.entries) != self.rows:
-            raise ValueError(f"expected {self.rows} rows, got {len(self.entries)}")
-        if any(len(row) != self.cols for row in self.entries):
+        if len(entries) != rows:
+            raise ValueError(f"expected {rows} rows, got {len(entries)}")
+        if any(len(row) != cols for row in entries):
             raise ValueError("ragged matrix rows")
+        self._set(rows, cols, entries)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], cols: int | None = None) -> "IntMatrix":
@@ -340,16 +344,9 @@ def homology_of_manifold(spec: ManifoldSpec) -> GradedAbelianGroup:
     part of H_1 by duality; H_0 and H_4 are Z.
     """
     m = spec.pi1.free_rank
-    torsion = tuple(p**r for p, r in spec.pi1.cyclic_factors)
-    return GradedAbelianGroup.of(
-        {
-            0: (1, ()),
-            1: (m, torsion),
-            2: (spec.b2, torsion),
-            3: (m, ()),
-            4: (1, ()),
-        }
-    )
+    torsion = tuple(sorted(p**r for p, r in spec.pi1.cyclic_factors))  # split already
+    groups = [(1, ()), (m, torsion), (spec.b2, torsion), (m, ()), (1, ()), (0, ())]
+    return GradedAbelianGroup._of_prime_powers(groups)
 
 
 def homology_of_term(term: _t.SpaceTerm) -> GradedAbelianGroup:

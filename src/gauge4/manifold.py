@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .arith import is_prime, prime_power
+from .value import Value
 
 
 class InvalidSpecError(ValueError):
@@ -29,8 +30,7 @@ class Pi1ParseError(ValueError):
     """Unparseable fundamental-group expression."""
 
 
-@dataclass(frozen=True, slots=True)
-class Pi1Descriptor:
+class Pi1Descriptor(Value):
     """Free product Z^{*free_rank} * (Z/p1^r1) * ... * (Z/pk^rk).
 
     Cyclic factors are (p, r) pairs with p prime, kept sorted, so two
@@ -39,17 +39,16 @@ class Pi1Descriptor:
     Even p and r < 1 are kept here: ManifoldSpec rejects them.
     """
 
-    free_rank: int = 0
-    cyclic_factors: tuple[tuple[int, int], ...] = ()
+    __slots__ = ("free_rank", "cyclic_factors")
 
-    def __post_init__(self) -> None:
-        if isinstance(self.free_rank, bool):
-            raise InvalidSpecError([f"free rank must be an integer, got {self.free_rank}"])
-        if self.free_rank < 0:
-            raise InvalidSpecError([f"free rank must be >= 0, got {self.free_rank}"])
+    def __init__(self, free_rank: int = 0, cyclic_factors: tuple = ()) -> None:
+        if isinstance(free_rank, bool):
+            raise InvalidSpecError([f"free rank must be an integer, got {free_rank}"])
+        if free_rank < 0:
+            raise InvalidSpecError([f"free rank must be >= 0, got {free_rank}"])
         bases: dict[int, tuple[int, int] | None] = {}  # each distinct base is decided once
         factors = []
-        for p, r in self.cyclic_factors:
+        for p, r in cyclic_factors:
             if p not in bases:
                 bases[p] = (p, 1) if is_prime(p) else prime_power(p)
             pr = bases[p]
@@ -57,7 +56,7 @@ class Pi1Descriptor:
                 power = "" if r == 1 else f"^{r}"
                 raise InvalidSpecError([f"modulus {p}{power} is not a prime power"])
             factors.append((pr[0], pr[1] * r))
-        object.__setattr__(self, "cyclic_factors", tuple(sorted(factors)))
+        self._set(free_rank, tuple(sorted(factors)))
 
 
 TRIVIAL_PI1 = Pi1Descriptor()

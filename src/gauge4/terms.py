@@ -25,10 +25,10 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
 from .arith import MAX_COPIES
+from .value import Value
 
 
 class TermError(ValueError):
@@ -39,22 +39,22 @@ class TermError(ValueError):
 # space terms
 
 
-@dataclass(frozen=True, slots=True)
-class Point:
+class Point(Value):
     """The one-point space; unit for wedge sum."""
 
-
-@dataclass(frozen=True, slots=True)
-class Sphere:
-    dim: int
-
-    def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise TermError(f"sphere dimension must be >= 1, got {self.dim}")
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Moore:
+class Sphere(Value):
+    __slots__ = ("dim",)
+
+    def __init__(self, dim: int) -> None:
+        if dim < 1:
+            raise TermError(f"sphere dimension must be >= 1, got {dim}")
+        self._set(dim)
+
+
+class Moore(Value):
     """P^dim(modulus): reduced homology Z/modulus in degree dim - 1.
 
     Any modulus >= 2 is a legal term.  The decomposition engine only ever
@@ -63,34 +63,35 @@ class Moore:
     homology engine can still talk about spaces like P^2(6).
     """
 
-    dim: int
-    modulus: int
+    __slots__ = ("dim", "modulus")
 
-    def __post_init__(self) -> None:
-        if self.dim < 2:
-            raise TermError(f"Moore space dimension must be >= 2, got {self.dim}")
-        if self.modulus < 2:
-            raise TermError(f"Moore space modulus must be >= 2, got {self.modulus}")
+    def __init__(self, dim: int, modulus: int) -> None:
+        if dim < 2:
+            raise TermError(f"Moore space dimension must be >= 2, got {dim}")
+        if modulus < 2:
+            raise TermError(f"Moore space modulus must be >= 2, got {modulus}")
+        self._set(dim, modulus)
 
 
-@dataclass(frozen=True, slots=True)
-class SuspCP2:
+class SuspCP2(Value):
     """The suspension of the complex projective plane."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True, slots=True)
-class Wedge:
+
+class Wedge(Value):
     """Wedge sum of (term, count) blocks, ``count`` copies of each term; a
     raw wedge may nest wedges and points (see normalize)."""
 
-    blocks: tuple[tuple["SpaceTerm", int], ...]
+    __slots__ = ("blocks",)
 
-    def __post_init__(self) -> None:
-        for term, count in self.blocks:
+    def __init__(self, blocks: tuple[tuple[SpaceTerm, int], ...]) -> None:
+        for term, count in blocks:
             if not isinstance(term, (Point, Sphere, Moore, SuspCP2, Wedge)):
                 raise TermError(f"not a space term: {term!r}")
             if count < 0:
                 raise TermError(f"negative count {count} of {term!r}")
+        self._set(blocks)
 
 
 SpaceTerm = Union[Point, Sphere, Moore, SuspCP2, Wedge]
@@ -171,18 +172,17 @@ def wedge(parts: Iterable[SpaceTerm]) -> SpaceTerm:
 # gauge-side terms
 
 
-@dataclass(frozen=True, slots=True)
-class LoopFactor:
+class LoopFactor(Value):
     """O^kG, or its mod-q variant O^kG{q} when a modulus is present."""
 
-    loop_order: int
-    modulus: int | None = None
+    __slots__ = ("loop_order", "modulus")
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.loop_order <= 3:
-            raise TermError(f"loop order must be 1..3, got {self.loop_order}")
-        if self.modulus is not None and self.modulus < 2:
-            raise TermError(f"loop factor modulus must be >= 2, got {self.modulus}")
+    def __init__(self, loop_order: int, modulus: int | None = None) -> None:
+        if not 1 <= loop_order <= 3:
+            raise TermError(f"loop order must be 1..3, got {loop_order}")
+        if modulus is not None and modulus < 2:
+            raise TermError(f"loop factor modulus must be >= 2, got {modulus}")
+        self._set(loop_order, modulus)
 
 
 #: Marker for a stabilization count left as the formal variable d.
@@ -191,8 +191,7 @@ SYMBOLIC = "symbolic"
 Stabilization = Union[int, str]
 
 
-@dataclass(frozen=True, slots=True)
-class GaugeExpr:
+class GaugeExpr(Value):
     """A product decomposition G_t(base) x (loop factors), possibly stabilized.
 
     ``blocks`` are (loop factor, count) pairs, normalized on construction
@@ -204,18 +203,16 @@ class GaugeExpr:
     variable, in which case the blocks hold only the d-independent part.
     """
 
-    base: str  # "S4" | "CP2"
-    t: int
-    blocks: tuple[tuple[LoopFactor, int], ...] = ()
-    stabilization: Stabilization = 0
+    __slots__ = ("base", "t", "blocks", "stabilization")
 
-    def __post_init__(self) -> None:
-        if self.base not in ("S4", "CP2"):
-            raise TermError(f"gauge base must be S4 or CP2, got {self.base!r}")
-        check_stabilization(self.stabilization)
-        if not all(isinstance(factor, LoopFactor) for factor, _ in self.blocks):
-            raise TermError(f"gauge blocks must hold loop factors: {self.blocks!r}")
-        object.__setattr__(self, "blocks", _merge(self.blocks))
+    def __init__(self, base: str, t: int, blocks: Sequence[tuple[LoopFactor, int]] = (),
+                 stabilization: Stabilization = 0) -> None:
+        if base not in ("S4", "CP2"):
+            raise TermError(f"gauge base must be S4 or CP2, got {base!r}")
+        check_stabilization(stabilization)
+        if not all(isinstance(factor, LoopFactor) for factor, _ in blocks):
+            raise TermError(f"gauge blocks must hold loop factors: {blocks!r}")
+        self._set(base, t, _merge(blocks), stabilization)
 
 
 def check_stabilization(stabilization: Stabilization) -> None:

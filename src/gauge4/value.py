@@ -1,0 +1,38 @@
+"""The one base of gauge4's value classes, a hundredth of a frozen dataclass's cost to
+define.  A subclass names its fields in ``__slots__`` and sets them in ``__init__`` through
+``_set``.  A value equals only values of its own class with equal fields, so ``Moore(3, 3)
+!= LoopFactor(3, 3)``; it hashes by them, has the dataclass repr, and cannot be changed."""
+
+from operator import attrgetter
+
+
+class Value:
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        # _values reads the fields in one C call; _set writes them unrolled, as a dataclass does.
+        cls._values = attrgetter(*cls.__slots__ or ("__class__",))
+        body = "".join(f"\n    setattr(self, {name!r}, {name})" for name in cls.__slots__)
+        scope = {"setattr": object.__setattr__}
+        exec(f"def _set(self, {', '.join(cls.__slots__)}):{body or ' pass'}", scope)
+        cls._set = scope["_set"]
+
+    def __eq__(self, other: object):
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:  # copy and pickle build the value again
+        return self.__class__, tuple([getattr(self, name) for name in self.__slots__])
+
+    def __setattr__(self, name: str, *value: object):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__

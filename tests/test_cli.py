@@ -235,6 +235,14 @@ def test_output_is_deterministic(capsys):
             (["--pi1", "Z/3", "--spin", "false"], "nontrivial sigma-f with b2 = 0"),
             (["--pi1", "Z/1", "--b2", "1"], "modulus 1 is not a prime power"),
         ]
+    ]
+    + [
+        # a negative stabilization count is rejected whatever pi1 is, not
+        # only for a mixed free product
+        ([command, "--pi1", pi1, "--b2", "1", "--d", "-2"], 2,
+         "stabilization count must be >= 0, got -2")
+        for command in ("decompose", "suspension")
+        for pi1 in ("1", "Z", "Z/3")
     ],
 )
 def test_error_exits(capsys, argv, code, fragment):

@@ -1,6 +1,7 @@
 """Smith normal form against a minors oracle; chain complexes against
 closed-form homology; the suspension shift."""
 
+import json
 import random
 import time
 from itertools import combinations
@@ -27,6 +28,7 @@ from gauge4 import (
     wedge,
 )
 from gauge4 import homology
+from gauge4.cli import run
 from gauge4.homology import render_graded
 
 
@@ -351,6 +353,36 @@ def test_manifold_homology_closed_form():
             4: (1, ()),
         }
     )
+
+
+def test_manifold_homology_and_its_suspension_factor_nothing(monkeypatch, capsys):
+    # The descriptor holds each p and r, and suspend moves torsion already
+    # split, so the 61-bit prime is never factored; the bytes stay the same.
+    calls = []
+    split = homology.prime_power_parts
+    monkeypatch.setattr(homology, "prime_power_parts", lambda n: calls.append(n) or split(n))
+    p = 2**61 - 1
+    argv = ["homology", "--pi1", f"Z/{p}*Z/9*Z/5*Z", "--b2", "2", "--suspension"]
+    assert run(argv) == run(argv + ["--json"]) == 0
+    assert calls == []
+    torsion = [5, 9, p]
+    assert capsys.readouterr().out == (
+        f"H_0 = Z\nH_1 = 0\nH_2 = Z + Z/5 + Z/9 + Z/{p}\n"
+        f"H_3 = Z^2 + Z/5 + Z/9 + Z/{p}\nH_4 = Z\nH_5 = Z\n"
+        + json.dumps({"homology": [
+            {"degree": 0, "rank": 1, "torsion": []},
+            {"degree": 1, "rank": 0, "torsion": []},
+            {"degree": 2, "rank": 1, "torsion": torsion},
+            {"degree": 3, "rank": 2, "torsion": torsion},
+            {"degree": 4, "rank": 1, "torsion": []},
+            {"degree": 5, "rank": 1, "torsion": []},
+        ]}) + "\n"
+    )
+    spec = ManifoldSpec(Pi1Descriptor(1, ((p, 1), (3, 2), (5, 1))), 2, True)
+    closed = suspend(homology_of_manifold(spec))
+    assert calls == []
+    assert closed == GradedAbelianGroup(closed.groups)  # what factoring gives
+    assert closed.torsion(2) == (5, 9, p)
 
 
 def test_euler_characteristic_formula():

@@ -1,0 +1,140 @@
+"""Value semantics of gauge4's immutable value classes.
+
+Every class but ManifoldSpec derives from ``gauge4.value.Value``: equal only
+within its own class, hashed by its fields, printed in the dataclass form,
+and closed to assignment and deletion.  ManifoldSpec stays the package's one
+dataclass, for its ``dataclasses.replace`` route.
+"""
+
+import copy
+import importlib
+import pickle
+import pkgutil
+
+import pytest
+
+import gauge4
+from gauge4 import (
+    ClassRule,
+    Decomposition,
+    EquivalenceVerdict,
+    GaugeExpr,
+    GradedAbelianGroup,
+    IntMatrix,
+    LieGroupSpec,
+    LoopFactor,
+    Moore,
+    Pi1Descriptor,
+    Pi1Kind,
+    Point,
+    Sphere,
+    SuspCP2,
+    Wedge,
+)
+from gauge4.value import Value
+
+RULE = ClassRule(12, "integral")
+
+#: (build, repr) for each of the value classes: build() makes a fresh value,
+#: equal to but not the same object as the last, printed as repr.
+VALUES = [
+    (lambda: Point(), "Point()"),
+    (lambda: Sphere(3), "Sphere(dim=3)"),
+    (lambda: Moore(3, 9), "Moore(dim=3, modulus=9)"),
+    (lambda: SuspCP2(), "SuspCP2()"),
+    (lambda: Wedge(((Sphere(5), 1), (Moore(3, 3), 2))),
+     "Wedge(blocks=((Sphere(dim=5), 1), (Moore(dim=3, modulus=3), 2)))"),
+    (lambda: LoopFactor(2), "LoopFactor(loop_order=2, modulus=None)"),
+    (lambda: GaugeExpr("S4", 1, ((LoopFactor(3, 9), 1),), "symbolic"),
+     "GaugeExpr(base='S4', t=1, blocks=((LoopFactor(loop_order=3, modulus=9), 1),), "
+     "stabilization='symbolic')"),
+    (lambda: Pi1Descriptor(1, ((9, 1),)),
+     "Pi1Descriptor(free_rank=1, cyclic_factors=((3, 2),))"),
+    (lambda: LieGroupSpec("SU", 3), "LieGroupSpec(family='SU', n=3)"),
+    (lambda: ClassRule(12, "integral"), "ClassRule(k=12, scope='integral', odd_prime_bound=None)"),
+    (lambda: EquivalenceVerdict("no", {3: "yes"}, RULE, True),
+     "EquivalenceVerdict(integral='no', local={3: 'yes'}, "
+     "rule_used=ClassRule(k=12, scope='integral', odd_prime_bound=None), stabilized=True)"),
+    (lambda: GradedAbelianGroup.of({0: (1, ()), 1: (0, (12,))}),
+     "GradedAbelianGroup(groups=((1, ()), (0, (3, 4)), (0, ()), (0, ()), (0, ()), (0, ())))"),
+    (lambda: IntMatrix.from_rows([[1, 2]]), "IntMatrix(rows=1, cols=2, entries=((1, 2),))"),
+    (lambda: Decomposition(Wedge(((Sphere(3), 2), (Sphere(5), 1))), 4, 0, Pi1Kind.TRIVIAL),
+     "Decomposition(suspension=Wedge(blocks=((Sphere(dim=5), 1), (Sphere(dim=3), 2))), t=4, "
+     "stabilization=0, case_used=<Pi1Kind.TRIVIAL: 'trivial'>)"),
+]
+IDS = [text.split("(")[0] for _, text in VALUES]
+
+
+def test_every_value_class_is_covered():
+    assert sorted(IDS) == sorted(cls.__name__ for cls in Value.__subclasses__())
+
+
+@pytest.mark.parametrize("build,text", VALUES, ids=IDS)
+def test_repr_is_the_dataclass_form(build, text):
+    assert repr(build()) == text
+
+
+@pytest.mark.parametrize("build,text", VALUES, ids=IDS)
+def test_equal_values_hash_alike_and_serve_as_keys(build, text):
+    a, b = build(), build()
+    assert a is not b and a == b and not a != b
+    if isinstance(a, EquivalenceVerdict):  # it holds a dict, as the dataclass did
+        with pytest.raises(TypeError):
+            hash(a)
+        return
+    assert hash(a) == hash(b)
+    assert {a: text}[b] == text
+    assert len({a, b}) == 1
+
+
+@pytest.mark.parametrize("build,text", VALUES, ids=IDS)
+def test_fields_cannot_be_assigned_or_deleted(build, text):
+    value = build()
+    for name in type(value).__slots__ + ("other",):
+        with pytest.raises(AttributeError):
+            setattr(value, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert repr(value) == text
+
+
+@pytest.mark.parametrize("build,text", VALUES, ids=IDS)
+def test_copy_and_pickle_give_an_equal_value(build, text):
+    value = build()
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert twin == value and type(twin) is type(value) and repr(twin) == text
+
+
+def test_equality_holds_only_within_a_class():
+    assert Moore(3, 3) != LoopFactor(3, 3)
+    assert Point() != SuspCP2()
+    assert Sphere(3) != (3,) and Sphere(3) != 3
+    assert Pi1Descriptor() != ()
+    assert len({Moore(3, 3), LoopFactor(3, 3), Point(), SuspCP2()}) == 4
+    assert Moore(3, 3) != Moore(3, 9) and Sphere(3) != Sphere(4)
+    assert ClassRule(12, "integral") != ClassRule(12, "integral", 2)
+
+
+def test_keywords_and_defaults_follow_the_fields():
+    assert LoopFactor(loop_order=2) == LoopFactor(2, None)
+    assert Pi1Descriptor() == Pi1Descriptor(0, ())
+    assert ClassRule(k=6, scope="odd-primes", odd_prime_bound=3) == ClassRule(6, "odd-primes", 3)
+    assert GaugeExpr("CP2", 2) == GaugeExpr("CP2", 2, (), 0)
+    assert EquivalenceVerdict("yes", {}, None).stabilized is False
+
+
+def test_manifold_spec_is_the_only_dataclass():
+    # Defining a frozen dataclass costs about a millisecond at import, a
+    # hundred times what a Value subclass costs.
+    found = set()
+    for info in pkgutil.iter_modules(gauge4.__path__):
+        if info.name == "__main__":  # it runs the command line
+            continue
+        module = importlib.import_module(f"gauge4.{info.name}")
+        found |= {
+            f"{module.__name__}.{name}"
+            for name, obj in vars(module).items()
+            if isinstance(obj, type) and obj.__module__ == module.__name__
+            and "__dataclass_fields__" in vars(obj)
+        }
+    assert found == {"gauge4.manifold.ManifoldSpec"}
