@@ -15,7 +15,9 @@ side and seed, alternating in the same way; for every per-layer metric the
 file gives each side's runs and their median, since one traced run carries
 run-to-run noise as large as a change.  Seeds are ``A-B`` ranges or comma
 lists; a pair argument needs at least 2 seeds and a ``--traced`` one at
-least 1, checked before any checkout or run.
+least 1, checked before any checkout or run.  A run that is not correct,
+or a pair whose sides differ in ``attempted`` or ``failed``, ends the
+script with exit status 1 and no file written.
 """
 
 from __future__ import annotations
@@ -83,7 +85,8 @@ def run(spec: dict, cwd: Path, workload: str, seed: int, trace: int) -> dict:
 
 def alternating(spec: dict, dirs: dict[str, Path], workload: str, seed_list: list[int],
                 trace: int) -> tuple[dict[str, list[dict]], list[str]]:
-    """Each side's runs of one workload, one per seed, and the side that went first."""
+    """Each side's runs of one workload, one per seed, and the side that went first;
+    exit 1 if ``bad_runs`` finds a fault in them."""
     runs = {side: [] for side in SIDES}
     first = []
     for i, seed in enumerate(seed_list):
@@ -93,7 +96,26 @@ def alternating(spec: dict, dirs: dict[str, Path], workload: str, seed_list: lis
             runs[side].append(run(spec, dirs[side], workload, seed, trace))
             ops = runs[side][-1]["metrics"]["trace.throughput_ops" if trace else "throughput_ops"]
             print(workload, seed, side, trace, ops["value"], file=sys.stderr)
+    problems = bad_runs(workload, seed_list, runs)
+    if problems:  # exit 1 before the results file is written
+        sys.exit("no results file written:\n  " + "\n  ".join(problems))
     return runs, first
+
+
+def bad_runs(workload: str, seed_list: list[int], runs: dict[str, list[dict]]) -> list[str]:
+    """Why the runs of one workload cannot go into a results file: a run that is not
+    correct, or a pair whose sides attempted or failed different numbers of operations
+    (each seed fixes its operations, so the two sides must agree)."""
+    problems = []
+    for i, seed in enumerate(seed_list):
+        pair = {side: runs[side][i] for side in SIDES}
+        problems += [f"{workload} seed {seed} {side}: correct is {str(r['correct']).lower()}"
+                     for side, r in pair.items() if r["correct"] is not True]
+        problems += [f"{workload} seed {seed}: {key} differs, parent {pair['parent'][key]}, "
+                     f"change {pair['change'][key]}"
+                     for key in ("attempted", "failed")
+                     if pair["parent"][key] != pair["change"][key]]
+    return problems
 
 
 def summary(values: list[float]) -> dict:

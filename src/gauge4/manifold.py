@@ -11,7 +11,6 @@ constructors accept ``spin=`` as an alias).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 
 from .arith import is_prime, prime_power
@@ -42,8 +41,8 @@ class Pi1Descriptor(Value):
     __slots__ = ("free_rank", "cyclic_factors")
 
     def __init__(self, free_rank: int = 0, cyclic_factors: tuple = ()) -> None:
-        if isinstance(free_rank, bool):
-            raise InvalidSpecError([f"free rank must be an integer, got {free_rank}"])
+        if isinstance(free_rank, bool) or not isinstance(free_rank, int):
+            raise InvalidSpecError([f"free rank must be an integer, got {free_rank!r}"])
         if free_rank < 0:
             raise InvalidSpecError([f"free rank must be >= 0, got {free_rank}"])
         bases: dict[int, tuple[int, int] | None] = {}  # each distinct base is decided once
@@ -90,36 +89,39 @@ def classify_pi1(pi1: Pi1Descriptor) -> Pi1Kind:
     return Pi1Kind.MIXED
 
 
-@dataclass(frozen=True, slots=True)
-class ManifoldSpec:
+class ManifoldSpec(Value):
     """(fundamental group, second Betti number, top-cell suspension flag).
 
-    Only specs in the engine's domain can be built.  Besides a negative b2,
-    exactly three conditions are rejected: a torsion prime of 2 (the
-    decompositions need odd torsion), a cyclic exponent r < 1, and a
-    nontrivial top-cell flag with b2 = 0 (no CP^2 summand to suspend).
-    Each reason is reported once, in the order first met.
+    Only specs in the engine's domain can be built.  Besides a b2 that is
+    not an int >= 0 and a flag that is not a bool, exactly three
+    conditions are rejected: a torsion prime of 2 (the decompositions need
+    odd torsion), a cyclic exponent r < 1, and a nontrivial top-cell flag
+    with b2 = 0 (no CP^2 summand to suspend).  Each reason is reported
+    once, in the order first met.
     """
 
-    pi1: Pi1Descriptor = TRIVIAL_PI1
-    b2: int = 0
-    sigma_f_trivial: bool = True
+    __slots__ = ("pi1", "b2", "sigma_f_trivial")
 
-    def __post_init__(self) -> None:
-        if isinstance(self.b2, bool):
-            raise InvalidSpecError([f"b2 must be an integer, got {self.b2}"])
-        if self.b2 < 0:
-            raise InvalidSpecError([f"b2 must be >= 0, got {self.b2}"])
+    def __init__(
+        self, pi1: Pi1Descriptor = TRIVIAL_PI1, b2: int = 0, sigma_f_trivial: bool = True
+    ) -> None:
+        if isinstance(b2, bool) or not isinstance(b2, int):
+            raise InvalidSpecError([f"b2 must be an integer, got {b2!r}"])
+        if b2 < 0:
+            raise InvalidSpecError([f"b2 must be >= 0, got {b2}"])
+        if not isinstance(sigma_f_trivial, bool):
+            raise InvalidSpecError([f"sigma-f flag must be a bool, got {sigma_f_trivial!r}"])
         errors = []
-        for p, r in self.pi1.cyclic_factors:
+        for p, r in pi1.cyclic_factors:
             if p % 2 == 0:
                 errors.append("even torsion prime")
             if r < 1:
                 errors.append("r < 1")
-        if not self.sigma_f_trivial and self.b2 == 0:
+        if not sigma_f_trivial and b2 == 0:
             errors.append("nontrivial sigma-f with b2 = 0")
         if errors:
             raise InvalidSpecError(list(dict.fromkeys(errors)))
+        self._set(pi1, b2, sigma_f_trivial)
 
     @property
     def spin(self) -> bool:

@@ -1,0 +1,72 @@
+"""scripts/bench_pairs.py writes no results file from runs that are wrong or
+that do not pair: canned runs stand in for the benchmark."""
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+SPEC = {
+    "command": ["python3", "bench/run.py"],
+    "run_seconds": 1,
+    "end_to_end": [{"name": "throughput_ops", "unit": "1/s", "better": "higher", "bound": 0.25}],
+}
+
+
+def canned(correct=True, attempted=100, failed=0, ops=10.0):
+    return {"correct": correct, "attempted": attempted, "failed": failed,
+            "metrics": {"throughput_ops": {"value": ops, "unit": "1/s"}}}
+
+
+def runs_of(parent, change):
+    return {"parent": parent, "change": change}
+
+
+def test_good_runs_pass():
+    runs = runs_of([canned(), canned(attempted=7)], [canned(ops=12.0), canned(attempted=7)])
+    assert bench_pairs.bad_runs("cli", [3, 4], runs) == []
+
+
+def test_an_incorrect_run_is_named_by_workload_seed_and_side():
+    runs = runs_of([canned(), canned()], [canned(), canned(correct=False)])
+    assert bench_pairs.bad_runs("census", [8, 9], runs) == ["census seed 9 change: correct is false"]
+
+
+def test_sides_that_differ_in_attempted_or_failed_are_named():
+    runs = runs_of([canned(attempted=100, failed=2), canned()],
+                   [canned(attempted=99, failed=3), canned()])
+    assert bench_pairs.bad_runs("exact", [1, 2], runs) == [
+        "exact seed 1: attempted differs, parent 100, change 99",
+        "exact seed 1: failed differs, parent 2, change 3",
+    ]
+
+
+@pytest.mark.parametrize("change", [canned(correct=False), canned(failed=1), canned(attempted=1)])
+def test_main_exits_1_and_writes_no_file(tmp_path, monkeypatch, change):
+    def checkout(rev, into):
+        into.mkdir()
+        (into / "BENCHMARK.json").write_text(json.dumps(SPEC))
+
+    def run(spec, cwd, workload, seed, trace):
+        return change if cwd.name == "change" and seed == 6 else canned()
+
+    monkeypatch.setattr(bench_pairs, "checkout", checkout)
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: b"0000\n")
+    monkeypatch.setattr(bench_pairs, "run", run)
+    out = tmp_path / "BENCH.json"
+    monkeypatch.setattr(sys, "argv", ["bench_pairs.py", "--parent", "HEAD~1", "--out", str(out),
+                                      "cli=5-6"])
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main()
+    assert "cli seed 6" in str(exc.value.code) and not out.exists()
+    # the same runs with nothing wrong are written
+    monkeypatch.setattr(bench_pairs, "run", lambda *args: canned())
+    bench_pairs.main()
+    assert json.loads(out.read_text())["workloads"]["cli"]["seeds"] == [5, 6]

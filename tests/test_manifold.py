@@ -79,10 +79,23 @@ def test_construction_rejects_nothing_else():
 
 
 def test_no_route_builds_an_out_of_domain_spec():
+    flagged = ManifoldSpec(TRIVIAL_PI1, 1, False)
+    free = ManifoldSpec(Pi1Descriptor(1), 1, True)
+    even = Pi1Descriptor(0, ((2, 1),))
+    # ManifoldSpec is no dataclass, so the dataclasses.replace route is closed.
+    with pytest.raises(TypeError):
+        dataclasses.replace(flagged, b2=0)
+    with pytest.raises(TypeError):
+        dataclasses.replace(free, pi1=even)
     with pytest.raises(InvalidSpecError, match="^nontrivial sigma-f with b2 = 0$"):
-        dataclasses.replace(ManifoldSpec(TRIVIAL_PI1, 1, False), b2=0)
+        ManifoldSpec(pi1=flagged.pi1, b2=0, sigma_f_trivial=flagged.sigma_f_trivial)
     with pytest.raises(InvalidSpecError, match="^even torsion prime$"):
-        dataclasses.replace(ManifoldSpec(Pi1Descriptor(1), 1, True), pi1=Pi1Descriptor(0, ((2, 1),)))
+        ManifoldSpec(pi1=even, b2=free.b2, sigma_f_trivial=free.sigma_f_trivial)
+    # type(spec)(*fields) is the route copy and pickle take through __reduce__.
+    with pytest.raises(InvalidSpecError, match="^nontrivial sigma-f with b2 = 0$"):
+        type(flagged)(flagged.pi1, 0, flagged.sigma_f_trivial)
+    with pytest.raises(InvalidSpecError, match="^even torsion prime$"):
+        type(free)(even, free.b2, free.sigma_f_trivial)
     with pytest.raises(InvalidSpecError, match="^even torsion prime$"):
         manifold("Z*Z/8", 1)
     with pytest.raises(InvalidSpecError, match="^nontrivial sigma-f with b2 = 0$"):
@@ -228,6 +241,30 @@ def test_boolean_counts_are_rejected():
             ManifoldSpec(b2=flag)
         with pytest.raises(InvalidSpecError, match="free rank must be an integer"):
             Pi1Descriptor(flag)
+
+
+def test_a_non_bool_flag_is_rejected():
+    # "false" is truthy: accepted, it would decompose M as spin.
+    for flag in ("false", 0, 1, None, 1.0):
+        with pytest.raises(InvalidSpecError, match="^sigma-f flag must be a bool, got "):
+            ManifoldSpec(TRIVIAL_PI1, 2, flag)
+    with pytest.raises(InvalidSpecError, match="^sigma-f flag must be a bool, got 'false'$"):
+        manifold("Z/3", 2, spin="false")
+    with pytest.raises(InvalidSpecError, match="^sigma-f flag must be a bool, got 0$"):
+        manifold("Z/3", 2, sigma_f_trivial=0)
+
+
+def test_counts_that_are_not_ints_are_rejected():
+    # Accepted, 1.5 would end in a bare TypeError in decompose or render_pi1.
+    for count in (1.5, 2.0, "2", None):
+        with pytest.raises(InvalidSpecError, match="^b2 must be an integer, got "):
+            ManifoldSpec(Pi1Descriptor(), count)
+        with pytest.raises(InvalidSpecError, match="^free rank must be an integer, got "):
+            Pi1Descriptor(count)
+    with pytest.raises(InvalidSpecError, match="^b2 must be an integer, got 1.5$"):
+        manifold("Z", 1.5)
+    with pytest.raises(InvalidSpecError, match="^free rank must be an integer, got 1.5$"):
+        Pi1Descriptor(1.5, ((3, 1),))
 
 
 def test_parse_pi1_with_a_61_bit_prime_modulus(hang_guard):

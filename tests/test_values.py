@@ -1,15 +1,20 @@
-"""Value semantics of gauge4's immutable value classes.
+"""Value semantics of gauge4's immutable value classes, and what importing
+gauge4 loads.
 
-Every class but ManifoldSpec derives from ``gauge4.value.Value``: equal only
-within its own class, hashed by its fields, printed in the dataclass form,
-and closed to assignment and deletion.  ManifoldSpec stays the package's one
-dataclass, for its ``dataclasses.replace`` route.
+Every value class derives from ``gauge4.value.Value``: equal only within its
+own class, hashed by its fields, printed in the dataclass form, and closed to
+assignment and deletion.  gauge4 defines no dataclass, so ``import gauge4``
+loads neither ``dataclasses`` nor the ``inspect`` it pulls in.
 """
 
 import copy
 import importlib
+import os
 import pickle
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +28,7 @@ from gauge4 import (
     IntMatrix,
     LieGroupSpec,
     LoopFactor,
+    ManifoldSpec,
     Moore,
     Pi1Descriptor,
     Pi1Kind,
@@ -50,6 +56,9 @@ VALUES = [
      "stabilization='symbolic')"),
     (lambda: Pi1Descriptor(1, ((9, 1),)),
      "Pi1Descriptor(free_rank=1, cyclic_factors=((3, 2),))"),
+    (lambda: ManifoldSpec(Pi1Descriptor(1, ((9, 1),)), 2, False),
+     "ManifoldSpec(pi1=Pi1Descriptor(free_rank=1, cyclic_factors=((3, 2),)), b2=2, "
+     "sigma_f_trivial=False)"),
     (lambda: LieGroupSpec("SU", 3), "LieGroupSpec(family='SU', n=3)"),
     (lambda: ClassRule(12, "integral"), "ClassRule(k=12, scope='integral', odd_prime_bound=None)"),
     (lambda: EquivalenceVerdict("no", {3: "yes"}, RULE, True),
@@ -123,9 +132,10 @@ def test_keywords_and_defaults_follow_the_fields():
     assert EquivalenceVerdict("yes", {}, None).stabilized is False
 
 
-def test_manifold_spec_is_the_only_dataclass():
+def test_gauge4_defines_no_dataclass():
     # Defining a frozen dataclass costs about a millisecond at import, a
-    # hundred times what a Value subclass costs.
+    # hundred times what a Value subclass costs, and importing dataclasses
+    # loads inspect, ast, dis and tokenize besides.
     found = set()
     for info in pkgutil.iter_modules(gauge4.__path__):
         if info.name == "__main__":  # it runs the command line
@@ -137,4 +147,32 @@ def test_manifold_spec_is_the_only_dataclass():
             if isinstance(obj, type) and obj.__module__ == module.__name__
             and "__dataclass_fields__" in vars(obj)
         }
-    assert found == {"gauge4.manifold.ManifoldSpec"}
+    assert found == set()
+
+
+#: Run in a fresh interpreter: the modules loaded before ``import gauge4``,
+#: after it, and after ``import gauge4.cli``, one line each.
+_IMPORTS = """
+import sys
+loaded = [sorted(sys.modules)]
+import gauge4
+loaded.append(sorted(sys.modules))
+import gauge4.cli
+loaded.append(sorted(sys.modules))
+print("\\n".join(" ".join(names) for names in loaded))
+"""
+
+
+def test_import_loads_only_gauge4_and_json():
+    src = str(Path(gauge4.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", _IMPORTS], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    bare, library, cli = (set(line.split()) for line in out.splitlines())
+    # Modules the bare interpreter (site included) has loaded already are free.
+    added = library - bare
+    assert not {"dataclasses", "inspect"} & added
+    assert {name for name in added if not (
+        name.startswith(("gauge4.", "json.")) or name in ("gauge4", "json", "_json", "__future__")
+    )} == set()
+    assert cli - library <= {"gauge4.cli", "argparse", "gettext"}
