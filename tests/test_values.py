@@ -165,7 +165,7 @@ print("\\n".join(" ".join(names) for names in loaded))
 
 def test_import_loads_only_gauge4_and_json():
     src = str(Path(gauge4.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", _IMPORTS], env=env, check=True,
                          capture_output=True, text=True).stdout
     bare, library, cli = (set(line.split()) for line in out.splitlines())
