@@ -5,7 +5,9 @@
 
 The two sides are the committed trees of REV and of HEAD, each written by
 ``git archive`` into a fresh temporary directory, as the benchmark is
-meant to be run.  For each seed of a ``WORKLOAD=SEEDS`` argument the two
+meant to be run.  The archive is extracted with tarfile's ``"data"``
+filter, which refuses absolute paths, links out of the tree and device
+files (the default from Python 3.14 on).  For each seed of a ``WORKLOAD=SEEDS`` argument the two
 sides run the command of BENCHMARK.json with ``--workload W --seed S
 --seconds <run_seconds> --trace 0`` one after the other, the side that
 goes first alternating from seed to seed.  For every end-to-end metric the
@@ -44,7 +46,7 @@ def git(*args: str) -> bytes:
 
 def checkout(rev: str, into: Path) -> None:
     with tarfile.open(fileobj=io.BytesIO(git("archive", "--format=tar", rev))) as tar:
-        tar.extractall(into)
+        tar.extractall(into, filter="data")
 
 
 def seeds(text: str) -> list[int]:

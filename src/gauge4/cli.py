@@ -21,7 +21,7 @@ from .classifier import (
     parse_group,
 )
 from .manifold import ManifoldSpec, Pi1Kind, manifold, render_pi1
-from .terms import Moore, SpaceTerm, Sphere, SuspCP2, copies
+from .terms import SYMBOLIC, Moore, SpaceTerm, Sphere, SuspCP2, copies
 
 
 class UsageError(Exception):
@@ -34,10 +34,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _stabilization_arg(text: str):
-    if text == "symbolic":
-        return None
     try:
-        return int(text)
+        return SYMBOLIC if text == SYMBOLIC else int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer or 'symbolic', got {text!r}")
 
@@ -73,14 +71,14 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p = subs.add_parser("decompose", help="split the suspension and the gauge group")
     _add_spec_flags(p)
     p.add_argument("--t", type=int, default=0, help="bundle class over the 4-cell")
-    p.add_argument("--d", type=_stabilization_arg, default=None,
+    p.add_argument("--d", type=_stabilization_arg, default=SYMBOLIC,
                    help="stabilization count, or 'symbolic' (the default)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_decompose)
 
     p = subs.add_parser("suspension", help="just the suspension half")
     _add_spec_flags(p)
-    p.add_argument("--d", type=_stabilization_arg, default=None)
+    p.add_argument("--d", type=_stabilization_arg, default=SYMBOLIC)
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_suspension)
 

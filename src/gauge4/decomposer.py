@@ -72,7 +72,7 @@ class Decomposition(Value):
 
     def __init__(self, suspension: SpaceTerm, t: int, stabilization: Stabilization,
                  case_used: Pi1Kind) -> None:
-        check_stabilization(stabilization)
+        stabilization = check_stabilization(stabilization)
         susp = normalize(suspension)
         bases = [atom for atom, _ in blocks(susp) if atom in _GAUGE_BASE]
         if len(bases) != 1 or blocks(susp)[0] != (bases[0], 1):
@@ -106,33 +106,32 @@ class Decomposition(Value):
         return _GAUGE_BASE[self.blocks[0][0]]
 
 
-def decompose(spec: ManifoldSpec, t: int = 0, *, d: int | None = None) -> Decomposition:
+def decompose(spec: ManifoldSpec, t: int = 0, *, d: Stabilization = SYMBOLIC) -> Decomposition:
     """Split the suspension and the gauge group G_t(M) of a described M.
 
-    ``d`` is the stabilization count; only a mixed free product uses it,
-    where None keeps it symbolic, but a negative d is rejected for every
-    pi1.  The structure group stays the formal symbol G: the shape of the
-    splitting never depends on it.
+    ``d`` is the stabilization count, SYMBOLIC (or None) or an int >= 0,
+    checked by check_stabilization for every pi1; only a mixed free product
+    uses it.  The structure group stays the formal symbol G: the shape of
+    the splitting never depends on it.
     """
+    d = check_stabilization(d)
     kind = classify_pi1(spec.pi1)
-    if kind is Pi1Kind.MIXED or d is not None and d < 0:  # mixed_decomposition rejects d < 0
+    if kind is Pi1Kind.MIXED:
         return mixed_decomposition(spec, t, d=d)
     return _assemble(spec, t, 0, kind)
 
 
-def mixed_decomposition(spec: ManifoldSpec, t: int = 0, *, d: int | None = None) -> Decomposition:
+def mixed_decomposition(spec: ManifoldSpec, t: int = 0, *, d: Stabilization = SYMBOLIC) -> Decomposition:
     """The stabilized splitting, applicable to every valid spec.
 
     This is the formula decompose() dispatches to for mixed free products;
     it is exposed separately so the exact cases can be compared against
-    their stabilized counterparts at d = 0.  A concrete d is the exact
-    formula applied to the stabilized manifold.
+    their stabilized counterparts at d = 0.  d is checked as in decompose();
+    a concrete d is the exact formula applied to the stabilized manifold.
     """
-    if d is None:
-        return _assemble(spec, t, SYMBOLIC, Pi1Kind.MIXED)
-    if d < 0:
-        raise DecompositionError(f"stabilization count must be >= 0, got {d}")
-    return _assemble(stabilize(spec, d), t, d, Pi1Kind.MIXED)
+    d = check_stabilization(d)
+    stabilized = spec if d == SYMBOLIC else stabilize(spec, d)
+    return _assemble(stabilized, t, d, Pi1Kind.MIXED)
 
 
 def _assemble(spec: ManifoldSpec, t: int, stabilization: Stabilization, kind: Pi1Kind) -> Decomposition:
@@ -146,11 +145,6 @@ def _assemble(spec: ManifoldSpec, t: int, stabilization: Stabilization, kind: Pi
         n = sum(1 for _ in run)
         blocks += [(Moore(3, p**r), n), (Moore(4, p**r), n)]
     return Decomposition(Wedge(tuple(blocks)), t, stabilization, kind)
-
-
-def suspension_of_spec(spec: ManifoldSpec, d: int | None = None) -> SpaceTerm:
-    """Just the wedge side of decompose(); see there for the role of d."""
-    return decompose(spec, d=d).suspension
 
 
 def gauge_from_suspension(susp: SpaceTerm, t: int) -> GaugeExpr:

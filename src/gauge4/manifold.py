@@ -14,6 +14,7 @@ import re
 from enum import Enum
 
 from .arith import is_prime, prime_power
+from .terms import SYMBOLIC, TermError, check_stabilization
 from .value import Value
 
 
@@ -49,11 +50,15 @@ class Pi1Descriptor(Value):
         factors = []
         for p, r in cyclic_factors:
             if p not in bases:
+                if isinstance(p, bool) or not isinstance(p, int):
+                    raise InvalidSpecError([f"cyclic factor base must be an integer, got {p!r}"])
                 bases[p] = (p, 1) if is_prime(p) else prime_power(p)
             pr = bases[p]
             if pr is None:
                 power = "" if r == 1 else f"^{r}"
                 raise InvalidSpecError([f"modulus {p}{power} is not a prime power"])
+            if isinstance(r, bool) or not isinstance(r, int):
+                raise InvalidSpecError([f"cyclic factor exponent must be an integer, got {r!r}"])
             factors.append((pr[0], pr[1] * r))
         self._set(free_rank, tuple(sorted(factors)))
 
@@ -92,12 +97,12 @@ def classify_pi1(pi1: Pi1Descriptor) -> Pi1Kind:
 class ManifoldSpec(Value):
     """(fundamental group, second Betti number, top-cell suspension flag).
 
-    Only specs in the engine's domain can be built.  Besides a b2 that is
-    not an int >= 0 and a flag that is not a bool, exactly three
-    conditions are rejected: a torsion prime of 2 (the decompositions need
-    odd torsion), a cyclic exponent r < 1, and a nontrivial top-cell flag
-    with b2 = 0 (no CP^2 summand to suspend).  Each reason is reported
-    once, in the order first met.
+    Only specs in the engine's domain can be built.  Besides a pi1 that is
+    not a Pi1Descriptor, a b2 that is not an int >= 0 and a flag that is
+    not a bool, exactly three conditions are rejected: a torsion prime of
+    2 (the decompositions need odd torsion), a cyclic exponent r < 1, and
+    a nontrivial top-cell flag with b2 = 0 (no CP^2 summand to suspend).
+    Each reason is reported once, in the order first met.
     """
 
     __slots__ = ("pi1", "b2", "sigma_f_trivial")
@@ -105,6 +110,8 @@ class ManifoldSpec(Value):
     def __init__(
         self, pi1: Pi1Descriptor = TRIVIAL_PI1, b2: int = 0, sigma_f_trivial: bool = True
     ) -> None:
+        if not isinstance(pi1, Pi1Descriptor):
+            raise InvalidSpecError([f"pi1 must be a Pi1Descriptor, got {pi1!r}"])
         if isinstance(b2, bool) or not isinstance(b2, int):
             raise InvalidSpecError([f"b2 must be an integer, got {b2!r}"])
         if b2 < 0:
@@ -155,9 +162,9 @@ def connected_sum(a: ManifoldSpec, b: ManifoldSpec) -> ManifoldSpec:
 
 
 def stabilize(spec: ManifoldSpec, d: int) -> ManifoldSpec:
-    """Connected sum with d copies of S^2 x S^2: b2 grows by 2d."""
-    if d < 0:
-        raise InvalidSpecError([f"stabilization count must be >= 0, got {d}"])
+    """Connected sum with d copies of S^2 x S^2, d an int >= 0: b2 grows by 2d."""
+    if check_stabilization(d) == SYMBOLIC:
+        raise TermError(f"stabilize needs a concrete count, got {d!r}")
     return ManifoldSpec(spec.pi1, spec.b2 + 2 * d, spec.sigma_f_trivial)
 
 

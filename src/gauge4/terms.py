@@ -209,19 +209,21 @@ class GaugeExpr(Value):
                  stabilization: Stabilization = 0) -> None:
         if base not in ("S4", "CP2"):
             raise TermError(f"gauge base must be S4 or CP2, got {base!r}")
-        check_stabilization(stabilization)
+        stabilization = check_stabilization(stabilization)
         if not all(isinstance(factor, LoopFactor) for factor, _ in blocks):
             raise TermError(f"gauge blocks must hold loop factors: {blocks!r}")
         self._set(base, t, _merge(blocks), stabilization)
 
 
-def check_stabilization(stabilization: Stabilization) -> None:
-    """TermError unless the count is an int >= 0 or SYMBOLIC."""
-    if isinstance(stabilization, int):
-        if stabilization < 0:
-            raise TermError("stabilization count must be >= 0")
-    elif stabilization != SYMBOLIC:
-        raise TermError(f"bad stabilization: {stabilization!r}")
+def check_stabilization(d: Stabilization | None) -> Stabilization:
+    """SYMBOLIC for SYMBOLIC or None, else d, a non-bool int >= 0 (else TermError)."""
+    if d is None or d == SYMBOLIC:
+        return SYMBOLIC
+    if isinstance(d, bool) or not isinstance(d, int):
+        raise TermError(f"bad stabilization: {d!r}")
+    if d < 0:
+        raise TermError(f"stabilization count must be >= 0, got {d}")
+    return d
 
 
 def map_space(summand: SpaceTerm) -> LoopFactor:

@@ -1,5 +1,7 @@
 """Byte-level goldens, JSON round-trips, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -15,6 +17,7 @@ from gauge4 import (
     GaugeExpr,
     LoopFactor,
     Moore,
+    SYMBOLIC,
     Pi1Kind,
     Sphere,
     SuspCP2,
@@ -26,6 +29,7 @@ from gauge4 import (
 from gauge4.cli import build_parser, run
 
 GOLDEN = Path(__file__).parent / "data" / "golden_sweep.json"
+STABILIZATION_TABLE = Path(__file__).parent / "data" / "stabilization_table.json"
 
 
 def invoke(capsys, *argv):
@@ -254,6 +258,50 @@ def test_error_exits(capsys, argv, code, fragment):
     assert len(err.strip().splitlines()) == 1
 
 
+# --------------------------------------------------------------------------
+# the stabilization count: every --d spelling on every pi1 shape, mixed
+# included, pinned byte for byte.  Rewrite the table only for a deliberate
+# output change:
+#
+#     PYTHONPATH=src python tests/test_cli.py
+
+STABILIZATION_PI1 = ("1", "Z", "Z/3", "Z*Z/3", "Z/3*Z/5")
+STABILIZATION_D = (None, "symbolic", "-2", "0", "3", "x", "1.5", "-0")
+
+
+def stabilization_argvs() -> list[list[str]]:
+    """decompose and suspension x pi1 x --d (None: omitted) x text and --json."""
+    return [
+        [command, "--pi1", pi1, "--b2", "1", *([] if d is None else ["--d", d]), *fmt]
+        for command in ("decompose", "suspension")
+        for pi1 in STABILIZATION_PI1
+        for d in STABILIZATION_D
+        for fmt in ([], ["--json"])
+    ]
+
+
+#: (argv, exit code, stdout, stderr) rows
+STABILIZATION_ROWS = json.loads(STABILIZATION_TABLE.read_text())
+
+
+def test_stabilization_table_is_the_whole_probe():
+    assert [row[0] for row in STABILIZATION_ROWS] == stabilization_argvs()
+
+
+@pytest.mark.parametrize("argv,code,out,err", STABILIZATION_ROWS,
+                         ids=[" ".join(row[0]) for row in STABILIZATION_ROWS])
+def test_stabilization_table(capsys, argv, code, out, err):
+    assert invoke(capsys, *argv) == (code, out, err)
+
+
+def test_symbolic_d_has_one_spelling_from_the_parser_on():
+    _, commands = build_parser()
+    for command in ("decompose", "suspension"):
+        assert commands[command].parse_args([]).d is SYMBOLIC
+        assert commands[command].parse_args(["--d", "symbolic"]).d is SYMBOLIC
+        assert commands[command].parse_args(["--d", "-0"]).d == 0
+
+
 def test_a_repeated_reason_is_printed_once(capsys):
     assert invoke(capsys, "parse", "--pi1", "Z/2*Z/4*Z/8") == (2, "", "error: even torsion prime\n")
 
@@ -387,3 +435,18 @@ def test_help_exits_0_with_the_usage_of_the_parser_named(capsys, argv, usage):
         run(argv)
     captured = capsys.readouterr()
     assert (exit_.value.code, captured.out.splitlines()[0], captured.err) == (0, usage, "")
+
+
+def write_stabilization_table() -> None:
+    rows = []
+    for argv in stabilization_argvs():
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+        rows.append([argv, code, out.getvalue(), err.getvalue()])
+    STABILIZATION_TABLE.write_text(json.dumps(rows, indent=1) + "\n")
+    print(f"wrote {len(rows)} rows to {STABILIZATION_TABLE}", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    write_stabilization_table()

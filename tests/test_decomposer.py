@@ -2,9 +2,11 @@
 wedge -> gauge correspondence, rendering, and the homology cross-check."""
 
 import random
+from pathlib import Path
 
 import pytest
 
+import gauge4
 from conftest import ODD_PRIMES, random_spec
 from gauge4 import (
     Decomposition,
@@ -30,7 +32,6 @@ from gauge4 import (
     render_decomposition,
     stabilize,
     suspend,
-    suspension_of_spec,
     wedge,
 )
 from gauge4.decomposer import render_gauge_half, render_suspension_half
@@ -113,7 +114,7 @@ def test_mixed_case_concrete_d():
     assert dec.gauge == GaugeExpr(
         "S4", 7, ((O(3), 1), (O(3, 3), 1), (O(2), 5), (O(2, 3), 1), (O(1), 1)), 2
     )
-    with pytest.raises(DecompositionError):
+    with pytest.raises(TermError, match="^stabilization count must be >= 0, got -1$"):
         decompose(spec, 7, d=-1)
 
 
@@ -135,6 +136,8 @@ def test_dispatch_covers_all_kinds():
         dec = decompose(spec)
         kind = classify_pi1(spec.pi1)
         seen.add(kind)
+        # one spelling of symbolic d: SYMBOLIC, None and the default agree
+        assert decompose(spec, d=SYMBOLIC) == decompose(spec, d=None) == dec
         assert dec.case_used is kind
         assert (dec.gauge.base == "S4") == spec.sigma_f_trivial
     assert seen == set(Pi1Kind)
@@ -184,10 +187,46 @@ def test_decomposition_rejects_a_bad_stabilization():
     susp = Wedge(((Sphere(5), 1), (Sphere(3), 2)))
     with pytest.raises(TermError, match="^bad stabilization: 'foo'$"):
         Decomposition(susp, 1, "foo", Pi1Kind.MIXED)
-    with pytest.raises(TermError, match="^stabilization count must be >= 0$"):
+    with pytest.raises(TermError, match="^stabilization count must be >= 0, got -3$"):
         Decomposition(susp, 1, -3, Pi1Kind.MIXED)
     for stab in (0, 2, SYMBOLIC):
         assert Decomposition(susp, 1, stab, Pi1Kind.MIXED).stabilization == stab
+
+
+MIXED_SPEC = ManifoldSpec(Pi1Descriptor(1, ((3, 1),)), 1, True)
+
+#: Every entry point that takes a stabilization count, each with a d to check.
+STABILIZATION_ENTRY_POINTS = {
+    "decompose": lambda d: decompose(MIXED_SPEC, d=d),
+    "decompose on a cyclic pi1": lambda d: decompose(ManifoldSpec(Pi1Descriptor(0, ((3, 1),)), 1), d=d),
+    "mixed_decomposition": lambda d: mixed_decomposition(MIXED_SPEC, d=d),
+    "stabilize": lambda d: stabilize(MIXED_SPEC, d),
+    "Decomposition": lambda d: Decomposition(Wedge(((Sphere(5), 1),)), 0, d, Pi1Kind.MIXED),
+    "GaugeExpr": lambda d: GaugeExpr("S4", 0, (), d),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(STABILIZATION_ENTRY_POINTS))
+@pytest.mark.parametrize(
+    "d,message",
+    [
+        (True, "^bad stabilization: True$"),
+        (1.5, "^bad stabilization: 1.5$"),
+        ("foo", "^bad stabilization: 'foo'$"),
+        (-1, "^stabilization count must be >= 0, got -1$"),
+    ],
+)
+def test_every_entry_point_rejects_a_bad_stabilization_with_term_error(entry, d, message):
+    with pytest.raises(TermError, match=message):
+        STABILIZATION_ENTRY_POINTS[entry](d)
+
+
+def test_one_line_in_src_rejects_a_negative_count():
+    # the one check of a stabilization count is terms.check_stabilization
+    src = Path(gauge4.__file__).parent
+    lines = [line for path in sorted(src.glob("*.py")) for line in path.read_text().splitlines()
+             if "stabilization count must be" in line]
+    assert len(lines) == 1
 
 
 def test_blocks_grow_with_distinct_summands_not_b2(hang_guard):
@@ -220,7 +259,7 @@ def test_every_view_of_a_billion_copies_is_one_block(hang_guard):
     atoms = (Sphere(5), Sphere(4), Moore(4, 3), Sphere(3), Moore(3, 3), Sphere(2))
     susp = Wedge(tuple((a, 10**9 if a == Sphere(3) else 1) for a in atoms))
     assert dec.suspension == susp
-    assert suspension_of_spec(spec) == susp
+    assert decompose(spec, d=None).suspension == susp
     exact = mixed_decomposition(spec, 2, d=0)
     assert gauge_from_suspension(exact.suspension, 2) == exact.gauge
     assert gauge_from_suspension(dec.suspension, 2).blocks == dec.gauge.blocks
@@ -342,7 +381,7 @@ def test_suspension_homology_matches_manifold_homology():
     for _ in range(250):
         spec = random_spec(rng)
         predicted = suspend(homology_of_manifold(spec))
-        recomputed = homology_of_term(suspension_of_spec(spec))
+        recomputed = homology_of_term(decompose(spec).suspension)
         assert predicted == recomputed, spec
 
 

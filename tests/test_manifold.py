@@ -7,12 +7,15 @@ import pytest
 
 from conftest import random_pi1, random_spec
 from gauge4 import (
+    SYMBOLIC,
     InvalidSpecError,
     ManifoldSpec,
     Pi1Descriptor,
     Pi1Kind,
+    TermError,
     classify_pi1,
     connected_sum,
+    decompose,
     manifold,
     parse_pi1,
     render_pi1,
@@ -146,8 +149,15 @@ def test_stabilize_adds_hyperbolic_pairs():
     assert stabilize(spec, 0) == spec
     assert stabilize(spec, 3) == ManifoldSpec(Pi1Descriptor(1), 7, False)
     assert stabilize(stabilize(spec, 2), 1) == stabilize(spec, 3)
-    with pytest.raises(InvalidSpecError):
+    with pytest.raises(TermError, match="^stabilization count must be >= 0, got -1$"):
         stabilize(spec, -1)
+    # the count is named, not the b2 it would give (2 * 1.5 + 1 = 4.0)
+    with pytest.raises(TermError, match="^bad stabilization: 1.5$"):
+        stabilize(spec, 1.5)
+    # a manifold needs a concrete count
+    for d, shown in ((SYMBOLIC, "'symbolic'"), (None, "None")):
+        with pytest.raises(TermError, match=f"^stabilize needs a concrete count, got {shown}$"):
+            stabilize(spec, d)
 
 
 def test_stabilize_matches_connected_sum_with_sphere_products():
@@ -265,6 +275,30 @@ def test_counts_that_are_not_ints_are_rejected():
         manifold("Z", 1.5)
     with pytest.raises(InvalidSpecError, match="^free rank must be an integer, got 1.5$"):
         Pi1Descriptor(1.5, ((3, 1),))
+
+
+def test_cyclic_factors_that_are_not_ints_are_rejected():
+    # Accepted, (3, 1.5) decomposed with a Moore space of modulus 3**1.5
+    # and (3.0, 1) built a descriptor with a float prime.
+    with pytest.raises(InvalidSpecError, match="^cyclic factor exponent must be an integer, got 1.5$"):
+        decompose(ManifoldSpec(Pi1Descriptor(0, ((3, 1.5),)), 2))
+    with pytest.raises(InvalidSpecError, match="^cyclic factor base must be an integer, got 3.0$"):
+        Pi1Descriptor(0, ((3.0, 1),))
+    for p, r, what in ((True, 1, "base"), ("3", 1, "base"), (9, True, "exponent"), (5, "2", "exponent")):
+        with pytest.raises(InvalidSpecError, match=f"^cyclic factor {what} must be an integer, got "):
+            Pi1Descriptor(1, ((3, 1), (p, r)))
+    # Each distinct base is decided once, so a base equal to an int base
+    # already decided is that base: the stored factors stay ints.
+    assert Pi1Descriptor(0, ((3, 1), (3.0, 2))).cyclic_factors == ((3, 1), (3, 2))
+
+
+def test_a_pi1_that_is_not_a_descriptor_is_rejected():
+    # ManifoldSpec used to fail on it with a bare AttributeError.
+    with pytest.raises(InvalidSpecError, match="^pi1 must be a Pi1Descriptor, got 'Z/3'$"):
+        ManifoldSpec("Z/3", 2)
+    with pytest.raises(InvalidSpecError, match="^pi1 must be a Pi1Descriptor, got None$"):
+        ManifoldSpec(None)
+    assert ManifoldSpec(parse_pi1("Z/3"), 2) == manifold("Z/3", 2)
 
 
 def test_parse_pi1_with_a_61_bit_prime_modulus(hang_guard):
