@@ -278,8 +278,8 @@ def test_counts_that_are_not_ints_are_rejected():
 
 
 def test_cyclic_factors_that_are_not_ints_are_rejected():
-    # Accepted, (3, 1.5) decomposed with a Moore space of modulus 3**1.5
-    # and (3.0, 1) built a descriptor with a float prime.
+    # Accepted, (3, 1.5) would decompose with a Moore space of modulus
+    # 3**1.5, and (3.0, 1) would store a float prime.
     with pytest.raises(InvalidSpecError, match="^cyclic factor exponent must be an integer, got 1.5$"):
         decompose(ManifoldSpec(Pi1Descriptor(0, ((3, 1.5),)), 2))
     with pytest.raises(InvalidSpecError, match="^cyclic factor base must be an integer, got 3.0$"):
@@ -293,7 +293,7 @@ def test_cyclic_factors_that_are_not_ints_are_rejected():
 
 
 def test_a_pi1_that_is_not_a_descriptor_is_rejected():
-    # ManifoldSpec used to fail on it with a bare AttributeError.
+    # Unchecked, it would end in a bare AttributeError on pi1.cyclic_factors.
     with pytest.raises(InvalidSpecError, match="^pi1 must be a Pi1Descriptor, got 'Z/3'$"):
         ManifoldSpec("Z/3", 2)
     with pytest.raises(InvalidSpecError, match="^pi1 must be a Pi1Descriptor, got None$"):
