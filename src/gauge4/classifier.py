@@ -34,7 +34,7 @@ from math import gcd
 
 from .arith import divisor_count, is_prime
 from .manifold import ManifoldSpec, Pi1Kind, classify_pi1
-from .value import Value
+from .value import Value, integer
 
 YES = "yes"
 NO = "no"
@@ -59,6 +59,8 @@ class LieGroupSpec(Value):
     __slots__ = ("family", "n")
 
     def __init__(self, family: str, n: int | None = None) -> None:
+        if n is not None:
+            integer(n, "group rank n", error=GroupParseError)
         if family == "SU":
             if n is None or n < 2:
                 raise GroupParseError("SU(n) needs n >= 2")
@@ -193,7 +195,7 @@ class EquivalenceVerdict(Value):
 def _decide(rows: tuple[ClassRule, ...], t: int, s: int, primes: tuple[int, ...],
             stabilized: bool) -> EquivalenceVerdict:
     # gcd with 0 is the modulus itself, so t = 0 sits in the class of k.
-    t, s = abs(t), abs(s)
+    t, s = abs(integer(t, "bundle class t")), abs(integer(s, "bundle class s"))
     rule = rows[0] if rows else None
     if t == s:
         integral = YES
@@ -216,7 +218,7 @@ def _decide(rows: tuple[ClassRule, ...], t: int, s: int, primes: tuple[int, ...]
 
 
 def _check_primes(primes) -> tuple[int, ...]:
-    out = sorted(set(primes))
+    out = sorted({integer(p, "prime") for p in primes})
     for p in out:
         if not is_prime(p):
             raise ValueError(f"not a prime: {p}")

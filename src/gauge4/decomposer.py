@@ -47,7 +47,7 @@ from .terms import (
     render_blocks,
     render_product,
 )
-from .value import Value
+from .value import Value, integer
 
 
 class DecompositionError(ValueError):
@@ -72,6 +72,7 @@ class Decomposition(Value):
 
     def __init__(self, suspension: SpaceTerm, t: int, stabilization: Stabilization,
                  case_used: Pi1Kind) -> None:
+        integer(t, "bundle class t", error=DecompositionError)
         stabilization = check_stabilization(stabilization)
         susp = normalize(suspension)
         bases = [atom for atom, _ in blocks(susp) if atom in _GAUGE_BASE]

@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 from . import terms as _t
 from .arith import prime_power_parts
 from .manifold import ManifoldSpec
-from .value import Value
+from .value import Value, integer
 
 MAX_DEGREE = 5
 
@@ -50,8 +50,7 @@ class GradedAbelianGroup(Value):
         fixed = []
         split: dict[int, tuple[int, ...]] = {}  # each distinct entry is factored once
         for rank, torsion in groups:
-            if rank < 0:
-                raise ValueError(f"negative free rank {rank}")
+            integer(rank, "free rank", 0)
             parts: list[int] = []
             for q in map(abs, torsion):
                 if q > 1 and q not in split:
@@ -128,22 +127,26 @@ def _render_group(rank: int, torsion: tuple[int, ...]) -> str:
 
 
 class IntMatrix(Value):
-    """An immutable rows x cols integer matrix; either side may be 0."""
+    """An immutable rows x cols integer matrix; either side may be 0, and
+    every entry must be an int (a bool is not)."""
 
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows: int, cols: int, entries: tuple[tuple[int, ...], ...]) -> None:
-        if rows < 0 or cols < 0:
-            raise ValueError("matrix dimensions must be >= 0")
+        integer(rows, "matrix rows", 0)
+        integer(cols, "matrix columns", 0)
         if len(entries) != rows:
             raise ValueError(f"expected {rows} rows, got {len(entries)}")
+        bad = [v for row in entries for v in row if type(v) is not int]
+        if bad:
+            raise ValueError(f"matrix entries must be integers, got {bad[0]!r}")
         if any(len(row) != cols for row in entries):
             raise ValueError("ragged matrix rows")
         self._set(rows, cols, entries)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], cols: int | None = None) -> "IntMatrix":
-        entries = tuple(tuple(int(v) for v in row) for row in rows)
+        entries = tuple(map(tuple, rows))
         if cols is None:
             cols = len(entries[0]) if entries else 0
         return cls(len(entries), cols, entries)
@@ -392,8 +395,4 @@ def parse_matrix(text: str) -> IntMatrix:
         raise ValueError("bad matrix syntax: brackets nested too deeply") from None
     if not isinstance(data, list) or any(not isinstance(r, list) for r in data):
         raise ValueError("matrix must be a list of rows")
-    for row in data:
-        for v in row:
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise ValueError(f"matrix entries must be integers, got {v!r}")
     return IntMatrix.from_rows(data)

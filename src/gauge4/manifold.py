@@ -15,15 +15,11 @@ from enum import Enum
 
 from .arith import is_prime, prime_power
 from .terms import SYMBOLIC, TermError, check_stabilization
-from .value import Value
+from .value import Value, integer
 
 
 class InvalidSpecError(ValueError):
-    """A manifold description the engine rejects; .errors lists the reasons."""
-
-    def __init__(self, errors: list[str]):
-        super().__init__("; ".join(errors))
-        self.errors = errors
+    """A manifold description the engine rejects, with its reasons joined by "; "."""
 
 
 class Pi1ParseError(ValueError):
@@ -42,23 +38,18 @@ class Pi1Descriptor(Value):
     __slots__ = ("free_rank", "cyclic_factors")
 
     def __init__(self, free_rank: int = 0, cyclic_factors: tuple = ()) -> None:
-        if isinstance(free_rank, bool) or not isinstance(free_rank, int):
-            raise InvalidSpecError([f"free rank must be an integer, got {free_rank!r}"])
-        if free_rank < 0:
-            raise InvalidSpecError([f"free rank must be >= 0, got {free_rank}"])
+        integer(free_rank, "free rank", 0, InvalidSpecError)
         bases: dict[int, tuple[int, int] | None] = {}  # each distinct base is decided once
         factors = []
         for p, r in cyclic_factors:
             if p not in bases:
-                if isinstance(p, bool) or not isinstance(p, int):
-                    raise InvalidSpecError([f"cyclic factor base must be an integer, got {p!r}"])
+                integer(p, "cyclic factor base", error=InvalidSpecError)
                 bases[p] = (p, 1) if is_prime(p) else prime_power(p)
             pr = bases[p]
             if pr is None:
                 power = "" if r == 1 else f"^{r}"
-                raise InvalidSpecError([f"modulus {p}{power} is not a prime power"])
-            if isinstance(r, bool) or not isinstance(r, int):
-                raise InvalidSpecError([f"cyclic factor exponent must be an integer, got {r!r}"])
+                raise InvalidSpecError(f"modulus {p}{power} is not a prime power")
+            integer(r, "cyclic factor exponent", error=InvalidSpecError)
             factors.append((pr[0], pr[1] * r))
         self._set(free_rank, tuple(sorted(factors)))
 
@@ -111,13 +102,10 @@ class ManifoldSpec(Value):
         self, pi1: Pi1Descriptor = TRIVIAL_PI1, b2: int = 0, sigma_f_trivial: bool = True
     ) -> None:
         if not isinstance(pi1, Pi1Descriptor):
-            raise InvalidSpecError([f"pi1 must be a Pi1Descriptor, got {pi1!r}"])
-        if isinstance(b2, bool) or not isinstance(b2, int):
-            raise InvalidSpecError([f"b2 must be an integer, got {b2!r}"])
-        if b2 < 0:
-            raise InvalidSpecError([f"b2 must be >= 0, got {b2}"])
+            raise InvalidSpecError(f"pi1 must be a Pi1Descriptor, got {pi1!r}")
+        integer(b2, "b2", 0, InvalidSpecError)
         if not isinstance(sigma_f_trivial, bool):
-            raise InvalidSpecError([f"sigma-f flag must be a bool, got {sigma_f_trivial!r}"])
+            raise InvalidSpecError(f"sigma-f flag must be a bool, got {sigma_f_trivial!r}")
         errors = []
         for p, r in pi1.cyclic_factors:
             if p % 2 == 0:
@@ -127,12 +115,8 @@ class ManifoldSpec(Value):
         if not sigma_f_trivial and b2 == 0:
             errors.append("nontrivial sigma-f with b2 = 0")
         if errors:
-            raise InvalidSpecError(list(dict.fromkeys(errors)))
+            raise InvalidSpecError("; ".join(dict.fromkeys(errors)))
         self._set(pi1, b2, sigma_f_trivial)
-
-    @property
-    def spin(self) -> bool:
-        return self.sigma_f_trivial
 
 
 def manifold(
@@ -148,7 +132,7 @@ def manifold(
     if sigma_f_trivial is None:
         sigma_f_trivial = True if spin is None else spin
     elif spin is not None and spin != sigma_f_trivial:
-        raise InvalidSpecError(["conflicting sigma-f / spin flags"])
+        raise InvalidSpecError("conflicting sigma-f / spin flags")
     return ManifoldSpec(pi1, b2, sigma_f_trivial)
 
 

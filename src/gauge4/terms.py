@@ -28,7 +28,7 @@ from bisect import bisect_left
 from typing import Iterable, Sequence, Union
 
 from .arith import MAX_COPIES
-from .value import Value
+from .value import Value, integer
 
 
 class TermError(ValueError):
@@ -49,8 +49,7 @@ class Sphere(Value):
     __slots__ = ("dim",)
 
     def __init__(self, dim: int) -> None:
-        if dim < 1:
-            raise TermError(f"sphere dimension must be >= 1, got {dim}")
+        integer(dim, "sphere dimension", 1, TermError)
         self._set(dim)
 
 
@@ -66,10 +65,8 @@ class Moore(Value):
     __slots__ = ("dim", "modulus")
 
     def __init__(self, dim: int, modulus: int) -> None:
-        if dim < 2:
-            raise TermError(f"Moore space dimension must be >= 2, got {dim}")
-        if modulus < 2:
-            raise TermError(f"Moore space modulus must be >= 2, got {modulus}")
+        integer(dim, "Moore space dimension", 2, TermError)
+        integer(modulus, "Moore space modulus", 2, TermError)
         self._set(dim, modulus)
 
 
@@ -89,8 +86,7 @@ class Wedge(Value):
         for term, count in blocks:
             if not isinstance(term, (Point, Sphere, Moore, SuspCP2, Wedge)):
                 raise TermError(f"not a space term: {term!r}")
-            if count < 0:
-                raise TermError(f"negative count {count} of {term!r}")
+            integer(count, "block count", 0, TermError)
         self._set(blocks)
 
 
@@ -116,7 +112,7 @@ def _atom_key(term: SpaceTerm | LoopFactor) -> tuple[int, int, int]:
 def _merge(blocks: Iterable[tuple[SpaceTerm | LoopFactor, int]]) -> tuple:
     """Blocks in normal form, in one pass: nested wedges flattened (their
     counts multiplied), points and zero blocks dropped, equal terms merged,
-    then sorted by _atom_key.  A negative count raises TermError."""
+    then sorted by _atom_key.  A count that is not an int >= 0 raises TermError."""
     merged: dict = {}
     _add(merged, blocks, 1)
     return tuple([merged[key] for key in sorted(merged)])
@@ -126,8 +122,7 @@ def _add(merged: dict, blocks: Iterable[tuple[SpaceTerm | LoopFactor, int]], tim
     # _atom_key is one-to-one on summands and on loop factors, so it is the
     # merge key as well as the sort key.
     for term, count in blocks:
-        if count < 0:
-            raise TermError(f"negative count {count} of {term!r}")
+        integer(count, "block count", 0, TermError)
         if isinstance(term, Wedge):
             _add(merged, term.blocks, times * count)
         elif count and not isinstance(term, Point):
@@ -178,10 +173,10 @@ class LoopFactor(Value):
     __slots__ = ("loop_order", "modulus")
 
     def __init__(self, loop_order: int, modulus: int | None = None) -> None:
-        if not 1 <= loop_order <= 3:
+        if not 1 <= integer(loop_order, "loop order", error=TermError) <= 3:
             raise TermError(f"loop order must be 1..3, got {loop_order}")
-        if modulus is not None and modulus < 2:
-            raise TermError(f"loop factor modulus must be >= 2, got {modulus}")
+        if modulus is not None:
+            integer(modulus, "loop factor modulus", 2, TermError)
         self._set(loop_order, modulus)
 
 
@@ -209,6 +204,7 @@ class GaugeExpr(Value):
                  stabilization: Stabilization = 0) -> None:
         if base not in ("S4", "CP2"):
             raise TermError(f"gauge base must be S4 or CP2, got {base!r}")
+        integer(t, "bundle class t", error=TermError)
         stabilization = check_stabilization(stabilization)
         if not all(isinstance(factor, LoopFactor) for factor, _ in blocks):
             raise TermError(f"gauge blocks must hold loop factors: {blocks!r}")
@@ -219,11 +215,7 @@ def check_stabilization(d: Stabilization | None) -> Stabilization:
     """SYMBOLIC for SYMBOLIC or None, else d, a non-bool int >= 0 (else TermError)."""
     if d is None or d == SYMBOLIC:
         return SYMBOLIC
-    if isinstance(d, bool) or not isinstance(d, int):
-        raise TermError(f"bad stabilization: {d!r}")
-    if d < 0:
-        raise TermError(f"stabilization count must be >= 0, got {d}")
-    return d
+    return integer(d, "stabilization count", 0, TermError)
 
 
 def map_space(summand: SpaceTerm) -> LoopFactor:

@@ -3,7 +3,10 @@ to define; gauge4 defines no dataclass, so importing it loads neither ``dataclas
 ``inspect``.  A subclass names its fields in ``__slots__`` and sets them in ``__init__``
 through ``_set``, after its own checks.  A value equals only values of its own class with
 equal fields, so ``Moore(3, 3) != LoopFactor(3, 3)``; it hashes by them, has the dataclass
-repr, and cannot be changed: copy and pickle build it again through ``__init__``."""
+repr, and cannot be changed: copy and pickle build it again through ``__init__``.
+
+``integer`` is the one check of an integer a value holds: a count, a dimension, a modulus,
+a rank, a class t or s, a prime.  Each module passes its own error class."""
 
 from operator import attrgetter
 
@@ -38,3 +41,12 @@ class Value:
         raise AttributeError(f"cannot assign to or delete field {name!r}")
 
     __delattr__ = __setattr__
+
+
+def integer(value, what: str, low: int | None = None, error: type = ValueError) -> int:
+    """value, if it is an int (a bool is not) and at least low; else error(...) naming what."""
+    if type(value) is not int:
+        raise error(f"{what} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise error(f"{what} must be >= {low}, got {value}")
+    return value

@@ -68,11 +68,7 @@ def test_construction_reports_all_errors_at_once():
     # Each reason once, in the order first met, however many factors give it.
     with pytest.raises(InvalidSpecError) as exc:
         ManifoldSpec(Pi1Descriptor(0, ((2, 0), (2, 1), (3, 0), (2, 2))), 0, False)
-    assert exc.value.errors == [
-        "even torsion prime",
-        "r < 1",
-        "nontrivial sigma-f with b2 = 0",
-    ]
+    assert str(exc.value) == "even torsion prime; r < 1; nontrivial sigma-f with b2 = 0"
 
 
 def test_construction_rejects_nothing_else():
@@ -152,7 +148,7 @@ def test_stabilize_adds_hyperbolic_pairs():
     with pytest.raises(TermError, match="^stabilization count must be >= 0, got -1$"):
         stabilize(spec, -1)
     # the count is named, not the b2 it would give (2 * 1.5 + 1 = 4.0)
-    with pytest.raises(TermError, match="^bad stabilization: 1.5$"):
+    with pytest.raises(TermError, match="^stabilization count must be an integer, got 1.5$"):
         stabilize(spec, 1.5)
     # a manifold needs a concrete count
     for d, shown in ((SYMBOLIC, "'symbolic'"), (None, "None")):
@@ -214,7 +210,7 @@ def test_render_parse_round_trip():
 def test_manifold_constructor_sugar():
     spec = manifold("Z*Z/3", 2, spin=False)
     assert spec == ManifoldSpec(Pi1Descriptor(1, ((3, 1),)), 2, False)
-    assert spec.spin is False
+    assert spec.sigma_f_trivial is False
     assert manifold("1", 1, sigma_f_trivial=True) == manifold("1", 1, spin=True)
     with pytest.raises(InvalidSpecError):
         manifold("1", 1, sigma_f_trivial=True, spin=False)

@@ -205,9 +205,9 @@ def test_gauge_factors_are_sorted_on_construction():
 
 
 def test_counts_are_checked_and_merged_where_blocks_are_built():
-    with pytest.raises(TermError, match="negative count"):
+    with pytest.raises(TermError, match="^block count must be >= 0, got -1$"):
         Wedge(((Sphere(3), 2), (Moore(3, 9), -1)))
-    with pytest.raises(TermError, match="negative count"):
+    with pytest.raises(TermError, match="^block count must be >= 0, got -1$"):
         GaugeExpr("S4", 0, ((LoopFactor(2), -1),))
     # Zero blocks vanish, equal terms merge, nested counts multiply.
     raw = Wedge(((Sphere(4), 0), (Wedge(((Sphere(3), 2), (Point(), 5))), 3), (Sphere(3), 1)))
