@@ -145,7 +145,7 @@ def _assemble(spec: ManifoldSpec, t: int, stabilization: Stabilization, kind: Pi
     for (p, r), run in groupby(spec.pi1.cyclic_factors):  # sorted, so equal factors adjoin
         n = sum(1 for _ in run)
         blocks += [(Moore(3, p**r), n), (Moore(4, p**r), n)]
-    return Decomposition(Wedge(tuple(blocks)), t, stabilization, kind)
+    return Decomposition(Wedge(blocks), t, stabilization, kind)
 
 
 def gauge_from_suspension(susp: SpaceTerm, t: int) -> GaugeExpr:

@@ -38,8 +38,8 @@ class GradedAbelianGroup(Value):
     """A finitely generated abelian group in each degree 0..5.
 
     ``groups[i]`` is ``(free_rank, torsion)`` with torsion a sorted tuple
-    of prime powers; any torsion entry given to the constructor is split
-    into prime powers first, so Z/12 and Z/4 + Z/3 are the same value.
+    of prime powers; any torsion entry given, an int, is split into prime
+    powers first, so Z/12 and Z/4 + Z/3 are the same value.
     """
 
     __slots__ = ("groups",)
@@ -52,7 +52,8 @@ class GradedAbelianGroup(Value):
         for rank, torsion in groups:
             integer(rank, "free rank", 0)
             parts: list[int] = []
-            for q in map(abs, torsion):
+            for q in torsion:
+                q = abs(integer(q, "torsion entry"))
                 if q > 1 and q not in split:
                     split[q] = prime_power_parts(q)
                 parts += split.get(q, ())
@@ -128,13 +129,15 @@ def _render_group(rank: int, torsion: tuple[int, ...]) -> str:
 
 class IntMatrix(Value):
     """An immutable rows x cols integer matrix; either side may be 0, and
-    every entry must be an int (a bool is not)."""
+    every entry must be an int (a bool is not).  The entries are stored as
+    a tuple of row tuples, whatever sequences they were given as."""
 
     __slots__ = ("rows", "cols", "entries")
 
-    def __init__(self, rows: int, cols: int, entries: tuple[tuple[int, ...], ...]) -> None:
+    def __init__(self, rows: int, cols: int, entries: Sequence[Sequence[int]]) -> None:
         integer(rows, "matrix rows", 0)
         integer(cols, "matrix columns", 0)
+        entries = tuple(map(tuple, entries))
         if len(entries) != rows:
             raise ValueError(f"expected {rows} rows, got {len(entries)}")
         bad = [v for row in entries for v in row if type(v) is not int]
@@ -146,14 +149,13 @@ class IntMatrix(Value):
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], cols: int | None = None) -> "IntMatrix":
-        entries = tuple(map(tuple, rows))
         if cols is None:
-            cols = len(entries[0]) if entries else 0
-        return cls(len(entries), cols, entries)
+            cols = len(rows[0]) if rows else 0
+        return cls(len(rows), cols, rows)
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, tuple(tuple([0] * cols) for _ in range(rows)))
+        return cls(rows, cols, [[0] * cols] * rows)
 
 
 class SNFResult(NamedTuple):
@@ -376,9 +378,7 @@ def _reduced_atom_homology(atom: _t.SpaceTerm) -> list[tuple[int, int, tuple[int
         return [(atom.dim, 1, ())]
     if isinstance(atom, _t.Moore):
         return [(atom.dim - 1, 0, (atom.modulus,))]
-    if isinstance(atom, _t.SuspCP2):
-        return [(3, 1, ()), (5, 1, ())]
-    raise _t.TermError(f"no homology rule for {atom!r}")
+    return [(3, 1, ()), (5, 1, ())]  # SCP^2, the one other atom
 
 
 # --------------------------------------------------------------------------

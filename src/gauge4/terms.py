@@ -11,9 +11,11 @@ structure group ``G`` (``O^kG``), optionally the mod-``q`` variant ``O^kG{q}``
 given by pointed maps out of a Moore space, and ``GaugeExpr`` is a finite
 product of such factors over a base gauge group on ``S^4`` or ``CP^2``.
 
-Wedges and products are multisets of ``(term, count)`` blocks with one
-normal form (merged, zero-free, sorted by ``_atom_key``), so they compare
-by plain equality and cost the number of distinct terms, not of copies.
+Wedges and products are multisets of ``(term, count)`` blocks, built in
+one normal form (nested wedges flattened, merged, zero-free, sorted by
+``_atom_key``), so no raw wedge exists: they compare by plain equality and
+cost the number of distinct terms, not of copies.  ``normalize`` only
+collapses an empty wedge to ``pt`` and a single copy to its atom.
 
 ``map_space`` is the bridge between the two sides: it sends a wedge summand
 ``Y`` to the factor ``Map*(Y, G)`` contributes to a gauge group, using
@@ -77,23 +79,23 @@ class SuspCP2(Value):
 
 
 class Wedge(Value):
-    """Wedge sum of (term, count) blocks, ``count`` copies of each term; a
-    raw wedge may nest wedges and points (see normalize)."""
+    """Wedge sum of (term, count) blocks, ``count`` copies of each term.
+
+    The blocks given may nest wedges and hold points, zero counts and
+    repeated terms; the blocks stored are their normal form (see _merge),
+    so equal spaces give equal wedges whatever the order or nesting.
+    """
 
     __slots__ = ("blocks",)
 
-    def __init__(self, blocks: tuple[tuple[SpaceTerm, int], ...]) -> None:
-        for term, count in blocks:
-            if not isinstance(term, (Point, Sphere, Moore, SuspCP2, Wedge)):
-                raise TermError(f"not a space term: {term!r}")
-            integer(count, "block count", 0, TermError)
-        self._set(blocks)
+    def __init__(self, blocks: Iterable[tuple[SpaceTerm, int]]) -> None:
+        self._set(_merge(blocks, (Point, Sphere, Moore, SuspCP2, Wedge), "space term"))
 
 
 SpaceTerm = Union[Point, Sphere, Moore, SuspCP2, Wedge]
 
 
-def _atom_key(term: SpaceTerm | LoopFactor) -> tuple[int, int, int]:
+def _atom_key(term: Sphere | Moore | SuspCP2 | LoopFactor) -> tuple[int, int, int]:
     """The one order of summands: top dimension down; at equal dimension
     spheres, then Moore spaces by modulus, then SCP^2.  A loop factor sorts
     as the summand it comes from (O^kG{q} as P^{k+1}(q)), so map_space keeps
@@ -104,30 +106,28 @@ def _atom_key(term: SpaceTerm | LoopFactor) -> tuple[int, int, int]:
         return (-term.dim, 1, term.modulus)
     if isinstance(term, SuspCP2):
         return (-5, 2, 0)
-    if isinstance(term, LoopFactor):
-        return (-term.loop_order - 1, 0 if term.modulus is None else 1, term.modulus or 0)
-    raise TermError(f"not an atomic wedge summand: {term!r}")
+    return (-term.loop_order - 1, 0 if term.modulus is None else 1, term.modulus or 0)
 
 
-def _merge(blocks: Iterable[tuple[SpaceTerm | LoopFactor, int]]) -> tuple:
-    """Blocks in normal form, in one pass: nested wedges flattened (their
-    counts multiplied), points and zero blocks dropped, equal terms merged,
-    then sorted by _atom_key.  A count that is not an int >= 0 raises TermError."""
-    merged: dict = {}
-    _add(merged, blocks, 1)
-    return tuple([merged[key] for key in sorted(merged)])
-
-
-def _add(merged: dict, blocks: Iterable[tuple[SpaceTerm | LoopFactor, int]], times: int) -> None:
+def _merge(blocks: Iterable[tuple[SpaceTerm | LoopFactor, int]], kinds: tuple[type, ...],
+           what: str) -> tuple:
+    """Blocks in normal form, in one pass: each term must be one of kinds
+    (else TermError naming what) and each count an int >= 0 (else TermError);
+    a nested wedge, in normal form already, gives its blocks, their counts
+    multiplied; points and zero blocks are dropped, equal atoms merged, and
+    the blocks sorted by _atom_key."""
     # _atom_key is one-to-one on summands and on loop factors, so it is the
     # merge key as well as the sort key.
+    merged: dict = {}
     for term, count in blocks:
+        if not isinstance(term, kinds):
+            raise TermError(f"not a {what}: {term!r}")
         integer(count, "block count", 0, TermError)
-        if isinstance(term, Wedge):
-            _add(merged, term.blocks, times * count)
-        elif count and not isinstance(term, Point):
-            key = _atom_key(term)
-            merged[key] = (term, times * count + merged.get(key, (term, 0))[1])
+        if count and not isinstance(term, Point):
+            for atom, times in term.blocks if isinstance(term, Wedge) else ((term, 1),):
+                key = _atom_key(atom)
+                merged[key] = (atom, count * times + merged.get(key, (atom, 0))[1])
+    return tuple([merged[key] for key in sorted(merged)])
 
 
 def blocks(term: SpaceTerm) -> tuple[tuple[SpaceTerm, int], ...]:
@@ -142,25 +142,20 @@ def blocks(term: SpaceTerm) -> tuple[tuple[SpaceTerm, int], ...]:
 
 
 def normalize(term: SpaceTerm) -> SpaceTerm:
-    """Rewrite a term to its unique normal form, in one pass.
-
-    Nested wedges are flattened, their counts multiplied; points and zero
-    blocks are dropped, equal atoms merged, and the blocks sorted top
-    dimension down (at equal dimension spheres, then Moore spaces by
-    ascending modulus, then SCP^2).  An empty wedge collapses to the point
-    and a single copy of one atom to that atom.
-    """
-    merged = _merge(blocks(term))
-    if not merged:
+    """The one term for a space: an empty wedge collapses to the point and a
+    single copy of one atom to that atom; any other term is its own.  A wedge
+    is in normal form where it is built, so nothing is merged here."""
+    parts = blocks(term)
+    if not parts:
         return Point()
-    if len(merged) == 1 and merged[0][1] == 1:
-        return merged[0][0]
-    return Wedge(merged)
+    if len(parts) == 1 and parts[0][1] == 1:
+        return parts[0][0]
+    return term
 
 
 def wedge(parts: Iterable[SpaceTerm]) -> SpaceTerm:
     """Normalized wedge sum of any iterable of terms, one copy each."""
-    return normalize(Wedge(tuple((part, 1) for part in parts)))
+    return normalize(Wedge((part, 1) for part in parts))
 
 
 # --------------------------------------------------------------------------
@@ -206,9 +201,7 @@ class GaugeExpr(Value):
             raise TermError(f"gauge base must be S4 or CP2, got {base!r}")
         integer(t, "bundle class t", error=TermError)
         stabilization = check_stabilization(stabilization)
-        if not all(isinstance(factor, LoopFactor) for factor, _ in blocks):
-            raise TermError(f"gauge blocks must hold loop factors: {blocks!r}")
-        self._set(base, t, _merge(blocks), stabilization)
+        self._set(base, t, _merge(blocks, (LoopFactor,), "loop factor"), stabilization)
 
 
 def check_stabilization(d: Stabilization | None) -> Stabilization:
@@ -244,9 +237,9 @@ _BASE_NAMES = {"S4": "S^4", "CP2": "CP^2"}
 def render(obj: SpaceTerm | GaugeExpr | LoopFactor) -> str:
     """Plain-text form of a term.
 
-    Wedges are normalized before rendering, so the output is always the
-    canonical form (``S^3 v P^3(9)``); gauge expressions render as the
-    right-hand side of their product decomposition
+    A wedge is built in normal form, so it renders in the canonical order
+    (``S^3 v P^3(9)``), and the empty wedge as ``pt``; gauge expressions
+    render as the right-hand side of their product decomposition
     (``G_2(S^4) x O^3G x O^1G``) through render_product.
     """
     if isinstance(obj, GaugeExpr):
@@ -263,10 +256,7 @@ def render(obj: SpaceTerm | GaugeExpr | LoopFactor) -> str:
     if isinstance(obj, SuspCP2):
         return "SCP^2"
     if isinstance(obj, Wedge):
-        norm = normalize(obj)
-        if isinstance(norm, Wedge):
-            return render_blocks(norm.blocks, " v ")
-        return render(norm)
+        return render_blocks(obj.blocks, " v ") or "pt"
     raise TermError(f"cannot render {obj!r}")
 
 

@@ -73,6 +73,8 @@ ENTRY_POINTS = {
                         "block count"),
     "GradedAbelianGroup rank": (lambda x: GradedAbelianGroup.of({1: (x, ())}), ValueError,
                                 "free rank"),
+    "GradedAbelianGroup torsion": (lambda x: GradedAbelianGroup.of({1: (0, (x,))}), ValueError,
+                                   "torsion entry"),
     "LieGroupSpec SU": (lambda x: LieGroupSpec("SU", x), GroupParseError, "group rank n"),
     "LieGroupSpec Sp": (lambda x: LieGroupSpec("Sp", x), GroupParseError, "group rank n"),
     "GaugeExpr t": (lambda x: GaugeExpr("S4", x), TermError, "bundle class t"),
@@ -110,6 +112,13 @@ def test_every_entry_point_rejects_a_non_int(entry, bad):
          "matrix entries must be integers, got True"),
         (lambda: homology_of_term(Moore(3, 4.5)), TermError,
          "Moore space modulus must be an integer, got 4.5"),
+        # once answered Z/4.5, dropped the entry, and raised a bare TypeError
+        (lambda: GradedAbelianGroup.of({1: (0, (4.5,))}), ValueError,
+         "torsion entry must be an integer, got 4.5"),
+        (lambda: GradedAbelianGroup.of({1: (0, (True,))}), ValueError,
+         "torsion entry must be an integer, got True"),
+        (lambda: GradedAbelianGroup.of({1: (0, ("6",))}), ValueError,
+         "torsion entry must be an integer, got '6'"),
         (lambda: render(LoopFactor(2, 2.5)), TermError,
          "loop factor modulus must be an integer, got 2.5"),
         (lambda: LieGroupSpec("Sp", True), GroupParseError,
@@ -167,6 +176,19 @@ def test_from_rows_builds_int_matrices():
     assert IntMatrix.from_rows([[], []], 0) == IntMatrix.zero(2, 0)
     assert IntMatrix.from_rows([]) == IntMatrix(0, 0, ())
     assert smith_normal_form(IntMatrix.from_rows([[2, 0], [0, 3]])).invariant_factors == (1, 6)
+
+
+def test_int_matrix_stores_tuples_whatever_it_is_given():
+    m = IntMatrix(1, 1, [[1]])
+    assert m == IntMatrix.from_rows([[1]]) and hash(m) == hash(IntMatrix.from_rows(((1,),)))
+    assert m.entries == ((1,),)
+    assert IntMatrix(2, 2, [[1, 2], (3, 4)]).entries == ((1, 2), (3, 4))
+    assert IntMatrix.zero(2, 3).entries == ((0, 0, 0), (0, 0, 0))
+    assert len({IntMatrix(2, 1, [[0], [0]]), IntMatrix.zero(2, 1)}) == 1
+    with pytest.raises(ValueError, match="^ragged matrix rows$"):
+        IntMatrix(2, 2, [[1, 2], [3]])
+    with pytest.raises(ValueError, match="^expected 2 rows, got 1$"):
+        IntMatrix(2, 1, [[1]])
 
 
 def test_integer_returns_an_int_it_accepts():

@@ -1,13 +1,18 @@
 """Normal forms, the summand -> loop-factor correspondence, rendering,
 and the term grammar."""
 
+import ast
 import random
+from itertools import groupby
+from pathlib import Path
 
 import pytest
 
-from conftest import random_term
+import gauge4
+from conftest import random_atom, random_term
 from gauge4 import (
     SYMBOLIC,
+    DecompositionError,
     GaugeExpr,
     LoopFactor,
     Moore,
@@ -17,6 +22,8 @@ from gauge4 import (
     TermError,
     Wedge,
     decompose,
+    gauge_from_suspension,
+    homology_of_term,
     manifold,
     map_space,
     normalize,
@@ -111,6 +118,141 @@ def test_term_constructor_guards():
         normalize(LoopFactor(2))
 
 
+#: Raw wedges that the consumers of a wedge once had to normalize first.
+RAW_WEDGES = [
+    Wedge(((Wedge(((Sphere(2), 1),)), 1),)),
+    Wedge(((Point(), 1), (Sphere(3), 1))),
+    Wedge(((Sphere(5), 1), (Wedge(((Sphere(3), 2),)), 1))),
+    Wedge(((Sphere(3), 1), (Sphere(2), 1))),
+    Wedge(((Sphere(2), 1), (Sphere(3), 1))),
+]
+
+
+def _answer(function, *args):
+    """What a call returns, or the type and text of what it raises."""
+    try:
+        return function(*args)
+    except (TermError, DecompositionError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("raw", RAW_WEDGES, ids=render)
+def test_a_raw_wedge_answers_as_its_normal_form(raw):
+    norm = normalize(raw)
+    assert homology_of_term(raw) == homology_of_term(norm)
+    assert _answer(gauge_from_suspension, raw, 1) == _answer(gauge_from_suspension, norm, 1)
+    assert render(raw) == render(norm)
+
+
+def test_motivation_answers():
+    assert homology_of_term(RAW_WEDGES[0]) == homology_of_term(Sphere(2))
+    assert homology_of_term(RAW_WEDGES[1]) == homology_of_term(Sphere(3))
+    assert render(gauge_from_suspension(RAW_WEDGES[2], 1)) == "G_1(S^4) x O^2G x O^2G"
+    assert RAW_WEDGES[3] == RAW_WEDGES[4]
+
+
+def test_wedge_equality_ignores_block_order_and_nesting():
+    rng = random.Random(31)
+    for _ in range(300):
+        parts = [(random_term(rng), rng.randint(0, 3)) for _ in range(rng.randint(0, 6))]
+        flat = Wedge(parts)
+        rng.shuffle(parts)
+        assert Wedge(parts) == flat and hash(Wedge(parts)) == hash(flat)
+        cut = rng.randint(0, len(parts))
+        nested = Wedge([(Wedge(parts[:cut]), 1), *parts[cut:]])
+        assert nested == flat and Wedge([(flat, 1)]) == flat
+        assert Wedge([(flat, 2)]) == Wedge(parts + parts)
+
+
+def _raw_blocks(rng, depth):
+    """A raw block list: nested lists to depth, points, zero counts, repeats."""
+    out = []
+    for _ in range(rng.randint(0, 4)):
+        roll = rng.randrange(6)
+        if roll == 0:
+            item = Point()
+        elif roll == 1 and depth:
+            item = _raw_blocks(rng, depth - 1)
+        elif roll == 2 and out:
+            item = rng.choice(out)[0]  # a repeated block
+        else:
+            item = random_atom(rng)
+        out.append((item, rng.randint(0, 2)))
+    return out
+
+
+def _build(raw):
+    return Wedge([(_build(item) if isinstance(item, list) else item, k) for item, k in raw])
+
+
+def _expand(raw):
+    """Every atom copy of a raw block list, written out one by one."""
+    out = []
+    for item, k in raw:
+        atoms = _expand(item) if isinstance(item, list) else [] if item == Point() else [item]
+        out += atoms * k
+    return out
+
+
+def _display_order(atom):
+    if atom == SuspCP2():
+        return (-5, 2, 0)
+    if isinstance(atom, Moore):
+        return (-atom.dim, 1, atom.modulus)
+    return (-atom.dim, 0, 0)
+
+
+def test_raw_block_lists_render_as_their_expansion():
+    rng = random.Random(37)
+    seen = {"nested": 0, "point": 0, "zero": 0}
+    for _ in range(500):
+        raw = _raw_blocks(rng, 3)
+        atoms = sorted(_expand(raw), key=_display_order)
+        built = _build(raw)
+        assert render(built) == (" v ".join(map(render, atoms)) or "pt")
+        assert [k for _, k in built.blocks] == [len(list(run)) for _, run in groupby(atoms)]
+        seen["nested"] += any(isinstance(item, list) for item, _ in raw)
+        seen["point"] += any(item == Point() for item, _ in raw)
+        seen["zero"] += any(k == 0 for _, k in raw)
+    assert min(seen.values()) > 100, seen
+
+
+def test_a_block_of_the_wrong_kind_is_named():
+    loop = r"LoopFactor\(loop_order=2, modulus=None\)"
+    with pytest.raises(TermError, match=rf"^not a space term: {loop}$"):
+        Wedge(((LoopFactor(2), 1),))
+    with pytest.raises(TermError, match=r"^not a loop factor: Sphere\(dim=3\)$"):
+        GaugeExpr("S4", 0, ((Sphere(3), 1),))
+    with pytest.raises(TermError, match=r"^not a space term: 3$"):
+        Wedge(((Sphere(5), 1), (3, 1)))
+
+
+def _calls(name):
+    """(module, enclosing function) of every call of name in src."""
+    found = []
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, module, scope + (child.name,))
+                continue
+            func = getattr(child, "func", None)
+            if getattr(func, "id", getattr(func, "attr", None)) == name:
+                found.append((module, ".".join(scope)))
+            visit(child, module, scope)
+
+    for path in sorted(Path(gauge4.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, ())
+    return found
+
+
+def test_only_constructors_merge_and_no_consumer_normalizes():
+    # Blocks are put in normal form where a wedge or a product is built, and
+    # the collapse to pt or an atom is made where a term or a splitting is.
+    assert _calls("_merge") == [("terms", "Wedge.__init__"), ("terms", "GaugeExpr.__init__")]
+    assert _calls("normalize") == [("decomposer", "Decomposition.__init__"), ("terms", "wedge")]
+
+
 # --------------------------------------------------------------------------
 # the correspondence
 
@@ -159,7 +301,7 @@ def test_render_atoms():
 def test_render_wedge_uses_canonical_order():
     term = wedge([Moore(3, 3), Sphere(5), Sphere(2)])
     assert render(term) == "S^5 v P^3(3) v S^2"
-    # Raw, unnormalized wedges render through their normal form.
+    # A wedge is built in normal form whatever blocks it is given, so it renders as one.
     assert render(Wedge(((Sphere(2), 1), (Sphere(5), 1)))) == "S^5 v S^2"
     assert render(Wedge(())) == "pt"
     assert render(Wedge(((Point(), 1), (Wedge(((Sphere(3), 1),)), 1)))) == "S^3"

@@ -114,6 +114,18 @@ def test_copy_and_pickle_give_an_equal_value(build, text):
         assert twin == value and type(twin) is type(value) and repr(twin) == text
 
 
+@pytest.mark.parametrize("build,text", VALUES, ids=IDS)
+def test_a_value_is_built_again_from_its_fields(build, text):
+    value = build()
+    assert type(value)(*[getattr(value, name) for name in type(value).__slots__]) == value
+
+
+def test_a_wedge_does_not_depend_on_the_order_of_its_blocks():
+    value = VALUES[IDS.index("Wedge")][0]()
+    again = Wedge(value.blocks[::-1])
+    assert again == value and hash(again) == hash(value) and repr(again) == repr(value)
+
+
 def test_equality_holds_only_within_a_class():
     assert Moore(3, 3) != LoopFactor(3, 3)
     assert Point() != SuspCP2()
