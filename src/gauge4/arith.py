@@ -27,7 +27,8 @@ from math import gcd
 
 #: The largest integer whose primality or factorization is decided.
 MAX_MODULUS = 2**64
-#: The most copies of wedge summands or loop factors an answer writes out.
+#: The most copies of wedge summands or loop factors an answer writes out, as
+#: text or as --json lists; terms.join_blocks, their one writer, checks it.
 MAX_COPIES = 10**6
 
 #: The primes up to 61: the exponents k of the k-th root tests (2**64 is

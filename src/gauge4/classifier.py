@@ -88,10 +88,6 @@ def parse_group(text: str) -> LieGroupSpec:
     return LieGroupSpec(m.group(1), int(m.group(2)))
 
 
-def render_group(group: LieGroupSpec) -> str:
-    return "G2" if group.family == "G2" else f"{group.family}({group.n})"
-
-
 class ClassRule(Value):
     """One table row: gcd modulus k, scope, optional odd-prime cutoff.
 

@@ -21,7 +21,7 @@ from .classifier import (
     parse_group,
 )
 from .manifold import ManifoldSpec, Pi1Kind, manifold, render_pi1
-from .terms import SYMBOLIC, Moore, SpaceTerm, Sphere, SuspCP2, copies
+from .terms import SYMBOLIC, LoopFactor, Moore, SpaceTerm, Sphere, join_blocks
 
 
 class UsageError(Exception):
@@ -122,14 +122,32 @@ def _parser() -> tuple[_Parser, dict[str, _Parser]]:
 # JSON helpers
 
 
-def _atom_json(atom: SpaceTerm) -> dict:
+def _atom_json(atom: SpaceTerm) -> str:
+    """The JSON object of a summand of a splitting: S^n, P^n(q) or SCP^2."""
     if isinstance(atom, Sphere):
-        return {"kind": "sphere", "dim": atom.dim, "modulus": None}
+        return f'{{"dim": {atom.dim}, "kind": "sphere", "modulus": null}}'
     if isinstance(atom, Moore):
-        return {"kind": "moore", "dim": atom.dim, "modulus": atom.modulus}
-    if isinstance(atom, SuspCP2):
-        return {"kind": "susp_cp2", "dim": 5, "modulus": None}
-    raise ValueError(f"no JSON form for {atom!r}")
+        return f'{{"dim": {atom.dim}, "kind": "moore", "modulus": {atom.modulus}}}'
+    return '{"dim": 5, "kind": "susp_cp2", "modulus": null}'
+
+
+def _factor_json(factor: LoopFactor) -> str:
+    return f'{{"loop_order": {factor.loop_order}, "modulus": {json.dumps(factor.modulus)}}}'
+
+
+def _splitting_json(dec: decomposer.Decomposition, gauge: bool) -> str:
+    """The --json document of a splitting, byte for byte what json.dumps(...,
+    sort_keys=True) writes for it with its lists expanded.  The keys are
+    written in sorted order, and each list from its blocks by join_blocks,
+    the suspension first, so its copy count is the one an error names."""
+    suspension = join_blocks([(_atom_json(atom), n) for atom, n in dec.blocks], ", ")
+    case, stabilization = _case_json(dec.case_used), json.dumps(dec.stabilization)
+    if not gauge:
+        return (f'{{"case": "{case}", "stabilization": {stabilization}, '
+                f'"suspension": [{suspension}]}}')
+    factors = join_blocks([(_factor_json(f), n) for f, n in dec.factors], ", ")
+    return (f'{{"case": "{case}", "gauge": {{"base": "{dec.base}", "factors": [{factors}], '
+            f'"stabilization": {stabilization}, "t": {dec.t}}}, "suspension": [{suspension}]}}')
 
 
 def _case_json(kind: Pi1Kind) -> str:
@@ -165,21 +183,7 @@ def _cmd_decompose(args: argparse.Namespace) -> str:
     spec = _spec_from_args(args)
     dec = decomposer.decompose(spec, args.t, d=args.d)
     if args.json:
-        return _dump(
-            {
-                "case": _case_json(dec.case_used),
-                "suspension": copies([(_atom_json(a), n) for a, n in dec.blocks]),
-                "gauge": {
-                    "base": dec.base,
-                    "t": dec.t,
-                    "factors": copies(
-                        [({"loop_order": f.loop_order, "modulus": f.modulus}, n)
-                         for f, n in dec.factors]
-                    ),
-                    "stabilization": dec.stabilization,
-                },
-            }
-        )
+        return _splitting_json(dec, gauge=True)
     return decomposer.render_decomposition(dec)
 
 
@@ -187,13 +191,7 @@ def _cmd_suspension(args: argparse.Namespace) -> str:
     spec = _spec_from_args(args)
     dec = decomposer.decompose(spec, 0, d=args.d)
     if args.json:
-        return _dump(
-            {
-                "case": _case_json(dec.case_used),
-                "suspension": copies([(_atom_json(a), n) for a, n in dec.blocks]),
-                "stabilization": dec.stabilization,
-            }
-        )
+        return _splitting_json(dec, gauge=False)
     return decomposer.render_suspension_half(dec)
 
 

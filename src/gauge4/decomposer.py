@@ -11,9 +11,9 @@ keeps them in correspondence.
 A splitting is stored once, as its normalized wedge, whose (summand,
 count) blocks are in display order; equal cyclic factors of pi1 enter as
 one Moore block per dimension.  The gauge product is read off the blocks
-through map_space, and terms.render_blocks writes both halves, one string
-repeat per block.  Every view but the expanded summand list costs the
-number of distinct summands, and the text that plus its bytes.
+through map_space, and terms.join_blocks writes both halves, in text and
+in --json, one string repeat per block.  Every view costs the number of
+distinct summands, and a written answer that plus its bytes.
 
 Four fundamental-group shapes are handled.  Trivial and free pi1, and a
 single odd prime-power cyclic pi1, split on the nose.  A genuinely mixed
@@ -41,7 +41,6 @@ from .terms import (
     Wedge,
     blocks,
     check_stabilization,
-    copies,
     map_space,
     normalize,
     render_blocks,
@@ -84,12 +83,6 @@ class Decomposition(Value):
     def blocks(self) -> tuple[tuple[SpaceTerm, int], ...]:
         """The (wedge summand, count) blocks, base first, in display order."""
         return blocks(self.suspension)
-
-    @property
-    def summands(self) -> list[SpaceTerm]:
-        """Every wedge summand, one per copy, in display order (at most
-        MAX_COPIES of them, else ValueError)."""
-        return copies(self.blocks)
 
     @property
     def factors(self) -> list[tuple[LoopFactor, int]]:

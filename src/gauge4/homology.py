@@ -14,9 +14,10 @@ have equal representations no matter how they were computed.
 from __future__ import annotations
 
 import json
+from collections import namedtuple
+from collections.abc import Iterable, Mapping, Sequence
 from math import gcd
 from operator import mul
-from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import terms as _t
 from .arith import prime_power_parts
@@ -38,8 +39,9 @@ class GradedAbelianGroup(Value):
     """A finitely generated abelian group in each degree 0..5.
 
     ``groups[i]`` is ``(free_rank, torsion)`` with torsion a sorted tuple
-    of prime powers; any torsion entry given, an int, is split into prime
-    powers first, so Z/12 and Z/4 + Z/3 are the same value.
+    of prime powers; any torsion entry given, a nonzero int, is split into
+    prime powers first, so Z/12, Z/-12 and Z/4 + Z/3 are the same value.
+    An entry of 0 is refused: Z/0 is Z, which belongs in the rank.
     """
 
     __slots__ = ("groups",)
@@ -54,6 +56,8 @@ class GradedAbelianGroup(Value):
             parts: list[int] = []
             for q in torsion:
                 q = abs(integer(q, "torsion entry"))
+                if not q:  # Z/0 is Z: a rank, never a torsion entry
+                    raise ValueError("torsion entry must be nonzero, got 0")
                 if q > 1 and q not in split:
                     split[q] = prime_power_parts(q)
                 parts += split.get(q, ())
@@ -158,9 +162,8 @@ class IntMatrix(Value):
         return cls(rows, cols, [[0] * cols] * rows)
 
 
-class SNFResult(NamedTuple):
-    invariant_factors: tuple[int, ...]
-    rank: int
+#: The invariant factors (a tuple of ints), and the rank, their number.
+SNFResult = namedtuple("SNFResult", "invariant_factors rank")
 
 
 def smith_normal_form(mat: IntMatrix) -> SNFResult:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from typing import Iterable, Sequence, Union
+from collections.abc import Iterable, Sequence
 
 from .arith import MAX_COPIES
 from .value import Value, integer
@@ -92,7 +92,7 @@ class Wedge(Value):
         self._set(_merge(blocks, (Point, Sphere, Moore, SuspCP2, Wedge), "space term"))
 
 
-SpaceTerm = Union[Point, Sphere, Moore, SuspCP2, Wedge]
+SpaceTerm = Point | Sphere | Moore | SuspCP2 | Wedge
 
 
 def _atom_key(term: Sphere | Moore | SuspCP2 | LoopFactor) -> tuple[int, int, int]:
@@ -178,7 +178,7 @@ class LoopFactor(Value):
 #: Marker for a stabilization count left as the formal variable d.
 SYMBOLIC = "symbolic"
 
-Stabilization = Union[int, str]
+Stabilization = int | str
 
 
 class GaugeExpr(Value):
@@ -279,8 +279,8 @@ def render_blocks(
     ``stable`` is the term each S^2 x S^2 adds twice, S^3 or O^2G, when the
     stabilization count d is symbolic.  Its block, present or not, is then
     one piece in its place: ``(X)^{n+2d}``, or ``(X)^{2d}`` when n = 0.
-    More than MAX_COPIES pieces raise ValueError, as in ``copies``, before
-    any text is built; each block is one string repeat.
+    The pieces are written by join_blocks, so more than MAX_COPIES copies
+    raise ValueError before any text is built.
     """
     pieces = [(render(term), count) for term, count in blocks]
     if stable is not None:
@@ -288,25 +288,18 @@ def render_blocks(
         n = dict(blocks[i : i + 1]).get(stable, 0)
         power = f"{n}+2d" if n else "2d"
         pieces[i : i + 1 if n else i] = [(f"({render(stable)})^{{{power}}}", 1)]
-    return sep.join(
-        [text if k == 1 else (text + sep) * (k - 1) + text for text, k in _capped(pieces) if k]
-    )
+    return join_blocks(pieces, sep)
 
 
-def copies(blocks: Sequence[tuple[object, int]]) -> list:
-    """Each item of (item, count) blocks, ``count`` times; at most MAX_COPIES in all."""
-    out = []
-    for item, count in _capped(blocks):
-        out += [item] * count
-    return out
-
-
-def _capped(blocks: Sequence[tuple[object, int]]) -> Sequence[tuple[object, int]]:
-    """The blocks; ValueError if they hold more than MAX_COPIES copies."""
-    total = sum(count for _, count in blocks)
+def join_blocks(pieces: Sequence[tuple[str, int]], sep: str) -> str:
+    """The text of each (text, count) piece ``count`` times, joined by ``sep``,
+    each piece one string repeat: the one writer of repeated summands, for
+    the text and the --json lists alike.  More than MAX_COPIES copies in all
+    raise ValueError before any text is built."""
+    total = sum(count for _, count in pieces)
     if total > MAX_COPIES:
         raise ValueError(f"the answer writes out {total} copies, more than the limit of 10**6")
-    return blocks
+    return sep.join([text if k == 1 else (text + sep) * (k - 1) + text for text, k in pieces if k])
 
 
 # --------------------------------------------------------------------------

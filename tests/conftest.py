@@ -84,6 +84,14 @@ def random_term(rng: random.Random, depth=2):
     return Wedge(parts)
 
 
+def expand(blocks) -> list:
+    """Each item of (item, count) blocks, count times: a splitting one entry per copy."""
+    out = []
+    for item, count in blocks:
+        out += [item] * count
+    return out
+
+
 def random_matrix_rows(rng: random.Random, max_side=4, bound=9):
     rows = rng.randint(1, max_side)
     cols = rng.randint(1, max_side)

@@ -29,7 +29,6 @@ from gauge4.classifier import (
     YES,
     GroupParseError,
     _rows,
-    render_group,
 )
 from gauge4.manifold import TRIVIAL_PI1
 
@@ -45,8 +44,6 @@ def test_parse_group():
     assert parse_group("SU(2)") == SU(2)
     assert parse_group(" Sp(3) ") == Sp(3)
     assert parse_group("G2") == G2
-    assert render_group(SU(5)) == "SU(5)"
-    assert render_group(G2) == "G2"
     for bad in ["SU(1)", "Sp(0)", "G2(2)", "SO(3)", "SU", "su(2)"]:
         with pytest.raises(GroupParseError):
             parse_group(bad)

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import gauge4
+from conftest import expand, random_spec
 from gauge4 import (
     Decomposition,
     GaugeExpr,
@@ -26,7 +28,9 @@ from gauge4 import (
     render_decomposition,
     wedge,
 )
+from gauge4.arith import MAX_COPIES
 from gauge4.cli import build_parser, run
+from gauge4.manifold import render_pi1
 
 GOLDEN = Path(__file__).parent / "data" / "golden_sweep.json"
 STABILIZATION_TABLE = Path(__file__).parent / "data" / "stabilization_table.json"
@@ -178,9 +182,77 @@ def test_decompose_json_round_trip(capsys, argv):
     )
     case = Pi1Kind.TRIVIAL if data["case"] == "simply_connected" else Pi1Kind(data["case"])
     dec = Decomposition(wedge(atoms), g["t"], g["stabilization"], case)
-    assert dec.summands == atoms
+    assert expand(dec.blocks) == atoms
     assert dec.gauge == gauge
     assert render_decomposition(dec) + "\n" == text
+
+
+def _every_copy(blocks):
+    """The items of (item, count) blocks one per copy, capped as a written answer is."""
+    total = sum(count for _, count in blocks)
+    if total > MAX_COPIES:
+        raise ValueError(f"the answer writes out {total} copies, more than the limit of 10**6")
+    return expand(blocks)
+
+
+def _summand_object(atom):
+    if isinstance(atom, Sphere):
+        return {"kind": "sphere", "dim": atom.dim, "modulus": None}
+    if isinstance(atom, Moore):
+        return {"kind": "moore", "dim": atom.dim, "modulus": atom.modulus}
+    return {"kind": "susp_cp2", "dim": 5, "modulus": None}
+
+
+def _dumped_splitting(command, dec):
+    """--json of a splitting as json.dumps writes it, one list entry per copy."""
+    case = "simply_connected" if dec.case_used is Pi1Kind.TRIVIAL else dec.case_used.value
+    doc = {"case": case, "suspension": _every_copy([(_summand_object(a), n) for a, n in dec.blocks])}
+    if command == "suspension":
+        doc["stabilization"] = dec.stabilization
+    else:
+        factors = _every_copy([({"loop_order": f.loop_order, "modulus": f.modulus}, n)
+                               for f, n in dec.factors])
+        doc["gauge"] = {"base": dec.base, "t": dec.t, "factors": factors,
+                        "stabilization": dec.stabilization}
+    return json.dumps(doc, sort_keys=True)
+
+
+def _splitting_argvs():
+    """A seeded sweep of decompose and suspension --json queries, then
+    MAX_COPIES and MAX_COPIES + 1 summands (1 + b2 for pi1 = 1, 5 + b2 + 2d
+    for Z*Z/3).  Only the first of these is written out: dumping its 10**6
+    objects for the reference takes about a second."""
+    rng = random.Random(16)
+    for i in range(320):
+        spec = random_spec(rng, max_free=2, max_cyclic=2)
+        flag = "trivial" if spec.sigma_f_trivial else "nontrivial"
+        argv = ["--pi1", render_pi1(spec.pi1), "--b2", str(spec.b2), "--sigma-f", flag,
+                "--d", rng.choice(["symbolic", "0", "1", "3"])]
+        yield (["decompose", *argv, "--t", str(rng.randint(-9, 9))] if i % 2 else
+               ["suspension", *argv])
+    yield ["suspension", "--pi1", "1", "--b2", str(MAX_COPIES - 1)]
+    yield ["suspension", "--pi1", "Z*Z/3", "--b2", str(MAX_COPIES - 6), "--d", "1"]
+    yield ["decompose", "--pi1", "1", "--b2", str(MAX_COPIES)]
+
+
+def test_json_splitting_matches_dumping_every_copy(capsys):
+    commands, cases, kinds = build_parser()[1], set(), set()
+    for argv in _splitting_argvs():
+        args = commands[argv[0]].parse_args(argv[1:])
+        spec = manifold(args.pi1, args.b2, sigma_f_trivial=args.sigma_f != "nontrivial")
+        dec = decompose(spec, getattr(args, "t", 0), d=args.d)
+        try:
+            want = (0, _dumped_splitting(argv[0], dec) + "\n", "")
+        except ValueError as exc:
+            want = (2, "", f"error: {exc}\n")
+        assert invoke(capsys, *argv, "--json") == want, argv
+        cases.add((argv[0], want[0]))
+        kinds.add((dec.case_used, spec.sigma_f_trivial, dec.stabilization == SYMBOLIC))
+    assert cases == {(c, code) for c in ("decompose", "suspension") for code in (0, 2)}
+    assert {kind for kind, _, _ in kinds} == set(Pi1Kind)
+    assert {flag for _, flag, _ in kinds} == {True, False}
+    assert {(kind, symbolic) for kind, _, symbolic in kinds if kind is Pi1Kind.MIXED} == {
+        (Pi1Kind.MIXED, True), (Pi1Kind.MIXED, False)}
 
 
 def test_output_is_deterministic(capsys):
@@ -341,6 +413,8 @@ def test_more_copies_than_the_cap_exit_2_with_one_line(capsys, hang_guard):
         ("decompose", "--pi1", "1", "--b2", "1000000000"),
         ("decompose", "--pi1", "Z*Z/3", "--b2", "1", "--d", "1000000000"),
         ("suspension", "--pi1", "1", "--b2", "1000000000", "--json"),
+        ("decompose", "--pi1", "1", "--b2", "1000000000", "--json"),
+        ("decompose", "--pi1", "Z*Z/3", "--b2", "1", "--d", "1000000000", "--json"),
     ]
     for argv in calls:
         code, out, err = invoke(capsys, *argv)

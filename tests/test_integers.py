@@ -119,6 +119,9 @@ def test_every_entry_point_rejects_a_non_int(entry, bad):
          "torsion entry must be an integer, got True"),
         (lambda: GradedAbelianGroup.of({1: (0, ("6",))}), ValueError,
          "torsion entry must be an integer, got '6'"),
+        # Z/0 is Z: once dropped as if it were Z/1, printing H_1 = 0
+        (lambda: GradedAbelianGroup.of({1: (0, (0,))}), ValueError,
+         "torsion entry must be nonzero, got 0"),
         (lambda: render(LoopFactor(2, 2.5)), TermError,
          "loop factor modulus must be an integer, got 2.5"),
         (lambda: LieGroupSpec("Sp", True), GroupParseError,

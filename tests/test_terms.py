@@ -2,6 +2,7 @@
 and the term grammar."""
 
 import ast
+import functools
 import random
 from itertools import groupby
 from pathlib import Path
@@ -9,9 +10,10 @@ from pathlib import Path
 import pytest
 
 import gauge4
-from conftest import random_atom, random_term
+from conftest import expand, random_atom, random_term
 from gauge4 import (
     SYMBOLIC,
+    Decomposition,
     DecompositionError,
     GaugeExpr,
     LoopFactor,
@@ -32,7 +34,7 @@ from gauge4 import (
     wedge,
 )
 from gauge4.arith import MAX_COPIES
-from gauge4.terms import blocks, copies, render_blocks
+from gauge4.terms import blocks, join_blocks, render_blocks
 
 
 def test_normalize_sorts_flattens_and_drops_points():
@@ -227,23 +229,37 @@ def test_a_block_of_the_wrong_kind_is_named():
         Wedge(((Sphere(5), 1), (3, 1)))
 
 
-def _calls(name):
-    """(module, enclosing function) of every call of name in src."""
+def _calls(name, reads=False):
+    """(module, enclosing function) of every call of name in src, or with
+    reads of every place its value is read, as a name or an attribute."""
     found = []
+
+    def uses(node):
+        if reads:
+            return isinstance(getattr(node, "ctx", None), ast.Load) and name in (
+                getattr(node, "id", None), getattr(node, "attr", None))
+        func = getattr(node, "func", None)
+        return getattr(func, "id", getattr(func, "attr", None)) == name
 
     def visit(node, module, scope):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 visit(child, module, scope + (child.name,))
                 continue
-            func = getattr(child, "func", None)
-            if getattr(func, "id", getattr(func, "attr", None)) == name:
+            if uses(child):
                 found.append((module, ".".join(scope)))
             visit(child, module, scope)
 
-    for path in sorted(Path(gauge4.__file__).parent.glob("*.py")):
-        visit(ast.parse(path.read_text()), path.stem, ())
+    for module, tree in _sources():
+        visit(tree, module, ())
     return found
+
+
+@functools.cache
+def _sources():
+    """(module, parsed source) of every module of src."""
+    paths = sorted(Path(gauge4.__file__).parent.glob("*.py"))
+    return [(path.stem, ast.parse(path.read_text())) for path in paths]
 
 
 def test_only_constructors_merge_and_no_consumer_normalizes():
@@ -251,6 +267,18 @@ def test_only_constructors_merge_and_no_consumer_normalizes():
     # the collapse to pt or an atom is made where a term or a splitting is.
     assert _calls("_merge") == [("terms", "Wedge.__init__"), ("terms", "GaugeExpr.__init__")]
     assert _calls("normalize") == [("decomposer", "Decomposition.__init__"), ("terms", "wedge")]
+
+
+def test_every_written_copy_passes_the_one_cap():
+    # join_blocks is the one writer of repeated summands, text or --json, and
+    # the only reader of MAX_COPIES, so no writer can leave the cap out.
+    assert _calls("join_blocks") == [
+        ("cli", "_splitting_json"), ("cli", "_splitting_json"), ("terms", "render_blocks")]
+    assert _calls("MAX_COPIES", reads=True) == [("terms", "join_blocks")]
+    # the per-copy list is gone: nothing in src defines, calls or reads it
+    for gone in ("copies", "_capped", "summands"):
+        assert not hasattr(gauge4.terms, gone) and not hasattr(Decomposition, gone)
+        assert _calls(gone) == _calls(gone, reads=True) == []
 
 
 # --------------------------------------------------------------------------
@@ -365,16 +393,16 @@ def test_counts_are_checked_and_merged_where_blocks_are_built():
 
 
 def test_written_out_copies_are_capped_before_expanding(hang_guard):
-    assert copies([(Sphere(3), 2), (Moore(3, 5), 0), (Sphere(2), 1)]) == [
-        Sphere(3), Sphere(3), Sphere(2)]
-    assert len(copies([(Sphere(3), MAX_COPIES - 1), (Sphere(2), 1)])) == MAX_COPIES
+    assert join_blocks([("S^3", 2), ("P^3(5)", 0), ("S^2", 1)], ", ") == "S^3, S^3, S^2"
+    text = join_blocks([("{}", MAX_COPIES - 1), ("[]", 1)], ", ")
+    assert text.split(", ") == ["{}"] * (MAX_COPIES - 1) + ["[]"]
     assert render_blocks([(Sphere(3), 2), (Moore(3, 5), 0), (Sphere(2), 1)], " v ") == (
         "S^3 v S^3 v S^2")
     text = render_blocks([(Sphere(3), MAX_COPIES - 1), (Sphere(2), 1)], " v ")
     assert len(text.split(" v ")) == MAX_COPIES
     for huge in ([(Sphere(3), MAX_COPIES), (Sphere(2), 1)], [(Sphere(3), 10**18)]):
         with pytest.raises(ValueError, match="limit of 10\\*\\*6"):
-            copies(huge)
+            join_blocks([(render(atom), n) for atom, n in huge], ", ")
         with pytest.raises(ValueError, match="limit of 10\\*\\*6"):
             render_blocks(huge, " v ")
     # the G_t(...) head of a product is not one of the copies
@@ -394,11 +422,11 @@ def test_block_joiner_matches_joining_every_copy(hang_guard):
     for _ in range(300):
         parts = blocks(normalize(random_term(rng)))
         for sep in (" v ", " x "):
-            assert render_blocks(parts, sep) == sep.join(render(a) for a in copies(parts))
+            assert render_blocks(parts, sep) == sep.join(render(a) for a in expand(parts))
     dec = decompose(manifold("1", MAX_COPIES - 1))
     assert dec.blocks == ((Sphere(5), 1), (Sphere(3), MAX_COPIES - 1))
-    assert render_blocks(dec.blocks, " v ") == " v ".join(map(render, dec.summands))
-    factors = map(render, copies(dec.gauge.blocks))
+    assert render_blocks(dec.blocks, " v ") == " v ".join(map(render, expand(dec.blocks)))
+    factors = map(render, expand(dec.gauge.blocks))
     assert render(dec.gauge) == " x ".join(["G_0(S^4)", *factors])
 
 
