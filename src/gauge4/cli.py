@@ -135,19 +135,21 @@ def _factor_json(factor: LoopFactor) -> str:
     return f'{{"loop_order": {factor.loop_order}, "modulus": {json.dumps(factor.modulus)}}}'
 
 
-def _splitting_json(dec: decomposer.Decomposition, gauge: bool) -> str:
-    """The --json document of a splitting, byte for byte what json.dumps(...,
-    sort_keys=True) writes for it with its lists expanded.  The keys are
-    written in sorted order, and each list from its blocks by join_blocks,
-    the suspension first, so its copy count is the one an error names."""
-    suspension = join_blocks([(_atom_json(atom), n) for atom, n in dec.blocks], ", ")
+def _splitting_json(dec: decomposer.Decomposition, gauge: bool) -> list[str]:
+    """The parts of the --json document of a splitting, byte for byte what
+    json.dumps(..., sort_keys=True) writes for it with its lists expanded.
+    The keys are written in sorted order, and each list from its blocks by
+    join_blocks, the suspension first, so its copy count is the one an error
+    names; the parts are written in turn, never joined."""
+    suspension = join_blocks([], [(_atom_json(atom), n) for atom, n in dec.blocks], ", ")
     case, stabilization = _case_json(dec.case_used), json.dumps(dec.stabilization)
     if not gauge:
-        return (f'{{"case": "{case}", "stabilization": {stabilization}, '
-                f'"suspension": [{suspension}]}}')
-    factors = join_blocks([(_factor_json(f), n) for f, n in dec.factors], ", ")
-    return (f'{{"case": "{case}", "gauge": {{"base": "{dec.base}", "factors": [{factors}], '
-            f'"stabilization": {stabilization}, "t": {dec.t}}}, "suspension": [{suspension}]}}')
+        return [f'{{"case": "{case}", "stabilization": {stabilization}, "suspension": [',
+                *suspension, "]}"]
+    factors = join_blocks([], [(_factor_json(f), n) for f, n in dec.factors], ", ")
+    return [f'{{"case": "{case}", "gauge": {{"base": "{dec.base}", "factors": [', *factors,
+            f'], "stabilization": {stabilization}, "t": {dec.t}}}, "suspension": [',
+            *suspension, "]}"]
 
 
 def _case_json(kind: Pi1Kind) -> str:
@@ -171,45 +173,49 @@ def _verdict_json(v: EquivalenceVerdict) -> dict:
     }
 
 
+#: str() of an int of more than 4300 digits raises (Python's default int_max_str_digits).
+_PRINTABLE = 10**4300
+
+
 def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True)
 
 
 # --------------------------------------------------------------------------
-# command handlers (each returns the text to print)
+# command handlers (each returns the parts of the text to print, in turn)
 
 
-def _cmd_decompose(args: argparse.Namespace) -> str:
+def _cmd_decompose(args: argparse.Namespace) -> list[str]:
     spec = _spec_from_args(args)
     dec = decomposer.decompose(spec, args.t, d=args.d)
     if args.json:
         return _splitting_json(dec, gauge=True)
-    return decomposer.render_decomposition(dec)
+    return [decomposer.render_decomposition(dec)]
 
 
-def _cmd_suspension(args: argparse.Namespace) -> str:
+def _cmd_suspension(args: argparse.Namespace) -> list[str]:
     spec = _spec_from_args(args)
     dec = decomposer.decompose(spec, 0, d=args.d)
     if args.json:
         return _splitting_json(dec, gauge=False)
-    return decomposer.render_suspension_half(dec)
+    return [decomposer.render_suspension_half(dec)]
 
 
-def _cmd_homology(args: argparse.Namespace) -> str:
+def _cmd_homology(args: argparse.Namespace) -> list[str]:
     spec = _spec_from_args(args)
     g = homology.homology_of_manifold(spec)
     if args.suspension:
         g = homology.suspend(g)
     if args.json:
-        return _dump(
+        return [_dump(
             {
                 "homology": [
                     {"degree": i, "rank": rank, "torsion": list(torsion)}
                     for i, (rank, torsion) in enumerate(g.groups)
                 ]
             }
-        )
-    return homology.render_graded(g)
+        )]
+    return [homology.render_graded(g)]
 
 
 def _render_rule_line(v: EquivalenceVerdict) -> str:
@@ -222,32 +228,34 @@ def _render_rule_line(v: EquivalenceVerdict) -> str:
     return line
 
 
-def _cmd_classify(args: argparse.Namespace) -> str:
+def _cmd_classify(args: argparse.Namespace) -> list[str]:
     spec = _spec_from_args(args)
     group = parse_group(args.group)
     verdict = classify(group, spec, args.t, args.s, args.primes)
     if args.json:
-        return _dump({"verdict": _verdict_json(verdict)})
+        return [_dump({"verdict": _verdict_json(verdict)})]
     lines = [_render_rule_line(verdict), f"integral: {verdict.integral}"]
     lines += [f"p={p}: {v}" for p, v in sorted(verdict.local.items())]
     lines.append(f"stabilized: {'yes' if verdict.stabilized else 'no'}")
-    return "\n".join(lines)
+    return ["\n".join(lines)]
 
 
-def _cmd_snf(args: argparse.Namespace) -> str:
+def _cmd_snf(args: argparse.Namespace) -> list[str]:
     result = homology.smith_normal_form(homology.parse_matrix(args.matrix))
+    if max(result.invariant_factors, default=0) >= _PRINTABLE:
+        raise ValueError("an invariant factor has more than 4300 digits, too many to print")
     if args.json:
-        return _dump(
+        return [_dump(
             {"invariant_factors": list(result.invariant_factors), "rank": result.rank}
-        )
-    return " ".join(str(d) for d in result.invariant_factors)
+        )]
+    return [" ".join(str(d) for d in result.invariant_factors)]
 
 
-def _cmd_parse(args: argparse.Namespace) -> str:
+def _cmd_parse(args: argparse.Namespace) -> list[str]:
     spec = _spec_from_args(args)
     flag = "trivial" if spec.sigma_f_trivial else "nontrivial"
     if args.json:
-        return _dump(
+        return [_dump(
             {
                 "pi1": render_pi1(spec.pi1),
                 "free_rank": spec.pi1.free_rank,
@@ -255,8 +263,8 @@ def _cmd_parse(args: argparse.Namespace) -> str:
                 "b2": spec.b2,
                 "sigma_f_trivial": spec.sigma_f_trivial,
             }
-        )
-    return f"pi1 = {render_pi1(spec.pi1)}; b2 = {spec.b2}; sigma-f = {flag}"
+        )]
+    return [f"pi1 = {render_pi1(spec.pi1)}; b2 = {spec.b2}; sigma-f = {flag}"]
 
 
 def run(argv: list[str]) -> int:
@@ -276,7 +284,8 @@ def run(argv: list[str]) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(out)
+    sys.stdout.writelines(out)  # in turn: a long answer is never joined
+    print()
     return 0
 
 

@@ -11,9 +11,11 @@ keeps them in correspondence.
 A splitting is stored once, as its normalized wedge, whose (summand,
 count) blocks are in display order; equal cyclic factors of pi1 enter as
 one Moore block per dimension.  The gauge product is read off the blocks
-through map_space, and terms.join_blocks writes both halves, in text and
-in --json, one string repeat per block.  Every view costs the number of
-distinct summands, and a written answer that plus its bytes.
+through map_space.  An answer, in text or in --json, is one list of string
+parts: fixed heads, and per repeated block one string repeat appended by
+terms.join_blocks.  The text is joined once; the CLI writes --json parts in
+turn.  Every view costs the number of distinct summands, and a written
+answer that plus its bytes.
 
 Four fundamental-group shapes are handled.  Trivial and free pi1, and a
 single odd prime-power cyclic pi1, split on the nose.  A genuinely mixed
@@ -39,12 +41,13 @@ from .terms import (
     SuspCP2,
     TermError,
     Wedge,
+    block_pieces,
     blocks,
     check_stabilization,
+    join_blocks,
     map_space,
     normalize,
-    render_blocks,
-    render_product,
+    product_parts,
 )
 from .value import Value, integer
 
@@ -173,23 +176,31 @@ def gauge_from_suspension(susp: SpaceTerm, t: int) -> GaugeExpr:
 
 def render_suspension_half(dec: Decomposition) -> str:
     """``SM = ...``, or the stabilized ``S(M #_d(S^2xS^2)) = ...``."""
-    stab = dec.stabilization
-    body = render_blocks(dec.blocks, " v ", Sphere(3) if stab == SYMBOLIC else None)
-    if stab == 0:
-        return f"SM = {body}"
-    return f"S(M #_{'d' if stab == SYMBOLIC else stab}(S^2xS^2)) = {body}"
+    return "".join(_suspension_parts(dec, []))
 
 
 def render_gauge_half(dec: Decomposition) -> str:
     """``G_t(M) = ...``, or the stabilized ``G_t(M) x (O^2G)^{2d} ~ ...``."""
-    t, stab = dec.t, dec.stabilization
-    right = render_product(dec.base, t, dec.factors, stab)
-    if stab == 0:
-        return f"G_{t}(M) = {right}"
-    power = "{2d}" if stab == SYMBOLIC else str(2 * stab)
-    return f"G_{t}(M) x (O^2G)^{power} ~ {right}"
+    return "".join(_gauge_parts(dec, []))
 
 
 def render_decomposition(dec: Decomposition) -> str:
-    """Both halves on one line, suspension first."""
-    return f"{render_suspension_half(dec)}; {render_gauge_half(dec)}"
+    """Both halves on one line, suspension first, joined once."""
+    parts = _suspension_parts(dec, [])
+    parts.append("; ")
+    return "".join(_gauge_parts(dec, parts))
+
+
+def _suspension_parts(dec: Decomposition, parts: list[str]) -> list[str]:
+    stab = dec.stabilization
+    parts.append("SM = " if stab == 0 else
+                 f"S(M #_{'d' if stab == SYMBOLIC else stab}(S^2xS^2)) = ")
+    stable = Sphere(3) if stab == SYMBOLIC else None
+    return join_blocks(parts, block_pieces(dec.blocks, stable), " v ")
+
+
+def _gauge_parts(dec: Decomposition, parts: list[str]) -> list[str]:
+    t, stab = dec.t, dec.stabilization
+    power = "{2d}" if stab == SYMBOLIC else 2 * stab
+    parts.append(f"G_{t}(M) = " if stab == 0 else f"G_{t}(M) x (O^2G)^{power} ~ ")
+    return product_parts(parts, dec.base, t, dec.factors, stab)

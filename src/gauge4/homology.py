@@ -396,6 +396,8 @@ def parse_matrix(text: str) -> IntMatrix:
         raise ValueError(f"bad matrix syntax: {exc}") from None
     except RecursionError:
         raise ValueError("bad matrix syntax: brackets nested too deeply") from None
+    except ValueError:  # int() of more than 4300 digits, Python's default limit
+        raise ValueError("bad matrix syntax: an entry has more than 4300 digits") from None
     if not isinstance(data, list) or any(not isinstance(r, list) for r in data):
         raise ValueError("matrix must be a list of rows")
     return IntMatrix.from_rows(data)

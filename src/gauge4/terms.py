@@ -17,6 +17,11 @@ one normal form (nested wedges flattened, merged, zero-free, sorted by
 cost the number of distinct terms, not of copies.  ``normalize`` only
 collapses an empty wedge to ``pt`` and a single copy to its atom.
 
+Text is written as a list of string parts joined once.  ``join_blocks``
+appends the (text, count) pieces, one string repeat per repeated piece,
+after checking ``MAX_COPIES`` from the counts; ``render_blocks`` and
+``render_product`` join what it and their heads append.
+
 ``map_space`` is the bridge between the two sides: it sends a wedge summand
 ``Y`` to the factor ``Map*(Y, G)`` contributes to a gauge group, using
 ``Map*(S^k, G) = O^kG`` and ``Map*(P^k(q), G) = O^{k-1}G{q}``; a factor sorts
@@ -264,9 +269,18 @@ def render_product(base: str, t: int, blocks: Sequence, stabilization: Stabiliza
     """``G_t(base) x ...`` from (loop factor, count) blocks already in normal
     form, written as they come; with a symbolic stabilization the plain O^2G
     block is ``(O^2G)^{b+2d}``."""
-    head = f"G_{t}({_BASE_NAMES[base]})"
-    body = render_blocks(blocks, " x ", LoopFactor(2) if stabilization == SYMBOLIC else None)
-    return f"{head} x {body}" if body else head
+    return "".join(product_parts([], base, t, blocks, stabilization))
+
+
+def product_parts(parts: list[str], base: str, t: int, blocks: Sequence,
+                  stabilization: Stabilization) -> list[str]:
+    """parts with the text of render_product appended, in pieces; the one
+    writer of a product, for a GaugeExpr and a gauge half alike."""
+    pieces = block_pieces(blocks, LoopFactor(2) if stabilization == SYMBOLIC else None)
+    parts.append(f"G_{t}({_BASE_NAMES[base]})")
+    if pieces:  # blocks in normal form have no zero count
+        parts.append(" x ")
+    return join_blocks(parts, pieces, " x ")
 
 
 def render_blocks(
@@ -274,13 +288,22 @@ def render_blocks(
     sep: str,
     stable: Sphere | LoopFactor | None = None,
 ) -> str:
-    """Sorted (term, count) blocks, ``count`` copies each, joined by ``sep``.
+    """Sorted (term, count) blocks, ``count`` copies each, joined by ``sep``
+    (see block_pieces for ``stable``).  The pieces are written by
+    join_blocks, so more than MAX_COPIES copies raise ValueError before any
+    text is built."""
+    return "".join(join_blocks([], block_pieces(blocks, stable), sep))
+
+
+def block_pieces(
+    blocks: Sequence[tuple[SpaceTerm | LoopFactor, int]],
+    stable: Sphere | LoopFactor | None = None,
+) -> list[tuple[str, int]]:
+    """The (text, count) pieces join_blocks writes for sorted blocks.
 
     ``stable`` is the term each S^2 x S^2 adds twice, S^3 or O^2G, when the
     stabilization count d is symbolic.  Its block, present or not, is then
     one piece in its place: ``(X)^{n+2d}``, or ``(X)^{2d}`` when n = 0.
-    The pieces are written by join_blocks, so more than MAX_COPIES copies
-    raise ValueError before any text is built.
     """
     pieces = [(render(term), count) for term, count in blocks]
     if stable is not None:
@@ -288,18 +311,30 @@ def render_blocks(
         n = dict(blocks[i : i + 1]).get(stable, 0)
         power = f"{n}+2d" if n else "2d"
         pieces[i : i + 1 if n else i] = [(f"({render(stable)})^{{{power}}}", 1)]
-    return join_blocks(pieces, sep)
+    return pieces
 
 
-def join_blocks(pieces: Sequence[tuple[str, int]], sep: str) -> str:
-    """The text of each (text, count) piece ``count`` times, joined by ``sep``,
-    each piece one string repeat: the one writer of repeated summands, for
-    the text and the --json lists alike.  More than MAX_COPIES copies in all
-    raise ValueError before any text is built."""
-    total = sum(count for _, count in pieces)
+def join_blocks(parts: list[str], pieces: Sequence[tuple[str, int]], sep: str) -> list[str]:
+    """parts with the text of each (text, count) piece ``count`` times,
+    joined by ``sep``, appended: a piece of k > 1 copies as one string
+    repeat of k - 1 copies and then its text.  The one writer of repeated
+    summands, for the text and the --json lists alike; the caller joins
+    parts once or writes them in turn.  More than MAX_COPIES copies in all raise ValueError before
+    anything is appended."""
+    total = 0
+    for _, count in pieces:
+        total += count
     if total > MAX_COPIES:
         raise ValueError(f"the answer writes out {total} copies, more than the limit of 10**6")
-    return sep.join([text if k == 1 else (text + sep) * (k - 1) + text for text, k in pieces if k])
+    start = len(parts)
+    for text, count in pieces:
+        if count == 1:
+            parts += (text, sep)
+        elif count:
+            parts += ((text + sep) * (count - 1), text, sep)
+    if len(parts) > start:
+        parts.pop()  # the separator after the last piece
+    return parts
 
 
 # --------------------------------------------------------------------------

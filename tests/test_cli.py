@@ -25,11 +25,14 @@ from gauge4 import (
     SuspCP2,
     decompose,
     manifold,
+    map_space,
+    render,
     render_decomposition,
     wedge,
 )
 from gauge4.arith import MAX_COPIES
 from gauge4.cli import build_parser, run
+from gauge4.decomposer import render_gauge_half, render_suspension_half
 from gauge4.manifold import render_pi1
 
 GOLDEN = Path(__file__).parent / "data" / "golden_sweep.json"
@@ -255,6 +258,96 @@ def test_json_splitting_matches_dumping_every_copy(capsys):
         (Pi1Kind.MIXED, True), (Pi1Kind.MIXED, False)}
 
 
+def _joined_every_copy(items, sep):
+    """items, one per written copy, joined by sep and capped as an answer is."""
+    if len(items) > MAX_COPIES:
+        raise ValueError(f"the answer writes out {len(items)} copies, more than the limit of 10**6")
+    return sep.join(items)
+
+
+def _halves_every_copy(dec):
+    """Both text halves of a splitting written one copy at a time; with a
+    symbolic d the S^3 copies, and their O^2G, are the one (X)^{n+2d} piece
+    in the place S^3 sorts to.  Each half raises ValueError past the cap."""
+    stab, t = dec.stabilization, dec.t
+    summands = expand([(render(atom), n) for atom, n in dec.blocks])
+    factors = expand([(render(map_space(atom)), n) for atom, n in dec.blocks[1:]])
+    if stab == SYMBOLIC:
+        atoms = expand(dec.blocks)
+        n = atoms.count(Sphere(3))
+        i = sum(getattr(atom, "dim", 5) > 3 for atom in atoms)  # SCP^2 is 5-dimensional
+        power = f"{n}+2d" if n else "2d"
+        summands[i : i + n] = [f"(S^3)^{{{power}}}"]
+        factors[i - 1 : i - 1 + n] = [f"(O^2G)^{{{power}}}"]
+    if stab == 0:
+        heads = ("SM = ", f"G_{t}(M) = ")
+    else:
+        count, power = ("d", "{2d}") if stab == SYMBOLIC else (stab, 2 * stab)
+        heads = (f"S(M #_{count}(S^2xS^2)) = ", f"G_{t}(M) x (O^2G)^{power} ~ ")
+    base = f"G_{t}({'S^4' if dec.base == 'S4' else 'CP^2'})"
+
+    def suspension():
+        return heads[0] + _joined_every_copy(summands, " v ")
+
+    def gauge():
+        return heads[1] + " x ".join([base, _joined_every_copy(factors, " x ")] if factors else [base])
+
+    return suspension, gauge
+
+
+def _differential_flags():
+    """(spec and --d flags, t) of seeded random_spec queries with symbolic and
+    concrete d; one of the latter again with b2 grown until the suspension
+    writes MAX_COPIES - 1 copies, then MAX_COPIES + 1 (dumping the reference
+    --json of the first takes about 3 s)."""
+    rng = random.Random(17)
+    for i in range(120):
+        spec = random_spec(rng, max_free=2, max_cyclic=3)
+        d = "symbolic" if i % 3 == 0 else str(rng.randint(0, 4))
+        flag = "trivial" if spec.sigma_f_trivial else "nontrivial"
+        flags, t = ["--pi1", render_pi1(spec.pi1), "--sigma-f", flag, "--d", d], rng.randint(-9, 9)
+        yield [*flags, "--b2", str(spec.b2)], t
+        if i == 1:  # d is concrete, so each unit of b2 is one more copy
+            total = sum(n for _, n in decompose(spec, d=int(d)).blocks)
+            for big in (MAX_COPIES - 1, MAX_COPIES + 1):
+                yield [*flags, "--b2", str(spec.b2 + big - total)], t
+
+
+def test_every_splitting_answer_matches_writing_each_copy(capsys):
+    # Each answer is joined once from its parts; the reference writes one
+    # entry per copy.  Text and --json, each half alone and both together, and
+    # past the cap the same error line and nothing on stdout.
+    commands, seen = build_parser()[1], set()
+    for flags, t in _differential_flags():
+        args = commands["suspension"].parse_args(flags)
+        spec = manifold(args.pi1, args.b2, sigma_f_trivial=args.sigma_f != "nontrivial")
+        dec = decompose(spec, t, d=args.d)
+        suspension, gauge = _halves_every_copy(dec)
+        for argv, halves, render_one in (
+            (["suspension", *flags], (suspension,), render_suspension_half),
+            (["decompose", *flags, "--t", str(t)], (suspension, gauge), render_decomposition),
+        ):
+            for json_flag, reference in (([], lambda: "; ".join(half() for half in halves)),
+                                         (["--json"], lambda: _dumped_splitting(argv[0], dec))):
+                try:
+                    want = (0, reference() + "\n", "")
+                except ValueError as exc:
+                    want = (2, "", f"error: {exc}\n")
+                    seen.add(want[2])
+                assert invoke(capsys, *argv, *json_flag) == want, argv
+                if not json_flag and want[0] == 0:
+                    assert render_one(dec) + "\n" == want[1]
+                elif not json_flag:
+                    with pytest.raises(ValueError) as raised:
+                        render_one(dec)
+                    assert f"error: {raised.value}\n" == want[2]
+        assert render_gauge_half(dec) == gauge()  # its own cap: one copy fewer than the wedge
+        seen |= {sum(n for _, n in dec.blocks), (dec.case_used, dec.stabilization == SYMBOLIC)}
+    assert {MAX_COPIES - 1, MAX_COPIES + 1} <= seen
+    assert {(kind, False) for kind in Pi1Kind} | {(Pi1Kind.MIXED, True)} <= seen
+    assert "error: the answer writes out 1000001 copies, more than the limit of 10**6\n" in seen
+
+
 def test_output_is_deterministic(capsys):
     argv = ["decompose", "--pi1", "Z*Z/27", "--b2", "2", "--t", "5", "--json"]
     first = invoke(capsys, *argv)
@@ -285,6 +378,14 @@ def test_output_is_deterministic(capsys):
         (["snf", "--matrix", "[[1],[2,3]]"], 2, "ragged"),
         (["nonsense"], 1, "invalid choice"),
         (["snf", "--matrix", "[" * 5000 + "]" * 5000], 2, "bad matrix syntax"),
+        # Python's 4300-digit limit on int() and str(), in an entry and in
+        # an answer (the integers written out)
+        (["snf", "--matrix", "[[1" + "0" * 4400 + "]]"], 2,
+         "error: bad matrix syntax: an entry has more than 4300 digits\n"),
+        (["snf", "--matrix", f"[[{10**4000 + 1}, 0], [0, {10**4000 + 3}]]"], 2,
+         "error: an invariant factor has more than 4300 digits, too many to print\n"),
+        (["snf", "--matrix", f"[[{10**4000 + 1}, 0], [0, {10**4000 + 3}]]", "--json"], 2,
+         "error: an invariant factor has more than 4300 digits, too many to print\n"),
         (["parse", "--pi1", f"Z/{2**64 + 1}"], 2, "larger than 2**64"),
         (["classify", "--group", "SU(2)", "--t", "1", "--s", "2", "--primes", str(2**64 + 13)],
          2, "larger than 2**64"),
@@ -328,6 +429,20 @@ def test_error_exits(capsys, argv, code, fragment):
     assert err.startswith("error: ")
     assert fragment in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_snf_answers_up_to_the_digits_python_writes(capsys):
+    # str() of an int stops at 4300 digits: the widest factor is written,
+    # and one a digit wider is refused with snf's own line, as in the table
+    # above for the entries.
+    widest = "9" * 4300
+    assert invoke(capsys, "snf", "--matrix", f"[[{widest}]]") == (0, widest + "\n", "")
+    assert invoke(capsys, "snf", "--matrix", f"[[{widest}]]", "--json") == (
+        0, f'{{"invariant_factors": [{widest}], "rank": 1}}\n', "")
+    reason = "an invariant factor has more than 4300 digits, too many to print"
+    for json_flag in ([], ["--json"]):
+        assert invoke(capsys, "snf", "--matrix", f"[[{widest}, 0], [0, 7]]", *json_flag) == (
+            2, "", f"error: {reason}\n")
 
 
 # --------------------------------------------------------------------------

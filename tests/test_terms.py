@@ -271,9 +271,13 @@ def test_only_constructors_merge_and_no_consumer_normalizes():
 
 def test_every_written_copy_passes_the_one_cap():
     # join_blocks is the one writer of repeated summands, text or --json, and
-    # the only reader of MAX_COPIES, so no writer can leave the cap out.
+    # the only reader of MAX_COPIES, so no writer can leave the cap out.  It
+    # appends to its caller's parts: the two --json lists, the suspension
+    # half, a product (a GaugeExpr or a gauge half) and a wedge's blocks.
     assert _calls("join_blocks") == [
-        ("cli", "_splitting_json"), ("cli", "_splitting_json"), ("terms", "render_blocks")]
+        ("cli", "_splitting_json"), ("cli", "_splitting_json"),
+        ("decomposer", "_suspension_parts"), ("terms", "product_parts"),
+        ("terms", "render_blocks")]
     assert _calls("MAX_COPIES", reads=True) == [("terms", "join_blocks")]
     # the per-copy list is gone: nothing in src defines, calls or reads it
     for gone in ("copies", "_capped", "summands"):
@@ -393,16 +397,20 @@ def test_counts_are_checked_and_merged_where_blocks_are_built():
 
 
 def test_written_out_copies_are_capped_before_expanding(hang_guard):
-    assert join_blocks([("S^3", 2), ("P^3(5)", 0), ("S^2", 1)], ", ") == "S^3, S^3, S^2"
-    text = join_blocks([("{}", MAX_COPIES - 1), ("[]", 1)], ", ")
+    parts = ["[", "x"]  # join_blocks appends to its caller's parts
+    assert join_blocks(parts, [("S^3", 2), ("P^3(5)", 0), ("S^2", 1)], ", ") is parts
+    assert "".join(parts) == "[xS^3, S^3, S^2"
+    text = "".join(join_blocks([], [("{}", MAX_COPIES - 1), ("[]", 1)], ", "))
     assert text.split(", ") == ["{}"] * (MAX_COPIES - 1) + ["[]"]
     assert render_blocks([(Sphere(3), 2), (Moore(3, 5), 0), (Sphere(2), 1)], " v ") == (
         "S^3 v S^3 v S^2")
     text = render_blocks([(Sphere(3), MAX_COPIES - 1), (Sphere(2), 1)], " v ")
     assert len(text.split(" v ")) == MAX_COPIES
     for huge in ([(Sphere(3), MAX_COPIES), (Sphere(2), 1)], [(Sphere(3), 10**18)]):
+        parts = ["["]
         with pytest.raises(ValueError, match="limit of 10\\*\\*6"):
-            join_blocks([(render(atom), n) for atom, n in huge], ", ")
+            join_blocks(parts, [(render(atom), n) for atom, n in huge], ", ")
+        assert parts == ["["]  # nothing appended
         with pytest.raises(ValueError, match="limit of 10\\*\\*6"):
             render_blocks(huge, " v ")
     # the G_t(...) head of a product is not one of the copies
