@@ -290,7 +290,8 @@ def _halves_every_copy(dec):
         return heads[0] + _joined_every_copy(summands, " v ")
 
     def gauge():
-        return heads[1] + " x ".join([base, _joined_every_copy(factors, " x ")] if factors else [base])
+        body = _joined_every_copy(factors, " x ")
+        return heads[1] + (f"{base} x {body}" if factors else base)
 
     return suspension, gauge
 
