@@ -10,8 +10,7 @@ exact and deterministic:
   range, an explicit tuple per range, each proven to let no composite
   below its bound pass (Jaeschke 1993, with 2, 7, 61 below 4 759 123 141;
   Jiang–Deng 2014 for all twelve primes 2..37, past 3 * 10**23);
-- ``prime_power`` factors a small n by trial division, and tests a larger
-  n itself, then its integer k-th roots for primes k;
+- ``prime_power`` tests n itself, then its integer k-th roots for primes k;
 - ``factorize`` divides out primes below 2**10, then splits the cofactor
   with Pollard's rho in Brent's form, recognising prime powers on the way.
 
@@ -99,9 +98,6 @@ def prime_power(n: int) -> tuple[int, int] | None:
     """
     if n < 2:
         return None
-    if n < _TRIAL_PRIME_LIMIT:
-        factors = factorize(n)
-        return next(iter(factors.items())) if len(factors) == 1 else None
     if is_prime(n):
         return (n, 1)
     for k in _SMALL_PRIMES:

@@ -4,7 +4,8 @@ Subcommands: decompose, suspension, homology, classify, snf, parse.
 Output is deterministic (identical invocations print identical bytes);
 --json swaps the text for a single-line JSON document.  Errors print one
 ``error: ...`` line on stderr — exit 1 for flag misuse, exit 2 when the
-described manifold or matrix is rejected.
+described manifold or matrix is rejected.  A reader that closes stdout
+early ends the process quietly, with exit 141.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from . import decomposer, homology
@@ -64,7 +66,10 @@ def _spec_from_args(args: argparse.Namespace) -> ManifoldSpec:
     return manifold(args.pi1, args.b2, sigma_f_trivial=trivial, spin=spin)
 
 
+@functools.cache
 def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The top-level and subcommand parsers, built once per process (a millisecond,
+    as long as a query); parse_args leaves them unchanged.  run() parses argv once."""
     parser = _Parser(prog="gauge4", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True)
 
@@ -73,19 +78,16 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--t", type=int, default=0, help="bundle class over the 4-cell")
     p.add_argument("--d", type=_stabilization_arg, default=SYMBOLIC,
                    help="stabilization count, or 'symbolic' (the default)")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_decompose)
+    p.set_defaults(handler=_cmd_splitting, gauge=True)
 
     p = subs.add_parser("suspension", help="just the suspension half")
     _add_spec_flags(p)
     p.add_argument("--d", type=_stabilization_arg, default=SYMBOLIC)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_suspension)
+    p.set_defaults(handler=_cmd_splitting, gauge=False, t=0)
 
     p = subs.add_parser("homology", help="integral homology of the manifold")
     _add_spec_flags(p)
     p.add_argument("--suspension", action="store_true", help="homology after suspending")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_homology)
 
     p = subs.add_parser("classify", help="are G_t and G_s homotopy equivalent?")
@@ -95,27 +97,19 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--primes", type=_primes_arg, default=(),
                    help="comma-separated primes for local verdicts")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_classify)
 
     p = subs.add_parser("snf", help="Smith normal form of an integer matrix")
     p.add_argument("--matrix", required=True, help='row-major, e.g. "[[1,0],[0,1]]"')
-    p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_snf)
 
     p = subs.add_parser("parse", help="echo the normalized manifold description")
     _add_spec_flags(p)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_parse)
 
+    for p in subs.choices.values():  # last, so it ends every usage line
+        p.add_argument("--json", action="store_true")
     return parser, subs.choices
-
-
-@functools.cache
-def _parser() -> tuple[_Parser, dict[str, _Parser]]:
-    """The top-level and subcommand parsers, built once per process (a millisecond,
-    as long as a query); parse_args leaves them unchanged.  run() parses argv once."""
-    return build_parser()
 
 
 # --------------------------------------------------------------------------
@@ -142,7 +136,8 @@ def _splitting_json(dec: decomposer.Decomposition, gauge: bool) -> list[str]:
     join_blocks, the suspension first, so its copy count is the one an error
     names; the parts are written in turn, never joined."""
     suspension = join_blocks([], [(_atom_json(atom), n) for atom, n in dec.blocks], ", ")
-    case, stabilization = _case_json(dec.case_used), json.dumps(dec.stabilization)
+    case = "simply_connected" if dec.case_used is Pi1Kind.TRIVIAL else dec.case_used.value
+    stabilization = json.dumps(dec.stabilization)
     if not gauge:
         return [f'{{"case": "{case}", "stabilization": {stabilization}, "suspension": [',
                 *suspension, "]}"]
@@ -150,10 +145,6 @@ def _splitting_json(dec: decomposer.Decomposition, gauge: bool) -> list[str]:
     return [f'{{"case": "{case}", "gauge": {{"base": "{dec.base}", "factors": [', *factors,
             f'], "stabilization": {stabilization}, "t": {dec.t}}}, "suspension": [',
             *suspension, "]}"]
-
-
-def _case_json(kind: Pi1Kind) -> str:
-    return "simply_connected" if kind is Pi1Kind.TRIVIAL else kind.value
 
 
 def _verdict_json(v: EquivalenceVerdict) -> dict:
@@ -173,10 +164,6 @@ def _verdict_json(v: EquivalenceVerdict) -> dict:
     }
 
 
-#: str() of an int of more than 4300 digits raises (Python's default int_max_str_digits).
-_PRINTABLE = 10**4300
-
-
 def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True)
 
@@ -185,19 +172,12 @@ def _dump(obj) -> str:
 # command handlers (each returns the parts of the text to print, in turn)
 
 
-def _cmd_decompose(args: argparse.Namespace) -> list[str]:
-    spec = _spec_from_args(args)
-    dec = decomposer.decompose(spec, args.t, d=args.d)
+def _cmd_splitting(args: argparse.Namespace) -> list[str]:
+    dec = decomposer.decompose(_spec_from_args(args), args.t, d=args.d)
     if args.json:
-        return _splitting_json(dec, gauge=True)
-    return [decomposer.render_decomposition(dec)]
-
-
-def _cmd_suspension(args: argparse.Namespace) -> list[str]:
-    spec = _spec_from_args(args)
-    dec = decomposer.decompose(spec, 0, d=args.d)
-    if args.json:
-        return _splitting_json(dec, gauge=False)
+        return _splitting_json(dec, args.gauge)
+    if args.gauge:
+        return [decomposer.render_decomposition(dec)]
     return [decomposer.render_suspension_half(dec)]
 
 
@@ -242,13 +222,15 @@ def _cmd_classify(args: argparse.Namespace) -> list[str]:
 
 def _cmd_snf(args: argparse.Namespace) -> list[str]:
     result = homology.smith_normal_form(homology.parse_matrix(args.matrix))
-    if max(result.invariant_factors, default=0) >= _PRINTABLE:
-        raise ValueError("an invariant factor has more than 4300 digits, too many to print")
-    if args.json:
-        return [_dump(
-            {"invariant_factors": list(result.invariant_factors), "rank": result.rank}
-        )]
-    return [" ".join(str(d) for d in result.invariant_factors)]
+    try:
+        if args.json:
+            return [_dump(
+                {"invariant_factors": list(result.invariant_factors), "rank": result.rank}
+            )]
+        return [" ".join(str(d) for d in result.invariant_factors)]
+    except ValueError:  # str() past Python's digit limit, so there is one
+        digits = sys.get_int_max_str_digits()
+        raise ValueError(f"an invariant factor has more than {digits} digits, too many to print") from None
 
 
 def _cmd_parse(args: argparse.Namespace) -> list[str]:
@@ -268,26 +250,25 @@ def _cmd_parse(args: argparse.Namespace) -> list[str]:
 
 
 def run(argv: list[str]) -> int:
-    parser, commands = _parser()
+    parser, commands = build_parser()
     try:
         if argv and argv[0] in commands:  # else help, or a missing or unknown command
             parser, argv = commands[argv[0]], argv[1:]
         args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
         out = args.handler(args)
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, UsageError) else 2
     sys.stdout.writelines(out)  # in turn: a long answer is never joined
     print()
     return 0
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()  # a reader that has gone is met here, not at exit
+    except BrokenPipeError:  # the signal module docs' recipe: exit flushes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141  # 128 + SIGPIPE, as a shell reports a process that signal ends
+    sys.exit(code)

@@ -14,6 +14,7 @@ have equal representations no matter how they were computed.
 from __future__ import annotations
 
 import json
+import sys
 from collections import namedtuple
 from collections.abc import Iterable, Mapping, Sequence
 from math import gcd
@@ -396,8 +397,9 @@ def parse_matrix(text: str) -> IntMatrix:
         raise ValueError(f"bad matrix syntax: {exc}") from None
     except RecursionError:
         raise ValueError("bad matrix syntax: brackets nested too deeply") from None
-    except ValueError:  # int() of more than 4300 digits, Python's default limit
-        raise ValueError("bad matrix syntax: an entry has more than 4300 digits") from None
+    except ValueError:  # int() past Python's digit limit, so there is one
+        digits = sys.get_int_max_str_digits()
+        raise ValueError(f"bad matrix syntax: an entry has more than {digits} digits") from None
     if not isinstance(data, list) or any(not isinstance(r, list) for r in data):
         raise ValueError("matrix must be a list of rows")
     return IntMatrix.from_rows(data)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from enum import Enum
 
-from .arith import is_prime, prime_power
+from .arith import prime_power
 from .terms import SYMBOLIC, TermError, check_stabilization
 from .value import Value, integer
 
@@ -44,7 +44,7 @@ class Pi1Descriptor(Value):
         for p, r in cyclic_factors:
             if p not in bases:
                 integer(p, "cyclic factor base", error=InvalidSpecError)
-                bases[p] = (p, 1) if is_prime(p) else prime_power(p)
+                bases[p] = prime_power(p)
             pr = bases[p]
             if pr is None:
                 power = "" if r == 1 else f"^{r}"

@@ -20,7 +20,7 @@ collapses an empty wedge to ``pt`` and a single copy to its atom.
 Text is written as a list of string parts joined once.  ``join_blocks``
 appends the (text, count) pieces, one string repeat per repeated piece,
 after checking ``MAX_COPIES`` from the counts; ``render_blocks`` and
-``render_product`` join what it and their heads append.
+``render`` join what it and their heads append.
 
 ``map_space`` is the bridge between the two sides: it sends a wedge summand
 ``Y`` to the factor ``Map*(Y, G)`` contributes to a gauge group, using
@@ -245,10 +245,10 @@ def render(obj: SpaceTerm | GaugeExpr | LoopFactor) -> str:
     A wedge is built in normal form, so it renders in the canonical order
     (``S^3 v P^3(9)``), and the empty wedge as ``pt``; gauge expressions
     render as the right-hand side of their product decomposition
-    (``G_2(S^4) x O^3G x O^1G``) through render_product.
+    (``G_2(S^4) x O^3G x O^1G``) through product_parts.
     """
     if isinstance(obj, GaugeExpr):
-        return render_product(obj.base, obj.t, obj.blocks, obj.stabilization)
+        return "".join(product_parts([], obj.base, obj.t, obj.blocks, obj.stabilization))
     if isinstance(obj, LoopFactor):
         mod = "" if obj.modulus is None else f"{{{obj.modulus}}}"
         return f"O^{obj.loop_order}G{mod}"
@@ -265,17 +265,12 @@ def render(obj: SpaceTerm | GaugeExpr | LoopFactor) -> str:
     raise TermError(f"cannot render {obj!r}")
 
 
-def render_product(base: str, t: int, blocks: Sequence, stabilization: Stabilization) -> str:
-    """``G_t(base) x ...`` from (loop factor, count) blocks already in normal
-    form, written as they come; with a symbolic stabilization the plain O^2G
-    block is ``(O^2G)^{b+2d}``."""
-    return "".join(product_parts([], base, t, blocks, stabilization))
-
-
 def product_parts(parts: list[str], base: str, t: int, blocks: Sequence,
                   stabilization: Stabilization) -> list[str]:
-    """parts with the text of render_product appended, in pieces; the one
-    writer of a product, for a GaugeExpr and a gauge half alike."""
+    """parts with ``G_t(base) x ...`` appended, in pieces, from (loop factor,
+    count) blocks already in normal form, written as they come; with a
+    symbolic stabilization the plain O^2G block is ``(O^2G)^{b+2d}``.  The
+    one writer of a product, for a GaugeExpr and a gauge half alike."""
     pieces = block_pieces(blocks, LoopFactor(2) if stabilization == SYMBOLIC else None)
     parts.append(f"G_{t}({_BASE_NAMES[base]})")
     if pieces:  # blocks in normal form have no zero count
@@ -283,16 +278,11 @@ def product_parts(parts: list[str], base: str, t: int, blocks: Sequence,
     return join_blocks(parts, pieces, " x ")
 
 
-def render_blocks(
-    blocks: Sequence[tuple[SpaceTerm | LoopFactor, int]],
-    sep: str,
-    stable: Sphere | LoopFactor | None = None,
-) -> str:
-    """Sorted (term, count) blocks, ``count`` copies each, joined by ``sep``
-    (see block_pieces for ``stable``).  The pieces are written by
-    join_blocks, so more than MAX_COPIES copies raise ValueError before any
-    text is built."""
-    return "".join(join_blocks([], block_pieces(blocks, stable), sep))
+def render_blocks(blocks: Sequence[tuple[SpaceTerm | LoopFactor, int]], sep: str) -> str:
+    """Sorted (term, count) blocks, ``count`` copies each, joined by ``sep``.
+    The pieces are written by join_blocks, so more than MAX_COPIES copies
+    raise ValueError before any text is built."""
+    return "".join(join_blocks([], block_pieces(blocks), sep))
 
 
 def block_pieces(

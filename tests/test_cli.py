@@ -45,12 +45,18 @@ def invoke(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def spawn(*argv):
-    """``python -m gauge4 ...`` in a fresh process that imports this gauge4."""
+def module_call(argv, env):
+    """The command and environment of ``python -m gauge4 ...`` in a fresh
+    process that imports this gauge4, with env added to the environment."""
     src = str(Path(gauge4.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    return subprocess.run([sys.executable, "-m", "gauge4", *argv], capture_output=True, text=True, env=env)
+    return [sys.executable, "-m", "gauge4", *argv], {**os.environ, "PYTHONPATH": path, **env}
+
+
+def spawn(*argv, **env):
+    """``python -m gauge4 ...`` run to its end, as text (see module_call)."""
+    command, env = module_call(argv, env)
+    return subprocess.run(command, capture_output=True, text=True, env=env)
 
 
 def test_decompose_golden(capsys):
@@ -446,6 +452,49 @@ def test_snf_answers_up_to_the_digits_python_writes(capsys):
             2, "", f"error: {reason}\n")
 
 
+def test_snf_names_the_digit_limit_python_runs_with(monkeypatch):
+    # The limit is read where each message is written: under a limit of
+    # 640 digits a 351-digit entry is read and a 701-digit factor refused,
+    # a 700-digit entry is refused, and under no limit both are written.
+    matrix = f"[[{10**350 + 1}, 0], [0, {10**350 + 3}]]"
+    product = str((10**350 + 1) * (10**350 + 3))
+    for argv, err in (
+        (["snf", "--matrix", matrix],
+         "error: an invariant factor has more than 640 digits, too many to print\n"),
+        (["snf", "--matrix", matrix, "--json"],
+         "error: an invariant factor has more than 640 digits, too many to print\n"),
+        (["snf", "--matrix", f"[[{10**699}]]"],
+         "error: bad matrix syntax: an entry has more than 640 digits\n"),
+    ):
+        proc = spawn(*argv, PYTHONINTMAXSTRDIGITS="640")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", err)
+    proc = spawn("snf", "--matrix", matrix, PYTHONINTMAXSTRDIGITS="0")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"1 {product}\n", "")
+    # an interpreter without sys.get_int_max_str_digits has no limit
+    limit = sys.get_int_max_str_digits()
+    monkeypatch.delattr(sys, "get_int_max_str_digits")
+    sys.set_int_max_str_digits(0)
+    try:
+        assert run(["snf", "--matrix", f"[[{10**5000}]]"]) == 0
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_a_reader_that_closes_stdout_early_ends_the_process_quietly():
+    # The answer is megabytes, more than a pipe holds, so it is still being
+    # written when the reader goes: exit 141 (128 + SIGPIPE), and nothing on
+    # stderr, neither a traceback nor an "Exception ignored" line.
+    for json_flag in ([], ["--json"]):
+        command, env = module_call(["decompose", "--pi1", "1", "--b2", "500000", *json_flag], {})
+        proc = subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(), head, err) == (
+            141, b'{"case": "' if json_flag else b"SM = S^5 v", b""), json_flag
+
+
 # --------------------------------------------------------------------------
 # the stabilization count: every --d spelling on every pi1 shape, mixed
 # included, pinned byte for byte.  Rewrite the table only for a deliberate
@@ -625,6 +674,60 @@ def test_help_exits_0_with_the_usage_of_the_parser_named(capsys, argv, usage):
         run(argv)
     captured = capsys.readouterr()
     assert (exit_.value.code, captured.out.splitlines()[0], captured.err) == (0, usage, "")
+
+
+# --------------------------------------------------------------------------
+# the surface of each subcommand: decompose and suspension share one
+# handler, and --json is declared once for all six
+
+
+USAGES = {
+    "decompose": "usage: gauge4 decompose [-h] [--pi1 PI1] [--b2 B2]\n"
+                 "                        [--sigma-f {trivial,nontrivial}] [--spin {true,false}]\n"
+                 "                        [--t T] [--d D] [--json]\n",
+    "suspension": "usage: gauge4 suspension [-h] [--pi1 PI1] [--b2 B2]\n"
+                  "                         [--sigma-f {trivial,nontrivial}]\n"
+                  "                         [--spin {true,false}] [--d D] [--json]\n",
+    "homology": "usage: gauge4 homology [-h] [--pi1 PI1] [--b2 B2]\n"
+                "                       [--sigma-f {trivial,nontrivial}] [--spin {true,false}]\n"
+                "                       [--suspension] [--json]\n",
+    "classify": "usage: gauge4 classify [-h] [--pi1 PI1] [--b2 B2]\n"
+                "                       [--sigma-f {trivial,nontrivial}] [--spin {true,false}]\n"
+                "                       --group GROUP --t T --s S [--primes PRIMES] [--json]\n",
+    "snf": "usage: gauge4 snf [-h] --matrix MATRIX [--json]\n",
+    "parse": "usage: gauge4 parse [-h] [--pi1 PI1] [--b2 B2]\n"
+             "                    [--sigma-f {trivial,nontrivial}] [--spin {true,false}]\n"
+             "                    [--json]\n",
+}
+
+
+def test_every_subcommand_keeps_its_usage(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal width
+    parser, commands = build_parser()
+    assert {name: sub.format_usage() for name, sub in commands.items()} == USAGES
+    assert list(commands) == list(USAGES)
+    assert parser.format_usage() == TOP_USAGE + "\n"
+
+
+def test_decompose_and_suspension_share_one_handler(capsys):
+    _, commands = build_parser()
+    handler = commands["decompose"].get_default("handler")
+    assert commands["suspension"].get_default("handler") is handler
+    # suspension takes t = 0 from its defaults and still has no --t flag
+    assert invoke(capsys, "suspension", "--t", "1") == (
+        1, "", "error: unrecognized arguments: --t 1\n")
+    assert invoke(capsys, "suspension", "--b2", "1") == (0, "SM = S^5 v S^3\n", "")
+
+
+def test_every_subcommand_accepts_json(capsys):
+    required = {"classify": ["--group", "SU(2)", "--t", "1", "--s", "2"],
+                "snf": ["--matrix", "[[2]]"]}
+    for command, sub in build_parser()[1].items():
+        argv = [*required.get(command, []), "--json"]
+        assert sub.parse_args(argv).json is True
+        code, out, err = invoke(capsys, command, *argv)
+        assert (code, err, out.count("\n")) == (0, "", 1), command
+        assert isinstance(json.loads(out), dict)
 
 
 def write_stabilization_table() -> None:

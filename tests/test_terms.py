@@ -34,7 +34,7 @@ from gauge4 import (
     wedge,
 )
 from gauge4.arith import MAX_COPIES
-from gauge4.terms import blocks, join_blocks, render_blocks
+from gauge4.terms import block_pieces, blocks, join_blocks, render_blocks
 
 
 def test_normalize_sorts_flattens_and_drops_points():
@@ -285,6 +285,22 @@ def test_every_written_copy_passes_the_one_cap():
         assert _calls(gone) == _calls(gone, reads=True) == []
 
 
+def test_one_error_line_writer_and_no_wrapper_left():
+    # Every "error: " line is written by the one f-string in cli.run; the
+    # merged handlers and the inlined wrappers are neither defined, called
+    # nor read anywhere in src.
+    nodes = [(module, node) for module, tree in _sources() for node in ast.walk(tree)]
+    heads = [node for _, node in nodes
+             if isinstance(node, ast.Constant) and str(node.value).startswith("error: ")]
+    run = next(node for module, node in nodes
+               if module == "cli" and getattr(node, "name", None) == "run")
+    assert len(heads) == 1 and heads[0] in list(ast.walk(run))
+    defined = {node.name for _, node in nodes if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    for gone in ("render_product", "_parser", "_cmd_decompose", "_cmd_suspension"):
+        assert gone not in defined
+        assert _calls(gone) == _calls(gone, reads=True) == []
+
+
 # --------------------------------------------------------------------------
 # the correspondence
 
@@ -419,8 +435,8 @@ def test_written_out_copies_are_capped_before_expanding(hang_guard):
     with pytest.raises(ValueError, match="limit of 10\\*\\*6"):
         render(GaugeExpr("S4", 0, ((LoopFactor(2), MAX_COPIES + 1),)))
     # the symbolic (S^3)^{n+2d} block is one piece, whatever n
-    assert render_blocks([(Sphere(5), 1), (Sphere(3), 10**18)], " v ", Sphere(3)) == (
-        "S^5 v (S^3)^{1000000000000000000+2d}")
+    pieces = block_pieces([(Sphere(5), 1), (Sphere(3), 10**18)], Sphere(3))
+    assert "".join(join_blocks([], pieces, " v ")) == "S^5 v (S^3)^{1000000000000000000+2d}"
     assert render(GaugeExpr("S4", 0, ((LoopFactor(2), 10**18),), SYMBOLIC)) == (
         "G_0(S^4) x (O^2G)^{1000000000000000000+2d}")
 
