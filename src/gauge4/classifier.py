@@ -34,7 +34,7 @@ from math import gcd
 
 from .arith import divisor_count, is_prime
 from .manifold import ManifoldSpec, Pi1Kind, classify_pi1
-from .value import Value, integer
+from .value import Value, decimal, integer
 
 YES = "yes"
 NO = "no"
@@ -85,7 +85,7 @@ def parse_group(text: str) -> LieGroupSpec:
     m = _GROUP_RE.match(text)
     if not m:
         raise GroupParseError(f"bad group name: {text!r}")
-    return LieGroupSpec(m.group(1), int(m.group(2)))
+    return LieGroupSpec(m.group(1), decimal(m.group(2), "group rank n", GroupParseError))
 
 
 class ClassRule(Value):

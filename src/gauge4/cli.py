@@ -24,6 +24,7 @@ from .classifier import (
 )
 from .manifold import ManifoldSpec, Pi1Kind, manifold, render_pi1
 from .terms import SYMBOLIC, LoopFactor, Moore, SpaceTerm, Sphere, join_blocks
+from .value import past_digit_limit
 
 
 class UsageError(Exception):
@@ -229,8 +230,7 @@ def _cmd_snf(args: argparse.Namespace) -> list[str]:
             )]
         return [" ".join(str(d) for d in result.invariant_factors)]
     except ValueError:  # str() past Python's digit limit, so there is one
-        digits = sys.get_int_max_str_digits()
-        raise ValueError(f"an invariant factor has more than {digits} digits, too many to print") from None
+        raise ValueError(f"{past_digit_limit('an invariant factor')}, too many to print") from None
 
 
 def _cmd_parse(args: argparse.Namespace) -> list[str]:

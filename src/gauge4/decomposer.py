@@ -148,9 +148,10 @@ def gauge_from_suspension(susp: SpaceTerm, t: int) -> GaugeExpr:
     """Read a gauge-group product off an already-split suspension.
 
     The wedge must contain exactly one base summand (S^5 or SCP^2); every
-    other summand must lie in the map_space correspondence.  This is the
-    independent route to the product decomposition: it never looks at the
-    manifold, only at the wedge.
+    other summand must lie in the map_space correspondence.  It never looks
+    at the manifold, only at the wedge, but it reads the wedge through the
+    same map_space and _GAUGE_BASE as Decomposition.gauge, so agreeing with
+    it checks neither of those.
     """
     base = None
     rest: list[tuple[SpaceTerm, int]] = []

@@ -14,7 +14,6 @@ have equal representations no matter how they were computed.
 from __future__ import annotations
 
 import json
-import sys
 from collections import namedtuple
 from collections.abc import Iterable, Mapping, Sequence
 from math import gcd
@@ -23,7 +22,7 @@ from operator import mul
 from . import terms as _t
 from .arith import prime_power_parts
 from .manifold import ManifoldSpec
-from .value import Value, integer
+from .value import Value, integer, past_digit_limit
 
 MAX_DEGREE = 5
 
@@ -114,18 +113,14 @@ def render_graded(g: GradedAbelianGroup) -> str:
     """One line per degree: ``H_1 = Z^2 + Z/3 + Z/9``; zero groups as 0."""
     lines = []
     for i, (rank, torsion) in enumerate(g.groups):
-        lines.append(f"H_{i} = {_render_group(rank, torsion)}")
+        parts = []
+        if rank == 1:
+            parts.append("Z")
+        elif rank > 1:
+            parts.append(f"Z^{rank}")
+        parts += [f"Z/{q}" for q in torsion]
+        lines.append(f"H_{i} = {' + '.join(parts) or '0'}")
     return "\n".join(lines)
-
-
-def _render_group(rank: int, torsion: tuple[int, ...]) -> str:
-    parts = []
-    if rank == 1:
-        parts.append("Z")
-    elif rank > 1:
-        parts.append(f"Z^{rank}")
-    parts.extend(f"Z/{q}" for q in torsion)
-    return " + ".join(parts) if parts else "0"
 
 
 # --------------------------------------------------------------------------
@@ -186,9 +181,8 @@ def smith_normal_form(mat: IntMatrix) -> SNFResult:
     steps find gcd(di, D) = di, except that a di equal to D reads as 0.
     Only the nonzero diagonal is returned; rank equals its length.
     """
-    try:
-        factors = _diagonalize(mat.entries, 0)
-    except _Growth:
+    factors = _diagonalize(mat.entries, 0)
+    if factors is None:  # an entry passed _GROWTH_LIMIT
         rank, det = _rank_and_minor(mat.entries)
         factors = _diagonalize(mat.entries, det) if det > 1 else []
         factors += [det] * (rank - len(factors))
@@ -199,14 +193,10 @@ def smith_normal_form(mat: IntMatrix) -> SNFResult:
 _GROWTH_LIMIT = 2**62
 
 
-class _Growth(Exception):
-    """An entry of the elimination over Z passed _GROWTH_LIMIT."""
-
-
-def _diagonalize(rows: Sequence[Sequence[int]], det: int) -> list[int]:
+def _diagonalize(rows: Sequence[Sequence[int]], det: int) -> list[int] | None:
     """The nonzero diagonal of the elimination described in smith_normal_form.
 
-    det = 0 works over Z and raises _Growth once an entry passes
+    det = 0 works over Z and gives None once an entry passes
     _GROWTH_LIMIT; det > 1 works modulo det, and a cleared pivot p becomes
     gcd(p, det).  The remaining block is checked (or reduced) whenever its
     smallest entry is sought, at each new diagonal position.  In between,
@@ -230,7 +220,7 @@ def _diagonalize(rows: Sequence[Sequence[int]], det: int) -> list[int]:
         if not best:
             return factors
         if not det and max(sizes) > _GROWTH_LIMIT:
-            raise _Growth
+            return None
         i, j = divmod(sizes.index(best), n - t)
         pivot = (t + i, t + j)
         while True:
@@ -331,14 +321,11 @@ def chain_homology(boundaries: Sequence[IntMatrix]) -> GradedAbelianGroup:
             raise ChainComplexError(f"not a chain complex: d{k + 1}.d{k + 2} != 0")
 
     snfs = [smith_normal_form(b) for b in boundaries]
-    ranks = [snf.rank for snf in snfs] + [0]  # rank of d_{N+1} ... is 0
-    parts: dict[int, tuple[int, Iterable[int]]] = {}
-    for k in range(n_top + 1):
-        kernel = dims[k] - (ranks[k - 1] if k >= 1 else 0)
-        image_next = ranks[k] if k < n_top else 0
-        torsion = snfs[k].invariant_factors if k < n_top else ()
-        parts[k] = (kernel - image_next, tuple(q for q in torsion if q > 1))
-    return GradedAbelianGroup.of(parts)
+    ranks = [0] + [snf.rank for snf in snfs] + [0]  # of d_0 .. d_{N+1}, both ends zero maps
+    torsion = [snf.invariant_factors for snf in snfs] + [()]
+    groups = [(dims[k] - ranks[k] - ranks[k + 1], [q for q in torsion[k] if q > 1])
+              for k in range(n_top + 1)]
+    return GradedAbelianGroup(groups + [(0, ())] * (MAX_DEGREE - n_top))
 
 
 # --------------------------------------------------------------------------
@@ -361,28 +348,27 @@ def homology_of_manifold(spec: ManifoldSpec) -> GradedAbelianGroup:
 def homology_of_term(term: _t.SpaceTerm) -> GradedAbelianGroup:
     """Unreduced integral homology of a space term (a Z in degree 0).
 
-    One pass adds up the ranks and the torsion of every (summand, count)
-    block per degree, each times its count, so the cost is linear in the
-    number of distinct summands plus the torsion written out.
+    One pass adds each (summand, count) block's count to a rank, or the
+    prime powers of a Moore modulus, split once per block, count times to
+    the torsion, checking each degree where it writes it; the cost is linear
+    in the number of distinct summands plus the torsion written out.
     """
     ranks = [1] + [0] * MAX_DEGREE
     torsion: list[list[int]] = [[] for _ in ranks]
     for atom, count in _t.blocks(term):
-        for deg, rank, tors in _reduced_atom_homology(atom):
-            ranks[deg] += rank * count
-            torsion[deg] += tors * count
-    return GradedAbelianGroup(tuple(zip(ranks, map(tuple, torsion))))
-
-
-def _reduced_atom_homology(atom: _t.SpaceTerm) -> list[tuple[int, int, tuple[int, ...]]]:
-    """(degree, rank, torsion) of each nonzero reduced homology group."""
-    if isinstance(atom, (_t.Sphere, _t.Moore)) and atom.dim > MAX_DEGREE:
-        raise ValueError(f"degree {atom.dim} outside 0..{MAX_DEGREE}")
-    if isinstance(atom, _t.Sphere):
-        return [(atom.dim, 1, ())]
-    if isinstance(atom, _t.Moore):
-        return [(atom.dim - 1, 0, (atom.modulus,))]
-    return [(3, 1, ()), (5, 1, ())]  # SCP^2, the one other atom
+        if isinstance(atom, _t.SuspCP2):
+            ranks[3] += count
+            ranks[5] += count
+            continue
+        deg = atom.dim - isinstance(atom, _t.Moore)
+        if deg > MAX_DEGREE:
+            raise ValueError(f"degree {deg} outside 0..{MAX_DEGREE}")
+        if isinstance(atom, _t.Sphere):
+            ranks[deg] += count
+        else:
+            torsion[deg] += prime_power_parts(atom.modulus) * count
+    groups = [(rank, tuple(sorted(parts))) for rank, parts in zip(ranks, torsion)]
+    return GradedAbelianGroup._of_prime_powers(groups)
 
 
 # --------------------------------------------------------------------------
@@ -398,8 +384,7 @@ def parse_matrix(text: str) -> IntMatrix:
     except RecursionError:
         raise ValueError("bad matrix syntax: brackets nested too deeply") from None
     except ValueError:  # int() past Python's digit limit, so there is one
-        digits = sys.get_int_max_str_digits()
-        raise ValueError(f"bad matrix syntax: an entry has more than {digits} digits") from None
+        raise ValueError(f"bad matrix syntax: {past_digit_limit('an entry')}") from None
     if not isinstance(data, list) or any(not isinstance(r, list) for r in data):
         raise ValueError("matrix must be a list of rows")
     return IntMatrix.from_rows(data)

@@ -15,7 +15,7 @@ from enum import Enum
 
 from .arith import prime_power
 from .terms import SYMBOLIC, TermError, check_stabilization
-from .value import Value, integer
+from .value import Value, decimal, integer
 
 
 class InvalidSpecError(ValueError):
@@ -31,8 +31,8 @@ class Pi1Descriptor(Value):
 
     Cyclic factors are (p, r) pairs with p prime, kept sorted, so two
     descriptors of the same group are equal as values: a prime-power base
-    is rewritten, (9, 1) to (3, 2), and any other base is rejected.
-    Even p and r < 1 are kept here: ManifoldSpec rejects them.
+    is rewritten, (9, 1) to (3, 2), any other base is rejected, and so is
+    an exponent r < 1.  Even p is kept here: ManifoldSpec rejects it.
     """
 
     __slots__ = ("free_rank", "cyclic_factors")
@@ -45,11 +45,11 @@ class Pi1Descriptor(Value):
             if p not in bases:
                 integer(p, "cyclic factor base", error=InvalidSpecError)
                 bases[p] = prime_power(p)
+            integer(r, "cyclic factor exponent", 1, InvalidSpecError)
             pr = bases[p]
             if pr is None:
                 power = "" if r == 1 else f"^{r}"
                 raise InvalidSpecError(f"modulus {p}{power} is not a prime power")
-            integer(r, "cyclic factor exponent", error=InvalidSpecError)
             factors.append((pr[0], pr[1] * r))
         self._set(free_rank, tuple(sorted(factors)))
 
@@ -90,10 +90,10 @@ class ManifoldSpec(Value):
 
     Only specs in the engine's domain can be built.  Besides a pi1 that is
     not a Pi1Descriptor, a b2 that is not an int >= 0 and a flag that is
-    not a bool, exactly three conditions are rejected: a torsion prime of
-    2 (the decompositions need odd torsion), a cyclic exponent r < 1, and
-    a nontrivial top-cell flag with b2 = 0 (no CP^2 summand to suspend).
-    Each reason is reported once, in the order first met.
+    not a bool, exactly two conditions are rejected: a torsion prime of 2
+    (the decompositions need odd torsion), and a nontrivial top-cell flag
+    with b2 = 0 (no CP^2 summand to suspend).  Both are reported at once,
+    each once, the prime first.
     """
 
     __slots__ = ("pi1", "b2", "sigma_f_trivial")
@@ -107,15 +107,12 @@ class ManifoldSpec(Value):
         if not isinstance(sigma_f_trivial, bool):
             raise InvalidSpecError(f"sigma-f flag must be a bool, got {sigma_f_trivial!r}")
         errors = []
-        for p, r in pi1.cyclic_factors:
-            if p % 2 == 0:
-                errors.append("even torsion prime")
-            if r < 1:
-                errors.append("r < 1")
+        if any(p % 2 == 0 for p, _ in pi1.cyclic_factors):
+            errors.append("even torsion prime")
         if not sigma_f_trivial and b2 == 0:
             errors.append("nontrivial sigma-f with b2 = 0")
         if errors:
-            raise InvalidSpecError("; ".join(dict.fromkeys(errors)))
+            raise InvalidSpecError("; ".join(errors))
         self._set(pi1, b2, sigma_f_trivial)
 
 
@@ -179,7 +176,7 @@ def parse_pi1(text: str) -> Pi1Descriptor:
         if m.group(1) is None:
             free_rank += 1
             continue
-        factors.append((int(m.group(1)), 1))
+        factors.append((decimal(m.group(1), "cyclic factor base", Pi1ParseError), 1))
     try:
         return Pi1Descriptor(free_rank, tuple(factors))
     except InvalidSpecError as exc:  # the descriptor splits each q into p^r, or rejects it

@@ -35,7 +35,7 @@ from bisect import bisect_left
 from collections.abc import Iterable, Sequence
 
 from .arith import MAX_COPIES
-from .value import Value, integer
+from .value import Value, decimal, integer
 
 
 class TermError(ValueError):
@@ -354,8 +354,9 @@ def _parse_atom(text: str) -> SpaceTerm:
         return SuspCP2()
     m = _SPHERE_RE.match(text)
     if m:
-        return Sphere(int(m.group(1)))
+        return Sphere(decimal(m.group(1), "sphere dimension", TermError))
     m = _MOORE_RE.match(text)
     if m:
-        return Moore(int(m.group(1)), int(m.group(2)))
+        return Moore(decimal(m.group(1), "Moore space dimension", TermError),
+                     decimal(m.group(2), "Moore space modulus", TermError))
     raise TermError(f"bad term atom: {text!r}")

@@ -8,6 +8,7 @@ repr, and cannot be changed: copy and pickle build it again through ``__init__``
 ``integer`` is the one check of an integer a value holds: a count, a dimension, a modulus,
 a rank, a class t or s, a prime.  Each module passes its own error class."""
 
+import sys
 from operator import attrgetter
 
 
@@ -50,3 +51,16 @@ def integer(value, what: str, low: int | None = None, error: type = ValueError) 
     if low is not None and value < low:
         raise error(f"{what} must be >= {low}, got {value}")
     return value
+
+
+def decimal(digits: str, what: str, error: type = ValueError) -> int:
+    """int(digits) for the digits a grammar matched, else error(...) naming what."""
+    try:
+        return int(digits)
+    except ValueError:  # int() past Python's digit limit, the one way digits fail
+        raise error(past_digit_limit(what)) from None
+
+
+def past_digit_limit(what: str) -> str:
+    """The one line refusing an integer past the digits the interpreter reads and writes."""
+    return f"{what} has more than {sys.get_int_max_str_digits()} digits"

@@ -14,10 +14,13 @@ from test_homology import check_against_minors, cp2_complex, moore_complex
 
 from gauge4 import (
     IntMatrix,
+    LoopFactor,
     ManifoldSpec,
     Moore,
     Pi1Descriptor,
     Pi1Kind,
+    Sphere,
+    SuspCP2,
     chain_homology,
     classify,
     classify_base,
@@ -34,8 +37,10 @@ from gauge4 import (
     render,
     render_decomposition,
     render_pi1,
+    stabilize,
     suspend,
 )
+from gauge4 import decomposer
 from gauge4.classifier import NO, S4, UNKNOWN, YES, LieGroupSpec
 
 
@@ -151,33 +156,101 @@ def test_criterion_2_homology_cross_validation():
 
 # ---------------------------------------------------------------------------
 # criterion 3: the summand <-> loop-factor correspondence reproduces the
-# closed-form gauge decomposition from the suspension alone.
+# closed-form gauge decomposition from the suspension alone, and the product
+# has the rational homotopy ranks the manifold's Betti numbers predict.
 # ---------------------------------------------------------------------------
+
+#: The exponents e_i of each structure group: BG is rationally a product of
+#: the Eilenberg-MacLane spaces K(Q, e_i + 1).
+EXPONENTS = {
+    **{f"SU({n})": tuple(range(3, 2 * n, 2)) for n in range(2, 9)},
+    **{f"Sp({n})": tuple(range(3, 4 * n, 4)) for n in range(1, 5)},
+    "G2": (3, 11),
+}
+
+
+def rational_rank_mismatches(gauge, homology):
+    """The (group, n) of EXPONENTS at which rank pi_n(G_t(M)) (x) Q, read off
+    the product, differs from sum_i b_{e_i - n}(M), read off the homology.
+
+    B G_t(M) is Map_t(M, BG), so the second is the rank for n >= 1 (Thom
+    1957; Haefliger, Trans. AMS 273, 1982).  On the product side G_t(S^4)
+    gives [e_i = n] + [e_i = n + 4], CP^2 adds [e_i = n + 2], O^kG gives
+    [e_i = n + k] and O^kG{q} nothing, since P^k(q) is rationally a point.
+    So each side is a weight per shift e_i - n in 0..4.
+    """
+    product = [1, 0, int(gauge.base == "CP2"), 0, 1]
+    for factor, count in gauge.blocks:
+        if factor.modulus is None:
+            product[factor.loop_order] += count
+    betti = [homology.rank(j) for j in range(5)]
+    mismatches = []
+    for group, exponents in EXPONENTS.items():
+        for n in range(1, max(exponents) + 1):
+            shifts = [e - n for e in exponents if 0 <= e - n <= 4]
+            if sum(product[j] for j in shifts) != sum(betti[j] for j in shifts):
+                mismatches.append((group, n))
+    return mismatches
+
+
+def criterion_3_cases(count=1000):
+    """(decomposition, the spec it splits) on criterion 2's stream of specs:
+    each mixed pi1 stabilized d = 0..3 times, t from a separate stream."""
+    rng = random.Random(424242)
+    t_rng = random.Random(515151)
+    for _ in range(count):
+        spec = random_spec(rng)
+        t = t_rng.randrange(-6, 7)
+        if classify_pi1(spec.pi1) is Pi1Kind.MIXED:
+            for d in (0, 1, 2, 3):
+                yield mixed_decomposition(spec, t, d=d), stabilize(spec, d)
+        else:
+            yield decompose(spec, t), spec
 
 
 @criterion(3, "gauge factors recovered from the suspension")
 def test_criterion_3_gauge_from_suspension():
     # Same seed and draw sequence as criterion 2, so the two properties are
-    # checked on the same stream of specs; t comes from a separate stream.
-    rng = random.Random(424242)
-    t_rng = random.Random(515151)
+    # checked on the same stream of specs.
     checked_mixed = 0
-    for _ in range(1000):
-        spec = random_spec(rng)
-        t = t_rng.randrange(-6, 7)
-        if classify_pi1(spec.pi1) is Pi1Kind.MIXED:
+    for dec, spec in criterion_3_cases():
+        derived = gauge_from_suspension(dec.suspension, dec.t)
+        if dec.case_used is Pi1Kind.MIXED:
             checked_mixed += 1
-            for d in (0, 1, 2, 3):
-                dec = mixed_decomposition(spec, t, d=d)
-                derived = gauge_from_suspension(dec.suspension, t)
-                assert derived.base == dec.gauge.base
-                assert derived.t == dec.gauge.t
-                assert derived.blocks == dec.gauge.blocks
+            assert derived.base == dec.gauge.base
+            assert derived.t == dec.gauge.t
+            assert derived.blocks == dec.gauge.blocks
         else:
-            dec = decompose(spec, t)
-            derived = gauge_from_suspension(dec.suspension, t)
             assert derived == dec.gauge, spec
-    assert checked_mixed >= 20
+        # Both sides above read the wedge through map_space and _GAUGE_BASE;
+        # the rational ranks check the product against the homology instead.
+        assert rational_rank_mismatches(dec.gauge, homology_of_manifold(spec)) == [], spec
+    assert checked_mixed >= 80
+
+
+def test_rational_ranks_catch_a_wrong_gauge_base(monkeypatch):
+    # Pairing SCP^2 with G_t(S^4) passes criteria 2 to 8 without this check;
+    # with it every nonspin case, and no spin case, mismatches.
+    monkeypatch.setattr(decomposer, "_GAUGE_BASE", {Sphere(5): "S4", SuspCP2(): "S4"})
+    for dec, spec in criterion_3_cases(200):
+        caught = rational_rank_mismatches(dec.gauge, homology_of_manifold(spec)) != []
+        assert caught is not spec.sigma_f_trivial, spec
+
+
+def test_rational_ranks_miss_a_duality_symmetric_map_space(monkeypatch):
+    # Poincare duality makes b_1 = b_3, so sending S^k to O^{5-k}G instead of
+    # O^{k-1}G keeps every rational rank: the check does not replace the goldens.
+    real = decomposer.map_space
+
+    def dual(summand):
+        if isinstance(summand, Sphere) and 2 <= summand.dim <= 4:
+            return LoopFactor(5 - summand.dim)
+        return real(summand)
+
+    monkeypatch.setattr(decomposer, "map_space", dual)
+    assert decomposer.map_space(Sphere(2)) == LoopFactor(3) != real(Sphere(2))
+    for dec, spec in criterion_3_cases(200):
+        assert rational_rank_mismatches(dec.gauge, homology_of_manifold(spec)) == [], spec
 
 
 # ---------------------------------------------------------------------------

@@ -480,6 +480,19 @@ def test_snf_names_the_digit_limit_python_runs_with(monkeypatch):
         sys.set_int_max_str_digits(limit)
 
 
+def test_pi1_and_group_grammars_refuse_more_digits_than_python_reads(capsys):
+    # Once Python's own "Exceeds the limit (4300 digits) ..." text; now each
+    # grammar's line names the limit the interpreter runs with.
+    many = "9" * 4400
+    assert invoke(capsys, "parse", "--pi1", f"Z/{many}") == (
+        2, "", "error: cyclic factor base has more than 4300 digits\n")
+    assert invoke(capsys, "classify", "--group", f"SU({many})", "--t", "1", "--s", "2") == (
+        2, "", "error: group rank n has more than 4300 digits\n")
+    proc = spawn("parse", "--pi1", "Z/" + "9" * 700, PYTHONINTMAXSTRDIGITS="640")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", "error: cyclic factor base has more than 640 digits\n")
+
+
 def test_a_reader_that_closes_stdout_early_ends_the_process_quietly():
     # The answer is megabytes, more than a pipe holds, so it is still being
     # written when the reader goes: exit 141 (128 + SIGPIPE), and nothing on

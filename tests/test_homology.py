@@ -19,6 +19,7 @@ from gauge4 import (
     Pi1Descriptor,
     Sphere,
     SuspCP2,
+    Wedge,
     chain_homology,
     homology_of_manifold,
     homology_of_term,
@@ -440,6 +441,30 @@ def test_wedge_of_many_moore_spaces_is_one_pass(hang_guard):
         {0: (1, ()), 2: (0, moduli), 3: (4, moduli), 5: (1, ())}
     )
     assert got == suspend(homology_of_manifold(spec))
+
+
+def test_term_homology_reaches_degree_five_and_no_further():
+    # P^6(q) has its Z/q in degree 5; S^6 and P^7(q) each reach degree 6,
+    # and the refusal names the degree, not the dimension.
+    assert homology_of_term(Moore(6, 9)) == GradedAbelianGroup.of({0: (1, ()), 5: (0, (9,))})
+    assert homology_of_term(wedge([Moore(6, 12), Sphere(5)])) == GradedAbelianGroup.of(
+        {0: (1, ()), 5: (1, (3, 4))})
+    for term in (Sphere(6), Moore(7, 9), wedge([Sphere(3), Moore(7, 9)])):
+        with pytest.raises(ValueError, match=r"^degree 6 outside 0\.\.5$"):
+            homology_of_term(term)
+
+
+def test_term_homology_checks_and_splits_per_block_not_per_copy(monkeypatch):
+    # 10^5 copies of P^3(12) are one block: its modulus is split once, and
+    # no torsion entry goes through the constructor's per-entry check.
+    checks, splits = [], []
+    check, split = homology.integer, homology.prime_power_parts
+    monkeypatch.setattr(homology, "integer", lambda *args: checks.append(args) or check(*args))
+    monkeypatch.setattr(homology, "prime_power_parts", lambda n: splits.append(n) or split(n))
+    g = homology_of_term(Wedge(((Sphere(5), 1), (Moore(3, 12), 10**5))))
+    assert g.torsion(2) == (3,) * 10**5 + (4,) * 10**5
+    assert (g.rank(0), g.rank(5)) == (1, 1)
+    assert len(checks) <= 6 and splits == [12]
 
 
 def test_suspend_shifts_reduced_part():

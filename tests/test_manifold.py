@@ -55,8 +55,11 @@ def test_construction_rejects_even_torsion():
 
 
 def test_construction_rejects_nonpositive_exponent():
-    with pytest.raises(InvalidSpecError, match="r < 1"):
-        ManifoldSpec(Pi1Descriptor(0, ((3, 0),)), 1, True)
+    # The descriptor refuses it: (3, -1) once rendered Z/0.3333333333333333,
+    # and (3, 0) Z/1, which parse_pi1 refuses; both were called CYCLIC.
+    for r in (0, -1):
+        with pytest.raises(InvalidSpecError, match=f"^cyclic factor exponent must be >= 1, got {r}$"):
+            Pi1Descriptor(0, ((3, r),))
 
 
 def test_construction_rejects_nontrivial_flag_without_two_cells():
@@ -67,8 +70,8 @@ def test_construction_rejects_nontrivial_flag_without_two_cells():
 def test_construction_reports_all_errors_at_once():
     # Each reason once, in the order first met, however many factors give it.
     with pytest.raises(InvalidSpecError) as exc:
-        ManifoldSpec(Pi1Descriptor(0, ((2, 0), (2, 1), (3, 0), (2, 2))), 0, False)
-    assert str(exc.value) == "even torsion prime; r < 1; nontrivial sigma-f with b2 = 0"
+        ManifoldSpec(Pi1Descriptor(0, ((2, 1), (3, 1), (2, 2))), 0, False)
+    assert str(exc.value) == "even torsion prime; nontrivial sigma-f with b2 = 0"
 
 
 def test_construction_rejects_nothing_else():

@@ -473,6 +473,17 @@ def test_parse_term_rejections():
             parse_term(bad)
 
 
+def test_parse_term_refuses_more_digits_than_python_reads():
+    # int() stops at 4300 digits; each number of an atom is refused with
+    # gauge4's own line, not Python's, and 4300 digits are still read.
+    many = "9" * 4400
+    for text, what in ((f"S^{many}", "sphere dimension"), (f"P^{many}(3)", "Moore space dimension"),
+                       (f"P^3({many})", "Moore space modulus")):
+        with pytest.raises(TermError, match=f"^{what} has more than 4300 digits$"):
+            parse_term(text)
+    assert parse_term("S^" + "9" * 4300) == Sphere(int("9" * 4300))
+
+
 def test_parse_render_round_trip():
     rng = random.Random(13)
     for _ in range(300):
