@@ -14,6 +14,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 
 from . import decomposer, homology
@@ -36,25 +37,33 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _stabilization_arg(text: str):
+def _int_arg(token: str, malformed: str = "") -> int:
+    """int(token), else ArgumentTypeError: past Python's digit limit if token is decimal
+    digits, which int() refuses only for their length; else malformed, or argparse's line."""
     try:
-        return SYMBOLIC if text == SYMBOLIC else int(text)
+        return int(token)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer or 'symbolic', got {text!r}")
+        if re.fullmatch(r"\s*[+-]?\d+\s*", token):
+            raise argparse.ArgumentTypeError(past_digit_limit("an integer")) from None
+        raise argparse.ArgumentTypeError(malformed or f"invalid int value: {token!r}") from None
+
+
+def _stabilization_arg(text: str):
+    if text == SYMBOLIC:
+        return SYMBOLIC
+    return _int_arg(text, f"expected an integer or 'symbolic', got {text!r}")
 
 
 def _primes_arg(text: str) -> tuple[int, ...]:
     if not text.strip():
         return ()
-    try:
-        return tuple(int(p) for p in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a comma-separated prime list, got {text!r}")
+    malformed = f"expected a comma-separated prime list, got {text!r}"
+    return tuple(_int_arg(p, malformed) for p in text.split(","))
 
 
 def _add_spec_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--pi1", default="1", help="fundamental group, e.g. 1, Z*Z, Z/9*Z")
-    sub.add_argument("--b2", type=int, default=0, help="second Betti number")
+    sub.add_argument("--b2", type=_int_arg, default=0, help="second Betti number")
     sub.add_argument("--sigma-f", choices=["trivial", "nontrivial"], dest="sigma_f")
     sub.add_argument("--spin", choices=["true", "false"], help="alias for --sigma-f")
 
@@ -76,7 +85,7 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
 
     p = subs.add_parser("decompose", help="split the suspension and the gauge group")
     _add_spec_flags(p)
-    p.add_argument("--t", type=int, default=0, help="bundle class over the 4-cell")
+    p.add_argument("--t", type=_int_arg, default=0, help="bundle class over the 4-cell")
     p.add_argument("--d", type=_stabilization_arg, default=SYMBOLIC,
                    help="stabilization count, or 'symbolic' (the default)")
     p.set_defaults(handler=_cmd_splitting, gauge=True)
@@ -94,8 +103,8 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p = subs.add_parser("classify", help="are G_t and G_s homotopy equivalent?")
     _add_spec_flags(p)
     p.add_argument("--group", required=True, help="SU(n), Sp(n), or G2")
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
+    p.add_argument("--t", type=_int_arg, required=True)
+    p.add_argument("--s", type=_int_arg, required=True)
     p.add_argument("--primes", type=_primes_arg, default=(),
                    help="comma-separated primes for local verdicts")
     p.set_defaults(handler=_cmd_classify)
@@ -175,11 +184,7 @@ def _dump(obj) -> str:
 
 def _cmd_splitting(args: argparse.Namespace) -> list[str]:
     dec = decomposer.decompose(_spec_from_args(args), args.t, d=args.d)
-    if args.json:
-        return _splitting_json(dec, args.gauge)
-    if args.gauge:
-        return [decomposer.render_decomposition(dec)]
-    return [decomposer.render_suspension_half(dec)]
+    return (_splitting_json if args.json else decomposer.splitting_parts)(dec, args.gauge)
 
 
 def _cmd_homology(args: argparse.Namespace) -> list[str]:

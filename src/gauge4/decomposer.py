@@ -13,7 +13,8 @@ count) blocks are in display order; equal cyclic factors of pi1 enter as
 one Moore block per dimension.  The gauge product is read off the blocks
 through map_space.  An answer, in text or in --json, is one list of string
 parts: fixed heads, and per repeated block one string repeat appended by
-terms.join_blocks.  The text is joined once; the CLI writes --json parts in
+terms.join_blocks, by splitting_parts for the text and by the CLI for
+--json.  render_decomposition joins the text once; the CLI writes either in
 turn.  Every view costs the number of distinct summands, and a written
 answer that plus its bytes.
 
@@ -64,10 +65,11 @@ class Decomposition(Value):
     """Both halves of one splitting, plus how it was obtained.
 
     ``suspension`` is the wedge, normalized on construction; its first
-    block must be the one base summand (S^5 or SCP^2), of count 1.
+    block must be the one base summand (S^5 or SCP^2), of count 1, and
+    every other block must lie in map_space's domain.
     ``stabilization`` is 0 for the on-the-nose cases, a d >= 0 or SYMBOLIC
     for the stabilized one; with SYMBOLIC the S^3 count is the
-    d-independent part.
+    d-independent part.  ``case_used`` is a Pi1Kind.
     """
 
     __slots__ = ("suspension", "t", "stabilization", "case_used")
@@ -76,10 +78,18 @@ class Decomposition(Value):
                  case_used: Pi1Kind) -> None:
         integer(t, "bundle class t", error=DecompositionError)
         stabilization = check_stabilization(stabilization)
+        if not isinstance(case_used, Pi1Kind):
+            raise DecompositionError(f"case_used must be a Pi1Kind, got {case_used!r}")
         susp = normalize(suspension)
         bases = [atom for atom, _ in blocks(susp) if atom in _GAUGE_BASE]
         if len(bases) != 1 or blocks(susp)[0] != (bases[0], 1):
             raise DecompositionError("a splitting needs exactly one base summand")
+        rest = blocks(susp)[1:]
+        try:  # map_space's domain is an interval of the blocks' order, so its ends check all
+            for atom, _ in rest[:1] + rest[-1:]:
+                map_space(atom)
+        except TermError as exc:
+            raise DecompositionError(f"summand outside the correspondence: {exc}") from None
         self._set(susp, t, stabilization, case_used)
 
     @property
@@ -175,33 +185,19 @@ def gauge_from_suspension(susp: SpaceTerm, t: int) -> GaugeExpr:
 # rendering
 
 
-def render_suspension_half(dec: Decomposition) -> str:
-    """``SM = ...``, or the stabilized ``S(M #_d(S^2xS^2)) = ...``."""
-    return "".join(_suspension_parts(dec, []))
-
-
-def render_gauge_half(dec: Decomposition) -> str:
-    """``G_t(M) = ...``, or the stabilized ``G_t(M) x (O^2G)^{2d} ~ ...``."""
-    return "".join(_gauge_parts(dec, []))
-
-
 def render_decomposition(dec: Decomposition) -> str:
     """Both halves on one line, suspension first, joined once."""
-    parts = _suspension_parts(dec, [])
-    parts.append("; ")
-    return "".join(_gauge_parts(dec, parts))
+    return "".join(splitting_parts(dec, True))
 
 
-def _suspension_parts(dec: Decomposition, parts: list[str]) -> list[str]:
-    stab = dec.stabilization
-    parts.append("SM = " if stab == 0 else
-                 f"S(M #_{'d' if stab == SYMBOLIC else stab}(S^2xS^2)) = ")
-    stable = Sphere(3) if stab == SYMBOLIC else None
-    return join_blocks(parts, block_pieces(dec.blocks, stable), " v ")
-
-
-def _gauge_parts(dec: Decomposition, parts: list[str]) -> list[str]:
+def splitting_parts(dec: Decomposition, gauge: bool) -> list[str]:
+    """The parts of ``SM = ...``, or of the stabilized ``S(M #_d(S^2xS^2)) = ...``;
+    with gauge, then of ``; G_t(M) = ...``, or ``; G_t(M) x (O^2G)^{2d} ~ ...``."""
     t, stab = dec.t, dec.stabilization
-    power = "{2d}" if stab == SYMBOLIC else 2 * stab
-    parts.append(f"G_{t}(M) = " if stab == 0 else f"G_{t}(M) x (O^2G)^{power} ~ ")
-    return product_parts(parts, dec.base, t, dec.factors, stab)
+    parts = ["SM = " if stab == 0 else f"S(M #_{'d' if stab == SYMBOLIC else stab}(S^2xS^2)) = "]
+    join_blocks(parts, block_pieces(dec.blocks, Sphere(3) if stab == SYMBOLIC else None), " v ")
+    if gauge:
+        power = "{2d}" if stab == SYMBOLIC else 2 * stab
+        parts.append(f"; G_{t}(M) = " if stab == 0 else f"; G_{t}(M) x (O^2G)^{power} ~ ")
+        product_parts(parts, dec.base, t, dec.factors, stab)
+    return parts

@@ -19,8 +19,8 @@ collapses an empty wedge to ``pt`` and a single copy to its atom.
 
 Text is written as a list of string parts joined once.  ``join_blocks``
 appends the (text, count) pieces, one string repeat per repeated piece,
-after checking ``MAX_COPIES`` from the counts; ``render_blocks`` and
-``render`` join what it and their heads append.
+after checking ``MAX_COPIES`` from the counts; ``render`` joins what it and
+a head append.
 
 ``map_space`` is the bridge between the two sides: it sends a wedge summand
 ``Y`` to the factor ``Map*(Y, G)`` contributes to a gauge group, using
@@ -104,7 +104,9 @@ def _atom_key(term: Sphere | Moore | SuspCP2 | LoopFactor) -> tuple[int, int, in
     """The one order of summands: top dimension down; at equal dimension
     spheres, then Moore spaces by modulus, then SCP^2.  A loop factor sorts
     as the summand it comes from (O^kG{q} as P^{k+1}(q)), so map_space keeps
-    the order and the two halves of a splitting are written in step."""
+    the order and the two halves of a splitting are written in step.
+    map_space's domain, S^4 through S^2, is an interval of this order, so a
+    sorted wedge lies in it when its first and last summands do."""
     if isinstance(term, Sphere):
         return (-term.dim, 0, 0)
     if isinstance(term, Moore):
@@ -261,7 +263,7 @@ def render(obj: SpaceTerm | GaugeExpr | LoopFactor) -> str:
     if isinstance(obj, SuspCP2):
         return "SCP^2"
     if isinstance(obj, Wedge):
-        return render_blocks(obj.blocks, " v ") or "pt"
+        return "".join(join_blocks([], block_pieces(obj.blocks), " v ")) or "pt"
     raise TermError(f"cannot render {obj!r}")
 
 
@@ -276,13 +278,6 @@ def product_parts(parts: list[str], base: str, t: int, blocks: Sequence,
     if pieces:  # blocks in normal form have no zero count
         parts.append(" x ")
     return join_blocks(parts, pieces, " x ")
-
-
-def render_blocks(blocks: Sequence[tuple[SpaceTerm | LoopFactor, int]], sep: str) -> str:
-    """Sorted (term, count) blocks, ``count`` copies each, joined by ``sep``.
-    The pieces are written by join_blocks, so more than MAX_COPIES copies
-    raise ValueError before any text is built."""
-    return "".join(join_blocks([], block_pieces(blocks), sep))
 
 
 def block_pieces(

@@ -82,6 +82,8 @@ def test_factorize_edge_cases(hang_guard):
     assert factorize(1000003 * 1000033 * 1000037) == {1000003: 1, 1000033: 1, 1000037: 1}
     assert factorize(2 * 3**5 * 1000003**2) == {2: 1, 3: 5, 1000003: 2}
     assert factorize(MERSENNE_61) == {MERSENNE_61: 1}
+    # here the batched gcd jumps to n, so _rho replays the last batch step by step
+    assert factorize(870278417) == {19793: 1, 43969: 1}
     assert prime_power_parts(12 * 999999937**2) == (3, 4, 999999937**2)
     assert divisor_count(P32 * Q32) == 4
     assert divisor_count(9 * 1000003**2) == 9

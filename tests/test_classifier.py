@@ -49,6 +49,13 @@ def test_parse_group():
             parse_group(bad)
 
 
+def test_lie_group_spec_names_a_bad_family_or_rank():
+    with pytest.raises(GroupParseError, match="^G2 takes no rank$"):
+        LieGroupSpec("G2", 2)
+    with pytest.raises(GroupParseError, match="^unknown group family 'E'$"):
+        LieGroupSpec("E", 8)
+
+
 def test_rule_table_over_the_sphere():
     assert rule_for(SU(2), S4) == ClassRule(12, INTEGRAL)
     assert rule_for(SU(3), S4) == ClassRule(24, INTEGRAL)

@@ -32,7 +32,7 @@ from gauge4 import (
 )
 from gauge4.arith import MAX_COPIES
 from gauge4.cli import build_parser, run
-from gauge4.decomposer import render_gauge_half, render_suspension_half
+from gauge4.decomposer import splitting_parts
 from gauge4.manifold import render_pi1
 
 GOLDEN = Path(__file__).parent / "data" / "golden_sweep.json"
@@ -331,7 +331,7 @@ def test_every_splitting_answer_matches_writing_each_copy(capsys):
         dec = decompose(spec, t, d=args.d)
         suspension, gauge = _halves_every_copy(dec)
         for argv, halves, render_one in (
-            (["suspension", *flags], (suspension,), render_suspension_half),
+            (["suspension", *flags], (suspension,), lambda dec: "".join(splitting_parts(dec, False))),
             (["decompose", *flags, "--t", str(t)], (suspension, gauge), render_decomposition),
         ):
             for json_flag, reference in (([], lambda: "; ".join(half() for half in halves)),
@@ -348,7 +348,8 @@ def test_every_splitting_answer_matches_writing_each_copy(capsys):
                     with pytest.raises(ValueError) as raised:
                         render_one(dec)
                     assert f"error: {raised.value}\n" == want[2]
-        assert render_gauge_half(dec) == gauge()  # its own cap: one copy fewer than the wedge
+        # the product alone has its own cap: one copy fewer than the wedge
+        assert gauge().partition(" = " if dec.stabilization == 0 else " ~ ")[2] == render(dec.gauge)
         seen |= {sum(n for _, n in dec.blocks), (dec.case_used, dec.stabilization == SYMBOLIC)}
     assert {MAX_COPIES - 1, MAX_COPIES + 1} <= seen
     assert {(kind, False) for kind in Pi1Kind} | {(Pi1Kind.MIXED, True)} <= seen
@@ -491,6 +492,28 @@ def test_pi1_and_group_grammars_refuse_more_digits_than_python_reads(capsys):
     proc = spawn("parse", "--pi1", "Z/" + "9" * 700, PYTHONINTMAXSTRDIGITS="640")
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         2, "", "error: cyclic factor base has more than 640 digits\n")
+
+
+def test_integer_flags_refuse_more_digits_than_python_reads(capsys):
+    # A token of decimal digits fails int() only past the digit limit, so its
+    # line names the limit and echoes no digit; a malformed token keeps its line.
+    many = "9" * 4400
+    spec = ["--group", "SU(2)", "--t", "1"]
+    for argv in (["decompose", "--b2", many], ["decompose", "--t", f" -{many} "],
+                 ["suspension", "--d", f"+{many}"], ["classify", *spec, "--s", many],
+                 ["classify", *spec, "--s", "2", "--primes", f"3,{many}"]):
+        assert invoke(capsys, *argv) == (
+            1, "", f"error: argument {argv[-2]}: an integer has more than 4300 digits\n")
+    for argv, line in (
+        (["decompose", "--b2", f"+-{many}"], f"invalid int value: '+-{many}'"),
+        (["decompose", "--d", f"{many}.5"], f"expected an integer or 'symbolic', got '{many}.5'"),
+        (["classify", *spec, "--s", "2", "--primes", f"x,{many}"],
+         f"expected a comma-separated prime list, got 'x,{many}'"),
+    ):
+        assert invoke(capsys, *argv) == (1, "", f"error: argument {argv[-2]}: {line}\n")
+    proc = spawn("decompose", "--b2", "9" * 700, PYTHONINTMAXSTRDIGITS="640")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, "", "error: argument --b2: an integer has more than 640 digits\n")
 
 
 def test_a_reader_that_closes_stdout_early_ends_the_process_quietly():

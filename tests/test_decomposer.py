@@ -2,6 +2,7 @@
 wedge -> gauge correspondence, rendering, and the homology cross-check."""
 
 import random
+import re
 
 import pytest
 
@@ -25,6 +26,7 @@ from gauge4 import (
     homology_of_manifold,
     homology_of_term,
     manifold,
+    map_space,
     mixed_decomposition,
     render,
     render_decomposition,
@@ -32,11 +34,19 @@ from gauge4 import (
     suspend,
     wedge,
 )
-from gauge4.decomposer import render_gauge_half, render_suspension_half
+from gauge4.decomposer import splitting_parts
 from gauge4.manifold import TRIVIAL_PI1
-from gauge4.terms import SYMBOLIC
+from gauge4.terms import SYMBOLIC, _atom_key
 
 S4_ONLY = ManifoldSpec()  # trivial pi1, b2 = 0, trivial flag
+
+
+def render_suspension_half(dec):
+    return "".join(splitting_parts(dec, False))
+
+
+def render_gauge_half(dec):
+    return "".join(splitting_parts(dec, True)).partition("; ")[2]
 
 
 def O(k, q=None):
@@ -179,6 +189,51 @@ def test_decomposition_blocks_are_one_normal_form():
             Decomposition(Wedge(bad), 0, 0, Pi1Kind.TRIVIAL)
     with pytest.raises(TermError, match="^block count must be >= 0, got -1$"):
         Decomposition(Wedge(((Sphere(5), 1), (Sphere(3), -1))), 0, 0, Pi1Kind.TRIVIAL)
+
+
+def test_decomposition_is_checked_whole_where_it_is_built():
+    # Once these built and failed only when written: a summand outside
+    # map_space's domain with a bare TermError, a bad case_used with an
+    # AttributeError in the --json writer.
+    for stray in (Sphere(1), Moore(2, 3)):
+        reason = f"summand outside the correspondence: no loop factor for summand: {stray!r}"
+        with pytest.raises(DecompositionError, match=f"^{re.escape(reason)}$"):
+            Decomposition(Wedge(((Sphere(5), 1), (stray, 1))), 0, 0, Pi1Kind.TRIVIAL)
+    with pytest.raises(DecompositionError, match="^case_used must be a Pi1Kind, got 'banana'$"):
+        Decomposition(Sphere(5), 0, 0, "banana")
+
+
+def _maps(atom):
+    """Whether atom is in map_space's domain."""
+    try:
+        map_space(atom)
+    except TermError:
+        return False
+    return True
+
+
+def test_map_space_domain_is_an_interval_of_the_summand_order():
+    # So Decomposition checks only the first and last blocks past the base:
+    # over seeded wedges it builds exactly when every such block maps.
+    atoms = [Sphere(n) for n in range(1, 8)] + [SuspCP2()]
+    atoms += [Moore(n, q) for n in range(2, 7) for q in (2, 3, 9, 25)]
+    inside = [i for i, atom in enumerate(sorted(atoms, key=_atom_key)) if _maps(atom)]
+    assert inside == list(range(inside[0], inside[-1] + 1)) and len(inside) == 11
+    rng, seen = random.Random(2486), set()
+    for _ in range(4000):
+        base = rng.choice((Sphere(5), SuspCP2()))
+        rest = [(rng.choice(atoms), rng.randint(1, 3)) for _ in range(rng.randint(0, 4))]
+        blocks = Wedge([(base, 1), *rest]).blocks
+        whole = blocks[0] == (base, 1) and all(_maps(atom) for atom, _ in blocks[1:])
+        try:
+            built = Decomposition(Wedge(blocks), 0, 0, Pi1Kind.MIXED).blocks == blocks
+        except DecompositionError as exc:
+            built = False
+            seen.add(str(exc).partition(":")[0])
+        assert built == whole, blocks
+        seen.add(built)
+    assert seen == {True, False, "a splitting needs exactly one base summand",
+                    "summand outside the correspondence"}
 
 
 def test_decomposition_rejects_a_bad_stabilization():

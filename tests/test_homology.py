@@ -484,6 +484,15 @@ def test_suspend_rejects_top_degree():
         suspend(g)
 
 
+def test_graded_groups_refuse_a_wrong_shape():
+    with pytest.raises(ValueError, match="^expected 6 degrees, got 5$"):
+        GradedAbelianGroup(((0, ()),) * 5)
+    with pytest.raises(ValueError, match=r"^degree 6 outside 0\.\.5$"):
+        GradedAbelianGroup.of({6: (1, ())})
+    with pytest.raises(ValueError, match="^cannot suspend an empty space: degree 0 is zero$"):
+        suspend(GradedAbelianGroup.of({}))
+
+
 def test_render_graded():
     g = GradedAbelianGroup.of({0: (1, ()), 1: (2, (3, 9)), 3: (1, ())})
     assert render_graded(g).splitlines() == [

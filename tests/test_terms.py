@@ -34,7 +34,12 @@ from gauge4 import (
     wedge,
 )
 from gauge4.arith import MAX_COPIES
-from gauge4.terms import block_pieces, blocks, join_blocks, render_blocks
+from gauge4.terms import block_pieces, blocks, join_blocks
+
+
+def render_blocks(blocks, sep):
+    """Sorted (term, count) blocks, count copies each, joined by sep, as a wedge is written."""
+    return "".join(join_blocks([], block_pieces(blocks), sep))
 
 
 def test_normalize_sorts_flattens_and_drops_points():
@@ -272,12 +277,13 @@ def test_only_constructors_merge_and_no_consumer_normalizes():
 def test_every_written_copy_passes_the_one_cap():
     # join_blocks is the one writer of repeated summands, text or --json, and
     # the only reader of MAX_COPIES, so no writer can leave the cap out.  It
-    # appends to its caller's parts: the two --json lists, the suspension
-    # half, a product (a GaugeExpr or a gauge half) and a wedge's blocks.
+    # appends to its caller's parts: the two --json lists, the text of a
+    # splitting's suspension, a wedge's blocks and a product (a GaugeExpr or
+    # a splitting's gauge half).
     assert _calls("join_blocks") == [
         ("cli", "_splitting_json"), ("cli", "_splitting_json"),
-        ("decomposer", "_suspension_parts"), ("terms", "product_parts"),
-        ("terms", "render_blocks")]
+        ("decomposer", "splitting_parts"), ("terms", "render"),
+        ("terms", "product_parts")]
     assert _calls("MAX_COPIES", reads=True) == [("terms", "join_blocks")]
     # the per-copy list is gone: nothing in src defines, calls or reads it
     for gone in ("copies", "_capped", "summands"):
@@ -296,8 +302,10 @@ def test_one_error_line_writer_and_no_wrapper_left():
                if module == "cli" and getattr(node, "name", None) == "run")
     assert len(heads) == 1 and heads[0] in list(ast.walk(run))
     defined = {node.name for _, node in nodes if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
-    for gone in ("render_product", "_parser", "_cmd_decompose", "_cmd_suspension"):
-        assert gone not in defined
+    for gone in ("render_product", "_parser", "_cmd_decompose", "_cmd_suspension",
+                 "render_suspension_half", "render_gauge_half", "_suspension_parts",
+                 "_gauge_parts", "render_blocks"):
+        assert gone not in defined and _calls(gone) == _calls(gone, reads=True) == []
         assert _calls(gone) == _calls(gone, reads=True) == []
 
 
@@ -471,6 +479,15 @@ def test_parse_term_rejections():
     for bad in ["", "  ", "S^", "S^0", "P^3", "P^3()", "P^1(3)", "Q^2", "S^3 v", "v S^2"]:
         with pytest.raises(TermError):
             parse_term(bad)
+
+
+def test_render_and_parse_term_name_what_they_refuse():
+    with pytest.raises(TermError, match="^cannot render 42$"):
+        render(42)
+    with pytest.raises(TermError, match="^empty term$"):
+        parse_term("  ")
+    with pytest.raises(TermError, match=r"^bad term atom: 'Q\^3'$"):
+        parse_term("Q^3")
 
 
 def test_parse_term_refuses_more_digits_than_python_reads():
