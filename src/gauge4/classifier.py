@@ -34,7 +34,7 @@ from math import gcd
 
 from .arith import divisor_count, is_prime
 from .manifold import ManifoldSpec, Pi1Kind, classify_pi1
-from .value import Value, decimal, integer
+from .value import DIGITS, Value, decimal, integer
 
 YES = "yes"
 NO = "no"
@@ -75,15 +75,14 @@ class LieGroupSpec(Value):
         self._set(family, n)
 
 
-_GROUP_RE = re.compile(r"^(SU|Sp)\((\d+)\)$")
+_GROUP_RE = re.compile(rf"(SU|Sp)\(({DIGITS})\)")
 
 
 def parse_group(text: str) -> LieGroupSpec:
     text = text.strip()
     if text == "G2":
         return LieGroupSpec("G2")
-    m = _GROUP_RE.match(text)
-    if not m:
+    if not (m := _GROUP_RE.fullmatch(text)):
         raise GroupParseError(f"bad group name: {text!r}")
     return LieGroupSpec(m.group(1), decimal(m.group(2), "group rank n", GroupParseError))
 

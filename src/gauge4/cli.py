@@ -14,7 +14,6 @@ import argparse
 import functools
 import json
 import os
-import re
 import sys
 
 from . import decomposer, homology
@@ -25,7 +24,7 @@ from .classifier import (
 )
 from .manifold import ManifoldSpec, Pi1Kind, manifold, render_pi1
 from .terms import SYMBOLIC, LoopFactor, Moore, SpaceTerm, Sphere, join_blocks
-from .value import past_digit_limit
+from .value import decimal, past_digit_limit
 
 
 class UsageError(Exception):
@@ -37,27 +36,21 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _int_arg(token: str, malformed: str = "") -> int:
-    """int(token), else ArgumentTypeError: past Python's digit limit if token is decimal
-    digits, which int() refuses only for their length; else malformed, or argparse's line."""
-    try:
-        return int(token)
-    except ValueError:
-        if re.fullmatch(r"\s*[+-]?\d+\s*", token):
-            raise argparse.ArgumentTypeError(past_digit_limit("an integer")) from None
-        raise argparse.ArgumentTypeError(malformed or f"invalid int value: {token!r}") from None
+def _int_arg(token: str, *malformed) -> int:
+    """decimal(token), else ArgumentTypeError: malformed(token), argparse's line by default."""
+    return decimal(token, "an integer", argparse.ArgumentTypeError, *malformed)
 
 
 def _stabilization_arg(text: str):
     if text == SYMBOLIC:
         return SYMBOLIC
-    return _int_arg(text, f"expected an integer or 'symbolic', got {text!r}")
+    return _int_arg(text, "expected an integer or 'symbolic', got {!r}".format)
 
 
 def _primes_arg(text: str) -> tuple[int, ...]:
     if not text.strip():
         return ()
-    malformed = f"expected a comma-separated prime list, got {text!r}"
+    malformed = lambda _: f"expected a comma-separated prime list, got {text!r}"  # noqa: E731
     return tuple(_int_arg(p, malformed) for p in text.split(","))
 
 

@@ -81,11 +81,13 @@ class Decomposition(Value):
         if not isinstance(case_used, Pi1Kind):
             raise DecompositionError(f"case_used must be a Pi1Kind, got {case_used!r}")
         susp = normalize(suspension)
-        bases = [atom for atom, _ in blocks(susp) if atom in _GAUGE_BASE]
-        if len(bases) != 1 or blocks(susp)[0] != (bases[0], 1):
+        bases = [block for block in blocks(susp) if block[0] in _GAUGE_BASE]
+        if len(bases) != 1 or bases[0][1] != 1:
             raise DecompositionError("a splitting needs exactly one base summand")
-        rest = blocks(susp)[1:]
-        try:  # map_space's domain is an interval of the blocks' order, so its ends check all
+        # map_space's domain is an interval of the blocks' order, so the ends of the rest
+        # check all; only summands outside it sort above a base, so one comes first if any
+        rest = blocks(susp)[1:] if blocks(susp)[0] == bases[0] else blocks(susp)
+        try:
             for atom, _ in rest[:1] + rest[-1:]:
                 map_space(atom)
         except TermError as exc:

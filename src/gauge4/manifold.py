@@ -15,7 +15,7 @@ from enum import Enum
 
 from .arith import prime_power
 from .terms import SYMBOLIC, TermError, check_stabilization
-from .value import Value, decimal, integer
+from .value import DIGITS, Value, decimal, integer
 
 
 class InvalidSpecError(ValueError):
@@ -152,7 +152,7 @@ def stabilize(spec: ManifoldSpec, d: int) -> ManifoldSpec:
 # --------------------------------------------------------------------------
 # the pi1 grammar, shared with the command line
 
-_ATOM_RE = re.compile(r"^Z(?:/(\d+))?$")
+_ATOM_RE = re.compile(rf"Z(?:/({DIGITS}))?")
 
 
 def parse_pi1(text: str) -> Pi1Descriptor:
@@ -170,8 +170,7 @@ def parse_pi1(text: str) -> Pi1Descriptor:
     free_rank = 0
     factors = []
     for atom in compact.split("*"):
-        m = _ATOM_RE.match(atom)
-        if not m:
+        if not (m := _ATOM_RE.fullmatch(atom)):
             raise Pi1ParseError(f"bad fundamental-group atom: {atom!r}")
         if m.group(1) is None:
             free_rank += 1

@@ -18,9 +18,9 @@ cost the number of distinct terms, not of copies.  ``normalize`` only
 collapses an empty wedge to ``pt`` and a single copy to its atom.
 
 Text is written as a list of string parts joined once.  ``join_blocks``
-appends the (text, count) pieces, one string repeat per repeated piece,
-after checking ``MAX_COPIES`` from the counts; ``render`` joins what it and
-a head append.
+appends the (text, count) pieces, in string repeats of at most
+``COPIES_PER_PART`` copies, after checking ``MAX_COPIES`` from the counts;
+``render`` joins what it and a head append.
 
 ``map_space`` is the bridge between the two sides: it sends a wedge summand
 ``Y`` to the factor ``Map*(Y, G)`` contributes to a gauge group, using
@@ -35,7 +35,7 @@ from bisect import bisect_left
 from collections.abc import Iterable, Sequence
 
 from .arith import MAX_COPIES
-from .value import Value, decimal, integer
+from .value import DIGITS, Value, decimal, integer
 
 
 class TermError(ValueError):
@@ -299,13 +299,19 @@ def block_pieces(
     return pieces
 
 
+#: The most copies one string repeat of join_blocks holds, so no part of an answer is
+#: large: a large one costs page faults to build and a copy of itself to encode.
+COPIES_PER_PART = 4096
+
+
 def join_blocks(parts: list[str], pieces: Sequence[tuple[str, int]], sep: str) -> list[str]:
     """parts with the text of each (text, count) piece ``count`` times,
-    joined by ``sep``, appended: a piece of k > 1 copies as one string
-    repeat of k - 1 copies and then its text.  The one writer of repeated
-    summands, for the text and the --json lists alike; the caller joins
-    parts once or writes them in turn.  More than MAX_COPIES copies in all raise ValueError before
-    anything is appended."""
+    joined by ``sep``, appended: a piece of k > 1 copies as k - 1 copies of
+    text and sep, COPIES_PER_PART of them to one str object appended as
+    often as they fill it and the rest in one more, and then its text.  The
+    one writer of repeated summands, for the text and the --json lists
+    alike; the caller joins parts once or writes them in turn.  More than
+    MAX_COPIES copies in all raise ValueError before anything is appended."""
     total = 0
     for _, count in pieces:
         total += count
@@ -313,10 +319,14 @@ def join_blocks(parts: list[str], pieces: Sequence[tuple[str, int]], sep: str) -
         raise ValueError(f"the answer writes out {total} copies, more than the limit of 10**6")
     start = len(parts)
     for text, count in pieces:
-        if count == 1:
+        if count > 1:
+            full, rest = divmod(count - 1, COPIES_PER_PART)
+            if full:
+                parts += [(text + sep) * COPIES_PER_PART] * full
+            if rest:
+                parts.append((text + sep) * rest)
+        if count:
             parts += (text, sep)
-        elif count:
-            parts += ((text + sep) * (count - 1), text, sep)
     if len(parts) > start:
         parts.pop()  # the separator after the last piece
     return parts
@@ -325,8 +335,8 @@ def join_blocks(parts: list[str], pieces: Sequence[tuple[str, int]], sep: str) -
 # --------------------------------------------------------------------------
 # parsing
 
-_SPHERE_RE = re.compile(r"^S\^(\d+)$")
-_MOORE_RE = re.compile(r"^P\^(\d+)\((\d+)\)$")
+_SPHERE_RE = re.compile(rf"S\^({DIGITS})")
+_MOORE_RE = re.compile(rf"P\^({DIGITS})\(({DIGITS})\)")
 
 
 def parse_term(text: str) -> SpaceTerm:
@@ -347,11 +357,9 @@ def _parse_atom(text: str) -> SpaceTerm:
         return Point()
     if text == "SCP^2":
         return SuspCP2()
-    m = _SPHERE_RE.match(text)
-    if m:
+    if m := _SPHERE_RE.fullmatch(text):
         return Sphere(decimal(m.group(1), "sphere dimension", TermError))
-    m = _MOORE_RE.match(text)
-    if m:
+    if m := _MOORE_RE.fullmatch(text):
         return Moore(decimal(m.group(1), "Moore space dimension", TermError),
                      decimal(m.group(2), "Moore space modulus", TermError))
     raise TermError(f"bad term atom: {text!r}")

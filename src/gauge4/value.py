@@ -6,10 +6,17 @@ equal fields, so ``Moore(3, 3) != LoopFactor(3, 3)``; it hashes by them, has the
 repr, and cannot be changed: copy and pickle build it again through ``__init__``.
 
 ``integer`` is the one check of an integer a value holds: a count, a dimension, a modulus,
-a rank, a class t or s, a prime.  Each module passes its own error class."""
+a rank, a class t or s, a prime.  Each module passes its own error class.  ``decimal`` is the
+one reader of an integer written as text, in the four grammars and the five integer flags:
+ASCII ``DIGITS`` only, so no other script's digit and no underscore, with whitespace around
+ignored; a flag's integer may carry a sign, a grammar's none."""
 
+import re
 import sys
 from operator import attrgetter
+
+DIGITS = "[0-9]+"
+_SIGNED = re.compile(rf"\s*[+-]?{DIGITS}\s*").fullmatch
 
 
 class Value:
@@ -53,11 +60,15 @@ def integer(value, what: str, low: int | None = None, error: type = ValueError) 
     return value
 
 
-def decimal(digits: str, what: str, error: type = ValueError) -> int:
-    """int(digits) for the digits a grammar matched, else error(...) naming what."""
+def decimal(token: str, what: str, error: type = ValueError,
+            malformed="invalid int value: {!r}".format) -> int:
+    """int(token) for a signed token of DIGITS, else error(malformed(token)); past
+    Python's digit limit, error(...) naming what."""
+    if not _SIGNED(token):
+        raise error(malformed(token))
     try:
-        return int(digits)
-    except ValueError:  # int() past Python's digit limit, the one way digits fail
+        return int(token)
+    except ValueError:  # int() past Python's digit limit, the one way such a token fails
         raise error(past_digit_limit(what)) from None
 
 

@@ -23,9 +23,11 @@ from gauge4 import (
     Pi1Kind,
     Sphere,
     SuspCP2,
+    TermError,
     decompose,
     manifold,
     map_space,
+    parse_term,
     render,
     render_decomposition,
     wedge,
@@ -514,6 +516,83 @@ def test_integer_flags_refuse_more_digits_than_python_reads(capsys):
     proc = spawn("decompose", "--b2", "9" * 700, PYTHONINTMAXSTRDIGITS="640")
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         1, "", "error: argument --b2: an integer has more than 640 digits\n")
+
+
+#: The tokens each integer reader is given: digits of three scripts, an underscore,
+#: each sign, and whitespace around.
+TOKENS = ("7", "\u0667", "\uff17", "1_1", "+7", "-7", " 7 ", "7\n")
+_SU2 = ["classify", "--group", "SU(2)", "--t", "1"]
+#: reader -> (the argv, or parse_term's text, around a token; one outcome per token).
+#: An int is the value read, which answers as its ASCII digits do; a pair is the exit
+#: code (TermError for parse_term) and the error line.
+INTEGER_READERS = {
+    "--pi1": (lambda tok: ["parse", "--pi1", f"Z/{tok}"], [
+        7, (2, "bad fundamental-group atom: 'Z/\u0667'"),
+        (2, "bad fundamental-group atom: 'Z/\uff17'"), (2, "bad fundamental-group atom: 'Z/1_1'"),
+        (2, "bad fundamental-group atom: 'Z/+7'"), (2, "bad fundamental-group atom: 'Z/-7'"),
+        7, 7]),
+    "S^n": (lambda tok: f"S^{tok}", [
+        7, (TermError, "bad term atom: 'S^\u0667'"), (TermError, "bad term atom: 'S^\uff17'"),
+        (TermError, "bad term atom: 'S^1_1'"), (TermError, "bad term atom: 'S^+7'"),
+        (TermError, "bad term atom: 'S^-7'"), (TermError, "bad term atom: 'S^ 7'"), 7]),
+    "P^n(q)": (lambda tok: f"P^3({tok})", [
+        7, (TermError, "bad term atom: 'P^3(\u0667)'"), (TermError, "bad term atom: 'P^3(\uff17)'"),
+        (TermError, "bad term atom: 'P^3(1_1)'"), (TermError, "bad term atom: 'P^3(+7)'"),
+        (TermError, "bad term atom: 'P^3(-7)'"), (TermError, "bad term atom: 'P^3( 7 )'"),
+        (TermError, "bad term atom: 'P^3(7\\n)'")]),
+    "--group": (lambda tok: ["classify", "--group", f"SU({tok})", "--t", "1", "--s", "2"], [
+        7, (2, "bad group name: 'SU(\u0667)'"), (2, "bad group name: 'SU(\uff17)'"),
+        (2, "bad group name: 'SU(1_1)'"), (2, "bad group name: 'SU(+7)'"),
+        (2, "bad group name: 'SU(-7)'"), (2, "bad group name: 'SU( 7 )'"),
+        (2, "bad group name: 'SU(7\\n)'")]),
+    "--b2": (lambda tok: ["parse", "--b2", tok], [
+        7, (1, "argument --b2: invalid int value: '\u0667'"),
+        (1, "argument --b2: invalid int value: '\uff17'"),
+        (1, "argument --b2: invalid int value: '1_1'"), 7, (2, "b2 must be >= 0, got -7"), 7, 7]),
+    "--t": (lambda tok: ["decompose", "--t", tok], [
+        7, (1, "argument --t: invalid int value: '\u0667'"),
+        (1, "argument --t: invalid int value: '\uff17'"),
+        (1, "argument --t: invalid int value: '1_1'"), 7, -7, 7, 7]),
+    "--s": (lambda tok: [*_SU2, "--s", tok], [
+        7, (1, "argument --s: invalid int value: '\u0667'"),
+        (1, "argument --s: invalid int value: '\uff17'"),
+        (1, "argument --s: invalid int value: '1_1'"), 7, -7, 7, 7]),
+    "--d": (lambda tok: ["suspension", "--pi1", "Z*Z/3", "--d", tok], [
+        7, (1, "argument --d: expected an integer or 'symbolic', got '\u0667'"),
+        (1, "argument --d: expected an integer or 'symbolic', got '\uff17'"),
+        (1, "argument --d: expected an integer or 'symbolic', got '1_1'"), 7,
+        (2, "stabilization count must be >= 0, got -7"), 7, 7]),
+    "--primes": (lambda tok: [*_SU2, "--s", "2", "--primes", tok], [
+        7, (1, "argument --primes: expected a comma-separated prime list, got '\u0667'"),
+        (1, "argument --primes: expected a comma-separated prime list, got '\uff17'"),
+        (1, "argument --primes: expected a comma-separated prime list, got '1_1'"), 7,
+        (2, "not a prime: -7"), 7, 7]),
+}
+
+
+@pytest.mark.parametrize("reader", INTEGER_READERS)
+def test_every_integer_reader_reads_ascii_digits_by_one_rule(capsys, reader):
+    # ASCII digits only, in every grammar and flag: another script's digit, once read
+    # as its value, and an underscore, once read by the flags, are refused with the
+    # reader's malformed line.  A flag takes a sign, a grammar none; whitespace around
+    # a token is ignored where the reader strips it.
+    build, outcomes = INTEGER_READERS[reader]
+
+    def answer(token):
+        if reader in ("S^n", "P^n(q)"):
+            try:
+                return parse_term(build(token))
+            except TermError as exc:
+                return TermError, str(exc)
+        return invoke(capsys, *build(token))
+
+    for token, want in zip(TOKENS, outcomes, strict=True):
+        if isinstance(want, int):  # the answer to the plain digits, a term or exit 0
+            want = answer(str(want))
+            assert not isinstance(want, tuple) or want[0] == 0
+        elif want[0] is not TermError:
+            want = (want[0], "", f"error: {want[1]}\n")
+        assert answer(token) == want, token
 
 
 def test_a_reader_that_closes_stdout_early_ends_the_process_quietly():

@@ -182,7 +182,6 @@ def test_decomposition_blocks_are_one_normal_form():
         ((Sphere(3), 2),),
         ((Sphere(5), 1), (SuspCP2(), 1)),
         ((Sphere(5), 2),),
-        ((Sphere(6), 1), (Sphere(5), 1)),
         (),
     ]:
         with pytest.raises(DecompositionError, match="exactly one base summand"):
@@ -199,6 +198,16 @@ def test_decomposition_is_checked_whole_where_it_is_built():
         reason = f"summand outside the correspondence: no loop factor for summand: {stray!r}"
         with pytest.raises(DecompositionError, match=f"^{re.escape(reason)}$"):
             Decomposition(Wedge(((Sphere(5), 1), (stray, 1))), 0, 0, Pi1Kind.TRIVIAL)
+    # a summand that sorts above the one base is the fault, as gauge_from_suspension says;
+    # once "a splitting needs exactly one base summand"
+    for stray, base in ((Sphere(6), Sphere(5)), (Moore(5, 3), SuspCP2()),
+                        (Moore(6, 3), Sphere(5))):
+        susp = Wedge(((stray, 1), (base, 1)))
+        reason = f"summand outside the correspondence: no loop factor for summand: {stray!r}"
+        for build in (lambda: Decomposition(susp, 0, 0, Pi1Kind.TRIVIAL),
+                      lambda: gauge_from_suspension(susp, 0)):
+            with pytest.raises(DecompositionError, match=f"^{re.escape(reason)}$"):
+                build()
     with pytest.raises(DecompositionError, match="^case_used must be a Pi1Kind, got 'banana'$"):
         Decomposition(Sphere(5), 0, 0, "banana")
 

@@ -33,8 +33,19 @@ from gauge4 import (
     render,
     wedge,
 )
+from gauge4 import cli
 from gauge4.arith import MAX_COPIES
-from gauge4.terms import block_pieces, blocks, join_blocks
+from gauge4.classifier import _GROUP_RE
+from gauge4.manifold import _ATOM_RE
+from gauge4.terms import (
+    _MOORE_RE,
+    _SPHERE_RE,
+    COPIES_PER_PART,
+    block_pieces,
+    blocks,
+    join_blocks,
+)
+from gauge4.value import DIGITS
 
 
 def render_blocks(blocks, sep):
@@ -306,7 +317,24 @@ def test_one_error_line_writer_and_no_wrapper_left():
                  "render_suspension_half", "render_gauge_half", "_suspension_parts",
                  "_gauge_parts", "render_blocks"):
         assert gone not in defined and _calls(gone) == _calls(gone, reads=True) == []
-        assert _calls(gone) == _calls(gone, reads=True) == []
+
+
+def test_one_digit_class_and_one_reader_for_every_integer_written_as_text():
+    # value.decimal is the one int() of text, for the four grammars and the five
+    # integer flags alike, and value.DIGITS the one spelling of an integer's digits.
+    assert _calls("int") == [("value", "decimal")]
+    assert _calls("decimal") == [
+        ("classifier", "parse_group"), ("cli", "_int_arg"), ("manifold", "parse_pi1"),
+        ("terms", "_parse_atom"), ("terms", "_parse_atom"), ("terms", "_parse_atom")]
+    grammars = [_ATOM_RE, _SPHERE_RE, _MOORE_RE, _GROUP_RE]
+    assert [g.pattern.count(f"({DIGITS})") for g in grammars] == [1, 1, 2, 1]
+    assert _calls("DIGITS", reads=True) == [
+        ("classifier", ""), ("manifold", ""), ("terms", ""), ("terms", ""), ("terms", ""),
+        ("value", "")]
+    assert DIGITS == "[0-9]+"
+    assert not any("\\d" in path.read_text()
+                   for path in Path(gauge4.__file__).parent.glob("*.py"))
+    assert "re" not in vars(cli)  # _int_arg reads no regex of its own
 
 
 # --------------------------------------------------------------------------
@@ -418,6 +446,17 @@ def test_counts_are_checked_and_merged_where_blocks_are_built():
 
 # --------------------------------------------------------------------------
 # grammar
+
+
+def test_no_part_holds_more_than_copies_per_part():
+    # A long piece is cut into repeats of COPIES_PER_PART copies, one str object
+    # appended again, and one more for the rest; no part is empty.
+    n = COPIES_PER_PART
+    for count in (1, 2, n, n + 1, n + 2, 2 * n + 1, 3 * n + 7):
+        parts = join_blocks([], [("S^3", count), ("S^2", 1)], " v ")
+        assert "".join(parts) == " v ".join(["S^3"] * count + ["S^2"]), count
+        assert all(parts) and max(part.count("S^3") for part in parts) <= n
+        assert len({id(part) for part in parts if part.count("S^3") == n}) <= 1
 
 
 def test_written_out_copies_are_capped_before_expanding(hang_guard):
