@@ -24,7 +24,7 @@ from .classifier import (
 )
 from .manifold import ManifoldSpec, Pi1Kind, manifold, render_pi1
 from .terms import SYMBOLIC, LoopFactor, Moore, SpaceTerm, Sphere, join_blocks
-from .value import decimal, past_digit_limit
+from .value import decimal, invalid_int, past_digit_limit
 
 
 class UsageError(Exception):
@@ -36,9 +36,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _int_arg(token: str, *malformed) -> int:
+def _int_arg(token: str, malformed=invalid_int) -> int:
     """decimal(token), else ArgumentTypeError: malformed(token), argparse's line by default."""
-    return decimal(token, "an integer", argparse.ArgumentTypeError, *malformed)
+    return decimal(token, "an integer", argparse.ArgumentTypeError, malformed)
 
 
 def _stabilization_arg(text: str):
@@ -50,8 +50,8 @@ def _stabilization_arg(text: str):
 def _primes_arg(text: str) -> tuple[int, ...]:
     if not text.strip():
         return ()
-    malformed = lambda _: f"expected a comma-separated prime list, got {text!r}"  # noqa: E731
-    return tuple(_int_arg(p, malformed) for p in text.split(","))
+    return tuple(_int_arg(p, lambda _: f"expected a comma-separated prime list, got {text!r}")
+                 for p in text.split(","))
 
 
 def _add_spec_flags(sub: argparse.ArgumentParser) -> None:

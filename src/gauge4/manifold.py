@@ -152,26 +152,26 @@ def stabilize(spec: ManifoldSpec, d: int) -> ManifoldSpec:
 # --------------------------------------------------------------------------
 # the pi1 grammar, shared with the command line
 
-_ATOM_RE = re.compile(rf"Z(?:/({DIGITS}))?")
+_ATOM_RE = re.compile(rf"\s*Z\s*(?:/\s*({DIGITS})\s*)?")
 
 
 def parse_pi1(text: str) -> Pi1Descriptor:
     """Parse ``1`` or a ``*``-joined product of ``Z`` and ``Z/q`` atoms.
 
-    Whitespace is ignored.  Each q must be a prime power; q = p^r with p
+    Whitespace around ``1``, ``Z``, ``/`` and ``q`` is ignored, and none
+    inside q.  Each q must be a prime power; q = p^r with p
     odd is what the engine supports, but p = 2 is accepted here and
     rejected by ManifoldSpec, so the error message can say why.
     """
-    compact = re.sub(r"\s+", "", text)
-    if not compact:
+    if not (bare := text.strip()):
         raise Pi1ParseError("empty fundamental group")
-    if compact == "1":
+    if bare == "1":
         return TRIVIAL_PI1
     free_rank = 0
     factors = []
-    for atom in compact.split("*"):
+    for atom in bare.split("*"):
         if not (m := _ATOM_RE.fullmatch(atom)):
-            raise Pi1ParseError(f"bad fundamental-group atom: {atom!r}")
+            raise Pi1ParseError(f"bad fundamental-group atom: {atom.strip()!r}")
         if m.group(1) is None:
             free_rank += 1
             continue

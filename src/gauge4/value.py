@@ -17,6 +17,7 @@ from operator import attrgetter
 
 DIGITS = "[0-9]+"
 _SIGNED = re.compile(rf"\s*[+-]?{DIGITS}\s*").fullmatch
+invalid_int = "invalid int value: {!r}".format  # argparse's line for a malformed token
 
 
 class Value:
@@ -60,8 +61,7 @@ def integer(value, what: str, low: int | None = None, error: type = ValueError) 
     return value
 
 
-def decimal(token: str, what: str, error: type = ValueError,
-            malformed="invalid int value: {!r}".format) -> int:
+def decimal(token: str, what: str, error: type = ValueError, malformed=invalid_int) -> int:
     """int(token) for a signed token of DIGITS, else error(malformed(token)); past
     Python's digit limit, error(...) naming what."""
     if not _SIGNED(token):
