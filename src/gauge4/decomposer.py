@@ -32,6 +32,7 @@ from itertools import groupby
 
 from .manifold import ManifoldSpec, Pi1Kind, classify_pi1, stabilize
 from .terms import (
+    GAUGE_BASE,
     SYMBOLIC,
     GaugeExpr,
     LoopFactor,
@@ -57,10 +58,6 @@ class DecompositionError(ValueError):
     """A wedge that does not correspond to any gauge-group product."""
 
 
-#: The base summands, and the base of the gauge group each one pairs with.
-_GAUGE_BASE = {Sphere(5): "S4", SuspCP2(): "CP2"}
-
-
 class Decomposition(Value):
     """Both halves of one splitting, plus how it was obtained.
 
@@ -81,7 +78,7 @@ class Decomposition(Value):
         if not isinstance(case_used, Pi1Kind):
             raise DecompositionError(f"case_used must be a Pi1Kind, got {case_used!r}")
         susp = normalize(suspension)
-        bases = [block for block in blocks(susp) if block[0] in _GAUGE_BASE]
+        bases = [block for block in blocks(susp) if block[0] in GAUGE_BASE]
         if len(bases) != 1 or bases[0][1] != 1:
             raise DecompositionError("a splitting needs exactly one base summand")
         # map_space's domain is an interval of the blocks' order, so the ends of the rest
@@ -112,7 +109,7 @@ class Decomposition(Value):
     @property
     def base(self) -> str:
         """The base of the gauge group: "S4" or "CP2"."""
-        return _GAUGE_BASE[self.blocks[0][0]]
+        return GAUGE_BASE[self.blocks[0][0]]
 
 
 def decompose(spec: ManifoldSpec, t: int = 0, *, d: Stabilization = SYMBOLIC) -> Decomposition:
@@ -157,30 +154,9 @@ def _assemble(spec: ManifoldSpec, t: int, stabilization: Stabilization, kind: Pi
 
 
 def gauge_from_suspension(susp: SpaceTerm, t: int) -> GaugeExpr:
-    """Read a gauge-group product off an already-split suspension.
-
-    The wedge must contain exactly one base summand (S^5 or SCP^2); every
-    other summand must lie in the map_space correspondence.  It never looks
-    at the manifold, only at the wedge, but it reads the wedge through the
-    same map_space and _GAUGE_BASE as Decomposition.gauge, so agreeing with
-    it checks neither of those.
-    """
-    base = None
-    rest: list[tuple[SpaceTerm, int]] = []
-    for atom, count in blocks(susp):
-        if atom in _GAUGE_BASE:
-            if base is not None or count > 1:
-                raise DecompositionError("multiple base summands")
-            base = atom
-        else:
-            rest.append((atom, count))
-    if base is None:
-        raise DecompositionError("no base summand")
-    try:
-        factors = tuple((map_space(atom), count) for atom, count in rest)
-    except TermError as exc:
-        raise DecompositionError(f"summand outside the correspondence: {exc}") from None
-    return GaugeExpr(_GAUGE_BASE[base], t, factors, 0)
+    """Read a gauge-group product off an already-split suspension: the gauge
+    half of the splitting it is, refused as Decomposition refuses it."""
+    return Decomposition(susp, t, 0, Pi1Kind.TRIVIAL).gauge  # gauge reads no case
 
 
 # --------------------------------------------------------------------------

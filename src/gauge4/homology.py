@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from collections import namedtuple
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Sequence
 from math import gcd
 from operator import mul
 
@@ -63,16 +63,6 @@ class GradedAbelianGroup(Value):
                 parts += split.get(q, ())
             fixed.append((rank, tuple(sorted(parts))))
         self._set(tuple(fixed))
-
-    @classmethod
-    def of(cls, parts: Mapping[int, tuple[int, Iterable[int]]]) -> "GradedAbelianGroup":
-        """Build from a sparse {degree: (rank, torsion)} mapping."""
-        groups: list[tuple[int, tuple[int, ...]]] = [(0, ())] * (MAX_DEGREE + 1)
-        for deg, (rank, torsion) in parts.items():
-            if not 0 <= deg <= MAX_DEGREE:
-                raise ValueError(f"degree {deg} outside 0..{MAX_DEGREE}")
-            groups[deg] = (rank, tuple(torsion))
-        return cls(tuple(groups))
 
     @classmethod
     def _of_prime_powers(cls, groups: Sequence[tuple[int, tuple]]) -> "GradedAbelianGroup":

@@ -25,7 +25,8 @@ appends the (text, count) pieces, in string repeats of at most
 ``map_space`` is the bridge between the two sides: it sends a wedge summand
 ``Y`` to the factor ``Map*(Y, G)`` contributes to a gauge group, using
 ``Map*(S^k, G) = O^kG`` and ``Map*(P^k(q), G) = O^{k-1}G{q}``; a factor sorts
-where its summand does.
+where its summand does.  ``GAUGE_BASE`` pairs each base summand, S^5 or
+SCP^2, with the base of the gauge group instead.
 """
 
 from __future__ import annotations
@@ -204,7 +205,7 @@ class GaugeExpr(Value):
 
     def __init__(self, base: str, t: int, blocks: Sequence[tuple[LoopFactor, int]] = (),
                  stabilization: Stabilization = 0) -> None:
-        if base not in ("S4", "CP2"):
+        if base not in _BASE_NAMES:
             raise TermError(f"gauge base must be S4 or CP2, got {base!r}")
         integer(t, "bundle class t", error=TermError)
         stabilization = check_stabilization(stabilization)
@@ -216,6 +217,11 @@ def check_stabilization(d: Stabilization | None) -> Stabilization:
     if d is None or d == SYMBOLIC:
         return SYMBOLIC
     return integer(d, "stabilization count", 0, TermError)
+
+
+#: The base summands, the base of the gauge group each pairs with, and each base's name.
+GAUGE_BASE = {Sphere(5): "S4", SuspCP2(): "CP2"}
+_BASE_NAMES = {"S4": "S^4", "CP2": "CP^2"}
 
 
 def map_space(summand: SpaceTerm) -> LoopFactor:
@@ -230,15 +236,13 @@ def map_space(summand: SpaceTerm) -> LoopFactor:
         return LoopFactor(summand.dim - 1)
     if isinstance(summand, Moore) and 3 <= summand.dim <= 4:
         return LoopFactor(summand.dim - 1, summand.modulus)
-    if isinstance(summand, SuspCP2) or (isinstance(summand, Sphere) and summand.dim == 5):
+    if summand in GAUGE_BASE:
         raise TermError(f"base summand: {render(summand)}")
     raise TermError(f"no loop factor for summand: {summand!r}")
 
 
 # --------------------------------------------------------------------------
 # rendering
-
-_BASE_NAMES = {"S4": "S^4", "CP2": "CP^2"}
 
 
 def render(obj: SpaceTerm | GaugeExpr | LoopFactor) -> str:

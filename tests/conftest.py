@@ -1,13 +1,15 @@
 """Shared helpers: seeded random generators for specs, terms, matrices and
-conjugated handle chain complexes, the acceptance-criteria verdict report,
-and a per-test hang guard."""
+conjugated handle chain complexes, graded groups from sparse degrees, the
+acceptance-criteria verdict report, and a per-test hang guard."""
 
 import random
 import signal
 
 import pytest
 
-from gauge4 import IntMatrix, ManifoldSpec, Moore, Pi1Descriptor, Point, Sphere, SuspCP2, Wedge
+from gauge4 import (GradedAbelianGroup, IntMatrix, ManifoldSpec, Moore, Pi1Descriptor, Point,
+                    Sphere, SuspCP2, Wedge)
+from gauge4.homology import MAX_DEGREE
 
 ODD_PRIMES = (3, 5, 7, 11)
 
@@ -47,6 +49,16 @@ def hang_guard():
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def graded(parts) -> GradedAbelianGroup:
+    """The graded group of a sparse {degree: (rank, torsion)} mapping, zero elsewhere."""
+    groups = [(0, ())] * (MAX_DEGREE + 1)
+    for deg, (rank, torsion) in parts.items():
+        if not 0 <= deg <= MAX_DEGREE:
+            raise ValueError(f"degree {deg} outside 0..{MAX_DEGREE}")
+        groups[deg] = (rank, tuple(torsion))
+    return GradedAbelianGroup(groups)
 
 
 def random_pi1(rng: random.Random, max_free=5, max_cyclic=4, max_r=3) -> Pi1Descriptor:

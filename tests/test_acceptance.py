@@ -222,8 +222,9 @@ def test_criterion_3_gauge_from_suspension():
             assert derived.blocks == dec.gauge.blocks
         else:
             assert derived == dec.gauge, spec
-        # Both sides above read the wedge through map_space and _GAUGE_BASE;
-        # the rational ranks check the product against the homology instead.
+        # gauge_from_suspension reads the wedge through Decomposition, so the
+        # lines above agree by construction; the rational ranks check the
+        # product against the homology instead.
         assert rational_rank_mismatches(dec.gauge, homology_of_manifold(spec)) == [], spec
     assert checked_mixed >= 80
 
@@ -231,7 +232,7 @@ def test_criterion_3_gauge_from_suspension():
 def test_rational_ranks_catch_a_wrong_gauge_base(monkeypatch):
     # Pairing SCP^2 with G_t(S^4) passes criteria 2 to 8 without this check;
     # with it every nonspin case, and no spin case, mismatches.
-    monkeypatch.setattr(decomposer, "_GAUGE_BASE", {Sphere(5): "S4", SuspCP2(): "S4"})
+    monkeypatch.setattr(decomposer, "GAUGE_BASE", {Sphere(5): "S4", SuspCP2(): "S4"})
     for dec, spec in criterion_3_cases(200):
         caught = rational_rank_mismatches(dec.gauge, homology_of_manifold(spec)) != []
         assert caught is not spec.sigma_f_trivial, spec

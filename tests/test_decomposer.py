@@ -178,36 +178,32 @@ def test_decomposition_blocks_are_one_normal_form():
     assert Decomposition(dec.suspension, 2, 0, Pi1Kind.MIXED) == dec
     assert expand(dec.blocks) == [Sphere(5), Moore(3, 5), Moore(3, 9), Moore(3, 9), Sphere(2)]
     assert dec.gauge == GaugeExpr("S4", 2, ((O(2, 5), 1), (O(2, 9), 2), (O(1), 1)))
-    for bad in [
-        ((Sphere(3), 2),),
-        ((Sphere(5), 1), (SuspCP2(), 1)),
-        ((Sphere(5), 2),),
-        (),
-    ]:
-        with pytest.raises(DecompositionError, match="exactly one base summand"):
-            Decomposition(Wedge(bad), 0, 0, Pi1Kind.TRIVIAL)
     with pytest.raises(TermError, match="^block count must be >= 0, got -1$"):
         Decomposition(Wedge(((Sphere(5), 1), (Sphere(3), -1))), 0, 0, Pi1Kind.TRIVIAL)
 
 
 def test_decomposition_is_checked_whole_where_it_is_built():
-    # Once these built and failed only when written: a summand outside
-    # map_space's domain with a bare TermError, a bad case_used with an
-    # AttributeError in the --json writer.
-    for stray in (Sphere(1), Moore(2, 3)):
-        reason = f"summand outside the correspondence: no loop factor for summand: {stray!r}"
-        with pytest.raises(DecompositionError, match=f"^{re.escape(reason)}$"):
-            Decomposition(Wedge(((Sphere(5), 1), (stray, 1))), 0, 0, Pi1Kind.TRIVIAL)
-    # a summand that sorts above the one base is the fault, as gauge_from_suspension says;
-    # once "a splitting needs exactly one base summand"
-    for stray, base in ((Sphere(6), Sphere(5)), (Moore(5, 3), SuspCP2()),
-                        (Moore(6, 3), Sphere(5))):
-        susp = Wedge(((stray, 1), (base, 1)))
-        reason = f"summand outside the correspondence: no loop factor for summand: {stray!r}"
-        for build in (lambda: Decomposition(susp, 0, 0, Pi1Kind.TRIVIAL),
-                      lambda: gauge_from_suspension(susp, 0)):
+    # Each wedge that is no splitting, refused with one line by Decomposition and by
+    # gauge_from_suspension, which reads the wedge through it.  A summand outside
+    # map_space's domain, above the one base or below it, is the fault named.
+    one_base = "a splitting needs exactly one base summand"
+    outside = "summand outside the correspondence: no loop factor for summand: {!r}".format
+    for bad, reason in [
+        (((Sphere(3), 2),), one_base),
+        (((Sphere(5), 1), (SuspCP2(), 1)), one_base),
+        (((Sphere(5), 2),), one_base),
+        ((), one_base),
+        (((Sphere(5), 1), (Sphere(1), 1)), outside(Sphere(1))),
+        (((Sphere(5), 1), (Moore(2, 3), 1)), outside(Moore(2, 3))),
+        (((Sphere(6), 1), (Sphere(5), 1)), outside(Sphere(6))),
+        (((Moore(5, 3), 1), (SuspCP2(), 1)), outside(Moore(5, 3))),
+        (((Moore(6, 3), 1), (Sphere(5), 1)), outside(Moore(6, 3))),
+    ]:
+        for build in (lambda: Decomposition(Wedge(bad), 0, 0, Pi1Kind.TRIVIAL),
+                      lambda: gauge_from_suspension(Wedge(bad), 0)):
             with pytest.raises(DecompositionError, match=f"^{re.escape(reason)}$"):
                 build()
+    # a bad case_used once raised an AttributeError in the --json writer
     with pytest.raises(DecompositionError, match="^case_used must be a Pi1Kind, got 'banana'$"):
         Decomposition(Sphere(5), 0, 0, "banana")
 
@@ -356,19 +352,6 @@ def test_gauge_from_suspension_examples():
     assert got == GaugeExpr("CP2", 5, ((O(1), 1),))
     got = gauge_from_suspension(Sphere(5), 0)
     assert got == GaugeExpr("S4", 0, ())
-
-
-def test_gauge_from_suspension_rejections():
-    with pytest.raises(DecompositionError, match="no base summand"):
-        gauge_from_suspension(wedge([Sphere(3), Sphere(3)]), 0)
-    with pytest.raises(DecompositionError, match="multiple base summands"):
-        gauge_from_suspension(wedge([Sphere(5), SuspCP2()]), 0)
-    with pytest.raises(DecompositionError, match="multiple base summands"):
-        gauge_from_suspension(wedge([Sphere(5), Sphere(5)]), 0)
-    with pytest.raises(DecompositionError, match="outside the correspondence"):
-        gauge_from_suspension(wedge([Sphere(5), Sphere(1)]), 0)
-    with pytest.raises(DecompositionError, match="outside the correspondence"):
-        gauge_from_suspension(wedge([Sphere(5), Moore(2, 3)]), 0)
 
 
 def test_gauge_from_suspension_agrees_with_closed_forms():

@@ -9,7 +9,7 @@ from math import gcd, prod
 
 import pytest
 
-from conftest import handle_complex, random_matrix_rows, random_spec
+from conftest import graded, handle_complex, random_matrix_rows, random_spec
 from gauge4 import (
     ChainComplexError,
     GradedAbelianGroup,
@@ -279,11 +279,11 @@ def test_suspended_cp2_complex_is_the_scp2_term():
 
 def test_torus_and_klein_bottle_complexes():
     torus = [IntMatrix.zero(1, 2), IntMatrix.zero(2, 1)]
-    assert chain_homology(torus) == GradedAbelianGroup.of(
+    assert chain_homology(torus) == graded(
         {0: (1, ()), 1: (2, ()), 2: (1, ())}
     )
     klein = [IntMatrix.zero(1, 2), IntMatrix.from_rows([[0], [2]])]
-    assert chain_homology(klein) == GradedAbelianGroup.of({0: (1, ()), 1: (1, (2,))})
+    assert chain_homology(klein) == graded({0: (1, ()), 1: (1, (2,))})
 
 
 def test_chain_complex_rejections():
@@ -301,7 +301,7 @@ def test_chain_complex_rejections():
     with pytest.raises(ChainComplexError, match="d1.d2 != 0"):
         chain_homology([d1, d2])
     # An inner dimension of 0 makes d1.d2 the 2 x 3 zero matrix: a complex.
-    assert chain_homology([IntMatrix.zero(2, 0), IntMatrix.zero(0, 3)]) == GradedAbelianGroup.of(
+    assert chain_homology([IntMatrix.zero(2, 0), IntMatrix.zero(0, 3)]) == graded(
         {0: (2, ()), 2: (3, ())}
     )
 
@@ -329,23 +329,23 @@ def test_random_two_step_complexes_satisfy_euler_count():
 
 
 def test_torsion_entries_are_split_into_prime_powers(monkeypatch):
-    g = GradedAbelianGroup.of({1: (0, (12,))})
+    g = graded({1: (0, (12,))})
     assert g.torsion(1) == (3, 4)
-    h = GradedAbelianGroup.of({1: (0, (4, 3))})
+    h = graded({1: (0, (4, 3))})
     assert g == h
     # A repeated entry, within a degree and across degrees, one copy negative,
     # is split once per construction.
     calls = []
     split = homology.prime_power_parts
     monkeypatch.setattr(homology, "prime_power_parts", lambda n: calls.append(n) or split(n))
-    g = GradedAbelianGroup.of({1: (0, (12, -12)), 2: (1, (12,))})
+    g = graded({1: (0, (12, -12)), 2: (1, (12,))})
     assert (g.torsion(1), g.torsion(2), calls) == ((3, 3, 4, 4), (3, 4), [12])
 
 
 def test_manifold_homology_closed_form():
     spec = ManifoldSpec(Pi1Descriptor(2, ((3, 2), (5, 1))), 3, True)
     g = homology_of_manifold(spec)
-    assert g == GradedAbelianGroup.of(
+    assert g == graded(
         {
             0: (1, ()),
             1: (2, (9, 5)),
@@ -437,7 +437,7 @@ def test_wedge_of_many_moore_spaces_is_one_pass(hang_guard):
     start = time.perf_counter()
     got = homology_of_term(term)
     assert time.perf_counter() - start < 1.0
-    assert got == GradedAbelianGroup.of(
+    assert got == graded(
         {0: (1, ()), 2: (0, moduli), 3: (4, moduli), 5: (1, ())}
     )
     assert got == suspend(homology_of_manifold(spec))
@@ -446,8 +446,8 @@ def test_wedge_of_many_moore_spaces_is_one_pass(hang_guard):
 def test_term_homology_reaches_degree_five_and_no_further():
     # P^6(q) has its Z/q in degree 5; S^6 and P^7(q) each reach degree 6,
     # and the refusal names the degree, not the dimension.
-    assert homology_of_term(Moore(6, 9)) == GradedAbelianGroup.of({0: (1, ()), 5: (0, (9,))})
-    assert homology_of_term(wedge([Moore(6, 12), Sphere(5)])) == GradedAbelianGroup.of(
+    assert homology_of_term(Moore(6, 9)) == graded({0: (1, ()), 5: (0, (9,))})
+    assert homology_of_term(wedge([Moore(6, 12), Sphere(5)])) == graded(
         {0: (1, ()), 5: (1, (3, 4))})
     for term in (Sphere(6), Moore(7, 9), wedge([Sphere(3), Moore(7, 9)])):
         with pytest.raises(ValueError, match=r"^degree 6 outside 0\.\.5$"):
@@ -468,13 +468,13 @@ def test_term_homology_checks_and_splits_per_block_not_per_copy(monkeypatch):
 
 
 def test_suspend_shifts_reduced_part():
-    g = GradedAbelianGroup.of({0: (1, ()), 1: (2, (3,)), 4: (1, ())})
-    assert suspend(g) == GradedAbelianGroup.of({0: (1, ()), 2: (2, (3,)), 5: (1, ())})
+    g = graded({0: (1, ()), 1: (2, (3,)), 4: (1, ())})
+    assert suspend(g) == graded({0: (1, ()), 2: (2, (3,)), 5: (1, ())})
 
 
 def test_suspend_splits_extra_components_into_degree_one():
-    g = GradedAbelianGroup.of({0: (3, ())})
-    assert suspend(g) == GradedAbelianGroup.of({0: (1, ()), 1: (2, ())})
+    g = graded({0: (3, ())})
+    assert suspend(g) == graded({0: (1, ()), 1: (2, ())})
 
 
 def test_suspend_rejects_top_degree():
@@ -488,13 +488,13 @@ def test_graded_groups_refuse_a_wrong_shape():
     with pytest.raises(ValueError, match="^expected 6 degrees, got 5$"):
         GradedAbelianGroup(((0, ()),) * 5)
     with pytest.raises(ValueError, match=r"^degree 6 outside 0\.\.5$"):
-        GradedAbelianGroup.of({6: (1, ())})
+        graded({6: (1, ())})
     with pytest.raises(ValueError, match="^cannot suspend an empty space: degree 0 is zero$"):
-        suspend(GradedAbelianGroup.of({}))
+        suspend(graded({}))
 
 
 def test_render_graded():
-    g = GradedAbelianGroup.of({0: (1, ()), 1: (2, (3, 9)), 3: (1, ())})
+    g = graded({0: (1, ()), 1: (2, (3, 9)), 3: (1, ())})
     assert render_graded(g).splitlines() == [
         "H_0 = Z",
         "H_1 = Z^2 + Z/3 + Z/9",

@@ -12,11 +12,11 @@ from pathlib import Path
 import pytest
 
 import gauge4
+from conftest import graded
 from gauge4 import (
     Decomposition,
     DecompositionError,
     GaugeExpr,
-    GradedAbelianGroup,
     IntMatrix,
     InvalidSpecError,
     LieGroupSpec,
@@ -71,9 +71,9 @@ ENTRY_POINTS = {
     "Wedge count": (lambda x: Wedge(((Sphere(3), x),)), TermError, "block count"),
     "GaugeExpr count": (lambda x: GaugeExpr("S4", 0, ((LoopFactor(2), x),)), TermError,
                         "block count"),
-    "GradedAbelianGroup rank": (lambda x: GradedAbelianGroup.of({1: (x, ())}), ValueError,
+    "GradedAbelianGroup rank": (lambda x: graded({1: (x, ())}), ValueError,
                                 "free rank"),
-    "GradedAbelianGroup torsion": (lambda x: GradedAbelianGroup.of({1: (0, (x,))}), ValueError,
+    "GradedAbelianGroup torsion": (lambda x: graded({1: (0, (x,))}), ValueError,
                                    "torsion entry"),
     "LieGroupSpec SU": (lambda x: LieGroupSpec("SU", x), GroupParseError, "group rank n"),
     "LieGroupSpec Sp": (lambda x: LieGroupSpec("Sp", x), GroupParseError, "group rank n"),
@@ -113,14 +113,14 @@ def test_every_entry_point_rejects_a_non_int(entry, bad):
         (lambda: homology_of_term(Moore(3, 4.5)), TermError,
          "Moore space modulus must be an integer, got 4.5"),
         # once answered Z/4.5, dropped the entry, and raised a bare TypeError
-        (lambda: GradedAbelianGroup.of({1: (0, (4.5,))}), ValueError,
+        (lambda: graded({1: (0, (4.5,))}), ValueError,
          "torsion entry must be an integer, got 4.5"),
-        (lambda: GradedAbelianGroup.of({1: (0, (True,))}), ValueError,
+        (lambda: graded({1: (0, (True,))}), ValueError,
          "torsion entry must be an integer, got True"),
-        (lambda: GradedAbelianGroup.of({1: (0, ("6",))}), ValueError,
+        (lambda: graded({1: (0, ("6",))}), ValueError,
          "torsion entry must be an integer, got '6'"),
         # Z/0 is Z: once dropped as if it were Z/1, printing H_1 = 0
-        (lambda: GradedAbelianGroup.of({1: (0, (0,))}), ValueError,
+        (lambda: graded({1: (0, (0,))}), ValueError,
          "torsion entry must be nonzero, got 0"),
         (lambda: render(LoopFactor(2, 2.5)), TermError,
          "loop factor modulus must be an integer, got 2.5"),
@@ -132,6 +132,8 @@ def test_every_entry_point_rejects_a_non_int(entry, bad):
          "bundle class t must be an integer, got True"),
         # the bundle class t
         (lambda: decompose(manifold("Z/3", 1), t=1.5), DecompositionError,
+         "bundle class t must be an integer, got 1.5"),
+        (lambda: gauge_from_suspension(Sphere(5), 1.5), DecompositionError,
          "bundle class t must be an integer, got 1.5"),
         (lambda: GaugeExpr("S4", "x"), TermError, "bundle class t must be an integer, got 'x'"),
         (lambda: classify(parse_group("SU(2)"), manifold("Z", 1), 1.5, 2), ValueError,
@@ -157,7 +159,7 @@ def test_every_entry_point_rejects_a_non_int(entry, bad):
         (lambda: LoopFactor(2, 1), TermError, "loop factor modulus must be >= 2, got 1"),
         (lambda: Wedge(((Sphere(3), -2),)), TermError, "block count must be >= 0, got -2"),
         (lambda: IntMatrix(-1, 0, ()), ValueError, "matrix rows must be >= 0, got -1"),
-        (lambda: GradedAbelianGroup.of({1: (-1, ())}), ValueError,
+        (lambda: graded({1: (-1, ())}), ValueError,
          "free rank must be >= 0, got -1"),
         (lambda: Pi1Descriptor(-1), InvalidSpecError, "free rank must be >= 0, got -1"),
         (lambda: check_stabilization(-2), TermError, "stabilization count must be >= 0, got -2"),

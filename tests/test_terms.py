@@ -313,10 +313,31 @@ def test_one_error_line_writer_and_no_wrapper_left():
                if module == "cli" and getattr(node, "name", None) == "run")
     assert len(heads) == 1 and heads[0] in list(ast.walk(run))
     defined = {node.name for _, node in nodes if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    defined |= {node.id for _, node in nodes
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
     for gone in ("render_product", "_parser", "_cmd_decompose", "_cmd_suspension",
                  "render_suspension_half", "render_gauge_half", "_suspension_parts",
-                 "_gauge_parts", "render_blocks"):
+                 "_gauge_parts", "render_blocks", "_GAUGE_BASE", "of"):
         assert gone not in defined and _calls(gone) == _calls(gone, reads=True) == []
+
+
+def test_one_table_of_base_summands_and_one_splitting_check():
+    # terms alone says which summands are bases and how each base is written;
+    # decomposer reads the table only in Decomposition, the one check of a
+    # splitting, which gauge_from_suspension reads a wedge through with no
+    # map_space call, check or error line of its own.
+    assert _calls("GAUGE_BASE", reads=True) == [
+        ("decomposer", "Decomposition.__init__"), ("decomposer", "Decomposition.base"),
+        ("terms", "map_space")]
+    assert _calls("_BASE_NAMES", reads=True) == [
+        ("terms", "GaugeExpr.__init__"), ("terms", "product_parts")]
+    assert _calls("map_space") == [
+        ("decomposer", "Decomposition.__init__"), ("decomposer", "Decomposition.factors")]
+    body = next(node for _, tree in _sources() for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == "gauge_from_suspension")
+    assert not [node for node in ast.walk(body) if isinstance(node, (ast.Raise, ast.Try))]
+    assert [node.func.id for node in ast.walk(body)
+            if isinstance(node, ast.Call)] == ["Decomposition"]
 
 
 def test_one_digit_class_and_one_reader_for_every_integer_written_as_text():

@@ -19,12 +19,12 @@ from pathlib import Path
 import pytest
 
 import gauge4
+from conftest import graded
 from gauge4 import (
     ClassRule,
     Decomposition,
     EquivalenceVerdict,
     GaugeExpr,
-    GradedAbelianGroup,
     IntMatrix,
     LieGroupSpec,
     LoopFactor,
@@ -64,7 +64,7 @@ VALUES = [
     (lambda: EquivalenceVerdict("no", {3: "yes"}, RULE, True),
      "EquivalenceVerdict(integral='no', local={3: 'yes'}, "
      "rule_used=ClassRule(k=12, scope='integral', odd_prime_bound=None), stabilized=True)"),
-    (lambda: GradedAbelianGroup.of({0: (1, ()), 1: (0, (12,))}),
+    (lambda: graded({0: (1, ()), 1: (0, (12,))}),
      "GradedAbelianGroup(groups=((1, ()), (0, (3, 4)), (0, ()), (0, ()), (0, ()), (0, ())))"),
     (lambda: IntMatrix.from_rows([[1, 2]]), "IntMatrix(rows=1, cols=2, entries=((1, 2),))"),
     (lambda: Decomposition(Wedge(((Sphere(3), 2), (Sphere(5), 1))), 4, 0, Pi1Kind.TRIVIAL),
