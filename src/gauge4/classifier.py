@@ -34,6 +34,7 @@ from math import gcd
 
 from .arith import divisor_count, is_prime
 from .manifold import ManifoldSpec, Pi1Kind, classify_pi1
+from .terms import CP2, S4
 from .value import DIGITS, Value, decimal, integer
 
 YES = "yes"
@@ -44,8 +45,6 @@ INTEGRAL = "integral"
 ALL_PRIMES = "all-primes"
 ODD_PRIMES = "odd-primes"
 
-S4 = "S4"
-CP2 = "CP2"
 MANIFOLD = "manifold"
 
 

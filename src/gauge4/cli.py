@@ -22,7 +22,7 @@ from .classifier import (
     classify,
     parse_group,
 )
-from .manifold import ManifoldSpec, Pi1Kind, manifold, render_pi1
+from .manifold import ManifoldSpec, manifold, render_pi1
 from .terms import SYMBOLIC, LoopFactor, Moore, SpaceTerm, Sphere, join_blocks
 from .value import decimal, invalid_int, past_digit_limit
 
@@ -139,7 +139,7 @@ def _splitting_json(dec: decomposer.Decomposition, gauge: bool) -> list[str]:
     join_blocks, the suspension first, so its copy count is the one an error
     names; the parts are written in turn, never joined."""
     suspension = join_blocks([], [(_atom_json(atom), n) for atom, n in dec.blocks], ", ")
-    case = "simply_connected" if dec.case_used is Pi1Kind.TRIVIAL else dec.case_used.value
+    case = dec.case_used.value
     stabilization = json.dumps(dec.stabilization)
     if not gauge:
         return [f'{{"case": "{case}", "stabilization": {stabilization}, "suspension": [',

@@ -40,8 +40,9 @@ class GradedAbelianGroup(Value):
 
     ``groups[i]`` is ``(free_rank, torsion)`` with torsion a sorted tuple
     of prime powers; any torsion entry given, a nonzero int, is split into
-    prime powers first, so Z/12, Z/-12 and Z/4 + Z/3 are the same value.
-    An entry of 0 is refused: Z/0 is Z, which belongs in the rank.
+    prime powers first, so Z/12, Z/-12 and Z/4 + Z/3 are the same value,
+    and an entry of 1 gives no torsion.  An entry of 0 is refused: Z/0 is
+    Z, which belongs in the rank.
     """
 
     __slots__ = ("groups",)
@@ -313,8 +314,7 @@ def chain_homology(boundaries: Sequence[IntMatrix]) -> GradedAbelianGroup:
     snfs = [smith_normal_form(b) for b in boundaries]
     ranks = [0] + [snf.rank for snf in snfs] + [0]  # of d_0 .. d_{N+1}, both ends zero maps
     torsion = [snf.invariant_factors for snf in snfs] + [()]
-    groups = [(dims[k] - ranks[k] - ranks[k + 1], [q for q in torsion[k] if q > 1])
-              for k in range(n_top + 1)]
+    groups = [(dims[k] - ranks[k] - ranks[k + 1], torsion[k]) for k in range(n_top + 1)]
     return GradedAbelianGroup(groups + [(0, ())] * (MAX_DEGREE - n_top))
 
 

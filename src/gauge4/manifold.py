@@ -60,7 +60,7 @@ TRIVIAL_PI1 = Pi1Descriptor()
 class Pi1Kind(Enum):
     """Which decomposition formula a fundamental group calls for."""
 
-    TRIVIAL = "trivial"
+    TRIVIAL = "simply_connected"
     FREE = "free"
     CYCLIC = "cyclic"
     MIXED = "mixed"

@@ -3,8 +3,8 @@
 The term language covers exactly the spaces that show up when a closed
 orientable 4-manifold is suspended: spheres ``S^n``, Moore spaces ``P^n(q)``
 (the complex whose only reduced homology is ``Z/q`` in degree ``n-1``), the
-suspended complex projective plane ``SCP^2``, the one-point space ``pt``, and
-finite wedges of these.
+suspended complex projective plane ``SCP^2``, and finite wedges of these; the
+one-point space ``pt`` is the empty wedge.
 
 On the gauge side, ``LoopFactor`` stands for an iterated loop space of the
 structure group ``G`` (``O^kG``), optionally the mod-``q`` variant ``O^kG{q}``
@@ -15,7 +15,7 @@ Wedges and products are multisets of ``(term, count)`` blocks, built in
 one normal form (nested wedges flattened, merged, zero-free, sorted by
 ``_atom_key``), so no raw wedge exists: they compare by plain equality and
 cost the number of distinct terms, not of copies.  ``normalize`` only
-collapses an empty wedge to ``pt`` and a single copy to its atom.
+collapses a single copy to its atom.
 
 Text is written as a list of string parts joined once.  ``join_blocks``
 appends the (text, count) pieces, in string repeats of at most
@@ -26,7 +26,7 @@ appends the (text, count) pieces, in string repeats of at most
 ``Y`` to the factor ``Map*(Y, G)`` contributes to a gauge group, using
 ``Map*(S^k, G) = O^kG`` and ``Map*(P^k(q), G) = O^{k-1}G{q}``; a factor sorts
 where its summand does.  ``GAUGE_BASE`` pairs each base summand, S^5 or
-SCP^2, with the base of the gauge group instead.
+SCP^2, with the base of the gauge group instead, named ``S4`` or ``CP2``.
 """
 
 from __future__ import annotations
@@ -45,12 +45,6 @@ class TermError(ValueError):
 
 # --------------------------------------------------------------------------
 # space terms
-
-
-class Point(Value):
-    """The one-point space; unit for wedge sum."""
-
-    __slots__ = ()
 
 
 class Sphere(Value):
@@ -87,18 +81,18 @@ class SuspCP2(Value):
 class Wedge(Value):
     """Wedge sum of (term, count) blocks, ``count`` copies of each term.
 
-    The blocks given may nest wedges and hold points, zero counts and
-    repeated terms; the blocks stored are their normal form (see _merge),
-    so equal spaces give equal wedges whatever the order or nesting.
+    The blocks given may nest wedges and hold zero counts and repeated
+    terms; the blocks stored are their normal form (see _merge), so equal
+    spaces give equal wedges whatever the order or nesting.
     """
 
     __slots__ = ("blocks",)
 
     def __init__(self, blocks: Iterable[tuple[SpaceTerm, int]]) -> None:
-        self._set(_merge(blocks, (Point, Sphere, Moore, SuspCP2, Wedge), "space term"))
+        self._set(_merge(blocks, (Sphere, Moore, SuspCP2, Wedge), "space term"))
 
 
-SpaceTerm = Point | Sphere | Moore | SuspCP2 | Wedge
+SpaceTerm = Sphere | Moore | SuspCP2 | Wedge
 
 
 def _atom_key(term: Sphere | Moore | SuspCP2 | LoopFactor) -> tuple[int, int, int]:
@@ -122,8 +116,8 @@ def _merge(blocks: Iterable[tuple[SpaceTerm | LoopFactor, int]], kinds: tuple[ty
     """Blocks in normal form, in one pass: each term must be one of kinds
     (else TermError naming what) and each count an int >= 0 (else TermError);
     a nested wedge, in normal form already, gives its blocks, their counts
-    multiplied; points and zero blocks are dropped, equal atoms merged, and
-    the blocks sorted by _atom_key."""
+    multiplied; zero blocks are dropped, equal atoms merged, and the blocks
+    sorted by _atom_key."""
     # _atom_key is one-to-one on summands and on loop factors, so it is the
     # merge key as well as the sort key.
     merged: dict = {}
@@ -131,7 +125,7 @@ def _merge(blocks: Iterable[tuple[SpaceTerm | LoopFactor, int]], kinds: tuple[ty
         if not isinstance(term, kinds):
             raise TermError(f"not a {what}: {term!r}")
         integer(count, "block count", 0, TermError)
-        if count and not isinstance(term, Point):
+        if count:
             for atom, times in term.blocks if isinstance(term, Wedge) else ((term, 1),):
                 key = _atom_key(atom)
                 merged[key] = (atom, count * times + merged.get(key, (atom, 0))[1])
@@ -139,9 +133,7 @@ def _merge(blocks: Iterable[tuple[SpaceTerm | LoopFactor, int]], kinds: tuple[ty
 
 
 def blocks(term: SpaceTerm) -> tuple[tuple[SpaceTerm, int], ...]:
-    """The (atom, count) blocks of a term (none for the point)."""
-    if isinstance(term, Point):
-        return ()
+    """The (atom, count) blocks of a term (none for the empty wedge)."""
     if isinstance(term, Wedge):
         return term.blocks
     if isinstance(term, (Sphere, Moore, SuspCP2)):
@@ -150,12 +142,10 @@ def blocks(term: SpaceTerm) -> tuple[tuple[SpaceTerm, int], ...]:
 
 
 def normalize(term: SpaceTerm) -> SpaceTerm:
-    """The one term for a space: an empty wedge collapses to the point and a
-    single copy of one atom to that atom; any other term is its own.  A wedge
-    is in normal form where it is built, so nothing is merged here."""
+    """The one term for a space: a single copy of one atom collapses to that
+    atom; any other term is its own.  A wedge is in normal form where it is
+    built, so nothing is merged here."""
     parts = blocks(term)
-    if not parts:
-        return Point()
     if len(parts) == 1 and parts[0][1] == 1:
         return parts[0][0]
     return term
@@ -219,9 +209,10 @@ def check_stabilization(d: Stabilization | None) -> Stabilization:
     return integer(d, "stabilization count", 0, TermError)
 
 
-#: The base summands, the base of the gauge group each pairs with, and each base's name.
-GAUGE_BASE = {Sphere(5): "S4", SuspCP2(): "CP2"}
-_BASE_NAMES = {"S4": "S^4", "CP2": "CP^2"}
+#: The bases of a gauge group, the base summand each pairs with, and each base's name.
+S4, CP2 = "S4", "CP2"
+GAUGE_BASE = {Sphere(5): S4, SuspCP2(): CP2}
+_BASE_NAMES = {S4: "S^4", CP2: "CP^2"}
 
 
 def map_space(summand: SpaceTerm) -> LoopFactor:
@@ -258,8 +249,6 @@ def render(obj: SpaceTerm | GaugeExpr | LoopFactor) -> str:
     if isinstance(obj, LoopFactor):
         mod = "" if obj.modulus is None else f"{{{obj.modulus}}}"
         return f"O^{obj.loop_order}G{mod}"
-    if isinstance(obj, Point):
-        return "pt"
     if isinstance(obj, Sphere):
         return f"S^{obj.dim}"
     if isinstance(obj, Moore):
@@ -358,7 +347,7 @@ def parse_term(text: str) -> SpaceTerm:
 
 def _parse_atom(text: str) -> SpaceTerm:
     if text == "pt":
-        return Point()
+        return Wedge(())
     if text == "SCP^2":
         return SuspCP2()
     if m := _SPHERE_RE.fullmatch(text):

@@ -7,8 +7,8 @@ import signal
 
 import pytest
 
-from gauge4 import (GradedAbelianGroup, IntMatrix, ManifoldSpec, Moore, Pi1Descriptor, Point,
-                    Sphere, SuspCP2, Wedge)
+from gauge4 import (GradedAbelianGroup, IntMatrix, ManifoldSpec, Moore, Pi1Descriptor, Sphere,
+                    SuspCP2, Wedge)
 from gauge4.homology import MAX_DEGREE
 
 ODD_PRIMES = (3, 5, 7, 11)
@@ -89,7 +89,7 @@ def random_term(rng: random.Random, depth=2):
     """An arbitrary (possibly nested, unnormalized) space term."""
     roll = rng.randrange(8)
     if roll == 0:
-        return Point()
+        return Wedge(())  # the point
     if roll <= 4 or depth == 0:
         return random_atom(rng)
     parts = tuple((random_term(rng, depth - 1), 1) for _ in range(rng.randint(0, 4)))

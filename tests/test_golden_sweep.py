@@ -6,11 +6,13 @@ expression the string ``render`` gives.  The sweep covers decompose,
 suspension, classify and parse in text and ``--json``; ``--d`` omitted,
 ``symbolic`` and 0-3; both top-cell flags; and moduli out of order and
 repeated; then homology (with and without ``--suspension``) and small snf
-queries.  The ``verdicts`` section holds the ``repr`` of ``rule_for`` and
-``count_types`` for SU(2..8), Sp(1..4) and G2 over every base, and of
-seeded ``classify`` and ``classify_base`` verdicts with primes up to 47,
-which the CLI cannot reach (no CP2 base, and only a few groups above).
-Rewrite the file only for a deliberate output change:
+queries; then every ``--d`` spelling on every pi1 shape, mixed included,
+for decompose and suspension in text and ``--json``.  The ``verdicts``
+section holds the ``repr`` of ``rule_for`` and ``count_types`` for
+SU(2..8), Sp(1..4) and G2 over every base, and of seeded ``classify`` and
+``classify_base`` verdicts with primes up to 47, which the CLI cannot reach
+(no CP2 base, and only a few groups above).  This is the one table of
+pinned CLI answers.  Rewrite it only for a deliberate output change:
 
     PYTHONPATH=src python tests/test_golden_sweep.py
 """
@@ -116,6 +118,22 @@ def sweep_homology_snf_argvs(n: int = 80) -> list[list[str]]:
     return argvs
 
 
+STABILIZATION_PI1 = ("1", "Z", "Z/3", "Z*Z/3", "Z/3*Z/5")
+STABILIZATION_D = (None, "symbolic", "-2", "0", "3", "x", "1.5", "-0")
+
+
+def stabilization_argvs() -> list[list[str]]:
+    """decompose and suspension x pi1 x --d (None: omitted) x text and --json;
+    appended to the CLI sweep after the homology and snf queries."""
+    return [
+        [command, "--pi1", pi1, "--b2", "1", *([] if d is None else ["--d", d]), *fmt]
+        for command in ("decompose", "suspension")
+        for pi1 in STABILIZATION_PI1
+        for d in STABILIZATION_D
+        for fmt in ([], ["--json"])
+    ]
+
+
 VERDICT_GROUPS = (*(f"SU({n})" for n in range(2, 9)), *(f"Sp({n})" for n in range(1, 5)), "G2")
 #: (base, spin) pairs: the bare bases, then the manifold with each top-cell flag.
 VERDICT_BASES = (("S4", None), ("CP2", None), ("manifold", True), ("manifold", False))
@@ -203,6 +221,11 @@ def test_cli_sweep_is_byte_identical():
         assert got == case, f"first argv that differs: {case['argv']}"
 
 
+def test_every_stabilization_argv_is_in_the_cli_sweep():
+    argvs = [case["argv"] for case in json.loads(DATA.read_text())["cli"]]
+    assert all(argv in argvs for argv in stabilization_argvs())
+
+
 def test_verdict_sweep_is_identical():
     expected = json.loads(DATA.read_text())["verdicts"]
     assert {case["query"]["fn"] for case in expected} == {
@@ -221,7 +244,8 @@ def test_gauge_render_sweep_is_byte_identical():
 
 def main() -> None:
     data = {
-        "cli": [_run(argv) for argv in sweep_argvs() + sweep_homology_snf_argvs()],
+        "cli": [_run(argv) for argv in
+                sweep_argvs() + sweep_homology_snf_argvs() + stabilization_argvs()],
         "render": [{"gauge": g, "out": render(_gauge(g))} for g in sweep_gauges()],
         "verdicts": [{"query": q, "repr": _verdict(q)} for q in sweep_verdict_queries()],
     }

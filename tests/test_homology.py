@@ -333,6 +333,8 @@ def test_torsion_entries_are_split_into_prime_powers(monkeypatch):
     assert g.torsion(1) == (3, 4)
     h = graded({1: (0, (4, 3))})
     assert g == h
+    # An entry of 1 is Z/1, no torsion, as chain_homology hands it over.
+    assert graded({1: (0, (1, 12, -1))}) == h
     # A repeated entry, within a degree and across degrees, one copy negative,
     # is split once per construction.
     calls = []

@@ -18,7 +18,6 @@ from gauge4 import (
     GaugeExpr,
     LoopFactor,
     Moore,
-    Point,
     Sphere,
     SuspCP2,
     TermError,
@@ -57,7 +56,6 @@ def test_normalize_sorts_flattens_and_drops_points():
     raw = Wedge(
         (
             (Moore(3, 9), 1),
-            (Point(), 1),
             (Wedge(((Sphere(4), 1), (SuspCP2(), 1), (Wedge(()), 1))), 1),
             (Sphere(2), 1),
             (Sphere(4), 1),
@@ -69,11 +67,10 @@ def test_normalize_sorts_flattens_and_drops_points():
 
 
 def test_normalize_collapses_degenerate_wedges():
-    assert normalize(Wedge(())) == Point()
-    assert normalize(Wedge(((Point(), 1), (Point(), 1)))) == Point()
+    assert normalize(Wedge(())) == Wedge(())
+    assert normalize(Wedge(((Wedge(()), 1), (Wedge(()), 1)))) == Wedge(())
     assert normalize(Wedge(((Sphere(3), 1),))) == Sphere(3)
-    assert normalize(Wedge(((Point(), 1), (Moore(4, 5), 1)))) == Moore(4, 5)
-    assert normalize(Point()) == Point()
+    assert normalize(Wedge(((Wedge(()), 1), (Moore(4, 5), 1)))) == Moore(4, 5)
     assert normalize(Sphere(2)) == Sphere(2)
 
 
@@ -139,7 +136,7 @@ def test_term_constructor_guards():
 #: Raw wedges that the consumers of a wedge once had to normalize first.
 RAW_WEDGES = [
     Wedge(((Wedge(((Sphere(2), 1),)), 1),)),
-    Wedge(((Point(), 1), (Sphere(3), 1))),
+    Wedge(((Wedge(()), 1), (Sphere(3), 1))),
     Wedge(((Sphere(5), 1), (Wedge(((Sphere(3), 2),)), 1))),
     Wedge(((Sphere(3), 1), (Sphere(2), 1))),
     Wedge(((Sphere(2), 1), (Sphere(3), 1))),
@@ -183,12 +180,13 @@ def test_wedge_equality_ignores_block_order_and_nesting():
 
 
 def _raw_blocks(rng, depth):
-    """A raw block list: nested lists to depth, points, zero counts, repeats."""
+    """A raw block list: nested lists to depth, points (empty wedges), zero
+    counts, repeats."""
     out = []
     for _ in range(rng.randint(0, 4)):
         roll = rng.randrange(6)
         if roll == 0:
-            item = Point()
+            item = Wedge(())
         elif roll == 1 and depth:
             item = _raw_blocks(rng, depth - 1)
         elif roll == 2 and out:
@@ -207,7 +205,7 @@ def _expand(raw):
     """Every atom copy of a raw block list, written out one by one."""
     out = []
     for item, k in raw:
-        atoms = _expand(item) if isinstance(item, list) else [] if item == Point() else [item]
+        atoms = _expand(item) if isinstance(item, list) else [] if item == Wedge(()) else [item]
         out += atoms * k
     return out
 
@@ -230,7 +228,7 @@ def test_raw_block_lists_render_as_their_expansion():
         assert render(built) == (" v ".join(map(render, atoms)) or "pt")
         assert [k for _, k in built.blocks] == [len(list(run)) for _, run in groupby(atoms)]
         seen["nested"] += any(isinstance(item, list) for item, _ in raw)
-        seen["point"] += any(item == Point() for item, _ in raw)
+        seen["point"] += any(item == Wedge(()) for item, _ in raw)
         seen["zero"] += any(k == 0 for _, k in raw)
     assert min(seen.values()) > 100, seen
 
@@ -280,7 +278,7 @@ def _sources():
 
 def test_only_constructors_merge_and_no_consumer_normalizes():
     # Blocks are put in normal form where a wedge or a product is built, and
-    # the collapse to pt or an atom is made where a term or a splitting is.
+    # the collapse to an atom is made where a term or a splitting is.
     assert _calls("_merge") == [("terms", "Wedge.__init__"), ("terms", "GaugeExpr.__init__")]
     assert _calls("normalize") == [("decomposer", "Decomposition.__init__"), ("terms", "wedge")]
 
@@ -317,7 +315,7 @@ def test_one_error_line_writer_and_no_wrapper_left():
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
     for gone in ("render_product", "_parser", "_cmd_decompose", "_cmd_suspension",
                  "render_suspension_half", "render_gauge_half", "_suspension_parts",
-                 "_gauge_parts", "render_blocks", "_GAUGE_BASE", "of"):
+                 "_gauge_parts", "render_blocks", "_GAUGE_BASE", "of", "Point"):
         assert gone not in defined and _calls(gone) == _calls(gone, reads=True) == []
 
 
@@ -338,6 +336,27 @@ def test_one_table_of_base_summands_and_one_splitting_check():
     assert not [node for node in ast.walk(body) if isinstance(node, (ast.Raise, ast.Try))]
     assert [node.func.id for node in ast.walk(body)
             if isinstance(node, ast.Call)] == ["Decomposition"]
+
+
+def _constants(*values):
+    """(module, value) of every constant in src equal to one of values."""
+    return [(module, node.value) for module, tree in _sources() for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and node.value in values]
+
+
+def test_each_base_name_is_written_once_in_terms():
+    # terms names the two gauge bases, and every other module imports the names.
+    assigned = [(module, node.id) for module, tree in _sources() for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+                and node.id in ("S4", "CP2")]
+    assert assigned == [("terms", "S4"), ("terms", "CP2")]
+    assert _constants("S4", "CP2") == [("terms", "S4"), ("terms", "CP2")]
+
+
+def test_the_simply_connected_label_is_written_once():
+    # it is Pi1Kind.TRIVIAL's value, which --json writes as it writes every other case
+    assert _constants("simply_connected") == [("manifold", "simply_connected")]
+    assert "Pi1Kind" not in vars(cli)
 
 
 def test_one_digit_class_and_one_reader_for_every_integer_written_as_text():
@@ -378,7 +397,7 @@ def test_map_space_rejects_base_summands_by_name():
 
 
 def test_map_space_rejects_out_of_range_summands():
-    for bad in [Sphere(1), Sphere(6), Moore(2, 3), Moore(5, 3), Point()]:
+    for bad in [Sphere(1), Sphere(6), Moore(2, 3), Moore(5, 3), Wedge(())]:
         with pytest.raises(TermError):
             map_space(bad)
 
@@ -395,7 +414,6 @@ def test_map_space_is_injective_on_its_domain():
 
 
 def test_render_atoms():
-    assert render(Point()) == "pt"
     assert render(Sphere(3)) == "S^3"
     assert render(Moore(4, 9)) == "P^4(9)"
     assert render(SuspCP2()) == "SCP^2"
@@ -409,7 +427,7 @@ def test_render_wedge_uses_canonical_order():
     # A wedge is built in normal form whatever blocks it is given, so it renders as one.
     assert render(Wedge(((Sphere(2), 1), (Sphere(5), 1)))) == "S^5 v S^2"
     assert render(Wedge(())) == "pt"
-    assert render(Wedge(((Point(), 1), (Wedge(((Sphere(3), 1),)), 1)))) == "S^3"
+    assert render(Wedge(((Wedge(()), 1), (Wedge(((Sphere(3), 1),)), 1)))) == "S^3"
 
 
 def test_render_gauge_expr_orders_factors():
@@ -457,9 +475,9 @@ def test_counts_are_checked_and_merged_where_blocks_are_built():
     with pytest.raises(TermError, match="^block count must be >= 0, got -1$"):
         GaugeExpr("S4", 0, ((LoopFactor(2), -1),))
     # Zero blocks vanish, equal terms merge, nested counts multiply.
-    raw = Wedge(((Sphere(4), 0), (Wedge(((Sphere(3), 2), (Point(), 5))), 3), (Sphere(3), 1)))
+    raw = Wedge(((Sphere(4), 0), (Wedge(((Sphere(3), 2), (Wedge(()), 5))), 3), (Sphere(3), 1)))
     assert normalize(raw) == Wedge(((Sphere(3), 7),))
-    assert normalize(Wedge(((Sphere(4), 0),))) == Point()
+    assert normalize(Wedge(((Sphere(4), 0),))) == Wedge(())
     expr = GaugeExpr("S4", 0, ((LoopFactor(3), 0), (LoopFactor(1), 2), (LoopFactor(1), 1)))
     assert expr.blocks == ((LoopFactor(1), 3),)
     assert expr == GaugeExpr("S4", 0, ((LoopFactor(1), 3),))
@@ -523,7 +541,7 @@ def test_block_joiner_matches_joining_every_copy(hang_guard):
 
 
 def test_parse_term_atoms():
-    assert parse_term("pt") == Point()
+    assert parse_term("pt") == Wedge(())
     assert parse_term("S^3") == Sphere(3)
     assert parse_term("P^4(27)") == Moore(4, 27)
     assert parse_term("SCP^2") == SuspCP2()
