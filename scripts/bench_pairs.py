@@ -11,8 +11,11 @@ files (the default from Python 3.14 on).  For each seed of a ``WORKLOAD=SEEDS`` 
 sides run the command of BENCHMARK.json with ``--workload W --seed S
 --seconds <run_seconds> --trace 0`` one after the other, the side that
 goes first alternating from seed to seed.  For every end-to-end metric the
-file gives each side's runs, median and quartiles, and the pairs the
-change won.  ``--traced WORKLOAD=SEEDS`` adds ``--trace 1`` runs, one per
+file gives each side's runs, median and quartiles, the pairs the change
+won, the median gap (the change's median minus the parent's) and whether
+it is ``resolved``: wider than the parent's interquartile range, so more
+than the spread of unchanged code.  One stderr line per metric says the
+same.  ``--traced WORKLOAD=SEEDS`` adds ``--trace 1`` runs, one per
 side and seed, alternating in the same way; for every per-layer metric the
 file gives each side's runs and their median, since one traced run carries
 run-to-run noise as large as a change.  Seeds are ``A-B`` ranges or comma
@@ -130,16 +133,27 @@ def by_metric(runs: list[dict]) -> dict[str, list[float]]:
     return {name: [r["metrics"][name]["value"] for r in runs] for name in runs[0]["metrics"]}
 
 
-def paired(metrics: list[dict], runs: dict[str, list[dict]]) -> dict:
+def paired(workload: str, metrics: list[dict], runs: dict[str, list[dict]]) -> dict:
+    """Each end-to-end metric of one workload's pairs, with one stderr line per metric:
+    the gap between the sides' medians, change minus parent, is ``resolved`` when it is
+    wider than the parent's interquartile range, the spread of unchanged code."""
     out = {}
     for metric in metrics:
         name = metric["name"]
         values = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in SIDES}
         sign = 1 if metric["better"] == "higher" else -1
         wins = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
+        sides = {side: summary(values[side]) for side in SIDES}
+        base = sides["parent"]["median"]
+        gap, iqr = sides["change"]["median"] - base, sides["parent"]["q3"] - sides["parent"]["q1"]
+        resolved = abs(gap) > iqr
         out[name] = {"unit": metric["unit"], "better": metric["better"], "bound": metric["bound"],
-                     **{side: summary(values[side]) for side in SIDES},
-                     "change_wins": wins, "pairs": len(values["parent"])}
+                     **sides, "change_wins": wins, "pairs": len(values["parent"]),
+                     "median_gap": gap, "resolved": resolved}
+        share = f" ({gap / base:+.1%})" if base else ""
+        print(f"{workload} {name}: median gap {gap:+.4g} {metric['unit']}{share}, parent IQR "
+              f"{iqr:.4g}, {'' if resolved else 'not '}resolved, change won {wins} of "
+              f"{len(values['parent'])}", file=sys.stderr)
     return out
 
 
@@ -174,7 +188,7 @@ def main() -> None:
                 "first": first,
                 "outcomes": {side: [{k: r[k] for k in ("correct", "attempted", "failed")}
                                     for r in runs[side]] for side in SIDES},
-                "metrics": paired(spec["end_to_end"], runs),
+                "metrics": paired(workload, spec["end_to_end"], runs),
             }
         for workload, seed_list in args.traced:
             runs, first = alternating(spec, dirs, workload, seed_list, 1)

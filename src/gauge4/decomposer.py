@@ -30,17 +30,17 @@ from __future__ import annotations
 
 from itertools import groupby
 
-from .manifold import ManifoldSpec, Pi1Kind, classify_pi1, stabilize
+from .manifold import ManifoldSpec, Pi1Kind, classify_pi1
 from .terms import (
     GAUGE_BASE,
+    SCP2,
+    SPHERE,
     SYMBOLIC,
     GaugeExpr,
     LoopFactor,
     Moore,
     SpaceTerm,
-    Sphere,
     Stabilization,
-    SuspCP2,
     TermError,
     Wedge,
     block_pieces,
@@ -78,17 +78,24 @@ class Decomposition(Value):
         if not isinstance(case_used, Pi1Kind):
             raise DecompositionError(f"case_used must be a Pi1Kind, got {case_used!r}")
         susp = normalize(suspension)
-        bases = [block for block in blocks(susp) if block[0] in GAUGE_BASE]
-        if len(bases) != 1 or bases[0][1] != 1:
-            raise DecompositionError("a splitting needs exactly one base summand")
-        # map_space's domain is an interval of the blocks' order, so the ends of the rest
-        # check all; only summands outside it sort above a base, so one comes first if any
-        rest = blocks(susp)[1:] if blocks(susp)[0] == bases[0] else blocks(susp)
+        parts = blocks(susp)
+        # The base blocks, found as they are read: a splitting reads its first block alone.
+        bases = (block for block in parts if block[0] in GAUGE_BASE)
+        base = next(bases, None)
+        # Both bases sort before map_space's domain, an interval of the blocks' order, so
+        # with a first base of count 1 the two ends of the rest check all.
+        ok = base is not None and base is parts[0] and base[1] == 1
+        rest = parts[1:] if ok else parts
         try:
             for atom, _ in rest[:1] + rest[-1:]:
                 map_space(atom)
         except TermError as exc:
-            raise DecompositionError(f"summand outside the correspondence: {exc}") from None
+            ok, outside = False, exc
+        if not ok:  # only a refusal reads on, to choose its line
+            if base is None or base[1] != 1 or next(bases, None):
+                raise DecompositionError("a splitting needs exactly one base summand")
+            # one base of count 1, after a summand outside the domain or before one
+            raise DecompositionError(f"summand outside the correspondence: {outside}")
         self._set(susp, t, stabilization, case_used)
 
     @property
@@ -122,9 +129,7 @@ def decompose(spec: ManifoldSpec, t: int = 0, *, d: Stabilization = SYMBOLIC) ->
     """
     d = check_stabilization(d)
     kind = classify_pi1(spec.pi1)
-    if kind is Pi1Kind.MIXED:
-        return mixed_decomposition(spec, t, d=d)
-    return _assemble(spec, t, 0, kind)
+    return _assemble(spec, t, d if kind is Pi1Kind.MIXED else 0, kind)
 
 
 def mixed_decomposition(spec: ManifoldSpec, t: int = 0, *, d: Stabilization = SYMBOLIC) -> Decomposition:
@@ -135,21 +140,22 @@ def mixed_decomposition(spec: ManifoldSpec, t: int = 0, *, d: Stabilization = SY
     their stabilized counterparts at d = 0.  d is checked as in decompose();
     a concrete d is the exact formula applied to the stabilized manifold.
     """
-    d = check_stabilization(d)
-    stabilized = spec if d == SYMBOLIC else stabilize(spec, d)
-    return _assemble(stabilized, t, d, Pi1Kind.MIXED)
+    return _assemble(spec, t, check_stabilization(d), Pi1Kind.MIXED)
 
 
 def _assemble(spec: ManifoldSpec, t: int, stabilization: Stabilization, kind: Pi1Kind) -> Decomposition:
+    """The splitting from a checked stabilization count; a concrete d is that of
+    stabilize(spec, d), whose b2 is 2d larger, so 2d more copies of S^3."""
     m = spec.pi1.free_rank
+    n3 = spec.b2 if stabilization == SYMBOLIC else spec.b2 + 2 * stabilization
     if spec.sigma_f_trivial:
-        base, n3 = Sphere(5), spec.b2
+        base = SPHERE[5]
     else:
-        base, n3 = SuspCP2(), spec.b2 - 1  # one 2-cell is spent on the CP^2 block
-    blocks = [(base, 1), (Sphere(4), m), (Sphere(3), n3), (Sphere(2), m)]
+        base, n3 = SCP2, n3 - 1  # one 2-cell is spent on the CP^2 block
+    blocks = [(base, 1), (SPHERE[4], m), (SPHERE[3], n3), (SPHERE[2], m)]
     for (p, r), run in groupby(spec.pi1.cyclic_factors):  # sorted, so equal factors adjoin
-        n = sum(1 for _ in run)
-        blocks += [(Moore(3, p**r), n), (Moore(4, p**r), n)]
+        n, q = len(list(run)), p**r
+        blocks += [(Moore(3, q), n), (Moore(4, q), n)]
     return Decomposition(Wedge(blocks), t, stabilization, kind)
 
 
@@ -173,7 +179,7 @@ def splitting_parts(dec: Decomposition, gauge: bool) -> list[str]:
     with gauge, then of ``; G_t(M) = ...``, or ``; G_t(M) x (O^2G)^{2d} ~ ...``."""
     t, stab = dec.t, dec.stabilization
     parts = ["SM = " if stab == 0 else f"S(M #_{'d' if stab == SYMBOLIC else stab}(S^2xS^2)) = "]
-    join_blocks(parts, block_pieces(dec.blocks, Sphere(3) if stab == SYMBOLIC else None), " v ")
+    join_blocks(parts, block_pieces(dec.blocks, SPHERE[3] if stab == SYMBOLIC else None), " v ")
     if gauge:
         power = "{2d}" if stab == SYMBOLIC else 2 * stab
         parts.append(f"; G_{t}(M) = " if stab == 0 else f"; G_{t}(M) x (O^2G)^{power} ~ ")

@@ -100,21 +100,16 @@ def _atom_key(term: Sphere | Moore | SuspCP2 | LoopFactor) -> tuple[int, int, in
     spheres, then Moore spaces by modulus, then SCP^2.  A loop factor sorts
     as the summand it comes from (O^kG{q} as P^{k+1}(q)), so map_space keeps
     the order and the two halves of a splitting are written in step.
-    map_space's domain, S^4 through S^2, is an interval of this order, so a
-    sorted wedge lies in it when its first and last summands do."""
-    if isinstance(term, Sphere):
-        return (-term.dim, 0, 0)
-    if isinstance(term, Moore):
-        return (-term.dim, 1, term.modulus)
-    if isinstance(term, SuspCP2):
-        return (-5, 2, 0)
-    return (-term.loop_order - 1, 0 if term.modulus is None else 1, term.modulus or 0)
+    map_space's domain, S^4 through S^2, is an interval of this order after
+    both bases, so a sorted wedge lies in it when its first and last summands
+    do.  The keys are written in _ATOMS, by exact class."""
+    return _ATOMS[term.__class__][0](term)
 
 
 def _merge(blocks: Iterable[tuple[SpaceTerm | LoopFactor, int]], kinds: tuple[type, ...],
            what: str) -> tuple:
-    """Blocks in normal form, in one pass: each term must be one of kinds
-    (else TermError naming what) and each count an int >= 0 (else TermError);
+    """Blocks in normal form, in one pass: each term's class must be one of
+    kinds (else TermError naming what) and each count an int >= 0 (else TermError);
     a nested wedge, in normal form already, gives its blocks, their counts
     multiplied; zero blocks are dropped, equal atoms merged, and the blocks
     sorted by _atom_key."""
@@ -122,13 +117,13 @@ def _merge(blocks: Iterable[tuple[SpaceTerm | LoopFactor, int]], kinds: tuple[ty
     # merge key as well as the sort key.
     merged: dict = {}
     for term, count in blocks:
-        if not isinstance(term, kinds):
+        if term.__class__ not in kinds:
             raise TermError(f"not a {what}: {term!r}")
         integer(count, "block count", 0, TermError)
         if count:
-            for atom, times in term.blocks if isinstance(term, Wedge) else ((term, 1),):
-                key = _atom_key(atom)
-                merged[key] = (atom, count * times + merged.get(key, (atom, 0))[1])
+            for atom, times in term.blocks if term.__class__ is Wedge else ((term, 1),):
+                key, n = _ATOMS[atom.__class__][0](atom), count * times  # _atom_key, inlined
+                merged[key] = (atom, merged[key][1] + n) if key in merged else (atom, n)
     return tuple([merged[key] for key in sorted(merged)])
 
 
@@ -209,10 +204,28 @@ def check_stabilization(d: Stabilization | None) -> Stabilization:
     return integer(d, "stabilization count", 0, TermError)
 
 
+#: The fixed atoms of every splitting, built once and shared, since a value cannot change:
+#: the spheres S^2..S^5 by dimension, SCP^2, and the plain loop factors O^1G..O^3G by order.
+SPHERE = {dim: Sphere(dim) for dim in range(2, 6)}
+SCP2 = SuspCP2()
+LOOP = {order: LoopFactor(order) for order in range(1, 4)}
+
 #: The bases of a gauge group, the base summand each pairs with, and each base's name.
 S4, CP2 = "S4", "CP2"
-GAUGE_BASE = {Sphere(5): S4, SuspCP2(): CP2}
+GAUGE_BASE = {SPHERE[5]: S4, SCP2: CP2}
 _BASE_NAMES = {S4: "S^4", CP2: "CP^2"}
+
+#: By exact class, each atom's sort key (see _atom_key), its text, and the loop
+#: factor Map*(atom, G) of a summand in map_space's domain, else None.
+_ATOMS = {
+    Sphere: (lambda s: (-s.dim, 0, 0), lambda s: f"S^{s.dim}", lambda s: LOOP.get(s.dim - 1)),
+    Moore: (lambda m: (-m.dim, 1, m.modulus), lambda m: f"P^{m.dim}({m.modulus})",
+            lambda m: LoopFactor(m.dim - 1, m.modulus) if 3 <= m.dim <= 4 else None),
+    SuspCP2: (lambda _: (-5, 2, 0), lambda _: "SCP^2", lambda _: None),
+    LoopFactor: (lambda f: (-f.loop_order - 1, 0 if f.modulus is None else 1, f.modulus or 0),
+                 lambda f: f"O^{f.loop_order}G" if f.modulus is None
+                 else f"O^{f.loop_order}G{{{f.modulus}}}", lambda _: None),
+}
 
 
 def map_space(summand: SpaceTerm) -> LoopFactor:
@@ -223,10 +236,9 @@ def map_space(summand: SpaceTerm) -> LoopFactor:
     SCP^2 are base summands — they pair with the base gauge group, not with
     a loop factor — and everything else is outside the correspondence.
     """
-    if isinstance(summand, Sphere) and 2 <= summand.dim <= 4:
-        return LoopFactor(summand.dim - 1)
-    if isinstance(summand, Moore) and 3 <= summand.dim <= 4:
-        return LoopFactor(summand.dim - 1, summand.modulus)
+    row = _ATOMS.get(summand.__class__)
+    if row and (factor := row[2](summand)):
+        return factor
     if summand in GAUGE_BASE:
         raise TermError(f"base summand: {render(summand)}")
     raise TermError(f"no loop factor for summand: {summand!r}")
@@ -244,17 +256,11 @@ def render(obj: SpaceTerm | GaugeExpr | LoopFactor) -> str:
     render as the right-hand side of their product decomposition
     (``G_2(S^4) x O^3G x O^1G``) through product_parts.
     """
+    row = _ATOMS.get(obj.__class__)
+    if row:
+        return row[1](obj)
     if isinstance(obj, GaugeExpr):
         return "".join(product_parts([], obj.base, obj.t, obj.blocks, obj.stabilization))
-    if isinstance(obj, LoopFactor):
-        mod = "" if obj.modulus is None else f"{{{obj.modulus}}}"
-        return f"O^{obj.loop_order}G{mod}"
-    if isinstance(obj, Sphere):
-        return f"S^{obj.dim}"
-    if isinstance(obj, Moore):
-        return f"P^{obj.dim}({obj.modulus})"
-    if isinstance(obj, SuspCP2):
-        return "SCP^2"
     if isinstance(obj, Wedge):
         return "".join(join_blocks([], block_pieces(obj.blocks), " v ")) or "pt"
     raise TermError(f"cannot render {obj!r}")
@@ -266,7 +272,7 @@ def product_parts(parts: list[str], base: str, t: int, blocks: Sequence,
     count) blocks already in normal form, written as they come; with a
     symbolic stabilization the plain O^2G block is ``(O^2G)^{b+2d}``.  The
     one writer of a product, for a GaugeExpr and a gauge half alike."""
-    pieces = block_pieces(blocks, LoopFactor(2) if stabilization == SYMBOLIC else None)
+    pieces = block_pieces(blocks, LOOP[2] if stabilization == SYMBOLIC else None)
     parts.append(f"G_{t}({_BASE_NAMES[base]})")
     if pieces:  # blocks in normal form have no zero count
         parts.append(" x ")
@@ -283,7 +289,7 @@ def block_pieces(
     stabilization count d is symbolic.  Its block, present or not, is then
     one piece in its place: ``(X)^{n+2d}``, or ``(X)^{2d}`` when n = 0.
     """
-    pieces = [(render(term), count) for term, count in blocks]
+    pieces = [(_ATOMS[term.__class__][1](term), count) for term, count in blocks]
     if stable is not None:
         i = bisect_left(blocks, _atom_key(stable), key=lambda block: _atom_key(block[0]))
         n = dict(blocks[i : i + 1]).get(stable, 0)

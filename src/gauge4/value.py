@@ -24,10 +24,11 @@ class Value:
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
-        # _values reads the fields in one C call; _set writes them unrolled, as a dataclass does.
+        # _values reads the fields in one C call; _set writes them unrolled, as a dataclass
+        # does, each through its slot's own setter, which looks up no name.
         cls._values = attrgetter(*cls.__slots__ or ("__class__",))
-        body = "".join(f"\n    setattr(self, {name!r}, {name})" for name in cls.__slots__)
-        scope = {"setattr": object.__setattr__}
+        body = "".join(f"\n    set_{name}(self, {name})" for name in cls.__slots__)
+        scope = {f"set_{name}": vars(cls)[name].__set__ for name in cls.__slots__}
         exec(f"def _set(self, {', '.join(cls.__slots__)}):{body or ' pass'}", scope)
         cls._set = scope["_set"]
 

@@ -1,5 +1,6 @@
 """scripts/bench_pairs.py writes no results file from runs that are wrong or
-that do not pair: canned runs stand in for the benchmark."""
+that do not pair, and says of each metric's gap whether it is wider than the
+parent's spread: canned runs stand in for the benchmark."""
 
 import importlib.util
 import json
@@ -70,3 +71,35 @@ def test_main_exits_1_and_writes_no_file(tmp_path, monkeypatch, change):
     monkeypatch.setattr(bench_pairs, "run", lambda *args: canned())
     bench_pairs.main()
     assert json.loads(out.read_text())["workloads"]["cli"]["seeds"] == [5, 6]
+
+
+def test_a_gap_is_resolved_only_past_the_parents_interquartile_range(capsys):
+    # parent runs 10..14: median 12, quartiles 11 and 13, an interquartile range of 2
+    metrics = SPEC["end_to_end"] + [
+        {"name": "latency_p50_us", "unit": "us", "better": "lower", "bound": 0.25}]
+
+    def side(ops, latency):
+        runs = [canned(ops=value) for value in ops]
+        for r, value in zip(runs, latency):
+            r["metrics"]["latency_p50_us"] = {"value": value, "unit": "us"}
+        return runs
+
+    parent = side([10.0, 11.0, 12.0, 13.0, 14.0], [10.0, 11.0, 12.0, 13.0, 14.0])
+    for ops, gap, resolved in [([13.0, 14.0, 15.0, 16.0, 9.0], 2.0, False),  # exactly the IQR
+                               ([13.0, 14.5, 15.5, 16.0, 9.0], 2.5, True)]:
+        out = bench_pairs.paired("census", metrics, runs_of(parent, side(ops, [10.5] * 5)))
+        assert (out["throughput_ops"]["median_gap"], out["throughput_ops"]["resolved"]) == (
+            gap, resolved)
+        assert (out["latency_p50_us"]["median_gap"], out["latency_p50_us"]["resolved"]) == (
+            -1.5, False)
+        assert out["throughput_ops"]["change_wins"] == out["latency_p50_us"]["change_wins"] == 4
+    assert capsys.readouterr().err.splitlines() == [
+        "census throughput_ops: median gap +2 1/s (+16.7%), parent IQR 2, not resolved, "
+        "change won 4 of 5",
+        "census latency_p50_us: median gap -1.5 us (-12.5%), parent IQR 2, not resolved, "
+        "change won 4 of 5",
+        "census throughput_ops: median gap +2.5 1/s (+20.8%), parent IQR 2, resolved, "
+        "change won 4 of 5",
+        "census latency_p50_us: median gap -1.5 us (-12.5%), parent IQR 2, not resolved, "
+        "change won 4 of 5",
+    ]

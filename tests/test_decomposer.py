@@ -34,9 +34,10 @@ from gauge4 import (
     suspend,
     wedge,
 )
+from gauge4 import decomposer
 from gauge4.decomposer import splitting_parts
 from gauge4.manifold import TRIVIAL_PI1
-from gauge4.terms import SYMBOLIC, _atom_key
+from gauge4.terms import GAUGE_BASE, SYMBOLIC, _atom_key, blocks, normalize
 
 S4_ONLY = ManifoldSpec()  # trivial pi1, b2 = 0, trivial flag
 
@@ -241,6 +242,111 @@ def test_map_space_domain_is_an_interval_of_the_summand_order():
                     "summand outside the correspondence"}
 
 
+def _scanned_line(susp):
+    """The line the check that scanned every block for its bases refused susp with,
+    or None where it built: one base of count 1, then the two ends of the rest."""
+    parts = blocks(normalize(susp))
+    bases = [block for block in parts if block[0] in GAUGE_BASE]
+    if len(bases) != 1 or bases[0][1] != 1:
+        return "a splitting needs exactly one base summand"
+    rest = parts[1:] if parts[0] == bases[0] else parts
+    try:
+        for atom, _ in rest[:1] + rest[-1:]:
+            map_space(atom)
+    except TermError as exc:
+        return f"summand outside the correspondence: {exc}"
+    return None
+
+
+def _built_line(susp):
+    try:
+        Decomposition(susp, 0, 0, Pi1Kind.MIXED)
+    except DecompositionError as exc:
+        return str(exc)
+    return None
+
+
+S5, SCP2 = Sphere(5), SuspCP2()
+HAND_PICKED_WEDGES = {
+    "the empty wedge": (),
+    "a bare base": ((S5, 1),),
+    "a base and the domain's two ends": ((SCP2, 1), (Sphere(4), 2), (Sphere(2), 1)),
+    "two bases": ((S5, 1), (SCP2, 1), (Sphere(3), 1)),
+    "two bases, nothing else": ((S5, 1), (SCP2, 1)),
+    "a base of count 2": ((S5, 2), (Sphere(3), 1)),
+    "a base of count 2 and a second base": ((S5, 2), (SCP2, 1)),
+    "a base that is not first": ((Sphere(6), 1), (S5, 1), (Sphere(3), 1)),
+    "P^5(q) between S^5 and SCP^2, after S^5": ((S5, 1), (Moore(5, 3), 1)),
+    "P^5(q) between S^5 and SCP^2, before SCP^2": ((Moore(5, 3), 1), (SCP2, 1)),
+    "P^5(q) between both bases": ((S5, 1), (Moore(5, 9), 1), (SCP2, 1)),
+    "a summand above S^5": ((S5, 1), (Moore(6, 3), 2)),
+    "a summand below S^2 last": ((SCP2, 1), (Sphere(3), 1), (Sphere(1), 1)),
+    "a summand below S^2 alone": ((S5, 1), (Moore(2, 5), 1)),
+    "no base, all in the domain": ((Sphere(4), 1), (Moore(3, 3), 1)),
+    "no base, a summand outside": ((Sphere(6), 1), (Sphere(2), 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HAND_PICKED_WEDGES))
+def test_one_pass_check_refuses_what_the_full_scan_did_hand_picked(name):
+    susp = Wedge(HAND_PICKED_WEDGES[name])
+    assert _built_line(susp) == _scanned_line(susp)
+
+
+def test_one_pass_check_refuses_what_the_full_scan_did_at_random():
+    # Bases of count 1 or 2, anywhere, beside summands inside the domain and
+    # outside it on both sides; the one-pass check builds exactly where the
+    # full scan did and refuses with the same line.
+    atoms = [Sphere(n) for n in range(1, 8)] + [SCP2]
+    atoms += [Moore(n, q) for n in range(2, 7) for q in (3, 9, 25)]
+    rng, seen = random.Random(1609), {}
+    for _ in range(3000):
+        parts = [(rng.choice(atoms), rng.choice((1, 1, 1, 2))) for _ in range(rng.randint(0, 5))]
+        if rng.random() < 0.6:
+            parts.append((rng.choice((S5, SCP2)), 1))
+        susp = normalize(Wedge(parts))
+        line = _scanned_line(susp)
+        assert _built_line(susp) == line, susp
+        key = line and line.partition(":")[0]
+        seen[key] = seen.get(key, 0) + 1
+    assert set(seen) == {None, "a splitting needs exactly one base summand",
+                         "summand outside the correspondence"}
+    assert min(seen.values()) > 300, seen
+
+
+#: Specs by (pi1, b2, spin, d), each with the Moore spaces and loop factors one
+#: decompose + render_decomposition builds: a splitting's spheres, SCP^2 and plain
+#: loop factors are the constants of terms, so only a cyclic factor's summands,
+#: P^3(q) and P^4(q), and their loop factors are built.  With no free factor the
+#: rest of the splitting ends in Moore spaces, whose loop factors the check builds too.
+CONSTRUCTION_COUNTS = [
+    ("1", 0, True, None, 0, 0),
+    ("1", 4, False, None, 0, 0),
+    ("Z*Z", 3, False, None, 0, 0),
+    ("Z*Z*Z", 0, True, None, 0, 0),
+    ("Z/9", 2, True, None, 2, 2 + 2),
+    ("Z/3*Z/5", 1, False, None, 4, 4 + 2),
+    ("Z/3*Z/5*Z/3", 0, True, 2, 4, 4 + 2),
+    ("Z*Z/3", 2, True, None, 2, 2),
+    ("Z*Z*Z/3*Z/5*Z/7", 5, False, 0, 6, 6),
+    ("Z*Z/3*Z/5*Z/25", 0, True, 3, 6, 6),
+]
+
+
+@pytest.mark.parametrize("pi1,b2,spin,d,moore,loops", CONSTRUCTION_COUNTS)
+def test_one_query_builds_only_the_atoms_of_its_cyclic_factors(monkeypatch, pi1, b2, spin, d,
+                                                              moore, loops):
+    spec = manifold(pi1, b2, spin=spin)
+    built = dict.fromkeys(("Sphere", "SuspCP2", "Moore", "LoopFactor"), 0)
+    for cls in (Sphere, SuspCP2, Moore, LoopFactor):
+        def counted(self, *args, _init=cls.__init__, _name=cls.__name__):
+            built[_name] += 1
+            _init(self, *args)
+        monkeypatch.setattr(cls, "__init__", counted)
+    render_decomposition(decompose(spec, 1, d=d))
+    assert built == {"Sphere": 0, "SuspCP2": 0, "Moore": moore, "LoopFactor": loops}
+
+
 def test_decomposition_rejects_a_bad_stabilization():
     susp = Wedge(((Sphere(5), 1), (Sphere(3), 2)))
     with pytest.raises(TermError, match="^stabilization count must be an integer, got 'foo'$"):
@@ -277,6 +383,21 @@ STABILIZATION_ENTRY_POINTS = {
 def test_every_entry_point_rejects_a_bad_stabilization_with_term_error(entry, d, message):
     with pytest.raises(TermError, match=message):
         STABILIZATION_ENTRY_POINTS[entry](d)
+
+
+@pytest.mark.parametrize("spec,d", [(MIXED_SPEC, 2), (MIXED_SPEC, SYMBOLIC), (S4_ONLY, 3)],
+                         ids=["mixed, d=2", "mixed, symbolic d", "simply connected, d=3"])
+def test_a_count_is_checked_once_on_the_way_in_and_once_where_it_is_stored(monkeypatch, spec, d):
+    # decompose checks d for every pi1 and stabilizes with it unchecked; Decomposition
+    # checks the count it stores: d for a mixed pi1, else 0.
+    checked = []
+    check = decomposer.check_stabilization
+    monkeypatch.setattr(decomposer, "check_stabilization", lambda n: checked.append(n) or check(n))
+    decompose(spec, 1, d=d)
+    assert checked == [d, d if spec is MIXED_SPEC else 0]
+    checked.clear()
+    mixed_decomposition(spec, 1, d=d)
+    assert checked == [d, d]
 
 
 def test_blocks_grow_with_distinct_summands_not_b2(hang_guard):
