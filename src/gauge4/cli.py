@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 
@@ -129,7 +128,8 @@ def _atom_json(atom: SpaceTerm) -> str:
 
 
 def _factor_json(factor: LoopFactor) -> str:
-    return f'{{"loop_order": {factor.loop_order}, "modulus": {json.dumps(factor.modulus)}}}'
+    modulus = "null" if factor.modulus is None else factor.modulus
+    return f'{{"loop_order": {factor.loop_order}, "modulus": {modulus}}}'
 
 
 def _splitting_json(dec: decomposer.Decomposition, gauge: bool) -> list[str]:
@@ -137,10 +137,11 @@ def _splitting_json(dec: decomposer.Decomposition, gauge: bool) -> list[str]:
     json.dumps(..., sort_keys=True) writes for it with its lists expanded.
     The keys are written in sorted order, and each list from its blocks by
     join_blocks, the suspension first, so its copy count is the one an error
-    names; the parts are written in turn, never joined."""
+    names; the parts are written in turn, never joined.  Its scalars are written here
+    too, so a splitting never loads json."""
     suspension = join_blocks([], [(_atom_json(atom), n) for atom, n in dec.blocks], ", ")
     case = dec.case_used.value
-    stabilization = json.dumps(dec.stabilization)
+    stabilization = f'"{SYMBOLIC}"' if dec.stabilization == SYMBOLIC else dec.stabilization
     if not gauge:
         return [f'{{"case": "{case}", "stabilization": {stabilization}, "suspension": [',
                 *suspension, "]}"]
@@ -168,6 +169,8 @@ def _verdict_json(v: EquivalenceVerdict) -> dict:
 
 
 def _dump(obj) -> str:
+    import json  # here, not at the top: a text query or a splitting never loads it
+
     return json.dumps(obj, sort_keys=True)
 
 

@@ -43,6 +43,7 @@ from .terms import (
     Stabilization,
     TermError,
     Wedge,
+    _atom_key,
     block_pieces,
     blocks,
     check_stabilization,
@@ -56,6 +57,10 @@ from .value import Value, integer
 
 class DecompositionError(ValueError):
     """A wedge that does not correspond to any gauge-group product."""
+
+
+#: map_space's domain, S^4 through S^2, as the interval of the blocks' order it is.
+_DOMAIN = _atom_key(SPHERE[4]), _atom_key(SPHERE[2])
 
 
 class Decomposition(Value):
@@ -83,19 +88,21 @@ class Decomposition(Value):
         bases = (block for block in parts if block[0] in GAUGE_BASE)
         base = next(bases, None)
         # Both bases sort before map_space's domain, an interval of the blocks' order, so
-        # with a first base of count 1 the two ends of the rest check all.
+        # with a first base of count 1 the keys of the two ends of the rest check all.
         ok = base is not None and base is parts[0] and base[1] == 1
         rest = parts[1:] if ok else parts
-        try:
-            for atom, _ in rest[:1] + rest[-1:]:
-                map_space(atom)
-        except TermError as exc:
-            ok, outside = False, exc
+        if ok and rest:
+            ok = _DOMAIN[0] <= _atom_key(rest[0][0]) and _atom_key(rest[-1][0]) <= _DOMAIN[1]
         if not ok:  # only a refusal reads on, to choose its line
             if base is None or base[1] != 1 or next(bases, None):
                 raise DecompositionError("a splitting needs exactly one base summand")
-            # one base of count 1, after a summand outside the domain or before one
-            raise DecompositionError(f"summand outside the correspondence: {outside}")
+            # one base of count 1, after a summand outside the domain or before one,
+            # which map_space refuses with the line given
+            try:
+                for atom, _ in rest[:1] + rest[-1:]:
+                    map_space(atom)
+            except TermError as exc:
+                raise DecompositionError(f"summand outside the correspondence: {exc}") from None
         self._set(susp, t, stabilization, case_used)
 
     @property

@@ -13,7 +13,6 @@ have equal representations no matter how they were computed.
 
 from __future__ import annotations
 
-import json
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from math import gcd
@@ -367,6 +366,8 @@ def homology_of_term(term: _t.SpaceTerm) -> GradedAbelianGroup:
 
 def parse_matrix(text: str) -> IntMatrix:
     """Parse row-major bracket syntax: ``[[1,0],[0,1]]``; ``[]`` is 0 x 0."""
+    import json  # here, not at the top: only this grammar reads JSON, so no other query loads it
+
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -27,10 +27,8 @@ class Value:
         # _values reads the fields in one C call; _set writes them unrolled, as a dataclass
         # does, each through its slot's own setter, which looks up no name.
         cls._values = attrgetter(*cls.__slots__ or ("__class__",))
-        body = "".join(f"\n    set_{name}(self, {name})" for name in cls.__slots__)
-        scope = {f"set_{name}": vars(cls)[name].__set__ for name in cls.__slots__}
-        exec(f"def _set(self, {', '.join(cls.__slots__)}):{body or ' pass'}", scope)
-        cls._set = scope["_set"]
+        cls._set = _setter(len(cls.__slots__))(*[vars(cls)[name].__set__
+                                                 for name in cls.__slots__])
 
     def __eq__(self, other: object):
         if other.__class__ is self.__class__:
@@ -51,6 +49,24 @@ class Value:
         raise AttributeError(f"cannot assign to or delete field {name!r}")
 
     __delattr__ = __setattr__
+
+
+_SETTERS: dict = {}  # field count -> the bind function _setter compiled for it
+
+
+def _setter(fields: int):
+    """For a field count, the function that binds that many slot setters s0, s1, ...
+    into a _set(self, v0, v1, ...) calling s0(self, v0), s1(self, v1), ... unrolled;
+    compiled once per count, so every _set of a count shares one code object."""
+    if fields not in _SETTERS:
+        n = range(fields)
+        body = "".join(f"\n        s{i}(self, v{i})" for i in n) or " pass"
+        scope: dict = {}
+        exec(f"def bind({', '.join(f's{i}' for i in n)}):\n"
+             f"    def _set(self{''.join(f', v{i}' for i in n)}):{body}\n"
+             "    return _set", scope)
+        _SETTERS[fields] = scope["bind"]
+    return _SETTERS[fields]
 
 
 def integer(value, what: str, low: int | None = None, error: type = ValueError) -> int:

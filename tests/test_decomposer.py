@@ -35,7 +35,7 @@ from gauge4 import (
     wedge,
 )
 from gauge4 import decomposer
-from gauge4.decomposer import splitting_parts
+from gauge4.decomposer import _DOMAIN, splitting_parts
 from gauge4.manifold import TRIVIAL_PI1
 from gauge4.terms import GAUGE_BASE, SYMBOLIC, _atom_key, blocks, normalize
 
@@ -225,6 +225,9 @@ def test_map_space_domain_is_an_interval_of_the_summand_order():
     atoms += [Moore(n, q) for n in range(2, 7) for q in (2, 3, 9, 25)]
     inside = [i for i, atom in enumerate(sorted(atoms, key=_atom_key)) if _maps(atom)]
     assert inside == list(range(inside[0], inside[-1] + 1)) and len(inside) == 11
+    # and the interval of keys Decomposition checks the ends against is that domain
+    low, high = _DOMAIN
+    assert [atom for atom in atoms if low <= _atom_key(atom) <= high] == list(filter(_maps, atoms))
     rng, seen = random.Random(2486), set()
     for _ in range(4000):
         base = rng.choice((Sphere(5), SuspCP2()))
@@ -317,16 +320,16 @@ def test_one_pass_check_refuses_what_the_full_scan_did_at_random():
 #: Specs by (pi1, b2, spin, d), each with the Moore spaces and loop factors one
 #: decompose + render_decomposition builds: a splitting's spheres, SCP^2 and plain
 #: loop factors are the constants of terms, so only a cyclic factor's summands,
-#: P^3(q) and P^4(q), and their loop factors are built.  With no free factor the
-#: rest of the splitting ends in Moore spaces, whose loop factors the check builds too.
+#: P^3(q) and P^4(q), and their loop factors are built, once each: Decomposition checks
+#: the ends of a splitting by their sort keys, so it builds no loop factor.
 CONSTRUCTION_COUNTS = [
     ("1", 0, True, None, 0, 0),
     ("1", 4, False, None, 0, 0),
     ("Z*Z", 3, False, None, 0, 0),
     ("Z*Z*Z", 0, True, None, 0, 0),
-    ("Z/9", 2, True, None, 2, 2 + 2),
-    ("Z/3*Z/5", 1, False, None, 4, 4 + 2),
-    ("Z/3*Z/5*Z/3", 0, True, 2, 4, 4 + 2),
+    ("Z/9", 2, True, None, 2, 2),
+    ("Z/3*Z/5", 1, False, None, 4, 4),
+    ("Z/3*Z/5*Z/3", 0, True, 2, 4, 4),
     ("Z*Z/3", 2, True, None, 2, 2),
     ("Z*Z*Z/3*Z/5*Z/7", 5, False, 0, 6, 6),
     ("Z*Z/3*Z/5*Z/25", 0, True, 3, 6, 6),

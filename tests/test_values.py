@@ -4,7 +4,8 @@ gauge4 loads.
 Every value class derives from ``gauge4.value.Value``: equal only within its
 own class, hashed by its fields, printed in the dataclass form, and closed to
 assignment and deletion.  gauge4 defines no dataclass, so ``import gauge4``
-loads neither ``dataclasses`` nor the ``inspect`` it pulls in.
+loads neither ``dataclasses`` nor the ``inspect`` it pulls in, and it loads
+``json`` only where a query reads or writes a JSON document.
 """
 
 import copy
@@ -19,6 +20,7 @@ from pathlib import Path
 import pytest
 
 import gauge4
+import gauge4.cli
 from conftest import graded
 from gauge4 import (
     ClassRule,
@@ -178,8 +180,8 @@ _LIBRARY_IMPORTS = {"__future__", "_bisect", "bisect", "collections.abc", "math"
 
 
 def test_import_loads_only_gauge4_and_json():
-    # -S: no site, so nothing a .pth file imports counts as free; json, and
-    # argparse for the command line, are the floor.
+    # -S: no site, so nothing a .pth file imports counts as free; json is imported
+    # first, so what it loads is not counted, and argparse is the command line's floor.
     src = str(Path(gauge4.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-S", "-c", _IMPORTS], env=env, check=True,
@@ -188,3 +190,54 @@ def test_import_loads_only_gauge4_and_json():
     added = {name for name in library - json_ if name.split(".")[0] != "gauge4"}
     assert added == _LIBRARY_IMPORTS
     assert cli - library == argparse_ - library | {"gauge4.cli"}
+
+
+#: Run in a fresh interpreter: whether json is loaded after ``import gauge4``, after
+#: ``import gauge4.cli``, after a text ``decompose`` and a ``suspension --json``, and after
+#: an ``snf --json``, as the last line, below the answers of the three queries.
+_JSON_LOADS = """
+import sys
+loaded = []
+import gauge4
+import gauge4.cli
+loaded.append("json" in sys.modules)
+import gauge4.cli
+loaded.append("json" in sys.modules)
+for argv in {queries!r}:
+    gauge4.cli.run(argv)
+    loaded.append("json" in sys.modules)
+print(*loaded)
+"""
+
+#: The queries of _JSON_LOADS, in turn: only the last reads or writes a JSON document
+#: through the json module (a splitting's --json is written by hand).
+JSON_QUERIES = [
+    ["decompose", "--pi1", "Z/9*Z", "--b2", "2", "--t", "1", "--d", "3"],
+    ["suspension", "--pi1", "Z/3*Z/5", "--b2", "1", "--json"],
+    ["snf", "--matrix", "[[2,4],[6,8]]", "--json"],
+]
+
+
+def test_json_is_loaded_only_by_a_query_that_needs_it(capsys):
+    src = str(Path(gauge4.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    script = _JSON_LOADS.format(queries=JSON_QUERIES)
+    out = subprocess.run([sys.executable, "-S", "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    *answers, loaded = out.splitlines()
+    assert loaded == "False False False False True"
+    for argv in JSON_QUERIES:  # the same bytes as in this process, where json is loaded
+        assert gauge4.cli.run(argv) == 0
+    assert answers == capsys.readouterr().out.splitlines()
+
+
+def test_value_classes_of_one_field_count_share_one_set():
+    # _set is compiled once per field count and bound to each class's slot setters, so
+    # defining a value class costs no compile once a class of its field count exists.
+    codes: dict[int, set] = {}
+    classes = Value.__subclasses__()
+    for cls in classes:
+        codes.setdefault(len(cls.__slots__), set()).add(cls._set.__code__)
+    assert sorted(codes) == [0, 1, 2, 3, 4]
+    assert all(len(shared) == 1 for shared in codes.values())
+    assert len(classes) > len(codes)
