@@ -199,7 +199,6 @@ _JSON_LOADS = """
 import sys
 loaded = []
 import gauge4
-import gauge4.cli
 loaded.append("json" in sys.modules)
 import gauge4.cli
 loaded.append("json" in sys.modules)
