@@ -13,6 +13,7 @@ have equal representations no matter how they were computed.
 
 from __future__ import annotations
 
+import re
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from math import gcd
@@ -21,7 +22,7 @@ from operator import mul
 from . import terms as _t
 from .arith import prime_power_parts
 from .manifold import ManifoldSpec
-from .value import Value, integer, past_digit_limit
+from .value import Value, decimal, integer
 
 MAX_DEGREE = 5
 
@@ -364,18 +365,16 @@ def homology_of_term(term: _t.SpaceTerm) -> GradedAbelianGroup:
 # matrix grammar (shared with the command line)
 
 
-def parse_matrix(text: str) -> IntMatrix:
-    """Parse row-major bracket syntax: ``[[1,0],[0,1]]``; ``[]`` is 0 x 0."""
-    import json  # here, not at the top: only this grammar reads JSON, so no other query loads it
+_ROW = r"\[([^][]*)\]"  # one row: the text inside a bracket pair that holds no bracket
+_SHAPE = rf"\s*\[\s*(?:{_ROW}\s*(?:,\s*{_ROW}\s*)*)?\]\s*"  # rows, comma-split, in brackets
 
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"bad matrix syntax: {exc}") from None
-    except RecursionError:
-        raise ValueError("bad matrix syntax: brackets nested too deeply") from None
-    except ValueError:  # int() past Python's digit limit, so there is one
-        raise ValueError(f"bad matrix syntax: {past_digit_limit('an entry')}") from None
-    if not isinstance(data, list) or any(not isinstance(r, list) for r in data):
-        raise ValueError("matrix must be a list of rows")
-    return IntMatrix.from_rows(data)
+
+def parse_matrix(text: str) -> IntMatrix:
+    """Parse row-major bracket syntax: ``[[1,0],[0,1]]``; ``[]`` is 0 x 0.  Each entry is
+    read by ``value.decimal``: a sign and leading zeros are accepted, whitespace ignored."""
+    if not re.fullmatch(_SHAPE, text):  # str patterns: re compiles them on the first read
+        raise ValueError("bad matrix syntax: expected a bracketed list of bracketed rows")
+    return IntMatrix.from_rows([
+        [decimal(entry.strip(), "bad matrix syntax: an entry", ValueError,
+                 "bad matrix entry: {!r}".format) for entry in row.split(",")]
+        if row.strip() else [] for row in re.findall(_ROW, text.strip()[1:-1])])

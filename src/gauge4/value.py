@@ -7,9 +7,9 @@ repr, and cannot be changed: copy and pickle build it again through ``__init__``
 
 ``integer`` is the one check of an integer a value holds: a count, a dimension, a modulus,
 a rank, a class t or s, a prime.  Each module passes its own error class.  ``decimal`` is the
-one reader of an integer written as text, in the four grammars and the five integer flags:
+one reader of an integer written as text, in the five grammars and the five integer flags:
 ASCII ``DIGITS`` only, so no other script's digit and no underscore, with whitespace around
-ignored; a flag's integer may carry a sign, a grammar's none."""
+ignored; a flag's integer or a matrix entry may carry a sign, the other grammars' none."""
 
 import re
 import sys

@@ -15,6 +15,7 @@ from conftest import expand, random_spec
 from gauge4 import (
     Decomposition,
     GaugeExpr,
+    IntMatrix,
     LoopFactor,
     Moore,
     SYMBOLIC,
@@ -25,6 +26,7 @@ from gauge4 import (
     decompose,
     manifold,
     map_space,
+    parse_matrix,
     parse_term,
     render,
     render_decomposition,
@@ -365,6 +367,10 @@ def test_output_is_deterministic(capsys):
 # exits
 
 
+#: snf's one line for a text that is not a bracketed list of bracketed rows; it echoes no argv.
+SHAPE_LINE = "error: bad matrix syntax: expected a bracketed list of bracketed rows\n"
+
+
 @pytest.mark.parametrize(
     "argv,code,fragment",
     [
@@ -380,10 +386,10 @@ def test_output_is_deterministic(capsys):
         (["classify", "--group", "SU(2)", "--t", "1"], 1, "--s"),
         (["classify", "--group", "E8", "--t", "1", "--s", "1"], 2, "bad group name"),
         (["classify", "--group", "SU(2)", "--t", "1", "--s", "1", "--primes", "6"], 2, "not a prime"),
-        (["snf", "--matrix", "[[1,2"], 2, "bad matrix syntax"),
-        (["snf", "--matrix", "[[1],[2,3]]"], 2, "ragged"),
+        (["snf", "--matrix", "[[1,2"], 2, SHAPE_LINE),
+        (["snf", "--matrix", "[[1],[2,3]]"], 2, "error: ragged matrix rows\n"),
         (["nonsense"], 1, "invalid choice"),
-        (["snf", "--matrix", "[" * 5000 + "]" * 5000], 2, "bad matrix syntax"),
+        (["snf", "--matrix", "[" * 5000 + "]" * 5000], 2, SHAPE_LINE),
         # Python's 4300-digit limit on int() and str(), in an entry and in
         # an answer (the integers written out)
         (["snf", "--matrix", "[[1" + "0" * 4400 + "]]"], 2,
@@ -395,8 +401,8 @@ def test_output_is_deterministic(capsys):
         (["parse", "--pi1", f"Z/{2**64 + 1}"], 2, "larger than 2**64"),
         (["classify", "--group", "SU(2)", "--t", "1", "--s", "2", "--primes", str(2**64 + 13)],
          2, "larger than 2**64"),
-        (["snf", "--matrix", "[[],[1]]"], 2, "ragged"),
-        (["snf", "--matrix", "[[1,2],[]]"], 2, "ragged"),
+        (["snf", "--matrix", "[[],[1]]"], 2, "error: ragged matrix rows\n"),
+        (["snf", "--matrix", "[[1,2],[]]"], 2, "error: ragged matrix rows\n"),
         # the spec is checked before the group: an invalid spec and group
         # give the spec's reason
         (["classify", "--pi1", "Z/4", "--b2", "1", "--group", "E8", "--t", "1", "--s", "1"],
@@ -563,6 +569,9 @@ INTEGER_READERS = {
         (1, "argument --primes: expected a comma-separated prime list, got '\uff17'"),
         (1, "argument --primes: expected a comma-separated prime list, got '1_1'"), 7,
         (2, "not a prime: -7"), 7, 7]),
+    "--matrix": (lambda tok: ["snf", "--matrix", f"[[{tok}]]"], [
+        7, (2, "bad matrix entry: '\u0667'"), (2, "bad matrix entry: '\uff17'"),
+        (2, "bad matrix entry: '1_1'"), 7, -7, 7, 7]),
 }
 
 
@@ -570,8 +579,8 @@ INTEGER_READERS = {
 def test_every_integer_reader_reads_ascii_digits_by_one_rule(capsys, reader):
     # ASCII digits only, in every grammar and flag: another script's digit, once read
     # as its value, and an underscore, once read by the flags, are refused with the
-    # reader's malformed line.  A flag takes a sign, a grammar none; whitespace around
-    # a token is ignored where the reader strips it.
+    # reader's malformed line.  A flag and a matrix entry take a sign, the other grammars
+    # none; whitespace around a token is ignored where the reader strips it.
     build, outcomes = INTEGER_READERS[reader]
 
     def answer(token):
@@ -589,6 +598,85 @@ def test_every_integer_reader_reads_ascii_digits_by_one_rule(capsys, reader):
         elif want[0] is not TermError:
             want = (want[0], "", f"error: {want[1]}\n")
         assert answer(token) == want, token
+
+
+#: The pieces of the snf fuzz below: the grammar's own tokens, json's words and number
+#: forms, whitespace, digits of three scripts, and a run past Python's digit limit.
+_PIECES = ["[", "]", ",", "+", "-", " ", "\n", "0", "7", "12", "\u0667", "\uff17", "_", ".",
+           "e", "true", "NaN", "9" * 4400]
+
+
+def fuzz_matrix(rng: random.Random) -> str:
+    """A seeded text for ``snf --matrix``: rows of entries, mostly integers json reads too,
+    each gap padded with whitespace, at times edited by a piece; else pieces at random."""
+    if rng.random() < 0.2:
+        return "".join(rng.choices(_PIECES, k=rng.randint(0, 12)))
+
+    def pad():
+        return "".join(rng.choices(" \n", k=rng.choice((0, 0, 1, 2))))
+
+    def entry():
+        if rng.random() < 0.8:
+            return pad() + str(rng.randint(-99, 99)) + pad()
+        return "".join(rng.choices(_PIECES, k=rng.randint(1, 3)))
+
+    cols = rng.randint(0, 4)
+    rows = [f"[{','.join(entry() for _ in range(cols + (rng.random() < 0.05)))}]"
+            for _ in range(rng.randint(0, 4))]
+    text = f"{pad()}[{pad()}{','.join(pad() + row + pad() for row in rows)}]{pad()}"
+    if rng.random() < 0.3:
+        at = rng.randint(0, len(text))
+        text = text[:at] + rng.choice(_PIECES) + text[at + rng.randint(0, 1):]
+    return text
+
+
+def _outcome(build):
+    try:
+        return build()
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_snf_matrix_fuzz_ends_in_an_answer_or_one_error_line(capsys, hang_guard):
+    # Every text ends with exit 0 or 2 and at most gauge4's own line, never a traceback
+    # or json's messages; wherever json reads a list of rows of ints, the matrix is json's.
+    rng = random.Random(2026)
+    compared = refused = 0
+    for _ in range(2000):
+        text = fuzz_matrix(rng)
+        code, out, err = invoke(capsys, "snf", f"--matrix={text}")  # a text may start "-"
+        if code == 0:
+            assert err == "" and out.endswith("\n"), text
+        else:
+            refused += 1
+            assert (code, out) == (2, ""), text
+            assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+            assert not any(word in err for word in (
+                "Traceback", "Expecting", "line 1 column", "nan", "inf", "True")), err
+        try:
+            data = json.loads(text)
+        except (ValueError, RecursionError):
+            continue
+        if type(data) is list and all(type(row) is list and all(type(v) is int for v in row)
+                                      for row in data):
+            compared += 1
+            assert _outcome(lambda: parse_matrix(text)) == _outcome(
+                lambda: IntMatrix.from_rows(data)), text
+    assert compared > 600 and refused > 600
+
+
+def test_snf_refuses_a_long_matrix_fast(capsys):
+    # 100 KB texts, each refused with one line in under 50 ms of CPU: the shape's line
+    # echoes no argv, and no pattern backtracks over the text.
+    for text, err in [
+        ("[" * 50_000 + "]" * 50_000, SHAPE_LINE),
+        ("[[1" + " " * 10**5 + "2]]", f"error: bad matrix entry: {'1' + ' ' * 10**5 + '2'!r}\n"),
+        ("[" + "[]," * 33_000 + "[1]]", "error: ragged matrix rows\n"),
+    ]:
+        assert len(text) > 99_000
+        start = time.process_time()
+        assert invoke(capsys, "snf", "--matrix", text) == (2, "", err)
+        assert time.process_time() - start < 0.05
 
 
 def test_a_reader_that_closes_stdout_early_ends_the_process_quietly():

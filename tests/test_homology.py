@@ -1,14 +1,18 @@
 """Smith normal form against a minors oracle; chain complexes against
 closed-form homology; the suspension shift."""
 
+import ast
 import json
 import random
+import sys
 import time
 from itertools import combinations
 from math import gcd, prod
+from pathlib import Path
 
 import pytest
 
+import oracles
 from conftest import graded, handle_complex, random_matrix_rows, random_spec
 from gauge4 import (
     ChainComplexError,
@@ -131,46 +135,6 @@ def test_snf_both_passes_agree_on_rectangular_and_low_rank(monkeypatch):
 # SNF sweep over dense matrices, with an oracle that factors nothing
 
 
-def bareiss(rows):
-    """(rank over Q, determinant or 0 when singular or not square)."""
-    work = [list(r) for r in rows]
-    m, n = len(work), len(work[0])
-    rank, prev, sign = 0, 1, 1
-    for c in range(n):
-        k = next((i for i in range(rank, m) if work[i][c]), None)
-        if k is None:
-            continue
-        if k != rank:
-            work[rank], work[k] = work[k], work[rank]
-            sign = -sign
-        for i in range(rank + 1, m):
-            for j in range(c + 1, n):
-                work[i][j] = (work[rank][c] * work[i][j] - work[i][c] * work[rank][j]) // prev
-            work[i][c] = 0
-        prev = work[rank][c]
-        rank += 1
-    det = sign * prev if rank == m == n else 0
-    return rank, det
-
-
-def rank_mod(rows, p):
-    work = [[v % p for v in r] for r in rows]
-    rank = 0
-    for c in range(len(work[0])):
-        k = next((i for i in range(rank, len(work)) if work[i][c]), None)
-        if k is None:
-            continue
-        work[rank], work[k] = work[k], work[rank]
-        inv = pow(work[rank][c], -1, p)
-        work[rank] = [v * inv % p for v in work[rank]]
-        for i in range(len(work)):
-            if i != rank and work[i][c]:
-                f = work[i][c]
-                work[i] = [(a - f * b) % p for a, b in zip(work[i], work[rank])]
-        rank += 1
-    return rank
-
-
 SWEEP = [(4, 25), (6, 25), (7, 25), (8, 25), (12, 8), (16, 4), (32, 2)]
 
 
@@ -187,12 +151,23 @@ def test_snf_sweep_on_dense_matrices(hang_guard, side, count):
         assert rank == len(factors)
         assert all(d > 0 for d in factors)
         assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
-        q_rank, det = bareiss(rows)
+        q_rank, det = oracles.bareiss(rows)
         assert rank == q_rank
         if det:
             assert prod(factors) == abs(det)
         for p in (2, 3, 5, 7):
-            assert sum(1 for d in factors if d % p == 0) == rank - rank_mod(rows, p)
+            assert sum(1 for d in factors if d % p == 0) == rank - oracles.rank_mod_p(rows, p)
+
+
+def test_the_oracles_import_nothing_from_gauge4():
+    # The sweep's Bareiss and rank mod p are bench/oracles.py's, shared with the
+    # benchmark; they are an independent check only while that module reads no gauge4.
+    tree = ast.parse(Path(oracles.__file__).read_text())
+    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names]
+    modules += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert modules
+    assert all(name.split(".")[0] in sys.stdlib_module_names for name in modules), modules
 
 
 # --------------------------------------------------------------------------
@@ -516,12 +491,23 @@ def test_parse_matrix():
     assert parse_matrix("[]") == IntMatrix.from_rows([], cols=0)
     assert parse_matrix("[[],[]]") == IntMatrix.from_rows([[], []], cols=0)
     assert parse_matrix(" [[2, -3]] ") == IntMatrix.from_rows([[2, -3]])
+    # each entry by the integer flags' rule: a sign and leading zeros, whitespace around
+    assert parse_matrix("[ [+1 ,\t007] ,\n[ -0,-02 ] ]") == IntMatrix.from_rows([[1, 7], [0, -2]])
 
 
 def test_parse_matrix_rejections():
-    for bad in ["[[1,0],[0", "[[1],[2,3]]", "[[1.5]]", '[["x"]]', "5", "[[true]]"]:
-        with pytest.raises(ValueError):
-            parse_matrix(bad)
+    # gauge4's own line for each: the shape's is fixed text, an entry's names the token
+    shape = "bad matrix syntax: expected a bracketed list of bracketed rows"
+    for text, line in [
+        ("[[1,0],[0", shape), ("5", shape), ("[1,2]", shape), ("[[[1]]]", shape), ("", shape),
+        ("[[1],[2,3]]", "ragged matrix rows"),
+        ("[[1.5]]", "bad matrix entry: '1.5'"), ('[["x"]]', "bad matrix entry: '\"x\"'"),
+        ("[[true]]", "bad matrix entry: 'true'"), ("[[1,]]", "bad matrix entry: ''"),
+        ("[[1 2]]", "bad matrix entry: '1 2'"),
+    ]:
+        with pytest.raises(ValueError) as exc:
+            parse_matrix(text)
+        assert str(exc.value) == line, text
 
 
 def test_parse_matrix_rejects_deep_nesting():

@@ -360,20 +360,22 @@ def test_the_simply_connected_label_is_written_once():
 
 
 def test_one_digit_class_and_one_reader_for_every_integer_written_as_text():
-    # value.decimal is the one int() of text, for the four grammars and the five
+    # value.decimal is the one int() of text, for the five grammars and the five
     # integer flags alike, and value.DIGITS the one spelling of an integer's digits.
     assert _calls("int") == [("value", "decimal")]
     assert _calls("decimal") == [
-        ("classifier", "parse_group"), ("cli", "_int_arg"), ("manifold", "parse_pi1"),
-        ("terms", "_parse_atom"), ("terms", "_parse_atom"), ("terms", "_parse_atom")]
+        ("classifier", "parse_group"), ("cli", "_int_arg"), ("homology", "parse_matrix"),
+        ("manifold", "parse_pi1"), ("terms", "_parse_atom"), ("terms", "_parse_atom"),
+        ("terms", "_parse_atom")]
     grammars = [_ATOM_RE, _SPHERE_RE, _MOORE_RE, _GROUP_RE]
     assert [g.pattern.count(f"({DIGITS})") for g in grammars] == [1, 1, 2, 1]
     assert _calls("DIGITS", reads=True) == [
         ("classifier", ""), ("manifold", ""), ("terms", ""), ("terms", ""), ("terms", ""),
         ("value", "")]
     assert DIGITS == "[0-9]+"
-    assert not any("\\d" in path.read_text()
-                   for path in Path(gauge4.__file__).parent.glob("*.py"))
+    sources = [path.read_text() for path in Path(gauge4.__file__).parent.glob("*.py")]
+    assert not any("\\d" in text for text in sources)
+    assert sum(text.count("0-9") for text in sources) == 1  # DIGITS itself
     assert "re" not in vars(cli)  # _int_arg reads no regex of its own
 
 

@@ -193,8 +193,8 @@ def test_import_loads_only_gauge4_and_json():
 
 
 #: Run in a fresh interpreter: whether json is loaded after ``import gauge4``, after
-#: ``import gauge4.cli``, after a text ``decompose`` and a ``suspension --json``, and after
-#: an ``snf --json``, as the last line, below the answers of the three queries.
+#: ``import gauge4.cli``, after a text ``decompose``, a ``suspension --json`` and a text
+#: ``snf``, and after an ``snf --json``, as the last line, below the answers of the queries.
 _JSON_LOADS = """
 import sys
 loaded = []
@@ -208,11 +208,12 @@ for argv in {queries!r}:
 print(*loaded)
 """
 
-#: The queries of _JSON_LOADS, in turn: only the last reads or writes a JSON document
-#: through the json module (a splitting's --json is written by hand).
+#: The queries of _JSON_LOADS, in turn: only the last writes a JSON document through the
+#: json module (a splitting's --json is written by hand, and no query reads one).
 JSON_QUERIES = [
     ["decompose", "--pi1", "Z/9*Z", "--b2", "2", "--t", "1", "--d", "3"],
     ["suspension", "--pi1", "Z/3*Z/5", "--b2", "1", "--json"],
+    ["snf", "--matrix", "[[2,4],[6,8]]"],
     ["snf", "--matrix", "[[2,4],[6,8]]", "--json"],
 ]
 
@@ -224,7 +225,7 @@ def test_json_is_loaded_only_by_a_query_that_needs_it(capsys):
     out = subprocess.run([sys.executable, "-S", "-c", script], env=env, check=True,
                          capture_output=True, text=True).stdout
     *answers, loaded = out.splitlines()
-    assert loaded == "False False False False True"
+    assert loaded == "False False False False False True"
     for argv in JSON_QUERIES:  # the same bytes as in this process, where json is loaded
         assert gauge4.cli.run(argv) == 0
     assert answers == capsys.readouterr().out.splitlines()
