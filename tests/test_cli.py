@@ -666,8 +666,8 @@ def test_snf_matrix_fuzz_ends_in_an_answer_or_one_error_line(capsys, hang_guard)
 
 
 def test_snf_refuses_a_long_matrix_fast(capsys):
-    # 100 KB texts, each refused with one line in under 50 ms of CPU: the shape's line
-    # echoes no argv, and no pattern backtracks over the text.
+    # 100 KB texts, each refused with one line in under 50 ms of CPU: deep brackets, a
+    # row of spaces between two digits, and 33 000 empty rows before a full one.
     for text, err in [
         ("[" * 50_000 + "]" * 50_000, SHAPE_LINE),
         ("[[1" + " " * 10**5 + "2]]", f"error: bad matrix entry: {'1' + ' ' * 10**5 + '2'!r}\n"),

@@ -149,7 +149,7 @@ def test_every_entry_point_rejects_a_non_int(entry, bad):
         (lambda: homology_of_term(Sphere(2.5)), TermError,
          "sphere dimension must be an integer, got 2.5"),
         # a matrix from the command-line grammar: each entry is read by value.decimal,
-        # whose malformed line names the token, as json's type check once named its value
+        # whose malformed line names the token
         (lambda: parse_matrix("[[1, 2.5]]"), ValueError, "bad matrix entry: '2.5'"),
         (lambda: parse_matrix("[[true]]"), ValueError, "bad matrix entry: 'true'"),
         (lambda: parse_matrix('[["3"]]'), ValueError, "bad matrix entry: '\"3\"'"),
