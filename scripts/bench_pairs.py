@@ -14,7 +14,9 @@ goes first alternating from seed to seed.  For every end-to-end metric the
 file gives each side's runs, median and quartiles, the pairs the change
 won, the median gap (the change's median minus the parent's) and whether
 it is ``resolved``: wider than the parent's interquartile range, so more
-than the spread of unchanged code.  One stderr line per metric says the
+than the spread of unchanged code, and a ``gain`` when it is resolved in
+the better direction and the change won at least nine tenths of the pairs
+(a tie wins for neither side).  One stderr line per metric says the
 same.  ``--traced WORKLOAD=SEEDS`` adds ``--trace 1`` runs, one per
 side and seed, alternating in the same way; for every per-layer metric the
 file gives each side's runs and their median, since one traced run carries
@@ -136,7 +138,9 @@ def by_metric(runs: list[dict]) -> dict[str, list[float]]:
 def paired(workload: str, metrics: list[dict], runs: dict[str, list[dict]]) -> dict:
     """Each end-to-end metric of one workload's pairs, with one stderr line per metric:
     the gap between the sides' medians, change minus parent, is ``resolved`` when it is
-    wider than the parent's interquartile range, the spread of unchanged code."""
+    wider than the parent's interquartile range, the spread of unchanged code, and a
+    ``gain`` when it is that wide in the better direction and the change won at least
+    nine tenths of the pairs."""
     out = {}
     for metric in metrics:
         name = metric["name"]
@@ -146,14 +150,15 @@ def paired(workload: str, metrics: list[dict], runs: dict[str, list[dict]]) -> d
         sides = {side: summary(values[side]) for side in SIDES}
         base = sides["parent"]["median"]
         gap, iqr = sides["change"]["median"] - base, sides["parent"]["q3"] - sides["parent"]["q1"]
-        resolved = abs(gap) > iqr
+        pairs = len(values["parent"])
+        resolved, gain = abs(gap) > iqr, sign * gap > iqr and 10 * wins >= 9 * pairs
         out[name] = {"unit": metric["unit"], "better": metric["better"], "bound": metric["bound"],
-                     **sides, "change_wins": wins, "pairs": len(values["parent"]),
-                     "median_gap": gap, "resolved": resolved}
+                     **sides, "change_wins": wins, "pairs": pairs,
+                     "median_gap": gap, "resolved": resolved, "gain": gain}
         share = f" ({gap / base:+.1%})" if base else ""
         print(f"{workload} {name}: median gap {gap:+.4g} {metric['unit']}{share}, parent IQR "
               f"{iqr:.4g}, {'' if resolved else 'not '}resolved, change won {wins} of "
-              f"{len(values['parent'])}", file=sys.stderr)
+              f"{pairs}, {'' if gain else 'no '}gain", file=sys.stderr)
     return out
 
 

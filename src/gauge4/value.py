@@ -25,10 +25,9 @@ class Value:
 
     def __init_subclass__(cls) -> None:
         # _values reads the fields in one C call; _set writes them unrolled, as a dataclass
-        # does, each through its slot's own setter, which looks up no name.
+        # does, each through its slot's own setter, which looks up no name (see _SET).
         cls._values = attrgetter(*cls.__slots__ or ("__class__",))
-        cls._set = _setter(len(cls.__slots__))(*[vars(cls)[name].__set__
-                                                 for name in cls.__slots__])
+        cls._set = _SET[len(cls.__slots__)](*[vars(cls)[name].__set__ for name in cls.__slots__])
 
     def __eq__(self, other: object):
         if other.__class__ is self.__class__:
@@ -51,22 +50,17 @@ class Value:
     __delattr__ = __setattr__
 
 
-_SETTERS: dict = {}  # field count -> the bind function _setter compiled for it
-
-
-def _setter(fields: int):
-    """For a field count, the function that binds that many slot setters s0, s1, ...
-    into a _set(self, v0, v1, ...) calling s0(self, v0), s1(self, v1), ... unrolled;
-    compiled once per count, so every _set of a count shares one code object."""
-    if fields not in _SETTERS:
-        n = range(fields)
-        body = "".join(f"\n        s{i}(self, v{i})" for i in n) or " pass"
-        scope: dict = {}
-        exec(f"def bind({', '.join(f's{i}' for i in n)}):\n"
-             f"    def _set(self{''.join(f', v{i}' for i in n)}):{body}\n"
-             "    return _set", scope)
-        _SETTERS[fields] = scope["bind"]
-    return _SETTERS[fields]
+# By field count 0-4, what binds slot setters s0, s1, ... into a _set(self, v0, v1, ...)
+# calling s0(self, v0), s1(self, v1), ... in turn (a setter returns None, so ``or`` runs
+# each); every _set of a count shares one code object.
+_SET = (
+    lambda: lambda self: None,
+    lambda s0: lambda self, v0: s0(self, v0),
+    lambda s0, s1: lambda self, v0, v1: s0(self, v0) or s1(self, v1),
+    lambda s0, s1, s2: lambda self, v0, v1, v2: s0(self, v0) or s1(self, v1) or s2(self, v2),
+    lambda s0, s1, s2, s3: lambda self, v0, v1, v2, v3: (
+        s0(self, v0) or s1(self, v1) or s2(self, v2) or s3(self, v3)),
+)
 
 
 def integer(value, what: str, low: int | None = None, error: type = ValueError) -> int:

@@ -84,22 +84,34 @@ def test_a_gap_is_resolved_only_past_the_parents_interquartile_range(capsys):
             r["metrics"]["latency_p50_us"] = {"value": value, "unit": "us"}
         return runs
 
+    # A gain needs the gap past the IQR in the better direction and 9 in 10 pairs won:
+    # 4 of 5 is too few, 5 of 5 enough, and a tie (14.0 against 14.0) wins for neither side.
     parent = side([10.0, 11.0, 12.0, 13.0, 14.0], [10.0, 11.0, 12.0, 13.0, 14.0])
-    for ops, gap, resolved in [([13.0, 14.0, 15.0, 16.0, 9.0], 2.0, False),  # exactly the IQR
-                               ([13.0, 14.5, 15.5, 16.0, 9.0], 2.5, True)]:
+    for ops, gap, resolved, wins, gain in [
+            ([13.0, 14.0, 15.0, 16.0, 9.0], 2.0, False, 4, False),  # exactly the IQR
+            ([13.0, 14.5, 15.5, 16.0, 9.0], 2.5, True, 4, False),
+            ([13.0, 14.5, 15.5, 16.0, 17.0], 3.5, True, 5, True),
+            ([13.0, 14.5, 15.5, 16.0, 14.0], 2.5, True, 4, False)]:
         out = bench_pairs.paired("census", metrics, runs_of(parent, side(ops, [10.5] * 5)))
-        assert (out["throughput_ops"]["median_gap"], out["throughput_ops"]["resolved"]) == (
-            gap, resolved)
-        assert (out["latency_p50_us"]["median_gap"], out["latency_p50_us"]["resolved"]) == (
-            -1.5, False)
-        assert out["throughput_ops"]["change_wins"] == out["latency_p50_us"]["change_wins"] == 4
+        assert [out["throughput_ops"][key] for key in ("median_gap", "resolved", "change_wins",
+                                                       "gain")] == [gap, resolved, wins, gain]
+        assert [out["latency_p50_us"][key] for key in ("median_gap", "resolved", "change_wins",
+                                                       "gain")] == [-1.5, False, 4, False]
     assert capsys.readouterr().err.splitlines() == [
         "census throughput_ops: median gap +2 1/s (+16.7%), parent IQR 2, not resolved, "
-        "change won 4 of 5",
+        "change won 4 of 5, no gain",
         "census latency_p50_us: median gap -1.5 us (-12.5%), parent IQR 2, not resolved, "
-        "change won 4 of 5",
+        "change won 4 of 5, no gain",
         "census throughput_ops: median gap +2.5 1/s (+20.8%), parent IQR 2, resolved, "
-        "change won 4 of 5",
+        "change won 4 of 5, no gain",
         "census latency_p50_us: median gap -1.5 us (-12.5%), parent IQR 2, not resolved, "
-        "change won 4 of 5",
+        "change won 4 of 5, no gain",
+        "census throughput_ops: median gap +3.5 1/s (+29.2%), parent IQR 2, resolved, "
+        "change won 5 of 5, gain",
+        "census latency_p50_us: median gap -1.5 us (-12.5%), parent IQR 2, not resolved, "
+        "change won 4 of 5, no gain",
+        "census throughput_ops: median gap +2.5 1/s (+20.8%), parent IQR 2, resolved, "
+        "change won 4 of 5, no gain",
+        "census latency_p50_us: median gap -1.5 us (-12.5%), parent IQR 2, not resolved, "
+        "change won 4 of 5, no gain",
     ]

@@ -232,8 +232,8 @@ def test_json_is_loaded_only_by_a_query_that_needs_it(capsys):
 
 
 def test_value_classes_of_one_field_count_share_one_set():
-    # _set is compiled once per field count and bound to each class's slot setters, so
-    # defining a value class costs no compile once a class of its field count exists.
+    # _set is written out once per field count and bound to each class's slot setters, so
+    # defining a value class builds no code, only a closure over its setters.
     codes: dict[int, set] = {}
     classes = Value.__subclasses__()
     for cls in classes:
