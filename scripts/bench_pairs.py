@@ -151,7 +151,8 @@ def paired(workload: str, metrics: list[dict], runs: dict[str, list[dict]]) -> d
         base = sides["parent"]["median"]
         gap, iqr = sides["change"]["median"] - base, sides["parent"]["q3"] - sides["parent"]["q1"]
         pairs = len(values["parent"])
-        resolved, gain = abs(gap) > iqr, sign * gap > iqr and 10 * wins >= 9 * pairs
+        resolved = abs(gap) > iqr
+        gain = sign * gap > iqr and 10 * wins >= 9 * pairs
         out[name] = {"unit": metric["unit"], "better": metric["better"], "bound": metric["bound"],
                      **sides, "change_wins": wins, "pairs": pairs,
                      "median_gap": gap, "resolved": resolved, "gain": gain}
