@@ -2,7 +2,11 @@
 
 Subcommands: decompose, suspension, homology, classify, snf, parse.
 Output is deterministic (identical invocations print identical bytes);
---json swaps the text for a single-line JSON document.  Errors print one
+--json swaps the text for a single-line JSON document, written here by hand
+with its keys sorted, byte for byte what json.dumps(..., sort_keys=True)
+writes.  Its strings (case labels, verdict words, scope names, render_pi1's
+output) are from a fixed ASCII alphabet with no quote or backslash, so none
+is escaped.  Errors print one
 ``error: ...`` line on stderr — exit 1 for flag misuse, exit 2 when the
 described manifold or matrix is rejected.  A reader that closes stdout
 early ends the process quietly, with exit 141.
@@ -137,8 +141,7 @@ def _splitting_json(dec: decomposer.Decomposition, gauge: bool) -> list[str]:
     json.dumps(..., sort_keys=True) writes for it with its lists expanded.
     The keys are written in sorted order, and each list from its blocks by
     join_blocks, the suspension first, so its copy count is the one an error
-    names; the parts are written in turn, never joined.  Its scalars are written here
-    too, so a splitting never loads json."""
+    names; the parts are written in turn, never joined."""
     suspension = join_blocks([], [(_atom_json(atom), n) for atom, n in dec.blocks], ", ")
     case = dec.case_used.value
     stabilization = f'"{SYMBOLIC}"' if dec.stabilization == SYMBOLIC else dec.stabilization
@@ -151,27 +154,22 @@ def _splitting_json(dec: decomposer.Decomposition, gauge: bool) -> list[str]:
             *suspension, "]}"]
 
 
-def _verdict_json(v: EquivalenceVerdict) -> dict:
-    rule = None
-    if v.rule_used is not None:
-        rule = {
-            "k": v.rule_used.k,
-            "scope": v.rule_used.scope,
-            "odd_prime_bound": v.rule_used.odd_prime_bound,
-            "iff": True,  # every rule row is an if-and-only-if characterization
-        }
-    return {
-        "integral": v.integral,
-        "local": {str(p): verdict for p, verdict in sorted(v.local.items())},
-        "rule": rule,
-        "stabilized": v.stabilized,
-    }
+def _verdict_json(v: EquivalenceVerdict) -> str:
+    """The --json document of a verdict, keys sorted as json.dumps(..., sort_keys=True)
+    sorts them: a prime's key is a string, so "11" comes before "3"."""
+    rule = "null"
+    if v.rule_used is not None:  # every rule row is an if-and-only-if characterization
+        k, scope, bound = v.rule_used.k, v.rule_used.scope, v.rule_used.odd_prime_bound
+        rule = (f'{{"iff": true, "k": {k}, "odd_prime_bound": '
+                f'{"null" if bound is None else bound}, "scope": "{scope}"}}')
+    local = ", ".join(f'"{p}": "{v.local[p]}"' for p in sorted(v.local, key=str))
+    return (f'{{"verdict": {{"integral": "{v.integral}", "local": {{{local}}}, "rule": {rule}, '
+            f'"stabilized": {"true" if v.stabilized else "false"}}}}}')
 
 
-def _dump(obj) -> str:
-    import json  # here, not at the top: a text query or a splitting never loads it
-
-    return json.dumps(obj, sort_keys=True)
+def _ints(values) -> str:
+    """The JSON list of some ints."""
+    return f"[{', '.join(map(str, values))}]"
 
 
 # --------------------------------------------------------------------------
@@ -189,14 +187,9 @@ def _cmd_homology(args: argparse.Namespace) -> list[str]:
     if args.suspension:
         g = homology.suspend(g)
     if args.json:
-        return [_dump(
-            {
-                "homology": [
-                    {"degree": i, "rank": rank, "torsion": list(torsion)}
-                    for i, (rank, torsion) in enumerate(g.groups)
-                ]
-            }
-        )]
+        degrees = ", ".join(f'{{"degree": {i}, "rank": {rank}, "torsion": {_ints(torsion)}}}'
+                            for i, (rank, torsion) in enumerate(g.groups))
+        return [f'{{"homology": [{degrees}]}}']
     return [homology.render_graded(g)]
 
 
@@ -215,7 +208,7 @@ def _cmd_classify(args: argparse.Namespace) -> list[str]:
     group = parse_group(args.group)
     verdict = classify(group, spec, args.t, args.s, args.primes)
     if args.json:
-        return [_dump({"verdict": _verdict_json(verdict)})]
+        return [_verdict_json(verdict)]
     lines = [_render_rule_line(verdict), f"integral: {verdict.integral}"]
     lines += [f"p={p}: {v}" for p, v in sorted(verdict.local.items())]
     lines.append(f"stabilized: {'yes' if verdict.stabilized else 'no'}")
@@ -226,9 +219,8 @@ def _cmd_snf(args: argparse.Namespace) -> list[str]:
     result = homology.smith_normal_form(homology.parse_matrix(args.matrix))
     try:
         if args.json:
-            return [_dump(
-                {"invariant_factors": list(result.invariant_factors), "rank": result.rank}
-            )]
+            return [f'{{"invariant_factors": {_ints(result.invariant_factors)}, '
+                    f'"rank": {result.rank}}}']
         return [" ".join(str(d) for d in result.invariant_factors)]
     except ValueError:  # str() past Python's digit limit, so there is one
         raise ValueError(f"{past_digit_limit('an invariant factor')}, too many to print") from None
@@ -238,15 +230,10 @@ def _cmd_parse(args: argparse.Namespace) -> list[str]:
     spec = _spec_from_args(args)
     flag = "trivial" if spec.sigma_f_trivial else "nontrivial"
     if args.json:
-        return [_dump(
-            {
-                "pi1": render_pi1(spec.pi1),
-                "free_rank": spec.pi1.free_rank,
-                "cyclic_factors": [list(f) for f in spec.pi1.cyclic_factors],
-                "b2": spec.b2,
-                "sigma_f_trivial": spec.sigma_f_trivial,
-            }
-        )]
+        cyclic = ", ".join(map(_ints, spec.pi1.cyclic_factors))
+        return [f'{{"b2": {spec.b2}, "cyclic_factors": [{cyclic}], '
+                f'"free_rank": {spec.pi1.free_rank}, "pi1": "{render_pi1(spec.pi1)}", '
+                f'"sigma_f_trivial": {"true" if spec.sigma_f_trivial else "false"}}}']
     return [f"pi1 = {render_pi1(spec.pi1)}; b2 = {spec.b2}; sigma-f = {flag}"]
 
 

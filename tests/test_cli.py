@@ -1,5 +1,6 @@
 """Byte-level goldens, JSON round-trips, exit codes, determinism."""
 
+import gc
 import json
 import os
 import random
@@ -226,11 +227,26 @@ def _dumped_splitting(command, dec):
     return json.dumps(doc, sort_keys=True)
 
 
-def _splitting_argvs():
-    """A seeded sweep of decompose and suspension --json queries, then
-    MAX_COPIES and MAX_COPIES + 1 summands (1 + b2 for pi1 = 1, 5 + b2 + 2d
-    for Z*Z/3).  Only the first of these is written out: dumping its 10**6
-    objects for the reference takes about a second."""
+#: The --json edge rows: primes whose keys sort as strings, a verdict with no rule, a
+#: rule with an odd-prime bound, a stabilized verdict, a suspended homology, an empty
+#: matrix and a pi1 with no cyclic factor.
+JSON_EDGE_ARGVS = [
+    ["classify", "--group", "SU(3)", "--t", "1", "--s", "2", "--primes", "3,11"],
+    ["classify", "--group", "Sp(3)", "--pi1", "Z/3", "--b2", "1", "--t", "1", "--s", "2"],
+    ["classify", "--group", "SU(4)", "--pi1", "Z/3", "--t", "1", "--s", "2", "--primes", "5"],
+    ["classify", "--group", "SU(2)", "--pi1", "Z/3*Z", "--t", "1", "--s", "2", "--primes", "2,3"],
+    ["homology", "--pi1", "Z*Z/9", "--b2", "2", "--suspension"],
+    ["snf", "--matrix", "[]"],
+    ["parse", "--pi1", "1"],
+]
+
+
+def _json_argvs():
+    """A seeded sweep of --json queries of all six subcommands, decompose and
+    suspension first, then the edge rows, then MAX_COPIES and MAX_COPIES + 1
+    summands (1 + b2 for pi1 = 1, 5 + b2 + 2d for Z*Z/3).  Only the first of
+    these is written out: dumping its 10**6 objects for the reference takes
+    about a second."""
     rng = random.Random(16)
     for i in range(320):
         spec = random_spec(rng, max_free=2, max_cyclic=2)
@@ -239,14 +255,45 @@ def _splitting_argvs():
                 "--d", rng.choice(["symbolic", "0", "1", "3"])]
         yield (["decompose", *argv, "--t", str(rng.randint(-9, 9))] if i % 2 else
                ["suspension", *argv])
+    rng = random.Random(29)
+    for i in range(160):
+        spec = random_spec(rng, max_free=2, max_cyclic=2)
+        flag = "trivial" if spec.sigma_f_trivial else "nontrivial"
+        argv = ["--pi1", render_pi1(spec.pi1), "--b2", str(spec.b2), "--sigma-f", flag]
+        command = ("homology", "classify", "snf", "parse")[i % 4]
+        if command == "homology":
+            yield ["homology", *argv, *(["--suspension"] * (i % 8 == 0))]
+        elif command == "classify":
+            primes = rng.sample((2, 3, 5, 7, 11, 13, 17, 19, 23), rng.randint(0, 4))
+            yield ["classify", *argv, "--group", rng.choice(("SU(2)", "SU(4)", "Sp(3)", "G2")),
+                   "--t", str(rng.randint(-30, 30)), "--s", str(rng.randint(-30, 30)),
+                   "--primes", ",".join(map(str, primes))]
+        elif command == "snf":
+            side = rng.randint(0, 4)
+            yield ["snf", "--matrix", json.dumps(
+                [[rng.randint(-9, 9) for _ in range(side)] for _ in range(side)])]
+        else:
+            yield ["parse", *argv]
+    yield from JSON_EDGE_ARGVS
     yield ["suspension", "--pi1", "1", "--b2", str(MAX_COPIES - 1)]
     yield ["suspension", "--pi1", "Z*Z/3", "--b2", str(MAX_COPIES - 6), "--d", "1"]
     yield ["decompose", "--pi1", "1", "--b2", str(MAX_COPIES)]
 
 
 def test_json_splitting_matches_dumping_every_copy(capsys):
-    commands, cases, kinds = build_parser()[1], set(), set()
-    for argv in _splitting_argvs():
+    # A splitting's document is json.dumps of its reference with every copy written
+    # out; every document of under 10**6 bytes is also json.dumps of what it loads
+    # to, with its keys sorted (loading a 10**6-copy one would build 10**6 dicts).
+    commands, cases, kinds, docs = build_parser()[1], set(), set(), []
+    for argv in _json_argvs():
+        code, out, err = invoke(capsys, *argv, "--json")
+        cases.add((argv[0], code))
+        if code == 0 and len(out) < 10**6:
+            docs.append(json.loads(out))
+            assert out == json.dumps(docs[-1], sort_keys=True) + "\n", argv
+        if argv[0] not in ("decompose", "suspension"):
+            assert (code, err) == (0, ""), argv
+            continue
         args = commands[argv[0]].parse_args(argv[1:])
         spec = manifold(args.pi1, args.b2, sigma_f_trivial=args.sigma_f != "nontrivial")
         dec = decompose(spec, getattr(args, "t", 0), d=args.d)
@@ -254,14 +301,21 @@ def test_json_splitting_matches_dumping_every_copy(capsys):
             want = (0, _dumped_splitting(argv[0], dec) + "\n", "")
         except ValueError as exc:
             want = (2, "", f"error: {exc}\n")
-        assert invoke(capsys, *argv, "--json") == want, argv
-        cases.add((argv[0], want[0]))
+        assert (code, out, err) == want, argv
         kinds.add((dec.case_used, spec.sigma_f_trivial, dec.stabilization == SYMBOLIC))
-    assert cases == {(c, code) for c in ("decompose", "suspension") for code in (0, 2)}
+    assert cases == {(c, code) for c in ("decompose", "suspension") for code in (0, 2)} | {
+        (c, 0) for c in ("homology", "classify", "snf", "parse")}
     assert {kind for kind, _, _ in kinds} == set(Pi1Kind)
     assert {flag for _, flag, _ in kinds} == {True, False}
     assert {(kind, symbolic) for kind, _, symbolic in kinds if kind is Pi1Kind.MIXED} == {
         (Pi1Kind.MIXED, True), (Pi1Kind.MIXED, False)}
+    verdicts = [doc["verdict"] for doc in docs if "verdict" in doc]
+    assert ["11", "3"] in [list(v["local"]) for v in verdicts]
+    assert {v["rule"] is None for v in verdicts} == {v["stabilized"] for v in verdicts} == {
+        True, False}
+    assert any(v["rule"] and v["rule"]["odd_prime_bound"] for v in verdicts)
+    assert {"invariant_factors": [], "rank": 0} in docs
+    assert [] in [doc.get("cyclic_factors") for doc in docs]
 
 
 def _joined_every_copy(items, sep):
@@ -667,13 +721,16 @@ def test_snf_matrix_fuzz_ends_in_an_answer_or_one_error_line(capsys, hang_guard)
 
 def test_snf_refuses_a_long_matrix_fast(capsys):
     # 100 KB texts, each refused with one line in under 50 ms of CPU: deep brackets, a
-    # row of spaces between two digits, and 33 000 empty rows before a full one.
+    # row of spaces between two digits, and 33 000 empty rows before a full one.  A full
+    # collection runs before each clock starts, so a collection of what the tests before
+    # this one left behind does not fall in the timed window.
     for text, err in [
         ("[" * 50_000 + "]" * 50_000, SHAPE_LINE),
         ("[[1" + " " * 10**5 + "2]]", f"error: bad matrix entry: {'1' + ' ' * 10**5 + '2'!r}\n"),
         ("[" + "[]," * 33_000 + "[1]]", "error: ragged matrix rows\n"),
     ]:
         assert len(text) > 99_000
+        gc.collect()
         start = time.process_time()
         assert invoke(capsys, "snf", "--matrix", text) == (2, "", err)
         assert time.process_time() - start < 0.05

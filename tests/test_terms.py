@@ -302,9 +302,10 @@ def test_every_written_copy_passes_the_one_cap():
 
 def test_one_error_line_writer_and_no_wrapper_left():
     # Every "error: " line is written by the one f-string in cli.run; the
-    # merged handlers, the inlined wrappers and the _set source generator are
-    # neither defined, called nor read anywhere in src, and src runs no code
-    # it builds at run time (re.compile builds a pattern, not code).
+    # merged handlers, the inlined wrappers, the _set source generator and the
+    # json writer are neither defined, called nor read anywhere in src, src runs
+    # no code it builds at run time (re.compile builds a pattern, not code), and
+    # no module of src imports json: every --json document is written by hand.
     nodes = [(module, node) for module, tree in _sources() for node in ast.walk(tree)]
     heads = [node for _, node in nodes
              if isinstance(node, ast.Constant) and str(node.value).startswith("error: ")]
@@ -316,10 +317,15 @@ def test_one_error_line_writer_and_no_wrapper_left():
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
     for gone in ("render_product", "_parser", "_cmd_decompose", "_cmd_suspension",
                  "render_suspension_half", "render_gauge_half", "_suspension_parts",
-                 "_gauge_parts", "render_blocks", "_GAUGE_BASE", "of", "Point", "_setter"):
+                 "_gauge_parts", "render_blocks", "_GAUGE_BASE", "of", "Point", "_setter",
+                 "_dump"):
         assert gone not in defined and _calls(gone) == _calls(gone, reads=True) == []
     assert [node.func.id for _, node in nodes if isinstance(node, ast.Call)
             and getattr(node.func, "id", None) in ("exec", "eval", "compile")] == []
+    imported = {alias.name for _, node in nodes if isinstance(node, ast.Import)
+                for alias in node.names}
+    imported |= {node.module for _, node in nodes if isinstance(node, ast.ImportFrom)}
+    assert not {name for name in imported if name and name.split(".")[0] == "json"}
 
 
 def test_one_table_of_base_summands_and_one_splitting_check():

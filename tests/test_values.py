@@ -193,8 +193,8 @@ def test_import_loads_only_gauge4_and_json():
 
 
 #: Run in a fresh interpreter: whether json is loaded after ``import gauge4``, after
-#: ``import gauge4.cli``, after a text ``decompose``, a ``suspension --json`` and a text
-#: ``snf``, and after an ``snf --json``, as the last line, below the answers of the queries.
+#: ``import gauge4.cli`` and after each query, as the last line, below the answers of the
+#: queries.
 _JSON_LOADS = """
 import sys
 loaded = []
@@ -208,24 +208,28 @@ for argv in {queries!r}:
 print(*loaded)
 """
 
-#: The queries of _JSON_LOADS, in turn: only the last writes a JSON document through the
-#: json module (a splitting's --json is written by hand, and no query reads one).
+#: The queries of _JSON_LOADS, in turn: a text decompose and snf, then a --json query of
+#: each subcommand.  None loads json: every --json document is written by hand.
 JSON_QUERIES = [
     ["decompose", "--pi1", "Z/9*Z", "--b2", "2", "--t", "1", "--d", "3"],
-    ["suspension", "--pi1", "Z/3*Z/5", "--b2", "1", "--json"],
     ["snf", "--matrix", "[[2,4],[6,8]]"],
+    ["decompose", "--pi1", "Z/9*Z", "--b2", "2", "--t", "1", "--d", "3", "--json"],
+    ["suspension", "--pi1", "Z/3*Z/5", "--b2", "1", "--json"],
+    ["homology", "--pi1", "Z*Z/9", "--b2", "2", "--suspension", "--json"],
+    ["classify", "--group", "SU(3)", "--t", "1", "--s", "2", "--primes", "3,11", "--json"],
     ["snf", "--matrix", "[[2,4],[6,8]]", "--json"],
+    ["parse", "--pi1", "Z/25*Z", "--b2", "3", "--json"],
 ]
 
 
-def test_json_is_loaded_only_by_a_query_that_needs_it(capsys):
+def test_json_is_never_loaded(capsys):
     src = str(Path(gauge4.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
     script = _JSON_LOADS.format(queries=JSON_QUERIES)
     out = subprocess.run([sys.executable, "-S", "-c", script], env=env, check=True,
                          capture_output=True, text=True).stdout
     *answers, loaded = out.splitlines()
-    assert loaded == "False False False False False True"
+    assert loaded == " ".join(["False"] * (2 + len(JSON_QUERIES)))
     for argv in JSON_QUERIES:  # the same bytes as in this process, where json is loaded
         assert gauge4.cli.run(argv) == 0
     assert answers == capsys.readouterr().out.splitlines()
