@@ -8,8 +8,9 @@ exact and deterministic:
 - ``is_prime`` uses trial division for small n and above that the
   Miller–Rabin test with the bases that ``_MR_CUTOFFS`` lists for n's
   range, an explicit tuple per range, each proven to let no composite
-  below its bound pass (Jaeschke 1993, with 2, 7, 61 below 4 759 123 141;
-  Jiang–Deng 2014 for all twelve primes 2..37, past 3 * 10**23);
+  below its bound pass (Jaeschke 1993, with 2, 7, 61 below 4 759 123 141
+  and 2, 13, 23, 1 662 803 below 1 122 004 669 633; Jiang–Deng 2014 for
+  all twelve primes 2..37, past 3 * 10**23);
 - ``prime_power`` tests n itself, then its integer k-th roots for primes k;
 - ``factorize`` divides out primes below 2**10, then splits the cofactor
   with Pollard's rho in Brent's form, recognising prime powers on the way.
@@ -40,6 +41,7 @@ _MR_CUTOFFS = (
     (1_373_653, (2, 3)),
     (25_326_001, (2, 3, 5)),
     (4_759_123_141, (2, 7, 61)),
+    (1_122_004_669_633, (2, 13, 23, 1_662_803)),
     (2_152_302_898_747, (2, 3, 5, 7, 11)),
     (3_474_749_660_383, (2, 3, 5, 7, 11, 13)),
     (341_550_071_728_321, (2, 3, 5, 7, 11, 13, 17)),

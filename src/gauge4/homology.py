@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
-from math import gcd
+from math import gcd, prod
 from operator import mul
 
 from . import terms as _t
@@ -156,13 +156,19 @@ SNFResult = namedtuple("SNFResult", "invariant_factors rank")
 def smith_normal_form(mat: IntMatrix) -> SNFResult:
     """Invariant factors d1 | d2 | ... of an integer matrix, and its rank.
 
-    Elimination over Z: the smallest nonzero entry of the remaining block
-    is the pivot, and its column is cleared with round-to-nearest
-    quotients; a remainder, at most half the pivot, becomes the next pivot
-    at once.  Only once the column is clear is the pivot's row cleared the
-    same way, which then changes the pivot row alone.  A row holding an
-    entry the pivot does not divide is added to the pivot row.  Small
-    inputs finish this way with small entries.
+    Zero rows and columns are dropped, and the rest transposed (same SNF).
+    A square nonsingular rest, n x n, takes the trailing-minor route:
+    ``_rank_and_minor`` gives D = |det| and g, a multiple of d1 ... d(n-1)
+    dividing D; g = 1 gives (1, ..., 1, D), else elimination modulo g finds
+    d1 ... d(n-1), a residue 0 read as g, and dn = D / (d1 ... d(n-1)).
+
+    Any other rest is eliminated over Z: the smallest nonzero entry of the
+    remaining block is the pivot, and its column is cleared with
+    round-to-nearest quotients; a remainder, at most half the pivot,
+    becomes the next pivot at once.  Only once the column is clear is the
+    pivot's row cleared the same way, which then changes the pivot row
+    alone.  A row holding an entry the pivot does not divide is added to
+    the pivot row.  Small inputs finish this way with small entries.
 
     Should an entry pass ``_GROWTH_LIMIT``, the elimination restarts
     modulo D, which bounds every entry by D/2 (Kannan–Bachem 1979; Cohen,
@@ -172,12 +178,28 @@ def smith_normal_form(mat: IntMatrix) -> SNFResult:
     steps find gcd(di, D) = di, except that a di equal to D reads as 0.
     Only the nonzero diagonal is returned; rank equals its length.
     """
-    factors = _diagonalize(mat.entries, 0)
+    rows = [col for col in zip(*(row for row in mat.entries if any(row))) if any(col)]
+    factors = _trailing_minor(rows) if rows and len(rows) == len(rows[0]) else None
+    if factors is None:  # not square and nonsingular
+        factors = _diagonalize(rows, 0)
     if factors is None:  # an entry passed _GROWTH_LIMIT
-        rank, det = _rank_and_minor(mat.entries)
-        factors = _diagonalize(mat.entries, det) if det > 1 else []
-        factors += [det] * (rank - len(factors))
+        factors = _modulo_minor(rows)
     return SNFResult(tuple(factors), len(factors))
+
+
+def _trailing_minor(rows: Sequence[Sequence[int]]) -> list[int] | None:
+    """The trailing-minor route of a square matrix; None if it is singular."""
+    n, det, g = _rank_and_minor(rows)
+    if n < len(rows):
+        return None
+    head = [1] * (n - 1) if g == 1 else (_diagonalize(rows, g) + [g] * n)[:n - 1]
+    return head + [det // prod(head)]
+
+
+def _modulo_minor(rows: Sequence[Sequence[int]]) -> list[int]:
+    """The restart modulo D of smith_normal_form."""
+    rank, det, _ = _rank_and_minor(rows)
+    return ((_diagonalize(rows, det) if det > 1 else []) + [det] * rank)[:rank]
 
 
 #: Entries past this make the elimination over Z restart modulo D.
@@ -255,29 +277,33 @@ def _diagonalize(rows: Sequence[Sequence[int]], det: int) -> list[int] | None:
     return factors
 
 
-def _rank_and_minor(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
-    """Rank r of an integer matrix and |M| for a nonzero r x r minor M.
+def _rank_and_minor(rows: Sequence[Sequence[int]]) -> tuple[int, int, int]:
+    """Rank r of an integer matrix, |M| for a nonzero r x r minor M, and g.
 
     Fraction-free (Bareiss) elimination: after k pivots every entry it
-    holds is a (k+1) x (k+1) minor of the input, so nothing grows past
-    Hadamard's bound, and the last pivot is M.  Rank 0 gives (0, 1).
+    holds is a (k+1) x (k+1) minor of the input (Sylvester's identity), so
+    nothing grows past Hadamard's bound, and the last pivot is M.  g is for
+    a square nonsingular n x n input: after n-2 pivots the trailing 2 x 2
+    block holds four (n-1)-minors, and g is their gcd with |M| (1 if n = 1).
     """
-    work = [list(row) for row in rows if any(row)]
-    rank, prev = 0, 1
-    for c in range(len(rows[0]) if rows else 0):
-        if rank == len(work):
-            break
-        k = next((i for i in range(rank, len(work)) if work[i][c]), None)
-        if k is None:
+    block = [row for row in rows if any(row)]  # what is left to eliminate
+    rank, prev, trail = 0, 1, 0 if len(block) > 1 else 1
+    while block and block[0]:
+        if len(block) == len(block[0]) == 2:
+            trail = gcd(*block[0], *block[1])
+        for k, top in enumerate(block):
+            if top[0]:
+                break
+        else:  # no pivot in this column
+            block = [row[1:] for row in block]
             continue
-        work[rank], work[k] = work[k], work[rank]
-        top = work[rank]
-        p = top[c]
-        for i in range(rank + 1, len(work)):
-            v = work[i][c]
-            work[i] = [(p * x - v * y) // prev for x, y in zip(work[i], top)]
+        del block[k]
+        p = top[0]
+        for i, row in enumerate(block):
+            v = row[0]
+            block[i] = [(p * x - v * y) // prev for x, y in zip(row, top)][1:]
         rank, prev = rank + 1, p
-    return rank, abs(prev)
+    return rank, abs(prev), gcd(trail, prev)
 
 
 # --------------------------------------------------------------------------
@@ -291,8 +317,9 @@ def chain_homology(boundaries: Sequence[IntMatrix]) -> GradedAbelianGroup:
     with rows indexed by C_{k-1} and columns by C_k; zero maps must still
     be passed (with the right shape) because the matrices carry the chain
     group dimensions.  Requires N <= 5, matching shapes, and d.d = 0,
-    checked entry by entry, each row of one boundary against each column of
-    the next, without building the products.
+    checked entry by entry, each nonzero row of one boundary against each
+    nonzero column of the next, without building the products.  A zero
+    boundary has rank 0 and no torsion, and is not eliminated.
     """
     n_top = len(boundaries)
     if n_top == 0:
@@ -306,12 +333,13 @@ def chain_homology(boundaries: Sequence[IntMatrix]) -> GradedAbelianGroup:
                 f"dimension mismatch between degrees {k} and {k + 1}: "
                 f"{boundaries[k - 1].cols} vs {boundaries[k].rows}"
             )
+    rows = [[row for row in b.entries if any(row)] for b in boundaries]  # the nonzero rows
     for k in range(n_top - 1):
-        cols = list(zip(*boundaries[k + 1].entries))
-        if any(sum(map(mul, row, col)) for row in boundaries[k].entries for col in cols):
+        cols = [col for col in zip(*boundaries[k + 1].entries) if any(col)] if rows[k] else ()
+        if any(sum(map(mul, row, col)) for row in rows[k] for col in cols):
             raise ChainComplexError(f"not a chain complex: d{k + 1}.d{k + 2} != 0")
 
-    snfs = [smith_normal_form(b) for b in boundaries]
+    snfs = [smith_normal_form(b) if r else SNFResult((), 0) for b, r in zip(boundaries, rows)]
     ranks = [0] + [snf.rank for snf in snfs] + [0]  # of d_0 .. d_{N+1}, both ends zero maps
     torsion = [snf.invariant_factors for snf in snfs] + [()]
     groups = [(dims[k] - ranks[k] - ranks[k + 1], torsion[k]) for k in range(n_top + 1)]

@@ -30,10 +30,11 @@ def test_is_prime_matches_a_sieve():
 
 def test_is_prime_rejects_strong_pseudoprimes_at_every_base_cutoff(hang_guard):
     # Each is the least strong pseudoprime to the bases of the cutoff below
-    # it (3215031751 to 2, 3, 5, 7; 4759123141 to 2, 7, 61), so each needs
-    # the bases of the next range.
-    for n in (2047, 1373653, 25326001, 3215031751, 4759123141, 2152302898747,
-              3474749660383, 341550071728321, 3825123056546413051):
+    # it (3215031751 to 2, 3, 5, 7; 4759123141 to 2, 7, 61; 1122004669633
+    # = 611557 * 1834669 to 2, 13, 23, 1662803), so each needs the bases of
+    # the next range.
+    for n in (2047, 1373653, 25326001, 3215031751, 4759123141, 1122004669633,
+              2152302898747, 3474749660383, 341550071728321, 3825123056546413051):
         assert not is_prime(n), n
     for n in (561, 41041, 825265, 321197185, 5394826801):  # Carmichael numbers
         assert not is_prime(n), n
@@ -47,6 +48,17 @@ def test_is_prime_with_bases_2_7_61_matches_trial_division(hang_guard):
     rng = random.Random(4759)
     for _ in range(500):
         n = rng.randrange(25326001, 4759123141, 2)
+        assert is_prime(n) == all(n % p for p in primes if p * p <= n), n
+
+
+def test_is_prime_with_bases_2_13_23_1662803_matches_trial_division(hang_guard):
+    # [4759123141, 1122004669633) is the range of Jaeschke's four bases; the
+    # primes below 1059300 reach past its square root.
+    flags = sieve(1059300)
+    primes = [p for p in range(1059300) if flags[p]]
+    rng = random.Random(1122)
+    for _ in range(500):
+        n = rng.randrange(4759123141, 1122004669633, 2)
         assert is_prime(n) == all(n % p for p in primes if p * p <= n), n
 
 

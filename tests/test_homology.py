@@ -2,11 +2,12 @@
 closed-form homology; the suspension shift."""
 
 import ast
+import hashlib
 import json
 import random
 import sys
 import time
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd, prod
 from pathlib import Path
 
@@ -63,10 +64,12 @@ def minor_gcd(entries, r):
     return g
 
 
-def check_against_minors(rows):
-    mat = IntMatrix.from_rows(rows)
-    factors, rank = smith_normal_form(mat)
-    assert rank == len(factors)
+def check_against_minors(rows, factors=None):
+    """Check the SNF of rows, or the invariant factors one route gave."""
+    if factors is None:
+        factors, rank = smith_normal_form(IntMatrix.from_rows(rows))
+        assert rank == len(factors)
+    rank = len(factors)
     for a, b in zip(factors, factors[1:]):
         assert b % a == 0, f"{factors} not a divisibility chain"
     prod = 1
@@ -105,16 +108,16 @@ def test_snf_matches_minor_oracle():
         check_against_minors(random_matrix_rows(rng))
 
 
-def test_snf_modulo_d_matches_minor_oracle(monkeypatch):
-    # With the growth limit at 0 every nonzero input leaves the elimination
-    # over Z at once, so this covers the modular pass alone.
-    monkeypatch.setattr(homology, "_GROWTH_LIMIT", 0)
+def test_snf_modulo_d_matches_minor_oracle():
+    # Square nonsingular inputs take the trailing-minor route in
+    # smith_normal_form, so the restart modulo D is called directly.
     rng = random.Random(20214)
     for _ in range(80):
-        check_against_minors(random_matrix_rows(rng))
-    for rows, expected in [([[6]], (6,)), ([[2, 4], [6, 8]], (2, 4)), ([[4, 6], [6, 9]], (1,)),
-                           ([[2, 0], [0, 3]], (1, 6)), ([[0, 7, 0]], (7,))]:
-        assert smith_normal_form(IntMatrix.from_rows(rows)).invariant_factors == expected
+        rows = random_matrix_rows(rng)
+        check_against_minors(rows, homology._modulo_minor(rows))
+    for rows, expected in [([[6]], [6]), ([[2, 4], [6, 8]], [2, 4]), ([[4, 6], [6, 9]], [1]),
+                           ([[2, 0], [0, 3]], [1, 6]), ([[0, 7, 0]], [7])]:
+        assert homology._modulo_minor(rows) == expected
 
 
 def test_snf_both_passes_agree_on_rectangular_and_low_rank(monkeypatch):
@@ -127,8 +130,85 @@ def test_snf_both_passes_agree_on_rectangular_and_low_rank(monkeypatch):
         cases.append([[sum(left[i][x] * right[x][j] for x in range(k)) for j in range(n)]
                       for i in range(m)])
     over_z = [smith_normal_form(IntMatrix.from_rows(rows)) for rows in cases]
+    assert [list(f) for f, _ in over_z] == [homology._diagonalize(rows, 0) for rows in cases]
+    assert [list(f) for f, _ in over_z] == [homology._modulo_minor(rows) for rows in cases]
+    # With the growth limit at 0 every input that is not square and
+    # nonsingular leaves the elimination over Z at once for the restart.
     monkeypatch.setattr(homology, "_GROWTH_LIMIT", 0)
     assert [smith_normal_form(IntMatrix.from_rows(rows)) for rows in cases] == over_z
+
+
+def test_snf_trailing_minor_route_pinned_examples():
+    # (rows, g, invariant factors): g = 1 answers at once; a composite g
+    # above d1 * ... * d(n-1) is eliminated modulo g; a d_i equal to g reads
+    # as 0 modulo g.  Zero rows and columns are dropped before the route.
+    cases = [
+        ([[2, 1], [1, 3]], 1, (1, 5)),
+        ([[1, 2, 3], [4, 5, 6], [7, 8, 10]], 1, (1, 1, 3)),
+        ([[7]], 1, (7,)),
+        ([[2, 0, 0], [0, 3, 0], [0, 0, 9]], 6, (1, 3, 18)),
+        ([[3, 0], [0, 15]], 3, (3, 15)),
+        ([[6, 0], [0, 12]], 6, (6, 12)),
+        ([[4, 0, 0], [0, 4, 0], [0, 0, 4]], 16, (4, 4, 4)),
+    ]
+    for rows, g, expected in cases:
+        assert homology._rank_and_minor(rows) == (len(rows), prod(expected), g)
+        assert homology._trailing_minor(rows) == list(expected)
+        padded = [row + [0] for row in rows] + [[0] * (len(rows) + 1)]
+        assert smith_normal_form(IntMatrix.from_rows(padded)) == (expected, len(expected))
+    assert homology._trailing_minor([[1, 2], [2, 4]]) is None  # singular
+
+
+def divisor_chain(rows):
+    """Invariant factors of a 2 x 2 or 3 x 3 matrix from its determinantal
+    divisors, the gcds of its k x k minors; Bareiss gives the determinant."""
+    pairs = list(combinations(range(len(rows)), 2))
+    deltas = [1, gcd(*(v for row in rows for v in row)),
+              gcd(*(rows[i][k] * rows[j][m] - rows[i][m] * rows[j][k]
+                    for i, j in pairs for k, m in pairs))]
+    if len(rows) == 3:
+        deltas.append(abs(oracles.bareiss(rows)[1]))
+    deltas = deltas[:deltas.index(0)] if 0 in deltas else deltas
+    return [b // a for a, b in zip(deltas, deltas[1:])]
+
+
+def test_snf_box_on_every_route(hang_guard):
+    # The box: every 3 x 3 matrix over {-1, 0, 1} and every 2 x 2 over
+    # [-4, 4], 26 244 in all, each through the trailing-minor route (when
+    # nonsingular), the elimination over Z and the restart modulo D.
+    box = [(v[:3], v[3:6], v[6:]) for v in product((-1, 0, 1), repeat=9)]
+    box += [(v[:2], v[2:]) for v in product(range(-4, 5), repeat=4)]
+    assert len(box) == 26244
+    for rows in box:
+        expected = divisor_chain(rows)
+        trailing = homology._trailing_minor(rows)
+        assert trailing == (expected if len(expected) == len(rows) else None), rows
+        assert homology._diagonalize(rows, 0) == expected, rows
+        assert homology._modulo_minor(rows) == expected, rows
+
+
+def snf_stream_digest():
+    """SHA-256 of the SNFs of a seeded stream: two dense matrices per side 1-16 in
+    each of [-9, 9] and [-10**6, 10**6], a third with two rows scaled by a planted
+    factor, then one dense 64 x 64 over [-9, 9]."""
+    rng = random.Random(4)
+    digest = hashlib.sha256()
+    shapes = [(n, bound) for n in range(1, 17) for bound in (9, 10**6) for _ in range(2)]
+    for i, (n, bound) in enumerate(shapes + [(64, 9)]):
+        rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+        if i % 3 == 0 and n > 1:
+            f = rng.choice((3, 5, 9, 27))
+            for r in rng.sample(range(n), 2):
+                rows[r] = [f * v for v in rows[r]]
+        digest.update(repr(tuple(smith_normal_form(IntMatrix.from_rows(rows)))).encode())
+    return digest.hexdigest()
+
+
+def test_snf_seeded_stream_matches_the_elimination_before_the_trailing_route(hang_guard):
+    # The digest was computed with the elimination over Z and modulo D alone,
+    # before square nonsingular matrices took the trailing-minor route, so any
+    # changed invariant factor fails here.
+    assert snf_stream_digest() == "47313f7d5551cdb826783c0c9e377d63c95888576db7edb0b143c43749a90eb7"
 
 
 # --------------------------------------------------------------------------
