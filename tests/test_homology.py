@@ -148,6 +148,7 @@ def test_snf_trailing_minor_route_pinned_examples():
         ([[7]], 1, (7,)),
         ([[2, 0, 0], [0, 3, 0], [0, 0, 9]], 6, (1, 3, 18)),
         ([[3, 0], [0, 15]], 3, (3, 15)),
+        ([[1, 0, 0], [0, 3, 0], [0, 0, 3]], 3, (1, 3, 3)),
         ([[6, 0], [0, 12]], 6, (6, 12)),
         ([[4, 0, 0], [0, 4, 0], [0, 0, 4]], 16, (4, 4, 4)),
     ]
