@@ -157,83 +157,64 @@ def smith_normal_form(mat: IntMatrix) -> SNFResult:
     """Invariant factors d1 | d2 | ... of an integer matrix, and its rank.
 
     Zero rows and columns are dropped, and the rest transposed (same SNF).
-    A square nonsingular rest, n x n, takes the trailing-minor route:
-    ``_rank_and_minor`` gives D = |det| and g, a multiple of d1 ... d(n-1)
-    dividing D; g = 1 gives (1, ..., 1, D), else elimination modulo g finds
-    d1 ... d(n-1), a residue 0 read as g, and dn = D / (d1 ... d(n-1)).
+    One fraction-free pass, ``_rank_and_minor``, gives the rank r, D = |M|
+    for a nonzero r x r minor M, a multiple of d1 ... dr, and g.  Then
+    one of two routes, each an elimination modulo a number m, which bounds
+    every entry by m/2 (Kannan–Bachem 1979; Cohen, *A Course in
+    Computational Algebraic Number Theory*, 2.4):
 
-    Any other rest is eliminated over Z: the smallest nonzero entry of the
-    remaining block is the pivot, and its column is cleared with
-    round-to-nearest quotients; a remainder, at most half the pivot,
-    becomes the next pivot at once.  Only once the column is clear is the
-    pivot's row cleared the same way, which then changes the pivot row
-    alone.  A row holding an entry the pivot does not divide is added to
-    the pivot row.  Small inputs finish this way with small entries.
+    - a square nonsingular rest, n x n, takes the trailing-minor route: g
+      is a multiple of d1 ... d(n-1) dividing D, so modulo g the
+      elimination finds d1 ... d(n-1), and dn = D / (d1 ... d(n-1));
+    - every other rest (rectangular, singular, or a single row or column)
+      is eliminated modulo D, which finds d1 ... dr.
 
-    Should an entry pass ``_GROWTH_LIMIT``, the elimination restarts
-    modulo D, which bounds every entry by D/2 (Kannan–Bachem 1979; Cohen,
-    *A Course in Computational Algebraic Number Theory*, 2.4).  D = |M|
-    for a nonzero r x r minor M, r the rank, both from fraction-free
-    elimination; D is a multiple of d1 * ... * dr, so modulo D the same
-    steps find gcd(di, D) = di, except that a di equal to D reads as 0.
+    Modulo m the elimination finds gcd(di, m) = di, except that a di equal
+    to m reads as 0 and is padded back as m; m = 1 needs no elimination.
     Only the nonzero diagonal is returned; rank equals its length.
     """
     rows = [col for col in zip(*(row for row in mat.entries if any(row))) if any(col)]
-    factors = _trailing_minor(rows) if rows and len(rows) == len(rows[0]) else None
-    if factors is None:  # not square and nonsingular
-        factors = _diagonalize(rows, 0)
-    if factors is None:  # an entry passed _GROWTH_LIMIT
-        factors = _modulo_minor(rows)
+    rank, det, g = _rank_and_minor(rows)
+    if rows and rank == len(rows) == len(rows[0]):
+        head = _modulo(rows, g, rank - 1)
+        factors = head + [det // prod(head)]
+    else:
+        factors = _modulo(rows, det, rank)
     return SNFResult(tuple(factors), len(factors))
 
 
-def _trailing_minor(rows: Sequence[Sequence[int]]) -> list[int] | None:
-    """The trailing-minor route of a square matrix; None if it is singular."""
-    n, det, g = _rank_and_minor(rows)
-    if n < len(rows):
-        return None
-    head = [1] * (n - 1) if g == 1 else (_diagonalize(rows, g) + [g] * n)[:n - 1]
-    return head + [det // prod(head)]
+def _modulo(rows: Sequence[Sequence[int]], m: int, count: int) -> list[int]:
+    """The first count invariant factors of rows, all dividing m, by elimination modulo m."""
+    return ((_diagonalize(rows, m) if m > 1 else []) + [m] * count)[:count]
 
 
-def _modulo_minor(rows: Sequence[Sequence[int]]) -> list[int]:
-    """The restart modulo D of smith_normal_form."""
-    rank, det, _ = _rank_and_minor(rows)
-    return ((_diagonalize(rows, det) if det > 1 else []) + [det] * rank)[:rank]
+def _diagonalize(rows: Sequence[Sequence[int]], m: int) -> list[int]:
+    """The nonzero diagonal of the SNF of rows modulo m > 1: gcd(di, m) for
+    each invariant factor di that m does not divide, in order.
 
-
-#: Entries past this make the elimination over Z restart modulo D.
-_GROWTH_LIMIT = 2**62
-
-
-def _diagonalize(rows: Sequence[Sequence[int]], det: int) -> list[int] | None:
-    """The nonzero diagonal of the elimination described in smith_normal_form.
-
-    det = 0 works over Z and gives None once an entry passes
-    _GROWTH_LIMIT; det > 1 works modulo det, and a cleared pivot p becomes
-    gcd(p, det).  The remaining block is checked (or reduced) whenever its
-    smallest entry is sought, at each new diagonal position.  In between,
-    a column pass, or a row pass once the column is clear, hands over to
-    the smallest remainder it leaves, at most half the pivot before it, so
-    the growth the passes allow telescopes and every entry stays
-    polynomial in max(limit, det).
+    The remaining block is reduced to residues of size at most m/2 at each
+    new diagonal position, and its smallest nonzero entry is the pivot.  Its column is
+    cleared with round-to-nearest quotients; a remainder, at most half the
+    pivot, becomes the next pivot at once.  Only once the column is clear
+    is the pivot's row cleared the same way, which then changes the pivot
+    row alone.  A cleared pivot p becomes gcd(p, m), and a row holding an
+    entry it does not divide is added to the pivot row.  Each pass hands
+    over to a remainder at most half the pivot before it, so the growth the
+    passes allow telescopes and every entry stays polynomial in m.
     """
     a = [list(row) for row in rows if any(row)]
-    m, n = len(a), len(rows[0]) if rows else 0
-    half = det // 2
+    k, n = len(a), len(rows[0]) if rows else 0
+    half = m // 2
     factors: list[int] = []
-    for t in range(min(m, n)):
-        if det:
-            a[t:] = [[(v + half) % det - half for v in row] for row in a[t:]]
-        if t == m - 1 or t == n - 1:  # one row or column left: its gcd ends the chain
+    for t in range(min(k, n)):
+        a[t:] = [[(v + half) % m - half for v in row] for row in a[t:]]
+        if t == k - 1 or t == n - 1:  # one row or column left: its gcd ends the chain
             g = gcd(*(v for row in a[t:] for v in row[t:]))
-            return factors + [gcd(g, det)] if g else factors
+            return factors + [gcd(g, m)] if g else factors
         sizes = [abs(v) for row in a[t:] for v in row[t:]]
         best = min(filter(None, sizes), default=0)
         if not best:
             return factors
-        if not det and max(sizes) > _GROWTH_LIMIT:
-            return None
         i, j = divmod(sizes.index(best), n - t)
         pivot = (t + i, t + j)
         while True:
@@ -247,7 +228,7 @@ def _diagonalize(rows: Sequence[Sequence[int]], det: int) -> list[int] | None:
             # Clear column t, then row t, with round-to-nearest quotients;
             # the smallest remainder left becomes the next pivot at once.
             pivot, least = None, 0
-            for i in range(t + 1, m):
+            for i in range(t + 1, k):
                 v = a[i][t]
                 if v:
                     q = (2 * v + p) // (2 * p)
@@ -267,7 +248,7 @@ def _diagonalize(rows: Sequence[Sequence[int]], det: int) -> list[int] | None:
                         pivot, least = (t, j), r
             if pivot:
                 continue
-            g = top[t] = gcd(p, det)
+            g = top[t] = gcd(p, m)
             bad = g > 1 and next((row for row in a[t + 1:] if any(v % g for v in row)), None)
             if not bad:
                 break

@@ -2,6 +2,7 @@
 proven Miller–Rabin cutoffs, large moduli, and the 2**64 cap."""
 
 import random
+from math import isqrt
 
 import pytest
 
@@ -60,6 +61,36 @@ def test_is_prime_with_bases_2_13_23_1662803_matches_trial_division(hang_guard):
     for _ in range(500):
         n = rng.randrange(4759123141, 1122004669633, 2)
         assert is_prime(n) == all(n % p for p in primes if p * p <= n), n
+
+
+#: For each base of Jaeschke's row (2, 13, 23, 1 662 803), a composite p * q in
+#: its range [4759123141, 1122004669633) that is a strong pseudoprime to the
+#: other three bases, so only that base catches it: (base, n, p, q).
+CAUGHT_BY_ONE_BASE = (
+    (2, 5401593601, 42433, 127297),
+    (13, 5588597071, 26431, 211441),
+    (23, 6666227443, 28867, 230929),
+    (1662803, 11734359787, 54163, 216649),
+)
+
+
+def strong_probable_prime(n, a):
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(pow(x, 2**i, n) == n - 1 for i in range(1, s))
+
+
+def test_is_prime_needs_every_base_of_jaeschkes_row():
+    bases = [base for base, *_ in CAUGHT_BY_ONE_BASE]
+    for base, n, p, q in CAUGHT_BY_ONE_BASE:
+        assert not is_prime(n), n
+        # The data: n = p * q with p and q prime, in the row's range, and a
+        # strong pseudoprime to every base of the row but its own.
+        assert n == p * q and 4759123141 <= n < 1122004669633
+        assert all(f % d for f in (p, q) for d in range(2, isqrt(f) + 1))
+        assert [a for a in bases if not strong_probable_prime(n, a)] == [base]
 
 
 def test_is_prime_on_large_primes(hang_guard):

@@ -108,34 +108,34 @@ def test_snf_matches_minor_oracle():
         check_against_minors(random_matrix_rows(rng))
 
 
+def modulo_d(rows):
+    """The invariant factors by the modulo-D route of smith_normal_form, called directly."""
+    rank, det, _ = homology._rank_and_minor(rows)
+    return homology._modulo(rows, det, rank)
+
+
 def test_snf_modulo_d_matches_minor_oracle():
     # Square nonsingular inputs take the trailing-minor route in
-    # smith_normal_form, so the restart modulo D is called directly.
+    # smith_normal_form, so the modulo-D route is called directly.
     rng = random.Random(20214)
     for _ in range(80):
         rows = random_matrix_rows(rng)
-        check_against_minors(rows, homology._modulo_minor(rows))
+        check_against_minors(rows, modulo_d(rows))
     for rows, expected in [([[6]], [6]), ([[2, 4], [6, 8]], [2, 4]), ([[4, 6], [6, 9]], [1]),
                            ([[2, 0], [0, 3]], [1, 6]), ([[0, 7, 0]], [7])]:
-        assert homology._modulo_minor(rows) == expected
+        assert modulo_d(rows) == expected
 
 
-def test_snf_both_passes_agree_on_rectangular_and_low_rank(monkeypatch):
+def test_snf_matches_minor_oracle_on_rectangular_and_low_rank():
+    # Products of m x k and k x n factors: rectangular, and singular when
+    # k is below both sides, so nearly all go modulo D.
     rng = random.Random(77)
-    cases = []
     for _ in range(150):
         m, n, k = rng.randint(1, 7), rng.randint(1, 7), rng.randint(1, 4)
         left = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(m)]
         right = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
-        cases.append([[sum(left[i][x] * right[x][j] for x in range(k)) for j in range(n)]
-                      for i in range(m)])
-    over_z = [smith_normal_form(IntMatrix.from_rows(rows)) for rows in cases]
-    assert [list(f) for f, _ in over_z] == [homology._diagonalize(rows, 0) for rows in cases]
-    assert [list(f) for f, _ in over_z] == [homology._modulo_minor(rows) for rows in cases]
-    # With the growth limit at 0 every input that is not square and
-    # nonsingular leaves the elimination over Z at once for the restart.
-    monkeypatch.setattr(homology, "_GROWTH_LIMIT", 0)
-    assert [smith_normal_form(IntMatrix.from_rows(rows)) for rows in cases] == over_z
+        check_against_minors([[sum(left[i][x] * right[x][j] for x in range(k))
+                               for j in range(n)] for i in range(m)])
 
 
 def test_snf_trailing_minor_route_pinned_examples():
@@ -154,20 +154,23 @@ def test_snf_trailing_minor_route_pinned_examples():
     ]
     for rows, g, expected in cases:
         assert homology._rank_and_minor(rows) == (len(rows), prod(expected), g)
-        assert homology._trailing_minor(rows) == list(expected)
         padded = [row + [0] for row in rows] + [[0] * (len(rows) + 1)]
         assert smith_normal_form(IntMatrix.from_rows(padded)) == (expected, len(expected))
-    assert homology._trailing_minor([[1, 2], [2, 4]]) is None  # singular
+    # A singular square has rank below its side, so it goes modulo D.
+    assert homology._rank_and_minor([[1, 2], [2, 4]]) == (1, 1, 1)
+    assert smith_normal_form(IntMatrix.from_rows([[1, 2], [2, 4]])) == ((1,), 1)
 
 
 def divisor_chain(rows):
-    """Invariant factors of a 2 x 2 or 3 x 3 matrix from its determinantal
-    divisors, the gcds of its k x k minors; Bareiss gives the determinant."""
-    pairs = list(combinations(range(len(rows)), 2))
+    """Invariant factors of a matrix with 2 or 3 rows and 2 or 3 columns from
+    its determinantal divisors, the gcds of its k x k minors; Bareiss gives
+    the determinant of a 3 x 3."""
+    row_pairs = list(combinations(range(len(rows)), 2))
+    col_pairs = list(combinations(range(len(rows[0])), 2))
     deltas = [1, gcd(*(v for row in rows for v in row)),
               gcd(*(rows[i][k] * rows[j][m] - rows[i][m] * rows[j][k]
-                    for i, j in pairs for k, m in pairs))]
-    if len(rows) == 3:
+                    for i, j in row_pairs for k, m in col_pairs))]
+    if len(rows) == len(rows[0]) == 3:
         deltas.append(abs(oracles.bareiss(rows)[1]))
     deltas = deltas[:deltas.index(0)] if 0 in deltas else deltas
     return [b // a for a, b in zip(deltas, deltas[1:])]
@@ -175,17 +178,28 @@ def divisor_chain(rows):
 
 def test_snf_box_on_every_route(hang_guard):
     # The box: every 3 x 3 matrix over {-1, 0, 1} and every 2 x 2 over
-    # [-4, 4], 26 244 in all, each through the trailing-minor route (when
-    # nonsingular), the elimination over Z and the restart modulo D.
+    # [-4, 4], 26 244 in all, each through smith_normal_form (the
+    # trailing-minor route when nonsingular) and through the modulo-D route.
     box = [(v[:3], v[3:6], v[6:]) for v in product((-1, 0, 1), repeat=9)]
     box += [(v[:2], v[2:]) for v in product(range(-4, 5), repeat=4)]
     assert len(box) == 26244
     for rows in box:
         expected = divisor_chain(rows)
-        trailing = homology._trailing_minor(rows)
-        assert trailing == (expected if len(expected) == len(rows) else None), rows
-        assert homology._diagonalize(rows, 0) == expected, rows
-        assert homology._modulo_minor(rows) == expected, rows
+        snf = smith_normal_form(IntMatrix.from_rows(rows))
+        assert snf == (tuple(expected), len(expected)), rows
+        assert modulo_d(rows) == expected, rows
+
+
+def test_snf_non_square_box(hang_guard):
+    # Every 2 x 3 and 3 x 2 matrix over [-2, 2], 31 250 in all: shapes
+    # that always take the modulo-D route.
+    box = [(v[:3], v[3:]) for v in product(range(-2, 3), repeat=6)]
+    box += [(v[:2], v[2:4], v[4:]) for v in product(range(-2, 3), repeat=6)]
+    assert len(box) == 31250
+    for rows in box:
+        expected = divisor_chain(rows)
+        snf = smith_normal_form(IntMatrix.from_rows(rows))
+        assert snf == (tuple(expected), len(expected)), rows
 
 
 def snf_stream_digest():
@@ -206,9 +220,9 @@ def snf_stream_digest():
 
 
 def test_snf_seeded_stream_matches_the_elimination_before_the_trailing_route(hang_guard):
-    # The digest was computed with the elimination over Z and modulo D alone,
-    # before square nonsingular matrices took the trailing-minor route, so any
-    # changed invariant factor fails here.
+    # The digest pins the invariant factors of the whole stream as an
+    # elimination over Z with no trailing-minor route recorded them, so a
+    # factor that either route changes fails here.
     assert snf_stream_digest() == "47313f7d5551cdb826783c0c9e377d63c95888576db7edb0b143c43749a90eb7"
 
 
@@ -216,14 +230,22 @@ def test_snf_seeded_stream_matches_the_elimination_before_the_trailing_route(han
 # SNF sweep over dense matrices, with an oracle that factors nothing
 
 
-SWEEP = [(4, 25), (6, 25), (7, 25), (8, 25), (12, 8), (16, 4), (32, 2)]
+#: (rows, columns, count, seed, singular): a singular matrix has its last
+#: row replaced by the sum of the first two.
+SWEEP = [(4, 4, 25, 4, False), (6, 6, 25, 6, False), (7, 7, 25, 7, False),
+         (8, 8, 25, 8, False), (12, 12, 8, 12, False), (16, 16, 4, 16, False),
+         (32, 32, 2, 32, False), (8, 12, 8, 812, False), (16, 20, 4, 1620, False),
+         (20, 16, 4, 2016, False), (32, 40, 2, 3240, False), (32, 32, 2, 3232, True)]
 
 
-@pytest.mark.parametrize("side,count", SWEEP, ids=[f"{n}x{n}" for n, _ in SWEEP])
-def test_snf_sweep_on_dense_matrices(hang_guard, side, count):
-    rng = random.Random(side)
+@pytest.mark.parametrize("m,n,count,seed,singular", SWEEP,
+                         ids=[f"{m}x{n}" + "-singular" * s for m, n, _, _, s in SWEEP])
+def test_snf_sweep_on_dense_matrices(hang_guard, m, n, count, seed, singular):
+    rng = random.Random(seed)
     for _ in range(count):
-        rows = [[rng.randint(-9, 9) for _ in range(side)] for _ in range(side)]
+        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+        if singular:
+            rows[-1] = [a + b for a, b in zip(rows[0], rows[1])]
         start = time.process_time()
         factors, rank = smith_normal_form(IntMatrix.from_rows(rows))
         assert time.process_time() - start < 1.0
@@ -256,8 +278,9 @@ def test_the_oracles_import_nothing_from_gauge4():
 
 
 def test_conjugated_complexes_with_three_coprime_moduli(hang_guard):
-    # Z^{*2} * Z/125 * Z/343 * Z/169 with b2 = 2: d3 is 8 x 5, the shape on
-    # which elimination without a growth bound ran away.
+    # Z^{*2} * Z/125 * Z/343 * Z/169 with b2 = 2: d3 is 8 x 5 with rank 3,
+    # rectangular and singular, so it goes modulo D, the bound that keeps
+    # its entries from running away.
     spec = ManifoldSpec(Pi1Descriptor(2, ((5, 3), (7, 3), (13, 2))), 2, True)
     expected = homology_of_manifold(spec)
     rng = random.Random(27)
