@@ -30,9 +30,9 @@ gauge groups and say so.
 from __future__ import annotations
 
 import re
-from math import gcd
+from math import gcd, prod
 
-from .arith import divisor_count, is_prime
+from .arith import check_limit, is_prime
 from .manifold import ManifoldSpec, Pi1Kind, classify_pi1
 from .terms import CP2, S4
 from .value import DIGITS, Value, decimal, integer
@@ -254,7 +254,31 @@ def count_types(group: LieGroupSpec, base: str, spin: bool | None = None) -> int
     """How many distinct gauge groups the rule allows over this base.
 
     The gcd class of t against k takes one value per divisor of k, so this
-    is the divisor count; None when no rule covers the pair.
+    is the divisor count; None when no rule covers the pair, and k above
+    2**64 raises ValueError.  The divisors are counted by trial division of
+    the factors the rule's k is built from: n - 1, n and n + 1 for SU(n)'s
+    n(n^2 - 1), 4, n and 2n + 1 for Sp(n)'s 4n(2n + 1), and a table
+    constant itself; each is below about 2**33 under the cap.
     """
     rule = rule_for(group, base, spin)
-    return None if rule is None else divisor_count(rule.k)
+    if rule is None:
+        return None
+    k, n = rule.k, group.n
+    check_limit(k)
+    if group.family == "SU" and k == (n - 1) * n * (n + 1):
+        parts = (n - 1, n, n + 1)
+    elif group.family == "Sp" and k == 4 * n * (2 * n + 1):
+        parts = (4, n, 2 * n + 1)
+    else:
+        parts = (k,)
+    exponents: dict[int, int] = {}
+    for m in parts:
+        d = 2
+        while d * d <= m:
+            while m % d == 0:
+                exponents[d] = exponents.get(d, 0) + 1
+                m //= d
+            d += 1 if d == 2 else 2
+        if m > 1:
+            exponents[m] = exponents.get(m, 0) + 1
+    return prod(e + 1 for e in exponents.values())

@@ -7,20 +7,21 @@ by Smith normal form over Z), so the two routes can be checked against each
 other.
 
 Degrees are capped at 5 — enough for a 4-manifold and one suspension.
-Torsion is always stored as a sorted tuple of prime powers, so equal groups
-have equal representations no matter how they were computed.
+Torsion is stored as the sorted cyclic orders it was built from, and
+nothing is factored: two groups are equal when their ranks and invariant
+factors are, which factor refinement finds, so Z/6 equals Z/2 + Z/3
+though their representations differ.
 """
 
 from __future__ import annotations
 
 import re
-from collections import namedtuple
+from collections import Counter, namedtuple
 from collections.abc import Iterable, Sequence
 from math import gcd, prod
 from operator import mul
 
 from . import terms as _t
-from .arith import prime_power_parts
 from .manifold import ManifoldSpec
 from .value import Value, decimal, integer
 
@@ -38,11 +39,12 @@ class ChainComplexError(ValueError):
 class GradedAbelianGroup(Value):
     """A finitely generated abelian group in each degree 0..5.
 
-    ``groups[i]`` is ``(free_rank, torsion)`` with torsion a sorted tuple
-    of prime powers; any torsion entry given, a nonzero int, is split into
-    prime powers first, so Z/12, Z/-12 and Z/4 + Z/3 are the same value,
-    and an entry of 1 gives no torsion.  An entry of 0 is refused: Z/0 is
-    Z, which belongs in the rank.
+    ``groups[i]`` is ``(free_rank, torsion)`` with torsion the sorted tuple
+    of the cyclic orders given, each a nonzero int: Z/-12 is Z/12, an entry
+    of 1 gives no torsion, and an entry of 0 is refused (Z/0 is Z, which
+    belongs in the rank).  No entry is split, so Z/12 and Z/4 + Z/3 keep
+    their own torsion tuples and reprs; they are still equal, and hash
+    alike, as equality and hashing compare ranks and invariant factors.
     """
 
     __slots__ = ("groups",)
@@ -51,26 +53,31 @@ class GradedAbelianGroup(Value):
         if len(groups) != MAX_DEGREE + 1:
             raise ValueError(f"expected {MAX_DEGREE + 1} degrees, got {len(groups)}")
         fixed = []
-        split: dict[int, tuple[int, ...]] = {}  # each distinct entry is factored once
         for rank, torsion in groups:
             integer(rank, "free rank", 0)
-            parts: list[int] = []
-            for q in torsion:
-                q = abs(integer(q, "torsion entry"))
-                if not q:  # Z/0 is Z: a rank, never a torsion entry
-                    raise ValueError("torsion entry must be nonzero, got 0")
-                if q > 1 and q not in split:
-                    split[q] = prime_power_parts(q)
-                parts += split.get(q, ())
-            fixed.append((rank, tuple(sorted(parts))))
+            entries = [abs(integer(q, "torsion entry")) for q in torsion]
+            if 0 in entries:  # Z/0 is Z: a rank, never a torsion entry
+                raise ValueError("torsion entry must be nonzero, got 0")
+            fixed.append((rank, tuple(sorted(q for q in entries if q > 1))))
         self._set(tuple(fixed))
 
     @classmethod
-    def _of_prime_powers(cls, groups: Sequence[tuple[int, tuple]]) -> "GradedAbelianGroup":
-        """The group as given: its torsion must be sorted prime powers already."""
+    def _as_given(cls, groups: Sequence[tuple[int, tuple]]) -> "GradedAbelianGroup":
+        """The group as given: each torsion must be sorted entries above 1 already."""
         g = cls.__new__(cls)
         g._set(tuple(groups))
         return g
+
+    def __eq__(self, other: object):
+        if other.__class__ is self.__class__:
+            return self.groups == other.groups or self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def _key(self) -> tuple:
+        return tuple((rank, _invariant_factors(torsion)) for rank, torsion in self.groups)
 
     def rank(self, degree: int) -> int:
         return self.groups[degree][0]
@@ -83,12 +90,53 @@ class GradedAbelianGroup(Value):
         return sum((-1) ** i * rank for i, (rank, _) in enumerate(self.groups))
 
 
+def _invariant_factors(torsion: tuple[int, ...]) -> tuple[int, ...]:
+    """The invariant factors d1 | d2 | ... above 1 of the sum of Z/q over
+    torsion, whose entries are above 1, found without factoring.
+
+    Factor refinement (Bach, Driscoll and Shallit, *J. Algorithms* 15, 1993)
+    turns the distinct entries into a coprime base: two numbers with a
+    common factor g > 1 give way to g and their cofactors until every pair
+    is coprime, and each entry is then a product of powers of the base.
+    For a prime p of a base element b, the p-part of Z/q is fixed by b's
+    exponent in q, so sorting b's exponents sorts all those p-parts at once,
+    and the i-th largest invariant factor is the product over the base of b
+    to its i-th largest exponent.
+    """
+    counts = Counter(torsion)
+    base: list[int] = []
+    todo = list(counts)
+    while todo:  # each split lowers the product of base and todo
+        a = todo.pop()
+        for i, b in enumerate(base):
+            g = gcd(a, b)
+            if g > 1:
+                del base[i]
+                todo += [v for v in (g, a // g, b // g) if v > 1]
+                break
+        else:
+            base.append(a)
+    factors = [1] * len(torsion)  # largest first
+    for b in base:
+        exponents = []
+        for q, count in counts.items():
+            e = 0
+            while q % b == 0:
+                q //= b
+                e += 1
+            exponents += [e] * count
+        exponents.sort(reverse=True)
+        for i, e in enumerate(exponents):
+            factors[i] *= b**e
+    return tuple(f for f in reversed(factors) if f > 1)
+
+
 def suspend(g: GradedAbelianGroup) -> GradedAbelianGroup:
     """Shift the reduced part up one degree; degree 0 becomes a single Z.
 
     The degree-0 group contributes its rank beyond one (extra connected
     components) to degree 1.  A nonzero reduced group in degree 5 has
-    nowhere to go and is an error.  The torsion, already split, moves as it is.
+    nowhere to go and is an error.  The torsion entries move as they are.
     """
     top_rank, top_torsion = g.groups[MAX_DEGREE]
     if top_rank or top_torsion:
@@ -97,7 +145,7 @@ def suspend(g: GradedAbelianGroup) -> GradedAbelianGroup:
     if rank0 < 1:
         raise ValueError("cannot suspend an empty space: degree 0 is zero")
     shifted = [(1, ())] + [(rank0 - 1, torsion0)] + list(g.groups[1:MAX_DEGREE])
-    return GradedAbelianGroup._of_prime_powers(shifted)
+    return GradedAbelianGroup._as_given(shifted)
 
 
 def render_graded(g: GradedAbelianGroup) -> str:
@@ -339,17 +387,17 @@ def homology_of_manifold(spec: ManifoldSpec) -> GradedAbelianGroup:
     part of H_1 by duality; H_0 and H_4 are Z.
     """
     m = spec.pi1.free_rank
-    torsion = tuple(sorted(p**r for p, r in spec.pi1.cyclic_factors))  # split already
+    torsion = tuple(sorted(p**r for p, r in spec.pi1.cyclic_factors))
     groups = [(1, ()), (m, torsion), (spec.b2, torsion), (m, ()), (1, ()), (0, ())]
-    return GradedAbelianGroup._of_prime_powers(groups)
+    return GradedAbelianGroup._as_given(groups)
 
 
 def homology_of_term(term: _t.SpaceTerm) -> GradedAbelianGroup:
     """Unreduced integral homology of a space term (a Z in degree 0).
 
-    One pass adds each (summand, count) block's count to a rank, or the
-    prime powers of a Moore modulus, split once per block, count times to
-    the torsion, checking each degree where it writes it; the cost is linear
+    One pass adds each (summand, count) block's count to a rank, or a
+    Moore modulus, as it is, count times to the torsion, checking each
+    degree where it writes it; so P^2(6) gives Z/6, and the cost is linear
     in the number of distinct summands plus the torsion written out.
     """
     ranks = [1] + [0] * MAX_DEGREE
@@ -365,9 +413,9 @@ def homology_of_term(term: _t.SpaceTerm) -> GradedAbelianGroup:
         if isinstance(atom, _t.Sphere):
             ranks[deg] += count
         else:
-            torsion[deg] += prime_power_parts(atom.modulus) * count
+            torsion[deg] += [atom.modulus] * count
     groups = [(rank, tuple(sorted(parts))) for rank, parts in zip(ranks, torsion)]
-    return GradedAbelianGroup._of_prime_powers(groups)
+    return GradedAbelianGroup._as_given(groups)
 
 
 # --------------------------------------------------------------------------

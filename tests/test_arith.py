@@ -1,4 +1,4 @@
-"""Primality, prime powers and factorization: small ranges against a sieve,
+"""Primality and prime powers: small ranges against a sieve,
 proven Miller–Rabin cutoffs, large moduli, and the 2**64 cap."""
 
 import random
@@ -6,7 +6,7 @@ from math import isqrt
 
 import pytest
 
-from gauge4.arith import MAX_MODULUS, divisor_count, factorize, is_prime, prime_power, prime_power_parts
+from gauge4.arith import MAX_MODULUS, is_prime, prime_power
 
 MERSENNE_61 = 2**61 - 1
 #: The largest prime below 2**64, and two primes just below 2**32.
@@ -116,41 +116,8 @@ def test_prime_power_edge_cases(hang_guard):
     assert prime_power(10**18) is None
 
 
-def test_factorize_edge_cases(hang_guard):
-    assert factorize(1) == {}
-    assert factorize(3**40) == {3: 40}
-    assert factorize(2**64) == {2: 64}
-    assert factorize(P32 * Q32) == {Q32: 1, P32: 1}
-    assert list(factorize(P32 * Q32)) == [Q32, P32]
-    assert factorize(1000003 * 1000033 * 1000037) == {1000003: 1, 1000033: 1, 1000037: 1}
-    assert factorize(2 * 3**5 * 1000003**2) == {2: 1, 3: 5, 1000003: 2}
-    assert factorize(MERSENNE_61) == {MERSENNE_61: 1}
-    # here the batched gcd jumps to n, so _rho replays the last batch step by step
-    assert factorize(870278417) == {19793: 1, 43969: 1}
-    assert prime_power_parts(12 * 999999937**2) == (3, 4, 999999937**2)
-    assert divisor_count(P32 * Q32) == 4
-    assert divisor_count(9 * 1000003**2) == 9
-    with pytest.raises(ValueError):
-        factorize(0)
-
-
-def test_factorize_random_against_trial_division():
-    rng = random.Random(61)
-    for _ in range(300):
-        n = rng.randint(1, 10**6)
-        expected, m, d = {}, n, 2
-        while d * d <= m:
-            while m % d == 0:
-                expected[d] = expected.get(d, 0) + 1
-                m //= d
-            d += 1
-        if m > 1:
-            expected[m] = expected.get(m, 0) + 1
-        assert factorize(n) == expected
-
-
 def test_moduli_above_the_cap_raise(hang_guard):
     for n in (MAX_MODULUS + 1, 2**89 - 1, 3**41):
-        for fn in (is_prime, prime_power, factorize):
+        for fn in (is_prime, prime_power):
             with pytest.raises(ValueError, match="larger than 2\\*\\*64"):
                 fn(n)

@@ -236,6 +236,21 @@ def test_count_types():
     assert count_types(SU(4), CP2) is None
 
 
+def test_count_types_of_the_parametric_rows(hang_guard):
+    # k is n(n^2 - 1) or 4n(2n + 1): its divisors are counted from its
+    # factors, here against the gcd classes they stand for.
+    for group, base in ([(SU(n), S4) for n in range(2, 22)] + [(SU(n), MANIFOLD) for n in (4, 6, 7)]
+                        + [(Sp(n), S4) for n in range(1, 14)]):
+        k = rule_for(group, base, True).k
+        assert count_types(group, base, True) == len({gcd(k, t) for t in range(k + 1)})
+    assert count_types(SU(2_642_245), S4) == 2048  # the largest n with k under 2**64
+    assert count_types(Sp(1_518_500_249), S4) == 144
+    line = r"^\d+ is larger than 2\*\*64, the limit for primality tests and factoring$"
+    for group in (SU(2_642_246), Sp(1_518_500_250)):
+        with pytest.raises(ValueError, match=line):
+            count_types(group, S4)
+
+
 def test_every_gcd_class_is_realized():
     # Over [0, k] every divisor of k appears as gcd(k, t), so the class
     # count equals the divisor count.

@@ -403,24 +403,89 @@ def test_random_two_step_complexes_satisfy_euler_count():
         assert g.euler_characteristic == cells
 
 
+def test_torsion_past_2_64_goes_through_chain_homology(hang_guard):
+    # A seeded dense 20 x 20 boundary whose last invariant factor has 80
+    # bits: the torsion is kept as the SNF gives it, never factored.
+    rng = random.Random(5)
+    d1 = IntMatrix.from_rows([[rng.randint(-9, 9) for _ in range(20)] for _ in range(20)])
+    factors = smith_normal_form(d1).invariant_factors
+    g = chain_homology([d1])
+    assert g.torsion(0) == tuple(d for d in factors if d > 1) == (855460983064475659038433,)
+    assert (g.rank(0), g.rank(1)) == (0, 0)
+    assert g == graded({0: (0, factors)}) and len({g, graded({0: (0, factors)})}) == 1
+
+
 # --------------------------------------------------------------------------
 # graded groups, closed-form manifold homology, suspension
 
 
-def test_torsion_entries_are_split_into_prime_powers(monkeypatch):
+def test_torsion_entries_are_kept_and_compared_by_invariant_factors():
     g = graded({1: (0, (12,))})
-    assert g.torsion(1) == (3, 4)
+    assert g.torsion(1) == (12,)
     h = graded({1: (0, (4, 3))})
-    assert g == h
-    # An entry of 1 is Z/1, no torsion, as chain_homology hands it over.
-    assert graded({1: (0, (1, 12, -1))}) == h
-    # A repeated entry, within a degree and across degrees, one copy negative,
-    # is split once per construction.
-    calls = []
-    split = homology.prime_power_parts
-    monkeypatch.setattr(homology, "prime_power_parts", lambda n: calls.append(n) or split(n))
+    assert h.torsion(1) == (3, 4)
+    # Z/12 is Z/4 + Z/3: equal and hashed alike, though the reprs differ.
+    assert g == h and hash(g) == hash(h) and repr(g) != repr(h)
+    # An entry of 1 is Z/1, no torsion, as chain_homology hands it over; a sign is dropped.
+    assert graded({1: (0, (1, 12, -1))}).torsion(1) == (12,)
     g = graded({1: (0, (12, -12)), 2: (1, (12,))})
-    assert (g.torsion(1), g.torsion(2), calls) == ((3, 3, 4, 4), (3, 4), [12])
+    assert (g.torsion(1), g.torsion(2)) == ((12, 12), (12,))
+    assert g == graded({1: (0, (3, 4, 4, 3)), 2: (1, (4, 3))})
+    assert g != graded({1: (0, (144,)), 2: (1, (12,))})
+    with pytest.raises(ValueError, match="^torsion entry must be nonzero, got 0$"):
+        graded({1: (0, (3, 0))})
+
+
+def primary_parts(torsion):
+    """The reference: the prime powers of a sum of Z/q, by trial division, sorted."""
+    parts = []
+    for q in torsion:
+        p = 2
+        while q > 1:
+            power = 1
+            while q % p == 0:
+                q //= p
+                power *= p
+            if power > 1:
+                parts.append(power)
+            p += 1
+    return sorted(parts)
+
+
+def regroup(rng, parts):
+    """Another multiset with the same prime powers: each part joins a random
+    entry it is coprime to, or starts one of its own."""
+    entries = []
+    for part in rng.sample(parts, len(parts)):
+        i = rng.randrange(len(entries) + 1)
+        if i < len(entries) and gcd(entries[i], part) == 1:
+            entries[i] *= part
+        else:
+            entries.append(part)
+    return entries
+
+
+def test_graded_equality_and_hash_match_a_primary_decomposition():
+    def group(torsion):
+        return graded({1: (2, torsion)})
+
+    for a, b in [((4,), (2, 2)), ((6, 6), (36,)), ((8, 2), (4, 4)), ((9, 3), (27,)),
+                 ((2, 3), (5,)), ((12, 18), (6, 6, 6))]:
+        assert group(a) != group(b)
+    assert group((12, 18)) == group((36, 6)) == group((4, 9, 2, 3))
+    assert len({group((6,)), group((2, 3))}) == 1
+    rng = random.Random(32)
+    by_group = {}
+    previous, previous_parts = group(()), []
+    for _ in range(5000):
+        torsion = [rng.randint(2, 98) for _ in range(rng.randint(0, 6))]
+        parts = primary_parts(torsion)
+        g, h = group(torsion), group(regroup(rng, parts))
+        assert g == h and hash(g) == hash(h)
+        assert (g == previous) == (parts == previous_parts)
+        assert by_group.setdefault(g, parts) == parts
+        previous, previous_parts = g, parts
+    assert len(by_group) == len({tuple(parts) for parts in by_group.values()})
 
 
 def test_manifold_homology_closed_form():
@@ -437,12 +502,12 @@ def test_manifold_homology_closed_form():
     )
 
 
-def test_manifold_homology_and_its_suspension_factor_nothing(monkeypatch, capsys):
-    # The descriptor holds each p and r, and suspend moves torsion already
-    # split, so the 61-bit prime is never factored; the bytes stay the same.
+def test_manifold_homology_and_its_suspension_refine_nothing(monkeypatch, capsys):
+    # The descriptor holds each p and r, and suspend moves the torsion as
+    # it is, so no invariant factor is computed on the way to the bytes.
     calls = []
-    split = homology.prime_power_parts
-    monkeypatch.setattr(homology, "prime_power_parts", lambda n: calls.append(n) or split(n))
+    refine = homology._invariant_factors
+    monkeypatch.setattr(homology, "_invariant_factors", lambda t: calls.append(t) or refine(t))
     p = 2**61 - 1
     argv = ["homology", "--pi1", f"Z/{p}*Z/9*Z/5*Z", "--b2", "2", "--suspension"]
     assert run(argv) == run(argv + ["--json"]) == 0
@@ -463,7 +528,7 @@ def test_manifold_homology_and_its_suspension_factor_nothing(monkeypatch, capsys
     spec = ManifoldSpec(Pi1Descriptor(1, ((p, 1), (3, 2), (5, 1))), 2, True)
     closed = suspend(homology_of_manifold(spec))
     assert calls == []
-    assert closed == GradedAbelianGroup(closed.groups)  # what factoring gives
+    assert closed == GradedAbelianGroup(closed.groups)  # what the checking constructor gives
     assert closed.torsion(2) == (5, 9, p)
 
 
@@ -528,6 +593,7 @@ def test_term_homology_reaches_degree_five_and_no_further():
     # P^6(q) has its Z/q in degree 5; S^6 and P^7(q) each reach degree 6,
     # and the refusal names the degree, not the dimension.
     assert homology_of_term(Moore(6, 9)) == graded({0: (1, ()), 5: (0, (9,))})
+    assert homology_of_term(Moore(2, 6)).torsion(1) == (6,)  # kept as it is, not split
     assert homology_of_term(wedge([Moore(6, 12), Sphere(5)])) == graded(
         {0: (1, ()), 5: (1, (3, 4))})
     for term in (Sphere(6), Moore(7, 9), wedge([Sphere(3), Moore(7, 9)])):
@@ -535,17 +601,17 @@ def test_term_homology_reaches_degree_five_and_no_further():
             homology_of_term(term)
 
 
-def test_term_homology_checks_and_splits_per_block_not_per_copy(monkeypatch):
-    # 10^5 copies of P^3(12) are one block: its modulus is split once, and
-    # no torsion entry goes through the constructor's per-entry check.
-    checks, splits = [], []
-    check, split = homology.integer, homology.prime_power_parts
+def test_term_homology_checks_per_block_not_per_copy(monkeypatch):
+    # 10^5 copies of P^3(12) are one block: its modulus is written as it
+    # is, and no torsion entry goes through the constructor's per-entry check.
+    checks = []
+    check = homology.integer
     monkeypatch.setattr(homology, "integer", lambda *args: checks.append(args) or check(*args))
-    monkeypatch.setattr(homology, "prime_power_parts", lambda n: splits.append(n) or split(n))
     g = homology_of_term(Wedge(((Sphere(5), 1), (Moore(3, 12), 10**5))))
-    assert g.torsion(2) == (3,) * 10**5 + (4,) * 10**5
+    assert g.torsion(2) == (12,) * 10**5
     assert (g.rank(0), g.rank(5)) == (1, 1)
-    assert len(checks) <= 6 and splits == [12]
+    assert len(checks) <= 6
+    assert g == graded({0: (1, ()), 2: (0, (3, 4) * 10**5), 5: (1, ())})
 
 
 def test_suspend_shifts_reduced_part():

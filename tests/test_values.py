@@ -2,8 +2,8 @@
 gauge4 loads.
 
 Every value class derives from ``gauge4.value.Value``: equal only within its
-own class, hashed by its fields, printed in the dataclass form, and closed to
-assignment and deletion.  gauge4 defines no dataclass, so ``import gauge4``
+own class, hashed by its fields (a graded group by its invariant factors),
+printed in the dataclass form, and closed to assignment and deletion.  gauge4 defines no dataclass, so ``import gauge4``
 loads neither ``dataclasses`` nor the ``inspect`` it pulls in, and it loads
 ``json`` only where a query reads or writes a JSON document.
 """
@@ -66,7 +66,7 @@ VALUES = [
      "EquivalenceVerdict(integral='no', local={3: 'yes'}, "
      "rule_used=ClassRule(k=12, scope='integral', odd_prime_bound=None), stabilized=True)"),
     (lambda: graded({0: (1, ()), 1: (0, (12,))}),
-     "GradedAbelianGroup(groups=((1, ()), (0, (3, 4)), (0, ()), (0, ()), (0, ()), (0, ())))"),
+     "GradedAbelianGroup(groups=((1, ()), (0, (12,)), (0, ()), (0, ()), (0, ()), (0, ())))"),
     (lambda: IntMatrix.from_rows([[1, 2]]), "IntMatrix(rows=1, cols=2, entries=((1, 2),))"),
     (lambda: Decomposition(Wedge(((Sphere(3), 2), (Sphere(5), 1))), 4, 0, Pi1Kind.TRIVIAL),
      "Decomposition(suspension=Wedge(blocks=((Sphere(dim=5), 1), (Sphere(dim=3), 2))), t=4, "
