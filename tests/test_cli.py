@@ -1,6 +1,8 @@
 """Byte-level goldens, JSON round-trips, exit codes, determinism."""
 
+import contextlib
 import gc
+import io
 import json
 import os
 import random
@@ -39,6 +41,12 @@ from gauge4.decomposer import splitting_parts
 from gauge4.manifold import render_pi1
 
 GOLDEN = Path(__file__).parent / "data" / "golden_sweep.json"
+#: What ``--help`` prints at the top level and for each subcommand, in HELP_COMMANDS
+#: order; rewrite it only for a deliberate change of the help text:
+#:     PYTHONPATH=src python tests/test_cli.py
+HELP = Path(__file__).parent / "data" / "cli_help.txt"
+#: The top level ("") and each subcommand, in the order they list.
+HELP_COMMANDS = ("", "decompose", "suspension", "homology", "classify", "snf", "parse")
 
 
 def invoke(capsys, *argv):
@@ -844,6 +852,24 @@ def test_subcommand_parser_gives_the_top_level_namespace():
         assert _parsed(commands[argv[0]], argv[1:]) == top
 
 
+def _answer(argv):
+    """run(argv)'s exit code, stdout and stderr, with the code of a SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run(argv)
+        except SystemExit as exit_:
+            code = exit_.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def help_texts() -> dict[str, str]:
+    """HELP_COMMANDS -> what ``--help`` prints for each, read from HELP."""
+    parts = HELP.read_text().split("\nusage: ")
+    return dict(zip(HELP_COMMANDS, [parts[0] + "\n", *(f"usage: {p}\n" for p in parts[1:-1]),
+                                    f"usage: {parts[-1]}"], strict=True))
+
+
 CHOICES = "(choose from 'decompose', 'suspension', 'homology', 'classify', 'snf', 'parse')"
 TOP_USAGE = "usage: gauge4 [-h] {decompose,suspension,homology,classify,snf,parse} ..."
 
@@ -882,10 +908,37 @@ TOP_USAGE = "usage: gauge4 [-h] {decompose,suspension,homology,classify,snf,pars
          "error: argument --d: expected an integer or 'symbolic', got 'symb'\n"),
         (["parse", "--spin", "maybe"], 1, "",
          "error: argument --spin: invalid choice: 'maybe' (choose from 'true', 'false')\n"),
+        # a unique prefix is read, two are refused; a switch takes no "=" value; a
+        # negative number is a value, other tokens starting "-" are not; "-" alone
+        # is no flag; a help flag answers only if no error comes before it
+        (["decompose", "--s", "1"], 1, "",
+         "error: ambiguous option: --s could match --sigma-f, --spin\n"),
+        (["decompose", "--json=1"], 1, "",
+         "error: argument --json: ignored explicit argument '1'\n"),
+        (["decompose", "--t", "-5"], 0, "SM = S^5; G_-5(M) = G_-5(S^4)\n", ""),
+        (["decompose", "--t", "-x"], 1, "", "error: argument --t: expected one argument\n"),
+        (["decompose", "--b2", "-1_1"], 1, "", "error: argument --b2: expected one argument\n"),
+        (["decompose", "--t="], 1, "", "error: argument --t: invalid int value: ''\n"),
+        (["decompose", "-"], 1, "", "error: unrecognized arguments: -\n"),
+        (["decompose", "--b2", "x", "-h"], 1, "",
+         "error: argument --b2: invalid int value: 'x'\n"),
+        (["decompose", "-h", "--b2", "x"], 0, help_texts()["decompose"], ""),
+        (["classify"], 1, "",
+         "error: the following arguments are required: --group, --t, --s\n"),
     ],
 )
-def test_dispatch_edges_print_what_the_top_level_parser_printed(capsys, argv, code, out, err):
-    assert invoke(capsys, *argv) == (code, out, err)
+def test_dispatch_edges_print_what_the_top_level_parser_printed(monkeypatch, argv, code, out, err):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help text to the terminal width
+    assert _answer(argv) == (code, out, err)
+
+
+
+def test_help_prints_the_pinned_text(monkeypatch):
+    # the top level and each subcommand, byte for byte, exit 0
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help text to the terminal width
+    for command in HELP_COMMANDS:
+        argv = [command, "--help"] if command else ["--help"]
+        assert _answer(argv) == (0, help_texts()[command], ""), command
 
 
 @pytest.mark.parametrize(
@@ -958,3 +1011,11 @@ def test_every_subcommand_accepts_json(capsys):
         code, out, err = invoke(capsys, command, *argv)
         assert (code, err, out.count("\n")) == (0, "", 1), command
         assert isinstance(json.loads(out), dict)
+
+
+if __name__ == "__main__":
+    os.environ["COLUMNS"] = "80"  # argparse wraps help text to the terminal width
+    texts = [_answer([command, "--help"] if command else ["--help"]) for command in HELP_COMMANDS]
+    assert all(code == 0 and err == "" for code, _, err in texts)
+    HELP.write_text("".join(out for _, out, _ in texts))
+    print(f"wrote the help of {len(texts)} parsers to {HELP}", file=sys.stderr)
