@@ -10,14 +10,20 @@ is escaped.  Errors print one
 ``error: ...`` line on stderr — exit 1 for flag misuse, exit 2 when the
 described manifold or matrix is rejected.  A reader that closes stdout
 early ends the process quietly, with exit 141.
+
+One table, COMMANDS, holds every subcommand's flags.  It reads argv, writes the
+usage and --help text and the ``error:`` line of each flag misuse, and fills the
+namespace a handler reads, each as Python's standard option parser did: the same
+words and order of checks, a unique prefix of a long flag, ``--flag=value``, and a
+negative number as a value.  The --help text is laid out for 80 columns, whatever
+the terminal's width.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import os
 import sys
+from types import SimpleNamespace
 
 from . import decomposer, homology
 from .classifier import (
@@ -34,14 +40,9 @@ class UsageError(Exception):
     """Bad flags; exits 1 (semantic rejections exit 2)."""
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str):  # argparse would exit 2; we reserve that
-        raise UsageError(message)
-
-
 def _int_arg(token: str, malformed=invalid_int) -> int:
-    """decimal(token), else ArgumentTypeError: malformed(token), argparse's line by default."""
-    return decimal(token, "an integer", argparse.ArgumentTypeError, malformed)
+    """decimal(token), else UsageError: malformed(token), invalid_int's line by default."""
+    return decimal(token, "an integer", UsageError, malformed)
 
 
 def _stabilization_arg(text: str):
@@ -57,65 +58,12 @@ def _primes_arg(text: str) -> tuple[int, ...]:
                  for p in text.split(","))
 
 
-def _add_spec_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--pi1", default="1", help="fundamental group, e.g. 1, Z*Z, Z/9*Z")
-    sub.add_argument("--b2", type=_int_arg, default=0, help="second Betti number")
-    sub.add_argument("--sigma-f", choices=["trivial", "nontrivial"], dest="sigma_f")
-    sub.add_argument("--spin", choices=["true", "false"], help="alias for --sigma-f")
-
-
-def _spec_from_args(args: argparse.Namespace) -> ManifoldSpec:
+def _spec_from_args(args: SimpleNamespace) -> ManifoldSpec:
     trivial = None if args.sigma_f is None else args.sigma_f == "trivial"
     spin = None if args.spin is None else args.spin == "true"
     if trivial is not None and spin is not None and trivial != spin:
         raise UsageError("conflicting --sigma-f and --spin")
     return manifold(args.pi1, args.b2, sigma_f_trivial=trivial, spin=spin)
-
-
-@functools.cache
-def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
-    """The top-level and subcommand parsers, built once per process (a millisecond,
-    as long as a query); parse_args leaves them unchanged.  run() parses argv once."""
-    parser = _Parser(prog="gauge4", description=__doc__.splitlines()[0])
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("decompose", help="split the suspension and the gauge group")
-    _add_spec_flags(p)
-    p.add_argument("--t", type=_int_arg, default=0, help="bundle class over the 4-cell")
-    p.add_argument("--d", type=_stabilization_arg, default=SYMBOLIC,
-                   help="stabilization count, or 'symbolic' (the default)")
-    p.set_defaults(handler=_cmd_splitting, gauge=True)
-
-    p = subs.add_parser("suspension", help="just the suspension half")
-    _add_spec_flags(p)
-    p.add_argument("--d", type=_stabilization_arg, default=SYMBOLIC)
-    p.set_defaults(handler=_cmd_splitting, gauge=False, t=0)
-
-    p = subs.add_parser("homology", help="integral homology of the manifold")
-    _add_spec_flags(p)
-    p.add_argument("--suspension", action="store_true", help="homology after suspending")
-    p.set_defaults(handler=_cmd_homology)
-
-    p = subs.add_parser("classify", help="are G_t and G_s homotopy equivalent?")
-    _add_spec_flags(p)
-    p.add_argument("--group", required=True, help="SU(n), Sp(n), or G2")
-    p.add_argument("--t", type=_int_arg, required=True)
-    p.add_argument("--s", type=_int_arg, required=True)
-    p.add_argument("--primes", type=_primes_arg, default=(),
-                   help="comma-separated primes for local verdicts")
-    p.set_defaults(handler=_cmd_classify)
-
-    p = subs.add_parser("snf", help="Smith normal form of an integer matrix")
-    p.add_argument("--matrix", required=True, help='row-major, e.g. "[[1,0],[0,1]]"')
-    p.set_defaults(handler=_cmd_snf)
-
-    p = subs.add_parser("parse", help="echo the normalized manifold description")
-    _add_spec_flags(p)
-    p.set_defaults(handler=_cmd_parse)
-
-    for p in subs.choices.values():  # last, so it ends every usage line
-        p.add_argument("--json", action="store_true")
-    return parser, subs.choices
 
 
 # --------------------------------------------------------------------------
@@ -176,12 +124,12 @@ def _ints(values) -> str:
 # command handlers (each returns the parts of the text to print, in turn)
 
 
-def _cmd_splitting(args: argparse.Namespace) -> list[str]:
+def _cmd_splitting(args: SimpleNamespace) -> list[str]:
     dec = decomposer.decompose(_spec_from_args(args), args.t, d=args.d)
     return (_splitting_json if args.json else decomposer.splitting_parts)(dec, args.gauge)
 
 
-def _cmd_homology(args: argparse.Namespace) -> list[str]:
+def _cmd_homology(args: SimpleNamespace) -> list[str]:
     spec = _spec_from_args(args)
     g = homology.homology_of_manifold(spec)
     if args.suspension:
@@ -203,7 +151,7 @@ def _render_rule_line(v: EquivalenceVerdict) -> str:
     return line
 
 
-def _cmd_classify(args: argparse.Namespace) -> list[str]:
+def _cmd_classify(args: SimpleNamespace) -> list[str]:
     spec = _spec_from_args(args)
     group = parse_group(args.group)
     verdict = classify(group, spec, args.t, args.s, args.primes)
@@ -215,7 +163,7 @@ def _cmd_classify(args: argparse.Namespace) -> list[str]:
     return ["\n".join(lines)]
 
 
-def _cmd_snf(args: argparse.Namespace) -> list[str]:
+def _cmd_snf(args: SimpleNamespace) -> list[str]:
     result = homology.smith_normal_form(homology.parse_matrix(args.matrix))
     try:
         if args.json:
@@ -226,7 +174,7 @@ def _cmd_snf(args: argparse.Namespace) -> list[str]:
         raise ValueError(f"{past_digit_limit('an invariant factor')}, too many to print") from None
 
 
-def _cmd_parse(args: argparse.Namespace) -> list[str]:
+def _cmd_parse(args: SimpleNamespace) -> list[str]:
     spec = _spec_from_args(args)
     flag = "trivial" if spec.sigma_f_trivial else "nontrivial"
     if args.json:
@@ -237,12 +185,265 @@ def _cmd_parse(args: argparse.Namespace) -> list[str]:
     return [f"pi1 = {render_pi1(spec.pi1)}; b2 = {spec.b2}; sigma-f = {flag}"]
 
 
+# --------------------------------------------------------------------------
+# the flag table, and the reader of argv it drives
+
+
+def _command(text: str, flags: dict, **fixed) -> tuple[str, dict, dict]:
+    """A row of COMMANDS: --json is every subcommand's last flag, so it ends every usage."""
+    return text, {**flags, "--json": (None, False, False, "")}, fixed
+
+
+_SPEC_FLAGS = {
+    "--pi1": (str, "1", False, "fundamental group, e.g. 1, Z*Z, Z/9*Z"),
+    "--b2": (_int_arg, 0, False, "second Betti number"),
+    "--sigma-f": (("trivial", "nontrivial"), None, False, ""),
+    "--spin": (("true", "false"), None, False, "alias for --sigma-f"),
+}
+
+#: subcommand -> (its help line, its flags, the fixed values its handler reads).  A
+#: flag maps to (reader, default, required, help line): the reader converts the flag's
+#: value, is the tuple of words it may be, or is None for a switch, True when given.
+#: A required flag's default is None, which no reader returns.
+COMMANDS = {
+    "decompose": _command("split the suspension and the gauge group", {
+        **_SPEC_FLAGS,
+        "--t": (_int_arg, 0, False, "bundle class over the 4-cell"),
+        "--d": (_stabilization_arg, SYMBOLIC, False,
+                "stabilization count, or 'symbolic' (the default)"),
+    }, handler=_cmd_splitting, gauge=True),
+    "suspension": _command("just the suspension half", {
+        **_SPEC_FLAGS, "--d": (_stabilization_arg, SYMBOLIC, False, ""),
+    }, handler=_cmd_splitting, gauge=False, t=0),
+    "homology": _command("integral homology of the manifold", {
+        **_SPEC_FLAGS, "--suspension": (None, False, False, "homology after suspending"),
+    }, handler=_cmd_homology),
+    "classify": _command("are G_t and G_s homotopy equivalent?", {
+        **_SPEC_FLAGS,
+        "--group": (str, None, True, "SU(n), Sp(n), or G2"),
+        "--t": (_int_arg, None, True, ""),
+        "--s": (_int_arg, None, True, ""),
+        "--primes": (_primes_arg, (), False, "comma-separated primes for local verdicts"),
+    }, handler=_cmd_classify),
+    "snf": _command("Smith normal form of an integer matrix", {
+        "--matrix": (str, None, True, 'row-major, e.g. "[[1,0],[0,1]]"'),
+    }, handler=_cmd_snf),
+    "parse": _command("echo the normalized manifold description", _SPEC_FLAGS,
+                      handler=_cmd_parse),
+}
+
+# A flag as the reader sees it: (its name in an error line, its namespace key, its
+# reader).  -h and --help are a switch with no key; a token naming no flag has no name.
+_HELP = ("-h/--help", None, None)
+_UNKNOWN = (None, None, None)
+_TOP = {"-h": (_HELP, None), "--help": (_HELP, None)}  # the top level's only flags
+
+
+def _reader(flags: dict, fixed: dict):
+    """(option string -> (flag, None), long option strings in order, the namespace
+    before any flag is read, the required flags' (name, key)) of a row of COMMANDS."""
+    options, defaults, required = dict(_TOP), {}, []
+    for name, (read, default, needed, _) in flags.items():
+        key = name[2:].replace("-", "_")
+        options[name] = ((name, key, read), None)
+        defaults[key] = default
+        if needed:
+            required.append((name, key))
+    return options, [name for name in options if name[1] == "-"], {**defaults, **fixed}, required
+
+
+_READERS = {name: _reader(flags, fixed) for name, (_, flags, fixed) in COMMANDS.items()}
+
+
+def _negative_number(token: str) -> bool:
+    """Whether token is -DIGITS or -[DIGITS].DIGITS, a last newline ignored: a value."""
+    whole, dot, part = token[1:-1 if token[-1] == "\n" else None].partition(".")
+    return part.isdecimal() and (not whole or whole.isdecimal()) if dot else whole.isdecimal()
+
+
+def _match(options: dict, longs: list[str], token: str):
+    """(flag, its "=" value or None) of a token that starts "-", is longer and names no
+    flag as it is: NAME=VALUE, the one long flag it is a prefix of (one of several is
+    refused), or -h run on into more.  None for a negative number or a token with a
+    space, which are values, and _UNKNOWN for anything else."""
+    name, eq, value = token.partition("=")
+    if eq and name in options:
+        return options[name][0], value
+    if token[1] == "-":
+        matches = [flag for flag in longs if flag.startswith(name)]
+        value = value if eq else None
+    else:
+        name, value = token[:2], token[2:]
+        matches = [name] if name in options else []
+    if len(matches) > 1:
+        raise UsageError(f"ambiguous option: {token} could match {', '.join(matches)}")
+    if matches:
+        return options[matches[0]][0], value
+    return None if " " in token or _negative_number(token) else (_UNKNOWN, None)
+
+
+def _ignored(name: str, token: str, value: str | None) -> str | None:
+    """The line refusing a switch's "=" value, else None; "-hh" is -h given twice."""
+    if value is None:
+        return None
+    left = value if token[1] == "-" else value.lstrip("h")
+    return f"argument {name}: ignored explicit argument {left!r}" if left or not value else None
+
+
+def _read(command: str, argv: list[str], start: int):
+    """(the namespace of command's flags in argv[start:], or its --help text; the tokens
+    left unread).  A token is looked up as it is, and only a miss is matched further.
+    At the first error, or a help flag, the tokens after it are matched too: an
+    ambiguous prefix anywhere before "--" is refused first."""
+    options, longs, values, required = _READERS[command]
+    values, extras, stop = dict(values), [], None
+    i, n = start, len(argv)
+    while i < n:
+        token = argv[i]
+        i += 1
+        found = options.get(token)
+        if found is None:
+            if token == "--":  # every token after it is a value
+                extras += argv[i - 1 :]
+                break
+            if token[:1] == "-" and token != "-":
+                found = _match(options, longs, token)
+            if found is None:
+                extras.append(token)
+                continue
+        (name, key, read), value = found
+        if name is None:
+            extras.append(token)
+        elif read is None:
+            stop = _ignored(name, token, value) or (_HELP if key is None else None)
+            if stop:
+                break
+            values[key] = True
+        else:
+            if value is None:  # the next token, unless it is a flag or "--" (or argv ends)
+                value = argv[i] if i < n else "--"
+                if value[:1] == "-" and value != "-" and (
+                        value == "--" or options.get(value) or _match(options, longs, value)):
+                    stop = f"argument {name}: expected one argument"
+                    break
+                i += 1
+            if type(read) is tuple:
+                if value not in read:
+                    choices = ", ".join(map(repr, read))
+                    stop = f"argument {name}: invalid choice: {value!r} (choose from {choices})"
+                    break
+            else:
+                try:
+                    value = read(value)
+                except UsageError as exc:
+                    stop = f"argument {name}: {exc}"
+                    break
+            values[key] = value
+    if stop is not None:  # first refuse an ambiguous prefix after it
+        for token in argv[i:]:
+            if token == "--":
+                break
+            if token[:1] == "-" and len(token) > 1 and token not in options:
+                _match(options, longs, token)
+        if stop is _HELP:
+            return _help(command), []
+        raise UsageError(stop)
+    missing = [name for name, key in required if values[key] is None]
+    if missing:
+        raise UsageError(f"the following arguments are required: {', '.join(missing)}")
+    return SimpleNamespace(**values), extras
+
+
+def _read_top(argv: list[str]):
+    """_read for an argv whose first word names no subcommand: -h or unknown flags, up
+    to the first other token, which must name a subcommand that reads the rest."""
+    extras = []
+    for i, token in enumerate(argv):
+        found = None
+        if token[:1] == "-" and token not in ("-", "--"):
+            found = _TOP.get(token) or _match(_TOP, ["--help"], token)
+        if found is None and not (token == "--" and i == len(argv) - 1):
+            if token not in COMMANDS:
+                choices = ", ".join(map(repr, COMMANDS))
+                raise UsageError(
+                    f"argument command: invalid choice: {token!r} (choose from {choices})")
+            args, more = _read(token, argv, i + 1)
+            return (args, []) if type(args) is str else (args, extras + more)
+        if found is None or found[0] is _UNKNOWN:
+            extras.append(token)
+            continue
+        line = _ignored(_HELP[0], token, found[1])
+        if line:
+            raise UsageError(line)
+        return _help(""), []
+    raise UsageError("the following arguments are required: command")
+
+
+def _usage(prog: str, parts: list[str]) -> str:
+    """The usage line: prog and parts, wrapped at 78 columns under the first part."""
+    lines = [f"usage: {prog}"]
+    for part in parts:
+        if len(lines[-1]) + 1 + len(part) > 78:
+            lines.append(" " * (len(prog) + 8) + part)
+        else:
+            lines[-1] += " " + part
+    return "\n".join(lines)
+
+
+def _sections(sections: list[tuple[str, list[tuple[int, str, str]]]]) -> str:
+    """Titled rows of (indent, invocation, help line), each help line at one column."""
+    at = min(max(indent + len(shown) for _, rows in sections for indent, shown, _ in rows) + 2, 24)
+    blocks = []
+    for title, rows in sections:
+        lines = [f"{title}:"]
+        for indent, shown, text in rows:
+            width = at - indent - 2
+            if not text:
+                lines.append(" " * indent + shown)
+            elif len(shown) <= width:
+                lines.append(f"{' ' * indent}{shown:<{width}}  {text}")
+            else:
+                lines.append(f"{' ' * indent}{shown}\n{' ' * at}{text}")
+        blocks.append("\n".join(lines))
+    return "\n\n".join(blocks) + "\n"
+
+
+def _help(command: str) -> str:
+    """What --help prints for a subcommand, or for the top level when command is ""."""
+    help_row = (2, "-h, --help", "show this help message and exit")
+    if not command:
+        choices = "{" + ",".join(COMMANDS) + "}"
+        rows = [(2, choices, "")] + [(4, name, row[0]) for name, row in COMMANDS.items()]
+        return (f"{_usage('gauge4', ['[-h]', choices, '...'])}\n\n{__doc__.splitlines()[0]}"
+                f"\n\n{_sections([('positional arguments', rows), ('options', [help_row])])}")
+    parts, rows = ["[-h]"], [help_row]
+    for name, (read, _, required, text) in COMMANDS[command][1].items():
+        if read is not None:
+            name += " " + ("{" + ",".join(read) + "}" if type(read) is tuple
+                           else name[2:].replace("-", "_").upper())
+        parts.append(name if required else f"[{name}]")
+        rows.append((2, name, text))
+    return f"{_usage(f'gauge4 {command}', parts)}\n\n{_sections([('options', rows)])}"
+
+
+def parse_argv(argv: list[str]):
+    """The namespace argv's handler reads, or the --help text to print; UsageError
+    for flag misuse."""
+    if argv and argv[0] in COMMANDS:
+        args, extras = _read(argv[0], argv, 1)
+    else:
+        args, extras = _read_top(argv)
+    if extras:
+        raise UsageError(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
 def run(argv: list[str]) -> int:
-    parser, commands = build_parser()
     try:
-        if argv and argv[0] in commands:  # else help, or a missing or unknown command
-            parser, argv = commands[argv[0]], argv[1:]
-        args = parser.parse_args(argv)
+        args = parse_argv(argv)
+        if type(args) is str:  # --help
+            sys.stdout.write(args)
+            return 0
         out = args.handler(args)
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

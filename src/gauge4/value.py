@@ -18,7 +18,7 @@ from operator import attrgetter
 
 DIGITS = "[0-9]+"
 _SIGNED = re.compile(rf"\s*[+-]?{DIGITS}\s*").fullmatch
-invalid_int = "invalid int value: {!r}".format  # argparse's line for a malformed token
+invalid_int = "invalid int value: {!r}".format  # the line refusing a malformed token
 
 
 class Value:

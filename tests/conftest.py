@@ -1,6 +1,7 @@
 """Shared helpers: seeded random generators for specs, terms, matrices and
 conjugated handle chain complexes, graded groups from sparse degrees, the
-acceptance-criteria verdict report, and a per-test hang guard."""
+acceptance-criteria verdict report, a per-test hang guard, and a count of the
+lines gauge4 runs for a call."""
 
 import random
 import signal
@@ -54,6 +55,28 @@ def hang_guard():
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def line_events(fn, *args) -> int:
+    """The line events sys.settrace reports in gauge4's own frames while fn(*args)
+    runs: a cost that, unlike a clock, is the same on every run and every machine."""
+    count = 0
+
+    def count_lines(frame, event, arg):
+        nonlocal count
+        count += event == "line"
+        return count_lines
+
+    def enter(frame, event, arg):
+        return count_lines if frame.f_globals.get("__name__", "").startswith("gauge4") else None
+
+    previous = sys.gettrace()
+    sys.settrace(enter)
+    try:
+        fn(*args)
+    finally:
+        sys.settrace(previous)
+    return count
 
 
 def graded(parts) -> GradedAbelianGroup:

@@ -14,7 +14,8 @@ from pathlib import Path
 import pytest
 
 import gauge4
-from conftest import expand, random_spec
+import argparse_cli
+from conftest import expand, line_events, random_spec
 from gauge4 import (
     Decomposition,
     GaugeExpr,
@@ -36,7 +37,7 @@ from gauge4 import (
     wedge,
 )
 from gauge4.arith import MAX_COPIES
-from gauge4.cli import UsageError, build_parser, run
+from gauge4.cli import COMMANDS, UsageError, parse_argv, run
 from gauge4.decomposer import splitting_parts
 from gauge4.manifold import render_pi1
 
@@ -292,7 +293,7 @@ def test_json_splitting_matches_dumping_every_copy(capsys):
     # A splitting's document is json.dumps of its reference with every copy written
     # out; every document of under 10**6 bytes is also json.dumps of what it loads
     # to, with its keys sorted (loading a 10**6-copy one would build 10**6 dicts).
-    commands, cases, kinds, docs = build_parser()[1], set(), set(), []
+    cases, kinds, docs = set(), set(), []
     for argv in _json_argvs():
         code, out, err = invoke(capsys, *argv, "--json")
         cases.add((argv[0], code))
@@ -302,7 +303,7 @@ def test_json_splitting_matches_dumping_every_copy(capsys):
         if argv[0] not in ("decompose", "suspension"):
             assert (code, err) == (0, ""), argv
             continue
-        args = commands[argv[0]].parse_args(argv[1:])
+        args = parse_argv(argv)
         spec = manifold(args.pi1, args.b2, sigma_f_trivial=args.sigma_f != "nontrivial")
         dec = decompose(spec, getattr(args, "t", 0), d=args.d)
         try:
@@ -386,9 +387,9 @@ def test_every_splitting_answer_matches_writing_each_copy(capsys):
     # Each answer is joined once from its parts; the reference writes one
     # entry per copy.  Text and --json, each half alone and both together, and
     # past the cap the same error line and nothing on stdout.
-    commands, seen = build_parser()[1], set()
+    seen = set()
     for flags, t in _differential_flags():
-        args = commands["suspension"].parse_args(flags)
+        args = parse_argv(["suspension", *flags])
         spec = manifold(args.pi1, args.b2, sigma_f_trivial=args.sigma_f != "nontrivial")
         dec = decompose(spec, t, d=args.d)
         suspension, gauge = _halves_every_copy(dec)
@@ -760,11 +761,10 @@ def test_a_reader_that_closes_stdout_early_ends_the_process_quietly():
 
 
 def test_symbolic_d_has_one_spelling_from_the_parser_on():
-    _, commands = build_parser()
     for command in ("decompose", "suspension"):
-        assert commands[command].parse_args([]).d is SYMBOLIC
-        assert commands[command].parse_args(["--d", "symbolic"]).d is SYMBOLIC
-        assert commands[command].parse_args(["--d", "-0"]).d == 0
+        assert parse_argv([command]).d is SYMBOLIC
+        assert parse_argv([command, "--d", "symbolic"]).d is SYMBOLIC
+        assert parse_argv([command, "--d", "-0"]).d == 0
 
 
 def test_a_repeated_reason_is_printed_once(capsys):
@@ -786,8 +786,8 @@ def test_61_bit_modulus_parses_fast(capsys, hang_guard):
 
 
 def test_one_parser_serves_many_runs(capsys):
-    # run() reuses one parser per process: after a usage error, a success
-    # and --json must print what a fresh process prints.
+    # run() reads every query by the one flag table and keeps nothing from it: after a
+    # usage error, a success and --json must print what a fresh process prints.
     calls = [
         ["decompose", "--b2", "x"],
         ["classify", "--group", "SU(2)", "--t", "1"],
@@ -829,31 +829,33 @@ def test_symbolic_b2_of_a_billion_is_one_block(capsys, hang_guard):
 
 
 # --------------------------------------------------------------------------
-# dispatch: a query whose first word names a subcommand is parsed once, by
-# that subcommand's parser; the top-level parser serves the rest
+# dispatch: a query whose first word names a subcommand is read by that
+# subcommand's row of the flag table; the top level reads the rest
 
 
-def _parsed(parser, argv):
-    """The namespace parser gives argv as a dict, or the line it refuses argv with."""
+def _parsed(parse, argv):
+    """The namespace parse gives argv as a dict, or the line it refuses argv with."""
     try:
-        return vars(parser.parse_args(argv))
+        return vars(parse(argv))
     except UsageError as exc:
         return str(exc)
 
 
 def test_subcommand_parser_gives_the_top_level_namespace():
-    # the same namespace for an accepted query, the same line for a refused one
-    parser, commands = build_parser()
+    # the namespace the reference's top-level parser gave an accepted query, less the
+    # subcommand's name, and the same line for a refused one
+    parser = argparse_cli.build_parser()[0]
     for query in json.loads(GOLDEN.read_text())["cli"]:
         argv = query["argv"]
-        top = _parsed(parser, argv)
+        top = _parsed(parser.parse_args, argv)
         if isinstance(top, dict):
             assert top.pop("command") == argv[0]
-        assert _parsed(commands[argv[0]], argv[1:]) == top
+        assert _parsed(parse_argv, argv) == top
 
 
-def _answer(argv):
-    """run(argv)'s exit code, stdout and stderr, with the code of a SystemExit."""
+def _answer(argv, run=run):
+    """run(argv)'s exit code, stdout and stderr; the reference's run exits by SystemExit
+    after printing help."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -927,18 +929,117 @@ TOP_USAGE = "usage: gauge4 [-h] {decompose,suspension,homology,classify,snf,pars
          "error: the following arguments are required: --group, --t, --s\n"),
     ],
 )
-def test_dispatch_edges_print_what_the_top_level_parser_printed(monkeypatch, argv, code, out, err):
-    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help text to the terminal width
-    assert _answer(argv) == (code, out, err)
+def test_dispatch_edges_print_what_the_top_level_parser_printed(capsys, argv, code, out, err):
+    assert invoke(capsys, *argv) == (code, out, err)
 
 
 
-def test_help_prints_the_pinned_text(monkeypatch):
-    # the top level and each subcommand, byte for byte, exit 0
-    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help text to the terminal width
+def test_help_prints_the_pinned_text(capsys, monkeypatch):
+    # the top level and each subcommand, byte for byte, exit 0, laid out for 80
+    # columns whatever the terminal's width
+    monkeypatch.setenv("COLUMNS", "40")
     for command in HELP_COMMANDS:
         argv = [command, "--help"] if command else ["--help"]
-        assert _answer(argv) == (0, help_texts()[command], ""), command
+        assert invoke(capsys, *argv) == (0, help_texts()[command], ""), command
+
+
+def test_a_value_given_as_equals_dash_dash_is_read_as_it_is(capsys):
+    # argparse stripped "--" from an "=" value and stored an empty list, so --matrix=--
+    # and --group=-- ended in a traceback and --primes=-- read no primes; the table
+    # reads "--" as the value it is, and refuses it with the flag's own line.
+    for argv, code, err in [
+        (["decompose", "--b2=--"], 1, "argument --b2: invalid int value: '--'"),
+        (["snf", "--matrix=--"], 2, SHAPE_LINE[7:-1]),
+        (["classify", "--group=--", "--t", "1", "--s", "2"], 2, "bad group name: '--'"),
+        (["classify", "--group", "SU(2)", "--t", "1", "--s", "2", "--primes=--"], 1,
+         "argument --primes: expected a comma-separated prime list, got '--'"),
+        (["parse", "--sigma-f=--"], 1,
+         "argument --sigma-f: invalid choice: '--' (choose from 'trivial', 'nontrivial')"),
+    ]:
+        assert invoke(capsys, *argv) == (code, "", f"error: {err}\n"), argv
+
+
+#: The tokens the differential puts anywhere in an argv: help flags given whole, run on
+#: and with a value; the end of flags; a lone dash; an empty token; unknown flags and
+#: values; prefixes, one of them ambiguous; negative numbers; an underscore; and digits of
+#: other scripts.
+_INSERTS = ["-h", "--help", "--he", "-hh", "-hx", "-h=", "--help=1", "--", "-", "", "--nope",
+            "-x", "--pi1x", "--json=1", "--json=", "--s", "--s=1", "--=1", "--p", "extra", "-5",
+            "-0.5", "-.5", "-5\n", "-1_1", "1_1", "\u0667", "-\u0667", "\uff17", "-1 2"]
+
+
+def _flag_items(argv: list[str]) -> list[list[str]]:
+    """argv in pieces: its subcommand, then each flag with its value if it takes one."""
+    flags, items, i = COMMANDS[argv[0]][1], [[argv[0]]], 1
+    while i < len(argv):
+        width = 1 if flags[argv[i]][0] is None else 2
+        items.append(argv[i : i + width])
+        i += width
+    return items
+
+
+def mutate(rng: random.Random, argv: list[str]) -> list[str]:
+    """argv with one to four seeded edits: flags dropped, repeated, cut to a prefix or
+    joined to their values by "=", then tokens from _INSERTS put anywhere, the front
+    (where no subcommand is named) included."""
+    items = _flag_items(argv)
+    edits, inserts = rng.randint(0, 2), rng.randint(0, 2)
+    for _ in range(edits if edits or inserts else 1):
+        if len(items) == 1:
+            break
+        i, edit = rng.randrange(1, len(items)), rng.randrange(4)
+        if edit == 0:
+            del items[i]
+        elif edit == 1:
+            items.insert(rng.randrange(1, len(items) + 1), list(items[i]))
+        elif edit == 2:
+            items[i] = [items[i][0][: rng.randint(3, len(items[i][0]))], *items[i][1:]]
+        elif len(items[i]) == 2:
+            items[i] = ["=".join(items[i])]
+    tokens = [token for item in items for token in item]
+    for _ in range(inserts):
+        tokens.insert(rng.randint(0, len(tokens)), rng.choice(_INSERTS))
+    return tokens
+
+
+def test_seeded_argv_read_as_the_argparse_reference_read_them(capsys, monkeypatch):
+    # 2 160 argv, four seeded mutants of each golden query: the same exit code, stdout
+    # and stderr as the argparse front end gave, and for a query it accepted the same
+    # namespace.  The corpus reaches each way a flag can be misused.
+    monkeypatch.setenv("COLUMNS", "80")  # the reference lays help out for the terminal
+    rng, outcomes = random.Random(33), {}
+    commands = argparse_cli.build_parser()[1]
+    for query in json.loads(GOLDEN.read_text())["cli"]:
+        for _ in range(4):
+            argv = mutate(rng, query["argv"])
+            want = _answer(argv, argparse_cli.run)
+            assert invoke(capsys, *argv) == want, argv
+            if want[1].startswith("usage: "):
+                kind = "help"
+            elif want[0] == 1:
+                kind = want[2][7:].split(":")[0]
+            else:
+                kind = want[0]
+            if kind == 0:
+                assert vars(parse_argv(argv)) == vars(commands[argv[0]].parse_args(argv[1:]))
+            outcomes[kind] = outcomes.get(kind, 0) + 1
+    assert sum(outcomes.values()) == 2160
+    assert min(outcomes.get(kind, 0) for kind in (
+        0, 2, "help", "ambiguous option", "unrecognized arguments", "argument --b2",
+        "argument -h/--help", "argument --json", "the following arguments are required",
+        "argument command")) >= 5, outcomes
+
+
+def test_reading_argv_is_linear_in_its_tokens():
+    # Line events in gauge4 frames, not a clock: twice the tokens cost at most 2.2 times
+    # the lines, for a long --primes list, a repeated flag and a repeated prefix.
+    n = 400
+    spec = ["classify", "--group", "SU(2)", "--t", "1", "--s", "2"]
+    for grow in (lambda k: [*spec, "--primes", ",".join(["3"] * k)],
+                 lambda k: ["decompose", *["--b2", "1"] * k],
+                 lambda k: [*spec, *["--pr", "3"] * k]):
+        once, twice = (line_events(parse_argv, grow(k)) for k in (n, 2 * n))
+        assert n <= once and twice <= 2.2 * once, (grow(1), once, twice)
 
 
 @pytest.mark.parametrize(
@@ -953,10 +1054,8 @@ def test_help_prints_the_pinned_text(monkeypatch):
     ],
 )
 def test_help_exits_0_with_the_usage_of_the_parser_named(capsys, argv, usage):
-    with pytest.raises(SystemExit) as exit_:
-        run(argv)
-    captured = capsys.readouterr()
-    assert (exit_.value.code, captured.out.splitlines()[0], captured.err) == (0, usage, "")
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out.splitlines()[0], err) == (0, usage, "")
 
 
 # --------------------------------------------------------------------------
@@ -984,18 +1083,19 @@ USAGES = {
 }
 
 
-def test_every_subcommand_keeps_its_usage(monkeypatch):
-    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal width
-    parser, commands = build_parser()
-    assert {name: sub.format_usage() for name, sub in commands.items()} == USAGES
-    assert list(commands) == list(USAGES)
-    assert parser.format_usage() == TOP_USAGE + "\n"
+def test_every_subcommand_keeps_its_usage(capsys, monkeypatch):
+    # the paragraph --help opens with, wrapped for 80 columns whatever the terminal's width
+    monkeypatch.setenv("COLUMNS", "200")
+    usages = {name: invoke(capsys, name, "--help")[1].split("\n\n")[0] + "\n"
+              for name in COMMANDS}
+    assert usages == USAGES
+    assert list(COMMANDS) == list(USAGES)
+    assert invoke(capsys, "--help")[1].split("\n\n")[0] == TOP_USAGE
 
 
 def test_decompose_and_suspension_share_one_handler(capsys):
-    _, commands = build_parser()
-    handler = commands["decompose"].get_default("handler")
-    assert commands["suspension"].get_default("handler") is handler
+    handler = parse_argv(["decompose"]).handler
+    assert parse_argv(["suspension"]).handler is handler
     # suspension takes t = 0 from its defaults and still has no --t flag
     assert invoke(capsys, "suspension", "--t", "1") == (
         1, "", "error: unrecognized arguments: --t 1\n")
@@ -1005,16 +1105,15 @@ def test_decompose_and_suspension_share_one_handler(capsys):
 def test_every_subcommand_accepts_json(capsys):
     required = {"classify": ["--group", "SU(2)", "--t", "1", "--s", "2"],
                 "snf": ["--matrix", "[[2]]"]}
-    for command, sub in build_parser()[1].items():
+    for command in COMMANDS:
         argv = [*required.get(command, []), "--json"]
-        assert sub.parse_args(argv).json is True
+        assert parse_argv([command, *argv]).json is True
         code, out, err = invoke(capsys, command, *argv)
         assert (code, err, out.count("\n")) == (0, "", 1), command
         assert isinstance(json.loads(out), dict)
 
 
 if __name__ == "__main__":
-    os.environ["COLUMNS"] = "80"  # argparse wraps help text to the terminal width
     texts = [_answer([command, "--help"] if command else ["--help"]) for command in HELP_COMMANDS]
     assert all(code == 0 and err == "" for code, _, err in texts)
     HELP.write_text("".join(out for _, out, _ in texts))

@@ -165,11 +165,11 @@ def test_gauge4_defines_no_dataclass():
 
 
 #: Run in a fresh interpreter: the modules loaded after ``import json``,
-#: ``import gauge4``, ``import argparse`` and ``import gauge4.cli``, one line each.
+#: ``import gauge4`` and ``import gauge4.cli``, one line each.
 _IMPORTS = """
 import sys
 loaded = []
-for name in ("json", "gauge4", "argparse", "gauge4.cli"):
+for name in ("json", "gauge4", "gauge4.cli"):
     __import__(name)
     loaded.append(" ".join(sorted(sys.modules)))
 print("\\n".join(loaded))
@@ -177,19 +177,24 @@ print("\\n".join(loaded))
 
 #: The standard-library modules ``import gauge4`` loads beyond those of ``json``.
 _LIBRARY_IMPORTS = {"__future__", "_bisect", "bisect", "collections.abc", "math"}
+#: The modules ``import gauge4.cli`` loads beyond those of ``import gauge4``: itself, and
+#: os for the exit of a query whose reader has gone.  No option parser, so neither its
+#: translations (gettext, locale) nor its terminal width (shutil).
+_CLI_IMPORTS = {"gauge4.cli", "os", "os.path", "posixpath", "genericpath", "stat", "_stat"}
 
 
 def test_import_loads_only_gauge4_and_json():
     # -S: no site, so nothing a .pth file imports counts as free; json is imported
-    # first, so what it loads is not counted, and argparse is the command line's floor.
+    # first, so what it loads is not counted.
     src = str(Path(gauge4.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-S", "-c", _IMPORTS], env=env, check=True,
                          capture_output=True, text=True).stdout
-    json_, library, argparse_, cli = (set(line.split()) for line in out.splitlines())
+    json_, library, cli = (set(line.split()) for line in out.splitlines())
     added = {name for name in library - json_ if name.split(".")[0] != "gauge4"}
     assert added == _LIBRARY_IMPORTS
-    assert cli - library == argparse_ - library | {"gauge4.cli"}
+    assert cli - library == _CLI_IMPORTS
+    assert not {"argparse", "gettext", "locale", "shutil"} & cli
 
 
 #: Run in a fresh interpreter: whether json is loaded after ``import gauge4``, after
