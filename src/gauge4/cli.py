@@ -414,7 +414,7 @@ def _help(command: str) -> str:
     if not command:
         choices = "{" + ",".join(COMMANDS) + "}"
         rows = [(2, choices, "")] + [(4, name, row[0]) for name, row in COMMANDS.items()]
-        return (f"{_usage('gauge4', ['[-h]', choices, '...'])}\n\n{__doc__.splitlines()[0]}"
+        return (f"{_usage('gauge4', ['[-h]', choices, '...'])}\n\nCommand-line front end."
                 f"\n\n{_sections([('positional arguments', rows), ('options', [help_row])])}")
     parts, rows = ["[-h]"], [help_row]
     for name, (read, _, required, text) in COMMANDS[command][1].items():

@@ -933,7 +933,6 @@ def test_dispatch_edges_print_what_the_top_level_parser_printed(capsys, argv, co
     assert invoke(capsys, *argv) == (code, out, err)
 
 
-
 def test_help_prints_the_pinned_text(capsys, monkeypatch):
     # the top level and each subcommand, byte for byte, exit 0, laid out for 80
     # columns whatever the terminal's width
@@ -941,6 +940,11 @@ def test_help_prints_the_pinned_text(capsys, monkeypatch):
     for command in HELP_COMMANDS:
         argv = [command, "--help"] if command else ["--help"]
         assert invoke(capsys, *argv) == (0, help_texts()[command], ""), command
+    # -OO strips docstrings, and the top level's text reads none
+    command, env = module_call(["--help"], {})
+    proc = subprocess.run([command[0], "-OO", *command[1:]], capture_output=True, text=True,
+                          env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, help_texts()[""], "")
 
 
 def test_a_value_given_as_equals_dash_dash_is_read_as_it_is(capsys):
