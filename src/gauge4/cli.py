@@ -15,8 +15,8 @@ One table, COMMANDS, holds every subcommand's flags.  It reads argv, writes the
 usage and --help text and the ``error:`` line of each flag misuse, and fills the
 namespace a handler reads, each as Python's standard option parser did: the same
 words and order of checks, a unique prefix of a long flag, ``--flag=value``, and a
-negative number as a value.  The --help text is laid out for 80 columns, whatever
-the terminal's width.
+negative number as a value; only ``--flag=--`` differs, read as the value ``--``.
+The --help text is laid out for 80 columns, whatever the terminal's width.
 """
 
 from __future__ import annotations
