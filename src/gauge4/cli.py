@@ -32,7 +32,7 @@ from .classifier import (
     parse_group,
 )
 from .manifold import ManifoldSpec, manifold, render_pi1
-from .terms import SYMBOLIC, LoopFactor, Moore, SpaceTerm, Sphere, join_blocks
+from .terms import SYMBOLIC, Moore, SpaceTerm, Sphere, join_blocks
 from .value import decimal, invalid_int, past_digit_limit
 
 
@@ -79,9 +79,10 @@ def _atom_json(atom: SpaceTerm) -> str:
     return '{"dim": 5, "kind": "susp_cp2", "modulus": null}'
 
 
-def _factor_json(factor: LoopFactor) -> str:
-    modulus = "null" if factor.modulus is None else factor.modulus
-    return f'{{"loop_order": {factor.loop_order}, "modulus": {modulus}}}'
+def _factor_json(summand: Sphere | Moore) -> str:
+    """The JSON object of Map*(summand, G): O^{n-1}G for S^n, O^{n-1}G{q} for P^n(q)."""
+    modulus = summand.modulus if summand.__class__ is Moore else "null"
+    return f'{{"loop_order": {summand.dim - 1}, "modulus": {modulus}}}'
 
 
 def _splitting_json(dec: decomposer.Decomposition, gauge: bool) -> list[str]:
@@ -96,7 +97,7 @@ def _splitting_json(dec: decomposer.Decomposition, gauge: bool) -> list[str]:
     if not gauge:
         return [f'{{"case": "{case}", "stabilization": {stabilization}, "suspension": [',
                 *suspension, "]}"]
-    factors = join_blocks([], [(_factor_json(f), n) for f, n in dec.factors], ", ")
+    factors = join_blocks([], [(_factor_json(atom), n) for atom, n in dec.blocks[1:]], ", ")
     return [f'{{"case": "{case}", "gauge": {{"base": "{dec.base}", "factors": [', *factors,
             f'], "stabilization": {stabilization}, "t": {dec.t}}}, "suspension": [',
             *suspension, "]}"]

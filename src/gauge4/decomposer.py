@@ -10,13 +10,15 @@ keeps them in correspondence.
 
 A splitting is stored once, as its normalized wedge, whose (summand,
 count) blocks are in display order; equal cyclic factors of pi1 enter as
-one Moore block per dimension.  The gauge product is read off the blocks
-through map_space.  An answer, in text or in --json, is one list of string
-parts: fixed heads, and per repeated block one string repeat appended by
-terms.join_blocks, by splitting_parts for the text and by the CLI for
---json.  render_decomposition joins the text once; the CLI writes either in
-turn.  Every view costs the number of distinct summands, and a written
-answer that plus its bytes.
+one Moore block per dimension, and no block of count 0 is entered.  The
+gauge product is read off the blocks through map_space; its text and
+--json are written from the blocks themselves, with no loop factor built.
+An answer, in text or in --json, is one list of string parts: fixed heads,
+and per repeated block one string repeat appended by terms.join_blocks, by
+splitting_parts for the text and by the CLI for --json.
+render_decomposition joins the text once; the CLI writes either in turn.
+Every view costs the number of distinct summands, and a written answer
+that plus its bytes.
 
 Four fundamental-group shapes are handled.  Trivial and free pi1, and a
 single odd prime-power cyclic pi1, split on the nose.  A genuinely mixed
@@ -32,6 +34,7 @@ from itertools import groupby
 
 from .manifold import ManifoldSpec, Pi1Kind, classify_pi1
 from .terms import (
+    FACTOR_TEXT,
     GAUGE_BASE,
     SCP2,
     SPHERE,
@@ -159,7 +162,9 @@ def _assemble(spec: ManifoldSpec, t: int, stabilization: Stabilization, kind: Pi
         base = SPHERE[5]
     else:
         base, n3 = SCP2, n3 - 1  # one 2-cell is spent on the CP^2 block
-    blocks = [(base, 1), (SPHERE[4], m), (SPHERE[3], n3), (SPHERE[2], m)]
+    blocks = [(base, 1), (SPHERE[3], n3)] if n3 else [(base, 1)]  # no block of count 0
+    if m:
+        blocks += [(SPHERE[4], m), (SPHERE[2], m)]  # Wedge sorts the blocks
     for (p, r), run in groupby(spec.pi1.cyclic_factors):  # sorted, so equal factors adjoin
         n, q = len(list(run)), p**r
         blocks += [(Moore(3, q), n), (Moore(4, q), n)]
@@ -183,12 +188,15 @@ def render_decomposition(dec: Decomposition) -> str:
 
 def splitting_parts(dec: Decomposition, gauge: bool) -> list[str]:
     """The parts of ``SM = ...``, or of the stabilized ``S(M #_d(S^2xS^2)) = ...``;
-    with gauge, then of ``; G_t(M) = ...``, or ``; G_t(M) x (O^2G)^{2d} ~ ...``."""
-    t, stab = dec.t, dec.stabilization
+    with gauge, then of ``; G_t(M) = ...``, or ``; G_t(M) x (O^2G)^{2d} ~ ...``.
+    Both halves are written from the splitting's blocks, the gauge half from
+    the loop-factor text of each summand after the base."""
+    t, stab, blocks = dec.t, dec.stabilization, dec.blocks
+    stable = SPHERE[3] if stab == SYMBOLIC else None
     parts = ["SM = " if stab == 0 else f"S(M #_{'d' if stab == SYMBOLIC else stab}(S^2xS^2)) = "]
-    join_blocks(parts, block_pieces(dec.blocks, SPHERE[3] if stab == SYMBOLIC else None), " v ")
+    join_blocks(parts, block_pieces(blocks, stable), " v ")
     if gauge:
         power = "{2d}" if stab == SYMBOLIC else 2 * stab
         parts.append(f"; G_{t}(M) = " if stab == 0 else f"; G_{t}(M) x (O^2G)^{power} ~ ")
-        product_parts(parts, dec.base, t, dec.factors, stab)
+        product_parts(parts, dec.base, t, block_pieces(blocks[1:], stable, FACTOR_TEXT))
     return parts

@@ -17,22 +17,24 @@ one normal form (nested wedges flattened, merged, zero-free, sorted by
 cost the number of distinct terms, not of copies.  ``normalize`` only
 collapses a single copy to its atom.
 
-Text is written as a list of string parts joined once.  ``join_blocks``
-appends the (text, count) pieces, in string repeats of at most
+Text is written as a list of string parts joined once.  ``block_pieces``
+gives the (text, count) piece of each block, from a text column of
+``_ATOMS``; ``join_blocks`` appends the pieces, in string repeats of at most
 ``COPIES_PER_PART`` copies, after checking ``MAX_COPIES`` from the counts;
 ``render`` joins what it and a head append.
 
 ``map_space`` is the bridge between the two sides: it sends a wedge summand
 ``Y`` to the factor ``Map*(Y, G)`` contributes to a gauge group, using
 ``Map*(S^k, G) = O^kG`` and ``Map*(P^k(q), G) = O^{k-1}G{q}``; a factor sorts
-where its summand does.  ``GAUGE_BASE`` pairs each base summand, S^5 or
-SCP^2, with the base of the gauge group instead, named ``S4`` or ``CP2``.
+where its summand does.  The text of that factor is a column of ``_ATOMS``
+too, so the gauge half of a splitting is written from its summands with no
+factor built.  ``GAUGE_BASE`` pairs each base summand, S^5 or SCP^2, with
+the base of the gauge group instead, named ``S4`` or ``CP2``.
 """
 
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
 from collections.abc import Iterable, Sequence
 
 from .arith import MAX_COPIES
@@ -120,10 +122,13 @@ def _merge(blocks: Iterable[tuple[SpaceTerm | LoopFactor, int]], kinds: tuple[ty
         if term.__class__ not in kinds:
             raise TermError(f"not a {what}: {term!r}")
         integer(count, "block count", 0, TermError)
-        if count:
-            for atom, times in term.blocks if term.__class__ is Wedge else ((term, 1),):
+        if count and term.__class__ is Wedge:
+            for atom, times in term.blocks:
                 key, n = _ATOMS[atom.__class__][0](atom), count * times  # _atom_key, inlined
                 merged[key] = (atom, merged[key][1] + n) if key in merged else (atom, n)
+        elif count:
+            key = _ATOMS[term.__class__][0](term)
+            merged[key] = (term, merged[key][1] + count) if key in merged else (term, count)
     return tuple([merged[key] for key in sorted(merged)])
 
 
@@ -215,16 +220,24 @@ S4, CP2 = "S4", "CP2"
 GAUGE_BASE = {SPHERE[5]: S4, SCP2: CP2}
 _BASE_NAMES = {S4: "S^4", CP2: "CP^2"}
 
-#: By exact class, each atom's sort key (see _atom_key), its text, and the loop
-#: factor Map*(atom, G) of a summand in map_space's domain, else None.
+def _loop_text(order: int, modulus: int | None = None) -> str:
+    """The text of O^orderG, or of O^orderG{modulus}."""
+    return f"O^{order}G" if modulus is None else f"O^{order}G{{{modulus}}}"
+
+
+#: By exact class, each atom's sort key (see _atom_key), its text (column TEXT), and
+#: for a summand in map_space's domain the text of its loop factor Map*(atom, G)
+#: (column FACTOR_TEXT) and that loop factor, else None.
+TEXT, FACTOR_TEXT = 1, 2
 _ATOMS = {
-    Sphere: (lambda s: (-s.dim, 0, 0), lambda s: f"S^{s.dim}", lambda s: LOOP.get(s.dim - 1)),
+    Sphere: (lambda s: (-s.dim, 0, 0), lambda s: f"S^{s.dim}", lambda s: _loop_text(s.dim - 1),
+             lambda s: LOOP.get(s.dim - 1)),
     Moore: (lambda m: (-m.dim, 1, m.modulus), lambda m: f"P^{m.dim}({m.modulus})",
+            lambda m: _loop_text(m.dim - 1, m.modulus),
             lambda m: LoopFactor(m.dim - 1, m.modulus) if 3 <= m.dim <= 4 else None),
-    SuspCP2: (lambda _: (-5, 2, 0), lambda _: "SCP^2", lambda _: None),
+    SuspCP2: (lambda _: (-5, 2, 0), lambda _: "SCP^2", None, lambda _: None),
     LoopFactor: (lambda f: (-f.loop_order - 1, 0 if f.modulus is None else 1, f.modulus or 0),
-                 lambda f: f"O^{f.loop_order}G" if f.modulus is None
-                 else f"O^{f.loop_order}G{{{f.modulus}}}", lambda _: None),
+                 lambda f: _loop_text(f.loop_order, f.modulus), None, lambda _: None),
 }
 
 
@@ -237,7 +250,7 @@ def map_space(summand: SpaceTerm) -> LoopFactor:
     a loop factor — and everything else is outside the correspondence.
     """
     row = _ATOMS.get(summand.__class__)
-    if row and (factor := row[2](summand)):
+    if row and (factor := row[3](summand)):
         return factor
     if summand in GAUGE_BASE:
         raise TermError(f"base summand: {render(summand)}")
@@ -260,21 +273,20 @@ def render(obj: SpaceTerm | GaugeExpr | LoopFactor) -> str:
     if row:
         return row[1](obj)
     if isinstance(obj, GaugeExpr):
-        return "".join(product_parts([], obj.base, obj.t, obj.blocks, obj.stabilization))
+        stable = LOOP[2] if obj.stabilization == SYMBOLIC else None
+        return "".join(product_parts([], obj.base, obj.t, block_pieces(obj.blocks, stable)))
     if isinstance(obj, Wedge):
         return "".join(join_blocks([], block_pieces(obj.blocks), " v ")) or "pt"
     raise TermError(f"cannot render {obj!r}")
 
 
-def product_parts(parts: list[str], base: str, t: int, blocks: Sequence,
-                  stabilization: Stabilization) -> list[str]:
-    """parts with ``G_t(base) x ...`` appended, in pieces, from (loop factor,
-    count) blocks already in normal form, written as they come; with a
-    symbolic stabilization the plain O^2G block is ``(O^2G)^{b+2d}``.  The
-    one writer of a product, for a GaugeExpr and a gauge half alike."""
-    pieces = block_pieces(blocks, LOOP[2] if stabilization == SYMBOLIC else None)
+def product_parts(parts: list[str], base: str, t: int,
+                  pieces: Sequence[tuple[str, int]]) -> list[str]:
+    """parts with ``G_t(base) x ...`` appended, in pieces, from the (text,
+    count) pieces block_pieces writes for the factors.  The one writer of a
+    product, for a GaugeExpr and a gauge half alike."""
     parts.append(f"G_{t}({_BASE_NAMES[base]})")
-    if pieces:  # blocks in normal form have no zero count
+    if pieces:  # pieces of blocks in normal form have no zero count
         parts.append(" x ")
     return join_blocks(parts, pieces, " x ")
 
@@ -282,19 +294,26 @@ def product_parts(parts: list[str], base: str, t: int, blocks: Sequence,
 def block_pieces(
     blocks: Sequence[tuple[SpaceTerm | LoopFactor, int]],
     stable: Sphere | LoopFactor | None = None,
+    column: int = TEXT,
 ) -> list[tuple[str, int]]:
-    """The (text, count) pieces join_blocks writes for sorted blocks.
+    """The (text, count) pieces join_blocks writes for sorted blocks, each
+    text from the given column of _ATOMS: TEXT, or FACTOR_TEXT for the loop
+    factors of summands in map_space's domain.
 
     ``stable`` is the term each S^2 x S^2 adds twice, S^3 or O^2G, when the
     stabilization count d is symbolic.  Its block, present or not, is then
-    one piece in its place: ``(X)^{n+2d}``, or ``(X)^{2d}`` when n = 0.
+    one piece where its key sorts: ``(X)^{n+2d}``, or ``(X)^{2d}`` when n = 0.
     """
-    pieces = [(_ATOMS[term.__class__][1](term), count) for term, count in blocks]
+    pieces, key = [], None if stable is None else _atom_key(stable)
+    at, n = len(blocks), 0  # the stable block's place and count
+    for term, count in blocks:
+        row = _ATOMS[term.__class__]
+        if key is not None and (k := row[0](term)) >= key:
+            at, n, key = len(pieces), count if k == key else 0, None
+        pieces.append((row[column](term), count))
     if stable is not None:
-        i = bisect_left(blocks, _atom_key(stable), key=lambda block: _atom_key(block[0]))
-        n = dict(blocks[i : i + 1]).get(stable, 0)
-        power = f"{n}+2d" if n else "2d"
-        pieces[i : i + 1 if n else i] = [(f"({render(stable)})^{{{power}}}", 1)]
+        text, power = _ATOMS[stable.__class__][column](stable), f"{n}+2d" if n else "2d"
+        pieces[at : at + 1 if n else at] = [(f"({text})^{{{power}}}", 1)]
     return pieces
 
 

@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 import time
+from itertools import combinations_with_replacement
 from pathlib import Path
 
 import pytest
@@ -30,6 +31,7 @@ from gauge4 import (
     decompose,
     manifold,
     map_space,
+    mixed_decomposition,
     parse_matrix,
     parse_term,
     render,
@@ -37,7 +39,7 @@ from gauge4 import (
     wedge,
 )
 from gauge4.arith import MAX_COPIES
-from gauge4.cli import COMMANDS, UsageError, parse_argv, run
+from gauge4.cli import COMMANDS, UsageError, _splitting_json, parse_argv, run
 from gauge4.decomposer import splitting_parts
 from gauge4.manifold import render_pi1
 
@@ -417,6 +419,41 @@ def test_every_splitting_answer_matches_writing_each_copy(capsys):
     assert {MAX_COPIES - 1, MAX_COPIES + 1} <= seen
     assert {(kind, False) for kind in Pi1Kind} | {(Pi1Kind.MIXED, True)} <= seen
     assert "error: the answer writes out 1000001 copies, more than the limit of 10**6\n" in seen
+
+
+def _spec_box():
+    """(spec, d) for every spec in a small box: free rank 0-2, up to two cyclic
+    factors from Z/3, Z/5, Z/7 and Z/9, b2 0-3 with both top-cell flags, and
+    d symbolic, 0, 1 or 2: 1 260 specs."""
+    moduli = [()] + [(q,) for q in (3, 5, 7, 9)] + list(combinations_with_replacement((3, 5, 7, 9), 2))
+    for m in range(3):
+        for cyclic in moduli:
+            pi1 = "*".join(["Z"] * m + [f"Z/{q}" for q in cyclic]) or "1"
+            for b2 in range(4):
+                for trivial in (True, False) if b2 else (True,):
+                    for d in (SYMBOLIC, 0, 1, 2):
+                        yield manifold(pi1, b2, sigma_f_trivial=trivial), d
+
+
+def test_every_spec_in_a_box_matches_the_halves_written_one_copy_at_a_time():
+    # decompose and the stabilized formula of every spec, text and --json, each
+    # half alone and both together; the box puts the (X)^{2d} piece of a
+    # splitting with no S^3 block before P^3(q), before S^2, and last.
+    specs, placed = 0, set()
+    for spec, d in _spec_box():
+        specs += 1
+        for dec in (decompose(spec, 1, d=d), mixed_decomposition(spec, 1, d=d)):
+            suspension, gauge = _halves_every_copy(dec)
+            assert render_decomposition(dec) == f"{suspension()}; {gauge()}", dec
+            assert "".join(splitting_parts(dec, False)) == suspension(), dec
+            product = gauge().partition(" = " if dec.stabilization == 0 else " ~ ")[2]
+            assert render(dec.gauge) == product, dec
+            assert "".join(_splitting_json(dec, True)) == _dumped_splitting("decompose", dec)
+            if dec.stabilization == SYMBOLIC and "(S^3)^{2d}" in suspension():
+                placed.add((suspension().rpartition("(S^3)^{2d}")[2][3:6] or "last",
+                            product.rpartition("(O^2G)^{2d}")[2][3:7] or "last"))
+    assert specs == 1260
+    assert placed == {("P^3", "O^2G"), ("S^2", "O^1G"), ("last", "last")}
 
 
 def test_output_is_deterministic(capsys):

@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from conftest import ODD_PRIMES, expand, random_spec
+from conftest import ODD_PRIMES, expand, line_events, random_spec
 from gauge4 import (
     Decomposition,
     DecompositionError,
@@ -35,6 +35,7 @@ from gauge4 import (
     wedge,
 )
 from gauge4 import decomposer
+from gauge4.cli import _splitting_json
 from gauge4.decomposer import _DOMAIN, splitting_parts
 from gauge4.manifold import TRIVIAL_PI1
 from gauge4.terms import GAUGE_BASE, SYMBOLIC, _atom_key, blocks, normalize
@@ -317,28 +318,28 @@ def test_one_pass_check_refuses_what_the_full_scan_did_at_random():
     assert min(seen.values()) > 300, seen
 
 
-#: Specs by (pi1, b2, spin, d), each with the Moore spaces and loop factors one
-#: decompose + render_decomposition builds: a splitting's spheres, SCP^2 and plain
-#: loop factors are the constants of terms, so only a cyclic factor's summands,
-#: P^3(q) and P^4(q), and their loop factors are built, once each: Decomposition checks
-#: the ends of a splitting by their sort keys, so it builds no loop factor.
+#: Specs by (pi1, b2, spin, d), each with the Moore spaces one decompose builds:
+#: a splitting's spheres and SCP^2 are the constants of terms, so only a cyclic
+#: factor's summands, P^3(q) and P^4(q), are built, once each.  Neither
+#: Decomposition, which checks the ends of a splitting by their sort keys, nor
+#: the text or --json of either half, written from the summands, builds a loop factor.
 CONSTRUCTION_COUNTS = [
-    ("1", 0, True, None, 0, 0),
-    ("1", 4, False, None, 0, 0),
-    ("Z*Z", 3, False, None, 0, 0),
-    ("Z*Z*Z", 0, True, None, 0, 0),
-    ("Z/9", 2, True, None, 2, 2),
-    ("Z/3*Z/5", 1, False, None, 4, 4),
-    ("Z/3*Z/5*Z/3", 0, True, 2, 4, 4),
-    ("Z*Z/3", 2, True, None, 2, 2),
-    ("Z*Z*Z/3*Z/5*Z/7", 5, False, 0, 6, 6),
-    ("Z*Z/3*Z/5*Z/25", 0, True, 3, 6, 6),
+    ("1", 0, True, None, 0),
+    ("1", 4, False, None, 0),
+    ("Z*Z", 3, False, None, 0),
+    ("Z*Z*Z", 0, True, None, 0),
+    ("Z/9", 2, True, None, 2),
+    ("Z/3*Z/5", 1, False, None, 4),
+    ("Z/3*Z/5*Z/3", 0, True, 2, 4),
+    ("Z*Z/3", 2, True, None, 2),
+    ("Z*Z*Z/3*Z/5*Z/7", 5, False, 0, 6),
+    ("Z*Z/3*Z/5*Z/25", 0, True, 3, 6),
 ]
 
 
-@pytest.mark.parametrize("pi1,b2,spin,d,moore,loops", CONSTRUCTION_COUNTS)
+@pytest.mark.parametrize("pi1,b2,spin,d,moore", CONSTRUCTION_COUNTS)
 def test_one_query_builds_only_the_atoms_of_its_cyclic_factors(monkeypatch, pi1, b2, spin, d,
-                                                              moore, loops):
+                                                              moore):
     spec = manifold(pi1, b2, spin=spin)
     built = dict.fromkeys(("Sphere", "SuspCP2", "Moore", "LoopFactor"), 0)
     for cls in (Sphere, SuspCP2, Moore, LoopFactor):
@@ -346,8 +347,10 @@ def test_one_query_builds_only_the_atoms_of_its_cyclic_factors(monkeypatch, pi1,
             built[_name] += 1
             _init(self, *args)
         monkeypatch.setattr(cls, "__init__", counted)
-    render_decomposition(decompose(spec, 1, d=d))
-    assert built == {"Sphere": 0, "SuspCP2": 0, "Moore": moore, "LoopFactor": loops}
+    dec = decompose(spec, 1, d=d)
+    render_decomposition(dec)
+    "".join(_splitting_json(dec, True))
+    assert built == {"Sphere": 0, "SuspCP2": 0, "Moore": moore, "LoopFactor": 0}
 
 
 def test_decomposition_rejects_a_bad_stabilization():
@@ -456,6 +459,31 @@ def test_equal_cyclic_factors_are_one_block_per_dimension(hang_guard):
         "S(M #_d(S^2xS^2)) = S^5 v S^4" + " v P^4(3)" * n + " v (S^3)^{2+2d}"
         + " v P^3(3)" * n + " v S^2"
     )
+
+
+#: The first twenty odd primes, for cyclic factors that are all distinct.
+ODD_PRIMES_20 = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73)
+
+
+def _splitting_cost(pi1, b2, d):
+    spec = manifold(pi1, b2)
+    return line_events(lambda: render_decomposition(decompose(spec, 1, d=d)))
+
+
+def test_a_splitting_costs_the_lines_of_its_distinct_summands():
+    # Line events in gauge4 frames, not a clock.  b2 = 10 and 10^5, d = 10 and 10^5,
+    # and 10 and 1 000 copies of one cyclic factor cost the same within 2%; twice
+    # the distinct cyclic factors cost at most 2.2 times the lines.
+    for small, large in (
+        (("Z*Z/3", 10, None), ("Z*Z/3", 10**5, None)),
+        (("Z*Z/3", 1, 10), ("Z*Z/3", 1, 10**5)),
+        (("Z*" + "*".join(["Z/3"] * 10), 1, None), ("Z*" + "*".join(["Z/3"] * 1000), 1, None)),
+    ):
+        once, grown = _splitting_cost(*small), _splitting_cost(*large)
+        assert abs(grown - once) <= 0.02 * once, (small, large, once, grown)
+    few, many = (_splitting_cost("Z*" + "*".join(f"Z/{p}" for p in ODD_PRIMES_20[:k]), 1, None)
+                 for k in (10, 20))
+    assert few < many <= 2.2 * few, (few, many)
 
 
 def test_decompose_validates_first():

@@ -176,7 +176,7 @@ print("\\n".join(loaded))
 """
 
 #: The standard-library modules ``import gauge4`` loads beyond those of ``json``.
-_LIBRARY_IMPORTS = {"__future__", "_bisect", "bisect", "collections.abc", "math"}
+_LIBRARY_IMPORTS = {"__future__", "collections.abc", "math"}
 #: The modules ``import gauge4.cli`` loads beyond those of ``import gauge4``: itself, and
 #: os for the exit of a query whose reader has gone.  No option parser, so neither its
 #: translations (gettext, locale) nor its terminal width (shutil).
