@@ -425,7 +425,7 @@ def _spec_box():
     """(spec, d) for every spec in a small box: free rank 0-2, up to two cyclic
     factors from Z/3, Z/5, Z/7 and Z/9, b2 0-3 with both top-cell flags, and
     d symbolic, 0, 1 or 2: 1 260 specs."""
-    moduli = [()] + [(q,) for q in (3, 5, 7, 9)] + list(combinations_with_replacement((3, 5, 7, 9), 2))
+    moduli = [c for k in range(3) for c in combinations_with_replacement((3, 5, 7, 9), k)]
     for m in range(3):
         for cyclic in moduli:
             pi1 = "*".join(["Z"] * m + [f"Z/{q}" for q in cyclic]) or "1"
