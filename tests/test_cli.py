@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 import time
+from collections import Counter
 from itertools import combinations_with_replacement
 from pathlib import Path
 
@@ -17,6 +18,7 @@ import pytest
 import gauge4
 import argparse_cli
 from conftest import expand, line_events, random_spec
+import oracles  # bench/, put on sys.path by conftest, also when this file runs as a script
 from gauge4 import (
     Decomposition,
     GaugeExpr,
@@ -422,9 +424,9 @@ def test_every_splitting_answer_matches_writing_each_copy(capsys):
 
 
 def _spec_box():
-    """(spec, d) for every spec in a small box: free rank 0-2, up to two cyclic
-    factors from Z/3, Z/5, Z/7 and Z/9, b2 0-3 with both top-cell flags, and
-    d symbolic, 0, 1 or 2: 1 260 specs."""
+    """(spec, d, the oracle's Spec of it) for every spec in a small box: free
+    rank 0-2, up to two cyclic factors from Z/3, Z/5, Z/7 and Z/9, b2 0-3 with
+    both top-cell flags, and d symbolic, 0, 1 or 2: 1 260 specs."""
     moduli = [c for k in range(3) for c in combinations_with_replacement((3, 5, 7, 9), k)]
     for m in range(3):
         for cyclic in moduli:
@@ -432,7 +434,8 @@ def _spec_box():
             for b2 in range(4):
                 for trivial in (True, False) if b2 else (True,):
                     for d in (SYMBOLIC, 0, 1, 2):
-                        yield manifold(pi1, b2, sigma_f_trivial=trivial), d
+                        yield (manifold(pi1, b2, sigma_f_trivial=trivial), d,
+                               oracles.Spec(m, cyclic, b2, trivial))
 
 
 def test_every_spec_in_a_box_matches_the_halves_written_one_copy_at_a_time():
@@ -440,7 +443,7 @@ def test_every_spec_in_a_box_matches_the_halves_written_one_copy_at_a_time():
     # half alone and both together; the box puts the (X)^{2d} piece of a
     # splitting with no S^3 block before P^3(q), before S^2, and last.
     specs, placed = 0, set()
-    for spec, d in _spec_box():
+    for spec, d, _ in _spec_box():
         specs += 1
         for dec in (decompose(spec, 1, d=d), mixed_decomposition(spec, 1, d=d)):
             suspension, gauge = _halves_every_copy(dec)
@@ -454,6 +457,60 @@ def test_every_spec_in_a_box_matches_the_halves_written_one_copy_at_a_time():
                             product.rpartition("(O^2G)^{2d}")[2][3:7] or "last"))
     assert specs == 1260
     assert placed == {("P^3", "O^2G"), ("S^2", "O^1G"), ("last", "last")}
+
+
+def _oracle_counts(blocks):
+    """The oracle's expected (a, b) counts, a + b*d, as written ones: the d-free
+    part of each block that has one."""
+    return {atom: a for atom, (a, _) in blocks.items() if a}
+
+
+def _read_splitting_json(doc):
+    """The summands and loop factors of a --json splitting, counted in the
+    oracle's spelling.  oracles.check_decomposition_json judges only a spec's
+    own case, and bench/ changes only with the benchmark's oracle module
+    (ROADMAP item 15), so the stabilized formula of a spec that is not mixed
+    is read here."""
+    names = {"sphere": "S^{dim}", "moore": "P^{dim}({modulus})", "susp_cp2": "SCP^2"}
+    summands = Counter(names[a["kind"]].format(**a) for a in doc["suspension"])
+    factors = Counter(f"O^{f['loop_order']}G" + ("" if f["modulus"] is None else
+                                                  f"{{{f['modulus']}}}")
+                      for f in doc["gauge"]["factors"])
+    return summands, factors
+
+
+def test_every_spec_in_the_box_passes_the_independent_oracle():
+    # The paper's formulas, as bench/oracles.py writes them with no gauge4 code,
+    # judge decompose and the stabilized formula of every spec in the box: both
+    # text halves, --json, and the library's gauge object, read after the head
+    # the text answer writes.  d is the oracle's own: decompose stabilizes a
+    # mixed pi1 alone, the stabilized formula every pi1.
+    specs = 0
+    for spec, d, ospec in _spec_box():
+        specs += 1
+        d = None if d == SYMBOLIC else d
+        for stabilized, dec in ((False, decompose(spec, 1, d=d)),
+                                (True, mixed_decomposition(spec, 1, d=d))):
+            at = d if stabilized or ospec.mixed else 0
+            wedge = oracles.expected_wedge(ospec, at)
+            factors = oracles.expected_factors(wedge)
+            suspension, _, gauge = render_decomposition(dec).partition("; ")
+            assert oracles.read_suspension_half(suspension, at) == wedge, dec
+            assert oracles.read_gauge_half(gauge, ospec, 1, at) == factors, dec
+            relation = " = " if at == 0 else " ~ "
+            product = gauge.partition(relation)[0] + relation + render(dec.gauge)
+            assert oracles.read_gauge_half(product, ospec, 1, at) == factors, dec
+            doc = json.loads("".join(_splitting_json(dec, True)))
+            if not stabilized or ospec.mixed:
+                oracles.check_decomposition_json(doc, ospec, 1, d)
+            else:
+                assert doc["case"] == "mixed", dec
+                assert {key: doc["gauge"][key] for key in ("base", "stabilization", "t")} == {
+                    "base": "S4" if ospec.spin else "CP2",
+                    "stabilization": SYMBOLIC if d is None else d, "t": 1}, dec
+                assert _read_splitting_json(doc) == (_oracle_counts(wedge),
+                                                     _oracle_counts(factors)), dec
+    assert specs == 1260
 
 
 def test_output_is_deterministic(capsys):

@@ -239,6 +239,37 @@ def test_stabilization_table(case):
     assert _run(case["argv"]) == case
 
 
+def test_every_pinned_splitting_passes_the_independent_oracle():
+    # Each decompose and suspension argv pinned above with exit code 0, answered
+    # now, text or --json, against the paper's formulas as bench/oracles.py writes
+    # them with no gauge4 code (the byte-identical sweep ties the answer to the pin).
+    # The argv is read as the oracle reads it: pi1 by its own reader, the top
+    # cell spin unless a flag says otherwise, t 0 and d symbolic when not given.
+    import oracles  # bench/, put on sys.path by conftest; main() runs without it
+
+    rows = [row for row in CLI_ROWS
+            if row["argv"][0] in ("decompose", "suspension") and row["code"] == 0]
+    for row in rows:
+        argv = row["argv"]
+        got = _run(argv)
+        out = got["out"]
+        flags = [arg for arg in argv[1:] if arg != "--json"]
+        flags = dict(zip(flags[::2], flags[1::2]))
+        m, factors = oracles.read_pi1_text(flags["--pi1"])
+        spin = flags.get("--sigma-f", "trivial") == "trivial" and flags.get("--spin") != "false"
+        spec = oracles.Spec(m, tuple(p**r for p, r in factors), int(flags["--b2"]), spin)
+        t, d = int(flags.get("--t", 0)), flags.get("--d", "symbolic")
+        d = None if d == "symbolic" else int(d)
+        assert got["code"] == 0 and out.endswith("\n") and out.count("\n") == 1, argv
+        if "--json" in argv:
+            oracles.check_decomposition_json(json.loads(out), spec,
+                                             t if argv[0] == "decompose" else None, d)
+        elif argv[0] == "decompose":
+            oracles.check_decomposition_text(out[:-1], spec, t, d)
+        else:
+            oracles.check_suspension_text(out[:-1], spec, d)
+    assert len(rows) == 250
+
 def test_verdict_sweep_is_identical():
     expected = json.loads(DATA.read_text())["verdicts"]
     assert {case["query"]["fn"] for case in expected} == {
