@@ -32,7 +32,7 @@ from .classifier import (
     parse_group,
 )
 from .manifold import ManifoldSpec, manifold, render_pi1
-from .terms import SYMBOLIC, Moore, SpaceTerm, Sphere, join_blocks
+from .terms import SYMBOLIC, Moore, SpaceTerm, Sphere, join_blocks, loop_pair
 from .value import decimal, invalid_int, past_digit_limit
 
 
@@ -80,9 +80,9 @@ def _atom_json(atom: SpaceTerm) -> str:
 
 
 def _factor_json(summand: Sphere | Moore) -> str:
-    """The JSON object of Map*(summand, G): O^{n-1}G for S^n, O^{n-1}G{q} for P^n(q)."""
-    modulus = summand.modulus if summand.__class__ is Moore else "null"
-    return f'{{"loop_order": {summand.dim - 1}, "modulus": {modulus}}}'
+    """The JSON object of Map*(summand, G), from terms.loop_pair."""
+    order, modulus = loop_pair(summand)
+    return f'{{"loop_order": {order}, "modulus": {"null" if modulus is None else modulus}}}'
 
 
 def _splitting_json(dec: decomposer.Decomposition, gauge: bool) -> list[str]:

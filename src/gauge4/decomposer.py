@@ -12,7 +12,7 @@ A splitting is stored once, as its normalized wedge, whose (summand,
 count) blocks are in display order; equal cyclic factors of pi1 enter as
 one Moore block per dimension, and no block of count 0 is entered.  The
 gauge product is read off the blocks through map_space; its text and
---json are written from the blocks themselves, with no loop factor built.
+--json are written from the blocks and terms.loop_pair, with no loop factor built.
 An answer, in text or in --json, is one list of string parts: fixed heads,
 and per repeated block one string repeat appended by terms.join_blocks, by
 splitting_parts for the text and by the CLI for --json.
@@ -46,11 +46,11 @@ from .terms import (
     Stabilization,
     TermError,
     Wedge,
-    _atom_key,
     block_pieces,
     blocks,
     check_stabilization,
     join_blocks,
+    loop_pair,
     map_space,
     normalize,
     product_parts,
@@ -62,16 +62,12 @@ class DecompositionError(ValueError):
     """A wedge that does not correspond to any gauge-group product."""
 
 
-#: map_space's domain, S^4 through S^2, as the interval of the blocks' order it is.
-_DOMAIN = _atom_key(SPHERE[4]), _atom_key(SPHERE[2])
-
-
 class Decomposition(Value):
     """Both halves of one splitting, plus how it was obtained.
 
     ``suspension`` is the wedge, normalized on construction; its first
     block must be the one base summand (S^5 or SCP^2), of count 1, and
-    every other block must lie in map_space's domain.
+    every other block must lie in loop_pair's domain.
     ``stabilization`` is 0 for the on-the-nose cases, a d >= 0 or SYMBOLIC
     for the stabilized one; with SYMBOLIC the S^3 count is the
     d-independent part.  ``case_used`` is a Pi1Kind.
@@ -90,12 +86,12 @@ class Decomposition(Value):
         # The base blocks, found as they are read: a splitting reads its first block alone.
         bases = (block for block in parts if block[0] in GAUGE_BASE)
         base = next(bases, None)
-        # Both bases sort before map_space's domain, an interval of the blocks' order, so
-        # with a first base of count 1 the keys of the two ends of the rest check all.
+        # Both bases sort before loop_pair's domain, an interval of the blocks' order, so
+        # with a first base of count 1 the two ends of the rest check all.
         ok = base is not None and base is parts[0] and base[1] == 1
         rest = parts[1:] if ok else parts
         if ok and rest:
-            ok = _DOMAIN[0] <= _atom_key(rest[0][0]) and _atom_key(rest[-1][0]) <= _DOMAIN[1]
+            ok = loop_pair(rest[0][0]) is not None and loop_pair(rest[-1][0]) is not None
         if not ok:  # only a refusal reads on, to choose its line
             if base is None or base[1] != 1 or next(bases, None):
                 raise DecompositionError("a splitting needs exactly one base summand")

@@ -23,13 +23,13 @@ gives the (text, count) piece of each block, from a text column of
 ``COPIES_PER_PART`` copies, after checking ``MAX_COPIES`` from the counts;
 ``render`` joins what it and a head append.
 
-``map_space`` is the bridge between the two sides: it sends a wedge summand
-``Y`` to the factor ``Map*(Y, G)`` contributes to a gauge group, using
-``Map*(S^k, G) = O^kG`` and ``Map*(P^k(q), G) = O^{k-1}G{q}``; a factor sorts
-where its summand does.  The text of that factor is a column of ``_ATOMS``
-too, so the gauge half of a splitting is written from its summands with no
-factor built.  ``GAUGE_BASE`` pairs each base summand, S^5 or SCP^2, with
-the base of the gauge group instead, named ``S4`` or ``CP2``.
+``loop_pair`` is the one rule between the two sides: a wedge summand of
+dimension n after the base gives ``Map*(S^n, G) = O^{n-1}G`` and
+``Map*(P^n(q), G) = O^{n-1}G{q}``.  ``map_space`` builds that factor, and the
+text column of ``_ATOMS``, the --json writer and the check of a splitting
+read the same pair, so no factor is built to write a splitting.
+``GAUGE_BASE`` pairs each base summand, S^5 or SCP^2, with the base of the
+gauge group instead, named ``S4`` or ``CP2``.
 """
 
 from __future__ import annotations
@@ -99,12 +99,12 @@ SpaceTerm = Sphere | Moore | SuspCP2 | Wedge
 
 def _atom_key(term: Sphere | Moore | SuspCP2 | LoopFactor) -> tuple[int, int, int]:
     """The one order of summands: top dimension down; at equal dimension
-    spheres, then Moore spaces by modulus, then SCP^2.  A loop factor sorts
-    as the summand it comes from (O^kG{q} as P^{k+1}(q)), so map_space keeps
-    the order and the two halves of a splitting are written in step.
-    map_space's domain, S^4 through S^2, is an interval of this order after
-    both bases, so a sorted wedge lies in it when its first and last summands
-    do.  The keys are written in _ATOMS, by exact class."""
+    spheres, then Moore spaces by modulus, then SCP^2; loop factors by order
+    down, O^kG before O^kG{q}, by q.  Loop order n - 1 grows with n, so
+    map_space keeps the order.  loop_pair's domain, S^4 through S^2, is an
+    interval of the summand order after both bases, so a sorted wedge lies in
+    it when its first and last summands do.  The keys are in _ATOMS, by exact
+    class."""
     return _ATOMS[term.__class__][0](term)
 
 
@@ -209,49 +209,53 @@ def check_stabilization(d: Stabilization | None) -> Stabilization:
     return integer(d, "stabilization count", 0, TermError)
 
 
-#: The fixed atoms of every splitting, built once and shared, since a value cannot change:
-#: the spheres S^2..S^5 by dimension, SCP^2, and the plain loop factors O^1G..O^3G by order.
+#: The fixed atoms of every splitting, built once and shared: S^2..S^5 by dimension, SCP^2.
 SPHERE = {dim: Sphere(dim) for dim in range(2, 6)}
 SCP2 = SuspCP2()
-LOOP = {order: LoopFactor(order) for order in range(1, 4)}
 
 #: The bases of a gauge group, the base summand each pairs with, and each base's name.
 S4, CP2 = "S4", "CP2"
 GAUGE_BASE = {SPHERE[5]: S4, SCP2: CP2}
 _BASE_NAMES = {S4: "S^4", CP2: "CP^2"}
 
+
+def loop_pair(summand: SpaceTerm) -> tuple[int, int | None] | None:
+    """(loop order, modulus) of Map*(summand, G): (n - 1, None) for S^n, (n - 1, q)
+    for P^n(q); None outside S^2..S^4, P^3(q) and P^4(q), bases included."""
+    cls = summand.__class__
+    if cls is Sphere and 2 <= summand.dim <= 4 or cls is Moore and 3 <= summand.dim <= 4:
+        return summand.dim - 1, summand.modulus if cls is Moore else None
+    return None
+
+
 def _loop_text(order: int, modulus: int | None = None) -> str:
     """The text of O^orderG, or of O^orderG{modulus}."""
     return f"O^{order}G" if modulus is None else f"O^{order}G{{{modulus}}}"
 
 
+def _factor_text(summand: Sphere | Moore) -> str:
+    """The text of Map*(summand, G), for a summand in loop_pair's domain."""
+    return _loop_text(*loop_pair(summand))
+
+
 #: By exact class, each atom's sort key (see _atom_key), its text (column TEXT), and
-#: for a summand in map_space's domain the text of its loop factor Map*(atom, G)
-#: (column FACTOR_TEXT) and that loop factor, else None.
+#: for a summand the text of its loop factor Map*(atom, G) (column FACTOR_TEXT).
 TEXT, FACTOR_TEXT = 1, 2
 _ATOMS = {
-    Sphere: (lambda s: (-s.dim, 0, 0), lambda s: f"S^{s.dim}", lambda s: _loop_text(s.dim - 1),
-             lambda s: LOOP.get(s.dim - 1)),
-    Moore: (lambda m: (-m.dim, 1, m.modulus), lambda m: f"P^{m.dim}({m.modulus})",
-            lambda m: _loop_text(m.dim - 1, m.modulus),
-            lambda m: LoopFactor(m.dim - 1, m.modulus) if 3 <= m.dim <= 4 else None),
-    SuspCP2: (lambda _: (-5, 2, 0), lambda _: "SCP^2", None, lambda _: None),
-    LoopFactor: (lambda f: (-f.loop_order - 1, 0 if f.modulus is None else 1, f.modulus or 0),
-                 lambda f: _loop_text(f.loop_order, f.modulus), None, lambda _: None),
+    Sphere: (lambda s: (-s.dim, 0, 0), lambda s: f"S^{s.dim}", _factor_text),
+    Moore: (lambda m: (-m.dim, 1, m.modulus), lambda m: f"P^{m.dim}({m.modulus})", _factor_text),
+    SuspCP2: (lambda _: (-5, 2, 0), lambda _: "SCP^2", None),
+    LoopFactor: (lambda f: (-f.loop_order, 0 if f.modulus is None else 1, f.modulus or 0),
+                 lambda f: _loop_text(f.loop_order, f.modulus), None),
 }
 
 
 def map_space(summand: SpaceTerm) -> LoopFactor:
-    """The gauge factor Map*(summand, G) contributed by one wedge summand.
-
-    Spheres S^2..S^4 give plain loop factors O^1G..O^3G; Moore summands
-    P^3(q) and P^4(q) give the mod-q factors O^2G{q} and O^3G{q}.  S^5 and
-    SCP^2 are base summands — they pair with the base gauge group, not with
-    a loop factor — and everything else is outside the correspondence.
-    """
-    row = _ATOMS.get(summand.__class__)
-    if row and (factor := row[3](summand)):
-        return factor
+    """The gauge factor Map*(summand, G) contributed by one wedge summand,
+    built from loop_pair.  S^5 and SCP^2 are base summands, refused by name;
+    everything else outside loop_pair's domain is refused too."""
+    if pair := loop_pair(summand):
+        return LoopFactor(*pair)
     if summand in GAUGE_BASE:
         raise TermError(f"base summand: {render(summand)}")
     raise TermError(f"no loop factor for summand: {summand!r}")
@@ -273,7 +277,7 @@ def render(obj: SpaceTerm | GaugeExpr | LoopFactor) -> str:
     if row:
         return row[1](obj)
     if isinstance(obj, GaugeExpr):
-        stable = LOOP[2] if obj.stabilization == SYMBOLIC else None
+        stable = LoopFactor(2) if obj.stabilization == SYMBOLIC else None
         return "".join(product_parts([], obj.base, obj.t, block_pieces(obj.blocks, stable)))
     if isinstance(obj, Wedge):
         return "".join(join_blocks([], block_pieces(obj.blocks), " v ")) or "pt"
@@ -298,7 +302,7 @@ def block_pieces(
 ) -> list[tuple[str, int]]:
     """The (text, count) pieces join_blocks writes for sorted blocks, each
     text from the given column of _ATOMS: TEXT, or FACTOR_TEXT for the loop
-    factors of summands in map_space's domain.
+    factors of summands in loop_pair's domain.
 
     ``stable`` is the term each S^2 x S^2 adds twice, S^3 or O^2G, when the
     stabilization count d is symbolic.  Its block, present or not, is then

@@ -36,9 +36,9 @@ from gauge4 import (
 )
 from gauge4 import decomposer
 from gauge4.cli import _splitting_json
-from gauge4.decomposer import _DOMAIN, splitting_parts
+from gauge4.decomposer import splitting_parts
 from gauge4.manifold import TRIVIAL_PI1
-from gauge4.terms import GAUGE_BASE, SYMBOLIC, _atom_key, blocks, normalize
+from gauge4.terms import GAUGE_BASE, SYMBOLIC, _atom_key, blocks, loop_pair, normalize
 
 S4_ONLY = ManifoldSpec()  # trivial pi1, b2 = 0, trivial flag
 
@@ -224,11 +224,12 @@ def test_map_space_domain_is_an_interval_of_the_summand_order():
     # over seeded wedges it builds exactly when every such block maps.
     atoms = [Sphere(n) for n in range(1, 8)] + [SuspCP2()]
     atoms += [Moore(n, q) for n in range(2, 7) for q in (2, 3, 9, 25)]
-    inside = [i for i, atom in enumerate(sorted(atoms, key=_atom_key)) if _maps(atom)]
+    order = sorted(atoms, key=_atom_key)
+    inside = [i for i, atom in enumerate(order) if loop_pair(atom) is not None]
     assert inside == list(range(inside[0], inside[-1] + 1)) and len(inside) == 11
-    # and the interval of keys Decomposition checks the ends against is that domain
-    low, high = _DOMAIN
-    assert [atom for atom in atoms if low <= _atom_key(atom) <= high] == list(filter(_maps, atoms))
+    # map_space maps exactly the rule's domain, and both bases sort before it
+    assert [atom for atom in atoms if loop_pair(atom) is not None] == list(filter(_maps, atoms))
+    assert [order.index(base) < inside[0] for base in GAUGE_BASE] == [True, True]
     rng, seen = random.Random(2486), set()
     for _ in range(4000):
         base = rng.choice((Sphere(5), SuspCP2()))

@@ -37,12 +37,17 @@ from gauge4.arith import MAX_COPIES
 from gauge4.classifier import _GROUP_RE
 from gauge4.manifold import _ATOM_RE
 from gauge4.terms import (
+    _ATOMS,
     _MOORE_RE,
     _SPHERE_RE,
     COPIES_PER_PART,
+    FACTOR_TEXT,
+    _atom_key,
+    _factor_text,
     block_pieces,
     blocks,
     join_blocks,
+    loop_pair,
 )
 from gauge4.value import DIGITS
 
@@ -318,7 +323,7 @@ def test_one_error_line_writer_and_no_wrapper_left():
     for gone in ("render_product", "_parser", "_cmd_decompose", "_cmd_suspension",
                  "render_suspension_half", "render_gauge_half", "_suspension_parts",
                  "_gauge_parts", "render_blocks", "_GAUGE_BASE", "of", "Point", "_setter",
-                 "_dump"):
+                 "_dump", "LOOP", "_DOMAIN"):
         assert gone not in defined and _calls(gone) == _calls(gone, reads=True) == []
     assert [node.func.id for _, node in nodes if isinstance(node, ast.Call)
             and getattr(node.func, "id", None) in ("exec", "eval", "compile")] == []
@@ -345,6 +350,27 @@ def test_one_table_of_base_summands_and_one_splitting_check():
     assert not [node for node in ast.walk(body) if isinstance(node, (ast.Raise, ast.Try))]
     assert [node.func.id for node in ast.walk(body)
             if isinstance(node, ast.Call)] == ["Decomposition"]
+
+
+def test_the_loop_order_rule_is_written_once():
+    # Map*(S^n, G) = O^{n-1}G and Map*(P^n(q), G) = O^{n-1}G{q}: loop_pair alone
+    # takes 1 from a summand's dimension, and its four readers are the loop-factor
+    # text column of _ATOMS (through _factor_text), --json, map_space and the check
+    # of a splitting's two end blocks.
+    dim_minus_one = [(module, ast.unparse(node)) for module, tree in _sources()
+                     for node in ast.walk(tree)
+                     if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+                     and getattr(node.left, "attr", None) == "dim"
+                     and getattr(node.right, "value", None) == 1]
+    assert dim_minus_one == [("terms", "summand.dim - 1")]
+    sources = [path.read_text() for path in Path(gauge4.__file__).parent.glob("*.py")]
+    assert sum(text.count(".dim - 1") for text in sources) == 1
+    assert _calls("loop_pair") == [
+        ("cli", "_factor_json"), ("decomposer", "Decomposition.__init__"),
+        ("decomposer", "Decomposition.__init__"), ("terms", "_factor_text"),
+        ("terms", "map_space")]
+    assert _calls("_factor_text", reads=True) == [("terms", ""), ("terms", "")]
+    assert [row[FACTOR_TEXT] for row in (_ATOMS[Sphere], _ATOMS[Moore])] == [_factor_text] * 2
 
 
 def _constants(*values):
@@ -411,6 +437,18 @@ def test_map_space_rejects_out_of_range_summands():
     for bad in [Sphere(1), Sphere(6), Moore(2, 3), Moore(5, 3), Wedge(())]:
         with pytest.raises(TermError):
             map_space(bad)
+
+
+def test_map_space_keeps_the_summand_order_on_its_domain():
+    # Loop factors sort by their own key, (-k, has modulus, q), and summand order
+    # is loop-factor order, so the gauge half of a splitting is written in the
+    # order of its summands.
+    domain = [Sphere(k) for k in (2, 3, 4)]
+    domain += [Moore(k, q) for k in (3, 4) for q in (2, 3, 9, 25, 27)]
+    random.Random(36).shuffle(domain)
+    assert [map_space(x) for x in sorted(domain, key=_atom_key)] == sorted(
+        map(map_space, domain), key=_atom_key)
+    assert [map_space(x) for x in domain] == [LoopFactor(*loop_pair(x)) for x in domain]
 
 
 def test_map_space_is_injective_on_its_domain():
