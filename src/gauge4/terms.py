@@ -228,7 +228,7 @@ def loop_pair(summand: SpaceTerm) -> tuple[int, int | None] | None:
     return None
 
 
-def _loop_text(order: int, modulus: int | None = None) -> str:
+def _loop_text(order: int, modulus: int | None) -> str:
     """The text of O^orderG, or of O^orderG{modulus}."""
     return f"O^{order}G" if modulus is None else f"O^{order}G{{{modulus}}}"
 

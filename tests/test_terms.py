@@ -369,7 +369,6 @@ def test_the_loop_order_rule_is_written_once():
         ("cli", "_factor_json"), ("decomposer", "Decomposition.__init__"),
         ("decomposer", "Decomposition.__init__"), ("terms", "_factor_text"),
         ("terms", "map_space")]
-    assert _calls("_factor_text", reads=True) == [("terms", ""), ("terms", "")]
     assert [row[FACTOR_TEXT] for row in (_ATOMS[Sphere], _ATOMS[Moore])] == [_factor_text] * 2
 
 
