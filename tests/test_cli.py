@@ -492,7 +492,8 @@ def test_every_spec_in_the_box_passes_the_independent_oracle():
         d = None if d == SYMBOLIC else d
         splittings = [(False, decompose(spec, 1, d=d)), (True, mixed_decomposition(spec, 1, d=d))]
         if ospec.mixed:
-            assert splittings[0][1] == splittings.pop()[1]
+            _, same = splittings.pop()
+            assert same == splittings[0][1]
         for stabilized, dec in splittings:
             at = d if stabilized or ospec.mixed else 0
             wedge = oracles.expected_wedge(ospec, at)
