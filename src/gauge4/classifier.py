@@ -29,13 +29,12 @@ gauge groups and say so.
 
 from __future__ import annotations
 
-import re
 from math import gcd, prod
 
 from .arith import check_limit, is_prime
 from .manifold import ManifoldSpec, Pi1Kind, classify_pi1
 from .terms import CP2, S4
-from .value import DIGITS, Value, decimal, integer
+from .value import Value, decimal, digits, integer
 
 YES = "yes"
 NO = "no"
@@ -74,16 +73,14 @@ class LieGroupSpec(Value):
         self._set(family, n)
 
 
-_GROUP_RE = re.compile(rf"(SU|Sp)\(({DIGITS})\)")
-
-
 def parse_group(text: str) -> LieGroupSpec:
     text = text.strip()
     if text == "G2":
         return LieGroupSpec("G2")
-    if not (m := _GROUP_RE.fullmatch(text)):
+    family, _, n = text.partition("(")  # SU(n) or Sp(n)
+    if family not in ("SU", "Sp") or n[-1:] != ")" or not digits(n[:-1]):
         raise GroupParseError(f"bad group name: {text!r}")
-    return LieGroupSpec(m.group(1), decimal(m.group(2), "group rank n", GroupParseError))
+    return LieGroupSpec(family, decimal(n[:-1], "group rank n", GroupParseError))
 
 
 class ClassRule(Value):

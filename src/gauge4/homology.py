@@ -13,13 +13,10 @@ factors are, which factor refinement finds, so Z/6 equals Z/2 + Z/3
 though their representations differ.
 """
 
-from __future__ import annotations
+from __future__ import annotations  # so Iterable and Sequence need no collections.abc
 
-import re
-from collections import Counter, namedtuple
-from collections.abc import Iterable, Sequence
 from math import gcd, prod
-from operator import mul
+from operator import itemgetter, mul
 
 from . import terms as _t
 from .manifold import ManifoldSpec
@@ -103,7 +100,9 @@ def _invariant_factors(torsion: tuple[int, ...]) -> tuple[int, ...]:
     and the i-th largest invariant factor is the product over the base of b
     to its i-th largest exponent.
     """
-    counts = Counter(torsion)
+    counts = dict.fromkeys(torsion, 0)
+    for q in torsion:
+        counts[q] += 1
     base: list[int] = []
     todo = list(counts)
     while todo:  # each split lowers the product of base and todo
@@ -197,8 +196,23 @@ class IntMatrix(Value):
         return cls(rows, cols, [[0] * cols] * rows)
 
 
-#: The invariant factors (a tuple of ints), and the rank, their number.
-SNFResult = namedtuple("SNFResult", "invariant_factors rank")
+class SNFResult(tuple):
+    """The invariant factors (a tuple of ints) and the rank, their number: a pair that
+    names its two items and prints as a named tuple does."""
+
+    __slots__ = ()
+
+    def __new__(cls, invariant_factors: tuple[int, ...], rank: int) -> SNFResult:
+        return tuple.__new__(cls, (invariant_factors, rank))
+
+    def __getnewargs__(self) -> tuple:  # copy and pickle build it again from both items
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return f"SNFResult(invariant_factors={self[0]!r}, rank={self[1]!r})"
+
+    invariant_factors = property(itemgetter(0))
+    rank = property(itemgetter(1))
 
 
 def smith_normal_form(mat: IntMatrix) -> SNFResult:
@@ -422,16 +436,23 @@ def homology_of_term(term: _t.SpaceTerm) -> GradedAbelianGroup:
 # matrix grammar (shared with the command line)
 
 
-_ROW = r"\[([^][]*)\]"  # one row: the text inside a bracket pair that holds no bracket
-_SHAPE = rf"\s*\[\s*(?:{_ROW}\s*(?:,\s*{_ROW}\s*)*)?\]\s*"  # rows, comma-split, in brackets
+_BAD_SHAPE = "bad matrix syntax: expected a bracketed list of bracketed rows"
 
 
 def parse_matrix(text: str) -> IntMatrix:
     """Parse row-major bracket syntax: ``[[1,0],[0,1]]``; ``[]`` is 0 x 0.  Each entry is
     read by ``value.decimal``: a sign and leading zeros are accepted, whitespace ignored."""
-    if not re.fullmatch(_SHAPE, text):  # str patterns: re compiles them on the first read
-        raise ValueError("bad matrix syntax: expected a bracketed list of bracketed rows")
+    body = text.strip()
+    head, *parts = body[1:-1].strip().split("[")  # each row is a part up to its "]"
+    if body[:1] != "[" or body[-1:] != "]" or head:
+        raise ValueError(_BAD_SHAPE)
+    rows = []
+    for i, part in enumerate(parts, 1):  # a comma after each row but the last
+        row, close, after = part.partition("]")
+        if not close or after.strip() != ("," if i < len(parts) else ""):
+            raise ValueError(_BAD_SHAPE)
+        rows.append(row)
     return IntMatrix.from_rows([
         [decimal(entry.strip(), "bad matrix syntax: an entry", ValueError,
                  "bad matrix entry: {!r}".format) for entry in row.split(",")]
-        if row.strip() else [] for row in re.findall(_ROW, text.strip()[1:-1])])
+        if row.strip() else [] for row in rows])

@@ -10,12 +10,9 @@ constructors accept ``spin=`` as an alias).
 
 from __future__ import annotations
 
-import re
-from enum import Enum
-
 from .arith import prime_power
 from .terms import SYMBOLIC, TermError, check_stabilization
-from .value import DIGITS, Value, decimal, integer
+from .value import Value, decimal, digits, integer
 
 
 class InvalidSpecError(ValueError):
@@ -57,13 +54,44 @@ class Pi1Descriptor(Value):
 TRIVIAL_PI1 = Pi1Descriptor()
 
 
-class Pi1Kind(Enum):
-    """Which decomposition formula a fundamental group calls for."""
+class Pi1Kind:
+    """Which decomposition formula a fundamental group calls for: one of the four constants
+    TRIVIAL, FREE, CYCLIC and MIXED, in PI1_KINDS, each with its --json label as ``value``.
 
-    TRIVIAL = "simply_connected"
-    FREE = "free"
-    CYCLIC = "cyclic"
-    MIXED = "mixed"
+    ``Pi1Kind(label)`` gives back the constant of that label and refuses any other, so no
+    fifth kind is built, and copy and pickle give back the constant.  A kind prints as an
+    enum member does, and its fields cannot be changed."""
+
+    __slots__ = ("name", "value")
+
+    def __new__(cls, value: object) -> Pi1Kind:
+        for kind in PI1_KINDS:
+            if value is kind or value == kind.value:
+                return kind
+        raise ValueError(f"{value!r} is not a valid Pi1Kind")
+
+    def __reduce__(self) -> tuple:
+        return Pi1Kind, (self.value,)
+
+    def __repr__(self) -> str:
+        return f"<Pi1Kind.{self.name}: {self.value!r}>"
+
+    def __setattr__(self, name: str, *value: object):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+def _kind(name: str, value: str) -> Pi1Kind:
+    kind = object.__new__(Pi1Kind)
+    object.__setattr__(kind, "name", name)
+    object.__setattr__(kind, "value", value)
+    setattr(Pi1Kind, name, kind)
+    return kind
+
+
+PI1_KINDS = (_kind("TRIVIAL", "simply_connected"), _kind("FREE", "free"),
+             _kind("CYCLIC", "cyclic"), _kind("MIXED", "mixed"))
 
 
 def classify_pi1(pi1: Pi1Descriptor) -> Pi1Kind:
@@ -152,9 +180,6 @@ def stabilize(spec: ManifoldSpec, d: int) -> ManifoldSpec:
 # --------------------------------------------------------------------------
 # the pi1 grammar, shared with the command line
 
-_ATOM_RE = re.compile(rf"\s*Z\s*(?:/\s*({DIGITS})\s*)?")
-
-
 def parse_pi1(text: str) -> Pi1Descriptor:
     """Parse ``1`` or a ``*``-joined product of ``Z`` and ``Z/q`` atoms.
 
@@ -170,12 +195,14 @@ def parse_pi1(text: str) -> Pi1Descriptor:
     free_rank = 0
     factors = []
     for atom in bare.split("*"):
-        if not (m := _ATOM_RE.fullmatch(atom)):
+        z, slash, q = atom.partition("/")
+        q = q.strip()
+        if z.strip() != "Z" or slash and not digits(q):
             raise Pi1ParseError(f"bad fundamental-group atom: {atom.strip()!r}")
-        if m.group(1) is None:
+        if not slash:
             free_rank += 1
             continue
-        factors.append((decimal(m.group(1), "cyclic factor base", Pi1ParseError), 1))
+        factors.append((decimal(q, "cyclic factor base", Pi1ParseError), 1))
     try:
         return Pi1Descriptor(free_rank, tuple(factors))
     except InvalidSpecError as exc:  # the descriptor splits each q into p^r, or rejects it

@@ -32,13 +32,10 @@ read the same pair, so no factor is built to write a splitting.
 gauge group instead, named ``S4`` or ``CP2``.
 """
 
-from __future__ import annotations
-
-import re
-from collections.abc import Iterable, Sequence
+from __future__ import annotations  # so Iterable and Sequence need no collections.abc
 
 from .arith import MAX_COPIES
-from .value import DIGITS, Value, decimal, integer
+from .value import Value, decimal, digits, integer
 
 
 class TermError(ValueError):
@@ -234,8 +231,10 @@ def _loop_text(order: int, modulus: int | None) -> str:
 
 
 def _factor_text(summand: Sphere | Moore) -> str:
-    """The text of Map*(summand, G), for a summand in loop_pair's domain."""
-    return _loop_text(*loop_pair(summand))
+    """The text of Map*(summand, G), for a summand in loop_pair's domain, as _loop_text
+    writes it; written out here, as it runs once for every block a splitting writes."""
+    order, modulus = loop_pair(summand)
+    return f"O^{order}G" if modulus is None else f"O^{order}G{{{modulus}}}"
 
 
 #: By exact class, each atom's sort key (see _atom_key), its text (column TEXT), and
@@ -357,10 +356,6 @@ def join_blocks(parts: list[str], pieces: Sequence[tuple[str, int]], sep: str) -
 # --------------------------------------------------------------------------
 # parsing
 
-_SPHERE_RE = re.compile(rf"S\^({DIGITS})")
-_MOORE_RE = re.compile(rf"P\^({DIGITS})\(({DIGITS})\)")
-
-
 def parse_term(text: str) -> SpaceTerm:
     """Parse the rendered form of a space term; the result is normalized.
 
@@ -379,9 +374,11 @@ def _parse_atom(text: str) -> SpaceTerm:
         return Wedge(())
     if text == "SCP^2":
         return SuspCP2()
-    if m := _SPHERE_RE.fullmatch(text):
-        return Sphere(decimal(m.group(1), "sphere dimension", TermError))
-    if m := _MOORE_RE.fullmatch(text):
-        return Moore(decimal(m.group(1), "Moore space dimension", TermError),
-                     decimal(m.group(2), "Moore space modulus", TermError))
+    kind, _, rest = text.partition("^")  # S^n, or P^n(q)
+    if kind == "S" and digits(rest):
+        return Sphere(decimal(rest, "sphere dimension", TermError))
+    n, _, q = rest.partition("(")
+    if kind == "P" and digits(n) and q[-1:] == ")" and digits(q[:-1]):
+        return Moore(decimal(n, "Moore space dimension", TermError),
+                     decimal(q[:-1], "Moore space modulus", TermError))
     raise TermError(f"bad term atom: {text!r}")

@@ -9,15 +9,15 @@ repr, and cannot be changed: copy and pickle build it again through ``__init__``
 ``integer`` is the one check of an integer a value holds: a count, a dimension, a modulus,
 a rank, a class t or s, a prime.  Each module passes its own error class.  ``decimal`` is the
 one reader of an integer written as text, in the five grammars and the five integer flags:
-ASCII ``DIGITS`` only, so no other script's digit and no underscore, with whitespace around
-ignored; a flag's integer or a matrix entry may carry a sign, the other grammars' none."""
+a run of ASCII digits that ``digits`` passes, so no other script's digit and no underscore,
+with whitespace around ignored; a flag's integer or a matrix entry may carry a sign, and
+each grammar checks its own runs with ``digits``, so its integers carry none.  The grammars
+are read with str methods: ``str.strip`` strips exactly the code points that ``str.isspace``
+names, so no pattern is compiled at import."""
 
-import re
 import sys
 from operator import attrgetter
 
-DIGITS = "[0-9]+"
-_SIGNED = re.compile(rf"\s*[+-]?{DIGITS}\s*").fullmatch
 invalid_int = "invalid int value: {!r}".format  # the line refusing a malformed token
 
 
@@ -73,10 +73,16 @@ def integer(value, what: str, low: int | None = None, error: type = ValueError) 
     return value
 
 
+def digits(text: str) -> bool:
+    """Whether text is a run of the ASCII digits 0-9, the one spelling of an integer's digits."""
+    return text.isascii() and text.isdigit()
+
+
 def decimal(token: str, what: str, error: type = ValueError, malformed=invalid_int) -> int:
-    """int(token) for a signed token of DIGITS, else error(malformed(token)); past
-    Python's digit limit, error(...) naming what."""
-    if not _SIGNED(token):
+    """int(token) for a run of digits with whitespace around and at most one sign before
+    it, else error(malformed(token)); past Python's digit limit, error(...) naming what."""
+    run = token.strip()
+    if not digits(run[1:] if run[:1] in "+-" else run):
         raise error(malformed(token))
     try:
         return int(token)

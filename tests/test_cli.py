@@ -43,7 +43,7 @@ from gauge4 import (
 from gauge4.arith import MAX_COPIES
 from gauge4.cli import COMMANDS, UsageError, _splitting_json, parse_argv, run
 from gauge4.decomposer import splitting_parts
-from gauge4.manifold import render_pi1
+from gauge4.manifold import PI1_KINDS, render_pi1
 
 GOLDEN = Path(__file__).parent / "data" / "golden_sweep.json"
 #: What ``--help`` prints at the top level and for each subcommand, in HELP_COMMANDS
@@ -318,7 +318,7 @@ def test_json_splitting_matches_dumping_every_copy(capsys):
         kinds.add((dec.case_used, spec.sigma_f_trivial, dec.stabilization == SYMBOLIC))
     assert cases == {(c, code) for c in ("decompose", "suspension") for code in (0, 2)} | {
         (c, 0) for c in ("homology", "classify", "snf", "parse")}
-    assert {kind for kind, _, _ in kinds} == set(Pi1Kind)
+    assert {kind for kind, _, _ in kinds} == set(PI1_KINDS)
     assert {flag for _, flag, _ in kinds} == {True, False}
     assert {(kind, symbolic) for kind, _, symbolic in kinds if kind is Pi1Kind.MIXED} == {
         (Pi1Kind.MIXED, True), (Pi1Kind.MIXED, False)}
@@ -419,7 +419,7 @@ def test_every_splitting_answer_matches_writing_each_copy(capsys):
         assert gauge().partition(" = " if dec.stabilization == 0 else " ~ ")[2] == render(dec.gauge)
         seen |= {sum(n for _, n in dec.blocks), (dec.case_used, dec.stabilization == SYMBOLIC)}
     assert {MAX_COPIES - 1, MAX_COPIES + 1} <= seen
-    assert {(kind, False) for kind in Pi1Kind} | {(Pi1Kind.MIXED, True)} <= seen
+    assert {(kind, False) for kind in PI1_KINDS} | {(Pi1Kind.MIXED, True)} <= seen
     assert "error: the answer writes out 1000001 copies, more than the limit of 10**6\n" in seen
 
 

@@ -37,7 +37,7 @@ from gauge4 import (
 from gauge4 import decomposer
 from gauge4.cli import _splitting_json
 from gauge4.decomposer import splitting_parts
-from gauge4.manifold import TRIVIAL_PI1
+from gauge4.manifold import PI1_KINDS, TRIVIAL_PI1
 from gauge4.terms import GAUGE_BASE, SYMBOLIC, _atom_key, blocks, loop_pair, normalize
 
 S4_ONLY = ManifoldSpec()  # trivial pi1, b2 = 0, trivial flag
@@ -150,7 +150,7 @@ def test_dispatch_covers_all_kinds():
         assert decompose(spec, d=SYMBOLIC) == decompose(spec, d=None) == dec
         assert dec.case_used is kind
         assert (dec.gauge.base == "S4") == spec.sigma_f_trivial
-    assert seen == set(Pi1Kind)
+    assert seen == set(PI1_KINDS)
 
 
 def test_decomposition_blocks_are_one_normal_form():

@@ -2,8 +2,10 @@
 closed-form homology; the suspension shift."""
 
 import ast
+import copy
 import hashlib
 import json
+import pickle
 import random
 import sys
 import time
@@ -93,6 +95,24 @@ def test_snf_pinned_examples():
     ]
     for rows, expected in cases:
         assert smith_normal_form(IntMatrix.from_rows(rows)).invariant_factors == expected
+
+
+def test_an_snf_result_is_the_named_pair_it_was():
+    # a tuple of (invariant factors, rank) that names both and prints as a named tuple
+    snf = smith_normal_form(IntMatrix.from_rows([[2, 4], [6, 8]]))
+    assert repr(snf) == "SNFResult(invariant_factors=(2, 4), rank=2)"
+    assert snf == ((2, 4), 2) and hash(snf) == hash(((2, 4), 2)) and tuple(snf) == ((2, 4), 2)
+    factors, rank = snf
+    assert (factors, rank) == (snf.invariant_factors, snf.rank) == (snf[0], snf[1]) == ((2, 4), 2)
+    assert isinstance(snf, tuple) and len(snf) == 2
+    pickled = [pickle.loads(pickle.dumps(snf, protocol))
+               for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for twin in (copy.copy(snf), copy.deepcopy(snf), *pickled):
+        assert type(twin) is type(snf) and twin == snf and repr(twin) == repr(snf)
+    for name in ("invariant_factors", "rank", "other"):
+        with pytest.raises(AttributeError):
+            setattr(snf, name, 0)
+    assert homology.SNFResult(rank=1, invariant_factors=(3,)) == ((3,), 1)
 
 
 def test_snf_degenerate_shapes():

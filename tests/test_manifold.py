@@ -1,6 +1,8 @@
 """Descriptor and spec invariants, the pi1 grammar, connected sums, stabilization."""
 
+import copy
 import dataclasses
+import pickle
 import random
 
 import pytest
@@ -21,7 +23,7 @@ from gauge4 import (
     render_pi1,
     stabilize,
 )
-from gauge4.manifold import TRIVIAL_PI1, Pi1ParseError
+from gauge4.manifold import PI1_KINDS, TRIVIAL_PI1, Pi1ParseError
 
 
 def test_descriptor_sorts_cyclic_factors():
@@ -42,6 +44,33 @@ def test_classify_pi1():
     assert classify_pi1(Pi1Descriptor(1, ((3, 1),))) is Pi1Kind.MIXED
     assert classify_pi1(Pi1Descriptor(0, ((3, 1), (3, 1)))) is Pi1Kind.MIXED
     assert classify_pi1(Pi1Descriptor(0, ((3, 2), (5, 1)))) is Pi1Kind.MIXED
+
+
+def test_a_pi1_kind_is_one_of_four_constants():
+    # each prints as the enum member it was, with its --json label as value
+    assert PI1_KINDS == (Pi1Kind.TRIVIAL, Pi1Kind.FREE, Pi1Kind.CYCLIC, Pi1Kind.MIXED)
+    assert [repr(kind) for kind in PI1_KINDS] == [
+        "<Pi1Kind.TRIVIAL: 'simply_connected'>", "<Pi1Kind.FREE: 'free'>",
+        "<Pi1Kind.CYCLIC: 'cyclic'>", "<Pi1Kind.MIXED: 'mixed'>"]
+    assert [kind.value for kind in PI1_KINDS] == ["simply_connected", "free", "cyclic", "mixed"]
+    assert [kind.name for kind in PI1_KINDS] == ["TRIVIAL", "FREE", "CYCLIC", "MIXED"]
+    for kind in PI1_KINDS:
+        assert Pi1Kind(kind.value) is kind and Pi1Kind(kind) is kind
+        pickled = [pickle.loads(pickle.dumps(kind, protocol))
+                   for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        assert all(twin is kind for twin in (copy.copy(kind), copy.deepcopy(kind), *pickled))
+        for name in ("name", "value", "other"):
+            with pytest.raises(AttributeError):
+                setattr(kind, name, "mixed")
+            with pytest.raises(AttributeError):
+                delattr(kind, name)
+
+
+@pytest.mark.parametrize("label", ["banana", "MIXED", "Mixed", "mixed ", "", None, 0, []])
+def test_no_fifth_pi1_kind_is_built(label):
+    with pytest.raises(ValueError) as exc:
+        Pi1Kind(label)
+    assert str(exc.value) == f"{label!r} is not a valid Pi1Kind"
 
 
 def test_construction_accepts_valid_specs():

@@ -34,12 +34,8 @@ from gauge4 import (
 )
 from gauge4 import cli
 from gauge4.arith import MAX_COPIES
-from gauge4.classifier import _GROUP_RE
-from gauge4.manifold import _ATOM_RE
 from gauge4.terms import (
     _ATOMS,
-    _MOORE_RE,
-    _SPHERE_RE,
     COPIES_PER_PART,
     FACTOR_TEXT,
     _atom_key,
@@ -49,7 +45,7 @@ from gauge4.terms import (
     join_blocks,
     loop_pair,
 )
-from gauge4.value import DIGITS
+from gauge4.value import digits
 
 
 def render_blocks(blocks, sep):
@@ -281,6 +277,14 @@ def _sources():
     return [(path.stem, ast.parse(path.read_text())) for path in paths]
 
 
+def _imported():
+    """The top-level name of every module an import statement of src names."""
+    nodes = [node for _, tree in _sources() for node in ast.walk(tree)]
+    names = [alias.name for node in nodes if isinstance(node, ast.Import) for alias in node.names]
+    names += [node.module for node in nodes if isinstance(node, ast.ImportFrom) and node.module]
+    return {name.split(".")[0] for name in names}
+
+
 def test_only_constructors_merge_and_no_consumer_normalizes():
     # Blocks are put in normal form where a wedge or a product is built, and
     # the collapse to an atom is made where a term or a splitting is.
@@ -309,8 +313,8 @@ def test_one_error_line_writer_and_no_wrapper_left():
     # Every "error: " line is written by the one f-string in cli.run; the
     # merged handlers, the inlined wrappers, the _set source generator and the
     # json writer are neither defined, called nor read anywhere in src, src runs
-    # no code it builds at run time (re.compile builds a pattern, not code), and
-    # no module of src imports json: every --json document is written by hand.
+    # no code it builds at run time, and no module of src imports json: every
+    # --json document is written by hand.
     nodes = [(module, node) for module, tree in _sources() for node in ast.walk(tree)]
     heads = [node for _, node in nodes
              if isinstance(node, ast.Constant) and str(node.value).startswith("error: ")]
@@ -327,10 +331,7 @@ def test_one_error_line_writer_and_no_wrapper_left():
         assert gone not in defined and _calls(gone) == _calls(gone, reads=True) == []
     assert [node.func.id for _, node in nodes if isinstance(node, ast.Call)
             and getattr(node.func, "id", None) in ("exec", "eval", "compile")] == []
-    imported = {alias.name for _, node in nodes if isinstance(node, ast.Import)
-                for alias in node.names}
-    imported |= {node.module for _, node in nodes if isinstance(node, ast.ImportFrom)}
-    assert not {name for name in imported if name and name.split(".")[0] == "json"}
+    assert "json" not in _imported()
 
 
 def test_one_table_of_base_summands_and_one_splitting_check():
@@ -393,24 +394,25 @@ def test_the_simply_connected_label_is_written_once():
     assert "Pi1Kind" not in vars(cli)
 
 
-def test_one_digit_class_and_one_reader_for_every_integer_written_as_text():
-    # value.decimal is the one int() of text, for the five grammars and the five
-    # integer flags alike, and value.DIGITS the one spelling of an integer's digits.
+def test_one_digit_run_test_and_one_reader_for_every_integer_written_as_text():
+    # value.decimal is the one int() of text, for the five grammars and the five integer
+    # flags alike, and value.digits the one test of a run of digits: decimal's, and each
+    # grammar's own before it hands a run to decimal, so a grammar's integer has no sign.
+    # No module of src imports re: every grammar is read with str methods.
     assert _calls("int") == [("value", "decimal")]
     assert _calls("decimal") == [
         ("classifier", "parse_group"), ("cli", "_int_arg"), ("homology", "parse_matrix"),
         ("manifold", "parse_pi1"), ("terms", "_parse_atom"), ("terms", "_parse_atom"),
         ("terms", "_parse_atom")]
-    grammars = [_ATOM_RE, _SPHERE_RE, _MOORE_RE, _GROUP_RE]
-    assert [g.pattern.count(f"({DIGITS})") for g in grammars] == [1, 1, 2, 1]
-    assert _calls("DIGITS", reads=True) == [
-        ("classifier", ""), ("manifold", ""), ("terms", ""), ("terms", ""), ("terms", ""),
-        ("value", "")]
-    assert DIGITS == "[0-9]+"
+    assert _calls("digits") == [
+        ("classifier", "parse_group"), ("manifold", "parse_pi1"), ("terms", "_parse_atom"),
+        ("terms", "_parse_atom"), ("terms", "_parse_atom"), ("value", "decimal")]
+    assert _calls("isdigit") == [("value", "digits")]
+    assert [text for text in ("0123456789", "", "\u0663", "\uff13", "\u00b2", "1_0", "+1", " 1")
+            if digits(text)] == ["0123456789"]
+    assert not {"re", "enum", "collections", "functools"} & _imported()
     sources = [path.read_text() for path in Path(gauge4.__file__).parent.glob("*.py")]
-    assert not any("\\d" in text for text in sources)
-    assert sum(text.count("0-9") for text in sources) == 1  # DIGITS itself
-    assert "re" not in vars(cli)  # _int_arg reads no regex of its own
+    assert not any("\\d" in text or "[0-9]" in text for text in sources)
 
 
 # --------------------------------------------------------------------------

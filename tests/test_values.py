@@ -3,9 +3,11 @@ gauge4 loads.
 
 Every value class derives from ``gauge4.value.Value``: equal only within its
 own class, hashed by its fields (a graded group by its invariant factors),
-printed in the dataclass form, and closed to assignment and deletion.  gauge4 defines no dataclass, so ``import gauge4``
-loads neither ``dataclasses`` nor the ``inspect`` it pulls in, and it loads
-``json`` only where a query reads or writes a JSON document.
+printed in the dataclass form, and closed to assignment and deletion.  gauge4
+defines no dataclass, so ``import gauge4`` loads neither ``dataclasses`` nor the
+``inspect`` it pulls in.  It compiles no pattern and builds no Enum, named tuple
+or Counter, so neither it nor any query loads ``re``, ``enum``, ``collections``
+or ``functools``; and no query loads ``json``.
 """
 
 import copy
@@ -164,60 +166,71 @@ def test_gauge4_defines_no_dataclass():
     assert found == set()
 
 
-#: Run in a fresh interpreter: the modules loaded after ``import json``,
-#: ``import gauge4`` and ``import gauge4.cli``, one line each.
+#: Run in a fresh interpreter: the modules loaded at its start, after ``import gauge4``
+#: and after ``import gauge4.cli``, one line each.
 _IMPORTS = """
 import sys
-loaded = []
-for name in ("json", "gauge4", "gauge4.cli"):
+loaded = [" ".join(sorted(sys.modules))]
+for name in ("gauge4", "gauge4.cli"):
     __import__(name)
     loaded.append(" ".join(sorted(sys.modules)))
 print("\\n".join(loaded))
 """
 
-#: The standard-library modules ``import gauge4`` loads beyond those of ``json``.
-_LIBRARY_IMPORTS = {"__future__", "collections.abc", "math"}
-#: The modules ``import gauge4.cli`` loads beyond those of ``import gauge4``: itself, and
-#: os for the exit of a query whose reader has gone.  No option parser, so neither its
-#: translations (gettext, locale) nor its terminal width (shutil).
-_CLI_IMPORTS = {"gauge4.cli", "os", "os.path", "posixpath", "genericpath", "stat", "_stat"}
+#: The standard-library modules ``import gauge4`` loads beyond a bare interpreter's: no
+#: regular expression, enum, named tuple or Counter is built at import.
+_LIBRARY_IMPORTS = {"__future__", "_operator", "itertools", "math", "operator"}
+#: The modules ``import gauge4.cli`` loads beyond those of ``import gauge4``: itself, os
+#: (and the _collections_abc it reads) for the exit of a query whose reader has gone, and
+#: types for SimpleNamespace.  No option parser, so neither its translations (gettext,
+#: locale) nor its terminal width (shutil).
+_CLI_IMPORTS = {"gauge4.cli", "os", "os.path", "posixpath", "genericpath", "stat", "_stat",
+                "_collections_abc", "types"}
 
 
 def test_import_loads_only_gauge4_and_json():
-    # -S: no site, so nothing a .pth file imports counts as free; json is imported
-    # first, so what it loads is not counted.
+    # -S: no site, so nothing a .pth file imports counts as free; nothing is imported
+    # first, so nothing hides a module gauge4 loads (json would hide re).
     src = str(Path(gauge4.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-S", "-c", _IMPORTS], env=env, check=True,
                          capture_output=True, text=True).stdout
-    json_, library, cli = (set(line.split()) for line in out.splitlines())
-    added = {name for name in library - json_ if name.split(".")[0] != "gauge4"}
+    bare, library, cli = (set(line.split()) for line in out.splitlines())
+    added = {name for name in library - bare if name.split(".")[0] != "gauge4"}
     assert added == _LIBRARY_IMPORTS
     assert cli - library == _CLI_IMPORTS
     assert not {"argparse", "gettext", "locale", "shutil"} & cli
 
 
-#: Run in a fresh interpreter: whether json is loaded after ``import gauge4``, after
-#: ``import gauge4.cli`` and after each query, as the last line, below the answers of the
-#: queries.
+#: The modules no import of gauge4 and no query loads: json, as every --json document is
+#: written by hand, and re, enum, collections and functools, as no pattern, Enum, named
+#: tuple or Counter is built.
+_NEVER_LOADED = ("json", "re", "enum", "collections", "functools")
+
+#: Run in a fresh interpreter: which of _NEVER_LOADED are loaded after ``import gauge4``,
+#: after ``import gauge4.cli`` and after each query, as the last line, below the answers
+#: of the queries.
 _JSON_LOADS = """
 import sys
 loaded = []
 import gauge4
-loaded.append("json" in sys.modules)
+loaded.append([name for name in {never!r} if name in sys.modules])
 import gauge4.cli
-loaded.append("json" in sys.modules)
+loaded.append([name for name in {never!r} if name in sys.modules])
 for argv in {queries!r}:
     gauge4.cli.run(argv)
-    loaded.append("json" in sys.modules)
-print(*loaded)
+    loaded.append([name for name in {never!r} if name in sys.modules])
+print(loaded)
 """
 
-#: The queries of _JSON_LOADS, in turn: a text decompose and snf, then a --json query of
-#: each subcommand.  None loads json: every --json document is written by hand.
+#: The queries of _JSON_LOADS, in turn: each subcommand as text and with --json.
 JSON_QUERIES = [
     ["decompose", "--pi1", "Z/9*Z", "--b2", "2", "--t", "1", "--d", "3"],
+    ["suspension", "--pi1", "Z/3*Z/5", "--b2", "1"],
+    ["homology", "--pi1", "Z*Z/9", "--b2", "2", "--suspension"],
+    ["classify", "--group", "SU(3)", "--t", "1", "--s", "2", "--primes", "3,11"],
     ["snf", "--matrix", "[[2,4],[6,8]]"],
+    ["parse", "--pi1", "Z/25*Z", "--b2", "3"],
     ["decompose", "--pi1", "Z/9*Z", "--b2", "2", "--t", "1", "--d", "3", "--json"],
     ["suspension", "--pi1", "Z/3*Z/5", "--b2", "1", "--json"],
     ["homology", "--pi1", "Z*Z/9", "--b2", "2", "--suspension", "--json"],
@@ -228,13 +241,14 @@ JSON_QUERIES = [
 
 
 def test_json_is_never_loaded(capsys):
+    # -S, as above: with site, a .pth file may load re and enum before gauge4 is imported
     src = str(Path(gauge4.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
-    script = _JSON_LOADS.format(queries=JSON_QUERIES)
+    script = _JSON_LOADS.format(never=_NEVER_LOADED, queries=JSON_QUERIES)
     out = subprocess.run([sys.executable, "-S", "-c", script], env=env, check=True,
                          capture_output=True, text=True).stdout
     *answers, loaded = out.splitlines()
-    assert loaded == " ".join(["False"] * (2 + len(JSON_QUERIES)))
+    assert loaded == repr([[]] * (2 + len(JSON_QUERIES)))
     for argv in JSON_QUERIES:  # the same bytes as in this process, where json is loaded
         assert gauge4.cli.run(argv) == 0
     assert answers == capsys.readouterr().out.splitlines()
