@@ -12,8 +12,8 @@ one reader of an integer written as text, in the five grammars and the five inte
 a run of ASCII digits that ``digits`` passes, so no other script's digit and no underscore,
 with whitespace around ignored; a flag's integer or a matrix entry may carry a sign, and
 each grammar checks its own runs with ``digits``, so its integers carry none.  The grammars
-are read with str methods: ``str.strip`` strips exactly the code points that ``str.isspace``
-names, so no pattern is compiled at import."""
+are read with str methods, so no pattern is compiled at import: ``str.strip`` strips exactly
+the code points for which ``str.isspace`` is true, the whitespace that ``\\s`` matched."""
 
 import sys
 from operator import attrgetter

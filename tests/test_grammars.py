@@ -70,8 +70,7 @@ def _pi1(rng):
 
 def _term(rng):
     def atom():
-        return rng.choice(("pt", "SCP^2", f"S^{number(rng)}", f"P^{number(rng)}({number(rng)})",
-                           f"P^{number(rng)}({number(rng)})"))
+        return rng.choice(("pt", "SCP^2", f"S^{number(rng)}", f"P^{number(rng)}({number(rng)})"))
 
     return "v".join(pad(rng) + atom() + pad(rng) for _ in range(rng.randint(1, 3)))
 

@@ -394,7 +394,7 @@ def test_the_simply_connected_label_is_written_once():
     assert "Pi1Kind" not in vars(cli)
 
 
-def test_one_digit_run_test_and_one_reader_for_every_integer_written_as_text():
+def test_one_digit_class_and_one_reader_for_every_integer_written_as_text():
     # value.decimal is the one int() of text, for the five grammars and the five integer
     # flags alike, and value.digits the one test of a run of digits: decimal's, and each
     # grammar's own before it hands a run to decimal, so a grammar's integer has no sign.
