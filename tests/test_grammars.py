@@ -88,7 +88,7 @@ def _matrix(rng):
         + pad(rng) + "]" + pad(rng)
 
 
-#: grammar -> (text builder, the gauge4 reader, the reference reader)
+#: grammar -> (its text generator, the gauge4 reader, the reference reader)
 GRAMMARS = {
     "decimal": (_decimal, lambda text: decimal(text, "an integer"),
                 lambda text: regex_grammars.decimal(text, "an integer")),
