@@ -69,13 +69,14 @@ def is_prime(n: int) -> bool:
             d += 1 if d == 2 else 2
         return True
     check_limit(n)
-    bases = next(bases for bound, bases in _MR_CUTOFFS if n < bound)
-    if any(n % p == 0 for p in bases):
-        return False
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
+    for bound, bases in _MR_CUTOFFS:
+        if n < bound:
+            break
+    for p in bases:
+        if n % p == 0:
+            return False
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2**s with d odd
+    d = (n - 1) >> s
     for a in bases:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:

@@ -52,10 +52,15 @@ class GradedAbelianGroup(Value):
         fixed = []
         for rank, torsion in groups:
             integer(rank, "free rank", 0)
-            entries = [abs(integer(q, "torsion entry")) for q in torsion]
-            if 0 in entries:  # Z/0 is Z: a rank, never a torsion entry
-                raise ValueError("torsion entry must be nonzero, got 0")
-            fixed.append((rank, tuple(sorted(q for q in entries if q > 1))))
+            if torsion:
+                entries = [abs(integer(q, "torsion entry")) for q in torsion]
+                if 0 in entries:  # Z/0 is Z: a rank, never a torsion entry
+                    raise ValueError("torsion entry must be nonzero, got 0")
+                torsion = tuple(sorted(q for q in entries if q > 1))
+            else:  # no entry to check: iter fails only on what the loop could not iterate
+                iter(torsion)
+                torsion = ()
+            fixed.append((rank, torsion))
         self._set(tuple(fixed))
 
     @classmethod
@@ -235,14 +240,19 @@ def smith_normal_form(mat: IntMatrix) -> SNFResult:
     to m reads as 0 and is padded back as m; m = 1 needs no elimination.
     Only the nonzero diagonal is returned; rank equals its length.
     """
-    rows = [col for col in zip(*(row for row in mat.entries if any(row))) if any(col)]
+    factors = _snf_factors([row for row in mat.entries if any(row)])
+    return SNFResult(factors, len(factors))
+
+
+def _snf_factors(rows: list[tuple[int, ...]]) -> tuple[int, ...]:
+    """The invariant factors of a matrix given by its nonzero rows, in order: the one
+    route of smith_normal_form, which chain_homology takes with the rows it has found."""
+    rows = [col for col in zip(*rows) if any(col)]
     rank, det, g = _rank_and_minor(rows)
     if rows and rank == len(rows) == len(rows[0]):
         head = _modulo(rows, g, rank - 1)
-        factors = head + [det // prod(head)]
-    else:
-        factors = _modulo(rows, det, rank)
-    return SNFResult(tuple(factors), len(factors))
+        return (*head, det // prod(head))
+    return tuple(_modulo(rows, det, rank))
 
 
 def _modulo(rows: Sequence[Sequence[int]], m: int, count: int) -> list[int]:
@@ -251,8 +261,10 @@ def _modulo(rows: Sequence[Sequence[int]], m: int, count: int) -> list[int]:
 
 
 def _diagonalize(rows: Sequence[Sequence[int]], m: int) -> list[int]:
-    """The nonzero diagonal of the SNF of rows modulo m > 1: gcd(di, m) for
-    each invariant factor di that m does not divide, in order.
+    """The diagonal of the SNF of rows modulo m > 1: gcd(di, m) for each
+    invariant factor di that m does not divide, in order; once one row or
+    column is left, the gcd of m and its unreduced entries ends the list, m
+    if m divides them all, which the other exits omit: _modulo pads alike.
 
     The remaining block is reduced to residues of size at most m/2 at each
     new diagonal position, and its smallest nonzero entry is the pivot.  Its column is
@@ -269,10 +281,9 @@ def _diagonalize(rows: Sequence[Sequence[int]], m: int) -> list[int]:
     half = m // 2
     factors: list[int] = []
     for t in range(min(k, n)):
+        if t == k - 1 or t == n - 1:  # one row or column left: its gcd with m ends the chain
+            return factors + [gcd(m, *(v for row in a[t:] for v in row[t:]))]
         a[t:] = [[(v + half) % m - half for v in row] for row in a[t:]]
-        if t == k - 1 or t == n - 1:  # one row or column left: its gcd ends the chain
-            g = gcd(*(v for row in a[t:] for v in row[t:]))
-            return factors + [gcd(g, m)] if g else factors
         sizes = [abs(v) for row in a[t:] for v in row[t:]]
         best = min(filter(None, sizes), default=0)
         if not best:
@@ -361,7 +372,9 @@ def chain_homology(boundaries: Sequence[IntMatrix]) -> GradedAbelianGroup:
     be passed (with the right shape) because the matrices carry the chain
     group dimensions.  Requires N <= 5, matching shapes, and d.d = 0,
     checked entry by entry, each nonzero row of one boundary against each
-    nonzero column of the next, without building the products.  A zero
+    nonzero column of the next, without building the products; a pair with
+    a zero boundary is not checked.  Each boundary's nonzero rows are found
+    once, for that check and for smith_normal_form's one route; a zero
     boundary has rank 0 and no torsion, and is not eliminated.
     """
     n_top = len(boundaries)
@@ -378,13 +391,13 @@ def chain_homology(boundaries: Sequence[IntMatrix]) -> GradedAbelianGroup:
             )
     rows = [[row for row in b.entries if any(row)] for b in boundaries]  # the nonzero rows
     for k in range(n_top - 1):
-        cols = [col for col in zip(*boundaries[k + 1].entries) if any(col)] if rows[k] else ()
-        if any(sum(map(mul, row, col)) for row in rows[k] for col in cols):
-            raise ChainComplexError(f"not a chain complex: d{k + 1}.d{k + 2} != 0")
+        if rows[k] and rows[k + 1]:  # a zero boundary composes to zero
+            cols = [col for col in zip(*boundaries[k + 1].entries) if any(col)]
+            if any(sum(map(mul, row, col)) for row in rows[k] for col in cols):
+                raise ChainComplexError(f"not a chain complex: d{k + 1}.d{k + 2} != 0")
 
-    snfs = [smith_normal_form(b) if r else SNFResult((), 0) for b, r in zip(boundaries, rows)]
-    ranks = [0] + [snf.rank for snf in snfs] + [0]  # of d_0 .. d_{N+1}, both ends zero maps
-    torsion = [snf.invariant_factors for snf in snfs] + [()]
+    torsion = [_snf_factors(r) if r else () for r in rows] + [()]
+    ranks = [0, *map(len, torsion)]  # of d_0 .. d_{N+1}, both ends zero maps
     groups = [(dims[k] - ranks[k] - ranks[k + 1], torsion[k]) for k in range(n_top + 1)]
     return GradedAbelianGroup(groups + [(0, ())] * (MAX_DEGREE - n_top))
 

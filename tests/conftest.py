@@ -57,14 +57,17 @@ def hang_guard():
         signal.signal(signal.SIGALRM, previous)
 
 
-def line_events(fn, *args) -> int:
+def line_events(fn, *args, limit=None) -> int:
     """The line events sys.settrace reports in gauge4's own frames while fn(*args)
-    runs: a cost that, unlike a clock, is the same on every run and every machine."""
+    runs: a cost that, unlike a clock, is the same on every run and every machine.
+    Past a limit the test fails at once, so a call that would run far longer stops there."""
     count = 0
 
     def count_lines(frame, event, arg):
         nonlocal count
         count += event == "line"
+        if limit is not None and count > limit:
+            pytest.fail(f"more than {limit} line events in gauge4", pytrace=False)
         return count_lines
 
     def enter(frame, event, arg):

@@ -830,13 +830,18 @@ def test_snf_refuses_a_long_matrix_fast(capsys):
     # 100 KB texts, each refused with one line in under 50 ms of CPU: deep brackets, a
     # row of spaces between two digits, and 33 000 empty rows before a full one.  A full
     # collection runs before each clock starts, so a collection of what the tests before
-    # this one left behind does not fall in the timed window.
-    for text, err in [
-        ("[" * 50_000 + "]" * 50_000, SHAPE_LINE),
-        ("[[1" + " " * 10**5 + "2]]", f"error: bad matrix entry: {'1' + ' ' * 10**5 + '2'!r}\n"),
-        ("[" + "[]," * 33_000 + "[1]]", "error: ragged matrix rows\n"),
+    # this one left behind does not fall in the timed window.  Before the clock, a bound
+    # on the line events in gauge4 frames, which no machine's load moves: at most 100
+    # for the first two, whatever their length, and 12 per row for the third; the count
+    # stops at its bound, so a reader quadratic in the rows fails at once.
+    for text, err, lines in [
+        ("[" * 50_000 + "]" * 50_000, SHAPE_LINE, 100),
+        ("[[1" + " " * 10**5 + "2]]", f"error: bad matrix entry: {'1' + ' ' * 10**5 + '2'!r}\n",
+         100),
+        ("[" + "[]," * 33_000 + "[1]]", "error: ragged matrix rows\n", 12 * 33_001),
     ]:
         assert len(text) > 99_000
+        assert line_events(invoke, capsys, "snf", "--matrix", text, limit=lines) <= lines
         gc.collect()
         start = time.process_time()
         assert invoke(capsys, "snf", "--matrix", text) == (2, "", err)

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import oracles
-from conftest import graded, handle_complex, random_matrix_rows, random_spec
+from conftest import graded, handle_complex, line_events, random_matrix_rows, random_spec
 from gauge4 import (
     ChainComplexError,
     GradedAbelianGroup,
@@ -37,7 +37,8 @@ from gauge4 import (
 )
 from gauge4 import homology
 from gauge4.cli import run
-from gauge4.homology import render_graded
+from gauge4.homology import MAX_DEGREE, render_graded
+from gauge4.value import integer
 
 
 # --------------------------------------------------------------------------
@@ -308,6 +309,44 @@ def test_conjugated_complexes_with_three_coprime_moduli(hang_guard):
         g = chain_homology(handle_complex(rng, spec))
         assert g == expected
         assert g.euler_characteristic == 2 - 2 * 2 + 2
+
+
+def test_chain_homology_eliminates_only_nonzero_boundaries(monkeypatch):
+    # A spy on the one fraction-free pass: the handle complex of a trivial or free pi1
+    # has four zero boundaries, and none is eliminated; one cyclic factor gives d2 and
+    # d3 of rank 1, and each is eliminated once.
+    calls = []
+    rank_and_minor = homology._rank_and_minor
+    monkeypatch.setattr(homology, "_rank_and_minor",
+                        lambda rows: calls.append(rows) or rank_and_minor(rows))
+    rng = random.Random(38)
+    for pi1, eliminated in [(Pi1Descriptor(), 0), (Pi1Descriptor(3, ()), 0),
+                            (Pi1Descriptor(0, ((3, 2),)), 2), (Pi1Descriptor(2, ((5, 1),)), 2)]:
+        for b2 in (0, 1, 4):
+            spec = ManifoldSpec(pi1, b2, True)
+            calls.clear()
+            assert chain_homology(handle_complex(rng, spec)) == homology_of_manifold(spec)
+            assert len(calls) == eliminated, (spec, len(calls))
+    monkeypatch.undo()
+    # Line events in gauge4 frames, not a clock: the all-zero complex of S^4 costs
+    # fewer than 120, and a larger all-zero complex one more per boundary row, the
+    # scan for its nonzero rows, so no d.d column is built for a zero boundary.
+    small, large = (handle_complex(rng, ManifoldSpec(Pi1Descriptor(m, ()), b2, True))
+                    for m, b2 in ((0, 0), (3, 4)))
+    rows = [sum(b.rows for b in boundaries) for boundaries in (small, large)]
+    assert rows == [1, 11]
+    once, grown = line_events(chain_homology, small), line_events(chain_homology, large)
+    assert once < 120 and grown - once <= rows[1] - rows[0], (once, grown)
+
+
+def test_one_row_or_column_left_ends_the_diagonal_with_its_gcd_with_m():
+    # The gcd of m and the entries as given: m when m divides them all, where the
+    # other exits return nothing; _modulo pads both to the same list.
+    assert homology._diagonalize([[6, -12, 18]], 6) == [6]
+    assert homology._diagonalize([[4], [10]], 6) == [2]
+    assert homology._diagonalize([[1, 0], [0, 12], [0, 6]], 6) == [1, 6]
+    assert homology._diagonalize([[2, 0], [0, 0]], 4) == [2]
+    assert homology._modulo([[6, -12, 18]], 6, 1) == homology._modulo([[0, 0, 0]], 6, 1) == [6]
 
 
 def test_snf_invariant_under_transpose():
@@ -658,6 +697,82 @@ def test_graded_groups_refuse_a_wrong_shape():
         graded({6: (1, ())})
     with pytest.raises(ValueError, match="^cannot suspend an empty space: degree 0 is zero$"):
         suspend(graded({}))
+
+
+def reference_groups(groups):
+    """The groups the checking constructor built before a degree with empty torsion
+    took a path of its own: its loop as it was, kept unchanged as the reference."""
+    if len(groups) != MAX_DEGREE + 1:
+        raise ValueError(f"expected {MAX_DEGREE + 1} degrees, got {len(groups)}")
+    fixed = []
+    for rank, torsion in groups:
+        integer(rank, "free rank", 0)
+        entries = [abs(integer(q, "torsion entry")) for q in torsion]
+        if 0 in entries:  # Z/0 is Z: a rank, never a torsion entry
+            raise ValueError("torsion entry must be nonzero, got 0")
+        fixed.append((rank, tuple(sorted(q for q in entries if q > 1))))
+    return tuple(fixed)
+
+
+#: Each way a degree's torsion is given, from its entries; a generator is truthy even
+#: when empty, and None and 0 cannot be iterated at all.
+TORSION_KINDS = {
+    "tuple": tuple, "list": list, "generator": lambda e: (q for q in e),
+    "empty tuple": lambda e: (), "empty list": lambda e: [],
+    "empty generator": lambda e: (q for q in ()), "empty range": lambda e: range(0),
+    "empty str": lambda e: "", "str": lambda e: "37", "None": lambda e: None, "0": lambda e: 0,
+}
+COMMON_KINDS = ("tuple", "list", "generator", "range") * 2 + (
+    "empty tuple", "empty list", "empty generator", "empty range")
+RARE_KINDS = ("empty str", "str", "None", "0")
+#: Entries: ±1, signs, large values, 0, and what is not an int.
+ENTRIES = (1, -1, 2, 3, 12, -12, 9, -27, 2**64 + 1, -(2**70), 0, 2.0, True, False, "3")
+#: Ranks: good ones, and a negative, a bool, a float, a str and None.
+RANKS = (0, 1, 2, 3, 2**70, -1, True, 2.0, "1", None)
+
+
+def random_degree(rng):
+    """The recipe of one degree: its rank, its torsion kind and the entries it is built from."""
+    rank = rng.choice(RANKS[:5]) if rng.random() < 0.97 else rng.choice(RANKS[5:])
+    kind = rng.choice(COMMON_KINDS if rng.random() < 0.97 else RARE_KINDS)
+    if kind == "range":
+        return rank, kind, (rng.randint(-5, 12), rng.randint(0, 4), rng.choice((1, 2, 5, -1)))
+    entries = [rng.choice(ENTRIES[:10]) if rng.random() < 0.96 else rng.choice(ENTRIES[10:])
+               for _ in range(rng.randint(1, 4))]
+    return rank, kind, entries
+
+
+def built(recipe):
+    """The groups a recipe describes, built afresh, so each generator is unread."""
+    groups = []
+    for rank, kind, entries in recipe:
+        if kind == "range":
+            start, length, step = entries
+            groups.append((rank, range(start, start + length * step, step)))
+        else:
+            groups.append((rank, TORSION_KINDS[kind](entries)))
+    return groups
+
+
+def test_the_checking_constructor_matches_its_loop_before_the_empty_torsion_path():
+    # 2 000 seeded inputs, each built twice: the constructor and the reference give
+    # the same groups, or raise the same class with the same line.
+    rng = random.Random(38)
+    outcomes = {}
+    for _ in range(2000):
+        recipe = [random_degree(rng)
+                  for _ in range(MAX_DEGREE + rng.choice((0,) * 30 + (-1, 1)) + 1)]
+        results = []
+        for make in (lambda g: GradedAbelianGroup(g).groups, reference_groups):
+            try:
+                results.append(make(built(recipe)))
+            except (TypeError, ValueError) as exc:
+                results.append((type(exc), str(exc)))
+        assert results[0] == results[1], recipe
+        key = "built" if type(results[0][0]) is tuple else results[0][1].split(",")[0]
+        outcomes[key] = outcomes.get(key, 0) + 1
+    assert outcomes.get("built", 0) >= 400, outcomes
+    assert len(outcomes) >= 8 and min(outcomes.values()) >= 5, outcomes
 
 
 def test_render_graded():
