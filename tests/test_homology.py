@@ -718,6 +718,7 @@ def reference_groups(groups):
 #: when empty, and None and 0 cannot be iterated at all.
 TORSION_KINDS = {
     "tuple": tuple, "list": list, "generator": lambda e: (q for q in e),
+    "range": lambda e: range(e[0], e[0] + e[1] * e[2], e[2]),  # e: start, length, step
     "empty tuple": lambda e: (), "empty list": lambda e: [],
     "empty generator": lambda e: (q for q in ()), "empty range": lambda e: range(0),
     "empty str": lambda e: "", "str": lambda e: "37", "None": lambda e: None, "0": lambda e: 0,
@@ -744,14 +745,7 @@ def random_degree(rng):
 
 def built(recipe):
     """The groups a recipe describes, built afresh, so each generator is unread."""
-    groups = []
-    for rank, kind, entries in recipe:
-        if kind == "range":
-            start, length, step = entries
-            groups.append((rank, range(start, start + length * step, step)))
-        else:
-            groups.append((rank, TORSION_KINDS[kind](entries)))
-    return groups
+    return [(rank, TORSION_KINDS[kind](entries)) for rank, kind, entries in recipe]
 
 
 def test_the_checking_constructor_matches_its_loop_before_the_empty_torsion_path():
