@@ -83,20 +83,17 @@ class Decomposition(Value):
             raise DecompositionError(f"case_used must be a Pi1Kind, got {case_used!r}")
         susp = normalize(suspension)
         parts = blocks(susp)
-        # The base blocks, found as they are read: a splitting reads its first block alone.
-        bases = (block for block in parts if block[0] in GAUGE_BASE)
-        base = next(bases, None)
-        # Both bases sort before loop_pair's domain, an interval of the blocks' order, so
-        # with a first base of count 1 the two ends of the rest check all.
-        ok = base is not None and base is parts[0] and base[1] == 1
-        rest = parts[1:] if ok else parts
-        if ok and rest:
-            ok = loop_pair(rest[0][0]) is not None and loop_pair(rest[-1][0]) is not None
-        if not ok:  # only a refusal reads on, to choose its line
-            if base is None or base[1] != 1 or next(bases, None):
+        # Both bases sort before loop_pair's domain, an interval of the blocks' order, so the
+        # first block, a base of count 1, and the two ends of the rest decide a splitting.
+        if not (parts and parts[0][0] in GAUGE_BASE and parts[0][1] == 1 and (
+                len(parts) == 1 or loop_pair(parts[1][0]) and loop_pair(parts[-1][0]))):
+            # only a refusal reads every block, to choose its line
+            bases = [block for block in parts if block[0] in GAUGE_BASE]
+            if len(bases) != 1 or bases[0][1] != 1:
                 raise DecompositionError("a splitting needs exactly one base summand")
             # one base of count 1, after a summand outside the domain or before one,
             # which map_space refuses with the line given
+            rest = [block for block in parts if block is not bases[0]]
             try:
                 for atom, _ in rest[:1] + rest[-1:]:
                     map_space(atom)

@@ -319,6 +319,16 @@ def test_one_pass_check_refuses_what_the_full_scan_did_at_random():
     assert min(seen.values()) > 300, seen
 
 
+def test_the_splitting_check_reads_three_blocks():
+    # A good splitting is decided by its first block and its two ends: line events
+    # in gauge4 frames, not a clock, are the same for 5 and for 500 distinct cyclic
+    # factors (14 and 1 004 blocks), and no more than the lazy base search's 40.
+    splittings = [decompose(ManifoldSpec(Pi1Descriptor(1, tuple((3, r) for r in range(1, n + 1))),
+                                         2, False)).suspension for n in (5, 500)]
+    few, many = (line_events(Decomposition, susp, 0, 0, Pi1Kind.MIXED) for susp in splittings)
+    assert few == many <= 40, (few, many)
+
+
 #: Specs by (pi1, b2, spin, d), each with the Moore spaces one decompose builds:
 #: a splitting's spheres and SCP^2 are the constants of terms, so only a cyclic
 #: factor's summands, P^3(q) and P^4(q), are built, once each.  Neither

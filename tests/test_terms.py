@@ -340,8 +340,8 @@ def test_one_table_of_base_summands_and_one_splitting_check():
     # splitting, which gauge_from_suspension reads a wedge through with no
     # map_space call, check or error line of its own.
     assert _calls("GAUGE_BASE", reads=True) == [
-        ("decomposer", "Decomposition.__init__"), ("decomposer", "Decomposition.base"),
-        ("terms", "map_space")]
+        ("decomposer", "Decomposition.__init__"), ("decomposer", "Decomposition.__init__"),
+        ("decomposer", "Decomposition.base"), ("terms", "map_space")]
     assert _calls("_BASE_NAMES", reads=True) == [
         ("terms", "GaugeExpr.__init__"), ("terms", "product_parts")]
     assert _calls("map_space") == [
