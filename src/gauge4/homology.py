@@ -224,17 +224,18 @@ def smith_normal_form(mat: IntMatrix) -> SNFResult:
     """Invariant factors d1 | d2 | ... of an integer matrix, and its rank.
 
     Zero rows and columns are dropped, and the rest transposed (same SNF).
-    One fraction-free pass, ``_rank_and_minor``, gives the rank r, D = |M|
-    for a nonzero r x r minor M, a multiple of d1 ... dr, and g.  Then
-    one of two routes, each an elimination modulo a number m, which bounds
-    every entry by m/2 (Kannan–Bachem 1979; Cohen, *A Course in
+    A rest of one row or column has rank 1 and d1 the gcd of its entries.
+    Otherwise one fraction-free pass, ``_rank_and_minor``, gives the rank r,
+    D = |M| for a nonzero r x r minor M, a multiple of d1 ... dr, and g.
+    Then one of two routes, each an elimination modulo a number m, which
+    bounds every entry by m/2 (Kannan–Bachem 1979; Cohen, *A Course in
     Computational Algebraic Number Theory*, 2.4):
 
     - a square nonsingular rest, n x n, takes the trailing-minor route: g
       is a multiple of d1 ... d(n-1) dividing D, so modulo g the
       elimination finds d1 ... d(n-1), and dn = D / (d1 ... d(n-1));
-    - every other rest (rectangular, singular, or a single row or column)
-      is eliminated modulo D, which finds d1 ... dr.
+    - every other rest (rectangular or singular) is eliminated modulo D,
+      which finds d1 ... dr.
 
     Modulo m the elimination finds gcd(di, m) = di, except that a di equal
     to m reads as 0 and is padded back as m; m = 1 needs no elimination.
@@ -247,7 +248,10 @@ def smith_normal_form(mat: IntMatrix) -> SNFResult:
 def _snf_factors(rows: list[tuple[int, ...]]) -> tuple[int, ...]:
     """The invariant factors of a matrix given by its nonzero rows, in order: the one
     route of smith_normal_form, which chain_homology takes with the rows it has found."""
-    rows = [col for col in zip(*rows) if any(col)]
+    if len(rows) > 1:
+        rows = [col for col in zip(*rows) if any(col)]
+    if len(rows) == 1:  # one row or column: rank 1, d1 its gcd (_diagonalize's exit at t = 0)
+        return (gcd(*rows[0]),)
     rank, det, g = _rank_and_minor(rows)
     if rows and rank == len(rows) == len(rows[0]):
         head = _modulo(rows, g, rank - 1)
@@ -257,14 +261,14 @@ def _snf_factors(rows: list[tuple[int, ...]]) -> tuple[int, ...]:
 
 def _modulo(rows: Sequence[Sequence[int]], m: int, count: int) -> list[int]:
     """The first count invariant factors of rows, all dividing m, by elimination modulo m."""
-    return ((_diagonalize(rows, m) if m > 1 else []) + [m] * count)[:count]
+    return ((_diagonalize(rows, m, count) if m > 1 else []) + [m] * count)[:count]
 
 
-def _diagonalize(rows: Sequence[Sequence[int]], m: int) -> list[int]:
-    """The diagonal of the SNF of rows modulo m > 1: gcd(di, m) for each
-    invariant factor di that m does not divide, in order; once one row or
-    column is left, the gcd of m and its unreduced entries ends the list, m
-    if m divides them all, which the other exits omit: _modulo pads alike.
+def _diagonalize(rows: Sequence[Sequence[int]], m: int, count: int) -> list[int]:
+    """The first count > 0 entries of the diagonal of the SNF of rows modulo
+    m > 1, gcd(di, m) for each invariant factor di in order; fewer if the
+    block left is 0 modulo m, and _modulo pads with m.  After count - 1
+    pivots, each dividing the block left, its gcd with m ends the list.
 
     The remaining block is reduced to residues of size at most m/2 at each
     new diagonal position, and its smallest nonzero entry is the pivot.  Its column is
@@ -280,9 +284,7 @@ def _diagonalize(rows: Sequence[Sequence[int]], m: int) -> list[int]:
     k, n = len(a), len(rows[0]) if rows else 0
     half = m // 2
     factors: list[int] = []
-    for t in range(min(k, n)):
-        if t == k - 1 or t == n - 1:  # one row or column left: its gcd with m ends the chain
-            return factors + [gcd(m, *(v for row in a[t:] for v in row[t:]))]
+    for t in range(count - 1):
         a[t:] = [[(v + half) % m - half for v in row] for row in a[t:]]
         sizes = [abs(v) for row in a[t:] for v in row[t:]]
         best = min(filter(None, sizes), default=0)
@@ -328,7 +330,7 @@ def _diagonalize(rows: Sequence[Sequence[int]], m: int) -> list[int]:
             a[t] = [x + y for x, y in zip(top, bad)]
             pivot = (t, t)
         factors.append(g)
-    return factors
+    return factors + [gcd(m, *(v for row in a[count - 1:] for v in row[count - 1:]))]
 
 
 def _rank_and_minor(rows: Sequence[Sequence[int]]) -> tuple[int, int, int]:

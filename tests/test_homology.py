@@ -311,22 +311,33 @@ def test_conjugated_complexes_with_three_coprime_moduli(hang_guard):
         assert g.euler_characteristic == 2 - 2 * 2 + 2
 
 
-def test_chain_homology_eliminates_only_nonzero_boundaries(monkeypatch):
-    # A spy on the one fraction-free pass: the handle complex of a trivial or free pi1
-    # has four zero boundaries, and none is eliminated; one cyclic factor gives d2 and
-    # d3 of rank 1, and each is eliminated once.
+def spy_on_the_fraction_free_pass(monkeypatch) -> list:
+    """The rows of each call of _rank_and_minor from now on, in a list."""
     calls = []
     rank_and_minor = homology._rank_and_minor
     monkeypatch.setattr(homology, "_rank_and_minor",
                         lambda rows: calls.append(rows) or rank_and_minor(rows))
+    return calls
+
+
+def test_chain_homology_eliminates_only_nonzero_boundaries(monkeypatch):
+    # A spy on the one fraction-free pass, counts for b2 = 0, 1 and 4: the handle complex
+    # of a trivial or free pi1 has four zero boundaries, and none is eliminated.  One
+    # cyclic factor and no free rank gives d2 one row and d3 one column, answered by their
+    # gcds; with free rank 2 the conjugation spreads its rank-1 d2 and d3 over several
+    # rows and columns, which seed 38 makes two lines or more in all but one d3.  Two
+    # cyclic factors give d2 and d3 of rank 2, each eliminated once.
+    calls = spy_on_the_fraction_free_pass(monkeypatch)
     rng = random.Random(38)
-    for pi1, eliminated in [(Pi1Descriptor(), 0), (Pi1Descriptor(3, ()), 0),
-                            (Pi1Descriptor(0, ((3, 2),)), 2), (Pi1Descriptor(2, ((5, 1),)), 2)]:
-        for b2 in (0, 1, 4):
+    for pi1, eliminated in [(Pi1Descriptor(), [0, 0, 0]), (Pi1Descriptor(3, ()), [0, 0, 0]),
+                            (Pi1Descriptor(0, ((3, 2),)), [0, 0, 0]),
+                            (Pi1Descriptor(2, ((5, 1),)), [2, 1, 2]),
+                            (Pi1Descriptor(0, ((3, 1), (5, 1))), [2, 2, 2])]:
+        for b2, count in zip((0, 1, 4), eliminated):
             spec = ManifoldSpec(pi1, b2, True)
             calls.clear()
             assert chain_homology(handle_complex(rng, spec)) == homology_of_manifold(spec)
-            assert len(calls) == eliminated, (spec, len(calls))
+            assert len(calls) == count, (spec, len(calls))
     monkeypatch.undo()
     # Line events in gauge4 frames, not a clock: the all-zero complex of S^4 costs
     # fewer than 120, and a larger all-zero complex one more per boundary row, the
@@ -339,14 +350,56 @@ def test_chain_homology_eliminates_only_nonzero_boundaries(monkeypatch):
     assert once < 120 and grown - once <= rows[1] - rows[0], (once, grown)
 
 
-def test_one_row_or_column_left_ends_the_diagonal_with_its_gcd_with_m():
-    # The gcd of m and the entries as given: m when m divides them all, where the
-    # other exits return nothing; _modulo pads both to the same list.
-    assert homology._diagonalize([[6, -12, 18]], 6) == [6]
-    assert homology._diagonalize([[4], [10]], 6) == [2]
-    assert homology._diagonalize([[1, 0], [0, 12], [0, 6]], 6) == [1, 6]
-    assert homology._diagonalize([[2, 0], [0, 0]], 4) == [2]
+def test_one_line_boundaries_are_answered_by_their_gcd_in_line_events_linear_in_columns(
+        monkeypatch):
+    # Line events in gauge4 frames, not a clock.  The torsion complex of Z/9 at b2 has d2
+    # one row and d3 one column, b2 + 2 long: neither reaches the fraction-free pass, and
+    # each added column costs one event, d3's row in the scan for nonzero rows (148 events
+    # at b2 = 4, 544 at b2 = 400).  Sending one-line boundaries to the fraction-free pass
+    # costs about 2.4 events per column and fails both gates.
+    calls = spy_on_the_fraction_free_pass(monkeypatch)
+    rng = random.Random(40)
+    small, large = (handle_complex(rng, ManifoldSpec(Pi1Descriptor(0, ((3, 2),)), b2, True))
+                    for b2 in (4, 400))
+    assert [b.cols for b in small[1:3]] == [6, 1] and [b.rows for b in large[1:3]] == [1, 402]
+    once, grown = line_events(chain_homology, small), line_events(chain_homology, large)
+    assert once < 160 and grown - once <= 402 - 6, (once, grown)
+    assert len(calls) == 0, calls
+    monkeypatch.undo()
+    assert chain_homology(large) == homology_of_manifold(ManifoldSpec(
+        Pi1Descriptor(0, ((3, 2),)), 400, True))
+
+
+def test_the_last_factor_asked_for_is_the_gcd_of_m_and_the_block_left():
+    # After count - 1 pivots, the gcd of m and the entries left as they stand, m when m
+    # divides them all, where the zero-block exit returns nothing; _modulo pads both to
+    # the same list.
+    assert homology._diagonalize([[6, -12, 18]], 6, 1) == [6]
+    assert homology._diagonalize([[4], [10]], 6, 1) == [2]
+    assert homology._diagonalize([[1, 0], [0, 12], [0, 6]], 6, 2) == [1, 6]
+    assert homology._diagonalize([[2, 0], [0, 0]], 4, 1) == [2]
     assert homology._modulo([[6, -12, 18]], 6, 1) == homology._modulo([[0, 0, 0]], 6, 1) == [6]
+    # The trailing route asks for n - 1 factors modulo g and takes no pivot step for
+    # the last: diag(2, 3, 9) has g = 6, d1 = 1 and d2 = gcd(6, the 2 x 2 block left) = 3.
+    assert homology._diagonalize([[2, 0, 0], [0, 3, 0], [0, 0, 9]], 6, 2) == [1, 3]
+    assert homology._diagonalize([[2, 4], [6, 8]], 8, 1) == [2]
+    # A block that is 0 modulo m before the last factor ends the list early.
+    assert homology._diagonalize([[4, 0], [0, 8]], 4, 2) == []
+    assert homology._modulo([[4, 0], [0, 8]], 4, 2) == [4, 4]
+
+
+def test_one_line_and_rank_one_box(hang_guard):
+    # Every 1 x n and n x 1 matrix over [-3, 3] for n <= 4, 5 600 in all, and every
+    # rank-1 product u v^T with u, v in [-2, 2]^3, 15 625 more: each has one invariant
+    # factor, the gcd of its entries, or none when it is zero.
+    box = [(v,) for n in range(1, 5) for v in product(range(-3, 4), repeat=n)]
+    box += [tuple((x,) for x in v) for n in range(1, 5) for v in product(range(-3, 4), repeat=n)]
+    assert len(box) == 5600
+    cube = list(product(range(-2, 3), repeat=3))
+    box += [tuple(tuple(x * y for y in v) for x in u) for u in cube for v in cube]
+    for rows in box:
+        d1 = gcd(*(v for row in rows for v in row))
+        assert smith_normal_form(IntMatrix.from_rows(rows)) == (((d1,), 1) if d1 else ((), 0)), rows
 
 
 def test_snf_invariant_under_transpose():
