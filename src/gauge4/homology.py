@@ -247,10 +247,11 @@ def smith_normal_form(mat: IntMatrix) -> SNFResult:
 
 def _snf_factors(rows: list[tuple[int, ...]]) -> tuple[int, ...]:
     """The invariant factors of a matrix given by its nonzero rows, in order: the one
-    route of smith_normal_form, which chain_homology takes with the rows it has found."""
+    route of smith_normal_form, which chain_homology takes with the rows it has found.
+    One row or column has rank 1 and is answered by its gcd, _diagonalize's exit at t = 0."""
     if len(rows) > 1:
         rows = [col for col in zip(*rows) if any(col)]
-    if len(rows) == 1:  # one row or column: rank 1, d1 its gcd (_diagonalize's exit at t = 0)
+    if len(rows) == 1:
         return (gcd(*rows[0]),)
     rank, det, g = _rank_and_minor(rows)
     if rows and rank == len(rows) == len(rows[0]):
@@ -260,7 +261,7 @@ def _snf_factors(rows: list[tuple[int, ...]]) -> tuple[int, ...]:
 
 
 def _modulo(rows: Sequence[Sequence[int]], m: int, count: int) -> list[int]:
-    """The first count invariant factors of rows, all dividing m, by elimination modulo m."""
+    """The first count invariant factors of rows, all dividing m: _diagonalize's, padded with m."""
     return ((_diagonalize(rows, m, count) if m > 1 else []) + [m] * count)[:count]
 
 
