@@ -25,11 +25,6 @@ lists; a pair argument needs at least 2 seeds and a ``--traced`` one at
 least 1, checked before any checkout or run.  A run that is not correct,
 or a pair whose sides differ in ``attempted`` or ``failed``, ends the
 script with exit status 1 and no file written.
-
-``--bench-from REV`` runs one benchmark on both sides: before any run,
-``bench/`` and ``BENCHMARK.json`` of REV replace those of both checkouts,
-and the file records REV's ``bench`` tree as ``bench_tree``.  Without it
-each side runs its own ``bench/``.
 """
 
 from __future__ import annotations
@@ -39,7 +34,6 @@ import io
 import json
 import os
 import platform
-import shutil
 import statistics
 import subprocess
 import sys
@@ -173,8 +167,6 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True)
     parser.add_argument("--out", required=True)
-    parser.add_argument("--bench-from", metavar="REV",
-                        help="run REV's bench/ and BENCHMARK.json on both sides")
     # a pair's quartiles need two seeds; a traced median needs one
     parser.add_argument("--traced", action="append", default=[],
                         type=workload_seeds(1, "a traced entry"), metavar="WORKLOAD=SEEDS")
@@ -186,13 +178,6 @@ def main() -> None:
         dirs = {side: Path(tmp, side) for side in SIDES}
         for side in SIDES:
             checkout(revs[side], dirs[side])
-        if args.bench_from:
-            bench = Path(tmp, "bench-from")
-            checkout(args.bench_from, bench)
-            for side in SIDES:
-                shutil.rmtree(dirs[side] / "bench")
-                shutil.copytree(bench / "bench", dirs[side] / "bench")
-                shutil.copyfile(bench / "BENCHMARK.json", dirs[side] / "BENCHMARK.json")
         spec = json.loads((dirs["change"] / "BENCHMARK.json").read_text())
         doc = {
             "command": " ".join(argv(spec, "W", "S", 0)),
@@ -202,8 +187,6 @@ def main() -> None:
             "workloads": {},
             "traced": {},
         }
-        if args.bench_from:
-            doc["bench_tree"] = git("rev-parse", f"{args.bench_from}:bench").decode().strip()
         for workload, seed_list in args.pairs:
             runs, first = alternating(spec, dirs, workload, seed_list, 0)
             doc["workloads"][workload] = {

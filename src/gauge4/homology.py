@@ -223,9 +223,9 @@ class SNFResult(tuple):
 def smith_normal_form(mat: IntMatrix) -> SNFResult:
     """Invariant factors d1 | d2 | ... of an integer matrix, and its rank.
 
-    Zero rows and columns are dropped, and the rest transposed (same SNF).
-    A rest of one row or column has rank 1 and d1 the gcd of its entries.
-    Otherwise one fraction-free pass, ``_rank_and_minor``, gives the rank r,
+    Zero rows are dropped; a rest of one row or one column has rank 1 and d1
+    the gcd of its entries.  Only a rest of two or more rows is transposed,
+    without its zero columns (same SNF).  Otherwise one fraction-free pass, ``_rank_and_minor``, gives the rank r,
     D = |M| for a nonzero r x r minor M, a multiple of d1 ... dr, and g.
     Then one of two routes, each an elimination modulo a number m, which
     bounds every entry by m/2 (Kannan–Bachem 1979; Cohen, *A Course in

@@ -1,7 +1,6 @@
 """scripts/bench_pairs.py writes no results file from runs that are wrong or
-that do not pair, says of each metric's gap whether it is wider than the
-parent's spread, and runs one benchmark on both sides when asked: canned runs
-and checkouts stand in for the benchmark and git."""
+that do not pair, and says of each metric's gap whether it is wider than the
+parent's spread: canned runs stand in for the benchmark."""
 
 import importlib.util
 import json
@@ -116,43 +115,3 @@ def test_a_gap_is_resolved_only_past_the_parents_interquartile_range(capsys):
         "census latency_p50_us: median gap -1.5 us (-12.5%), parent IQR 2, not resolved, "
         "change won 4 of 5, no gain",
     ]
-
-
-@pytest.mark.parametrize("bench_from", [None, "HEAD~3"])
-def test_bench_from_runs_one_benchmark_on_both_sides(tmp_path, monkeypatch, bench_from):
-    # Each canned checkout names its revision in bench/, in a file of its own and in
-    # BENCHMARK.json; each run reads back what its side's directory holds then.
-    def checkout(rev, into):
-        (into / "bench").mkdir(parents=True)
-        (into / "bench" / "rev").write_text(rev)
-        (into / "bench" / rev).write_text("")
-        (into / "BENCHMARK.json").write_text(json.dumps({**SPEC, "rev": rev}))
-
-    seen = []
-
-    def run(spec, cwd, workload, seed, trace):
-        seen.append((cwd.name, (cwd / "bench" / "rev").read_text(),
-                     tuple(sorted(f.name for f in (cwd / "bench").iterdir())), spec["rev"],
-                     json.loads((cwd / "BENCHMARK.json").read_text())["rev"]))
-        return canned()
-
-    monkeypatch.setattr(bench_pairs, "checkout", checkout)
-    monkeypatch.setattr(bench_pairs, "git", lambda *args: f"tree of {args[-1]}\n".encode())
-    monkeypatch.setattr(bench_pairs, "run", run)
-    out = tmp_path / "BENCH.json"
-    flag = ["--bench-from", bench_from] if bench_from else []
-    monkeypatch.setattr(sys, "argv", ["bench_pairs.py", "--parent", "HEAD~1", "--out", str(out),
-                                      *flag, "exact=1-2"])
-    bench_pairs.main()
-    doc = json.loads(out.read_text())
-    if bench_from:
-        # REV's bench/ replaces each side's whole: no file of the side's own is left.
-        assert sorted(set(seen)) == [
-            (side, "HEAD~3", ("HEAD~3", "rev"), "HEAD~3", "HEAD~3")
-            for side in ("change", "parent")]
-        assert doc["bench_tree"] == "tree of HEAD~3:bench"
-    else:
-        assert sorted(set(seen)) == [("change", "HEAD", ("HEAD", "rev"), "HEAD", "HEAD"),
-                                     ("parent", "HEAD~1", ("HEAD~1", "rev"), "HEAD", "HEAD~1")]
-        assert "bench_tree" not in doc
-    assert len(seen) == 4 and doc["workloads"]["exact"]["seeds"] == [1, 2]
