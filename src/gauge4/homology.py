@@ -225,11 +225,11 @@ def smith_normal_form(mat: IntMatrix) -> SNFResult:
 
     Zero rows are dropped; a rest of one row or one column has rank 1 and d1
     the gcd of its entries.  Only a rest of two or more rows is transposed,
-    without its zero columns (same SNF).  Otherwise one fraction-free pass, ``_rank_and_minor``, gives the rank r,
-    D = |M| for a nonzero r x r minor M, a multiple of d1 ... dr, and g.
-    Then one of two routes, each an elimination modulo a number m, which
-    bounds every entry by m/2 (Kannan–Bachem 1979; Cohen, *A Course in
-    Computational Algebraic Number Theory*, 2.4):
+    without its zero columns (same SNF).  Otherwise ``_rank_and_minor``, one
+    fraction-free pass, gives the rank r, D = |M| for a nonzero r x r minor
+    M, a multiple of d1 ... dr, and g.  Then one of two routes, each an
+    elimination modulo a number m, which bounds every entry by m/2
+    (Kannan–Bachem 1979; Cohen, *A Course in Computational Algebraic Number Theory*, 2.4):
 
     - a square nonsingular rest, n x n, takes the trailing-minor route: g
       is a multiple of d1 ... d(n-1) dividing D, so modulo g the
