@@ -21,8 +21,6 @@ through ``check_limit``, which the command line reports as a one-line
 ``error:`` with exit code 2.
 """
 
-from __future__ import annotations
-
 #: The largest integer whose primality is decided, or whose divisors are counted.
 MAX_MODULUS = 2**64
 #: The most copies of wedge summands or loop factors an answer writes out, as

@@ -27,8 +27,6 @@ only exists after stabilization, so verdicts there compare the stabilized
 gauge groups and say so.
 """
 
-from __future__ import annotations
-
 from math import gcd, prod
 
 from .arith import check_limit, is_prime

@@ -19,8 +19,6 @@ negative number as a value; only ``--flag=--`` differs, read as the value ``--``
 The --help text is laid out for 80 columns, whatever the terminal's width.
 """
 
-from __future__ import annotations
-
 import os
 import sys
 from types import SimpleNamespace

@@ -28,8 +28,6 @@ stabilized manifold; a symbolic d keeps only the d-independent count in
 the S^3 block, which renders as (S^3)^{n+2d}.
 """
 
-from __future__ import annotations
-
 from itertools import groupby
 
 from .manifold import ManifoldSpec, Pi1Kind, classify_pi1

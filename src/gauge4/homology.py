@@ -13,8 +13,6 @@ factors are, which factor refinement finds, so Z/6 equals Z/2 + Z/3
 though their representations differ.
 """
 
-from __future__ import annotations  # so Iterable and Sequence need no collections.abc
-
 from math import gcd, prod
 from operator import itemgetter, mul
 
@@ -46,7 +44,7 @@ class GradedAbelianGroup(Value):
 
     __slots__ = ("groups",)
 
-    def __init__(self, groups: Sequence[tuple[int, Iterable[int]]]) -> None:
+    def __init__(self, groups: "Sequence[tuple[int, Iterable[int]]]") -> None:
         if len(groups) != MAX_DEGREE + 1:
             raise ValueError(f"expected {MAX_DEGREE + 1} degrees, got {len(groups)}")
         fixed = []
@@ -64,7 +62,7 @@ class GradedAbelianGroup(Value):
         self._set(tuple(fixed))
 
     @classmethod
-    def _as_given(cls, groups: Sequence[tuple[int, tuple]]) -> "GradedAbelianGroup":
+    def _as_given(cls, groups: "Sequence[tuple[int, tuple]]") -> "GradedAbelianGroup":
         """The group as given: each torsion must be sorted entries above 1 already."""
         g = cls.__new__(cls)
         g._set(tuple(groups))
@@ -177,7 +175,7 @@ class IntMatrix(Value):
 
     __slots__ = ("rows", "cols", "entries")
 
-    def __init__(self, rows: int, cols: int, entries: Sequence[Sequence[int]]) -> None:
+    def __init__(self, rows: int, cols: int, entries: "Sequence[Sequence[int]]") -> None:
         integer(rows, "matrix rows", 0)
         integer(cols, "matrix columns", 0)
         entries = tuple(map(tuple, entries))
@@ -191,7 +189,7 @@ class IntMatrix(Value):
         self._set(rows, cols, entries)
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]], cols: int | None = None) -> "IntMatrix":
+    def from_rows(cls, rows: "Sequence[Sequence[int]]", cols: int | None = None) -> "IntMatrix":
         if cols is None:
             cols = len(rows[0]) if rows else 0
         return cls(len(rows), cols, rows)
@@ -207,7 +205,7 @@ class SNFResult(tuple):
 
     __slots__ = ()
 
-    def __new__(cls, invariant_factors: tuple[int, ...], rank: int) -> SNFResult:
+    def __new__(cls, invariant_factors: tuple[int, ...], rank: int) -> "SNFResult":
         return tuple.__new__(cls, (invariant_factors, rank))
 
     def __getnewargs__(self) -> tuple:  # copy and pickle build it again from both items
@@ -260,12 +258,12 @@ def _snf_factors(rows: list[tuple[int, ...]]) -> tuple[int, ...]:
     return tuple(_modulo(rows, det, rank))
 
 
-def _modulo(rows: Sequence[Sequence[int]], m: int, count: int) -> list[int]:
+def _modulo(rows: "Sequence[Sequence[int]]", m: int, count: int) -> list[int]:
     """The first count invariant factors of rows, all dividing m: _diagonalize's, padded with m."""
     return ((_diagonalize(rows, m, count) if m > 1 else []) + [m] * count)[:count]
 
 
-def _diagonalize(rows: Sequence[Sequence[int]], m: int, count: int) -> list[int]:
+def _diagonalize(rows: "Sequence[Sequence[int]]", m: int, count: int) -> list[int]:
     """The first count > 0 entries of the diagonal of the SNF of rows modulo
     m > 1, gcd(di, m) for each invariant factor di in order; fewer if the
     block left is 0 modulo m, and _modulo pads with m.  After count - 1
@@ -334,7 +332,7 @@ def _diagonalize(rows: Sequence[Sequence[int]], m: int, count: int) -> list[int]
     return factors + [gcd(m, *(v for row in a[count - 1:] for v in row[count - 1:]))]
 
 
-def _rank_and_minor(rows: Sequence[Sequence[int]]) -> tuple[int, int, int]:
+def _rank_and_minor(rows: "Sequence[Sequence[int]]") -> tuple[int, int, int]:
     """Rank r of an integer matrix, |M| for a nonzero r x r minor M, and g.
 
     Fraction-free (Bareiss) elimination: after k pivots every entry it
@@ -367,7 +365,7 @@ def _rank_and_minor(rows: Sequence[Sequence[int]]) -> tuple[int, int, int]:
 # chain complexes
 
 
-def chain_homology(boundaries: Sequence[IntMatrix]) -> GradedAbelianGroup:
+def chain_homology(boundaries: "Sequence[IntMatrix]") -> GradedAbelianGroup:
     """Homology of a chain complex given by boundary matrices [d1, ..., dN].
 
     ``boundaries[k-1]`` is the degree-k boundary map C_k -> C_{k-1}, stored

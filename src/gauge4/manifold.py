@@ -8,8 +8,6 @@ number, and whether the suspended attaching map of the top cell is trivial
 constructors accept ``spin=`` as an alias).
 """
 
-from __future__ import annotations
-
 from .arith import prime_power
 from .terms import SYMBOLIC, TermError, check_stabilization
 from .value import Value, decimal, digits, integer
@@ -64,7 +62,7 @@ class Pi1Kind:
 
     __slots__ = ("name", "value")
 
-    def __new__(cls, value: object) -> Pi1Kind:
+    def __new__(cls, value: object) -> "Pi1Kind":
         for kind in PI1_KINDS:
             if value is kind or value == kind.value:
                 return kind

@@ -32,8 +32,6 @@ read the same pair, so no factor is built to write a splitting.
 gauge group instead, named ``S4`` or ``CP2``.
 """
 
-from __future__ import annotations  # so Iterable and Sequence need no collections.abc
-
 from .arith import MAX_COPIES
 from .value import Value, decimal, digits, integer
 
@@ -87,14 +85,14 @@ class Wedge(Value):
 
     __slots__ = ("blocks",)
 
-    def __init__(self, blocks: Iterable[tuple[SpaceTerm, int]]) -> None:
+    def __init__(self, blocks: "Iterable[tuple[SpaceTerm, int]]") -> None:
         self._set(_merge(blocks, (Sphere, Moore, SuspCP2, Wedge), "space term"))
 
 
 SpaceTerm = Sphere | Moore | SuspCP2 | Wedge
 
 
-def _atom_key(term: Sphere | Moore | SuspCP2 | LoopFactor) -> tuple[int, int, int]:
+def _atom_key(term: "Sphere | Moore | SuspCP2 | LoopFactor") -> tuple[int, int, int]:
     """The one order of summands: top dimension down; at equal dimension
     spheres, then Moore spaces by modulus, then SCP^2; loop factors by order
     down, O^kG before O^kG{q}, by q.  Loop order n - 1 grows with n, so
@@ -105,7 +103,7 @@ def _atom_key(term: Sphere | Moore | SuspCP2 | LoopFactor) -> tuple[int, int, in
     return _ATOMS[term.__class__][0](term)
 
 
-def _merge(blocks: Iterable[tuple[SpaceTerm | LoopFactor, int]], kinds: tuple[type, ...],
+def _merge(blocks: "Iterable[tuple[SpaceTerm | LoopFactor, int]]", kinds: tuple[type, ...],
            what: str) -> tuple:
     """Blocks in normal form, in one pass: each term's class must be one of
     kinds (else TermError naming what) and each count an int >= 0 (else TermError);
@@ -148,7 +146,7 @@ def normalize(term: SpaceTerm) -> SpaceTerm:
     return term
 
 
-def wedge(parts: Iterable[SpaceTerm]) -> SpaceTerm:
+def wedge(parts: "Iterable[SpaceTerm]") -> SpaceTerm:
     """Normalized wedge sum of any iterable of terms, one copy each."""
     return normalize(Wedge((part, 1) for part in parts))
 
@@ -190,7 +188,7 @@ class GaugeExpr(Value):
 
     __slots__ = ("base", "t", "blocks", "stabilization")
 
-    def __init__(self, base: str, t: int, blocks: Sequence[tuple[LoopFactor, int]] = (),
+    def __init__(self, base: str, t: int, blocks: "Sequence[tuple[LoopFactor, int]]" = (),
                  stabilization: Stabilization = 0) -> None:
         if base not in _BASE_NAMES:
             raise TermError(f"gauge base must be S4 or CP2, got {base!r}")
@@ -285,7 +283,7 @@ def render(obj: SpaceTerm | GaugeExpr | LoopFactor) -> str:
 
 
 def product_parts(parts: list[str], base: str, t: int,
-                  pieces: Sequence[tuple[str, int]]) -> list[str]:
+                  pieces: "Sequence[tuple[str, int]]") -> list[str]:
     """parts with ``G_t(base) x ...`` appended, in pieces, from the (text,
     count) pieces block_pieces writes for the factors.  The one writer of a
     product, for a GaugeExpr and a gauge half alike."""
@@ -296,7 +294,7 @@ def product_parts(parts: list[str], base: str, t: int,
 
 
 def block_pieces(
-    blocks: Sequence[tuple[SpaceTerm | LoopFactor, int]],
+    blocks: "Sequence[tuple[SpaceTerm | LoopFactor, int]]",
     stable: Sphere | LoopFactor | None = None,
     column: int = TEXT,
 ) -> list[tuple[str, int]]:
@@ -326,7 +324,7 @@ def block_pieces(
 COPIES_PER_PART = 4096
 
 
-def join_blocks(parts: list[str], pieces: Sequence[tuple[str, int]], sep: str) -> list[str]:
+def join_blocks(parts: list[str], pieces: "Sequence[tuple[str, int]]", sep: str) -> list[str]:
     """parts with the text of each (text, count) piece ``count`` times,
     joined by ``sep``, appended: a piece of k > 1 copies as k - 1 copies of
     text and sep, COPIES_PER_PART of them to one str object appended as

@@ -178,8 +178,9 @@ print("\\n".join(loaded))
 """
 
 #: The standard-library modules ``import gauge4`` loads beyond a bare interpreter's: no
-#: regular expression, enum, named tuple or Counter is built at import.
-_LIBRARY_IMPORTS = {"__future__", "_operator", "itertools", "math", "operator"}
+#: regular expression, enum, named tuple or Counter is built at import, and no module
+#: loads __future__ (an annotation that names what is not yet defined is a string).
+_LIBRARY_IMPORTS = {"_operator", "itertools", "math", "operator"}
 #: The modules ``import gauge4.cli`` loads beyond those of ``import gauge4``: itself, os
 #: (and the _collections_abc it reads) for the exit of a query whose reader has gone, and
 #: types for SimpleNamespace.  No option parser, so neither its translations (gettext,
