@@ -5,14 +5,14 @@ the suspension of M splits as a wedge of spheres, Moore spaces and (for a
 nontrivial top-cell attaching map) one copy of SCP^2.  Each wedge summand
 beyond the base contributes a pointed mapping space into the structure
 group, so the gauge group G_t(M) splits as a product of a base gauge group
-— over S^4 or CP^2 — and loop factors.  This module builds both halves and
-keeps them in correspondence.
+— over S^4 or CP^2 — and loop factors.  This module builds the splitting
+and writes both halves from it.
 
 A splitting is stored once, as its normalized wedge, whose (summand,
 count) blocks are in display order; equal cyclic factors of pi1 enter as
 one Moore block per dimension, and no block of count 0 is entered.  The
-gauge product is read off the blocks through map_space; its text and
---json are written from the blocks and terms.loop_pair, with no loop factor built.
+gauge product is not stored: its text and --json are written from the
+blocks, the loop factor of each summand after the base from terms.loop_pair.
 An answer, in text or in --json, is one list of string parts: fixed heads,
 and per repeated block one string repeat appended by terms.join_blocks, by
 splitting_parts for the text and by the CLI for --json.
@@ -32,26 +32,22 @@ from itertools import groupby
 
 from .manifold import ManifoldSpec, Pi1Kind, classify_pi1
 from .terms import (
+    BASE_NAMES,
     FACTOR_TEXT,
     GAUGE_BASE,
     SCP2,
     SPHERE,
     SYMBOLIC,
-    GaugeExpr,
-    LoopFactor,
     Moore,
     SpaceTerm,
     Stabilization,
-    TermError,
     Wedge,
     block_pieces,
     blocks,
     check_stabilization,
     join_blocks,
     loop_pair,
-    map_space,
     normalize,
-    product_parts,
 )
 from .value import Value, integer
 
@@ -89,30 +85,18 @@ class Decomposition(Value):
             bases = [block for block in parts if block[0] in GAUGE_BASE]
             if len(bases) != 1 or bases[0][1] != 1:
                 raise DecompositionError("a splitting needs exactly one base summand")
-            # one base of count 1, after a summand outside the domain or before one,
-            # which map_space refuses with the line given
+            # one base of count 1, so the rest holds no base, and a summand outside the
+            # domain at one end of it: the first such end is named
             rest = [block for block in parts if block is not bases[0]]
-            try:
-                for atom, _ in rest[:1] + rest[-1:]:
-                    map_space(atom)
-            except TermError as exc:
-                raise DecompositionError(f"summand outside the correspondence: {exc}") from None
+            atom = next(atom for atom, _ in rest[:1] + rest[-1:] if not loop_pair(atom))
+            raise DecompositionError(
+                f"summand outside the correspondence: no loop factor for summand: {atom!r}")
         self._set(susp, t, stabilization, case_used)
 
     @property
     def blocks(self) -> tuple[tuple[SpaceTerm, int], ...]:
         """The (wedge summand, count) blocks, base first, in display order."""
         return blocks(self.suspension)
-
-    @property
-    def factors(self) -> list[tuple[LoopFactor, int]]:
-        """(Map*(summand, G), count) per non-base block, in normal form as it comes."""
-        return [(map_space(atom), count) for atom, count in self.blocks[1:]]
-
-    @property
-    def gauge(self) -> GaugeExpr:
-        """The corresponding product G_t(base) x Map*(summand, G) x ..."""
-        return GaugeExpr(self.base, self.t, self.factors, self.stabilization)
 
     @property
     def base(self) -> str:
@@ -162,12 +146,6 @@ def _assemble(spec: ManifoldSpec, t: int, stabilization: Stabilization, kind: Pi
     return Decomposition(Wedge(blocks), t, stabilization, kind)
 
 
-def gauge_from_suspension(susp: SpaceTerm, t: int) -> GaugeExpr:
-    """Read a gauge-group product off an already-split suspension: the gauge
-    half of the splitting it is, refused as Decomposition refuses it."""
-    return Decomposition(susp, t, 0, Pi1Kind.TRIVIAL).gauge  # gauge reads no case
-
-
 # --------------------------------------------------------------------------
 # rendering
 
@@ -180,14 +158,19 @@ def render_decomposition(dec: Decomposition) -> str:
 def splitting_parts(dec: Decomposition, gauge: bool) -> list[str]:
     """The parts of ``SM = ...``, or of the stabilized ``S(M #_d(S^2xS^2)) = ...``;
     with gauge, then of ``; G_t(M) = ...``, or ``; G_t(M) x (O^2G)^{2d} ~ ...``.
-    Both halves are written from the splitting's blocks, the gauge half from
-    the loop-factor text of each summand after the base."""
+    Both halves are written from the splitting's blocks, the gauge half, the
+    product ``G_t(base) x ...``, from the loop-factor text of each summand
+    after the base."""
     t, stab, blocks = dec.t, dec.stabilization, dec.blocks
-    stable = SPHERE[3] if stab == SYMBOLIC else None
-    parts = ["SM = " if stab == 0 else f"S(M #_{'d' if stab == SYMBOLIC else stab}(S^2xS^2)) = "]
-    join_blocks(parts, block_pieces(blocks, stable), " v ")
+    symbolic = stab == SYMBOLIC
+    parts = ["SM = " if stab == 0 else f"S(M #_{'d' if symbolic else stab}(S^2xS^2)) = "]
+    join_blocks(parts, block_pieces(blocks, symbolic), " v ")
     if gauge:
-        power = "{2d}" if stab == SYMBOLIC else 2 * stab
+        power = "{2d}" if symbolic else 2 * stab
         parts.append(f"; G_{t}(M) = " if stab == 0 else f"; G_{t}(M) x (O^2G)^{power} ~ ")
-        product_parts(parts, dec.base, t, block_pieces(blocks[1:], stable, FACTOR_TEXT))
+        pieces = block_pieces(blocks[1:], symbolic, FACTOR_TEXT)
+        parts.append(f"G_{t}({BASE_NAMES[dec.base]})")
+        if pieces:  # pieces of blocks in normal form have no zero count
+            parts.append(" x ")
+        join_blocks(parts, pieces, " x ")
     return parts

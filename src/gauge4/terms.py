@@ -1,4 +1,4 @@
-"""Formal space terms for suspension splittings, and gauge-side product terms.
+"""Formal space terms for suspension splittings, and the text of their gauge side.
 
 The term language covers exactly the spaces that show up when a closed
 orientable 4-manifold is suspended: spheres ``S^n``, Moore spaces ``P^n(q)``
@@ -6,12 +6,12 @@ orientable 4-manifold is suspended: spheres ``S^n``, Moore spaces ``P^n(q)``
 suspended complex projective plane ``SCP^2``, and finite wedges of these; the
 one-point space ``pt`` is the empty wedge.
 
-On the gauge side, ``LoopFactor`` stands for an iterated loop space of the
-structure group ``G`` (``O^kG``), optionally the mod-``q`` variant ``O^kG{q}``
-given by pointed maps out of a Moore space, and ``GaugeExpr`` is a finite
-product of such factors over a base gauge group on ``S^4`` or ``CP^2``.
+On the gauge side, each wedge summand after the base gives a loop factor:
+an iterated loop space of the structure group ``G`` (``O^kG``), or its
+mod-``q`` variant ``O^kG{q}`` given by pointed maps out of a Moore space.
+No value stands for a loop factor; its text is written from the summand.
 
-Wedges and products are multisets of ``(term, count)`` blocks, built in
+Wedges are multisets of ``(term, count)`` blocks, built in
 one normal form (nested wedges flattened, merged, zero-free, sorted by
 ``_atom_key``), so no raw wedge exists: they compare by plain equality and
 cost the number of distinct terms, not of copies.  ``normalize`` only
@@ -21,15 +21,14 @@ Text is written as a list of string parts joined once.  ``block_pieces``
 gives the (text, count) piece of each block, from a text column of
 ``_ATOMS``; ``join_blocks`` appends the pieces, in string repeats of at most
 ``COPIES_PER_PART`` copies, after checking ``MAX_COPIES`` from the counts;
-``render`` joins what it and a head append.
+``render`` joins the parts once.
 
 ``loop_pair`` is the one rule between the two sides: a wedge summand of
 dimension n after the base gives ``Map*(S^n, G) = O^{n-1}G`` and
-``Map*(P^n(q), G) = O^{n-1}G{q}``.  ``map_space`` builds that factor, and the
-text column of ``_ATOMS``, the --json writer and the check of a splitting
-read the same pair, so no factor is built to write a splitting.
+``Map*(P^n(q), G) = O^{n-1}G{q}``.  The loop-factor text column of
+``_ATOMS``, the --json writer and the check of a splitting read that pair.
 ``GAUGE_BASE`` pairs each base summand, S^5 or SCP^2, with the base of the
-gauge group instead, named ``S4`` or ``CP2``.
+gauge group instead, named ``S4`` or ``CP2`` and written as ``BASE_NAMES`` says.
 """
 
 from .arith import MAX_COPIES
@@ -37,7 +36,7 @@ from .value import Value, decimal, digits, integer
 
 
 class TermError(ValueError):
-    """Malformed or out-of-domain space/gauge term."""
+    """Malformed or out-of-domain space term."""
 
 
 # --------------------------------------------------------------------------
@@ -86,43 +85,41 @@ class Wedge(Value):
     __slots__ = ("blocks",)
 
     def __init__(self, blocks: "Iterable[tuple[SpaceTerm, int]]") -> None:
-        self._set(_merge(blocks, (Sphere, Moore, SuspCP2, Wedge), "space term"))
+        self._set(_merge(blocks))
 
 
 SpaceTerm = Sphere | Moore | SuspCP2 | Wedge
 
 
-def _atom_key(term: "Sphere | Moore | SuspCP2 | LoopFactor") -> tuple[int, int, int]:
+def _atom_key(term: "Sphere | Moore | SuspCP2") -> tuple[int, int, int]:
     """The one order of summands: top dimension down; at equal dimension
-    spheres, then Moore spaces by modulus, then SCP^2; loop factors by order
-    down, O^kG before O^kG{q}, by q.  Loop order n - 1 grows with n, so
-    map_space keeps the order.  loop_pair's domain, S^4 through S^2, is an
-    interval of the summand order after both bases, so a sorted wedge lies in
-    it when its first and last summands do.  The keys are in _ATOMS, by exact
-    class."""
+    spheres, then Moore spaces by modulus, then SCP^2.  Loop order n - 1 grows
+    with n, so the loop factors of sorted summands are sorted too: by order
+    down, O^kG before O^kG{q}, by q.  loop_pair's domain, S^4 through S^2, is
+    an interval of the summand order after both bases, so a sorted wedge lies
+    in it when its first and last summands do.  The keys are in _ATOMS, by
+    exact class."""
     return _ATOMS[term.__class__][0](term)
 
 
-def _merge(blocks: "Iterable[tuple[SpaceTerm | LoopFactor, int]]", kinds: tuple[type, ...],
-           what: str) -> tuple:
-    """Blocks in normal form, in one pass: each term's class must be one of
-    kinds (else TermError naming what) and each count an int >= 0 (else TermError);
-    a nested wedge, in normal form already, gives its blocks, their counts
-    multiplied; zero blocks are dropped, equal atoms merged, and the blocks
-    sorted by _atom_key."""
-    # _atom_key is one-to-one on summands and on loop factors, so it is the
-    # merge key as well as the sort key.
+def _merge(blocks: "Iterable[tuple[SpaceTerm, int]]") -> tuple:
+    """Blocks in normal form, in one pass: each term must be a space term (else
+    TermError) and each count an int >= 0 (else TermError); a nested wedge, in
+    normal form already, gives its blocks, their counts multiplied; zero
+    blocks are dropped, equal atoms merged, and the blocks sorted by _atom_key."""
+    # _atom_key is one-to-one on summands, so it is the merge key as well as the sort key.
     merged: dict = {}
     for term, count in blocks:
-        if term.__class__ not in kinds:
-            raise TermError(f"not a {what}: {term!r}")
+        row = _ATOMS.get(term.__class__)  # an atom's row; None for a wedge
+        if row is None and term.__class__ is not Wedge:
+            raise TermError(f"not a space term: {term!r}")
         integer(count, "block count", 0, TermError)
-        if count and term.__class__ is Wedge:
+        if count and row is None:
             for atom, times in term.blocks:
                 key, n = _ATOMS[atom.__class__][0](atom), count * times  # _atom_key, inlined
                 merged[key] = (atom, merged[key][1] + n) if key in merged else (atom, n)
         elif count:
-            key = _ATOMS[term.__class__][0](term)
+            key = row[0](term)
             merged[key] = (term, merged[key][1] + count) if key in merged else (term, count)
     return tuple([merged[key] for key in sorted(merged)])
 
@@ -152,49 +149,13 @@ def wedge(parts: "Iterable[SpaceTerm]") -> SpaceTerm:
 
 
 # --------------------------------------------------------------------------
-# gauge-side terms
-
-
-class LoopFactor(Value):
-    """O^kG, or its mod-q variant O^kG{q} when a modulus is present."""
-
-    __slots__ = ("loop_order", "modulus")
-
-    def __init__(self, loop_order: int, modulus: int | None = None) -> None:
-        if not 1 <= integer(loop_order, "loop order", error=TermError) <= 3:
-            raise TermError(f"loop order must be 1..3, got {loop_order}")
-        if modulus is not None:
-            integer(modulus, "loop factor modulus", 2, TermError)
-        self._set(loop_order, modulus)
+# the gauge side
 
 
 #: Marker for a stabilization count left as the formal variable d.
 SYMBOLIC = "symbolic"
 
 Stabilization = int | str
-
-
-class GaugeExpr(Value):
-    """A product decomposition G_t(base) x (loop factors), possibly stabilized.
-
-    ``blocks`` are (loop factor, count) pairs, normalized on construction
-    as a wedge's are.  ``stabilization`` counts connected sums with
-    S^2 x S^2: 0 means the equivalence holds for the manifold itself, a
-    positive integer d means it holds after d stabilizations (and the
-    blocks already include the 2d extra copies of O^2G the stabilization
-    contributes on the right), and SYMBOLIC means d is kept as a formal
-    variable, in which case the blocks hold only the d-independent part.
-    """
-
-    __slots__ = ("base", "t", "blocks", "stabilization")
-
-    def __init__(self, base: str, t: int, blocks: "Sequence[tuple[LoopFactor, int]]" = (),
-                 stabilization: Stabilization = 0) -> None:
-        if base not in _BASE_NAMES:
-            raise TermError(f"gauge base must be S4 or CP2, got {base!r}")
-        integer(t, "bundle class t", error=TermError)
-        stabilization = check_stabilization(stabilization)
-        self._set(base, t, _merge(blocks, (LoopFactor,), "loop factor"), stabilization)
 
 
 def check_stabilization(d: Stabilization | None) -> Stabilization:
@@ -211,7 +172,7 @@ SCP2 = SuspCP2()
 #: The bases of a gauge group, the base summand each pairs with, and each base's name.
 S4, CP2 = "S4", "CP2"
 GAUGE_BASE = {SPHERE[5]: S4, SCP2: CP2}
-_BASE_NAMES = {S4: "S^4", CP2: "CP^2"}
+BASE_NAMES = {S4: "S^4", CP2: "CP^2"}
 
 
 def loop_pair(summand: SpaceTerm) -> tuple[int, int | None] | None:
@@ -223,15 +184,8 @@ def loop_pair(summand: SpaceTerm) -> tuple[int, int | None] | None:
     return None
 
 
-def _loop_text(order: int, modulus: int | None) -> str:
-    """The text of O^orderG, or of O^orderG{modulus}."""
-    return f"O^{order}G" if modulus is None else f"O^{order}G{{{modulus}}}"
-
-
 def _factor_text(summand: Sphere | Moore) -> str:
-    """The text of Map*(summand, G), for a summand in loop_pair's domain, as _loop_text
-    writes it; written out here, as it runs once per block written: through _loop_text a
-    1 000-factor render took 1.65-1.68 ms, not 1.53-1.61 (Python 3.11.7, 2 CPUs)."""
+    """The text of Map*(summand, G), O^kG or O^kG{q}, for a summand in loop_pair's domain."""
     order, modulus = loop_pair(summand)
     return f"O^{order}G" if modulus is None else f"O^{order}G{{{modulus}}}"
 
@@ -243,78 +197,47 @@ _ATOMS = {
     Sphere: (lambda s: (-s.dim, 0, 0), lambda s: f"S^{s.dim}", _factor_text),
     Moore: (lambda m: (-m.dim, 1, m.modulus), lambda m: f"P^{m.dim}({m.modulus})", _factor_text),
     SuspCP2: (lambda _: (-5, 2, 0), lambda _: "SCP^2", None),
-    LoopFactor: (lambda f: (-f.loop_order, 0 if f.modulus is None else 1, f.modulus or 0),
-                 lambda f: _loop_text(f.loop_order, f.modulus), None),
 }
-
-
-def map_space(summand: SpaceTerm) -> LoopFactor:
-    """The gauge factor Map*(summand, G) contributed by one wedge summand,
-    built from loop_pair.  S^5 and SCP^2 are base summands, refused by name;
-    everything else outside loop_pair's domain is refused too."""
-    if pair := loop_pair(summand):
-        return LoopFactor(*pair)
-    if summand in GAUGE_BASE:
-        raise TermError(f"base summand: {render(summand)}")
-    raise TermError(f"no loop factor for summand: {summand!r}")
 
 
 # --------------------------------------------------------------------------
 # rendering
 
 
-def render(obj: SpaceTerm | GaugeExpr | LoopFactor) -> str:
-    """Plain-text form of a term.
+def render(obj: SpaceTerm) -> str:
+    """Plain-text form of a space term.
 
     A wedge is built in normal form, so it renders in the canonical order
-    (``S^3 v P^3(9)``), and the empty wedge as ``pt``; gauge expressions
-    render as the right-hand side of their product decomposition
-    (``G_2(S^4) x O^3G x O^1G``) through product_parts.
+    (``S^3 v P^3(9)``), and the empty wedge as ``pt``.
     """
     row = _ATOMS.get(obj.__class__)
     if row:
         return row[1](obj)
-    if isinstance(obj, GaugeExpr):
-        stable = LoopFactor(2) if obj.stabilization == SYMBOLIC else None
-        return "".join(product_parts([], obj.base, obj.t, block_pieces(obj.blocks, stable)))
     if isinstance(obj, Wedge):
         return "".join(join_blocks([], block_pieces(obj.blocks), " v ")) or "pt"
     raise TermError(f"cannot render {obj!r}")
 
 
-def product_parts(parts: list[str], base: str, t: int,
-                  pieces: "Sequence[tuple[str, int]]") -> list[str]:
-    """parts with ``G_t(base) x ...`` appended, in pieces, from the (text,
-    count) pieces block_pieces writes for the factors.  The one writer of a
-    product, for a GaugeExpr and a gauge half alike."""
-    parts.append(f"G_{t}({_BASE_NAMES[base]})")
-    if pieces:  # pieces of blocks in normal form have no zero count
-        parts.append(" x ")
-    return join_blocks(parts, pieces, " x ")
-
-
-def block_pieces(
-    blocks: "Sequence[tuple[SpaceTerm | LoopFactor, int]]",
-    stable: Sphere | LoopFactor | None = None,
-    column: int = TEXT,
-) -> list[tuple[str, int]]:
+def block_pieces(blocks: "Sequence[tuple[SpaceTerm, int]]", symbolic: bool = False,
+                 column: int = TEXT) -> list[tuple[str, int]]:
     """The (text, count) pieces join_blocks writes for sorted blocks, each
     text from the given column of _ATOMS: TEXT, or FACTOR_TEXT for the loop
     factors of summands in loop_pair's domain.
 
-    ``stable`` is the term each S^2 x S^2 adds twice, S^3 or O^2G, when the
-    stabilization count d is symbolic.  Its block, present or not, is then
-    one piece where its key sorts: ``(X)^{n+2d}``, or ``(X)^{2d}`` when n = 0.
+    With ``symbolic``, the stabilization count d is symbolic, and the S^3
+    block, which each S^2 x S^2 adds two copies to, is written whether
+    present or not as one piece where S^3 sorts: ``(X)^{n+2d}``, or
+    ``(X)^{2d}`` when n = 0, with X the column's text of S^3, S^3 or O^2G.
     """
-    pieces, key = [], None if stable is None else _atom_key(stable)
-    at, n = len(blocks), 0  # the stable block's place and count
+    pieces, key = [], _atom_key(SPHERE[3]) if symbolic else None
+    at, n = len(blocks), 0  # the S^3 block's place and count
     for term, count in blocks:
         row = _ATOMS[term.__class__]
         if key is not None and (k := row[0](term)) >= key:
             at, n, key = len(pieces), count if k == key else 0, None
         pieces.append((row[column](term), count))
-    if stable is not None:
-        text, power = _ATOMS[stable.__class__][column](stable), f"{n}+2d" if n else "2d"
+    if symbolic:
+        text, power = _ATOMS[Sphere][column](SPHERE[3]), f"{n}+2d" if n else "2d"
         pieces[at : at + 1 if n else at] = [(f"({text})^{{{power}}}", 1)]
     return pieces
 

@@ -2,9 +2,10 @@
 to define; gauge4 defines no dataclass, so importing it loads neither ``dataclasses`` nor
 ``inspect``.  A subclass names its fields in ``__slots__`` and sets them in ``__init__``
 through ``_set``, after its own checks.  A value equals only values of its own class with
-equal fields, so ``Moore(3, 3) != LoopFactor(3, 3)``; it hashes by them, has the dataclass
-repr, and cannot be changed: copy and pickle build it again through ``__init__``.  Only
-``GradedAbelianGroup`` compares and hashes by a key of its field, its invariant factors.
+equal fields, so ``Moore(3, 3) != (3, 3)`` though both hash alike; it hashes by them, has
+the dataclass repr, and cannot be changed: copy and pickle build it again through
+``__init__``.  Only ``GradedAbelianGroup`` compares and hashes by a key of its field, its
+invariant factors.
 
 ``integer`` is the one check of an integer a value holds: a count, a dimension, a modulus,
 a rank, a class t or s, a prime.  Each module passes its own error class.  ``decimal`` is the

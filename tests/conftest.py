@@ -1,7 +1,8 @@
 """Shared helpers: seeded random generators for specs, terms, matrices and
 conjugated handle chain complexes, graded groups from sparse degrees, the
-acceptance-criteria verdict report, a per-test hang guard, and a count of the
-lines gauge4 runs for a call."""
+acceptance-criteria verdict report, a per-test hang guard, a count of the
+lines gauge4 runs for a call, and the gauge half of a splitting, as gauge4
+writes it and as written here one factor per copy from terms.loop_pair."""
 
 import random
 import signal
@@ -10,9 +11,11 @@ from pathlib import Path
 
 import pytest
 
-from gauge4 import (GradedAbelianGroup, IntMatrix, ManifoldSpec, Moore, Pi1Descriptor, Sphere,
-                    SuspCP2, Wedge)
+from gauge4 import (SYMBOLIC, GradedAbelianGroup, IntMatrix, ManifoldSpec, Moore, Pi1Descriptor,
+                    Sphere, SuspCP2, Wedge, render_decomposition)
+from gauge4.arith import MAX_COPIES
 from gauge4.homology import MAX_DEGREE
+from gauge4.terms import loop_pair
 
 # bench/oracles.py, the benchmark's checks that import no gauge4, serves the tests too
 sys.path.append(str(Path(__file__).resolve().parent.parent / "bench"))
@@ -133,6 +136,41 @@ def expand(blocks) -> list:
     for item, count in blocks:
         out += [item] * count
     return out
+
+
+def gauge_half(dec) -> str:
+    """The gauge half of dec as render_decomposition writes it: ``G_t(M) = ...``,
+    or ``G_t(M) x (O^2G)^{2d} ~ ...`` for a stabilized splitting."""
+    return render_decomposition(dec).partition("; ")[2]
+
+
+def gauge_product(dec) -> str:
+    """The product ``G_t(base) x ...`` that the gauge half of dec is written with."""
+    return gauge_half(dec).partition(" = " if dec.stabilization == 0 else " ~ ")[2]
+
+
+def loop_text(summand) -> str:
+    """The text of Map*(summand, G), O^kG or O^kG{q}, from terms.loop_pair."""
+    order, modulus = loop_pair(summand)
+    return f"O^{order}G" if modulus is None else f"O^{order}G{{{modulus}}}"
+
+
+def product_every_copy(dec) -> str:
+    """The product G_t(base) x Map*(summand, G) x ... of dec, one factor per copy
+    of each summand after the base, joined by hand.  With a symbolic d, the S^3
+    copies, present or not, are the one factor (O^2G)^{n+2d}, or (O^2G)^{2d},
+    after every summand of dimension 4.  More than MAX_COPIES factors raise
+    ValueError with the line a written answer gives."""
+    rest = dec.blocks[1:]
+    pieces = [(loop_text(atom), n) for atom, n in rest]
+    if dec.stabilization == SYMBOLIC:
+        at, n = sum(atom.dim == 4 for atom, _ in rest), dict(rest).get(Sphere(3), 0)
+        pieces[at : at + 1 if n else at] = [(f"(O^2G)^{{{n}+2d}}" if n else "(O^2G)^{2d}", 1)]
+    total = sum(n for _, n in pieces)
+    if total > MAX_COPIES:
+        raise ValueError(f"the answer writes out {total} copies, more than the limit of 10**6")
+    base = {"S4": "S^4", "CP2": "CP^2"}[dec.base]
+    return " x ".join([f"G_{dec.t}({base})", *expand(pieces)])
 
 
 def random_matrix_rows(rng: random.Random, max_side=4, bound=9):

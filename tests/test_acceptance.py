@@ -9,12 +9,13 @@ import math
 import random
 import time
 
-from conftest import ODD_PRIMES, handle_complex, random_spec, random_term, record_acceptance
+from conftest import (ODD_PRIMES, gauge_half, gauge_product, handle_complex, random_spec,
+                      random_term, record_acceptance)
 from test_homology import check_against_minors, cp2_complex, moore_complex
 
 from gauge4 import (
+    Decomposition,
     IntMatrix,
-    LoopFactor,
     ManifoldSpec,
     Moore,
     Pi1Descriptor,
@@ -26,7 +27,6 @@ from gauge4 import (
     classify_base,
     classify_pi1,
     decompose,
-    gauge_from_suspension,
     homology_of_manifold,
     homology_of_term,
     manifold,
@@ -40,7 +40,7 @@ from gauge4 import (
     stabilize,
     suspend,
 )
-from gauge4 import decomposer
+from gauge4 import decomposer, terms
 from gauge4.classifier import NO, S4, UNKNOWN, YES, LieGroupSpec
 
 
@@ -169,20 +169,26 @@ EXPONENTS = {
 }
 
 
-def rational_rank_mismatches(gauge, homology):
+def rational_rank_mismatches(dec, homology):
     """The (group, n) of EXPONENTS at which rank pi_n(G_t(M)) (x) Q, read off
-    the product, differs from sum_i b_{e_i - n}(M), read off the homology.
+    the product that the gauge half of the splitting dec is written with,
+    differs from sum_i b_{e_i - n}(M), read off the homology.
 
     B G_t(M) is Map_t(M, BG), so the second is the rank for n >= 1 (Thom
     1957; Haefliger, Trans. AMS 273, 1982).  On the product side G_t(S^4)
     gives [e_i = n] + [e_i = n + 4], CP^2 adds [e_i = n + 2], O^kG gives
     [e_i = n + k] and O^kG{q} nothing, since P^k(q) is rationally a point.
-    So each side is a weight per shift e_i - n in 0..4.
+    So each side is a weight per shift e_i - n in 0..4.  The product is read
+    one written factor per copy, so d must be concrete.
     """
-    product = [1, 0, int(gauge.base == "CP2"), 0, 1]
-    for factor, count in gauge.blocks:
-        if factor.modulus is None:
-            product[factor.loop_order] += count
+    base, *factors = gauge_product(dec).split(" x ")
+    assert base in (f"G_{dec.t}(S^4)", f"G_{dec.t}(CP^2)"), base
+    product = [1, 0, int(base.endswith("(CP^2)")), 0, 1]
+    for factor in factors:
+        order, g, modulus = factor.removeprefix("O^").partition("G")
+        assert g and order in ("1", "2", "3") and modulus in ("", f"{{{modulus[1:-1]}}}"), factor
+        if not modulus:
+            product[int(order)] += 1
     betti = [homology.rank(j) for j in range(5)]
     mismatches = []
     for group, exponents in EXPONENTS.items():
@@ -211,21 +217,21 @@ def criterion_3_cases(count=1000):
 @criterion(3, "gauge factors recovered from the suspension")
 def test_criterion_3_gauge_from_suspension():
     # Same seed and draw sequence as criterion 2, so the two properties are
-    # checked on the same stream of specs.
+    # checked on the same stream of specs.  The suspension alone, read as an
+    # unstabilized splitting, writes the same product; a stabilized one's gauge
+    # half differs from it only in its head.
     checked_mixed = 0
     for dec, spec in criterion_3_cases():
-        derived = gauge_from_suspension(dec.suspension, dec.t)
+        derived = Decomposition(dec.suspension, dec.t, 0, Pi1Kind.TRIVIAL)
         if dec.case_used is Pi1Kind.MIXED:
             checked_mixed += 1
-            assert derived.base == dec.gauge.base
-            assert derived.t == dec.gauge.t
-            assert derived.blocks == dec.gauge.blocks
+            assert gauge_product(derived) == gauge_product(dec), spec
         else:
-            assert derived == dec.gauge, spec
-        # gauge_from_suspension reads the wedge through Decomposition, so the
-        # lines above agree by construction; the rational ranks check the
-        # product against the homology instead.
-        assert rational_rank_mismatches(dec.gauge, homology_of_manifold(spec)) == [], spec
+            assert gauge_half(derived) == gauge_half(dec), spec
+        # Both are written from the same blocks, so the lines above agree by
+        # construction; the rational ranks check the product against the
+        # homology instead.
+        assert rational_rank_mismatches(dec, homology_of_manifold(spec)) == [], spec
     assert checked_mixed >= 80
 
 
@@ -234,24 +240,28 @@ def test_rational_ranks_catch_a_wrong_gauge_base(monkeypatch):
     # with it every nonspin case, and no spin case, mismatches.
     monkeypatch.setattr(decomposer, "GAUGE_BASE", {Sphere(5): "S4", SuspCP2(): "S4"})
     for dec, spec in criterion_3_cases(200):
-        caught = rational_rank_mismatches(dec.gauge, homology_of_manifold(spec)) != []
+        caught = rational_rank_mismatches(dec, homology_of_manifold(spec)) != []
         assert caught is not spec.sigma_f_trivial, spec
 
 
 def test_rational_ranks_miss_a_duality_symmetric_map_space(monkeypatch):
     # Poincare duality makes b_1 = b_3, so sending S^k to O^{5-k}G instead of
     # O^{k-1}G keeps every rational rank: the check does not replace the goldens.
-    real = decomposer.map_space
+    real = terms.loop_pair
 
     def dual(summand):
         if isinstance(summand, Sphere) and 2 <= summand.dim <= 4:
-            return LoopFactor(5 - summand.dim)
+            return 5 - summand.dim, None
         return real(summand)
 
-    monkeypatch.setattr(decomposer, "map_space", dual)
-    assert decomposer.map_space(Sphere(2)) == LoopFactor(3) != real(Sphere(2))
-    for dec, spec in criterion_3_cases(200):
-        assert rational_rank_mismatches(dec.gauge, homology_of_manifold(spec)) == [], spec
+    written = [gauge_product(dec) for dec, _ in criterion_3_cases(200)]
+    monkeypatch.setattr(terms, "loop_pair", dual)
+    assert terms.loop_pair(Sphere(2)) == (3, None) != real(Sphere(2))
+    changed = 0
+    for (dec, spec), before in zip(criterion_3_cases(200), written):
+        changed += gauge_product(dec) != before  # the dual map reaches the written answer
+        assert rational_rank_mismatches(dec, homology_of_manifold(spec)) == [], spec
+    assert changed >= 100, changed
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +284,7 @@ def test_criterion_4_d0_matches_cyclic():
         stabilized = mixed_decomposition(spec, t, d=0)
         assert plain.case_used is Pi1Kind.CYCLIC
         assert stabilized.suspension == plain.suspension
-        assert stabilized.gauge == plain.gauge
+        assert gauge_half(stabilized) == gauge_half(plain)
         assert stabilized.stabilization == 0
 
 

@@ -17,13 +17,11 @@ import pytest
 
 import gauge4
 import argparse_cli
-from conftest import expand, line_events, random_spec
+from conftest import expand, line_events, product_every_copy, random_spec
 import oracles  # bench/, put on sys.path by conftest, also when this file runs as a script
 from gauge4 import (
     Decomposition,
-    GaugeExpr,
     IntMatrix,
-    LoopFactor,
     Moore,
     SYMBOLIC,
     Pi1Kind,
@@ -32,7 +30,6 @@ from gauge4 import (
     TermError,
     decompose,
     manifold,
-    map_space,
     mixed_decomposition,
     parse_matrix,
     parse_term,
@@ -44,6 +41,7 @@ from gauge4.arith import MAX_COPIES
 from gauge4.cli import COMMANDS, UsageError, _splitting_json, parse_argv, run
 from gauge4.decomposer import splitting_parts
 from gauge4.manifold import PI1_KINDS, render_pi1
+from gauge4.terms import loop_pair
 
 GOLDEN = Path(__file__).parent / "data" / "golden_sweep.json"
 #: What ``--help`` prints at the top level and for each subcommand, in HELP_COMMANDS
@@ -198,15 +196,11 @@ def test_decompose_json_round_trip(capsys, argv):
     data = json.loads(blob)
     atoms = [rebuild_atom(o) for o in data["suspension"]]
     g = data["gauge"]
-    gauge = GaugeExpr(
-        g["base"],
-        g["t"],
-        tuple((LoopFactor(f["loop_order"], f["modulus"]), 1) for f in g["factors"]),
-        g["stabilization"],
-    )
     dec = Decomposition(wedge(atoms), g["t"], g["stabilization"], Pi1Kind(data["case"]))
     assert expand(dec.blocks) == atoms
-    assert dec.gauge == gauge
+    # one loop factor per summand after the base, in order, from loop_pair
+    assert g["base"] == dec.base
+    assert [(f["loop_order"], f["modulus"]) for f in g["factors"]] == list(map(loop_pair, atoms[1:]))
     assert render_decomposition(dec) + "\n" == text
 
 
@@ -233,8 +227,8 @@ def _dumped_splitting(command, dec):
     if command == "suspension":
         doc["stabilization"] = dec.stabilization
     else:
-        factors = _every_copy([({"loop_order": f.loop_order, "modulus": f.modulus}, n)
-                               for f, n in dec.factors])
+        factors = _every_copy([(dict(zip(("loop_order", "modulus"), loop_pair(atom))), n)
+                               for atom, n in dec.blocks[1:]])
         doc["gauge"] = {"base": dec.base, "t": dec.t, "factors": factors,
                         "stabilization": dec.stabilization}
     return json.dumps(doc, sort_keys=True)
@@ -340,31 +334,27 @@ def _joined_every_copy(items, sep):
 
 def _halves_every_copy(dec):
     """Both text halves of a splitting written one copy at a time; with a
-    symbolic d the S^3 copies, and their O^2G, are the one (X)^{n+2d} piece
-    in the place S^3 sorts to.  Each half raises ValueError past the cap."""
+    symbolic d the S^3 copies are the one (S^3)^{n+2d} piece in the place S^3
+    sorts to.  The gauge half's product is conftest's product_every_copy.  Each
+    half raises ValueError past the cap."""
     stab, t = dec.stabilization, dec.t
     summands = expand([(render(atom), n) for atom, n in dec.blocks])
-    factors = expand([(render(map_space(atom)), n) for atom, n in dec.blocks[1:]])
     if stab == SYMBOLIC:
         atoms = expand(dec.blocks)
         n = atoms.count(Sphere(3))
         i = sum(getattr(atom, "dim", 5) > 3 for atom in atoms)  # SCP^2 is 5-dimensional
-        power = f"{n}+2d" if n else "2d"
-        summands[i : i + n] = [f"(S^3)^{{{power}}}"]
-        factors[i - 1 : i - 1 + n] = [f"(O^2G)^{{{power}}}"]
+        summands[i : i + n] = [f"(S^3)^{{{n}+2d}}" if n else "(S^3)^{2d}"]
     if stab == 0:
         heads = ("SM = ", f"G_{t}(M) = ")
     else:
         count, power = ("d", "{2d}") if stab == SYMBOLIC else (stab, 2 * stab)
         heads = (f"S(M #_{count}(S^2xS^2)) = ", f"G_{t}(M) x (O^2G)^{power} ~ ")
-    base = f"G_{t}({'S^4' if dec.base == 'S4' else 'CP^2'})"
 
     def suspension():
         return heads[0] + _joined_every_copy(summands, " v ")
 
     def gauge():
-        body = _joined_every_copy(factors, " x ")
-        return heads[1] + (f"{base} x {body}" if factors else base)
+        return heads[1] + product_every_copy(dec)
 
     return suspension, gauge
 
@@ -415,8 +405,6 @@ def test_every_splitting_answer_matches_writing_each_copy(capsys):
                     with pytest.raises(ValueError) as raised:
                         render_one(dec)
                     assert f"error: {raised.value}\n" == want[2]
-        # the product alone has its own cap: one copy fewer than the wedge
-        assert gauge().partition(" = " if dec.stabilization == 0 else " ~ ")[2] == render(dec.gauge)
         seen |= {sum(n for _, n in dec.blocks), (dec.case_used, dec.stabilization == SYMBOLIC)}
     assert {MAX_COPIES - 1, MAX_COPIES + 1} <= seen
     assert {(kind, False) for kind in PI1_KINDS} | {(Pi1Kind.MIXED, True)} <= seen
@@ -450,7 +438,6 @@ def test_every_spec_in_a_box_matches_the_halves_written_one_copy_at_a_time():
             assert render_decomposition(dec) == f"{suspension()}; {gauge()}", dec
             assert "".join(splitting_parts(dec, False)) == suspension(), dec
             product = gauge().partition(" = " if dec.stabilization == 0 else " ~ ")[2]
-            assert render(dec.gauge) == product, dec
             assert "".join(_splitting_json(dec, True)) == _dumped_splitting("decompose", dec)
             if dec.stabilization == SYMBOLIC and "(S^3)^{2d}" in suspension():
                 placed.add((suspension().rpartition("(S^3)^{2d}")[2][3:6] or "last",
@@ -482,8 +469,9 @@ def _read_splitting_json(doc):
 def test_every_spec_in_the_box_passes_the_independent_oracle():
     # The paper's formulas, as bench/oracles.py writes them with no gauge4 code,
     # judge decompose and the stabilized formula of every spec in the box: both
-    # text halves, --json, and the library's gauge object, read after the head
-    # the text answer writes.  d is the oracle's own: decompose stabilizes a
+    # text halves, --json, and the product written one factor per copy from
+    # loop_pair (conftest's product_every_copy), read after the head the text
+    # answer writes.  d is the oracle's own: decompose stabilizes a
     # mixed pi1 alone, the stabilized formula every pi1, so for a mixed pi1 the
     # two are one splitting, checked once.
     specs = 0
@@ -502,7 +490,7 @@ def test_every_spec_in_the_box_passes_the_independent_oracle():
             assert oracles.read_suspension_half(suspension, at) == wedge, dec
             assert oracles.read_gauge_half(gauge, ospec, 1, at) == factors, dec
             relation = " = " if at == 0 else " ~ "
-            product = gauge.partition(relation)[0] + relation + render(dec.gauge)
+            product = gauge.partition(relation)[0] + relation + product_every_copy(dec)
             assert oracles.read_gauge_half(product, ospec, 1, at) == factors, dec
             doc = json.loads("".join(_splitting_json(dec, True)))
             if not stabilized:

@@ -1,8 +1,8 @@
 """A seeded sweep of CLI queries and gauge renderings, pinned byte for byte.
 
 ``tests/data/golden_sweep.json`` holds, for each query, the argv passed to
-``cli.run`` with its exit code, stdout and stderr, and for each gauge
-expression the string ``render`` gives.  The sweep covers decompose,
+``cli.run`` with its exit code, stdout and stderr, and for each seeded gauge
+product the text the gauge half of its splitting is written with.  The sweep covers decompose,
 suspension, classify and parse in text and ``--json``; ``--d`` omitted,
 ``symbolic`` and 0-3; both top-cell flags; and moduli out of order and
 repeated; then homology (with and without ``--suspension``) and small snf
@@ -26,16 +26,20 @@ import sys
 
 import pytest
 
+from conftest import gauge_product
 from gauge4 import (
     SYMBOLIC,
-    GaugeExpr,
-    LoopFactor,
+    Decomposition,
+    Moore,
+    Pi1Kind,
+    Sphere,
+    SuspCP2,
+    Wedge,
     classify,
     classify_base,
     count_types,
     manifold,
     parse_group,
-    render,
     rule_for,
 )
 from gauge4.cli import run
@@ -188,7 +192,8 @@ def _call(query: dict) -> str:
 
 
 def sweep_gauges(n: int = 60) -> list[dict]:
-    """Seeded gauge expressions at stabilization 0, 2 and SYMBOLIC."""
+    """Seeded gauge products, each a base, t, a list of loop factors (k, q) for
+    O^kG or O^kG{q}, and a stabilization count, 0, 2 or SYMBOLIC."""
     rng = random.Random(SEED + 1)
     kinds = [(1, None), (2, None), (3, None), (2, 3), (3, 3), (2, 25), (3, 7), (2, 9)]
     specs = []
@@ -203,9 +208,13 @@ def sweep_gauges(n: int = 60) -> list[dict]:
     return specs
 
 
-def _gauge(spec: dict) -> GaugeExpr:
-    factors = tuple((LoopFactor(k, q), 1) for k, q in spec["factors"])
-    return GaugeExpr(spec["base"], spec["t"], factors, spec["stabilization"])
+def _gauge(spec: dict) -> str:
+    """The product that the gauge half of the splitting spec stands for is written with:
+    the base summand, then S^{k+1} or P^{k+1}(q) for each loop factor (k, q) listed."""
+    base = Sphere(5) if spec["base"] == "S4" else SuspCP2()
+    summands = [Sphere(k + 1) if q is None else Moore(k + 1, q) for k, q in spec["factors"]]
+    susp = Wedge([(base, 1), *((summand, 1) for summand in summands)])
+    return gauge_product(Decomposition(susp, spec["t"], spec["stabilization"], Pi1Kind.MIXED))
 
 
 def _run(argv: list[str]) -> dict:
@@ -282,7 +291,7 @@ def test_gauge_render_sweep_is_byte_identical():
     expected = json.loads(DATA.read_text())["render"]
     assert {case["gauge"]["stabilization"] for case in expected} == {0, 2, SYMBOLIC}
     for case in expected:
-        got = render(_gauge(case["gauge"]))
+        got = _gauge(case["gauge"])
         assert got == case["out"], f"first gauge that differs: {case['gauge']}"
 
 
@@ -290,7 +299,7 @@ def main() -> None:
     data = {
         "cli": [_run(argv) for argv in
                 sweep_argvs() + sweep_homology_snf_argvs() + stabilization_argvs()],
-        "render": [{"gauge": g, "out": render(_gauge(g))} for g in sweep_gauges()],
+        "render": [{"gauge": g, "out": _gauge(g)} for g in sweep_gauges()],
         "verdicts": [{"query": q, "repr": _verdict(q)} for q in sweep_verdict_queries()],
     }
     DATA.parent.mkdir(exist_ok=True)

@@ -16,11 +16,9 @@ from conftest import graded
 from gauge4 import (
     Decomposition,
     DecompositionError,
-    GaugeExpr,
     IntMatrix,
     InvalidSpecError,
     LieGroupSpec,
-    LoopFactor,
     ManifoldSpec,
     Moore,
     Pi1Descriptor,
@@ -31,10 +29,8 @@ from gauge4 import (
     classify,
     classify_base,
     decompose,
-    gauge_from_suspension,
     homology_of_term,
     manifold,
-    map_space,
     parse_group,
     parse_matrix,
     render,
@@ -43,7 +39,7 @@ from gauge4 import (
 )
 from gauge4.classifier import GroupParseError
 from gauge4.manifold import TRIVIAL_PI1
-from gauge4.terms import check_stabilization
+from gauge4.terms import check_stabilization, loop_pair
 from gauge4.value import integer
 
 SU2 = LieGroupSpec("SU", 2)
@@ -66,18 +62,13 @@ ENTRY_POINTS = {
     "Sphere": (Sphere, TermError, "sphere dimension"),
     "Moore dimension": (lambda x: Moore(x, 3), TermError, "Moore space dimension"),
     "Moore modulus": (lambda x: Moore(3, x), TermError, "Moore space modulus"),
-    "LoopFactor order": (LoopFactor, TermError, "loop order"),
-    "LoopFactor modulus": (lambda x: LoopFactor(2, x), TermError, "loop factor modulus"),
     "Wedge count": (lambda x: Wedge(((Sphere(3), x),)), TermError, "block count"),
-    "GaugeExpr count": (lambda x: GaugeExpr("S4", 0, ((LoopFactor(2), x),)), TermError,
-                        "block count"),
     "GradedAbelianGroup rank": (lambda x: graded({1: (x, ())}), ValueError,
                                 "free rank"),
     "GradedAbelianGroup torsion": (lambda x: graded({1: (0, (x,))}), ValueError,
                                    "torsion entry"),
     "LieGroupSpec SU": (lambda x: LieGroupSpec("SU", x), GroupParseError, "group rank n"),
     "LieGroupSpec Sp": (lambda x: LieGroupSpec("Sp", x), GroupParseError, "group rank n"),
-    "GaugeExpr t": (lambda x: GaugeExpr("S4", x), TermError, "bundle class t"),
     "Decomposition t": (lambda x: Decomposition(Wedge(((Sphere(5), 1),)), x, 0, Pi1Kind.TRIVIAL),
                         DecompositionError, "bundle class t"),
     "decompose t": (lambda x: decompose(manifold("Z/3", 1), x), DecompositionError,
@@ -103,7 +94,7 @@ def test_every_entry_point_rejects_a_non_int(entry, bad):
 @pytest.mark.parametrize(
     "build,error,message",
     [
-        # once answered (2,), (1, 14), Z/4.5, O^2G{2.5}, Sp(True), the key 3.0 and G_True(M)
+        # once answered (2,), (1, 14), Z/4.5, Sp(True), the key 3.0 and G_True(M)
         (lambda: smith_normal_form(IntMatrix.from_rows([[2.5]])), ValueError,
          "matrix entries must be integers, got 2.5"),
         (lambda: smith_normal_form(IntMatrix.from_rows([["7", 0], [0, 2]])), ValueError,
@@ -122,8 +113,6 @@ def test_every_entry_point_rejects_a_non_int(entry, bad):
         # Z/0 is Z: once dropped as if it were Z/1, printing H_1 = 0
         (lambda: graded({1: (0, (0,))}), ValueError,
          "torsion entry must be nonzero, got 0"),
-        (lambda: render(LoopFactor(2, 2.5)), TermError,
-         "loop factor modulus must be an integer, got 2.5"),
         (lambda: LieGroupSpec("Sp", True), GroupParseError,
          "group rank n must be an integer, got True"),
         (lambda: classify(SU2, Z_SPEC, 1, 2, primes=(3.0,)), ValueError,
@@ -133,18 +122,16 @@ def test_every_entry_point_rejects_a_non_int(entry, bad):
         # the bundle class t
         (lambda: decompose(manifold("Z/3", 1), t=1.5), DecompositionError,
          "bundle class t must be an integer, got 1.5"),
-        (lambda: gauge_from_suspension(Sphere(5), 1.5), DecompositionError,
+        (lambda: Decomposition(Sphere(5), 1.5, 0, Pi1Kind.TRIVIAL), DecompositionError,
          "bundle class t must be an integer, got 1.5"),
-        (lambda: GaugeExpr("S4", "x"), TermError, "bundle class t must be an integer, got 'x'"),
         (lambda: classify(parse_group("SU(2)"), manifold("Z", 1), 1.5, 2), ValueError,
          "bundle class t must be an integer, got 1.5"),
         # the term constructors
-        (lambda: render(map_space(Sphere(2.5))), TermError,
+        (lambda: loop_pair(Sphere(2.5)), TermError,
          "sphere dimension must be an integer, got 2.5"),
         (lambda: render(wedge([Sphere(5), Moore(3, 4.5)])), TermError,
          "Moore space modulus must be an integer, got 4.5"),
-        (lambda: render(LoopFactor(True)), TermError, "loop order must be an integer, got True"),
-        (lambda: gauge_from_suspension(wedge([Sphere(5), Sphere(2.5)]), 0), TermError,
+        (lambda: Decomposition(wedge([Sphere(5), Sphere(2.5)]), 0, 0, Pi1Kind.TRIVIAL), TermError,
          "sphere dimension must be an integer, got 2.5"),
         (lambda: homology_of_term(Sphere(2.5)), TermError,
          "sphere dimension must be an integer, got 2.5"),
@@ -155,8 +142,6 @@ def test_every_entry_point_rejects_a_non_int(entry, bad):
         (lambda: parse_matrix('[["3"]]'), ValueError, "bad matrix entry: '\"3\"'"),
         # range checks keep their text
         (lambda: Sphere(0), TermError, "sphere dimension must be >= 1, got 0"),
-        (lambda: LoopFactor(4), TermError, "loop order must be 1..3, got 4"),
-        (lambda: LoopFactor(2, 1), TermError, "loop factor modulus must be >= 2, got 1"),
         (lambda: Wedge(((Sphere(3), -2),)), TermError, "block count must be >= 0, got -2"),
         (lambda: IntMatrix(-1, 0, ()), ValueError, "matrix rows must be >= 0, got -1"),
         (lambda: graded({1: (-1, ())}), ValueError,

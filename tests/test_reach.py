@@ -1,0 +1,37 @@
+"""scripts/reach.py names the functions a call reaches, and its committed list,
+tests/data/reach.txt, names only functions that src still defines."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import gauge4
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "reach.py"
+_spec = importlib.util.spec_from_file_location("reach", SCRIPT)
+reach = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(reach)
+
+
+def test_the_collector_names_the_functions_a_call_reaches():
+    lines = reach.Lines()
+    with lines.collecting():
+        gauge4.render_decomposition(gauge4.decompose(gauge4.manifold("Z*Z/3", 1)))
+    found = lines.functions()
+    assert {"decomposer.decompose", "decomposer.Decomposition.__init__",
+            "decomposer.splitting_parts", "terms.block_pieces", "terms.join_blocks",
+            "terms._factor_text", "manifold.parse_pi1"} <= found
+    assert "decomposer.mixed_decomposition" not in found
+    # a lambda or comprehension counts for the function around it, module code for none
+    assert not [name for name in found if "<" in name]
+
+
+def test_the_committed_list_names_only_functions_that_exist():
+    names = [line for line in reach.OUT.read_text().splitlines() if not line.startswith("#")]
+    assert names == sorted(names) and names
+    for name in names:
+        module, *path = name.split(".")
+        target = importlib.import_module(f"gauge4.{module}")
+        for part in path:
+            target = getattr(target, part)
+        assert callable(target) or isinstance(target, property), name

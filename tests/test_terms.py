@@ -10,23 +10,22 @@ from pathlib import Path
 import pytest
 
 import gauge4
-from conftest import expand, random_atom, random_term
+from conftest import (expand, gauge_half, gauge_product, product_every_copy, random_atom,
+                      random_term)
 from gauge4 import (
     SYMBOLIC,
     Decomposition,
     DecompositionError,
-    GaugeExpr,
-    LoopFactor,
     Moore,
+    Pi1Descriptor,
+    Pi1Kind,
     Sphere,
     SuspCP2,
     TermError,
     Wedge,
     decompose,
-    gauge_from_suspension,
     homology_of_term,
     manifold,
-    map_space,
     normalize,
     parse_term,
     render,
@@ -115,23 +114,9 @@ def test_term_constructor_guards():
     with pytest.raises(TermError):
         Moore(3, 1)
     with pytest.raises(TermError):
-        LoopFactor(0)
+        Wedge(((Pi1Descriptor(), 1),))
     with pytest.raises(TermError):
-        LoopFactor(4)
-    with pytest.raises(TermError):
-        LoopFactor(2, 1)
-    with pytest.raises(TermError):
-        GaugeExpr("S5", 0)
-    with pytest.raises(TermError):
-        GaugeExpr("S4", 0, (), -1)
-    with pytest.raises(TermError):
-        GaugeExpr("S4", 0, (), "sym")
-    with pytest.raises(TermError):
-        GaugeExpr("S4", 0, ((Sphere(3), 1),))
-    with pytest.raises(TermError):
-        Wedge(((LoopFactor(2), 1),))
-    with pytest.raises(TermError):
-        normalize(LoopFactor(2))
+        normalize(Pi1Descriptor())
 
 
 #: Raw wedges that the consumers of a wedge once had to normalize first.
@@ -144,10 +129,11 @@ RAW_WEDGES = [
 ]
 
 
-def _answer(function, *args):
-    """What a call returns, or the type and text of what it raises."""
+def _gauge_answer(susp):
+    """The gauge half of the unstabilized splitting susp is, or the type and text
+    of what refuses it."""
     try:
-        return function(*args)
+        return gauge_half(Decomposition(susp, 1, 0, Pi1Kind.TRIVIAL))
     except (TermError, DecompositionError) as exc:
         return type(exc), str(exc)
 
@@ -156,14 +142,14 @@ def _answer(function, *args):
 def test_a_raw_wedge_answers_as_its_normal_form(raw):
     norm = normalize(raw)
     assert homology_of_term(raw) == homology_of_term(norm)
-    assert _answer(gauge_from_suspension, raw, 1) == _answer(gauge_from_suspension, norm, 1)
+    assert _gauge_answer(raw) == _gauge_answer(norm)
     assert render(raw) == render(norm)
 
 
 def test_motivation_answers():
     assert homology_of_term(RAW_WEDGES[0]) == homology_of_term(Sphere(2))
     assert homology_of_term(RAW_WEDGES[1]) == homology_of_term(Sphere(3))
-    assert render(gauge_from_suspension(RAW_WEDGES[2], 1)) == "G_1(S^4) x O^2G x O^2G"
+    assert _gauge_answer(RAW_WEDGES[2]) == "G_1(M) = G_1(S^4) x O^2G x O^2G"
     assert RAW_WEDGES[3] == RAW_WEDGES[4]
 
 
@@ -235,11 +221,9 @@ def test_raw_block_lists_render_as_their_expansion():
 
 
 def test_a_block_of_the_wrong_kind_is_named():
-    loop = r"LoopFactor\(loop_order=2, modulus=None\)"
-    with pytest.raises(TermError, match=rf"^not a space term: {loop}$"):
-        Wedge(((LoopFactor(2), 1),))
-    with pytest.raises(TermError, match=r"^not a loop factor: Sphere\(dim=3\)$"):
-        GaugeExpr("S4", 0, ((Sphere(3), 1),))
+    pi1 = r"Pi1Descriptor\(free_rank=0, cyclic_factors=\(\)\)"
+    with pytest.raises(TermError, match=rf"^not a space term: {pi1}$"):
+        Wedge(((Pi1Descriptor(), 1),))
     with pytest.raises(TermError, match=r"^not a space term: 3$"):
         Wedge(((Sphere(5), 1), (3, 1)))
 
@@ -286,22 +270,21 @@ def _imported():
 
 
 def test_only_constructors_merge_and_no_consumer_normalizes():
-    # Blocks are put in normal form where a wedge or a product is built, and
-    # the collapse to an atom is made where a term or a splitting is.
-    assert _calls("_merge") == [("terms", "Wedge.__init__"), ("terms", "GaugeExpr.__init__")]
+    # Blocks are put in normal form where a wedge is built, and the collapse
+    # to an atom is made where a term or a splitting is.
+    assert _calls("_merge") == [("terms", "Wedge.__init__")]
     assert _calls("normalize") == [("decomposer", "Decomposition.__init__"), ("terms", "wedge")]
 
 
 def test_every_written_copy_passes_the_one_cap():
     # join_blocks is the one writer of repeated summands, text or --json, and
     # the only reader of MAX_COPIES, so no writer can leave the cap out.  It
-    # appends to its caller's parts: the two --json lists, the text of a
-    # splitting's suspension, a wedge's blocks and a product (a GaugeExpr or
-    # a splitting's gauge half).
+    # appends to its caller's parts: the two --json lists, the two text halves
+    # of a splitting, and a wedge's blocks.
     assert _calls("join_blocks") == [
         ("cli", "_splitting_json"), ("cli", "_splitting_json"),
-        ("decomposer", "splitting_parts"), ("terms", "render"),
-        ("terms", "product_parts")]
+        ("decomposer", "splitting_parts"), ("decomposer", "splitting_parts"),
+        ("terms", "render")]
     assert _calls("MAX_COPIES", reads=True) == [("terms", "join_blocks")]
     # the per-copy list is gone: nothing in src defines, calls or reads it
     for gone in ("copies", "_capped", "summands"):
@@ -327,8 +310,11 @@ def test_one_error_line_writer_and_no_wrapper_left():
     for gone in ("render_product", "_parser", "_cmd_decompose", "_cmd_suspension",
                  "render_suspension_half", "render_gauge_half", "_suspension_parts",
                  "_gauge_parts", "render_blocks", "_GAUGE_BASE", "of", "Point", "_setter",
-                 "_dump", "LOOP", "_DOMAIN"):
+                 "_dump", "LOOP", "_DOMAIN", "LoopFactor", "GaugeExpr", "map_space",
+                 "gauge_from_suspension", "product_parts", "_loop_text", "_BASE_NAMES"):
         assert gone not in defined and _calls(gone) == _calls(gone, reads=True) == []
+    # the gauge half is text written from the blocks; a splitting stores no product
+    assert not hasattr(Decomposition, "factors") and not hasattr(Decomposition, "gauge")
     assert [node.func.id for _, node in nodes if isinstance(node, ast.Call)
             and getattr(node.func, "id", None) in ("exec", "eval", "compile")] == []
     assert "json" not in _imported()
@@ -337,27 +323,18 @@ def test_one_error_line_writer_and_no_wrapper_left():
 def test_one_table_of_base_summands_and_one_splitting_check():
     # terms alone says which summands are bases and how each base is written;
     # decomposer reads the table only in Decomposition, the one check of a
-    # splitting, which gauge_from_suspension reads a wedge through with no
-    # map_space call, check or error line of its own.
+    # splitting, and writes a base's name only in the gauge half.
     assert _calls("GAUGE_BASE", reads=True) == [
         ("decomposer", "Decomposition.__init__"), ("decomposer", "Decomposition.__init__"),
-        ("decomposer", "Decomposition.base"), ("terms", "map_space")]
-    assert _calls("_BASE_NAMES", reads=True) == [
-        ("terms", "GaugeExpr.__init__"), ("terms", "product_parts")]
-    assert _calls("map_space") == [
-        ("decomposer", "Decomposition.__init__"), ("decomposer", "Decomposition.factors")]
-    body = next(node for _, tree in _sources() for node in ast.walk(tree)
-                if isinstance(node, ast.FunctionDef) and node.name == "gauge_from_suspension")
-    assert not [node for node in ast.walk(body) if isinstance(node, (ast.Raise, ast.Try))]
-    assert [node.func.id for node in ast.walk(body)
-            if isinstance(node, ast.Call)] == ["Decomposition"]
+        ("decomposer", "Decomposition.base")]
+    assert _calls("BASE_NAMES", reads=True) == [("decomposer", "splitting_parts")]
 
 
 def test_the_loop_order_rule_is_written_once():
     # Map*(S^n, G) = O^{n-1}G and Map*(P^n(q), G) = O^{n-1}G{q}: loop_pair alone
-    # takes 1 from a summand's dimension, and its four readers are the loop-factor
-    # text column of _ATOMS (through _factor_text), --json, map_space and the check
-    # of a splitting's two end blocks.
+    # takes 1 from a summand's dimension, and its three readers are the loop-factor
+    # text column of _ATOMS (through _factor_text), --json, and the check of a
+    # splitting's two end blocks, which also names the end a refusal is for.
     dim_minus_one = [(module, ast.unparse(node)) for module, tree in _sources()
                      for node in ast.walk(tree)
                      if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
@@ -368,8 +345,8 @@ def test_the_loop_order_rule_is_written_once():
     assert sum(text.count(".dim - 1") for text in sources) == 1
     assert _calls("loop_pair") == [
         ("cli", "_factor_json"), ("decomposer", "Decomposition.__init__"),
-        ("decomposer", "Decomposition.__init__"), ("terms", "_factor_text"),
-        ("terms", "map_space")]
+        ("decomposer", "Decomposition.__init__"), ("decomposer", "Decomposition.__init__"),
+        ("terms", "_factor_text")]
     assert [row[FACTOR_TEXT] for row in (_ATOMS[Sphere], _ATOMS[Moore])] == [_factor_text] * 2
 
 
@@ -419,43 +396,43 @@ def test_one_digit_class_and_one_reader_for_every_integer_written_as_text():
 # the correspondence
 
 
-def test_map_space_table():
-    assert map_space(Sphere(2)) == LoopFactor(1)
-    assert map_space(Sphere(3)) == LoopFactor(2)
-    assert map_space(Sphere(4)) == LoopFactor(3)
-    assert map_space(Moore(3, 9)) == LoopFactor(2, 9)
-    assert map_space(Moore(4, 25)) == LoopFactor(3, 25)
+def test_loop_pair_table():
+    assert loop_pair(Sphere(2)) == (1, None)
+    assert loop_pair(Sphere(3)) == (2, None)
+    assert loop_pair(Sphere(4)) == (3, None)
+    assert loop_pair(Moore(3, 9)) == (2, 9)
+    assert loop_pair(Moore(4, 25)) == (3, 25)
 
 
-def test_map_space_rejects_base_summands_by_name():
-    with pytest.raises(TermError, match="base summand"):
-        map_space(Sphere(5))
-    with pytest.raises(TermError, match="base summand"):
-        map_space(SuspCP2())
+def test_loop_pair_gives_no_pair_for_a_base_summand():
+    assert loop_pair(Sphere(5)) is None
+    assert loop_pair(SuspCP2()) is None
 
 
-def test_map_space_rejects_out_of_range_summands():
-    for bad in [Sphere(1), Sphere(6), Moore(2, 3), Moore(5, 3), Wedge(())]:
-        with pytest.raises(TermError):
-            map_space(bad)
+def test_loop_pair_gives_no_pair_outside_its_domain():
+    for bad in [Sphere(1), Sphere(6), Moore(2, 3), Moore(5, 3), Moore(2, 9), Moore(5, 25),
+                Wedge(())]:
+        assert loop_pair(bad) is None, bad
 
 
-def test_map_space_keeps_the_summand_order_on_its_domain():
-    # Loop factors sort by their own key, (-k, has modulus, q), and summand order
-    # is loop-factor order, so the gauge half of a splitting is written in the
+def test_loop_pair_keeps_the_summand_order_on_its_domain():
+    # Sorted summands give their pairs by loop order down, then O^kG before
+    # O^kG{q}, then by q, so the gauge half of a splitting is written in the
     # order of its summands.
     domain = [Sphere(k) for k in (2, 3, 4)]
     domain += [Moore(k, q) for k in (3, 4) for q in (2, 3, 9, 25, 27)]
     random.Random(36).shuffle(domain)
-    assert [map_space(x) for x in sorted(domain, key=_atom_key)] == sorted(
-        map(map_space, domain), key=_atom_key)
-    assert [map_space(x) for x in domain] == [LoopFactor(*loop_pair(x)) for x in domain]
+    pairs = [loop_pair(x) for x in sorted(domain, key=_atom_key)]
+    assert pairs == sorted(pairs, key=lambda pair: (-pair[0], pair[1] is not None, pair[1] or 0))
+    assert [text for text, _ in block_pieces(Wedge([(x, 1) for x in domain]).blocks, False,
+                                             FACTOR_TEXT)] == [
+        f"O^{k}G" if q is None else f"O^{k}G{{{q}}}" for k, q in pairs]
 
 
-def test_map_space_is_injective_on_its_domain():
+def test_loop_pair_is_injective_on_its_domain():
     domain = [Sphere(k) for k in (2, 3, 4)]
     domain += [Moore(k, q) for k in (3, 4) for q in range(2, 31)]
-    images = [map_space(x) for x in domain]
+    images = [loop_pair(x) for x in domain]
     assert len(set(images)) == len(images)
 
 
@@ -467,8 +444,9 @@ def test_render_atoms():
     assert render(Sphere(3)) == "S^3"
     assert render(Moore(4, 9)) == "P^4(9)"
     assert render(SuspCP2()) == "SCP^2"
-    assert render(LoopFactor(1)) == "O^1G"
-    assert render(LoopFactor(3, 27)) == "O^3G{27}"
+    # and the text of a summand's loop factor
+    assert _factor_text(Sphere(2)) == "O^1G"
+    assert _factor_text(Moore(4, 27)) == "O^3G{27}"
 
 
 def test_render_wedge_uses_canonical_order():
@@ -480,57 +458,45 @@ def test_render_wedge_uses_canonical_order():
     assert render(Wedge(((Wedge(()), 1), (Wedge(((Sphere(3), 1),)), 1)))) == "S^3"
 
 
-def test_render_gauge_expr_orders_factors():
-    expr = GaugeExpr("S4", 2, ((LoopFactor(1), 1), (LoopFactor(3), 1)))
-    assert render(expr) == "G_2(S^4) x O^3G x O^1G"
-    expr = GaugeExpr(
-        "CP2",
-        4,
-        ((LoopFactor(2), 1), (LoopFactor(2, 3), 1), (LoopFactor(3, 3), 1), (LoopFactor(1), 1)),
-    )
-    assert render(expr) == "G_4(CP^2) x O^3G{3} x O^2G x O^2G{3} x O^1G"
+def _product(base, t, summands, stabilization=0):
+    """The product written for the splitting of base and the (summand, count) blocks."""
+    return gauge_product(Decomposition(Wedge([(base, 1), *summands]), t, stabilization,
+                                       Pi1Kind.MIXED))
 
 
-def test_render_gauge_expr_bare_base():
-    assert render(GaugeExpr("S4", 0)) == "G_0(S^4)"
-    assert render(GaugeExpr("CP2", -3)) == "G_-3(CP^2)"
+def test_gauge_product_orders_factors():
+    assert _product(Sphere(5), 2, [(Sphere(2), 1), (Sphere(4), 1)]) == "G_2(S^4) x O^3G x O^1G"
+    # summands given in any order and repeated are one splitting, written in order
+    given = [(Sphere(3), 1), (Moore(3, 3), 1), (Moore(4, 3), 1), (Sphere(2), 1)]
+    assert _product(SuspCP2(), 4, given) == _product(SuspCP2(), 4, given[::-1]) == (
+        "G_4(CP^2) x O^3G{3} x O^2G x O^2G{3} x O^1G")
+    assert _product(Sphere(5), 0, [(Sphere(2), 1), (Moore(4, 5), 1), (Sphere(2), 1)]) == (
+        "G_0(S^4) x O^3G{5} x O^1G x O^1G")
 
 
-def test_render_gauge_expr_symbolic_merges_plain_double_loops():
-    expr = GaugeExpr(
-        "S4",
-        1,
-        ((LoopFactor(2), 2), (LoopFactor(2, 3), 1), (LoopFactor(3), 1)),
-        SYMBOLIC,
-    )
-    assert render(expr) == "G_1(S^4) x O^3G x (O^2G)^{2+2d} x O^2G{3}"
+def test_gauge_product_bare_base():
+    assert _product(Sphere(5), 0, []) == "G_0(S^4)"
+    assert _product(SuspCP2(), -3, []) == "G_-3(CP^2)"
 
 
-def test_render_gauge_expr_symbolic_with_no_plain_double_loops():
-    expr = GaugeExpr("S4", 0, ((LoopFactor(3), 1), (LoopFactor(2, 9), 1)), SYMBOLIC)
-    assert render(expr) == "G_0(S^4) x O^3G x (O^2G)^{2d} x O^2G{9}"
-    assert render(GaugeExpr("S4", 0, (), SYMBOLIC)) == "G_0(S^4) x (O^2G)^{2d}"
+def test_gauge_product_symbolic_merges_plain_double_loops():
+    blocks = [(Sphere(3), 2), (Moore(3, 3), 1), (Sphere(4), 1)]
+    assert _product(Sphere(5), 1, blocks, SYMBOLIC) == "G_1(S^4) x O^3G x (O^2G)^{2+2d} x O^2G{3}"
 
 
-def test_gauge_factors_are_sorted_on_construction():
-    a = GaugeExpr("S4", 0, ((LoopFactor(1), 1), (LoopFactor(3, 5), 1), (LoopFactor(3), 1)))
-    b = GaugeExpr("S4", 0, ((LoopFactor(3), 1), (LoopFactor(1), 1), (LoopFactor(3, 5), 1)))
-    assert a == b
-    assert a.blocks == ((LoopFactor(3), 1), (LoopFactor(3, 5), 1), (LoopFactor(1), 1))
+def test_gauge_product_symbolic_with_no_plain_double_loops():
+    blocks = [(Sphere(4), 1), (Moore(3, 9), 1)]
+    assert _product(Sphere(5), 0, blocks, SYMBOLIC) == "G_0(S^4) x O^3G x (O^2G)^{2d} x O^2G{9}"
+    assert _product(Sphere(5), 0, [], SYMBOLIC) == "G_0(S^4) x (O^2G)^{2d}"
 
 
 def test_counts_are_checked_and_merged_where_blocks_are_built():
     with pytest.raises(TermError, match="^block count must be >= 0, got -1$"):
         Wedge(((Sphere(3), 2), (Moore(3, 9), -1)))
-    with pytest.raises(TermError, match="^block count must be >= 0, got -1$"):
-        GaugeExpr("S4", 0, ((LoopFactor(2), -1),))
     # Zero blocks vanish, equal terms merge, nested counts multiply.
     raw = Wedge(((Sphere(4), 0), (Wedge(((Sphere(3), 2), (Wedge(()), 5))), 3), (Sphere(3), 1)))
     assert normalize(raw) == Wedge(((Sphere(3), 7),))
     assert normalize(Wedge(((Sphere(4), 0),))) == Wedge(())
-    expr = GaugeExpr("S4", 0, ((LoopFactor(3), 0), (LoopFactor(1), 2), (LoopFactor(1), 1)))
-    assert expr.blocks == ((LoopFactor(1), 3),)
-    assert expr == GaugeExpr("S4", 0, ((LoopFactor(1), 3),))
 
 
 # --------------------------------------------------------------------------
@@ -566,14 +532,18 @@ def test_written_out_copies_are_capped_before_expanding(hang_guard):
         with pytest.raises(ValueError, match="limit of 10\\*\\*6"):
             render_blocks(huge, " v ")
     # the G_t(...) head of a product is not one of the copies
-    text = render(GaugeExpr("S4", 0, ((LoopFactor(2), MAX_COPIES),)))
-    assert len(text.split(" x ")) == MAX_COPIES + 1
-    with pytest.raises(ValueError, match="limit of 10\\*\\*6"):
-        render(GaugeExpr("S4", 0, ((LoopFactor(2), MAX_COPIES + 1),)))
-    # the symbolic (S^3)^{n+2d} block is one piece, whatever n
-    pieces = block_pieces([(Sphere(5), 1), (Sphere(3), 10**18)], Sphere(3))
+    for n in (MAX_COPIES, MAX_COPIES + 1):
+        parts = ["G_0(S^4)", " x "]
+        pieces = block_pieces([(Sphere(3), n)], False, FACTOR_TEXT)
+        if n == MAX_COPIES:
+            assert len("".join(join_blocks(parts, pieces, " x ")).split(" x ")) == n + 1
+        else:
+            with pytest.raises(ValueError, match="limit of 10\\*\\*6"):
+                join_blocks(parts, pieces, " x ")
+    # the symbolic (S^3)^{n+2d} block, and its (O^2G)^{n+2d}, is one piece, whatever n
+    pieces = block_pieces([(Sphere(5), 1), (Sphere(3), 10**18)], True)
     assert "".join(join_blocks([], pieces, " v ")) == "S^5 v (S^3)^{1000000000000000000+2d}"
-    assert render(GaugeExpr("S4", 0, ((LoopFactor(2), 10**18),), SYMBOLIC)) == (
+    assert _product(Sphere(5), 0, [(Sphere(3), 10**18)], SYMBOLIC) == (
         "G_0(S^4) x (O^2G)^{1000000000000000000+2d}")
 
 
@@ -586,8 +556,8 @@ def test_block_joiner_matches_joining_every_copy(hang_guard):
     dec = decompose(manifold("1", MAX_COPIES - 1))
     assert dec.blocks == ((Sphere(5), 1), (Sphere(3), MAX_COPIES - 1))
     assert render_blocks(dec.blocks, " v ") == " v ".join(map(render, expand(dec.blocks)))
-    factors = map(render, expand(dec.gauge.blocks))
-    assert render(dec.gauge) == " x ".join(["G_0(S^4)", *factors])
+    assert gauge_product(dec) == product_every_copy(dec) == " x ".join(
+        ["G_0(S^4)", *["O^2G"] * (MAX_COPIES - 1)])
 
 
 def test_parse_term_atoms():

@@ -28,10 +28,8 @@ from gauge4 import (
     ClassRule,
     Decomposition,
     EquivalenceVerdict,
-    GaugeExpr,
     IntMatrix,
     LieGroupSpec,
-    LoopFactor,
     ManifoldSpec,
     Moore,
     Pi1Descriptor,
@@ -53,10 +51,6 @@ VALUES = [
     (lambda: SuspCP2(), "SuspCP2()"),
     (lambda: Wedge(((Sphere(5), 1), (Moore(3, 3), 2))),
      "Wedge(blocks=((Sphere(dim=5), 1), (Moore(dim=3, modulus=3), 2)))"),
-    (lambda: LoopFactor(2), "LoopFactor(loop_order=2, modulus=None)"),
-    (lambda: GaugeExpr("S4", 1, ((LoopFactor(3, 9), 1),), "symbolic"),
-     "GaugeExpr(base='S4', t=1, blocks=((LoopFactor(loop_order=3, modulus=9), 1),), "
-     "stabilization='symbolic')"),
     (lambda: Pi1Descriptor(1, ((9, 1),)),
      "Pi1Descriptor(free_rank=1, cyclic_factors=((3, 2),))"),
     (lambda: ManifoldSpec(Pi1Descriptor(1, ((9, 1),)), 2, False),
@@ -131,20 +125,22 @@ def test_a_wedge_does_not_depend_on_the_order_of_its_blocks():
 
 
 def test_equality_holds_only_within_a_class():
-    assert Moore(3, 3) != LoopFactor(3, 3)
+    # Moore(3, 3) hashes as its fields, the tuple (3, 3), and equals it no more
+    assert Moore(3, 3) != (3, 3) and hash(Moore(3, 3)) == hash((3, 3))
     assert Wedge(()) != SuspCP2()
     assert Sphere(3) != (3,) and Sphere(3) != 3
     assert Pi1Descriptor() != ()
-    assert len({Moore(3, 3), LoopFactor(3, 3), Wedge(()), SuspCP2()}) == 4
+    assert len({Moore(3, 3), (3, 3), Wedge(()), SuspCP2()}) == 4
     assert Moore(3, 3) != Moore(3, 9) and Sphere(3) != Sphere(4)
     assert ClassRule(12, "integral") != ClassRule(12, "integral", 2)
 
 
 def test_keywords_and_defaults_follow_the_fields():
-    assert LoopFactor(loop_order=2) == LoopFactor(2, None)
+    assert Moore(modulus=3, dim=4) == Moore(4, 3)
     assert Pi1Descriptor() == Pi1Descriptor(0, ())
     assert ClassRule(k=6, scope="odd-primes", odd_prime_bound=3) == ClassRule(6, "odd-primes", 3)
-    assert GaugeExpr("CP2", 2) == GaugeExpr("CP2", 2, (), 0)
+    assert Decomposition(Sphere(5), 2, 0, Pi1Kind.FREE) == Decomposition(
+        suspension=Sphere(5), t=2, stabilization=0, case_used=Pi1Kind.FREE)
     assert EquivalenceVerdict("yes", {}, None).stabilized is False
 
 
