@@ -53,9 +53,9 @@ class Lines:
         return self._local
 
     def _global(self, frame, event, arg):
-        if frame.f_code in self.code or not frame.f_globals.get("__name__", "").startswith("gauge4"):
+        if frame.f_code in self.code:
             return None
-        return self._local
+        return self._local if frame.f_globals.get("__name__", "").startswith("gauge4") else None
 
     @contextlib.contextmanager
     def collecting(self):

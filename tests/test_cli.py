@@ -200,7 +200,8 @@ def test_decompose_json_round_trip(capsys, argv):
     assert expand(dec.blocks) == atoms
     # one loop factor per summand after the base, in order, from loop_pair
     assert g["base"] == dec.base
-    assert [(f["loop_order"], f["modulus"]) for f in g["factors"]] == list(map(loop_pair, atoms[1:]))
+    assert [(f["loop_order"], f["modulus"]) for f in g["factors"]] == [
+        loop_pair(atom) for atom in atoms[1:]]
     assert render_decomposition(dec) + "\n" == text
 
 

@@ -2,12 +2,12 @@
 
 ``tests/data/golden_sweep.json`` holds, for each query, the argv passed to
 ``cli.run`` with its exit code, stdout and stderr, and for each seeded gauge
-product the text the gauge half of its splitting is written with.  The sweep covers decompose,
-suspension, classify and parse in text and ``--json``; ``--d`` omitted,
-``symbolic`` and 0-3; both top-cell flags; and moduli out of order and
-repeated; then homology (with and without ``--suspension``) and small snf
-queries; then every ``--d`` spelling on every pi1 shape, mixed included,
-for decompose and suspension in text and ``--json``.  The ``verdicts``
+product the text the gauge half of its splitting is written with.  The
+sweep covers decompose, suspension, classify and parse in text and
+``--json``; ``--d`` omitted, ``symbolic`` and 0-3; both top-cell flags; and
+moduli out of order and repeated; then homology (with and without
+``--suspension``) and small snf queries; then every ``--d`` spelling on every
+pi1 shape, mixed included, for decompose and suspension in text and ``--json``.  The ``verdicts``
 section holds the ``repr`` of ``rule_for`` and ``count_types`` for
 SU(2..8), Sp(1..4) and G2 over every base, and of seeded ``classify`` and
 ``classify_base`` verdicts with primes up to 47, which the CLI cannot reach
