@@ -365,6 +365,7 @@ STABILIZATION_ENTRY_POINTS = {
     "mixed_decomposition": lambda d: mixed_decomposition(MIXED_SPEC, d=d),
     "stabilize": lambda d: stabilize(MIXED_SPEC, d),
     "Decomposition": lambda d: Decomposition(Wedge(((Sphere(5), 1),)), 0, d, Pi1Kind.MIXED),
+    "check_stabilization": lambda d: decomposer.check_stabilization(d),
 }
 
 

@@ -31,10 +31,12 @@ from gauge4 import (
     decompose,
     homology_of_term,
     manifold,
+    mixed_decomposition,
     parse_group,
     parse_matrix,
     render,
     smith_normal_form,
+    stabilize,
     wedge,
 )
 from gauge4.classifier import GroupParseError
@@ -57,6 +59,13 @@ ENTRY_POINTS = {
     "check_stabilization": (check_stabilization, TermError, "stabilization count"),
     "decompose d": (lambda x: decompose(manifold("Z*Z/3", 1), d=x), TermError,
                     "stabilization count"),
+    "mixed_decomposition d": (lambda x: mixed_decomposition(manifold("Z*Z/3", 1), d=x),
+                              TermError, "stabilization count"),
+    "stabilize d": (lambda x: stabilize(manifold("Z*Z/3", 1), x), TermError,
+                    "stabilization count"),
+    "Decomposition stabilization": (
+        lambda x: Decomposition(Wedge(((Sphere(5), 1),)), 0, x, Pi1Kind.MIXED), TermError,
+        "stabilization count"),
     "IntMatrix rows": (lambda x: IntMatrix(x, 0, ()), ValueError, "matrix rows"),
     "IntMatrix columns": (lambda x: IntMatrix(0, x, ()), ValueError, "matrix columns"),
     "Sphere": (Sphere, TermError, "sphere dimension"),
@@ -73,9 +82,14 @@ ENTRY_POINTS = {
                         DecompositionError, "bundle class t"),
     "decompose t": (lambda x: decompose(manifold("Z/3", 1), x), DecompositionError,
                     "bundle class t"),
+    "mixed_decomposition t": (lambda x: mixed_decomposition(manifold("Z*Z/3", 1), x),
+                              DecompositionError, "bundle class t"),
     "classify t": (lambda x: classify(SU2, Z_SPEC, x, 2), ValueError, "bundle class t"),
     "classify s": (lambda x: classify(SU2, Z_SPEC, 1, x), ValueError, "bundle class s"),
     "classify_base t": (lambda x: classify_base(SU2, "S4", x, 2), ValueError, "bundle class t"),
+    "classify_base s": (lambda x: classify_base(SU2, "S4", 1, x), ValueError, "bundle class s"),
+    "classify_base prime": (lambda x: classify_base(SU2, "S4", 1, 2, primes=(x,)), ValueError,
+                            "prime"),
     "classify prime": (lambda x: classify(SU2, Z_SPEC, 1, 2, primes=(5, x)), ValueError,
                        "prime"),
 }

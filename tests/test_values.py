@@ -38,6 +38,7 @@ from gauge4 import (
     SuspCP2,
     Wedge,
 )
+from gauge4.terms import SYMBOLIC
 from gauge4.value import Value
 
 RULE = ClassRule(12, "integral")
@@ -68,20 +69,34 @@ VALUES = [
      "Decomposition(suspension=Wedge(blocks=((Sphere(dim=5), 1), (Sphere(dim=3), 2))), t=4, "
      "stabilization=0, case_used=<Pi1Kind.TRIVIAL: 'simply_connected'>)"),
 ]
-#: Each row is named for its class, but the point, the empty wedge, for itself.
-IDS = ["point", *(text.split("(")[0] for _, text in VALUES[1:])]
+#: Second rows of classes VALUES has, each named for the field values it adds:
+#: a symbolic count, a mixed case and a Moore summand in a splitting, and a
+#: bound in a rule.
+MORE_VALUES = {
+    "symbolic splitting": (
+        lambda: Decomposition(Wedge(((Moore(3, 3), 1), (Sphere(5), 1))), 1, SYMBOLIC,
+                              Pi1Kind.MIXED),
+        "Decomposition(suspension=Wedge(blocks=((Sphere(dim=5), 1), (Moore(dim=3, modulus=3), "
+        "1))), t=1, stabilization='symbolic', case_used=<Pi1Kind.MIXED: 'mixed'>)"),
+    "odd-prime rule": (lambda: ClassRule(6, "odd-primes", 3),
+                       "ClassRule(k=6, scope='odd-primes', odd_prime_bound=3)"),
+}
+ROWS = VALUES + list(MORE_VALUES.values())
+#: Each row of VALUES is named for its class, but the point, the empty wedge,
+#: for itself.
+IDS = ["point", *(text.split("(")[0] for _, text in VALUES[1:]), *MORE_VALUES]
 
 
 def test_every_value_class_is_covered():
-    assert sorted(IDS[1:]) == sorted(cls.__name__ for cls in Value.__subclasses__())
+    assert sorted(IDS[1:len(VALUES)]) == sorted(cls.__name__ for cls in Value.__subclasses__())
 
 
-@pytest.mark.parametrize("build,text", VALUES, ids=IDS)
+@pytest.mark.parametrize("build,text", ROWS, ids=IDS)
 def test_repr_is_the_dataclass_form(build, text):
     assert repr(build()) == text
 
 
-@pytest.mark.parametrize("build,text", VALUES, ids=IDS)
+@pytest.mark.parametrize("build,text", ROWS, ids=IDS)
 def test_equal_values_hash_alike_and_serve_as_keys(build, text):
     a, b = build(), build()
     assert a is not b and a == b and not a != b
@@ -94,7 +109,7 @@ def test_equal_values_hash_alike_and_serve_as_keys(build, text):
     assert len({a, b}) == 1
 
 
-@pytest.mark.parametrize("build,text", VALUES, ids=IDS)
+@pytest.mark.parametrize("build,text", ROWS, ids=IDS)
 def test_fields_cannot_be_assigned_or_deleted(build, text):
     value = build()
     for name in type(value).__slots__ + ("other",):
@@ -105,14 +120,14 @@ def test_fields_cannot_be_assigned_or_deleted(build, text):
     assert repr(value) == text
 
 
-@pytest.mark.parametrize("build,text", VALUES, ids=IDS)
+@pytest.mark.parametrize("build,text", ROWS, ids=IDS)
 def test_copy_and_pickle_give_an_equal_value(build, text):
     value = build()
     for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
         assert twin == value and type(twin) is type(value) and repr(twin) == text
 
 
-@pytest.mark.parametrize("build,text", VALUES, ids=IDS)
+@pytest.mark.parametrize("build,text", ROWS, ids=IDS)
 def test_a_value_is_built_again_from_its_fields(build, text):
     value = build()
     assert type(value)(*[getattr(value, name) for name in type(value).__slots__]) == value
