@@ -8,9 +8,7 @@ from .classifier import (
     LieGroupSpec,
     classify,
     classify_base,
-    count_types,
     parse_group,
-    rule_for,
 )
 from .decomposer import (
     Decomposition,
@@ -51,9 +49,7 @@ from .terms import (
     TermError,
     Wedge,
     normalize,
-    parse_term,
     render,
-    wedge,
 )
 
 __version__ = "0.1.0"
@@ -83,7 +79,6 @@ __all__ = [
     "classify_base",
     "classify_pi1",
     "connected_sum",
-    "count_types",
     "decompose",
     "homology_of_manifold",
     "homology_of_term",
@@ -93,13 +88,10 @@ __all__ = [
     "parse_group",
     "parse_matrix",
     "parse_pi1",
-    "parse_term",
     "render",
     "render_decomposition",
     "render_pi1",
-    "rule_for",
     "smith_normal_form",
     "stabilize",
     "suspend",
-    "wedge",
 ]

@@ -15,13 +15,12 @@ exact and deterministic:
 Nothing here factors: torsion is compared by invariant factors, which
 ``homology`` finds by factor refinement.  One cap keeps every call fast:
 an integer whose primality must be decided is at most
-``MAX_MODULUS = 2**64``, and so is the k whose divisors
-``classifier.count_types`` counts.  A larger one raises ``ValueError``
+``MAX_MODULUS = 2**64``.  A larger one raises ``ValueError``
 through ``check_limit``, which the command line reports as a one-line
 ``error:`` with exit code 2.
 """
 
-#: The largest integer whose primality is decided, or whose divisors are counted.
+#: The largest integer whose primality is decided.
 MAX_MODULUS = 2**64
 #: The most copies of wedge summands or loop factors an answer writes out, as
 #: text or as --json lists; terms.join_blocks, their one writer, checks it.

@@ -27,9 +27,9 @@ only exists after stabilization, so verdicts there compare the stabilized
 gauge groups and say so.
 """
 
-from math import gcd, prod
+from math import gcd
 
-from .arith import check_limit, is_prime
+from .arith import is_prime
 from .manifold import ManifoldSpec, Pi1Kind, classify_pi1
 from .terms import CP2, S4
 from .value import Value, decimal, digits, integer
@@ -129,20 +129,14 @@ _ROWS = {
 
 
 def _rows(group: LieGroupSpec, base: str, spin: bool | None) -> tuple[ClassRule, ...]:
-    """The rows governing (group, base), most specific first.
+    """The rows governing (group, base), most specific first; base is S4, CP2,
+    or MANIFOLD with spin the manifold's top-cell flag.
 
     The specific row, if any, then the parametric odd-primes row (SU(n) on
     S^4 and on M, Sp(n) on S^4) when there is no specific row or its k
     divides the specific k.
     """
-    if base == MANIFOLD:
-        if spin is None:
-            raise ValueError("manifold rules need the spin flag")
-        key = (MANIFOLD, bool(spin))
-    elif base == S4 or base == CP2:
-        key = base
-    else:
-        raise ValueError(f"unknown base {base!r}")
+    key = (MANIFOLD, spin) if base == MANIFOLD else base
     specific = _ROWS.get((group.family, group.n, key))
     n = group.n
     if group.family == "SU" and base != CP2:
@@ -154,16 +148,6 @@ def _rows(group: LieGroupSpec, base: str, spin: bool | None) -> tuple[ClassRule,
     if specific is None:
         return (generic,)
     return (specific, generic) if specific.k % generic.k == 0 else (specific,)
-
-
-def rule_for(group: LieGroupSpec, base: str, spin: bool | None = None) -> ClassRule | None:
-    """The table row governing (group, base), specific rows first.
-
-    base is "S4", "CP2", or "manifold" (the latter needs spin=True/False).
-    Returns None when the table has nothing to say.
-    """
-    rows = _rows(group, base, spin)
-    return rows[0] if rows else None
 
 
 class EquivalenceVerdict(Value):
@@ -244,36 +228,3 @@ def classify_base(
         raise ValueError(f"base must be S4 or CP2, got {base!r}")
     return _decide(_rows(group, base, None), t, s, _check_primes(primes), False)
 
-
-def count_types(group: LieGroupSpec, base: str, spin: bool | None = None) -> int | None:
-    """How many distinct gauge groups the rule allows over this base.
-
-    The gcd class of t against k takes one value per divisor of k, so this
-    is the divisor count; None when no rule covers the pair, and k above
-    2**64 raises ValueError.  The divisors are counted by trial division of
-    the factors the rule's k is built from: n - 1, n and n + 1 for SU(n)'s
-    n(n^2 - 1), 4, n and 2n + 1 for Sp(n)'s 4n(2n + 1), and a table
-    constant itself; each is below about 2**33 under the cap.
-    """
-    rule = rule_for(group, base, spin)
-    if rule is None:
-        return None
-    k, n = rule.k, group.n
-    check_limit(k)
-    if group.family == "SU" and k == (n - 1) * n * (n + 1):
-        parts = (n - 1, n, n + 1)
-    elif group.family == "Sp" and k == 4 * n * (2 * n + 1):
-        parts = (4, n, 2 * n + 1)
-    else:
-        parts = (k,)
-    exponents: dict[int, int] = {}
-    for m in parts:
-        d = 2
-        while d * d <= m:
-            while m % d == 0:
-                exponents[d] = exponents.get(d, 0) + 1
-                m //= d
-            d += 1 if d == 2 else 2
-        if m > 1:
-            exponents[m] = exponents.get(m, 0) + 1
-    return prod(e + 1 for e in exponents.values())

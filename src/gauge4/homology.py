@@ -253,21 +253,17 @@ def _snf_factors(rows: list[tuple[int, ...]]) -> tuple[int, ...]:
         return (gcd(*rows[0]),)
     rank, det, g = _rank_and_minor(rows)
     if rows and rank == len(rows) == len(rows[0]):
-        head = _modulo(rows, g, rank - 1)
+        head = _diagonalize(rows, g, rank - 1)
         return (*head, det // prod(head))
-    return tuple(_modulo(rows, det, rank))
-
-
-def _modulo(rows: "Sequence[Sequence[int]]", m: int, count: int) -> list[int]:
-    """The first count invariant factors of rows, all dividing m: _diagonalize's, padded with m."""
-    return ((_diagonalize(rows, m, count) if m > 1 else []) + [m] * count)[:count]
+    return tuple(_diagonalize(rows, det, rank))
 
 
 def _diagonalize(rows: "Sequence[Sequence[int]]", m: int, count: int) -> list[int]:
-    """The first count > 0 entries of the diagonal of the SNF of rows modulo
-    m > 1, gcd(di, m) for each invariant factor di in order; fewer if the
-    block left is 0 modulo m, and _modulo pads with m.  After count - 1
-    pivots, each dividing the block left, its gcd with m ends the list.
+    """The first count entries of the diagonal of the SNF of rows modulo m,
+    gcd(di, m) for each invariant factor di in order: all 1 for m = 1, and
+    otherwise (count > 0) m for each entry left once the block left is 0
+    modulo m.  After count - 1 pivots, each dividing the block left, its gcd
+    with m ends the list.
 
     The remaining block is reduced to residues of size at most m/2 at each
     new diagonal position, and its smallest nonzero entry is the pivot.  Its column is
@@ -279,6 +275,8 @@ def _diagonalize(rows: "Sequence[Sequence[int]]", m: int, count: int) -> list[in
     over to a remainder at most half the pivot before it, so the growth the
     passes allow telescopes and every entry stays polynomial in m.
     """
+    if m == 1:
+        return [1] * count
     a = [list(row) for row in rows if any(row)]
     k, n = len(a), len(rows[0]) if rows else 0
     half = m // 2
@@ -288,7 +286,7 @@ def _diagonalize(rows: "Sequence[Sequence[int]]", m: int, count: int) -> list[in
         sizes = [abs(v) for row in a[t:] for v in row[t:]]
         best = min(filter(None, sizes), default=0)
         if not best:
-            return factors
+            return factors + [m] * (count - t)
         i, j = divmod(sizes.index(best), n - t)
         pivot = (t + i, t + j)
         while True:

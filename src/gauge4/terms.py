@@ -32,7 +32,7 @@ gauge group instead, named ``S4`` or ``CP2`` and written as ``BASE_NAMES`` says.
 """
 
 from .arith import MAX_COPIES
-from .value import Value, decimal, digits, integer
+from .value import Value, integer
 
 
 class TermError(ValueError):
@@ -141,11 +141,6 @@ def normalize(term: SpaceTerm) -> SpaceTerm:
     if len(parts) == 1 and parts[0][1] == 1:
         return parts[0][0]
     return term
-
-
-def wedge(parts: "Iterable[SpaceTerm]") -> SpaceTerm:
-    """Normalized wedge sum of any iterable of terms, one copy each."""
-    return normalize(Wedge((part, 1) for part in parts))
 
 
 # --------------------------------------------------------------------------
@@ -274,33 +269,3 @@ def join_blocks(parts: list[str], pieces: "Sequence[tuple[str, int]]", sep: str)
         parts.pop()  # the separator after the last piece
     return parts
 
-
-# --------------------------------------------------------------------------
-# parsing
-
-def parse_term(text: str) -> SpaceTerm:
-    """Parse the rendered form of a space term; the result is normalized.
-
-    Grammar: atoms ``pt``, ``S^n``, ``P^n(q)``, ``SCP^2`` joined by the
-    wedge separator ``v``.  Whitespace around tokens is ignored.
-    """
-    if not text.strip():
-        raise TermError("empty term")
-    parts = [p.strip() for p in text.split("v")]
-    atoms = [_parse_atom(p) for p in parts]
-    return wedge(atoms)
-
-
-def _parse_atom(text: str) -> SpaceTerm:
-    if text == "pt":
-        return Wedge(())
-    if text == "SCP^2":
-        return SuspCP2()
-    kind, _, rest = text.partition("^")  # S^n, or P^n(q)
-    if kind == "S" and digits(rest):
-        return Sphere(decimal(rest, "sphere dimension", TermError))
-    n, _, q = rest.partition("(")
-    if kind == "P" and digits(n) and q[-1:] == ")" and digits(q[:-1]):
-        return Moore(decimal(n, "Moore space dimension", TermError),
-                     decimal(q[:-1], "Moore space modulus", TermError))
-    raise TermError(f"bad term atom: {text!r}")

@@ -9,10 +9,11 @@ invariant factors.
 
 ``integer`` is the one check of an integer a value holds: a count, a dimension, a modulus,
 a rank, a class t or s, a prime.  Each module passes its own error class.  ``decimal`` is the
-one reader of an integer written as text, in the five grammars and the five integer flags:
-a run of ASCII digits that ``digits`` passes, so no other script's digit and no underscore,
-with whitespace around ignored; a flag's integer or a matrix entry may carry a sign, and
-each grammar checks its own runs with ``digits``, so its integers carry none.  The grammars
+one reader of an integer written as text, in the four grammars (the five integer flags,
+``--pi1``, ``--group`` and ``--matrix``): a run of ASCII digits that ``digits`` passes, so
+no other script's digit and no underscore, with whitespace around ignored; a flag's integer
+or a matrix entry may carry a sign, and each other grammar checks its own runs with
+``digits``, so its integers carry none.  The grammars
 are read with str methods, so no pattern is compiled at import: ``str.strip`` strips exactly
 the code points for which ``str.isspace`` is true, the whitespace that ``\\s`` matched."""
 

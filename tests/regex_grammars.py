@@ -1,15 +1,14 @@
-"""The readers of gauge4's five text grammars as they were when regular expressions read
+"""The readers of gauge4's four text grammars as they were when regular expressions read
 them, kept unchanged as the reference the str-method readers are checked against:
-``value.decimal``'s signed token, ``parse_pi1``'s atom, ``parse_term``'s ``S^n`` and
-``P^n(q)``, ``parse_group``, and ``parse_matrix``'s shape and rows.  Each builds its
-value with gauge4's own classes and raises gauge4's own errors.  Only tests import it."""
+``value.decimal``'s signed token, ``parse_pi1``'s atom, ``parse_group``, and
+``parse_matrix``'s shape and rows.  Each builds its value with gauge4's own classes and
+raises gauge4's own errors.  Only tests import it."""
 
 import re
 
 from gauge4.classifier import GroupParseError, LieGroupSpec
 from gauge4.homology import IntMatrix
 from gauge4.manifold import TRIVIAL_PI1, InvalidSpecError, Pi1Descriptor, Pi1ParseError
-from gauge4.terms import Moore, Sphere, SuspCP2, TermError, Wedge, wedge
 from gauge4.value import invalid_int, past_digit_limit
 
 DIGITS = "[0-9]+"
@@ -46,31 +45,6 @@ def parse_pi1(text: str) -> Pi1Descriptor:
         return Pi1Descriptor(free_rank, tuple(factors))
     except InvalidSpecError as exc:
         raise Pi1ParseError(str(exc)) from None
-
-
-_SPHERE_RE = re.compile(rf"S\^({DIGITS})")
-_MOORE_RE = re.compile(rf"P\^({DIGITS})\(({DIGITS})\)")
-
-
-def parse_term(text: str):
-    if not text.strip():
-        raise TermError("empty term")
-    parts = [p.strip() for p in text.split("v")]
-    atoms = [_parse_atom(p) for p in parts]
-    return wedge(atoms)
-
-
-def _parse_atom(text: str):
-    if text == "pt":
-        return Wedge(())
-    if text == "SCP^2":
-        return SuspCP2()
-    if m := _SPHERE_RE.fullmatch(text):
-        return Sphere(decimal(m.group(1), "sphere dimension", TermError))
-    if m := _MOORE_RE.fullmatch(text):
-        return Moore(decimal(m.group(1), "Moore space dimension", TermError),
-                     decimal(m.group(2), "Moore space modulus", TermError))
-    raise TermError(f"bad term atom: {text!r}")
 
 
 _GROUP_RE = re.compile(rf"(SU|Sp)\(({DIGITS})\)")

@@ -13,9 +13,7 @@ from gauge4 import (
     Pi1Descriptor,
     classify,
     classify_base,
-    count_types,
     parse_group,
-    rule_for,
 )
 from gauge4.classifier import (
     ALL_PRIMES,
@@ -56,48 +54,56 @@ def test_lie_group_spec_names_a_bad_family_or_rank():
         LieGroupSpec("E", 8)
 
 
+def base_rule(group, base):
+    """The rule row reported for group over a bare base."""
+    return classify_base(group, base, 1, 1).rule_used
+
+
+def manifold_rule(group, spin):
+    """The rule row reported for group over a manifold with the given top-cell flag."""
+    return classify(group, SPIN_SPEC if spin else NONSPIN_SPEC, 1, 1).rule_used
+
+
 def test_rule_table_over_the_sphere():
-    assert rule_for(SU(2), S4) == ClassRule(12, INTEGRAL)
-    assert rule_for(SU(3), S4) == ClassRule(24, INTEGRAL)
-    assert rule_for(SU(5), S4) == ClassRule(120, ALL_PRIMES)
-    assert rule_for(Sp(2), S4) == ClassRule(40, ALL_PRIMES)
-    assert rule_for(G2, S4) == ClassRule(84, ODD_PRIMES)
+    assert base_rule(SU(2), S4) == ClassRule(12, INTEGRAL)
+    assert base_rule(SU(3), S4) == ClassRule(24, INTEGRAL)
+    assert base_rule(SU(5), S4) == ClassRule(120, ALL_PRIMES)
+    assert base_rule(Sp(2), S4) == ClassRule(40, ALL_PRIMES)
+    assert base_rule(G2, S4) == ClassRule(84, ODD_PRIMES)
     # parametric families where no sharper row exists
-    assert rule_for(SU(4), S4) == ClassRule(60, ODD_PRIMES, odd_prime_bound=4)
-    assert rule_for(SU(6), S4) == ClassRule(210, ODD_PRIMES, odd_prime_bound=6)
-    assert rule_for(Sp(1), S4) == ClassRule(12, ODD_PRIMES, odd_prime_bound=2)
-    assert rule_for(Sp(3), S4) == ClassRule(84, ODD_PRIMES, odd_prime_bound=6)
+    assert base_rule(SU(4), S4) == ClassRule(60, ODD_PRIMES, odd_prime_bound=4)
+    assert base_rule(SU(6), S4) == ClassRule(210, ODD_PRIMES, odd_prime_bound=6)
+    assert base_rule(Sp(1), S4) == ClassRule(12, ODD_PRIMES, odd_prime_bound=2)
+    assert base_rule(Sp(3), S4) == ClassRule(84, ODD_PRIMES, odd_prime_bound=6)
 
 
 def test_rule_table_over_the_projective_plane():
-    assert rule_for(SU(2), CP2) == ClassRule(6, INTEGRAL)
-    assert rule_for(SU(3), CP2) == ClassRule(12, ALL_PRIMES)
-    assert rule_for(SU(4), CP2) is None
-    assert rule_for(Sp(2), CP2) is None
-    assert rule_for(G2, CP2) is None
+    assert base_rule(SU(2), CP2) == ClassRule(6, INTEGRAL)
+    assert base_rule(SU(3), CP2) == ClassRule(12, ALL_PRIMES)
+    assert base_rule(SU(4), CP2) is None
+    assert base_rule(Sp(2), CP2) is None
+    assert base_rule(G2, CP2) is None
 
 
 def test_rule_table_over_manifolds():
-    assert rule_for(SU(2), MANIFOLD, spin=True) == ClassRule(12, INTEGRAL)
-    assert rule_for(SU(2), MANIFOLD, spin=False) == ClassRule(6, INTEGRAL)
-    assert rule_for(SU(3), MANIFOLD, spin=True) == ClassRule(24, INTEGRAL)
-    assert rule_for(SU(3), MANIFOLD, spin=False) == ClassRule(12, ALL_PRIMES)
+    assert manifold_rule(SU(2), spin=True) == ClassRule(12, INTEGRAL)
+    assert manifold_rule(SU(2), spin=False) == ClassRule(6, INTEGRAL)
+    assert manifold_rule(SU(3), spin=True) == ClassRule(24, INTEGRAL)
+    assert manifold_rule(SU(3), spin=False) == ClassRule(12, ALL_PRIMES)
     for spin in (True, False):
-        assert rule_for(SU(5), MANIFOLD, spin=spin) == ClassRule(
-            120, ODD_PRIMES, odd_prime_bound=5
-        )
-        assert rule_for(Sp(2), MANIFOLD, spin=spin) == ClassRule(40, ODD_PRIMES)
-        assert rule_for(G2, MANIFOLD, spin=spin) == ClassRule(84, ODD_PRIMES)
-        assert rule_for(Sp(3), MANIFOLD, spin=spin) is None
-        assert rule_for(Sp(1), MANIFOLD, spin=spin) is None
+        assert manifold_rule(SU(5), spin=spin) == ClassRule(120, ODD_PRIMES, odd_prime_bound=5)
+        assert manifold_rule(Sp(2), spin=spin) == ClassRule(40, ODD_PRIMES)
+        assert manifold_rule(G2, spin=spin) == ClassRule(84, ODD_PRIMES)
+        assert manifold_rule(Sp(3), spin=spin) is None
+        assert manifold_rule(Sp(1), spin=spin) is None
 
 
 def test_rule_applicability_cutoff():
-    rule = rule_for(Sp(3), S4)  # needs 2n = 6 <= (p-1)^2 + 1
+    rule = base_rule(Sp(3), S4)  # needs 2n = 6 <= (p-1)^2 + 1
     assert not rule.applies_at(2)
     assert not rule.applies_at(3)  # (3-1)^2 + 1 = 5 < 6
     assert rule.applies_at(5)  # 17 >= 6
-    rule = rule_for(SU(4), S4)  # needs 4 <= (p-1)^2 + 1
+    rule = base_rule(SU(4), S4)  # needs 4 <= (p-1)^2 + 1
     assert not rule.applies_at(2)
     assert rule.applies_at(3)  # 5 >= 4
 
@@ -224,39 +230,20 @@ def test_verdict_depends_only_on_gcd_class():
         assert classify(SU(2), SPIN_SPEC, s, t).integral == expected
 
 
-def test_count_types():
-    assert count_types(SU(2), S4) == 6  # divisors of 12
-    assert count_types(SU(2), CP2) == 4  # divisors of 6
-    assert count_types(SU(3), S4) == 8  # divisors of 24
-    assert count_types(SU(5), S4) == 16  # divisors of 120
-    assert count_types(SU(2), MANIFOLD, spin=True) == 6
-    assert count_types(SU(2), MANIFOLD, spin=False) == 4
-    assert count_types(G2, MANIFOLD, spin=True) == 12  # divisors of 84
-    assert count_types(Sp(3), MANIFOLD, spin=True) is None
-    assert count_types(SU(4), CP2) is None
-
-
-def test_count_types_of_the_parametric_rows(hang_guard):
-    # k is n(n^2 - 1) or 4n(2n + 1): its divisors are counted from its
-    # factors, here against the gcd classes they stand for.
-    for group, base in ([(SU(n), S4) for n in range(2, 22)] + [(SU(n), MANIFOLD) for n in (4, 6, 7)]
-                        + [(Sp(n), S4) for n in range(1, 14)]):
-        k = rule_for(group, base, True).k
-        assert count_types(group, base, True) == len({gcd(k, t) for t in range(k + 1)})
-    assert count_types(SU(2_642_245), S4) == 2048  # the largest n with k under 2**64
-    assert count_types(Sp(1_518_500_249), S4) == 144
-    line = r"^\d+ is larger than 2\*\*64, the limit for primality tests and factoring$"
-    for group in (SU(2_642_246), Sp(1_518_500_250)):
-        with pytest.raises(ValueError, match=line):
-            count_types(group, S4)
-
-
 def test_every_gcd_class_is_realized():
-    # Over [0, k] every divisor of k appears as gcd(k, t), so the class
-    # count equals the divisor count.
-    for group, spin, k in [(SU(2), True, 12), (SU(2), False, 6), (SU(3), True, 24)]:
-        classes = {gcd(k, t) for t in range(0, k + 1)}
-        assert len(classes) == count_types(group, MANIFOLD, spin=spin)
+    # Over [0, k] classify's integral verdict parts t into one class per divisor of k:
+    # every divisor appears as gcd(k, t), and t and s agree exactly when those agree.
+    for group, spec, k in [(SU(2), SPIN_SPEC, 12), (SU(2), NONSPIN_SPEC, 6),
+                           (SU(3), SPIN_SPEC, 24)]:
+        classes = []
+        for t in range(k + 1):
+            for members in classes:
+                if classify(group, spec, t, members[0]).integral == YES:
+                    members.append(t)
+                    break
+            else:
+                classes.append([t])
+        assert len(classes) == len([d for d in range(1, k + 1) if k % d == 0])
 
 
 def test_verdicts_never_contradict_reflexivity():

@@ -27,15 +27,13 @@ from gauge4 import (
     Pi1Kind,
     Sphere,
     SuspCP2,
-    TermError,
+    Wedge,
     decompose,
     manifold,
     mixed_decomposition,
     parse_matrix,
-    parse_term,
     render,
     render_decomposition,
-    wedge,
 )
 from gauge4.arith import MAX_COPIES
 from gauge4.cli import COMMANDS, UsageError, _splitting_json, parse_argv, run
@@ -196,7 +194,8 @@ def test_decompose_json_round_trip(capsys, argv):
     data = json.loads(blob)
     atoms = [rebuild_atom(o) for o in data["suspension"]]
     g = data["gauge"]
-    dec = Decomposition(wedge(atoms), g["t"], g["stabilization"], Pi1Kind(data["case"]))
+    dec = Decomposition(Wedge([(atom, 1) for atom in atoms]), g["t"], g["stabilization"],
+                        Pi1Kind(data["case"]))
     assert expand(dec.blocks) == atoms
     # one loop factor per summand after the base, in order, from loop_pair
     assert g["base"] == dec.base
@@ -674,24 +673,14 @@ def test_integer_flags_refuse_more_digits_than_python_reads(capsys):
 #: each sign, and whitespace around.
 TOKENS = ("7", "\u0667", "\uff17", "1_1", "+7", "-7", " 7 ", "7\n")
 _SU2 = ["classify", "--group", "SU(2)", "--t", "1"]
-#: reader -> (the argv, or parse_term's text, around a token; one outcome per token).
-#: An int is the value read, which answers as its ASCII digits do; a pair is the exit
-#: code (TermError for parse_term) and the error line.
+#: reader -> (the argv around a token; one outcome per token).  An int is the value
+#: read, which answers as its ASCII digits do; a pair is the exit code and the error line.
 INTEGER_READERS = {
     "--pi1": (lambda tok: ["parse", "--pi1", f"Z/{tok}"], [
         7, (2, "bad fundamental-group atom: 'Z/\u0667'"),
         (2, "bad fundamental-group atom: 'Z/\uff17'"), (2, "bad fundamental-group atom: 'Z/1_1'"),
         (2, "bad fundamental-group atom: 'Z/+7'"), (2, "bad fundamental-group atom: 'Z/-7'"),
         7, 7]),
-    "S^n": (lambda tok: f"S^{tok}", [
-        7, (TermError, "bad term atom: 'S^\u0667'"), (TermError, "bad term atom: 'S^\uff17'"),
-        (TermError, "bad term atom: 'S^1_1'"), (TermError, "bad term atom: 'S^+7'"),
-        (TermError, "bad term atom: 'S^-7'"), (TermError, "bad term atom: 'S^ 7'"), 7]),
-    "P^n(q)": (lambda tok: f"P^3({tok})", [
-        7, (TermError, "bad term atom: 'P^3(\u0667)'"), (TermError, "bad term atom: 'P^3(\uff17)'"),
-        (TermError, "bad term atom: 'P^3(1_1)'"), (TermError, "bad term atom: 'P^3(+7)'"),
-        (TermError, "bad term atom: 'P^3(-7)'"), (TermError, "bad term atom: 'P^3( 7 )'"),
-        (TermError, "bad term atom: 'P^3(7\\n)'")]),
     "--group": (lambda tok: ["classify", "--group", f"SU({tok})", "--t", "1", "--s", "2"], [
         7, (2, "bad group name: 'SU(\u0667)'"), (2, "bad group name: 'SU(\uff17)'"),
         (2, "bad group name: 'SU(1_1)'"), (2, "bad group name: 'SU(+7)'"),
@@ -732,22 +721,13 @@ def test_every_integer_reader_reads_ascii_digits_by_one_rule(capsys, reader):
     # reader's malformed line.  A flag and a matrix entry take a sign, the other grammars
     # none; whitespace around a token is ignored where the reader strips it.
     build, outcomes = INTEGER_READERS[reader]
-
-    def answer(token):
-        if reader in ("S^n", "P^n(q)"):
-            try:
-                return parse_term(build(token))
-            except TermError as exc:
-                return TermError, str(exc)
-        return invoke(capsys, *build(token))
-
     for token, want in zip(TOKENS, outcomes, strict=True):
-        if isinstance(want, int):  # the answer to the plain digits, a term or exit 0
-            want = answer(str(want))
-            assert not isinstance(want, tuple) or want[0] == 0
-        elif want[0] is not TermError:
+        if isinstance(want, int):  # the answer to the plain digits, with exit 0
+            want = invoke(capsys, *build(str(want)))
+            assert want[0] == 0
+        else:
             want = (want[0], "", f"error: {want[1]}\n")
-        assert answer(token) == want, token
+        assert invoke(capsys, *build(token)) == want, token
 
 
 #: The pieces of the snf fuzz below: the grammar's own tokens, json's words and number

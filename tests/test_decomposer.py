@@ -29,7 +29,6 @@ from gauge4 import (
     render_decomposition,
     stabilize,
     suspend,
-    wedge,
 )
 from gauge4 import decomposer
 from gauge4.cli import _splitting_json
@@ -47,14 +46,14 @@ def render_suspension_half(dec):
 def test_simply_connected_spin():
     dec = decompose(ManifoldSpec(TRIVIAL_PI1, 2, True), 3)
     assert dec.case_used is Pi1Kind.TRIVIAL
-    assert dec.suspension == wedge([Sphere(5), Sphere(3), Sphere(3)])
+    assert dec.suspension == Wedge((part, 1) for part in [Sphere(5), Sphere(3), Sphere(3)])
     assert gauge_half(dec) == "G_3(M) = G_3(S^4) x O^2G x O^2G"
     assert dec.stabilization == 0
 
 
 def test_simply_connected_non_spin():
     dec = decompose(ManifoldSpec(TRIVIAL_PI1, 3, False), 1)
-    assert dec.suspension == wedge([SuspCP2(), Sphere(3), Sphere(3)])
+    assert dec.suspension == Wedge((part, 1) for part in [SuspCP2(), Sphere(3), Sphere(3)])
     assert gauge_half(dec) == "G_1(M) = G_1(CP^2) x O^2G x O^2G"
 
 
@@ -67,24 +66,25 @@ def test_sphere_itself_is_the_bare_base():
 def test_free_case():
     dec = decompose(ManifoldSpec(Pi1Descriptor(1), 0, True), 2)
     assert dec.case_used is Pi1Kind.FREE
-    assert dec.suspension == wedge([Sphere(5), Sphere(4), Sphere(2)])
+    assert dec.suspension == Wedge((part, 1) for part in [Sphere(5), Sphere(4), Sphere(2)])
     assert gauge_half(dec) == "G_2(M) = G_2(S^4) x O^3G x O^1G"
 
     dec = decompose(ManifoldSpec(Pi1Descriptor(2), 1, True), 0)
-    assert dec.suspension == wedge(
-        [Sphere(5), Sphere(4), Sphere(4), Sphere(3), Sphere(2), Sphere(2)]
-    )
+    assert dec.suspension == Wedge(
+        (part, 1) for part in [Sphere(5), Sphere(4), Sphere(4), Sphere(3), Sphere(2), Sphere(2)])
     assert gauge_half(dec) == "G_0(M) = G_0(S^4) x O^3G x O^3G x O^2G x O^1G x O^1G"
 
 
 def test_cyclic_case():
     dec = decompose(ManifoldSpec(Pi1Descriptor(0, ((3, 2),)), 1, True), 2)
     assert dec.case_used is Pi1Kind.CYCLIC
-    assert dec.suspension == wedge([Sphere(5), Moore(4, 9), Sphere(3), Moore(3, 9)])
+    assert dec.suspension == Wedge(
+        (part, 1) for part in [Sphere(5), Moore(4, 9), Sphere(3), Moore(3, 9)])
     assert gauge_half(dec) == "G_2(M) = G_2(S^4) x O^3G{9} x O^2G x O^2G{9}"
 
     dec = decompose(ManifoldSpec(Pi1Descriptor(0, ((3, 1),)), 2, False), 4)
-    assert dec.suspension == wedge([SuspCP2(), Moore(4, 3), Sphere(3), Moore(3, 3)])
+    assert dec.suspension == Wedge(
+        (part, 1) for part in [SuspCP2(), Moore(4, 3), Sphere(3), Moore(3, 3)])
     assert gauge_half(dec) == "G_4(M) = G_4(CP^2) x O^3G{3} x O^2G x O^2G{3}"
 
 
@@ -94,9 +94,8 @@ def test_mixed_case_symbolic_by_default():
     assert dec.case_used is Pi1Kind.MIXED
     assert dec.stabilization == SYMBOLIC
     # the stored wedge keeps only the d-independent part, and the product adds 2d
-    assert dec.suspension == wedge(
-        [Sphere(5), Sphere(4), Moore(4, 3), Sphere(3), Moore(3, 3), Sphere(2)]
-    )
+    assert dec.suspension == Wedge(
+        (part, 1) for part in [Sphere(5), Sphere(4), Moore(4, 3), Sphere(3), Moore(3, 3), Sphere(2)])
     assert gauge_half(dec) == ("G_7(M) x (O^2G)^{2d} ~ "
                                "G_7(S^4) x O^3G x O^3G{3} x (O^2G)^{1+2d} x O^2G{3} x O^1G")
 
@@ -105,8 +104,8 @@ def test_mixed_case_concrete_d():
     spec = ManifoldSpec(Pi1Descriptor(1, ((3, 1),)), 1, True)
     dec = decompose(spec, 7, d=2)
     assert dec.stabilization == 2
-    assert dec.suspension == wedge(
-        [Sphere(5), Sphere(4), Moore(4, 3)]
+    assert dec.suspension == Wedge(
+        (part, 1) for part in [Sphere(5), Sphere(4), Moore(4, 3)]
         + [Sphere(3)] * 5
         + [Moore(3, 3), Sphere(2)]
     )
@@ -119,8 +118,8 @@ def test_mixed_case_concrete_d():
 def test_mixed_case_non_spin_spends_a_two_cell():
     spec = ManifoldSpec(Pi1Descriptor(0, ((3, 1), (5, 1))), 1, False)
     dec = decompose(spec, 0, d=1)
-    assert dec.suspension == wedge(
-        [SuspCP2(), Moore(4, 3), Moore(4, 5)]
+    assert dec.suspension == Wedge(
+        (part, 1) for part in [SuspCP2(), Moore(4, 3), Moore(4, 5)]
         + [Sphere(3)] * 2  # b2 - 1 + 2d
         + [Moore(3, 3), Moore(3, 5)]
     )
@@ -501,7 +500,7 @@ def _from_suspension(susp, t):
 
 
 def test_gauge_from_suspension_examples():
-    got = _from_suspension(wedge([SuspCP2(), Sphere(2)]), 5)
+    got = _from_suspension(Wedge((part, 1) for part in [SuspCP2(), Sphere(2)]), 5)
     assert gauge_half(got) == "G_5(M) = G_5(CP^2) x O^1G"
     assert gauge_half(_from_suspension(Sphere(5), 0)) == "G_0(M) = G_0(S^4)"
 

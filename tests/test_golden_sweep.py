@@ -8,10 +8,11 @@ sweep covers decompose, suspension, classify and parse in text and
 moduli out of order and repeated; then homology (with and without
 ``--suspension``) and small snf queries; then every ``--d`` spelling on every
 pi1 shape, mixed included, for decompose and suspension in text and ``--json``.  The ``verdicts``
-section holds the ``repr`` of ``rule_for`` and ``count_types`` for
-SU(2..8), Sp(1..4) and G2 over every base, and of seeded ``classify`` and
-``classify_base`` verdicts with primes up to 47, which the CLI cannot reach
-(no CP2 base, and only a few groups above).  This is the one table of
+section holds the ``repr`` of one verdict at t = s = 1 for SU(2..8), Sp(1..4)
+and G2 over every base, which pins the rule each reports (``classify_base`` over
+S4, CP2 and the refused RP4, ``classify`` over a manifold with each top-cell
+flag), and of seeded ``classify`` and ``classify_base`` verdicts with primes up
+to 47, which the CLI cannot reach (no CP2 base, and only a few groups above).  This is the one table of
 pinned CLI answers.  Rewrite it only for a deliberate output change:
 
     PYTHONPATH=src python tests/test_golden_sweep.py
@@ -37,10 +38,8 @@ from gauge4 import (
     Wedge,
     classify,
     classify_base,
-    count_types,
     manifold,
     parse_group,
-    rule_for,
 )
 from gauge4.cli import run
 
@@ -147,14 +146,17 @@ VERDICT_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
 def sweep_verdict_queries(n: int = 400) -> list[dict]:
-    """rule_for and count_types on every (group, base) pair and on the two
-    rejected ones, then seeded classify_base and classify queries."""
-    queries = [
-        {"fn": fn, "group": group, "base": base, "spin": spin}
-        for group in VERDICT_GROUPS
-        for base, spin in (*VERDICT_BASES, ("manifold", None), ("RP4", None))
-        for fn in ("rule_for", "count_types")
-    ]
+    """One verdict at t = s = 1 on every (group, base) pair and on the rejected
+    base RP4, then seeded classify_base and classify queries."""
+    queries = []
+    for group in VERDICT_GROUPS:
+        for base, spin in (*VERDICT_BASES, ("RP4", None)):
+            query = {"group": group, "t": 1, "s": 1, "primes": []}
+            if base == "manifold":
+                query.update(fn="classify", pi1="1", b2=1, spin=spin)
+            else:
+                query.update(fn="classify_base", base=base)
+            queries.append(query)
     rng = random.Random(SEED + 3)
     for _ in range(n):
         base, spin = rng.choice(VERDICT_BASES)
@@ -180,10 +182,6 @@ def _verdict(query: dict) -> str:
 
 def _call(query: dict) -> str:
     group = parse_group(query["group"])
-    if query["fn"] == "rule_for":
-        return repr(rule_for(group, query["base"], query["spin"]))
-    if query["fn"] == "count_types":
-        return repr(count_types(group, query["base"], query["spin"]))
     t, s, primes = query["t"], query["s"], query["primes"]
     if query["fn"] == "classify_base":
         return repr(classify_base(group, query["base"], t, s, primes))
@@ -281,8 +279,7 @@ def test_every_pinned_splitting_passes_the_independent_oracle():
 
 def test_verdict_sweep_is_identical():
     expected = json.loads(DATA.read_text())["verdicts"]
-    assert {case["query"]["fn"] for case in expected} == {
-        "rule_for", "count_types", "classify_base", "classify"}
+    assert {case["query"]["fn"] for case in expected} == {"classify_base", "classify"}
     for case in expected:
         assert _verdict(case["query"]) == case["repr"], f"first query that differs: {case['query']}"
 

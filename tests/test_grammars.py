@@ -1,4 +1,4 @@
-"""The five text grammars read as the regular expressions of ``regex_grammars`` read them.
+"""The four text grammars read as the regular expressions of ``regex_grammars`` read them.
 
 A seeded corpus of texts per grammar, drawn from every whitespace code point, ASCII
 digits, digits of other scripts, the underscore, signs and the grammar's own punctuation,
@@ -12,7 +12,7 @@ import re
 import pytest
 
 import regex_grammars
-from gauge4 import parse_group, parse_matrix, parse_pi1, parse_term
+from gauge4 import parse_group, parse_matrix, parse_pi1
 from gauge4.value import decimal
 
 #: Every code point for which str.isspace() is true, which is what re's \s matches in a
@@ -26,7 +26,6 @@ NOT_DIGITS = ["\u0663", "\uff13", "\u00b2", "_"]
 PUNCTUATION = {
     "decimal": ["+", "-", "++", "+-", ".", "e"],
     "pi1": ["Z", "z", "/", "//", "*", "**", "1", "(", ")"],
-    "term": ["S", "P", "^", "^^", "(", ")", "((", "))", "v", "V", "pt", "SCP^2", "SCP"],
     "group": ["SU", "Sp", "G2", "S", "U", "p", "(", ")", "((", "))", "+", "-"],
     "matrix": ["[", "]", "[[", "]]", "[]", "][", ",", ",,", "+", "-", "--"],
 }
@@ -68,13 +67,6 @@ def _pi1(rng):
     return "*".join(atoms)
 
 
-def _term(rng):
-    def atom():
-        return rng.choice(("pt", "SCP^2", f"S^{number(rng)}", f"P^{number(rng)}({number(rng)})"))
-
-    return "v".join(pad(rng) + atom() + pad(rng) for _ in range(rng.randint(1, 3)))
-
-
 def _group(rng):
     name = rng.choice(("G2", f"SU({number(rng)})", f"Sp({number(rng)})"))
     return pad(rng) + name + pad(rng)
@@ -93,7 +85,6 @@ GRAMMARS = {
     "decimal": (_decimal, lambda text: decimal(text, "an integer"),
                 lambda text: regex_grammars.decimal(text, "an integer")),
     "pi1": (_pi1, parse_pi1, regex_grammars.parse_pi1),
-    "term": (_term, parse_term, regex_grammars.parse_term),
     "group": (_group, parse_group, regex_grammars.parse_group),
     "matrix": (_matrix, parse_matrix, regex_grammars.parse_matrix),
 }

@@ -33,7 +33,6 @@ from gauge4 import (
     parse_matrix,
     smith_normal_form,
     suspend,
-    wedge,
 )
 from gauge4 import homology
 from gauge4.cli import run
@@ -132,7 +131,7 @@ def test_snf_matches_minor_oracle():
 def modulo_d(rows):
     """The invariant factors by the modulo-D route of smith_normal_form, called directly."""
     rank, det, _ = homology._rank_and_minor(rows)
-    return homology._modulo(rows, det, rank)
+    return homology._diagonalize(rows, det, rank)
 
 
 def test_snf_modulo_d_matches_minor_oracle():
@@ -371,20 +370,21 @@ def test_one_line_boundaries_skip_the_fraction_free_pass_at_one_event_per_column
 
 def test_the_last_factor_asked_for_is_the_gcd_of_m_and_the_block_left():
     # After count - 1 pivots, the gcd of m and the entries left as they stand, m when m
-    # divides them all, where the zero-block exit returns nothing; _modulo pads both to
-    # the same list.
+    # divides them all, as the zero-block exit pads each factor left with m.
     assert homology._diagonalize([[6, -12, 18]], 6, 1) == [6]
     assert homology._diagonalize([[4], [10]], 6, 1) == [2]
     assert homology._diagonalize([[1, 0], [0, 12], [0, 6]], 6, 2) == [1, 6]
     assert homology._diagonalize([[2, 0], [0, 0]], 4, 1) == [2]
-    assert homology._modulo([[6, -12, 18]], 6, 1) == homology._modulo([[0, 0, 0]], 6, 1) == [6]
+    assert homology._diagonalize([[0, 0, 0]], 6, 1) == [6]
     # The trailing route asks for n - 1 factors modulo g and takes no pivot step for
     # the last: diag(2, 3, 9) has g = 6, d1 = 1 and d2 = gcd(6, the 2 x 2 block left) = 3.
     assert homology._diagonalize([[2, 0, 0], [0, 3, 0], [0, 0, 9]], 6, 2) == [1, 3]
     assert homology._diagonalize([[2, 4], [6, 8]], 8, 1) == [2]
-    # A block that is 0 modulo m before the last factor ends the list early.
-    assert homology._diagonalize([[4, 0], [0, 8]], 4, 2) == []
-    assert homology._modulo([[4, 0], [0, 8]], 4, 2) == [4, 4]
+    # A block that is 0 modulo m before the last factor gives m for each factor left,
+    # and m = 1 gives 1 for each with no elimination.
+    assert homology._diagonalize([[4, 0], [0, 8]], 4, 2) == [4, 4]
+    assert homology._diagonalize([[1, 0, 2], [0, 4, 0], [0, 0, 8]], 4, 3) == [1, 4, 4]
+    assert homology._diagonalize([[2, 4], [6, 8]], 1, 2) == [1, 1]
 
 
 def test_one_line_and_rank_one_box(hang_guard):
@@ -675,7 +675,7 @@ def test_wedge_homology_is_additive():
     for _ in range(100):
         a = Sphere(rng.randint(1, 5))
         b = Moore(rng.randint(2, 5), rng.randint(2, 20))
-        combined = homology_of_term(wedge([a, b, SuspCP2()]))
+        combined = homology_of_term(Wedge([(a, 1), (b, 1), (SuspCP2(), 1)]))
         # reduced parts add; the base Z in degree 0 is counted once
         total = direct_sum(homology_of_term(a), homology_of_term(b), homology_of_term(SuspCP2()))
         expected_groups = list(total.groups)
@@ -689,8 +689,8 @@ def test_wedge_of_many_moore_spaces_is_one_pass(hang_guard):
     factors = tuple(((3, 5, 7, 11)[i % 4], 1 + i % 3) for i in range(1600))
     spec = ManifoldSpec(Pi1Descriptor(0, factors), 4, True)
     moduli = sorted(p**r for p, r in factors)
-    term = wedge([Sphere(5), *[Sphere(3)] * 4]
-                 + [Moore(dim, q) for q in moduli for dim in (3, 4)])
+    term = Wedge([(Sphere(5), 1), *[(Sphere(3), 1)] * 4]
+                 + [(Moore(dim, q), 1) for q in moduli for dim in (3, 4)])
     start = time.perf_counter()
     got = homology_of_term(term)
     assert time.perf_counter() - start < 1.0
@@ -705,9 +705,9 @@ def test_term_homology_reaches_degree_five_and_no_further():
     # and the refusal names the degree, not the dimension.
     assert homology_of_term(Moore(6, 9)) == graded({0: (1, ()), 5: (0, (9,))})
     assert homology_of_term(Moore(2, 6)).torsion(1) == (6,)  # kept as it is, not split
-    assert homology_of_term(wedge([Moore(6, 12), Sphere(5)])) == graded(
+    assert homology_of_term(Wedge([(Moore(6, 12), 1), (Sphere(5), 1)])) == graded(
         {0: (1, ()), 5: (1, (3, 4))})
-    for term in (Sphere(6), Moore(7, 9), wedge([Sphere(3), Moore(7, 9)])):
+    for term in (Sphere(6), Moore(7, 9), Wedge([(Sphere(3), 1), (Moore(7, 9), 1)])):
         with pytest.raises(ValueError, match=r"^degree 6 outside 0\.\.5$"):
             homology_of_term(term)
 

@@ -37,7 +37,6 @@ from gauge4 import (
     render,
     smith_normal_form,
     stabilize,
-    wedge,
 )
 from gauge4.classifier import GroupParseError
 from gauge4.manifold import TRIVIAL_PI1
@@ -143,9 +142,10 @@ def test_every_entry_point_rejects_a_non_int(entry, bad):
         # the term constructors
         (lambda: loop_pair(Sphere(2.5)), TermError,
          "sphere dimension must be an integer, got 2.5"),
-        (lambda: render(wedge([Sphere(5), Moore(3, 4.5)])), TermError,
+        (lambda: render(Wedge([(Sphere(5), 1), (Moore(3, 4.5), 1)])), TermError,
          "Moore space modulus must be an integer, got 4.5"),
-        (lambda: Decomposition(wedge([Sphere(5), Sphere(2.5)]), 0, 0, Pi1Kind.TRIVIAL), TermError,
+        (lambda: Decomposition(Wedge([(Sphere(5), 1), (Sphere(2.5), 1)]), 0, 0,
+                               Pi1Kind.TRIVIAL), TermError,
          "sphere dimension must be an integer, got 2.5"),
         (lambda: homology_of_term(Sphere(2.5)), TermError,
          "sphere dimension must be an integer, got 2.5"),

@@ -37,11 +37,10 @@ from gauge4 import (
     connected_sum,
     homology_of_manifold,
     mixed_decomposition,
-    rule_for,
     smith_normal_form,
     stabilize,
 )
-from gauge4.classifier import CP2, INTEGRAL, MANIFOLD, S4
+from gauge4.classifier import CP2, INTEGRAL, S4
 
 
 def random_rows(rng: random.Random, max_side=6, bound=9) -> list[list[int]]:
@@ -189,12 +188,11 @@ def test_classify_is_symmetric_blind_to_sign_and_periodic_in_an_integral_k():
         group, primes = rng.choice(GROUPS), tuple(rng.sample((2, 3, 5, 7, 11), rng.randint(0, 3)))
         t, s = rng.randint(-200, 200), rng.randint(-200, 200)
         if rng.random() < 0.5:
-            where = rng.choice((S4, CP2))
-            ask, rule = classify_base, rule_for(group, where)
+            ask, where = classify_base, rng.choice((S4, CP2))
         else:
-            where = random_spec(rng, max_free=2, max_cyclic=2)
-            ask, rule = classify, rule_for(group, MANIFOLD, where.sigma_f_trivial)
+            ask, where = classify, random_spec(rng, max_free=2, max_cyclic=2)
         answer = ask(group, where, t, s, primes)
+        rule = answer.rule_used
         assert ask(group, where, s, t, primes) == answer == ask(group, where, -t, s, primes), (
             group, where, t, s)
         if rule is not None and rule.scope == INTEGRAL:

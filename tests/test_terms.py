@@ -1,5 +1,4 @@
-"""Normal forms, the summand -> loop-factor correspondence, rendering,
-and the term grammar."""
+"""Normal forms, the summand -> loop-factor correspondence, and rendering."""
 
 import ast
 import functools
@@ -27,9 +26,7 @@ from gauge4 import (
     homology_of_term,
     manifold,
     normalize,
-    parse_term,
     render,
-    wedge,
 )
 from gauge4 import cli
 from gauge4.arith import MAX_COPIES
@@ -75,7 +72,8 @@ def test_normalize_collapses_degenerate_wedges():
 
 
 def test_normalize_orders_by_dim_down_then_kind_then_modulus():
-    got = wedge([SuspCP2(), Moore(4, 3), Moore(3, 9), Moore(3, 3), Sphere(5), Sphere(1)])
+    got = Wedge((part, 1) for part in
+                [SuspCP2(), Moore(4, 3), Moore(3, 9), Moore(3, 3), Sphere(5), Sphere(1)])
     assert got == Wedge(
         (
             (Sphere(5), 1),
@@ -96,14 +94,15 @@ def test_normalize_is_idempotent_and_order_insensitive():
         assert normalize(norm) == norm
         parts = [atom for atom, count in blocks(norm) for _ in range(count)]
         rng.shuffle(parts)
-        assert wedge(parts) == norm
+        assert normalize(Wedge((part, 1) for part in parts)) == norm
 
 
 def test_wedge_is_associative_up_to_normal_form():
     rng = random.Random(12)
     for _ in range(100):
         a, b, c = (random_term(rng) for _ in range(3))
-        assert wedge([wedge([a, b]), c]) == wedge([a, wedge([b, c])])
+        assert Wedge(((Wedge(((a, 1), (b, 1))), 1), (c, 1))) == Wedge(
+            ((a, 1), (Wedge(((b, 1), (c, 1))), 1)))
 
 
 def test_term_constructor_guards():
@@ -273,7 +272,7 @@ def test_only_constructors_merge_and_no_consumer_normalizes():
     # Blocks are put in normal form where a wedge is built, and the collapse
     # to an atom is made where a term or a splitting is.
     assert _calls("_merge") == [("terms", "Wedge.__init__")]
-    assert _calls("normalize") == [("decomposer", "Decomposition.__init__"), ("terms", "wedge")]
+    assert _calls("normalize") == [("decomposer", "Decomposition.__init__")]
 
 
 def test_every_written_copy_passes_the_one_cap():
@@ -372,18 +371,17 @@ def test_the_simply_connected_label_is_written_once():
 
 
 def test_one_digit_class_and_one_reader_for_every_integer_written_as_text():
-    # value.decimal is the one int() of text, for the five grammars and the five integer
-    # flags alike, and value.digits the one test of a run of digits: decimal's, and each
-    # grammar's own before it hands a run to decimal, so a grammar's integer has no sign.
+    # value.decimal is the one int() of text, for the four grammars alike (the integer
+    # flags, --pi1, --group and --matrix), and value.digits the one test of a run of
+    # digits: decimal's, and each other grammar's own before it hands a run to decimal,
+    # so such a grammar's integer has no sign.
     # No module of src imports re: every grammar is read with str methods.
     assert _calls("int") == [("value", "decimal")]
     assert _calls("decimal") == [
         ("classifier", "parse_group"), ("cli", "_int_arg"), ("homology", "parse_matrix"),
-        ("manifold", "parse_pi1"), ("terms", "_parse_atom"), ("terms", "_parse_atom"),
-        ("terms", "_parse_atom")]
+        ("manifold", "parse_pi1")]
     assert _calls("digits") == [
-        ("classifier", "parse_group"), ("manifold", "parse_pi1"), ("terms", "_parse_atom"),
-        ("terms", "_parse_atom"), ("terms", "_parse_atom"), ("value", "decimal")]
+        ("classifier", "parse_group"), ("manifold", "parse_pi1"), ("value", "decimal")]
     assert _calls("isdigit") == [("value", "digits")]
     assert [text for text in ("0123456789", "", "\u0663", "\uff13", "\u00b2", "1_0", "+1", " 1")
             if digits(text)] == ["0123456789"]
@@ -450,7 +448,7 @@ def test_render_atoms():
 
 
 def test_render_wedge_uses_canonical_order():
-    term = wedge([Moore(3, 3), Sphere(5), Sphere(2)])
+    term = Wedge(((Moore(3, 3), 1), (Sphere(5), 1), (Sphere(2), 1)))
     assert render(term) == "S^5 v P^3(3) v S^2"
     # A wedge is built in normal form whatever blocks it is given, so it renders as one.
     assert render(Wedge(((Sphere(2), 1), (Sphere(5), 1)))) == "S^5 v S^2"
@@ -560,47 +558,6 @@ def test_block_joiner_matches_joining_every_copy(hang_guard):
         ["G_0(S^4)", *["O^2G"] * (MAX_COPIES - 1)])
 
 
-def test_parse_term_atoms():
-    assert parse_term("pt") == Wedge(())
-    assert parse_term("S^3") == Sphere(3)
-    assert parse_term("P^4(27)") == Moore(4, 27)
-    assert parse_term("SCP^2") == SuspCP2()
-
-
-def test_parse_term_wedges_and_whitespace():
-    assert parse_term("S^3 v S^2") == Wedge(((Sphere(3), 1), (Sphere(2), 1)))
-    assert parse_term("  SCP^2v P^3(5)  ") == Wedge(((SuspCP2(), 1), (Moore(3, 5), 1)))
-    assert parse_term("pt v S^4") == Sphere(4)
-
-
-def test_parse_term_rejections():
-    for bad in ["", "  ", "S^", "S^0", "P^3", "P^3()", "P^1(3)", "Q^2", "S^3 v", "v S^2"]:
-        with pytest.raises(TermError):
-            parse_term(bad)
-
-
-def test_render_and_parse_term_name_what_they_refuse():
+def test_render_names_what_it_refuses():
     with pytest.raises(TermError, match="^cannot render 42$"):
         render(42)
-    with pytest.raises(TermError, match="^empty term$"):
-        parse_term("  ")
-    with pytest.raises(TermError, match=r"^bad term atom: 'Q\^3'$"):
-        parse_term("Q^3")
-
-
-def test_parse_term_refuses_more_digits_than_python_reads():
-    # int() stops at 4300 digits; each number of an atom is refused with
-    # gauge4's own line, not Python's, and 4300 digits are still read.
-    many = "9" * 4400
-    for text, what in ((f"S^{many}", "sphere dimension"), (f"P^{many}(3)", "Moore space dimension"),
-                       (f"P^3({many})", "Moore space modulus")):
-        with pytest.raises(TermError, match=f"^{what} has more than 4300 digits$"):
-            parse_term(text)
-    assert parse_term("S^" + "9" * 4300) == Sphere(int("9" * 4300))
-
-
-def test_parse_render_round_trip():
-    rng = random.Random(13)
-    for _ in range(300):
-        norm = normalize(random_term(rng))
-        assert parse_term(render(norm)) == norm
