@@ -12,8 +12,8 @@ section holds the ``repr`` of one verdict at t = s = 1 for SU(2..8), Sp(1..4)
 and G2 over every base, which pins the rule each reports (``classify_base`` over
 S4, CP2 and the refused RP4, ``classify`` over a manifold with each top-cell
 flag), and of seeded ``classify`` and ``classify_base`` verdicts with primes up
-to 47, which the CLI cannot reach (no CP2 base, and only a few groups above).  This is the one table of
-pinned CLI answers.  Rewrite it only for a deliberate output change:
+to 47, which the CLI cannot reach (no CP2 base, and only a few groups above).
+This is the one table of pinned CLI answers.  Rewrite it only for a deliberate output change:
 
     PYTHONPATH=src python tests/test_golden_sweep.py
 """
