@@ -15,6 +15,7 @@ from gauge4 import (
     classify_base,
     parse_group,
 )
+from gauge4.arith import is_prime
 from gauge4.classifier import (
     ALL_PRIMES,
     CP2,
@@ -244,6 +245,68 @@ def test_every_gcd_class_is_realized():
             else:
                 classes.append([t])
         assert len(classes) == len([d for d in range(1, k + 1) if k % d == 0])
+
+
+def gcd_classes(k, same):
+    """The classes into which same(t, s) parts t in [0, k], as the gcds of k with their members;
+    each class must hold a single gcd."""
+    classes = []
+    for t in range(k + 1):
+        for members in classes:
+            if same(t, members[0]):
+                members.append(t)
+                break
+        else:
+            classes.append([t])
+    gcds = [{gcd(k, t) for t in members} for members in classes]
+    assert all(len(g) == 1 for g in gcds), gcds
+    return sorted(g.pop() for g in gcds)
+
+
+def divisors(k):
+    return [d for d in range(1, k + 1) if k % d == 0]
+
+
+def test_an_integral_row_over_a_bare_base_parts_t_by_the_divisors_of_k():
+    for group, base, k in [(SU(2), S4, 12), (SU(2), CP2, 6), (SU(3), S4, 24)]:
+        same = lambda t, s: classify_base(group, base, t, s).integral == YES
+        assert gcd_classes(k, same) == divisors(k), (group, base)
+
+
+def test_an_all_primes_row_parts_t_by_its_verdicts_at_the_primes_of_k():
+    # No integral verdict past t = s, and one class per divisor of k from the local ones.
+    for group, base, k, primes in [(SU(5), S4, 120, (2, 3, 5)), (SU(3), CP2, 12, (2, 3)),
+                                   (Sp(2), S4, 40, (2, 5))]:
+        def same(t, s):
+            verdict = classify_base(group, base, t, s, primes)
+            assert verdict.integral == (YES if t == s else UNKNOWN)
+            return all(v == YES for v in verdict.local.values())
+        assert gcd_classes(k, same) == divisors(k), (group, base)
+
+
+def test_the_parametric_rows_carry_the_family_k():
+    # k = n(n^2 - 1) for SU(n) over S^4 and over M, and k = 4n(2n + 1) for Sp(n) over
+    # S^4, where the table holds no specific row; each gcd needs no factoring of k, so
+    # a k past 2**64 is decided as one under it.
+    for n in range(2, 22):
+        k = n * (n * n - 1)
+        if n not in (2, 3, 5):
+            assert base_rule(SU(n), S4) == ClassRule(k, ODD_PRIMES, odd_prime_bound=n)
+        if n >= 4:
+            for spin in (True, False):
+                assert manifold_rule(SU(n), spin) == ClassRule(k, ODD_PRIMES, odd_prime_bound=n)
+    for n in range(1, 14):
+        if n != 2:
+            assert base_rule(Sp(n), S4) == ClassRule(
+                4 * n * (2 * n + 1), ODD_PRIMES, odd_prime_bound=2 * n)
+    for group in (SU(2_642_245), SU(2_642_246), Sp(1_518_500_249), Sp(1_518_500_250)):
+        rule = classify_base(group, S4, 0, 0).rule_used
+        p = next(p for p in range(3, 10**6, 2)
+                 if is_prime(p) and rule.applies_at(p))  # the least odd prime it reaches
+        assert p > 1000 and not rule.applies_at(3)
+        assert (rule.k > 2**64) == (group in (SU(2_642_246), Sp(1_518_500_250)))
+        assert classify_base(group, S4, rule.k, 0, (p,)).local == {p: YES}
+        assert classify_base(group, S4, 1, 2, (p,)).local == {p: NO}  # every such k is even
 
 
 def test_verdicts_never_contradict_reflexivity():

@@ -686,11 +686,20 @@ INTEGER_READERS = {
         (2, "bad group name: 'SU(1_1)'"), (2, "bad group name: 'SU(+7)'"),
         (2, "bad group name: 'SU(-7)'"), (2, "bad group name: 'SU( 7 )'"),
         (2, "bad group name: 'SU(7\\n)'")]),
+    "--group Sp": (lambda tok: ["classify", "--group", f"Sp({tok})", "--t", "1", "--s", "2"], [
+        7, (2, "bad group name: 'Sp(\u0667)'"), (2, "bad group name: 'Sp(\uff17)'"),
+        (2, "bad group name: 'Sp(1_1)'"), (2, "bad group name: 'Sp(+7)'"),
+        (2, "bad group name: 'Sp(-7)'"), (2, "bad group name: 'Sp( 7 )'"),
+        (2, "bad group name: 'Sp(7\\n)'")]),
     "--b2": (lambda tok: ["parse", "--b2", tok], [
         7, (1, "argument --b2: invalid int value: '\u0667'"),
         (1, "argument --b2: invalid int value: '\uff17'"),
         (1, "argument --b2: invalid int value: '1_1'"), 7, (2, "b2 must be >= 0, got -7"), 7, 7]),
     "--t": (lambda tok: ["decompose", "--t", tok], [
+        7, (1, "argument --t: invalid int value: '\u0667'"),
+        (1, "argument --t: invalid int value: '\uff17'"),
+        (1, "argument --t: invalid int value: '1_1'"), 7, -7, 7, 7]),
+    "classify --t": (lambda tok: ["classify", "--group", "SU(2)", "--t", tok, "--s", "2"], [
         7, (1, "argument --t: invalid int value: '\u0667'"),
         (1, "argument --t: invalid int value: '\uff17'"),
         (1, "argument --t: invalid int value: '1_1'"), 7, -7, 7, 7]),
@@ -708,7 +717,15 @@ INTEGER_READERS = {
         (1, "argument --primes: expected a comma-separated prime list, got '\uff17'"),
         (1, "argument --primes: expected a comma-separated prime list, got '1_1'"), 7,
         (2, "not a prime: -7"), 7, 7]),
+    "--primes 2,p": (lambda tok: [*_SU2, "--s", "2", "--primes", f"2,{tok}"], [
+        7, (1, "argument --primes: expected a comma-separated prime list, got '2,\u0667'"),
+        (1, "argument --primes: expected a comma-separated prime list, got '2,\uff17'"),
+        (1, "argument --primes: expected a comma-separated prime list, got '2,1_1'"), 7,
+        (2, "not a prime: -7"), 7, 7]),
     "--matrix": (lambda tok: ["snf", "--matrix", f"[[{tok}]]"], [
+        7, (2, "bad matrix entry: '\u0667'"), (2, "bad matrix entry: '\uff17'"),
+        (2, "bad matrix entry: '1_1'"), 7, -7, 7, 7]),
+    "--matrix 1,a": (lambda tok: ["snf", "--matrix", f"[[1, {tok}]]"], [
         7, (2, "bad matrix entry: '\u0667'"), (2, "bad matrix entry: '\uff17'"),
         (2, "bad matrix entry: '1_1'"), 7, -7, 7, 7]),
 }

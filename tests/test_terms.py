@@ -456,6 +456,33 @@ def test_render_wedge_uses_canonical_order():
     assert render(Wedge(((Wedge(()), 1), (Wedge(((Sphere(3), 1),)), 1)))) == "S^3"
 
 
+def test_render_writes_each_copy_of_a_block_and_a_point_as_pt():
+    assert render(Wedge(((Sphere(3), 3),))) == "S^3 v S^3 v S^3"
+    assert render(Wedge(((Moore(4, 27), 2), (SuspCP2(), 1), (Wedge(()), 5)))) == (
+        "SCP^2 v P^4(27) v P^4(27)")
+    assert render(Wedge(((Wedge(()), 2), (Sphere(4), 0)))) == "pt"
+    assert render(Wedge(((Wedge(((Sphere(2), 2),)), 2),))) == " v ".join(["S^2"] * 4)
+
+
+def test_render_writes_every_digit_of_its_numbers():
+    # A number runs to the 4300 digits Python writes, with no sign, separator or exponent.
+    big = int("9" * 4300)
+    assert render(Sphere(big)) == "S^" + "9" * 4300
+    assert render(Moore(3, 2**64 + 1)) == "P^3(18446744073709551617)"
+    assert render(Wedge(((Moore(big, big), 2),))) == " v ".join([f"P^{big}({big})"] * 2)
+
+
+def test_render_is_injective_on_normal_forms():
+    # Two terms render alike only when their normal forms are equal, so a written wedge
+    # names one space.
+    rng = random.Random(13)
+    seen = {}
+    for _ in range(300):
+        norm = normalize(random_term(rng))
+        assert seen.setdefault(render(norm), norm) == norm
+    assert len(seen) > 100, len(seen)
+
+
 def _product(base, t, summands, stabilization=0):
     """The product written for the splitting of base and the (summand, count) blocks."""
     return gauge_product(Decomposition(Wedge([(base, 1), *summands]), t, stabilization,
