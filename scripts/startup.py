@@ -14,9 +14,10 @@ round:
 - ``query``: the wall time of ``python [-S] -m gauge4 decompose --pi1 Z*Z/3
   --b2 2``.
 
-It prints each side's median in milliseconds, one line per flag and command,
-and, per flag, the query's excess over the bare interpreter (the difference of
-their medians).  Without ``-S`` a ``.pth`` file in site-packages may load
+It prints each side's median in milliseconds, one line per flag and command.
+No line subtracts one command's median from another's: two medians of fresh
+interpreters each drift by several milliseconds between sittings, so their
+difference cannot show a change that small.  Without ``-S`` a ``.pth`` file in site-packages may load
 modules before any program runs, which hides what gauge4 loads itself; so a
 start-up claim states both flags.
 """
@@ -71,18 +72,16 @@ def measure(dirs: dict[str, Path], count: int) -> dict[tuple[str, str, str], lis
 
 
 def report(times: dict[tuple[str, str, str], list[float]], count: int) -> list[str]:
-    """The lines main prints: each side's median in ms by flag and command, the change
-    between them, and per flag the query's excess over the bare interpreter."""
+    """The lines main prints: each side's median in ms by flag and command, and the change
+    between them."""
     ms = {key: statistics.median(values) * 1e3 for key, values in times.items()}
     lines = [f"medians of {count} alternating fresh interpreters per side, in ms",
-             f"{'flag':<5} {'command':<16} {'parent':>8} {'change':>8} {'change %':>9}"]
+             f"{'flag':<5} {'command':<8} {'parent':>8} {'change':>8} {'change %':>9}"]
     for flag in FLAGS:
-        rows = [(command, *(ms[side, flag, command] for side in SIDES)) for command in COMMANDS]
-        rows.append(("query - pass", *(ms[side, flag, "query"] - ms[side, flag, "pass"]
-                                       for side in SIDES)))
-        for name, parent, change in rows:
-            share = f"{(change - parent) / parent:+.1%}" if parent > 0 else "-"
-            lines.append(f"{flag or 'site':<5} {name:<16} {parent:8.2f} {change:8.2f} {share:>9}")
+        for command in COMMANDS:
+            parent, change = (ms[side, flag, command] for side in SIDES)
+            share = f"{(change - parent) / parent:+.1%}"
+            lines.append(f"{flag or 'site':<5} {command:<8} {parent:8.2f} {change:8.2f} {share:>9}")
     return lines
 
 

@@ -211,7 +211,7 @@ def classify(
     a mixed free product the manifold is compared after stabilization and
     the verdict says so.
     """
-    stabilized = classify_pi1(spec.pi1) is Pi1Kind.MIXED
+    stabilized = classify_pi1(spec.pi1) == Pi1Kind.MIXED
     return _decide(_rows(group, MANIFOLD, spec.sigma_f_trivial), t, s, _check_primes(primes),
                    stabilized)
 

@@ -90,7 +90,7 @@ def _splitting_json(dec: decomposer.Decomposition, gauge: bool) -> list[str]:
     join_blocks, the suspension first, so its copy count is the one an error
     names; the parts are written in turn, never joined."""
     suspension = join_blocks([], [(_atom_json(atom), n) for atom, n in dec.blocks], ", ")
-    case = dec.case_used.value
+    case = dec.case_used
     stabilization = f'"{SYMBOLIC}"' if dec.stabilization == SYMBOLIC else dec.stabilization
     if not gauge:
         return [f'{{"case": "{case}", "stabilization": {stabilization}, "suspension": [',

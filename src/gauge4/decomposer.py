@@ -30,7 +30,7 @@ the S^3 block, which renders as (S^3)^{n+2d}.
 
 from itertools import groupby
 
-from .manifold import ManifoldSpec, Pi1Kind, classify_pi1
+from .manifold import PI1_KINDS, ManifoldSpec, Pi1Kind, classify_pi1
 from .terms import (
     BASE_NAMES,
     FACTOR_TEXT,
@@ -64,16 +64,16 @@ class Decomposition(Value):
     every other block must lie in loop_pair's domain.
     ``stabilization`` is 0 for the on-the-nose cases, a d >= 0 or SYMBOLIC
     for the stabilized one; with SYMBOLIC the S^3 count is the
-    d-independent part.  ``case_used`` is a Pi1Kind.
+    d-independent part.  ``case_used`` is a Pi1Kind label, one of PI1_KINDS.
     """
 
     __slots__ = ("suspension", "t", "stabilization", "case_used")
 
     def __init__(self, suspension: SpaceTerm, t: int, stabilization: Stabilization,
-                 case_used: Pi1Kind) -> None:
+                 case_used: str) -> None:
         integer(t, "bundle class t", error=DecompositionError)
         stabilization = check_stabilization(stabilization)
-        if not isinstance(case_used, Pi1Kind):
+        if case_used not in PI1_KINDS:
             raise DecompositionError(f"case_used must be a Pi1Kind, got {case_used!r}")
         susp = normalize(suspension)
         parts = blocks(susp)
@@ -114,7 +114,7 @@ def decompose(spec: ManifoldSpec, t: int = 0, *, d: Stabilization = SYMBOLIC) ->
     """
     d = check_stabilization(d)
     kind = classify_pi1(spec.pi1)
-    return _assemble(spec, t, d if kind is Pi1Kind.MIXED else 0, kind)
+    return _assemble(spec, t, d if kind == Pi1Kind.MIXED else 0, kind)
 
 
 def mixed_decomposition(spec: ManifoldSpec, t: int = 0, *, d: Stabilization = SYMBOLIC) -> Decomposition:
@@ -128,7 +128,7 @@ def mixed_decomposition(spec: ManifoldSpec, t: int = 0, *, d: Stabilization = SY
     return _assemble(spec, t, check_stabilization(d), Pi1Kind.MIXED)
 
 
-def _assemble(spec: ManifoldSpec, t: int, stabilization: Stabilization, kind: Pi1Kind) -> Decomposition:
+def _assemble(spec: ManifoldSpec, t: int, stabilization: Stabilization, kind: str) -> Decomposition:
     """The splitting from a checked stabilization count; a concrete d is that of
     stabilize(spec, d), whose b2 is 2d larger, so 2d more copies of S^3."""
     m = spec.pi1.free_rank

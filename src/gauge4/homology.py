@@ -14,7 +14,7 @@ though their representations differ.
 """
 
 from math import gcd, prod
-from operator import itemgetter, mul
+from operator import mul
 
 from . import terms as _t
 from .manifold import ManifoldSpec
@@ -78,16 +78,6 @@ class GradedAbelianGroup(Value):
 
     def _key(self) -> tuple:
         return tuple((rank, _invariant_factors(torsion)) for rank, torsion in self.groups)
-
-    def rank(self, degree: int) -> int:
-        return self.groups[degree][0]
-
-    def torsion(self, degree: int) -> tuple[int, ...]:
-        return self.groups[degree][1]
-
-    @property
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** i * rank for i, (rank, _) in enumerate(self.groups))
 
 
 def _invariant_factors(torsion: tuple[int, ...]) -> tuple[int, ...]:
@@ -199,23 +189,13 @@ class IntMatrix(Value):
         return cls(rows, cols, [[0] * cols] * rows)
 
 
-class SNFResult(tuple):
-    """The invariant factors (a tuple of ints) and the rank, their number: a pair that
-    names its two items and prints as a named tuple does."""
+class SNFResult(Value):
+    """The invariant factors (a tuple of ints) and the rank, their number."""
 
-    __slots__ = ()
+    __slots__ = ("invariant_factors", "rank")
 
-    def __new__(cls, invariant_factors: tuple[int, ...], rank: int) -> "SNFResult":
-        return tuple.__new__(cls, (invariant_factors, rank))
-
-    def __getnewargs__(self) -> tuple:  # copy and pickle build it again from both items
-        return tuple(self)
-
-    def __repr__(self) -> str:
-        return f"SNFResult(invariant_factors={self[0]!r}, rank={self[1]!r})"
-
-    invariant_factors = property(itemgetter(0))
-    rank = property(itemgetter(1))
+    def __init__(self, invariant_factors: tuple[int, ...], rank: int) -> None:
+        self._set(invariant_factors, rank)
 
 
 def smith_normal_form(mat: IntMatrix) -> SNFResult:

@@ -53,47 +53,17 @@ TRIVIAL_PI1 = Pi1Descriptor()
 
 
 class Pi1Kind:
-    """Which decomposition formula a fundamental group calls for: one of the four constants
-    TRIVIAL, FREE, CYCLIC and MIXED, in PI1_KINDS, each with its --json label as ``value``.
+    """Which decomposition formula a fundamental group calls for: one of the four str
+    constants TRIVIAL, FREE, CYCLIC and MIXED, each its own --json label, in PI1_KINDS."""
 
-    ``Pi1Kind(label)`` gives back the constant of that label and refuses any other, so no
-    fifth kind is built, and copy and pickle give back the constant.  A kind prints as an
-    enum member does, and its fields cannot be changed."""
-
-    __slots__ = ("name", "value")
-
-    def __new__(cls, value: object) -> "Pi1Kind":
-        for kind in PI1_KINDS:
-            if value is kind or value == kind.value:
-                return kind
-        raise ValueError(f"{value!r} is not a valid Pi1Kind")
-
-    def __reduce__(self) -> tuple:
-        return Pi1Kind, (self.value,)
-
-    def __repr__(self) -> str:
-        return f"<Pi1Kind.{self.name}: {self.value!r}>"
-
-    def __setattr__(self, name: str, *value: object):
-        raise AttributeError(f"cannot assign to or delete field {name!r}")
-
-    __delattr__ = __setattr__
+    TRIVIAL, FREE, CYCLIC, MIXED = "simply_connected", "free", "cyclic", "mixed"
 
 
-def _kind(name: str, value: str) -> Pi1Kind:
-    kind = object.__new__(Pi1Kind)
-    object.__setattr__(kind, "name", name)
-    object.__setattr__(kind, "value", value)
-    setattr(Pi1Kind, name, kind)
-    return kind
+PI1_KINDS = (Pi1Kind.TRIVIAL, Pi1Kind.FREE, Pi1Kind.CYCLIC, Pi1Kind.MIXED)
 
 
-PI1_KINDS = (_kind("TRIVIAL", "simply_connected"), _kind("FREE", "free"),
-             _kind("CYCLIC", "cyclic"), _kind("MIXED", "mixed"))
-
-
-def classify_pi1(pi1: Pi1Descriptor) -> Pi1Kind:
-    """Sort a fundamental group into one of the four supported shapes.
+def classify_pi1(pi1: Pi1Descriptor) -> str:
+    """Sort a fundamental group into one of the four supported shapes, a Pi1Kind label.
 
     Trivial; free of rank m >= 1; a single cyclic group of odd prime-power
     order; or a genuinely mixed free product (>= 2 cyclic factors, or a

@@ -4,9 +4,13 @@ each public name on that list stays."""
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
+import pytest
+
 import gauge4
+import gauge4.cli
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "scripts" / "reach.py"
@@ -50,3 +54,42 @@ def test_every_public_name_only_the_tests_reach_has_a_reason_in_the_readme():
     missing = [name for name in public
                if not any(line.startswith(f"- `{name}` — ") for line in library.splitlines())]
     assert public and not missing, missing
+
+
+def test_no_help_query_reaches_a_function_on_the_committed_list(capsys):
+    # the seven --help answers are user paths, so what they run is not tier-1's alone
+    lines = reach.Lines()
+    with lines.collecting():
+        for argv in reach.help_queries(gauge4.cli):
+            assert gauge4.cli.run(argv) == 0
+    # their answers, in turn, are the seven that tests/data/cli_help.txt pins
+    assert capsys.readouterr().out == (ROOT / "tests" / "data" / "cli_help.txt").read_text()
+    found = lines.functions()
+    committed = {line for line in reach.OUT.read_text().splitlines() if not line.startswith("#")}
+    assert "cli._help" in found and not found & committed
+
+
+def _main(monkeypatch, tmp_path, status):
+    """reach.main with tier-1 reaching one function and ending with status; the list it
+    writes goes to a file under tmp_path, which holds a list of one other function."""
+    out = tmp_path / "reach.txt"
+    out.write_text("# old\nold.name\n")
+    monkeypatch.setattr(reach, "user_paths", set)
+    monkeypatch.setattr(reach, "tier_one", lambda: ({"new.name"}, status))
+    monkeypatch.setattr(reach, "OUT", out)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    reach.main()
+    return out.read_text()
+
+
+def test_an_incomplete_run_writes_nothing(monkeypatch, tmp_path):
+    # pytest's status 2: a module failed to import, so tier-1 reached too little
+    with pytest.raises(SystemExit) as exit_:
+        _main(monkeypatch, tmp_path, 2)
+    assert exit_.value.code == 2
+    assert (tmp_path / "reach.txt").read_text() == "# old\nold.name\n"
+
+
+def test_a_run_with_failing_tests_writes_the_list(monkeypatch, tmp_path, capsys):
+    assert _main(monkeypatch, tmp_path, 1) == reach.HEADER + "new.name\n"
+    assert capsys.readouterr().out == "new.name\n"

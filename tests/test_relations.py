@@ -58,7 +58,9 @@ def random_rows(rng: random.Random, max_side=6, bound=9) -> list[list[int]]:
 
 
 def snf(rows, cols=None):
-    return smith_normal_form(IntMatrix.from_rows(rows, cols))
+    """The invariant factors and the rank of the SNF of rows, as a pair."""
+    result = smith_normal_form(IntMatrix.from_rows(rows, cols))
+    return result.invariant_factors, result.rank
 
 
 def torsion(factors):

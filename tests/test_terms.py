@@ -365,7 +365,7 @@ def test_each_base_name_is_written_once_in_terms():
 
 
 def test_the_simply_connected_label_is_written_once():
-    # it is Pi1Kind.TRIVIAL's value, which --json writes as it writes every other case
+    # it is Pi1Kind.TRIVIAL, which --json writes as it writes every other case
     assert _constants("simply_connected") == [("manifold", "simply_connected")]
     assert "Pi1Kind" not in vars(cli)
 

@@ -38,6 +38,7 @@ from gauge4 import (
     SuspCP2,
     Wedge,
 )
+from gauge4.homology import SNFResult
 from gauge4.terms import SYMBOLIC
 from gauge4.value import Value
 
@@ -65,9 +66,10 @@ VALUES = [
     (lambda: graded({0: (1, ()), 1: (0, (12,))}),
      "GradedAbelianGroup(groups=((1, ()), (0, (12,)), (0, ()), (0, ()), (0, ()), (0, ())))"),
     (lambda: IntMatrix.from_rows([[1, 2]]), "IntMatrix(rows=1, cols=2, entries=((1, 2),))"),
+    (lambda: SNFResult((2, 6), 2), "SNFResult(invariant_factors=(2, 6), rank=2)"),
     (lambda: Decomposition(Wedge(((Sphere(3), 2), (Sphere(5), 1))), 4, 0, Pi1Kind.TRIVIAL),
      "Decomposition(suspension=Wedge(blocks=((Sphere(dim=5), 1), (Sphere(dim=3), 2))), t=4, "
-     "stabilization=0, case_used=<Pi1Kind.TRIVIAL: 'simply_connected'>)"),
+     "stabilization=0, case_used='simply_connected')"),
 ]
 #: Second rows of classes VALUES has, each named for the field values it adds:
 #: a symbolic count, a mixed case and a Moore summand in a splitting, and a
@@ -77,7 +79,7 @@ MORE_VALUES = {
         lambda: Decomposition(Wedge(((Moore(3, 3), 1), (Sphere(5), 1))), 1, SYMBOLIC,
                               Pi1Kind.MIXED),
         "Decomposition(suspension=Wedge(blocks=((Sphere(dim=5), 1), (Moore(dim=3, modulus=3), "
-        "1))), t=1, stabilization='symbolic', case_used=<Pi1Kind.MIXED: 'mixed'>)"),
+        "1))), t=1, stabilization='symbolic', case_used='mixed')"),
     "odd-prime rule": (lambda: ClassRule(6, "odd-primes", 3),
                        "ClassRule(k=6, scope='odd-primes', odd_prime_bound=3)"),
 }
