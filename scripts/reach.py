@@ -8,10 +8,10 @@ which a line runs, twice, in one interpreter:
 - on the user paths: ``import gauge4, gauge4.cli``, then ``cli.run`` on every
   argv pinned in ``tests/data/golden_sweep.json`` and on the seven ``--help``
   queries whose answers ``tests/data/cli_help.txt`` pins (``--help``, then
-  ``<command> --help`` for each command of ``cli.COMMANDS``), then one round of each
-  workload of ``bench/workloads.py`` (seed 1, as ``bench/run.py`` numbers its
-  first round), built and run through the calls the benchmark times; the
-  benchmark's checks of each answer are not run;
+  ``<command> --help`` for each command of ``cli.COMMANDS``), then one round
+  of each workload of ``bench/workloads.py`` (seed 1, as ``bench/run.py``
+  numbers its first round), built and run through the calls the benchmark
+  times; the benchmark's checks of each answer are not run;
 - on tier-1: the test suite, run in-process by pytest from the root of the
   checkout, as the tier-1 command runs it.
 
@@ -23,8 +23,8 @@ shows as a diff.  ``bench/`` is imported and run, never changed.  Tracing makes
 the suite several times slower, so a test with a clock budget may fail here;
 its lines are recorded all the same.  pytest's report and exit status go to
 stderr.  Only a status of 0 or 1 says the suite ran to its end, so any other
-status (a module that failed to import, an interrupted run) leaves the list as it
-was and is the script's own exit status.
+status (a module that failed to import, an interrupted run) leaves the list as
+it was and is the script's own exit status.
 """
 
 import contextlib

@@ -17,9 +17,9 @@ round:
 It prints each side's median in milliseconds, one line per flag and command.
 No line subtracts one command's median from another's: two medians of fresh
 interpreters each drift by several milliseconds between sittings, so their
-difference cannot show a change that small.  Without ``-S`` a ``.pth`` file in site-packages may load
-modules before any program runs, which hides what gauge4 loads itself; so a
-start-up claim states both flags.
+difference cannot show a change that small.  Without ``-S`` a ``.pth`` file
+in site-packages may load modules before any program runs, which hides what
+gauge4 loads itself; so a start-up claim states both flags.
 """
 
 from __future__ import annotations
