@@ -7,7 +7,10 @@ The two sides are the committed trees of REV and of HEAD, each written by
 ``git archive`` into a fresh temporary directory, as the benchmark is
 meant to be run.  The archive is extracted with tarfile's ``"data"``
 filter, which refuses absolute paths, links out of the tree and device
-files (the default from Python 3.14 on).  For each seed of a ``WORKLOAD=SEEDS`` argument the two
+files (the default from Python 3.14 on).  Then HEAD's ``bench/`` and
+``BENCHMARK.json`` replace the parent's, so both sides run the same
+benchmark on their own ``src``, and the file records that ``bench`` tree
+as ``bench_tree`` beside each side's ``src_tree``.  For each seed of a ``WORKLOAD=SEEDS`` argument the two
 sides run the command of BENCHMARK.json with ``--workload W --seed S
 --seconds <run_seconds> --trace 0`` one after the other, the side that
 goes first alternating from seed to seed.  For every end-to-end metric the
@@ -34,6 +37,7 @@ import io
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -52,6 +56,14 @@ def git(*args: str) -> bytes:
 def checkout(rev: str, into: Path) -> None:
     with tarfile.open(fileobj=io.BytesIO(git("archive", "--format=tar", rev))) as tar:
         tar.extractall(into, filter="data")
+
+
+def same_bench(dirs: dict[str, Path]) -> None:
+    """Replace the parent side's ``bench/`` and ``BENCHMARK.json`` with the change
+    side's, so a file only in the parent's ``bench/`` is gone too."""
+    shutil.rmtree(dirs["parent"] / "bench", ignore_errors=True)
+    shutil.copytree(dirs["change"] / "bench", dirs["parent"] / "bench")
+    shutil.copyfile(dirs["change"] / "BENCHMARK.json", dirs["parent"] / "BENCHMARK.json")
 
 
 def seeds(text: str) -> list[int]:
@@ -178,11 +190,13 @@ def main() -> None:
         dirs = {side: Path(tmp, side) for side in SIDES}
         for side in SIDES:
             checkout(revs[side], dirs[side])
+        same_bench(dirs)
         spec = json.loads((dirs["change"] / "BENCHMARK.json").read_text())
         doc = {
             "command": " ".join(argv(spec, "W", "S", 0)),
             "src_tree": {side: git("rev-parse", f"{revs[side]}:src").decode().strip()
                          for side in SIDES},
+            "bench_tree": git("rev-parse", "HEAD:bench").decode().strip(),
             "machine": {"python": platform.python_version(), "cpus": os.cpu_count()},
             "workloads": {},
             "traced": {},

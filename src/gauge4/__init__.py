@@ -48,7 +48,6 @@ from .terms import (
     SuspCP2,
     TermError,
     Wedge,
-    normalize,
     render,
 )
 
@@ -84,7 +83,6 @@ __all__ = [
     "homology_of_term",
     "manifold",
     "mixed_decomposition",
-    "normalize",
     "parse_group",
     "parse_matrix",
     "parse_pi1",

@@ -30,7 +30,7 @@ from .classifier import (
     parse_group,
 )
 from .manifold import ManifoldSpec, manifold, render_pi1
-from .terms import SYMBOLIC, Moore, SpaceTerm, Sphere, join_blocks, loop_pair
+from .terms import FACTOR_JSON, JSON, SYMBOLIC, block_pieces, join_blocks
 from .value import decimal, invalid_int, past_digit_limit
 
 
@@ -68,34 +68,20 @@ def _spec_from_args(args: SimpleNamespace) -> ManifoldSpec:
 # JSON helpers
 
 
-def _atom_json(atom: SpaceTerm) -> str:
-    """The JSON object of a summand of a splitting: S^n, P^n(q) or SCP^2."""
-    if isinstance(atom, Sphere):
-        return f'{{"dim": {atom.dim}, "kind": "sphere", "modulus": null}}'
-    if isinstance(atom, Moore):
-        return f'{{"dim": {atom.dim}, "kind": "moore", "modulus": {atom.modulus}}}'
-    return '{"dim": 5, "kind": "susp_cp2", "modulus": null}'
-
-
-def _factor_json(summand: Sphere | Moore) -> str:
-    """The JSON object of Map*(summand, G), from terms.loop_pair."""
-    order, modulus = loop_pair(summand)
-    return f'{{"loop_order": {order}, "modulus": {"null" if modulus is None else modulus}}}'
-
-
 def _splitting_json(dec: decomposer.Decomposition, gauge: bool) -> list[str]:
     """The parts of the --json document of a splitting, byte for byte what
     json.dumps(..., sort_keys=True) writes for it with its lists expanded.
     The keys are written in sorted order, and each list from its blocks by
-    join_blocks, the suspension first, so its copy count is the one an error
-    names; the parts are written in turn, never joined."""
-    suspension = join_blocks([], [(_atom_json(atom), n) for atom, n in dec.blocks], ", ")
+    block_pieces, from the JSON or FACTOR_JSON column of terms._ATOMS, and
+    join_blocks, as the text is, the suspension first, so its copy count is
+    the one an error names; the parts are written in turn, never joined."""
+    suspension = join_blocks([], block_pieces(dec.blocks, False, JSON), ", ")
     case = dec.case_used
     stabilization = f'"{SYMBOLIC}"' if dec.stabilization == SYMBOLIC else dec.stabilization
     if not gauge:
         return [f'{{"case": "{case}", "stabilization": {stabilization}, "suspension": [',
                 *suspension, "]}"]
-    factors = join_blocks([], [(_factor_json(atom), n) for atom, n in dec.blocks[1:]], ", ")
+    factors = join_blocks([], block_pieces(dec.blocks[1:], False, FACTOR_JSON), ", ")
     return [f'{{"case": "{case}", "gauge": {{"base": "{dec.base}", "factors": [', *factors,
             f'], "stabilization": {stabilization}, "t": {dec.t}}}, "suspension": [',
             *suspension, "]}"]

@@ -8,11 +8,12 @@ group, so the gauge group G_t(M) splits as a product of a base gauge group
 — over S^4 or CP^2 — and loop factors.  This module builds the splitting
 and writes both halves from it.
 
-A splitting is stored once, as its normalized wedge, whose (summand,
+A splitting is stored once, as a Wedge, one block or many, whose (summand,
 count) blocks are in display order; equal cyclic factors of pi1 enter as
 one Moore block per dimension, and no block of count 0 is entered.  The
 gauge product is not stored: its text and --json are written from the
-blocks, the loop factor of each summand after the base from terms.loop_pair.
+blocks, each summand after the base read by the loop-factor columns of
+terms._ATOMS, which take its loop factor from terms.loop_pair.
 An answer, in text or in --json, is one list of string parts: fixed heads,
 and per repeated block one string repeat appended by terms.join_blocks, by
 splitting_parts for the text and by the CLI for --json.
@@ -42,12 +43,11 @@ from .terms import (
     SpaceTerm,
     Stabilization,
     Wedge,
+    as_wedge,
     block_pieces,
-    blocks,
     check_stabilization,
     join_blocks,
     loop_pair,
-    normalize,
 )
 from .value import Value, integer
 
@@ -59,8 +59,8 @@ class DecompositionError(ValueError):
 class Decomposition(Value):
     """Both halves of one splitting, plus how it was obtained.
 
-    ``suspension`` is the wedge, normalized on construction; its first
-    block must be the one base summand (S^5 or SCP^2), of count 1, and
+    ``suspension`` is a Wedge, an atom given being wrapped as one block of one
+    copy; its first block must be the one base summand (S^5 or SCP^2), of count 1, and
     every other block must lie in loop_pair's domain.
     ``stabilization`` is 0 for the on-the-nose cases, a d >= 0 or SYMBOLIC
     for the stabilized one; with SYMBOLIC the S^3 count is the
@@ -75,8 +75,8 @@ class Decomposition(Value):
         stabilization = check_stabilization(stabilization)
         if case_used not in PI1_KINDS:
             raise DecompositionError(f"case_used must be a Pi1Kind, got {case_used!r}")
-        susp = normalize(suspension)
-        parts = blocks(susp)
+        susp = as_wedge(suspension)
+        parts = susp.blocks
         # Both bases sort before loop_pair's domain, an interval of the blocks' order, so the
         # first block, a base of count 1, and the two ends of the rest decide a splitting.
         if not (parts and parts[0][0] in GAUGE_BASE and parts[0][1] == 1 and (
@@ -96,7 +96,7 @@ class Decomposition(Value):
     @property
     def blocks(self) -> tuple[tuple[SpaceTerm, int], ...]:
         """The (wedge summand, count) blocks, base first, in display order."""
-        return blocks(self.suspension)
+        return self.suspension.blocks
 
     @property
     def base(self) -> str:

@@ -408,7 +408,7 @@ def homology_of_term(term: _t.SpaceTerm) -> GradedAbelianGroup:
     """
     ranks = [1] + [0] * MAX_DEGREE
     torsion: list[list[int]] = [[] for _ in ranks]
-    for atom, count in _t.blocks(term):
+    for atom, count in _t.as_wedge(term).blocks:
         if isinstance(atom, _t.SuspCP2):
             ranks[3] += count
             ranks[5] += count

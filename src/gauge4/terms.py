@@ -14,19 +14,21 @@ No value stands for a loop factor; its text is written from the summand.
 Wedges are multisets of ``(term, count)`` blocks, built in
 one normal form (nested wedges flattened, merged, zero-free, sorted by
 ``_atom_key``), so no raw wedge exists: they compare by plain equality and
-cost the number of distinct terms, not of copies.  ``normalize`` only
-collapses a single copy to its atom.
+cost the number of distinct terms, not of copies.  ``as_wedge`` gives any
+term as its wedge, an atom as one block of one copy, so a reader of blocks
+meets one form.
 
-Text is written as a list of string parts joined once.  ``block_pieces``
-gives the (text, count) piece of each block, from a text column of
-``_ATOMS``; ``join_blocks`` appends the pieces, in string repeats of at most
+Text and --json are written as a list of string parts joined once.
+``block_pieces`` gives the (text, count) piece of each block, from a column
+of ``_ATOMS``: a summand's text or --json object, or its loop factor's;
+``join_blocks`` appends the pieces, in string repeats of at most
 ``COPIES_PER_PART`` copies, after checking ``MAX_COPIES`` from the counts;
 ``render`` joins the parts once.
 
 ``loop_pair`` is the one rule between the two sides: a wedge summand of
 dimension n after the base gives ``Map*(S^n, G) = O^{n-1}G`` and
-``Map*(P^n(q), G) = O^{n-1}G{q}``.  The loop-factor text column of
-``_ATOMS``, the --json writer and the check of a splitting read that pair.
+``Map*(P^n(q), G) = O^{n-1}G{q}``.  The two loop-factor columns of
+``_ATOMS``, text and --json, and the check of a splitting read that pair.
 ``GAUGE_BASE`` pairs each base summand, S^5 or SCP^2, with the base of the
 gauge group instead, named ``S4`` or ``CP2`` and written as ``BASE_NAMES`` says.
 """
@@ -124,23 +126,9 @@ def _merge(blocks: "Iterable[tuple[SpaceTerm, int]]") -> tuple:
     return tuple([merged[key] for key in sorted(merged)])
 
 
-def blocks(term: SpaceTerm) -> tuple[tuple[SpaceTerm, int], ...]:
-    """The (atom, count) blocks of a term (none for the empty wedge)."""
-    if isinstance(term, Wedge):
-        return term.blocks
-    if isinstance(term, (Sphere, Moore, SuspCP2)):
-        return ((term, 1),)
-    raise TermError(f"not a space term: {term!r}")
-
-
-def normalize(term: SpaceTerm) -> SpaceTerm:
-    """The one term for a space: a single copy of one atom collapses to that
-    atom; any other term is its own.  A wedge is in normal form where it is
-    built, so nothing is merged here."""
-    parts = blocks(term)
-    if len(parts) == 1 and parts[0][1] == 1:
-        return parts[0][0]
-    return term
+def as_wedge(term: SpaceTerm) -> Wedge:
+    """The term as a wedge: a wedge is its own, an atom one block of one copy."""
+    return term if term.__class__ is Wedge else Wedge(((term, 1),))
 
 
 # --------------------------------------------------------------------------
@@ -185,13 +173,24 @@ def _factor_text(summand: Sphere | Moore) -> str:
     return f"O^{order}G" if modulus is None else f"O^{order}G{{{modulus}}}"
 
 
-#: By exact class, each atom's sort key (see _atom_key), its text (column TEXT), and
-#: for a summand the text of its loop factor Map*(atom, G) (column FACTOR_TEXT).
-TEXT, FACTOR_TEXT = 1, 2
+def _factor_json(summand: Sphere | Moore) -> str:
+    """The --json object of Map*(summand, G), for a summand in loop_pair's domain."""
+    order, modulus = loop_pair(summand)
+    return f'{{"loop_order": {order}, "modulus": {"null" if modulus is None else modulus}}}'
+
+
+#: By exact class, each atom's sort key (see _atom_key), its text (column TEXT) and
+#: --json object (JSON), and for a summand the text and --json object of its loop
+#: factor Map*(atom, G) (columns FACTOR_TEXT and FACTOR_JSON).
+TEXT, FACTOR_TEXT, JSON, FACTOR_JSON = 1, 2, 3, 4
 _ATOMS = {
-    Sphere: (lambda s: (-s.dim, 0, 0), lambda s: f"S^{s.dim}", _factor_text),
-    Moore: (lambda m: (-m.dim, 1, m.modulus), lambda m: f"P^{m.dim}({m.modulus})", _factor_text),
-    SuspCP2: (lambda _: (-5, 2, 0), lambda _: "SCP^2", None),
+    Sphere: (lambda s: (-s.dim, 0, 0), lambda s: f"S^{s.dim}", _factor_text,
+             lambda s: f'{{"dim": {s.dim}, "kind": "sphere", "modulus": null}}', _factor_json),
+    Moore: (lambda m: (-m.dim, 1, m.modulus), lambda m: f"P^{m.dim}({m.modulus})", _factor_text,
+            lambda m: f'{{"dim": {m.dim}, "kind": "moore", "modulus": {m.modulus}}}',
+            _factor_json),
+    SuspCP2: (lambda _: (-5, 2, 0), lambda _: "SCP^2", None,
+              lambda _: '{"dim": 5, "kind": "susp_cp2", "modulus": null}', None),
 }
 
 
@@ -216,13 +215,13 @@ def render(obj: SpaceTerm) -> str:
 def block_pieces(blocks: "Sequence[tuple[SpaceTerm, int]]", symbolic: bool = False,
                  column: int = TEXT) -> list[tuple[str, int]]:
     """The (text, count) pieces join_blocks writes for sorted blocks, each
-    text from the given column of _ATOMS: TEXT, or FACTOR_TEXT for the loop
-    factors of summands in loop_pair's domain.
+    text from the given column of _ATOMS: TEXT or JSON, or FACTOR_TEXT or
+    FACTOR_JSON for the loop factors of summands in loop_pair's domain.
 
     With ``symbolic``, the stabilization count d is symbolic, and the S^3
     block, which each S^2 x S^2 adds two copies to, is written whether
     present or not as one piece where S^3 sorts: ``(X)^{n+2d}``, or
-    ``(X)^{2d}`` when n = 0, with X the column's text of S^3, S^3 or O^2G.
+    ``(X)^{2d}`` when n = 0, with X the text column's entry for S^3, S^3 or O^2G.
     """
     pieces, key = [], _atom_key(SPHERE[3]) if symbolic else None
     at, n = len(blocks), 0  # the S^3 block's place and count

@@ -455,7 +455,7 @@ def test_criterion_8_round_trips():
     for _ in range(500):
         # a term is written as its blocks' atoms, each repeated by its count, in block order
         term = random_term(rng)
-        atoms = [render(atom) for atom, count in terms.blocks(term) for _ in range(count)]
+        atoms = [render(atom) for atom, count in terms.as_wedge(term).blocks for _ in range(count)]
         assert render(term).split(" v ") == (atoms or ["pt"]), term
     for _ in range(500):
         spec = random_spec(rng)

@@ -52,7 +52,7 @@ def test_sides_that_differ_in_attempted_or_failed_are_named():
 @pytest.mark.parametrize("change", [canned(correct=False), canned(failed=1), canned(attempted=1)])
 def test_main_exits_1_and_writes_no_file(tmp_path, monkeypatch, change):
     def checkout(rev, into):
-        into.mkdir()
+        (into / "bench").mkdir(parents=True)
         (into / "BENCHMARK.json").write_text(json.dumps(SPEC))
 
     def run(spec, cwd, workload, seed, trace):
@@ -70,7 +70,27 @@ def test_main_exits_1_and_writes_no_file(tmp_path, monkeypatch, change):
     # the same runs with nothing wrong are written
     monkeypatch.setattr(bench_pairs, "run", lambda *args: canned())
     bench_pairs.main()
-    assert json.loads(out.read_text())["workloads"]["cli"]["seeds"] == [5, 6]
+    doc = json.loads(out.read_text())
+    assert doc["workloads"]["cli"]["seeds"] == [5, 6] and doc["bench_tree"] == "0000"
+
+
+def test_both_sides_run_the_change_sides_benchmark(tmp_path):
+    # After the two checkouts, the parent's bench/ and BENCHMARK.json are the change's:
+    # a file only the parent's bench/ holds is gone, and a file both hold is the change's.
+    dirs = {side: tmp_path / side for side in bench_pairs.SIDES}
+    for side, files in (("parent", ("run.py", "only_parent.py")), ("change", ("run.py",))):
+        (dirs[side] / "bench" / "sub").mkdir(parents=True)
+        for name in files:
+            (dirs[side] / "bench" / name).write_text(f"# {side}\n")
+        (dirs[side] / "bench" / "sub" / "w.py").write_text(f"# {side}\n")
+        (dirs[side] / "BENCHMARK.json").write_text(json.dumps({**SPEC, "run_seconds": side}))
+        (dirs[side] / "src.py").write_text(f"# {side}\n")
+    bench_pairs.same_bench(dirs)
+    assert not (dirs["parent"] / "bench" / "only_parent.py").exists()
+    for name in ("bench/run.py", "bench/sub/w.py", "BENCHMARK.json"):
+        assert (dirs["parent"] / name).read_text() == (dirs["change"] / name).read_text(), name
+    assert json.loads((dirs["parent"] / "BENCHMARK.json").read_text())["run_seconds"] == "change"
+    assert (dirs["parent"] / "src.py").read_text() == "# parent\n"  # its own program
 
 
 def test_a_gap_is_resolved_only_past_the_parents_interquartile_range(capsys):

@@ -38,10 +38,11 @@ from gauge4 import (
     Wedge,
     classify,
     classify_base,
+    decompose,
     manifold,
     parse_group,
 )
-from gauge4.cli import run
+from gauge4.cli import _spec_from_args, parse_argv, run
 
 DATA = pathlib.Path(__file__).parent / "data" / "golden_sweep.json"
 
@@ -252,6 +253,8 @@ def test_every_pinned_splitting_passes_the_independent_oracle():
     # them with no gauge4 code (the byte-identical sweep ties the answer to the pin).
     # The argv is read as the oracle reads it: pi1 by its own reader, the top
     # cell spin unless a flag says otherwise, t 0 and d symbolic when not given.
+    # The splitting the answer is written from stores its suspension as a Wedge,
+    # a bare base (one block) too.
     import oracles  # bench/, put on sys.path by conftest; main() runs without it
 
     rows = [row for row in CLI_ROWS
@@ -268,6 +271,8 @@ def test_every_pinned_splitting_passes_the_independent_oracle():
         t, d = int(flags.get("--t", 0)), flags.get("--d", "symbolic")
         d = None if d == "symbolic" else int(d)
         assert got["code"] == 0 and out.endswith("\n") and out.count("\n") == 1, argv
+        args = parse_argv(argv)
+        assert type(decompose(_spec_from_args(args), args.t, d=args.d).suspension) is Wedge, argv
         if "--json" in argv:
             oracles.check_decomposition_json(json.loads(out), spec,
                                              t if argv[0] == "decompose" else None, d)

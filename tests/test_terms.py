@@ -25,7 +25,6 @@ from gauge4 import (
     decompose,
     homology_of_term,
     manifold,
-    normalize,
     render,
 )
 from gauge4 import cli
@@ -33,11 +32,13 @@ from gauge4.arith import MAX_COPIES
 from gauge4.terms import (
     _ATOMS,
     COPIES_PER_PART,
+    FACTOR_JSON,
     FACTOR_TEXT,
     _atom_key,
+    _factor_json,
     _factor_text,
+    as_wedge,
     block_pieces,
-    blocks,
     join_blocks,
     loop_pair,
 )
@@ -49,7 +50,7 @@ def render_blocks(blocks, sep):
     return "".join(join_blocks([], block_pieces(blocks), sep))
 
 
-def test_normalize_sorts_flattens_and_drops_points():
+def test_a_wedge_sorts_flattens_and_drops_points():
     raw = Wedge(
         (
             (Moore(3, 9), 1),
@@ -58,20 +59,25 @@ def test_normalize_sorts_flattens_and_drops_points():
             (Sphere(4), 1),
         )
     )
-    assert normalize(raw) == Wedge(
+    assert raw.blocks == ((SuspCP2(), 1), (Sphere(4), 2), (Moore(3, 9), 1), (Sphere(2), 1))
+    assert raw == Wedge(
         ((SuspCP2(), 1), (Sphere(4), 2), (Moore(3, 9), 1), (Sphere(2), 1))
     )
 
 
-def test_normalize_collapses_degenerate_wedges():
-    assert normalize(Wedge(())) == Wedge(())
-    assert normalize(Wedge(((Wedge(()), 1), (Wedge(()), 1)))) == Wedge(())
-    assert normalize(Wedge(((Sphere(3), 1),))) == Sphere(3)
-    assert normalize(Wedge(((Wedge(()), 1), (Moore(4, 5), 1)))) == Moore(4, 5)
-    assert normalize(Sphere(2)) == Sphere(2)
+def test_a_degenerate_wedge_is_empty_or_one_block():
+    # no term collapses to an atom: one copy of an atom is a wedge of one block,
+    # and as_wedge gives an atom as that wedge and a wedge as itself
+    assert Wedge(((Wedge(()), 1), (Wedge(()), 1))) == Wedge(()) and Wedge(()).blocks == ()
+    assert Wedge(((Sphere(3), 1),)).blocks == ((Sphere(3), 1),)
+    assert Wedge(((Wedge(()), 1), (Moore(4, 5), 1))).blocks == ((Moore(4, 5), 1),)
+    assert as_wedge(Sphere(2)) == Wedge(((Sphere(2), 1),)) != Sphere(2)
+    assert as_wedge(SuspCP2()).blocks == ((SuspCP2(), 1),)
+    for wedge in (Wedge(()), Wedge(((Sphere(3), 1),)), Wedge(((Moore(3, 9), 2),))):
+        assert as_wedge(wedge) is wedge
 
 
-def test_normalize_orders_by_dim_down_then_kind_then_modulus():
+def test_a_wedge_orders_by_dim_down_then_kind_then_modulus():
     got = Wedge((part, 1) for part in
                 [SuspCP2(), Moore(4, 3), Moore(3, 9), Moore(3, 3), Sphere(5), Sphere(1)])
     assert got == Wedge(
@@ -86,15 +92,16 @@ def test_normalize_orders_by_dim_down_then_kind_then_modulus():
     )
 
 
-def test_normalize_is_idempotent_and_order_insensitive():
+def test_a_wedge_is_idempotent_and_order_insensitive():
     rng = random.Random(11)
     for _ in range(300):
         term = random_term(rng)
-        norm = normalize(term)
-        assert normalize(norm) == norm
-        parts = [atom for atom, count in blocks(norm) for _ in range(count)]
+        norm = as_wedge(term)
+        assert Wedge(norm.blocks) == Wedge(((norm, 1),)) == as_wedge(norm) == norm
+        assert Wedge(norm.blocks).blocks == norm.blocks
+        parts = [atom for atom, count in norm.blocks for _ in range(count)]
         rng.shuffle(parts)
-        assert normalize(Wedge((part, 1) for part in parts)) == norm
+        assert Wedge((part, 1) for part in parts) == norm
 
 
 def test_wedge_is_associative_up_to_normal_form():
@@ -114,8 +121,8 @@ def test_term_constructor_guards():
         Moore(3, 1)
     with pytest.raises(TermError):
         Wedge(((Pi1Descriptor(), 1),))
-    with pytest.raises(TermError):
-        normalize(Pi1Descriptor())
+    with pytest.raises(TermError, match="^not a space term: "):
+        as_wedge(Pi1Descriptor())
 
 
 #: Raw wedges that the consumers of a wedge once had to normalize first.
@@ -139,7 +146,7 @@ def _gauge_answer(susp):
 
 @pytest.mark.parametrize("raw", RAW_WEDGES, ids=render)
 def test_a_raw_wedge_answers_as_its_normal_form(raw):
-    norm = normalize(raw)
+    norm = Wedge((atom, 1) for atom in expand(raw.blocks))  # one block per copy, merged
     assert homology_of_term(raw) == homology_of_term(norm)
     assert _gauge_answer(raw) == _gauge_answer(norm)
     assert render(raw) == render(norm)
@@ -269,10 +276,13 @@ def _imported():
 
 
 def test_only_constructors_merge_and_no_consumer_normalizes():
-    # Blocks are put in normal form where a wedge is built, and the collapse
-    # to an atom is made where a term or a splitting is.
+    # Blocks are put in normal form where a wedge is built, and nothing collapses
+    # a wedge to an atom: the two readers of a term's blocks, a splitting and its
+    # homology, take the term as its wedge.
     assert _calls("_merge") == [("terms", "Wedge.__init__")]
-    assert _calls("normalize") == [("decomposer", "Decomposition.__init__")]
+    assert _calls("normalize") == _calls("normalize", reads=True) == []
+    assert _calls("as_wedge") == [("decomposer", "Decomposition.__init__"),
+                                  ("homology", "homology_of_term")]
 
 
 def test_every_written_copy_passes_the_one_cap():
@@ -310,7 +320,8 @@ def test_one_error_line_writer_and_no_wrapper_left():
                  "render_suspension_half", "render_gauge_half", "_suspension_parts",
                  "_gauge_parts", "render_blocks", "_GAUGE_BASE", "of", "Point", "_setter",
                  "_dump", "LOOP", "_DOMAIN", "LoopFactor", "GaugeExpr", "map_space",
-                 "gauge_from_suspension", "product_parts", "_loop_text", "_BASE_NAMES"):
+                 "gauge_from_suspension", "product_parts", "_loop_text", "_BASE_NAMES",
+                 "normalize", "_atom_json"):
         assert gone not in defined and _calls(gone) == _calls(gone, reads=True) == []
     # the gauge half is text written from the blocks; a splitting stores no product
     assert not hasattr(Decomposition, "factors") and not hasattr(Decomposition, "gauge")
@@ -331,9 +342,10 @@ def test_one_table_of_base_summands_and_one_splitting_check():
 
 def test_the_loop_order_rule_is_written_once():
     # Map*(S^n, G) = O^{n-1}G and Map*(P^n(q), G) = O^{n-1}G{q}: loop_pair alone
-    # takes 1 from a summand's dimension, and its three readers are the loop-factor
-    # text column of _ATOMS (through _factor_text), --json, and the check of a
+    # takes 1 from a summand's dimension, and its readers are the two loop-factor
+    # columns of _ATOMS (through _factor_text and _factor_json), and the check of a
     # splitting's two end blocks, which also names the end a refusal is for.
+    # cli writes --json from those columns, so it reads no summand's class.
     dim_minus_one = [(module, ast.unparse(node)) for module, tree in _sources()
                      for node in ast.walk(tree)
                      if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
@@ -343,10 +355,13 @@ def test_the_loop_order_rule_is_written_once():
     sources = [path.read_text() for path in Path(gauge4.__file__).parent.glob("*.py")]
     assert sum(text.count(".dim - 1") for text in sources) == 1
     assert _calls("loop_pair") == [
-        ("cli", "_factor_json"), ("decomposer", "Decomposition.__init__"),
         ("decomposer", "Decomposition.__init__"), ("decomposer", "Decomposition.__init__"),
-        ("terms", "_factor_text")]
+        ("decomposer", "Decomposition.__init__"), ("terms", "_factor_text"),
+        ("terms", "_factor_json")]
     assert [row[FACTOR_TEXT] for row in (_ATOMS[Sphere], _ATOMS[Moore])] == [_factor_text] * 2
+    assert [row[FACTOR_JSON] for row in (_ATOMS[Sphere], _ATOMS[Moore])] == [_factor_json] * 2
+    for name in ("_atom_json", "_factor_json", "Sphere", "Moore", "SpaceTerm", "loop_pair"):
+        assert name not in vars(cli), name
 
 
 def _constants(*values):
@@ -478,7 +493,7 @@ def test_render_is_injective_on_normal_forms():
     rng = random.Random(13)
     seen = {}
     for _ in range(300):
-        norm = normalize(random_term(rng))
+        norm = as_wedge(random_term(rng))
         assert seen.setdefault(render(norm), norm) == norm
     assert len(seen) > 100, len(seen)
 
@@ -520,8 +535,8 @@ def test_counts_are_checked_and_merged_where_blocks_are_built():
         Wedge(((Sphere(3), 2), (Moore(3, 9), -1)))
     # Zero blocks vanish, equal terms merge, nested counts multiply.
     raw = Wedge(((Sphere(4), 0), (Wedge(((Sphere(3), 2), (Wedge(()), 5))), 3), (Sphere(3), 1)))
-    assert normalize(raw) == Wedge(((Sphere(3), 7),))
-    assert normalize(Wedge(((Sphere(4), 0),))) == Wedge(())
+    assert raw == Wedge(((Sphere(3), 7),)) and raw.blocks == ((Sphere(3), 7),)
+    assert Wedge(((Sphere(4), 0),)) == Wedge(())
 
 
 # --------------------------------------------------------------------------
@@ -575,7 +590,7 @@ def test_written_out_copies_are_capped_before_expanding(hang_guard):
 def test_block_joiner_matches_joining_every_copy(hang_guard):
     rng = random.Random(29)
     for _ in range(300):
-        parts = blocks(normalize(random_term(rng)))
+        parts = as_wedge(random_term(rng)).blocks
         for sep in (" v ", " x "):
             assert render_blocks(parts, sep) == sep.join(render(a) for a in expand(parts))
     dec = decompose(manifold("1", MAX_COPIES - 1))
