@@ -61,7 +61,7 @@ def checkout(rev: str, into: Path) -> None:
 def same_bench(dirs: dict[str, Path]) -> None:
     """Replace the parent side's ``bench/`` and ``BENCHMARK.json`` with the change
     side's, so a file only in the parent's ``bench/`` is gone too."""
-    shutil.rmtree(dirs["parent"] / "bench", ignore_errors=True)
+    shutil.rmtree(dirs["parent"] / "bench")
     shutil.copytree(dirs["change"] / "bench", dirs["parent"] / "bench")
     shutil.copyfile(dirs["change"] / "BENCHMARK.json", dirs["parent"] / "BENCHMARK.json")
 

@@ -146,7 +146,7 @@ def _gauge_answer(susp):
 
 @pytest.mark.parametrize("raw", RAW_WEDGES, ids=render)
 def test_a_raw_wedge_answers_as_its_normal_form(raw):
-    norm = Wedge((atom, 1) for atom in expand(raw.blocks))  # one block per copy, merged
+    norm = Wedge((atom, 1) for atom in expand(raw.blocks))  # every copy its own block
     assert homology_of_term(raw) == homology_of_term(norm)
     assert _gauge_answer(raw) == _gauge_answer(norm)
     assert render(raw) == render(norm)
