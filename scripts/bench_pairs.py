@@ -10,24 +10,25 @@ filter, which refuses absolute paths, links out of the tree and device
 files (the default from Python 3.14 on).  Then HEAD's ``bench/`` and
 ``BENCHMARK.json`` replace the parent's, so both sides run the same
 benchmark on their own ``src``, and the file records that ``bench`` tree
-as ``bench_tree`` beside each side's ``src_tree``.  For each seed of a ``WORKLOAD=SEEDS`` argument the two
-sides run the command of BENCHMARK.json with ``--workload W --seed S
---seconds <run_seconds> --trace 0`` one after the other, the side that
-goes first alternating from seed to seed.  For every end-to-end metric the
-file gives each side's runs, median and quartiles, the pairs the change
-won, the median gap (the change's median minus the parent's) and whether
-it is ``resolved``: wider than the parent's interquartile range, so more
-than the spread of unchanged code, and a ``gain`` when it is resolved in
-the better direction and the change won at least nine tenths of the pairs
-(a tie wins for neither side).  One stderr line per metric says the
-same.  ``--traced WORKLOAD=SEEDS`` adds ``--trace 1`` runs, one per
-side and seed, alternating in the same way; for every per-layer metric the
-file gives each side's runs and their median, since one traced run carries
-run-to-run noise as large as a change.  Seeds are ``A-B`` ranges or comma
-lists; a pair argument needs at least 2 seeds and a ``--traced`` one at
-least 1, checked before any checkout or run.  A run that is not correct,
-or a pair whose sides differ in ``attempted`` or ``failed``, ends the
-script with exit status 1 and no file written.
+as ``bench_tree`` and that ``BENCHMARK.json`` blob as ``bench_spec``
+beside each side's ``src_tree``.  For each seed of a ``WORKLOAD=SEEDS``
+argument the two sides run the command of BENCHMARK.json with ``--workload
+W --seed S --seconds <run_seconds> --trace 0`` one after the other, the
+side that goes first alternating from seed to seed.  For every end-to-end
+metric the file gives each side's runs, median and quartiles, the pairs
+the change won, the median gap (the change's median minus the parent's)
+and whether it is ``resolved``: wider than the parent's interquartile
+range, so more than the spread of unchanged code, and a ``gain`` when it
+is resolved in the better direction and the change won at least nine
+tenths of the pairs (a tie wins for neither side).  One stderr line per
+metric says the same.  ``--traced WORKLOAD=SEEDS`` adds ``--trace 1`` runs,
+one per side and seed, alternating in the same way; for every per-layer
+metric the file gives each side's runs and their median, since one traced
+run carries run-to-run noise as large as a change.  Seeds are ``A-B``
+ranges or comma lists; a pair argument needs at least 2 seeds and a
+``--traced`` one at least 1, checked before any checkout or run.  A run
+that is not correct, or a pair whose sides differ in ``attempted`` or
+``failed``, ends the script with exit status 1 and no file written.
 """
 
 from __future__ import annotations
@@ -197,6 +198,7 @@ def main() -> None:
             "src_tree": {side: git("rev-parse", f"{revs[side]}:src").decode().strip()
                          for side in SIDES},
             "bench_tree": git("rev-parse", "HEAD:bench").decode().strip(),
+            "bench_spec": git("rev-parse", "HEAD:BENCHMARK.json").decode().strip(),
             "machine": {"python": platform.python_version(), "cpus": os.cpu_count()},
             "workloads": {},
             "traced": {},

@@ -75,13 +75,13 @@ def _splitting_json(dec: decomposer.Decomposition, gauge: bool) -> list[str]:
     block_pieces, from the JSON or FACTOR_JSON column of terms._ATOMS, and
     join_blocks, as the text is, the suspension first, so its copy count is
     the one an error names; the parts are written in turn, never joined."""
-    suspension = join_blocks([], block_pieces(dec.blocks, False, JSON), ", ")
+    suspension = join_blocks([], block_pieces(dec.suspension.blocks, False, JSON), ", ")
     case = dec.case_used
     stabilization = f'"{SYMBOLIC}"' if dec.stabilization == SYMBOLIC else dec.stabilization
     if not gauge:
         return [f'{{"case": "{case}", "stabilization": {stabilization}, "suspension": [',
                 *suspension, "]}"]
-    factors = join_blocks([], block_pieces(dec.blocks[1:], False, FACTOR_JSON), ", ")
+    factors = join_blocks([], block_pieces(dec.suspension.blocks[1:], False, FACTOR_JSON), ", ")
     return [f'{{"case": "{case}", "gauge": {{"base": "{dec.base}", "factors": [', *factors,
             f'], "stabilization": {stabilization}, "t": {dec.t}}}, "suspension": [',
             *suspension, "]}"]

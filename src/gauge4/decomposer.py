@@ -94,14 +94,9 @@ class Decomposition(Value):
         self._set(susp, t, stabilization, case_used)
 
     @property
-    def blocks(self) -> tuple[tuple[SpaceTerm, int], ...]:
-        """The (wedge summand, count) blocks, base first, in display order."""
-        return self.suspension.blocks
-
-    @property
     def base(self) -> str:
         """The base of the gauge group: "S4" or "CP2"."""
-        return GAUGE_BASE[self.blocks[0][0]]
+        return GAUGE_BASE[self.suspension.blocks[0][0]]
 
 
 def decompose(spec: ManifoldSpec, t: int = 0, *, d: Stabilization = SYMBOLIC) -> Decomposition:
@@ -161,7 +156,7 @@ def splitting_parts(dec: Decomposition, gauge: bool) -> list[str]:
     Both halves are written from the splitting's blocks, the gauge half, the
     product ``G_t(base) x ...``, from the loop-factor text of each summand
     after the base."""
-    t, stab, blocks = dec.t, dec.stabilization, dec.blocks
+    t, stab, blocks = dec.t, dec.stabilization, dec.suspension.blocks
     symbolic = stab == SYMBOLIC
     parts = ["SM = " if stab == 0 else f"S(M #_{'d' if symbolic else stab}(S^2xS^2)) = "]
     join_blocks(parts, block_pieces(blocks, symbolic), " v ")

@@ -161,7 +161,7 @@ def product_every_copy(dec) -> str:
     copies, present or not, are the one factor (O^2G)^{n+2d}, or (O^2G)^{2d},
     after every summand of dimension 4.  More than MAX_COPIES factors raise
     ValueError with the line a written answer gives."""
-    rest = dec.blocks[1:]
+    rest = dec.suspension.blocks[1:]
     pieces = [(loop_text(atom), n) for atom, n in rest]
     if dec.stabilization == SYMBOLIC:
         at, n = sum(atom.dim == 4 for atom, _ in rest), dict(rest).get(Sphere(3), 0)

@@ -466,4 +466,4 @@ def test_criterion_8_round_trips():
         dec = mixed_decomposition(spec, 0, d=0)
         wedge_half = render_decomposition(dec).split("; ")[0]
         assert oracles.read_suspension_half(wedge_half, 0) == {
-            render(atom): (n, 0) for atom, n in dec.blocks}, spec
+            render(atom): (n, 0) for atom, n in dec.suspension.blocks}, spec

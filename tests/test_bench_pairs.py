@@ -59,7 +59,7 @@ def test_main_exits_1_and_writes_no_file(tmp_path, monkeypatch, change):
         return change if cwd.name == "change" and seed == 6 else canned()
 
     monkeypatch.setattr(bench_pairs, "checkout", checkout)
-    monkeypatch.setattr(bench_pairs, "git", lambda *args: b"0000\n")
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: args[-1].encode() + b"\n")
     monkeypatch.setattr(bench_pairs, "run", run)
     out = tmp_path / "BENCH.json"
     monkeypatch.setattr(sys, "argv", ["bench_pairs.py", "--parent", "HEAD~1", "--out", str(out),
@@ -71,7 +71,10 @@ def test_main_exits_1_and_writes_no_file(tmp_path, monkeypatch, change):
     monkeypatch.setattr(bench_pairs, "run", lambda *args: canned())
     bench_pairs.main()
     doc = json.loads(out.read_text())
-    assert doc["workloads"]["cli"]["seeds"] == [5, 6] and doc["bench_tree"] == "0000"
+    assert doc["workloads"]["cli"]["seeds"] == [5, 6]
+    # the ids of the one benchmark both sides ran: HEAD's bench/ tree and BENCHMARK.json
+    assert (doc["bench_tree"], doc["bench_spec"]) == ("HEAD:bench", "HEAD:BENCHMARK.json")
+    assert doc["src_tree"] == {"parent": "HEAD~1:src", "change": "HEAD:src"}
 
 
 def test_both_sides_run_the_change_sides_benchmark(tmp_path):

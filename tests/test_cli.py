@@ -196,7 +196,7 @@ def test_decompose_json_round_trip(capsys, argv):
     g = data["gauge"]
     dec = Decomposition(Wedge([(atom, 1) for atom in atoms]), g["t"], g["stabilization"],
                         data["case"])
-    assert expand(dec.blocks) == atoms
+    assert expand(dec.suspension.blocks) == atoms
     # one loop factor per summand after the base, in order, from loop_pair
     assert g["base"] == dec.base
     assert [(f["loop_order"], f["modulus"]) for f in g["factors"]] == [
@@ -222,13 +222,13 @@ def _summand_object(atom):
 
 def _dumped_splitting(command, dec):
     """--json of a splitting as json.dumps writes it, one list entry per copy."""
-    suspension = _every_copy([(_summand_object(a), n) for a, n in dec.blocks])
+    suspension = _every_copy([(_summand_object(a), n) for a, n in dec.suspension.blocks])
     doc = {"case": dec.case_used, "suspension": suspension}
     if command == "suspension":
         doc["stabilization"] = dec.stabilization
     else:
         factors = _every_copy([(dict(zip(("loop_order", "modulus"), loop_pair(atom))), n)
-                               for atom, n in dec.blocks[1:]])
+                               for atom, n in dec.suspension.blocks[1:]])
         doc["gauge"] = {"base": dec.base, "t": dec.t, "factors": factors,
                         "stabilization": dec.stabilization}
     return json.dumps(doc, sort_keys=True)
@@ -338,9 +338,9 @@ def _halves_every_copy(dec):
     sorts to.  The gauge half's product is conftest's product_every_copy.  Each
     half raises ValueError past the cap."""
     stab, t = dec.stabilization, dec.t
-    summands = expand([(render(atom), n) for atom, n in dec.blocks])
+    summands = expand([(render(atom), n) for atom, n in dec.suspension.blocks])
     if stab == SYMBOLIC:
-        atoms = expand(dec.blocks)
+        atoms = expand(dec.suspension.blocks)
         n = atoms.count(Sphere(3))
         i = sum(getattr(atom, "dim", 5) > 3 for atom in atoms)  # SCP^2 is 5-dimensional
         summands[i : i + n] = [f"(S^3)^{{{n}+2d}}" if n else "(S^3)^{2d}"]
@@ -372,7 +372,7 @@ def _differential_flags():
         flags, t = ["--pi1", render_pi1(spec.pi1), "--sigma-f", flag, "--d", d], rng.randint(-9, 9)
         yield [*flags, "--b2", str(spec.b2)], t
         if i == 1:  # d is concrete, so each unit of b2 is one more copy
-            total = sum(n for _, n in decompose(spec, d=int(d)).blocks)
+            total = sum(n for _, n in decompose(spec, d=int(d)).suspension.blocks)
             for big in (MAX_COPIES - 1, MAX_COPIES + 1):
                 yield [*flags, "--b2", str(spec.b2 + big - total)], t
 
@@ -405,7 +405,8 @@ def test_every_splitting_answer_matches_writing_each_copy(capsys):
                     with pytest.raises(ValueError) as raised:
                         render_one(dec)
                     assert f"error: {raised.value}\n" == want[2]
-        seen |= {sum(n for _, n in dec.blocks), (dec.case_used, dec.stabilization == SYMBOLIC)}
+        seen |= {sum(n for _, n in dec.suspension.blocks),
+                 (dec.case_used, dec.stabilization == SYMBOLIC)}
     assert {MAX_COPIES - 1, MAX_COPIES + 1} <= seen
     assert {(kind, False) for kind in PI1_KINDS} | {(Pi1Kind.MIXED, True)} <= seen
     assert "error: the answer writes out 1000001 copies, more than the limit of 10**6\n" in seen

@@ -140,7 +140,8 @@ def test_stabilize_adds_z_2d_to_h2_and_nothing_else():
             summed = connected_sum(summed, s2xs2)
         assert stable == summed, (spec, d)
         # the stabilized splitting at a concrete d is the splitting of stabilize(M, d)
-        assert mixed_decomposition(stable, d=0).blocks == mixed_decomposition(spec, d=d).blocks
+        assert (mixed_decomposition(stable, d=0).suspension
+                == mixed_decomposition(spec, d=d).suspension)
         for h_stable, h in zip(both_homologies(rng, stable), both_homologies(rng, spec)):
             expected = [list(group) for group in h.groups]
             expected[2][0] += 2 * d
@@ -149,7 +150,7 @@ def test_stabilize_adds_z_2d_to_h2_and_nothing_else():
 
 def non_base(dec) -> dict:
     """{summand: count} of a splitting's blocks after its base."""
-    return dict(dec.blocks[1:])
+    return dict(dec.suspension.blocks[1:])
 
 
 def test_splitting_of_a_connected_sum_joins_the_non_base_blocks():
@@ -173,7 +174,8 @@ def test_splitting_of_a_connected_sum_joins_the_non_base_blocks():
             # each non-spin side gets back the 2-cell its own SCP^2 spent; the sum spends one
             expected[Sphere(3)] = expected.get(Sphere(3), 0) + len(non_spin) - 1
             expected = {summand: count for summand, count in expected.items() if count}
-        assert whole.blocks[0] == ((SuspCP2(), 1) if non_spin else (Sphere(5), 1)), (m, n)
+        base = SuspCP2() if non_spin else Sphere(5)
+        assert whole.suspension.blocks[0] == (base, 1), (m, n)
         assert non_base(whole) == expected, (m, n, d)
         seen.add(len(non_spin))
     assert seen == {0, 1, 2}
