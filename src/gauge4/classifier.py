@@ -3,9 +3,12 @@
 For the structure groups covered here, G_t and G_s over a fixed base are
 homotopy equivalent — integrally or p-locally, depending on the row — if
 and only if gcd(k, t) = gcd(k, s) for a single integer k attached to the
-(group, base) pair.  This module stores those k-values and scopes in one
-table and answers equivalence queries, with three-valued honesty: a query
-outside every row's scope comes back "unknown", never guessed.
+(group, base) pair; at a prime p only the p-parts of those gcds count, as
+G_ut is p-locally G_t for every u prime to p (the boundary map of G_t is t
+times that of G_1, Lang 1973).  This module stores those k-values and
+scopes in one table and answers equivalence queries, with three-valued
+honesty: a query outside every row's scope comes back "unknown", never
+guessed.
 
 Scopes.  An "integral" row decides genuine homotopy equivalence; an
 "all-primes" row decides p-local equivalence at every prime; an
@@ -16,11 +19,10 @@ in place of n for Sp(n)).
 Rows.  A query is governed by an ordered list of rows, most specific
 first: the table's specific row for (group, base), if any, then the
 parametric odd-primes row of the family (SU(n) over S^4 and M, Sp(n) over
-S^4) when there is no specific row or its k divides the specific k, so a
-row pair that disagrees is never merged.  The first row gives the
-integral verdict and is the rule reported; each prime is decided by the
-first row that is not integral and reaches it, so when the integral answer
-is "no" the wider row behind it can still settle odd primes.
+S^4).  The first row gives the integral verdict and is the rule reported;
+each prime is decided by the first row that is not integral and reaches
+it, so when the integral answer is "no" the wider row behind it can still
+settle odd primes.
 
 Over a manifold with mixed free-product fundamental group the splitting
 only exists after stabilization, so verdicts there compare the stabilized
@@ -133,8 +135,7 @@ def _rows(group: LieGroupSpec, base: str, spin: bool | None) -> tuple[ClassRule,
     or MANIFOLD with spin the manifold's top-cell flag.
 
     The specific row, if any, then the parametric odd-primes row (SU(n) on
-    S^4 and on M, Sp(n) on S^4) when there is no specific row or its k
-    divides the specific k.
+    S^4 and on M, Sp(n) on S^4).
     """
     key = (MANIFOLD, spin) if base == MANIFOLD else base
     specific = _ROWS.get((group.family, group.n, key))
@@ -145,9 +146,7 @@ def _rows(group: LieGroupSpec, base: str, spin: bool | None) -> tuple[ClassRule,
         generic = ClassRule(4 * n * (2 * n + 1), ODD_PRIMES, odd_prime_bound=2 * n)
     else:
         return () if specific is None else (specific,)
-    if specific is None:
-        return (generic,)
-    return (specific, generic) if specific.k % generic.k == 0 else (specific,)
+    return (generic,) if specific is None else (specific, generic)
 
 
 class EquivalenceVerdict(Value):
@@ -185,7 +184,10 @@ def _decide(rows: tuple[ClassRule, ...], t: int, s: int, primes: tuple[int, ...]
         local[p] = UNKNOWN
         for row in rows:
             if row.scope != INTEGRAL and row.applies_at(p):
-                local[p] = YES if gcd(row.k, t) == gcd(row.k, s) else NO
+                k = 1  # the p-part of row.k: G_ut is G_t at p for p prime to u
+                while row.k % (k * p) == 0:
+                    k *= p
+                local[p] = YES if gcd(k, t) == gcd(k, s) else NO
                 break
     return EquivalenceVerdict(integral, local, rule, stabilized)
 

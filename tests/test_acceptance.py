@@ -9,8 +9,8 @@ import math
 import random
 import time
 
-from conftest import (ODD_PRIMES, gauge_half, gauge_product, handle_complex, random_spec,
-                      random_term, record_acceptance)
+from conftest import (ODD_PRIMES, gauge_half, gauge_product, handle_complex, line_events,
+                      random_spec, random_term, record_acceptance)
 from test_homology import check_against_minors, cp2_complex, moore_complex
 
 import oracles  # bench/, put on sys.path by conftest
@@ -111,9 +111,7 @@ GOLDEN_DECOMPOSITIONS = [
 ]
 
 
-@criterion(1, "per-branch decomposition goldens")
-def test_criterion_1_branch_goldens():
-    start = time.perf_counter()
+def check_branch_goldens():
     for pi1, b2, trivial, t, d, expected in GOLDEN_DECOMPOSITIONS:
         spec = manifold(pi1=pi1, b2=b2, sigma_f_trivial=trivial)
         if d is None:
@@ -123,8 +121,16 @@ def test_criterion_1_branch_goldens():
         else:
             dec = mixed_decomposition(spec, t, d=d)
         assert render_decomposition(dec) == expected, (pi1, b2, trivial, t, d)
+
+
+@criterion(1, "per-branch decomposition goldens")
+def test_criterion_1_branch_goldens():
+    start = time.perf_counter()
+    check_branch_goldens()
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"golden table took {elapsed:.3f}s (budget 1s)"
+    # Beside the clock, the line events in gauge4 frames: 4 203 when written.
+    assert line_events(check_branch_goldens, limit=5000) <= 5000
 
 
 # ---------------------------------------------------------------------------
@@ -135,14 +141,12 @@ def test_criterion_1_branch_goldens():
 # ---------------------------------------------------------------------------
 
 
-@criterion(2, "homology cross-validation on 1000 random specs")
-def test_criterion_2_homology_cross_validation():
+def check_homology_cross_validation(count):
     rng = random.Random(424242)
     # Its own stream for the conjugating matrices, so that rng draws the
     # same specs as criterion 3.
     crng = random.Random(434343)
-    start = time.perf_counter()
-    for _ in range(1000):
+    for _ in range(count):
         spec = random_spec(rng)
         expected = suspend(homology_of_manifold(spec))
         actual = homology_of_term(decompose(spec).suspension)
@@ -151,8 +155,17 @@ def test_criterion_2_homology_cross_validation():
         assert suspend(cellular) == actual, spec
         euler = sum((-1) ** i * rank for i, (rank, _) in enumerate(cellular.groups))
         assert euler == 2 - 2 * spec.pi1.free_rank + spec.b2
+
+
+@criterion(2, "homology cross-validation on 1000 random specs")
+def test_criterion_2_homology_cross_validation():
+    start = time.perf_counter()
+    check_homology_cross_validation(1000)
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0, f"1000 specs took {elapsed:.3f}s (budget 5s)"
+    # Beside the clock, the line events in gauge4 frames of the first 100 specs,
+    # the same on every machine: 239 852 when written.
+    assert line_events(check_homology_cross_validation, 100, limit=300_000) <= 300_000
 
 
 # ---------------------------------------------------------------------------
@@ -376,9 +389,10 @@ def test_criterion_6_scope_honesty():
     probe(classify_base(su4, "CP2", 1, 5, primes=(2,)), 2, False)
     probe(classify(su4, spin, 1, 5, primes=(2,)), 2, False)
     # ... but p=3 clears the odd-prime bound (4 <= (3-1)^2 + 1), so the
-    # k = 60 row must answer, and gcd(60,1) != gcd(60,5) makes it a no.
+    # k = 60 row must answer; at 3 it reads the 3-part of k, and 5 is a unit
+    # there, so G_1 and G_5 agree 3-locally (Theriault 2017).
     probe(classify_base(su4, S4, 1, 5, primes=(3,)), 3, True)
-    assert classify_base(su4, S4, 1, 5, primes=(3,)).local[3] == NO
+    assert classify_base(su4, S4, 1, 5, primes=(3,)).local[3] == YES
 
     # Sp(3) over a manifold has no row at all: silent at every prime.
     v = classify(sp3, spin, 1, 5, primes=(2, 3, 5, 7))

@@ -150,16 +150,11 @@ def test_all_primes_scope_leaves_integral_open():
 
 
 def test_contradictory_wider_row_is_not_consulted():
-    # The parametric SU(n) row at n = 3 (k = 24) would deny odd-prime
-    # equivalence of G_4 and G_8 over a non-spin manifold; the sharper
-    # all-primes row (k = 12) affirms it.  The wider row only refines when
-    # its k divides the sharper one's, which 24 does not divide 12.
-    # The guard itself: the rows governing SU(3) over a non-spin M are the
-    # specific k = 12 row and nothing behind it.
-    assert _rows(SU(3), MANIFOLD, spin=False) == (ClassRule(12, ALL_PRIMES),)
-    v = classify(SU(3), NONSPIN_SPEC, 4, 8, primes=(3,))
-    assert v.local[3] == YES
-    assert gcd(24, 4) != gcd(24, 8)  # what the suppressed row would have said
+    # Over a non-spin M the all-primes k = 12 row of SU(3) decides every prime
+    # before the parametric odd-primes k = 24 row behind it is reached: at 3 both
+    # read the 3-part 3, and at 2 only the k = 12 row applies.
+    assert classify(SU(3), NONSPIN_SPEC, 4, 8, primes=(2, 3)).local == {2: YES, 3: YES}
+    assert classify(SU(3), NONSPIN_SPEC, 1, 2, primes=(2, 3)).local == {2: NO, 3: YES}
 
 
 def test_no_rule_means_unknown_but_reflexive():
@@ -306,7 +301,7 @@ def test_the_parametric_rows_carry_the_family_k():
         assert p > 1000 and not rule.applies_at(3)
         assert (rule.k > 2**64) == (group in (SU(2_642_246), Sp(1_518_500_250)))
         assert classify_base(group, S4, rule.k, 0, (p,)).local == {p: YES}
-        assert classify_base(group, S4, 1, 2, (p,)).local == {p: NO}  # every such k is even
+        assert rule.k % p and classify_base(group, S4, 1, 2, (p,)).local == {p: YES}  # p ∤ k
 
 
 def test_verdicts_never_contradict_reflexivity():
@@ -319,3 +314,66 @@ def test_verdicts_never_contradict_reflexivity():
         v = classify(group, spec, t, t, primes=(2, 3))
         assert v.integral == YES
         assert set(v.local.values()) == {YES}
+
+
+# --------------------------------------------------------------------------
+# the law box: every verdict of a declared box, checked against laws of G_t
+
+
+BOX_GROUPS = [SU(n) for n in range(2, 8)] + [Sp(n) for n in range(1, 4)] + [G2]
+#: S^4, CP^2, and a manifold of each pi1 kind with each top-cell flag
+BOX_BASES = [S4, CP2] + [ManifoldSpec(Pi1Descriptor(m, cyclic), 1, spin)
+                         for m, cyclic in ((0, ()), (1, ()), (0, ((3, 1),)), (1, ((3, 1),)))
+                         for spin in (True, False)]
+#: 2-13, and 1 009, above every odd-prime bound in the box and dividing no k
+BOX_PRIMES = (2, 3, 5, 7, 11, 13, 1009)
+BOX_T = 60  # 0 <= t, s < 60
+
+
+def v_p(t, p):
+    """The exponent of p in t > 0."""
+    return next(a for a in range(t) if t % p ** (a + 1))
+
+
+def test_every_verdict_in_the_box_obeys_the_laws():
+    # Each verdict is computed once, as (integral, local at each box prime), and the
+    # laws are checked on the table: 1. at a prime dividing no row's k every decided
+    # verdict is yes; 2. for p prime to u, t and u t agree at p (G_ut is G_t at p, Lang
+    # 1973), so a decided answer at p depends on t only through v_p(t); 3. symmetry in
+    # (t, s), t and -t agree, and on an integral row t and t + k agree; 4. an integral
+    # yes is a yes at every prime; 5. G_t(M) splits as G_t(B) times factors free of t
+    # (So, arXiv 1609.02486), with B = S^4 for a spin M and CP^2 otherwise, so a yes
+    # over B is never a no over M.
+    every_yes = (YES,) * (len(BOX_PRIMES) + 1)
+    for group in BOX_GROUPS:
+        table = {}
+        for base in BOX_BASES:
+            ask = classify if isinstance(base, ManifoldSpec) else classify_base
+            def answers(t, s):
+                v = ask(group, base, t, s, BOX_PRIMES)
+                return (v.integral, *[v.local[p] for p in BOX_PRIMES])
+            grid = table[base] = [[answers(t, s) for s in range(BOX_T)] for t in range(BOX_T)]
+            rule = ask(group, base, 0, 0).rule_used
+            spin = base.sigma_f_trivial if isinstance(base, ManifoldSpec) else None
+            ks = [row.k for row in _rows(group, MANIFOLD if spin is not None else base, spin)]
+            for i, p in enumerate(BOX_PRIMES, 1):
+                column = [a[i] for line in grid for a in line]
+                assert NO not in column or any(k % p == 0 for k in ks), (1, group, base, p)
+                for s in range(BOX_T):
+                    seen = {}
+                    for t in range(1, BOX_T):
+                        a = grid[t][s][i]
+                        assert a == UNKNOWN or seen.setdefault(v_p(t, p), a) == a, \
+                            (2, group, base, t, s, p)
+            assert all(grid[t][s] == grid[s][t] for t in range(BOX_T) for s in range(t)), \
+                (3, group, base)
+            assert all(answers(-t, t) == every_yes for t in range(BOX_T)), (3, group, base)
+            if rule is not None and rule.scope == INTEGRAL:
+                assert all(grid[t][s][0] == grid[t + rule.k][s][0]
+                           for t in range(BOX_T - rule.k) for s in range(BOX_T)), (3, group, base)
+            assert all(a[0] != YES or a == every_yes for line in grid for a in line), \
+                (4, group, base)
+            if spin is not None:
+                under = table[S4 if spin else CP2]
+                assert not any(b == YES and a == NO for t in range(BOX_T) for s in range(BOX_T)
+                               for a, b in zip(grid[t][s], under[t][s])), (5, group, base)

@@ -999,7 +999,7 @@ TOP_USAGE = "usage: gauge4 [-h] {decompose,suspension,homology,classify,snf,pars
          "SM = S^5 v S^3 v S^3; G_0(M) = G_0(S^4) x O^2G x O^2G\n", ""),
         (["decompose", "--b2"], 1, "", "error: argument --b2: expected one argument\n"),
         (["classify", "--pr", "3", "--group", "SU(2)", "--t", "1", "--s", "2"], 0,
-         "rule: k=12, integral\nintegral: no\np=3: no\nstabilized: no\n", ""),
+         "rule: k=12, integral\nintegral: no\np=3: yes\nstabilized: no\n", ""),
         (["classify", "--group", "SU(2)", "--t", "1"], 1, "",
          "error: the following arguments are required: --s\n"),
         (["snf"], 1, "", "error: the following arguments are required: --matrix\n"),
