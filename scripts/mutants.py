@@ -105,7 +105,7 @@ MUTANTS = [
      "head = _diagonalize(rows, det, rank - 1)",
      f"d1 ... d(n-1) divide D as they divide g, so eliminating modulo D {_SLOWER}"),
     ("modulo_2d", "homology.py", "return tuple(_diagonalize(rows, det, rank))",
-     "return tuple(_diagonalize(rows, 2 * det, rank))",
+     "return tuple(_diagonalize(rows, 2 * det if rows else det, rank))",
      f"every di divides D, so gcd(di, 2D) = di and eliminating modulo 2D {_SLOWER}"),
     ("pad_with_1", "homology.py", "return factors + [m] * (count - t)",
      "return factors + [1] * (count - t)"),
@@ -115,7 +115,9 @@ MUTANTS = [
      "for row in rows[k][1:] for col in cols"),
     ("trailing_gcd_one_row", "homology.py", "trail = gcd(*block[0], *block[1])",
      "trail = gcd(*block[0])"),
-    ("exponents_ascending", "homology.py", "exponents.sort(reverse=True)", "exponents.sort()"),
+    ("exponents_ascending", "homology.py", "exponents.sort(reverse=True)", "exponents.sort()",
+     "only equality and hashing read the invariant factors, and sorting every base's "
+     "exponents up writes them in reverse for both groups compared"),
     ("suspend_keeps_rank0", "homology.py", "[(rank0 - 1, torsion0)]", "[(rank0, torsion0)]"),
     ("h2_without_torsion", "homology.py", "(spec.b2, torsion)", "(spec.b2, ())"),
     ("scp2_top_in_4", "homology.py", "ranks[5] += count", "ranks[4] += count"),

@@ -70,97 +70,35 @@ def spawn(*argv, **env):
     return subprocess.run(command, capture_output=True, text=True, env=env)
 
 
-def test_decompose_golden(capsys):
-    code, out, err = invoke(
-        capsys,
-        "decompose", "--pi1", "Z/3", "--b2", "2", "--sigma-f", "nontrivial", "--t", "4",
-    )
-    assert (code, err) == (0, "")
-    assert out == (
-        "SM = SCP^2 v P^4(3) v S^3 v P^3(3); "
-        "G_4(M) = G_4(CP^2) x O^3G{3} x O^2G x O^2G{3}\n"
-    )
+# (argv, stdout) of a few queries of each subcommand, pinned byte for byte
+PINNED = [
+    (["decompose", "--pi1", "Z/3", "--b2", "2", "--sigma-f", "nontrivial", "--t", "4"],
+     "SM = SCP^2 v P^4(3) v S^3 v P^3(3); G_4(M) = G_4(CP^2) x O^3G{3} x O^2G x O^2G{3}\n"),
+    (["snf", "--matrix", "[[1,0],[0,1]]"], "1 1\n"),
+    (["snf", "--matrix", "[[2,4],[6,8]]"], "2 4\n"),
+    (["snf", "--matrix", "[[0,0],[0,0]]"], "\n"),
+    (["snf", "--matrix", "[[2,4],[6,8]]", "--json"], '{"invariant_factors": [2, 4], "rank": 2}\n'),
+    (["suspension", "--pi1", "Z*Z", "--b2", "1"], "SM = S^5 v S^4 v S^4 v S^3 v S^2 v S^2\n"),
+    (["homology", "--pi1", "Z*Z/9", "--b2", "2"],
+     "H_0 = Z\nH_1 = Z + Z/9\nH_2 = Z^2 + Z/9\nH_3 = Z\nH_4 = Z\nH_5 = 0\n"),
+    (["homology", "--pi1", "Z*Z/9", "--b2", "2", "--suspension"],
+     "H_0 = Z\nH_1 = 0\nH_2 = Z + Z/9\nH_3 = Z^2 + Z/9\nH_4 = Z\nH_5 = Z\n"),
+    (["classify", "--group", "SU(2)", "--spin", "true", "--pi1", "Z", "--b2", "1", "--t", "2",
+      "--s", "4", "--primes", "2,3,5"],
+     "rule: k=12, integral\nintegral: no\np=2: unknown\np=3: yes\np=5: yes\nstabilized: no\n"),
+    (["classify", "--group", "Sp(3)", "--t", "1", "--s", "2", "--primes", "5", "--json"],
+     '{"verdict": {"integral": "unknown", "local": {"5": "unknown"}, "rule": null, '
+     '"stabilized": false}}\n'),
+    (["parse", "--pi1", " Z/25 * Z ", "--b2", "3"], "pi1 = Z*Z/25; b2 = 3; sigma-f = trivial\n"),
+    (["parse", "--pi1", "Z/25*Z", "--b2", "3", "--json"],
+     '{"b2": 3, "cyclic_factors": [[5, 2]], "free_rank": 1, "pi1": "Z*Z/25", '
+     '"sigma_f_trivial": true}\n'),
+]
 
 
-def test_snf_golden(capsys):
-    code, out, err = invoke(capsys, "snf", "--matrix", "[[1,0],[0,1]]")
-    assert (code, out, err) == (0, "1 1\n", "")
-    code, out, _ = invoke(capsys, "snf", "--matrix", "[[2,4],[6,8]]")
-    assert (code, out) == (0, "2 4\n")
-    code, out, _ = invoke(capsys, "snf", "--matrix", "[[0,0],[0,0]]")
-    assert (code, out) == (0, "\n")
-
-
-def test_snf_json(capsys):
-    code, out, _ = invoke(capsys, "snf", "--matrix", "[[2,4],[6,8]]", "--json")
-    assert code == 0
-    assert json.loads(out) == {"invariant_factors": [2, 4], "rank": 2}
-
-
-def test_suspension_golden(capsys):
-    code, out, _ = invoke(capsys, "suspension", "--pi1", "Z*Z", "--b2", "1")
-    assert (code, out) == (0, "SM = S^5 v S^4 v S^4 v S^3 v S^2 v S^2\n")
-
-
-def test_homology_golden(capsys):
-    code, out, _ = invoke(capsys, "homology", "--pi1", "Z*Z/9", "--b2", "2")
-    assert code == 0
-    assert out == (
-        "H_0 = Z\nH_1 = Z + Z/9\nH_2 = Z^2 + Z/9\nH_3 = Z\nH_4 = Z\nH_5 = 0\n"
-    )
-    code, sus, _ = invoke(
-        capsys, "homology", "--pi1", "Z*Z/9", "--b2", "2", "--suspension"
-    )
-    assert code == 0
-    assert sus == (
-        "H_0 = Z\nH_1 = 0\nH_2 = Z + Z/9\nH_3 = Z^2 + Z/9\nH_4 = Z\nH_5 = Z\n"
-    )
-
-
-def test_classify_golden(capsys):
-    code, out, _ = invoke(
-        capsys,
-        "classify", "--group", "SU(2)", "--spin", "true",
-        "--pi1", "Z", "--b2", "1", "--t", "2", "--s", "4", "--primes", "2,3,5",
-    )
-    assert code == 0
-    assert out == (
-        "rule: k=12, integral\n"
-        "integral: no\n"
-        "p=2: unknown\n"
-        "p=3: yes\n"
-        "p=5: yes\n"
-        "stabilized: no\n"
-    )
-
-
-def test_classify_json(capsys):
-    code, out, _ = invoke(
-        capsys,
-        "classify", "--group", "Sp(3)", "--t", "1", "--s", "2", "--primes", "5", "--json",
-    )
-    assert code == 0
-    assert json.loads(out) == {
-        "verdict": {
-            "integral": "unknown",
-            "local": {"5": "unknown"},
-            "rule": None,
-            "stabilized": False,
-        }
-    }
-
-
-def test_parse_golden(capsys):
-    code, out, _ = invoke(capsys, "parse", "--pi1", " Z/25 * Z ", "--b2", "3")
-    assert (code, out) == (0, "pi1 = Z*Z/25; b2 = 3; sigma-f = trivial\n")
-    code, out, _ = invoke(capsys, "parse", "--pi1", "Z/25*Z", "--b2", "3", "--json")
-    assert json.loads(out) == {
-        "pi1": "Z*Z/25",
-        "free_rank": 1,
-        "cyclic_factors": [[5, 2]],
-        "b2": 3,
-        "sigma_f_trivial": True,
-    }
+@pytest.mark.parametrize("argv,out", PINNED, ids=[" ".join(argv) for argv, _ in PINNED])
+def test_pinned_answers(capsys, argv, out):
+    assert invoke(capsys, *argv) == (0, out, "")
 
 
 # --------------------------------------------------------------------------
@@ -504,13 +442,6 @@ def test_every_spec_in_the_box_passes_the_independent_oracle():
                 assert _read_splitting_json(doc) == (_oracle_counts(wedge),
                                                      _oracle_counts(factors)), dec
     assert specs == 1260
-
-
-def test_output_is_deterministic(capsys):
-    argv = ["decompose", "--pi1", "Z*Z/27", "--b2", "2", "--t", "5", "--json"]
-    first = invoke(capsys, *argv)
-    second = invoke(capsys, *argv)
-    assert first == second
 
 
 # --------------------------------------------------------------------------

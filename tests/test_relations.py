@@ -13,10 +13,7 @@ no second derivation of either.
   of M # N are those of M and of N together (S(M # N) ~ SM_0 v SN_0 v S^5 once
   each top cell splits off); with a non-spin side the base is the one SCP^2
   block, and it spends one 2-cell of the sum's S^3 count.
-- classify: the verdict is symmetric in (t, s), t and -t agree, and under an
-  integral row t and t + k agree.  The unit law (G_ut ~ G_t p-locally for p
-  not dividing u) is not here: it fails on wrong p-local verdicts that are
-  still open.
+- classify: its laws are checked on a whole box in tests/test_classifier.py.
 
 Each relation draws from its own seeded generator.
 """
@@ -27,20 +24,16 @@ from conftest import graded, handle_complex, matmul, random_spec, unimodular
 from gauge4 import (
     SYMBOLIC,
     IntMatrix,
-    LieGroupSpec,
     ManifoldSpec,
     Sphere,
     SuspCP2,
     chain_homology,
-    classify,
-    classify_base,
     connected_sum,
     homology_of_manifold,
     mixed_decomposition,
     smith_normal_form,
     stabilize,
 )
-from gauge4.classifier import CP2, INTEGRAL, S4
 
 
 def random_rows(rng: random.Random, max_side=6, bound=9) -> list[list[int]]:
@@ -179,27 +172,3 @@ def test_splitting_of_a_connected_sum_joins_the_non_base_blocks():
         assert non_base(whole) == expected, (m, n, d)
         seen.add(len(non_spin))
     assert seen == {0, 1, 2}
-
-
-GROUPS = ([LieGroupSpec("SU", n) for n in range(2, 7)] + [LieGroupSpec("Sp", n) for n in (1, 2, 3)]
-          + [LieGroupSpec("G2")])
-
-
-def test_classify_is_symmetric_blind_to_sign_and_periodic_in_an_integral_k():
-    rng = random.Random(2308)
-    integral = 0
-    for _ in range(2000):
-        group, primes = rng.choice(GROUPS), tuple(rng.sample((2, 3, 5, 7, 11), rng.randint(0, 3)))
-        t, s = rng.randint(-200, 200), rng.randint(-200, 200)
-        if rng.random() < 0.5:
-            ask, where = classify_base, rng.choice((S4, CP2))
-        else:
-            ask, where = classify, random_spec(rng, max_free=2, max_cyclic=2)
-        answer = ask(group, where, t, s, primes)
-        rule = answer.rule_used
-        assert ask(group, where, s, t, primes) == answer == ask(group, where, -t, s, primes), (
-            group, where, t, s)
-        if rule is not None and rule.scope == INTEGRAL:
-            assert ask(group, where, t + rule.k, s, primes) == answer, (group, where, t, s)
-            integral += 1
-    assert integral > 100

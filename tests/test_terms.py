@@ -411,21 +411,13 @@ def test_one_digit_class_and_one_reader_for_every_integer_written_as_text():
 
 
 def test_loop_pair_table():
-    assert loop_pair(Sphere(2)) == (1, None)
-    assert loop_pair(Sphere(3)) == (2, None)
-    assert loop_pair(Sphere(4)) == (3, None)
-    assert loop_pair(Moore(3, 9)) == (2, 9)
-    assert loop_pair(Moore(4, 25)) == (3, 25)
-
-
-def test_loop_pair_gives_no_pair_for_a_base_summand():
-    assert loop_pair(Sphere(5)) is None
-    assert loop_pair(SuspCP2()) is None
-
-
-def test_loop_pair_gives_no_pair_outside_its_domain():
-    for bad in [Sphere(1), Sphere(6), Moore(2, 3), Moore(5, 3), Moore(2, 9), Moore(5, 25),
-                Wedge(())]:
+    # (n - 1, None) for S^n and (n - 1, q) for P^n(q), one pair each, on S^2..S^4, P^3(q)
+    # and P^4(q); None for both bases and everything else
+    moore = [(k, q) for k in (3, 4) for q in range(2, 31)]
+    assert [loop_pair(x) for x in [Sphere(k) for k in (2, 3, 4)] + [Moore(*m) for m in moore]] == [
+        (1, None), (2, None), (3, None)] + [(k - 1, q) for k, q in moore]
+    for bad in [Sphere(5), SuspCP2(), Sphere(1), Sphere(6), Moore(2, 3), Moore(5, 3), Moore(2, 9),
+                Moore(5, 25), Wedge(())]:
         assert loop_pair(bad) is None, bad
 
 
@@ -443,41 +435,30 @@ def test_loop_pair_keeps_the_summand_order_on_its_domain():
         f"O^{k}G" if q is None else f"O^{k}G{{{q}}}" for k, q in pairs]
 
 
-def test_loop_pair_is_injective_on_its_domain():
-    domain = [Sphere(k) for k in (2, 3, 4)]
-    domain += [Moore(k, q) for k in (3, 4) for q in range(2, 31)]
-    images = [loop_pair(x) for x in domain]
-    assert len(set(images)) == len(images)
-
-
 # --------------------------------------------------------------------------
 # rendering
 
 
-def test_render_atoms():
-    assert render(Sphere(3)) == "S^3"
-    assert render(Moore(4, 9)) == "P^4(9)"
-    assert render(SuspCP2()) == "SCP^2"
-    # and the text of a summand's loop factor
+@pytest.mark.parametrize("term,text", [
+    (Sphere(3), "S^3"), (Moore(4, 9), "P^4(9)"), (SuspCP2(), "SCP^2"),
+    # a wedge is built in normal form whatever blocks it is given, so it renders as one
+    (Wedge(((Moore(3, 3), 1), (Sphere(5), 1), (Sphere(2), 1))), "S^5 v P^3(3) v S^2"),
+    (Wedge(((Sphere(2), 1), (Sphere(5), 1))), "S^5 v S^2"),
+    (Wedge(()), "pt"),
+    (Wedge(((Wedge(()), 1), (Wedge(((Sphere(3), 1),)), 1))), "S^3"),
+    # each copy of a block is written, and a point as pt
+    (Wedge(((Sphere(3), 3),)), "S^3 v S^3 v S^3"),
+    (Wedge(((Moore(4, 27), 2), (SuspCP2(), 1), (Wedge(()), 5))), "SCP^2 v P^4(27) v P^4(27)"),
+    (Wedge(((Wedge(()), 2), (Sphere(4), 0))), "pt"),
+    (Wedge(((Wedge(((Sphere(2), 2),)), 2),)), " v ".join(["S^2"] * 4)),
+])
+def test_render_table(term, text):
+    assert render(term) == text
+
+
+def test_factor_text_of_a_sphere_and_a_moore_space():
     assert _factor_text(Sphere(2)) == "O^1G"
     assert _factor_text(Moore(4, 27)) == "O^3G{27}"
-
-
-def test_render_wedge_uses_canonical_order():
-    term = Wedge(((Moore(3, 3), 1), (Sphere(5), 1), (Sphere(2), 1)))
-    assert render(term) == "S^5 v P^3(3) v S^2"
-    # A wedge is built in normal form whatever blocks it is given, so it renders as one.
-    assert render(Wedge(((Sphere(2), 1), (Sphere(5), 1)))) == "S^5 v S^2"
-    assert render(Wedge(())) == "pt"
-    assert render(Wedge(((Wedge(()), 1), (Wedge(((Sphere(3), 1),)), 1)))) == "S^3"
-
-
-def test_render_writes_each_copy_of_a_block_and_a_point_as_pt():
-    assert render(Wedge(((Sphere(3), 3),))) == "S^3 v S^3 v S^3"
-    assert render(Wedge(((Moore(4, 27), 2), (SuspCP2(), 1), (Wedge(()), 5)))) == (
-        "SCP^2 v P^4(27) v P^4(27)")
-    assert render(Wedge(((Wedge(()), 2), (Sphere(4), 0)))) == "pt"
-    assert render(Wedge(((Wedge(((Sphere(2), 2),)), 2),))) == " v ".join(["S^2"] * 4)
 
 
 def test_render_writes_every_digit_of_its_numbers():
@@ -505,30 +486,26 @@ def _product(base, t, summands, stabilization=0):
                                        Pi1Kind.MIXED))
 
 
-def test_gauge_product_orders_factors():
-    assert _product(Sphere(5), 2, [(Sphere(2), 1), (Sphere(4), 1)]) == "G_2(S^4) x O^3G x O^1G"
+GIVEN = [(Sphere(3), 1), (Moore(3, 3), 1), (Moore(4, 3), 1), (Sphere(2), 1)]
+
+
+@pytest.mark.parametrize("base,t,summands,stabilization,text", [
+    (Sphere(5), 2, [(Sphere(2), 1), (Sphere(4), 1)], 0, "G_2(S^4) x O^3G x O^1G"),
     # summands given in any order and repeated are one splitting, written in order
-    given = [(Sphere(3), 1), (Moore(3, 3), 1), (Moore(4, 3), 1), (Sphere(2), 1)]
-    assert _product(SuspCP2(), 4, given) == _product(SuspCP2(), 4, given[::-1]) == (
-        "G_4(CP^2) x O^3G{3} x O^2G x O^2G{3} x O^1G")
-    assert _product(Sphere(5), 0, [(Sphere(2), 1), (Moore(4, 5), 1), (Sphere(2), 1)]) == (
-        "G_0(S^4) x O^3G{5} x O^1G x O^1G")
-
-
-def test_gauge_product_bare_base():
-    assert _product(Sphere(5), 0, []) == "G_0(S^4)"
-    assert _product(SuspCP2(), -3, []) == "G_-3(CP^2)"
-
-
-def test_gauge_product_symbolic_merges_plain_double_loops():
-    blocks = [(Sphere(3), 2), (Moore(3, 3), 1), (Sphere(4), 1)]
-    assert _product(Sphere(5), 1, blocks, SYMBOLIC) == "G_1(S^4) x O^3G x (O^2G)^{2+2d} x O^2G{3}"
-
-
-def test_gauge_product_symbolic_with_no_plain_double_loops():
-    blocks = [(Sphere(4), 1), (Moore(3, 9), 1)]
-    assert _product(Sphere(5), 0, blocks, SYMBOLIC) == "G_0(S^4) x O^3G x (O^2G)^{2d} x O^2G{9}"
-    assert _product(Sphere(5), 0, [], SYMBOLIC) == "G_0(S^4) x (O^2G)^{2d}"
+    (SuspCP2(), 4, GIVEN, 0, "G_4(CP^2) x O^3G{3} x O^2G x O^2G{3} x O^1G"),
+    (SuspCP2(), 4, GIVEN[::-1], 0, "G_4(CP^2) x O^3G{3} x O^2G x O^2G{3} x O^1G"),
+    (Sphere(5), 0, [(Sphere(2), 1), (Moore(4, 5), 1), (Sphere(2), 1)], 0,
+     "G_0(S^4) x O^3G{5} x O^1G x O^1G"),
+    (Sphere(5), 0, [], 0, "G_0(S^4)"),
+    (SuspCP2(), -3, [], 0, "G_-3(CP^2)"),
+    (Sphere(5), 1, [(Sphere(3), 2), (Moore(3, 3), 1), (Sphere(4), 1)], SYMBOLIC,
+     "G_1(S^4) x O^3G x (O^2G)^{2+2d} x O^2G{3}"),
+    (Sphere(5), 0, [(Sphere(4), 1), (Moore(3, 9), 1)], SYMBOLIC,
+     "G_0(S^4) x O^3G x (O^2G)^{2d} x O^2G{9}"),
+    (Sphere(5), 0, [], SYMBOLIC, "G_0(S^4) x (O^2G)^{2d}"),
+])
+def test_gauge_product_table(base, t, summands, stabilization, text):
+    assert _product(base, t, summands, stabilization) == text
 
 
 def test_counts_are_checked_and_merged_where_blocks_are_built():
