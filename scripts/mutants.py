@@ -7,12 +7,14 @@ For each row of ``MUTANTS``, one after another, the script extracts ``git
 archive HEAD`` into a temporary directory, replaces the row's old text in its
 file with the new one, and runs the whole tier-1 command there, one pytest
 process at a time, for at most ``TIMEOUT_S`` seconds.  A mutant's kill set is
-the sorted ids of the tests that fail or error, or ``"timeout"``.  The anchor
-test, ``tests/test_mutants.py``, checks the unmutated table, so it fails on every
-mutated copy and is left out of each kill set.  A row with a fifth field is an
-equivalent mutant: the same answers, for the reason that field gives.  The
-file records the commit and the Python version; the committed files are
-tested, so commit before running.  About 30 s a mutant on a 2-core machine.
+the sorted ids of the tests that fail or error, ``"timeout"``, or pytest's
+exit status if it stopped for another reason (a module that fails to import
+while pytest loads ``conftest.py``, say).  The anchor test,
+``tests/test_mutants.py``, checks the unmutated table, so it fails on every
+mutated copy and is left out of each kill set.  A row with a fifth field is
+an equivalent mutant: the same answers, for the reason that field gives.
+The file records the commit and the Python version; the committed files are
+tested, so commit before running.  About 20 s a mutant on a 2-core machine.
 """
 
 import json
@@ -121,7 +123,8 @@ MUTANTS = [
     ("suspend_keeps_rank0", "homology.py", "[(rank0 - 1, torsion0)]", "[(rank0, torsion0)]"),
     ("h2_without_torsion", "homology.py", "(spec.b2, torsion)", "(spec.b2, ())"),
     ("scp2_top_in_4", "homology.py", "ranks[5] += count", "ranks[4] += count"),
-    ("chain_rank_once", "homology.py", "dims[k] - ranks[k] - ranks[k + 1]", "dims[k] - ranks[k + 1]"),
+    ("chain_rank_once", "homology.py", "dims[k] - ranks[k] - ranks[k + 1]",
+     "dims[k] - ranks[k + 1]"),
     ("matrix_trailing_comma", "homology.py", 'after.strip() != ("," if i < len(parts) else "")',
      'after.strip() not in (",", "")'),
     # cli
@@ -136,12 +139,15 @@ MUTANTS = [
 
 
 def failing(tree: Path) -> list[str] | str:
-    """The sorted ids of the tier-1 tests that fail or error in tree, or "timeout"."""
+    """The sorted ids of the tier-1 tests that fail or error in tree, "timeout", or
+    pytest's exit status when it ends for any reason but failing tests."""
     try:
         done = subprocess.run(COMMAND, cwd=tree, env={**os.environ, "PYTHONPATH": "src"},
                               capture_output=True, text=True, timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
         return "timeout"
+    if done.returncode not in (0, 1):  # pytest stopped before running every test
+        return f"pytest exit status {done.returncode}"
     ids = {line.split(" ", 1)[1].partition(" - ")[0] for line in done.stdout.splitlines()
            if line.startswith(("FAILED ", "ERROR "))}
     return sorted(i for i in ids if not i.startswith(ANCHOR))
@@ -152,7 +158,7 @@ def main() -> None:
                                        check=True).stdout
     archive, commit = git("archive", "HEAD"), git("rev-parse", "HEAD").decode().strip()
     kills = {}
-    for name, file, old, new, *equivalent in MUTANTS:
+    for name, file, old, new, *_ in MUTANTS:
         start = time.monotonic()
         with tempfile.TemporaryDirectory() as tmp:
             subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
