@@ -253,7 +253,8 @@ def v_p(t, p):
     return next(a for a in range(t) if t % p ** (a + 1))
 
 
-def test_every_verdict_in_the_box_obeys_the_laws():
+@pytest.mark.parametrize("group", BOX_GROUPS, ids=lambda g: f"{g.family}({g.n})" if g.n else g.family)
+def test_every_verdict_in_the_box_obeys_the_laws(group):
     # Each verdict is computed once, as (integral, local at each box prime), and the
     # laws are checked on the table: 1. at a prime dividing no row's k every decided
     # verdict is yes; 2. for p prime to u, t and u t agree at p (G_ut is G_t at p, Lang
@@ -263,36 +264,35 @@ def test_every_verdict_in_the_box_obeys_the_laws():
     # (So, arXiv 1609.02486), with B = S^4 for a spin M and CP^2 otherwise, so a yes
     # over B is never a no over M.
     every_yes = (YES,) * (len(BOX_PRIMES) + 1)
-    for group in BOX_GROUPS:
-        table = {}
-        for base in BOX_BASES:
-            ask = classify if isinstance(base, ManifoldSpec) else classify_base
-            def answers(t, s):
-                v = ask(group, base, t, s, BOX_PRIMES)
-                return (v.integral, *[v.local[p] for p in BOX_PRIMES])
-            grid = table[base] = [[answers(t, s) for s in range(BOX_T)] for t in range(BOX_T)]
-            rule = ask(group, base, 0, 0).rule_used
-            spin = base.sigma_f_trivial if isinstance(base, ManifoldSpec) else None
-            ks = [row.k for row in _rows(group, MANIFOLD if spin is not None else base, spin)]
-            for i, p in enumerate(BOX_PRIMES, 1):
-                column = [a[i] for line in grid for a in line]
-                assert NO not in column or any(k % p == 0 for k in ks), (1, group, base, p)
-                for s in range(BOX_T):
-                    seen = {}
-                    for t in range(1, BOX_T):
-                        a = grid[t][s][i]
-                        assert a == UNKNOWN or seen.setdefault(v_p(t, p), a) == a, \
-                            (2, group, base, t, s, p)
-            assert all(grid[t][s] == grid[s][t] for t in range(BOX_T) for s in range(t)), \
-                (3, group, base)
-            assert all(grid[t][t] == every_yes for t in range(BOX_T)), (3, group, base)
-            assert all(answers(-t, t) == every_yes for t in range(BOX_T)), (3, group, base)
-            if rule is not None and rule.scope == INTEGRAL:
-                assert all(grid[t][s][0] == grid[t + rule.k][s][0]
-                           for t in range(BOX_T - rule.k) for s in range(BOX_T)), (3, group, base)
-            assert all(a[0] != YES or a == every_yes for line in grid for a in line), \
-                (4, group, base)
-            if spin is not None:
-                under = table[S4 if spin else CP2]
-                assert not any(b == YES and a == NO for t in range(BOX_T) for s in range(BOX_T)
-                               for a, b in zip(grid[t][s], under[t][s])), (5, group, base)
+    table = {}
+    for base in BOX_BASES:
+        ask = classify if isinstance(base, ManifoldSpec) else classify_base
+        def answers(t, s):
+            v = ask(group, base, t, s, BOX_PRIMES)
+            return (v.integral, *[v.local[p] for p in BOX_PRIMES])
+        grid = table[base] = [[answers(t, s) for s in range(BOX_T)] for t in range(BOX_T)]
+        rule = ask(group, base, 0, 0).rule_used
+        spin = base.sigma_f_trivial if isinstance(base, ManifoldSpec) else None
+        ks = [row.k for row in _rows(group, MANIFOLD if spin is not None else base, spin)]
+        for i, p in enumerate(BOX_PRIMES, 1):
+            column = [a[i] for line in grid for a in line]
+            assert NO not in column or any(k % p == 0 for k in ks), (1, group, base, p)
+            for s in range(BOX_T):
+                seen = {}
+                for t in range(1, BOX_T):
+                    a = grid[t][s][i]
+                    assert a == UNKNOWN or seen.setdefault(v_p(t, p), a) == a, \
+                        (2, group, base, t, s, p)
+        assert all(grid[t][s] == grid[s][t] for t in range(BOX_T) for s in range(t)), \
+            (3, group, base)
+        assert all(grid[t][t] == every_yes for t in range(BOX_T)), (3, group, base)
+        assert all(answers(-t, t) == every_yes for t in range(BOX_T)), (3, group, base)
+        if rule is not None and rule.scope == INTEGRAL:
+            assert all(grid[t][s][0] == grid[t + rule.k][s][0]
+                       for t in range(BOX_T - rule.k) for s in range(BOX_T)), (3, group, base)
+        assert all(a[0] != YES or a == every_yes for line in grid for a in line), \
+            (4, group, base)
+        if spin is not None:
+            under = table[S4 if spin else CP2]
+            assert not any(b == YES and a == NO for t in range(BOX_T) for s in range(BOX_T)
+                           for a, b in zip(grid[t][s], under[t][s])), (5, group, base)

@@ -412,13 +412,17 @@ def test_one_digit_class_and_one_reader_for_every_integer_written_as_text():
 
 def test_loop_pair_table():
     # (n - 1, None) for S^n and (n - 1, q) for P^n(q), one pair each, on S^2..S^4, P^3(q)
-    # and P^4(q); None for both bases and everything else
+    # and P^4(q)
     moore = [(k, q) for k in (3, 4) for q in range(2, 31)]
     assert [loop_pair(x) for x in [Sphere(k) for k in (2, 3, 4)] + [Moore(*m) for m in moore]] == [
         (1, None), (2, None), (3, None)] + [(k - 1, q) for k, q in moore]
-    for bad in [Sphere(5), SuspCP2(), Sphere(1), Sphere(6), Moore(2, 3), Moore(5, 3), Moore(2, 9),
-                Moore(5, 25), Wedge(())]:
-        assert loop_pair(bad) is None, bad
+
+
+@pytest.mark.parametrize("bad", [Sphere(5), SuspCP2(), Sphere(1), Sphere(6), Moore(2, 3),
+                                 Moore(5, 3), Moore(2, 9), Moore(5, 25), Wedge(())], ids=render)
+def test_loop_pair_gives_no_pair_outside_its_domain(bad):
+    # None for both bases and everything else
+    assert loop_pair(bad) is None
 
 
 def test_loop_pair_keeps_the_summand_order_on_its_domain():
