@@ -125,6 +125,10 @@ MUTANTS = [
     ("scp2_top_in_4", "homology.py", "ranks[5] += count", "ranks[4] += count"),
     ("chain_rank_once", "homology.py", "dims[k] - ranks[k] - ranks[k + 1]",
      "dims[k] - ranks[k + 1]"),
+    ("chain_keeps_unit_factors", "homology.py", "torsion[k][torsion[k].count(1):])",
+     "torsion[k])"),
+    ("chain_checks_again", "homology.py", "GradedAbelianGroup._as_given(groups + [(0, ())]",
+     "GradedAbelianGroup(groups + [(0, ())]"),
     ("matrix_trailing_comma", "homology.py", 'after.strip() != ("," if i < len(parts) else "")',
      'after.strip() not in (",", "")'),
     # cli

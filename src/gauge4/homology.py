@@ -354,7 +354,10 @@ def chain_homology(boundaries: "Sequence[IntMatrix]") -> GradedAbelianGroup:
     nonzero column of the next, without building the products; a pair with
     a zero boundary is not checked.  Each boundary's nonzero rows are found
     once, for that check and for smith_normal_form's one route; a zero
-    boundary has rank 0 and no torsion, and is not eliminated.
+    boundary has rank 0 and no torsion, and is not eliminated.  The
+    invariant factors are a positive divisibility chain, so each degree's
+    torsion is that chain with its leading 1s sliced off, and the group is
+    built from it as given, with no second check of ranks or entries.
     """
     n_top = len(boundaries)
     if n_top == 0:
@@ -377,8 +380,10 @@ def chain_homology(boundaries: "Sequence[IntMatrix]") -> GradedAbelianGroup:
 
     torsion = [_snf_factors(r) if r else () for r in rows] + [()]
     ranks = [0, *map(len, torsion)]  # of d_0 .. d_{N+1}, both ends zero maps
-    groups = [(dims[k] - ranks[k] - ranks[k + 1], torsion[k]) for k in range(n_top + 1)]
-    return GradedAbelianGroup(groups + [(0, ())] * (MAX_DEGREE - n_top))
+    # A positive divisibility chain: its 1s come first, and what follows is sorted and above 1.
+    groups = [(dims[k] - ranks[k] - ranks[k + 1], torsion[k][torsion[k].count(1):])
+              for k in range(n_top + 1)]
+    return GradedAbelianGroup._as_given(groups + [(0, ())] * (MAX_DEGREE - n_top))
 
 
 # --------------------------------------------------------------------------

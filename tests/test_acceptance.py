@@ -165,7 +165,7 @@ def check_homology_cross_validation(count):
 
 
 @criterion(2, "homology cross-validation on 1000 random specs")
-def test_criterion_2_homology_cross_validation():
+def test_criterion_2_homology_cross_validation(hang_guard):
     start = time.perf_counter()
     check_homology_cross_validation(1000)
     elapsed = time.perf_counter() - start

@@ -365,26 +365,6 @@ def _spec_box():
                                oracles.Spec(m, cyclic, b2, trivial))
 
 
-def test_every_spec_in_a_box_matches_the_halves_written_one_copy_at_a_time():
-    # decompose and the stabilized formula of every spec, text and --json, each
-    # half alone and both together; the box puts the (X)^{2d} piece of a
-    # splitting with no S^3 block before P^3(q), before S^2, and last.
-    specs, placed = 0, set()
-    for spec, d, _ in _spec_box():
-        specs += 1
-        for dec in (decompose(spec, 1, d=d), mixed_decomposition(spec, 1, d=d)):
-            suspension, gauge = _halves_every_copy(dec)
-            assert render_decomposition(dec) == f"{suspension()}; {gauge()}", dec
-            assert "".join(splitting_parts(dec, False)) == suspension(), dec
-            product = gauge().partition(" = " if dec.stabilization == 0 else " ~ ")[2]
-            assert "".join(_splitting_json(dec, True)) == _dumped_splitting("decompose", dec)
-            if dec.stabilization == SYMBOLIC and "(S^3)^{2d}" in suspension():
-                placed.add((suspension().rpartition("(S^3)^{2d}")[2][3:6] or "last",
-                            product.rpartition("(O^2G)^{2d}")[2][3:7] or "last"))
-    assert specs == 1260
-    assert placed == {("P^3", "O^2G"), ("S^2", "O^1G"), ("last", "last")}
-
-
 def _oracle_counts(blocks):
     """The oracle's expected (a, b) counts, a + b*d, as written ones: the d-free
     part of each block that has one."""
@@ -405,19 +385,32 @@ def _read_splitting_json(doc):
     return summands, factors
 
 
-def test_every_spec_in_the_box_passes_the_independent_oracle():
-    # The paper's formulas, as bench/oracles.py writes them with no gauge4 code,
-    # judge decompose and the stabilized formula of every spec in the box: both
-    # text halves, --json, and the product written one factor per copy from
-    # loop_pair (conftest's product_every_copy), read after the head the text
-    # answer writes.  d is the oracle's own: decompose stabilizes a
-    # mixed pi1 alone, the stabilized formula every pi1, so for a mixed pi1 the
-    # two are one splitting, checked once.
-    specs = 0
+def test_every_spec_in_the_box_matches_its_copies_and_the_independent_oracle():
+    # One pass over the box builds decompose and the stabilized formula of every spec,
+    # and checks each splitting two ways.
+    # Written one copy at a time: text and --json, each half alone and both together;
+    # the box puts the (X)^{2d} piece of a splitting with no S^3 block before P^3(q),
+    # before S^2, and last.
+    # Against the paper's formulas, as bench/oracles.py writes them with no gauge4
+    # code: both text halves, --json, and the product written one factor per copy
+    # from loop_pair (conftest's product_every_copy), read after the head the text
+    # answer writes.  d is the oracle's own: decompose stabilizes a mixed pi1 alone,
+    # the stabilized formula every pi1, so for a mixed pi1 the two are one
+    # splitting, checked against the oracle once.
+    specs, placed = 0, set()
     for spec, d, ospec in _spec_box():
         specs += 1
-        d = None if d == SYMBOLIC else d
         splittings = [(False, decompose(spec, 1, d=d)), (True, mixed_decomposition(spec, 1, d=d))]
+        for _, dec in splittings:
+            suspension, gauge = _halves_every_copy(dec)
+            assert render_decomposition(dec) == f"{suspension()}; {gauge()}", dec
+            assert "".join(splitting_parts(dec, False)) == suspension(), dec
+            product = gauge().partition(" = " if dec.stabilization == 0 else " ~ ")[2]
+            assert "".join(_splitting_json(dec, True)) == _dumped_splitting("decompose", dec)
+            if dec.stabilization == SYMBOLIC and "(S^3)^{2d}" in suspension():
+                placed.add((suspension().rpartition("(S^3)^{2d}")[2][3:6] or "last",
+                            product.rpartition("(O^2G)^{2d}")[2][3:7] or "last"))
+        d = None if d == SYMBOLIC else d
         if ospec.mixed:
             _, same = splittings.pop()
             assert same == splittings[0][1]
@@ -442,6 +435,7 @@ def test_every_spec_in_the_box_passes_the_independent_oracle():
                 assert _read_splitting_json(doc) == (_oracle_counts(wedge),
                                                      _oracle_counts(factors)), dec
     assert specs == 1260
+    assert placed == {("P^3", "O^2G"), ("S^2", "O^1G"), ("last", "last")}
 
 
 # --------------------------------------------------------------------------

@@ -114,7 +114,7 @@ def both_homologies(rng, spec):
     return homology_of_manifold(spec), chain_homology(handle_complex(rng, spec))
 
 
-def test_homology_of_a_connected_sum_is_the_sum_in_degrees_1_to_3():
+def test_homology_of_a_connected_sum_is_the_sum_in_degrees_1_to_3(hang_guard):
     rng = random.Random(2305)
     for _ in range(200):
         m, n = (random_spec(rng, max_free=3, max_cyclic=2) for _ in range(2))
@@ -122,7 +122,7 @@ def test_homology_of_a_connected_sum_is_the_sum_in_degrees_1_to_3():
             assert h_sum == summed_homology(h_m, h_n), (m, n)
 
 
-def test_stabilize_adds_z_2d_to_h2_and_nothing_else():
+def test_stabilize_adds_z_2d_to_h2_and_nothing_else(hang_guard):
     rng = random.Random(2306)
     s2xs2 = ManifoldSpec(b2=2)
     for _ in range(200):
