@@ -380,7 +380,6 @@ def chain_homology(boundaries: "Sequence[IntMatrix]") -> GradedAbelianGroup:
 
     torsion = [_snf_factors(r) if r else () for r in rows] + [()]
     ranks = [0, *map(len, torsion)]  # of d_0 .. d_{N+1}, both ends zero maps
-    # A positive divisibility chain: its 1s come first, and what follows is sorted and above 1.
     groups = [(dims[k] - ranks[k] - ranks[k + 1], torsion[k][torsion[k].count(1):])
               for k in range(n_top + 1)]
     return GradedAbelianGroup._as_given(groups + [(0, ())] * (MAX_DEGREE - n_top))

@@ -383,7 +383,8 @@ def test_chain_homology_answers_in_the_checking_constructors_normal_form(hang_gu
         moduli = tuple((q, 1) for q in rng.choices((3, 5, 9, 25, 27), k=rng.randint(1, 3)))
         spec = ManifoldSpec(Pi1Descriptor(rng.randint(0, 2), moduli), rng.randint(0, 4), True)
         sample.append((handle_complex(rng, spec), homology_of_manifold(spec)))
-    sample += [([IntMatrix.from_rows(rows)], None) for row in SWEEP for rows in sweep_matrices(*row)]
+    sample += [([IntMatrix.from_rows(rows)], None)
+               for row in SWEEP for rows in sweep_matrices(*row)]
     units = 0
     for boundaries, expected in sample:
         g = chain_homology(boundaries)
