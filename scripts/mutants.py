@@ -94,11 +94,11 @@ MUTANTS = [
     ("cp2_keeps_a_2_cell", "decomposer.py", "base, n3 = SCP2, n3 - 1", "base, n3 = SCP2, n3"),
     ("stabilization_adds_d", "decomposer.py", "spec.b2 + 2 * stabilization",
      "spec.b2 + stabilization"),
-    ("free_one_s2", "decomposer.py", "(SPHERE[4], m), (SPHERE[2], m)",
-     "(SPHERE[4], m), (SPHERE[2], 1)"),
-    ("moore_blocks_swapped", "decomposer.py", "[(Moore(3, q), n), (Moore(4, q), n)]",
-     "[(Moore(4, q), n), (Moore(3, q), n)]",
-     "Wedge sorts its blocks, so the order _assemble lists them in changes nothing"),
+    ("free_one_s2", "decomposer.py", "blocks.append((SPHERE[2], m))",
+     "blocks.append((SPHERE[2], 1))"),
+    ("moore_blocks_swapped", "decomposer.py", "upper, lower = [(Moore(4, q)",
+     "lower, upper = [(Moore(4, q)"),
+    ("runs_by_factor", "decomposer.py", "runs = sorted([(p**r,", "runs = ([(p**r,"),
     # homology: the SNF routes, chain complexes and closed forms
     ("square_sent_modulo_d", "homology.py", "if rows and rank == len(rows) == len(rows[0]):",
      "if rows and rank == len(rows) == len(rows[0]) == 0:",
@@ -127,8 +127,8 @@ MUTANTS = [
      "dims[k] - ranks[k + 1]"),
     ("chain_keeps_unit_factors", "homology.py", "torsion[k][torsion[k].count(1):])",
      "torsion[k])"),
-    ("chain_checks_again", "homology.py", "GradedAbelianGroup._as_given(groups + [(0, ())]",
-     "GradedAbelianGroup(groups + [(0, ())]"),
+    ("chain_checks_again", "homology.py", "GradedAbelianGroup._as_given(tuple(groups + [(0, ())]",
+     "GradedAbelianGroup(tuple(groups + [(0, ())]"),
     ("matrix_trailing_comma", "homology.py", 'after.strip() != ("," if i < len(parts) else "")',
      'after.strip() not in (",", "")'),
     # cli

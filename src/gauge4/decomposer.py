@@ -125,20 +125,27 @@ def mixed_decomposition(spec: ManifoldSpec, t: int = 0, *, d: Stabilization = SY
 
 def _assemble(spec: ManifoldSpec, t: int, stabilization: Stabilization, kind: str) -> Decomposition:
     """The splitting from a checked stabilization count; a concrete d is that of
-    stabilize(spec, d), whose b2 is 2d larger, so 2d more copies of S^3."""
+    stabilize(spec, d), whose b2 is 2d larger, so 2d more copies of S^3.  The blocks
+    are built in the normal form of a wedge: no block of count 0, and in _atom_key's
+    order, the base, S^4, P^4(q) by q, S^3, P^3(q) by q, S^2; so the wedge is taken as
+    given, with no _merge."""
     m = spec.pi1.free_rank
     n3 = spec.b2 if stabilization == SYMBOLIC else spec.b2 + 2 * stabilization
     if spec.sigma_f_trivial:
         base = SPHERE[5]
     else:
         base, n3 = SCP2, n3 - 1  # one 2-cell is spent on the CP^2 block
-    blocks = [(base, 1), (SPHERE[3], n3)] if n3 else [(base, 1)]  # no block of count 0
+    # Equal factors adjoin in the sorted cyclic factors, sorted by (p, r); their runs are
+    # sorted again by q = p^r, the display order, where 9 = 3^2 comes after 5 and 7.
+    runs = sorted([(p**r, len(list(run))) for (p, r), run in groupby(spec.pi1.cyclic_factors)])
+    upper, lower = [(Moore(4, q), n) for q, n in runs], [(Moore(3, q), n) for q, n in runs]
+    blocks = [(base, 1), (SPHERE[4], m), *upper] if m else [(base, 1), *upper]
+    if n3:
+        blocks.append((SPHERE[3], n3))
+    blocks += lower
     if m:
-        blocks += [(SPHERE[4], m), (SPHERE[2], m)]  # Wedge sorts the blocks
-    for (p, r), run in groupby(spec.pi1.cyclic_factors):  # sorted, so equal factors adjoin
-        n, q = len(list(run)), p**r
-        blocks += [(Moore(3, q), n), (Moore(4, q), n)]
-    return Decomposition(Wedge(blocks), t, stabilization, kind)
+        blocks.append((SPHERE[2], m))
+    return Decomposition(Wedge._as_given(tuple(blocks)), t, stabilization, kind)
 
 
 # --------------------------------------------------------------------------

@@ -61,13 +61,6 @@ class GradedAbelianGroup(Value):
             fixed.append((rank, torsion))
         self._set(tuple(fixed))
 
-    @classmethod
-    def _as_given(cls, groups: "Sequence[tuple[int, tuple]]") -> "GradedAbelianGroup":
-        """The group as given: each torsion must be sorted entries above 1 already."""
-        g = cls.__new__(cls)
-        g._set(tuple(groups))
-        return g
-
     def __eq__(self, other: object):
         if other.__class__ is self.__class__:
             return self.groups == other.groups or self._key() == other._key()
@@ -137,7 +130,7 @@ def suspend(g: GradedAbelianGroup) -> GradedAbelianGroup:
     if rank0 < 1:
         raise ValueError("cannot suspend an empty space: degree 0 is zero")
     shifted = [(1, ())] + [(rank0 - 1, torsion0)] + list(g.groups[1:MAX_DEGREE])
-    return GradedAbelianGroup._as_given(shifted)
+    return GradedAbelianGroup._as_given(tuple(shifted))
 
 
 def render_graded(g: GradedAbelianGroup) -> str:
@@ -382,7 +375,7 @@ def chain_homology(boundaries: "Sequence[IntMatrix]") -> GradedAbelianGroup:
     ranks = [0, *map(len, torsion)]  # of d_0 .. d_{N+1}, both ends zero maps
     groups = [(dims[k] - ranks[k] - ranks[k + 1], torsion[k][torsion[k].count(1):])
               for k in range(n_top + 1)]
-    return GradedAbelianGroup._as_given(groups + [(0, ())] * (MAX_DEGREE - n_top))
+    return GradedAbelianGroup._as_given(tuple(groups + [(0, ())] * (MAX_DEGREE - n_top)))
 
 
 # --------------------------------------------------------------------------
@@ -398,8 +391,8 @@ def homology_of_manifold(spec: ManifoldSpec) -> GradedAbelianGroup:
     """
     m = spec.pi1.free_rank
     torsion = tuple(sorted(p**r for p, r in spec.pi1.cyclic_factors))
-    groups = [(1, ()), (m, torsion), (spec.b2, torsion), (m, ()), (1, ()), (0, ())]
-    return GradedAbelianGroup._as_given(groups)
+    return GradedAbelianGroup._as_given(
+        ((1, ()), (m, torsion), (spec.b2, torsion), (m, ()), (1, ()), (0, ())))
 
 
 def homology_of_term(term: _t.SpaceTerm) -> GradedAbelianGroup:
@@ -424,8 +417,8 @@ def homology_of_term(term: _t.SpaceTerm) -> GradedAbelianGroup:
             ranks[deg] += count
         else:
             torsion[deg] += [atom.modulus] * count
-    groups = [(rank, tuple(sorted(parts))) for rank, parts in zip(ranks, torsion)]
-    return GradedAbelianGroup._as_given(groups)
+    return GradedAbelianGroup._as_given(
+        tuple([(rank, tuple(sorted(parts))) for rank, parts in zip(ranks, torsion)]))
 
 
 # --------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 """The one base of all of gauge4's value classes, a hundredth of a frozen dataclass's cost
 to define; gauge4 defines no dataclass, so importing it loads neither ``dataclasses`` nor
 ``inspect``.  A subclass names its fields in ``__slots__`` and sets them in ``__init__``
-through ``_set``, after its own checks.  A value equals only values of its own class with
+through ``_set``, after its own checks.  ``_as_given`` is the one constructor past those
+checks, for a caller in gauge4 that builds the fields in the form ``__init__`` stores:
+``decomposer._assemble`` for a ``Wedge``, and ``homology``'s closed forms and
+``chain_homology`` for a ``GradedAbelianGroup``.  A value equals only values of its own class with
 equal fields, so ``Moore(3, 3) != (3, 3)`` though both hash alike; it hashes by them, has
 the dataclass repr, and cannot be changed: copy and pickle build it again through
 ``__init__``.  Only ``GradedAbelianGroup`` compares and hashes by a key of its field, its
@@ -51,6 +54,14 @@ class Value:
         raise AttributeError(f"cannot assign to or delete field {name!r}")
 
     __delattr__ = __setattr__
+
+    @classmethod
+    def _as_given(cls, *fields: object) -> "Value":
+        """The value of the fields as given, past the checks of ``__init__``: for a caller
+        that builds them in the form ``__init__`` would store."""
+        value = cls.__new__(cls)
+        value._set(*fields)
+        return value
 
 
 # By field count 0-4, what binds slot setters s0, s1, ... into a _set(self, v0, v1, ...)

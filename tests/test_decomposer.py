@@ -221,6 +221,13 @@ def test_one_pass_check_refuses_what_the_full_scan_did_at_random():
     assert min(seen.values()) > 300, seen
 
 
+def test_decompose_takes_the_wedge_it_built_as_given():
+    # Line events in gauge4 frames, not a clock: 106 when _assemble builds its blocks
+    # in display order and takes them as given, 212 when they pass through Wedge(...).
+    spec = manifold("Z*Z/3*Z/9", 3, spin=False)
+    assert line_events(lambda: decompose(spec, 2, d=2), limit=130) <= 130
+
+
 def test_the_splitting_check_reads_three_blocks():
     # A good splitting is decided by its first block and its two ends: line events
     # in gauge4 frames, not a clock, are the same for 5 and for 500 distinct cyclic
