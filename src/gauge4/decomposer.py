@@ -10,7 +10,10 @@ and writes both halves from it.
 
 A splitting is stored once, as a Wedge, one block or many, whose (summand,
 count) blocks are in display order; equal cyclic factors of pi1 enter as
-one Moore block per dimension, and no block of count 0 is entered.  The
+one Moore block per dimension, and no block of count 0 is entered.  That
+is the normal form terms._merge gives, so _assemble takes its blocks as
+given, past Wedge's check; the box test of tests/test_cli.py checks that
+Wedge(blocks) gives back the same blocks for every splitting it builds.  The
 gauge product is not stored: its text and --json are written from the
 blocks, each summand after the base read by the loop-factor columns of
 terms._ATOMS, which take its loop factor from terms.loop_pair.

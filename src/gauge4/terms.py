@@ -11,10 +11,14 @@ an iterated loop space of the structure group ``G`` (``O^kG``), or its
 mod-``q`` variant ``O^kG{q}`` given by pointed maps out of a Moore space.
 No value stands for a loop factor; its text is written from the summand.
 
-Wedges are multisets of ``(term, count)`` blocks, built in
-one normal form (nested wedges flattened, merged, zero-free, sorted by
-``_atom_key``), so no raw wedge exists: they compare by plain equality and
-cost the number of distinct terms, not of copies.  ``as_wedge`` gives any
+Wedges are multisets of ``(term, count)`` blocks, which ``Wedge(...)`` builds
+in one normal form (nested wedges flattened, merged, zero-free, sorted by
+``_atom_key``).  The one caller that builds a wedge past it,
+``decomposer._assemble``, writes its blocks in that form and takes them as
+given (``Wedge._as_given``); the box test of ``tests/test_cli.py`` checks
+that ``Wedge`` gives back the same blocks on each of its splittings.  So no
+raw wedge exists: wedges compare by plain equality and cost the number of
+distinct terms, not of copies.  ``as_wedge`` gives any
 term as its wedge, an atom as one block of one copy, so a reader of blocks
 meets one form.
 
@@ -81,7 +85,8 @@ class Wedge(Value):
 
     The blocks given may nest wedges and hold zero counts and repeated
     terms; the blocks stored are their normal form (see _merge), so equal
-    spaces give equal wedges whatever the order or nesting.
+    spaces give equal wedges whatever the order or nesting.  ``_as_given``
+    takes a tuple of blocks in that form as it is, for decomposer._assemble.
     """
 
     __slots__ = ("blocks",)
