@@ -4,9 +4,9 @@ to define; gauge4 defines no dataclass, so importing it loads neither ``dataclas
 through ``_set``, after its own checks.  ``_as_given`` is the one constructor past those
 checks, for a caller in gauge4 that builds the fields in the form ``__init__`` stores:
 ``decomposer._assemble`` for a ``Wedge``, and ``homology``'s closed forms and
-``chain_homology`` for a ``GradedAbelianGroup``.  A value equals only values of its own class with
-equal fields, so ``Moore(3, 3) != (3, 3)`` though both hash alike; it hashes by them, has
-the dataclass repr, and cannot be changed: copy and pickle build it again through
+``chain_homology`` for a ``GradedAbelianGroup``.  A value equals only values of its own
+class with equal fields, so ``Moore(3, 3) != (3, 3)`` though both hash alike; it hashes by
+them, has the dataclass repr, and cannot be changed: copy and pickle build it again through
 ``__init__``.  Only ``GradedAbelianGroup`` compares and hashes by a key of its field, its
 invariant factors.
 
