@@ -86,9 +86,12 @@ MUTANTS = [
     ("merge_keeps_zero", "terms.py", "        elif count:\n", "        else:\n"),
     ("copies_limit_plus_one", "terms.py", "if total > MAX_COPIES:", "if total > MAX_COPIES + 1:"),
     ("symbolic_one_copy", "terms.py", 'f"{n}+2d" if n else "2d"', 'f"{n}+2d" if n > 1 else "2d"'),
+    ("symbolic_fold_counts_n", "terms.py", "total += 1 - n", "total += not n"),
     ("s5_in_loop_domain", "terms.py", "cls is Sphere and 2 <= summand.dim <= 4",
      "cls is Sphere and 2 <= summand.dim <= 5"),
     # decomposer
+    ("assemble_skips_t", "decomposer.py",
+     'integer(t, "bundle class t", error=DecompositionError)\n    m = spec', "m = spec"),
     ("gauge_head_d", "decomposer.py", 'power = "{2d}" if symbolic else 2 * stab',
      'power = "{d}" if symbolic else stab'),
     ("cp2_keeps_a_2_cell", "decomposer.py", "base, n3 = SCP2, n3 - 1", "base, n3 = SCP2, n3"),

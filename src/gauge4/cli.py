@@ -30,7 +30,7 @@ from .classifier import (
     parse_group,
 )
 from .manifold import ManifoldSpec, manifold, render_pi1
-from .terms import FACTOR_JSON, JSON, SYMBOLIC, block_pieces, join_blocks
+from .terms import FACTOR_JSON, JSON, SYMBOLIC, join_blocks
 from .value import decimal, invalid_int, past_digit_limit
 
 
@@ -71,17 +71,17 @@ def _spec_from_args(args: SimpleNamespace) -> ManifoldSpec:
 def _splitting_json(dec: decomposer.Decomposition, gauge: bool) -> list[str]:
     """The parts of the --json document of a splitting, byte for byte what
     json.dumps(..., sort_keys=True) writes for it with its lists expanded.
-    The keys are written in sorted order, and each list from its blocks by
-    block_pieces, from the JSON or FACTOR_JSON column of terms._ATOMS, and
-    join_blocks, as the text is, the suspension first, so its copy count is
-    the one an error names; the parts are written in turn, never joined."""
-    suspension = join_blocks([], block_pieces(dec.suspension.blocks, False, JSON), ", ")
+    The keys are written in sorted order, and both lists in one terms.join_blocks
+    pass over the blocks, as the text is, from the JSON and FACTOR_JSON columns of
+    terms._ATOMS; the suspension's copies are the ones an error counts.  The
+    parts are written in turn, never joined."""
+    suspension, factors = join_blocks(dec.suspension.blocks, JSON, ", ",
+                                      FACTOR_JSON if gauge else None, ", ")
     case = dec.case_used
     stabilization = f'"{SYMBOLIC}"' if dec.stabilization == SYMBOLIC else dec.stabilization
     if not gauge:
         return [f'{{"case": "{case}", "stabilization": {stabilization}, "suspension": [',
                 *suspension, "]}"]
-    factors = join_blocks([], block_pieces(dec.suspension.blocks[1:], False, FACTOR_JSON), ", ")
     return [f'{{"case": "{case}", "gauge": {{"base": "{dec.base}", "factors": [', *factors,
             f'], "stabilization": {stabilization}, "t": {dec.t}}}, "suspension": [',
             *suspension, "]}"]

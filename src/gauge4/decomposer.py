@@ -11,16 +11,17 @@ and writes both halves from it.
 A splitting is stored once, as a Wedge, one block or many, whose (summand,
 count) blocks are in display order; equal cyclic factors of pi1 enter as
 one Moore block per dimension, and no block of count 0 is entered.  That
-is the normal form terms._merge gives, so _assemble takes its blocks as
-given, past Wedge's check; the box test of tests/test_cli.py checks that
-Wedge(blocks) gives back the same blocks for every splitting it builds.  The
-gauge product is not stored: its text and --json are written from the
-blocks, each summand after the base read by the loop-factor columns of
-terms._ATOMS, which take its loop factor from terms.loop_pair.
-An answer, in text or in --json, is one list of string parts: fixed heads,
-and per repeated block one string repeat appended by terms.join_blocks, by
-splitting_parts for the text and by the CLI for --json.
-render_decomposition joins the text once; the CLI writes either in turn.
+is the normal form terms._merge gives, and the base comes first, so
+_assemble takes both its Wedge and its Decomposition as given, past their
+checks; the box test of tests/test_cli.py checks, for every splitting it
+builds, that Wedge and Decomposition give back the same values.  The gauge
+product is not stored: one terms.join_blocks pass over the blocks writes
+both halves, each summand after the base read by the loop-factor columns
+of terms._ATOMS, which take its loop factor from terms.loop_pair.  An
+answer, in text or in --json, is one list of string parts: fixed heads,
+and per repeated block one string repeat, for the text by splitting_parts
+and for --json by the CLI.  render_decomposition joins the text once; the
+CLI writes either in turn.
 Every view costs the number of distinct summands, and a written answer
 that plus its bytes.
 
@@ -42,12 +43,12 @@ from .terms import (
     SCP2,
     SPHERE,
     SYMBOLIC,
+    TEXT,
     Moore,
     SpaceTerm,
     Stabilization,
     Wedge,
     as_wedge,
-    block_pieces,
     check_stabilization,
     join_blocks,
     loop_pair,
@@ -62,12 +63,12 @@ class DecompositionError(ValueError):
 class Decomposition(Value):
     """Both halves of one splitting, plus how it was obtained.
 
-    ``suspension`` is a Wedge, an atom given being wrapped as one block of one
-    copy; its first block must be the one base summand (S^5 or SCP^2), of count 1, and
-    every other block must lie in loop_pair's domain.
-    ``stabilization`` is 0 for the on-the-nose cases, a d >= 0 or SYMBOLIC
-    for the stabilized one; with SYMBOLIC the S^3 count is the
-    d-independent part.  ``case_used`` is a Pi1Kind label, one of PI1_KINDS.
+    ``suspension`` is a Wedge, an atom given being wrapped as one block of one copy; its
+    first block must be the one base summand (S^5 or SCP^2), of count 1, and every other
+    block must lie in loop_pair's domain.  ``stabilization`` is 0 for the on-the-nose
+    cases, a d >= 0 or SYMBOLIC for the stabilized one; with SYMBOLIC the S^3 count is
+    the d-independent part.  ``case_used`` is a Pi1Kind label, one of PI1_KINDS.  These
+    are checked for a library caller; _assemble builds its own past them (_as_given).
     """
 
     __slots__ = ("suspension", "t", "stabilization", "case_used")
@@ -131,7 +132,8 @@ def _assemble(spec: ManifoldSpec, t: int, stabilization: Stabilization, kind: st
     stabilize(spec, d), whose b2 is 2d larger, so 2d more copies of S^3.  The blocks
     are built in the normal form of a wedge: no block of count 0, and in _atom_key's
     order, the base, S^4, P^4(q) by q, S^3, P^3(q) by q, S^2; so the wedge is taken as
-    given, with no _merge."""
+    given, with no _merge, and with t checked here, so is the Decomposition."""
+    integer(t, "bundle class t", error=DecompositionError)
     m = spec.pi1.free_rank
     n3 = spec.b2 if stabilization == SYMBOLIC else spec.b2 + 2 * stabilization
     if spec.sigma_f_trivial:
@@ -148,7 +150,7 @@ def _assemble(spec: ManifoldSpec, t: int, stabilization: Stabilization, kind: st
     blocks += lower
     if m:
         blocks.append((SPHERE[2], m))
-    return Decomposition(Wedge._as_given(tuple(blocks)), t, stabilization, kind)
+    return Decomposition._as_given(Wedge._as_given(tuple(blocks)), t, stabilization, kind)
 
 
 # --------------------------------------------------------------------------
@@ -163,19 +165,18 @@ def render_decomposition(dec: Decomposition) -> str:
 def splitting_parts(dec: Decomposition, gauge: bool) -> list[str]:
     """The parts of ``SM = ...``, or of the stabilized ``S(M #_d(S^2xS^2)) = ...``;
     with gauge, then of ``; G_t(M) = ...``, or ``; G_t(M) x (O^2G)^{2d} ~ ...``.
-    Both halves are written from the splitting's blocks, the gauge half, the
-    product ``G_t(base) x ...``, from the loop-factor text of each summand
-    after the base."""
-    t, stab, blocks = dec.t, dec.stabilization, dec.suspension.blocks
+    Both halves are written in one join_blocks pass over the splitting's blocks,
+    the product ``G_t(base) x ...`` from the loop factor of each summand after the base."""
+    t, stab = dec.t, dec.stabilization
     symbolic = stab == SYMBOLIC
-    parts = ["SM = " if stab == 0 else f"S(M #_{'d' if symbolic else stab}(S^2xS^2)) = "]
-    join_blocks(parts, block_pieces(blocks, symbolic), " v ")
+    suspension, factors = join_blocks(dec.suspension.blocks, TEXT, " v ",
+                                      FACTOR_TEXT if gauge else None, " x ", symbolic)
+    parts = ["SM = " if stab == 0 else f"S(M #_{'d' if symbolic else stab}(S^2xS^2)) = ",
+             *suspension]
     if gauge:
         power = "{2d}" if symbolic else 2 * stab
-        parts.append(f"; G_{t}(M) = " if stab == 0 else f"; G_{t}(M) x (O^2G)^{power} ~ ")
-        pieces = block_pieces(blocks[1:], symbolic, FACTOR_TEXT)
-        parts.append(f"G_{t}({BASE_NAMES[dec.base]})")
-        if pieces:  # pieces of blocks in normal form have no zero count
-            parts.append(" x ")
-        join_blocks(parts, pieces, " x ")
+        relation = f"; G_{t}(M) = " if stab == 0 else f"; G_{t}(M) x (O^2G)^{power} ~ "
+        parts.append(f"{relation}G_{t}({BASE_NAMES[dec.base]})")
+        if factors:
+            parts += (" x ", *factors)
     return parts

@@ -22,12 +22,11 @@ distinct terms, not of copies.  ``as_wedge`` gives any
 term as its wedge, an atom as one block of one copy, so a reader of blocks
 meets one form.
 
-Text and --json are written as a list of string parts joined once.
-``block_pieces`` gives the (text, count) piece of each block, from a column
-of ``_ATOMS``: a summand's text or --json object, or its loop factor's;
-``join_blocks`` appends the pieces, in string repeats of at most
-``COPIES_PER_PART`` copies, after checking ``MAX_COPIES`` from the counts;
-``render`` joins the parts once.
+Text and --json are written as lists of string parts joined once.  In one
+pass over sorted blocks, ``join_blocks`` writes each summand's text or --json
+object and, for a splitting, each loop factor's, from two columns of
+``_ATOMS``, in string repeats of at most ``COPIES_PER_PART`` copies, after
+checking ``MAX_COPIES`` from the counts.
 
 ``loop_pair`` is the one rule between the two sides: a wedge summand of
 dimension n after the base gives ``Map*(S^n, G) = O^{n-1}G`` and
@@ -36,6 +35,8 @@ dimension n after the base gives ``Map*(S^n, G) = O^{n-1}G`` and
 ``GAUGE_BASE`` pairs each base summand, S^5 or SCP^2, with the base of the
 gauge group instead, named ``S4`` or ``CP2`` and written as ``BASE_NAMES`` says.
 """
+
+from operator import itemgetter
 
 from .arith import MAX_COPIES
 from .value import Value, integer
@@ -213,32 +214,8 @@ def render(obj: SpaceTerm) -> str:
     if row:
         return row[1](obj)
     if isinstance(obj, Wedge):
-        return "".join(join_blocks([], block_pieces(obj.blocks), " v ")) or "pt"
+        return "".join(join_blocks(obj.blocks, TEXT, " v ")[0]) or "pt"
     raise TermError(f"cannot render {obj!r}")
-
-
-def block_pieces(blocks: "Sequence[tuple[SpaceTerm, int]]", symbolic: bool = False,
-                 column: int = TEXT) -> list[tuple[str, int]]:
-    """The (text, count) pieces join_blocks writes for sorted blocks, each
-    text from the given column of _ATOMS: TEXT or JSON, or FACTOR_TEXT or
-    FACTOR_JSON for the loop factors of summands in loop_pair's domain.
-
-    With ``symbolic``, the stabilization count d is symbolic, and the S^3
-    block, which each S^2 x S^2 adds two copies to, is written whether
-    present or not as one piece where S^3 sorts: ``(X)^{n+2d}``, or
-    ``(X)^{2d}`` when n = 0, with X the text column's entry for S^3, S^3 or O^2G.
-    """
-    pieces, key = [], _atom_key(SPHERE[3]) if symbolic else None
-    at, n = len(blocks), 0  # the S^3 block's place and count
-    for term, count in blocks:
-        row = _ATOMS[term.__class__]
-        if key is not None and (k := row[0](term)) >= key:
-            at, n, key = len(pieces), count if k == key else 0, None
-        pieces.append((row[column](term), count))
-    if symbolic:
-        text, power = _ATOMS[Sphere][column](SPHERE[3]), f"{n}+2d" if n else "2d"
-        pieces[at : at + 1 if n else at] = [(f"({text})^{{{power}}}", 1)]
-    return pieces
 
 
 #: The most copies one string repeat of join_blocks holds, so no part of an answer is
@@ -246,30 +223,52 @@ def block_pieces(blocks: "Sequence[tuple[SpaceTerm, int]]", symbolic: bool = Fal
 COPIES_PER_PART = 4096
 
 
-def join_blocks(parts: list[str], pieces: "Sequence[tuple[str, int]]", sep: str) -> list[str]:
-    """parts with the text of each (text, count) piece ``count`` times,
-    joined by ``sep``, appended: a piece of k > 1 copies as k - 1 copies of
-    text and sep, COPIES_PER_PART of them to one str object appended as
-    often as they fill it and the rest in one more, and then its text.  The
-    one writer of repeated summands, for the text and the --json lists
-    alike; the caller joins parts once or writes them in turn.  More than
-    MAX_COPIES copies in all raise ValueError before anything is appended."""
-    total = 0
-    for _, count in pieces:
-        total += count
+def join_blocks(blocks: "Sequence[tuple[SpaceTerm, int]]", column: int, sep: str,
+                factor_column: int | None = None, factor_sep: str = "",
+                symbolic: bool = False) -> list[list[str]]:
+    """Two lists of parts, written in one pass over sorted blocks: each block's
+    text from the given column of _ATOMS, TEXT or JSON, count times, joined by
+    sep; and with a factor column, FACTOR_TEXT or FACTOR_JSON, the loop factor
+    of each block after the first, the base, joined by factor_sep (else none).
+    A piece of k > 1 copies is k - 1 copies of text and sep, COPIES_PER_PART of
+    them to one str object appended as often as they fill it and the rest in
+    one more, and then its text.  The one writer of repeated summands and loop
+    factors, text and --json alike; the caller joins the parts or writes them.
+
+    With ``symbolic`` (d symbolic), the S^3 block, which each S^2 x S^2 adds two
+    copies to, is written whether present or not as one piece where S^3 sorts:
+    ``(X)^{n+2d}``, or ``(X)^{2d}`` when n = 0, X being the column's S^3 or O^2G.
+    More than MAX_COPIES copies of the blocks, that piece counted as one, raise
+    ValueError before any string repeat is built."""
+    texts, factors, key = [], [], _atom_key(SPHERE[3]) if symbolic else None
+    at, n = len(blocks), 0  # the S^3 block's place and count
+    for term, count in blocks:
+        row = _ATOMS[term.__class__]
+        if key is not None and (k := row[0](term)) >= key:
+            at, n, key = len(texts), count if k == key else 0, None
+        if factor_column and texts:  # a block after the base
+            factors.append((row[factor_column](term), count))
+        texts.append((row[column](term), count))
+    total = sum(map(itemgetter(1), blocks))
+    if symbolic:
+        total += 1 - n
+        row, power, end = _ATOMS[Sphere], f"{n}+2d" if n else "2d", at + 1 if n else at
+        texts[at:end] = [(f"({row[column](SPHERE[3])})^{{{power}}}", 1)]
+        if factor_column:  # the factors leave the base out, so they sit one place earlier
+            factors[at - 1 : end - 1] = [(f"({row[factor_column](SPHERE[3])})^{{{power}}}", 1)]
     if total > MAX_COPIES:
         raise ValueError(f"the answer writes out {total} copies, more than the limit of 10**6")
-    start = len(parts)
-    for text, count in pieces:
-        if count > 1:
-            full, rest = divmod(count - 1, COPIES_PER_PART)
-            if full:
-                parts += [(text + sep) * COPIES_PER_PART] * full
-            if rest:
-                parts.append((text + sep) * rest)
-        if count:
-            parts += (text, sep)
-    if len(parts) > start:
-        parts.pop()  # the separator after the last piece
-    return parts
-
+    written = []
+    for pieces, between in ((texts, sep), (factors, factor_sep)):
+        parts = []
+        for text, count in pieces:
+            if count > 1:
+                full, rest = divmod(count - 1, COPIES_PER_PART)
+                if full:
+                    parts += [(text + between) * COPIES_PER_PART] * full
+                if rest:
+                    parts.append((text + between) * rest)
+            parts += (text, between)
+        del parts[-1:]  # the separator after the last piece
+        written.append(parts)
+    return written

@@ -388,8 +388,10 @@ def _read_splitting_json(doc):
 def test_every_spec_in_the_box_matches_its_copies_and_the_independent_oracle():
     # One pass over the box builds decompose and the stabilized formula of every spec,
     # and checks each splitting two ways, after checking that _assemble, which builds
-    # its wedge past _merge, gives the blocks in _merge's normal form; the box holds
-    # Z/9*Z/5 and Z/9*Z/7, where 9 = 3^2 comes after 5 and 7.
+    # its wedge past _merge and its Decomposition past Decomposition's checks, gives
+    # the blocks in _merge's normal form and a splitting that Decomposition accepts
+    # and stores alike; the box holds Z/9*Z/5 and Z/9*Z/7, where 9 = 3^2 comes
+    # after 5 and 7.
     # Written one copy at a time: text and --json, each half alone and both together;
     # the box puts the (X)^{2d} piece of a splitting with no S^3 block before P^3(q),
     # before S^2, and last.
@@ -405,6 +407,7 @@ def test_every_spec_in_the_box_matches_its_copies_and_the_independent_oracle():
         splittings = [(False, decompose(spec, 1, d=d)), (True, mixed_decomposition(spec, 1, d=d))]
         for _, dec in splittings:
             assert Wedge(dec.suspension.blocks).blocks == dec.suspension.blocks, dec
+            assert Decomposition(dec.suspension, dec.t, dec.stabilization, dec.case_used) == dec
             suspension, gauge = _halves_every_copy(dec)
             assert render_decomposition(dec) == f"{suspension()}; {gauge()}", dec
             assert "".join(splitting_parts(dec, False)) == suspension(), dec

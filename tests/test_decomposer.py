@@ -222,10 +222,26 @@ def test_one_pass_check_refuses_what_the_full_scan_did_at_random():
 
 
 def test_decompose_takes_the_wedge_it_built_as_given():
-    # Line events in gauge4 frames, not a clock: 106 when _assemble builds its blocks
-    # in display order and takes them as given, 212 when they pass through Wedge(...).
+    # Line events in gauge4 frames, not a clock: 89 when _assemble builds its blocks
+    # in display order and takes both its wedge and its Decomposition as given, 106
+    # when the Decomposition passes through Decomposition(...), 212 when the wedge
+    # passes through Wedge(...) too.
     spec = manifold("Z*Z/3*Z/9", 3, spin=False)
-    assert line_events(lambda: decompose(spec, 2, d=2), limit=130) <= 130
+    assert line_events(lambda: decompose(spec, 2, d=2), limit=97) <= 97
+
+
+@pytest.mark.parametrize("d,write,bound", [
+    (2, render_decomposition, 196),
+    (SYMBOLIC, render_decomposition, 208),
+    (SYMBOLIC, lambda dec: _splitting_json(dec, True), 192),
+], ids=["render, d=2", "render, symbolic d", "--json, symbolic d"])
+def test_both_halves_are_written_in_one_pass_over_the_blocks(d, write, bound):
+    # Line events in gauge4 frames, not a clock, for writing a splitting built
+    # beforehand: 180, 192 and 177 when one join_blocks pass writes the suspension
+    # and the loop factors, 243, 260 and 241 when each half was cut into pieces by a
+    # pass of its own and then written.
+    dec = decompose(manifold("Z*Z/3*Z/9", 3, spin=False), 2, d=d)
+    assert line_events(write, dec, limit=bound) <= bound
 
 
 def test_the_splitting_check_reads_three_blocks():
@@ -313,16 +329,32 @@ def test_every_entry_point_rejects_a_bad_stabilization_with_term_error(entry, d,
 @pytest.mark.parametrize("spec,d", [(MIXED_SPEC, 2), (MIXED_SPEC, SYMBOLIC), (S4_ONLY, 3)],
                          ids=["mixed, d=2", "mixed, symbolic d", "simply connected, d=3"])
 def test_a_count_is_checked_once_on_the_way_in_and_once_where_it_is_stored(monkeypatch, spec, d):
-    # decompose checks d for every pi1 and stabilizes with it unchecked; Decomposition
-    # checks the count it stores: d for a mixed pi1, else 0.
+    # decompose checks d for every pi1 and stabilizes with it unchecked; _assemble
+    # takes the Decomposition as given, so the count it stores, d for a mixed pi1,
+    # else 0, is not checked again.  Decomposition checks the count a library
+    # caller gives it.
     checked = []
     check = decomposer.check_stabilization
     monkeypatch.setattr(decomposer, "check_stabilization", lambda n: checked.append(n) or check(n))
-    decompose(spec, 1, d=d)
-    assert checked == [d, d if spec is MIXED_SPEC else 0]
+    dec = decompose(spec, 1, d=d)
+    assert checked == [d] and dec.stabilization == (d if spec is MIXED_SPEC else 0)
     checked.clear()
     mixed_decomposition(spec, 1, d=d)
-    assert checked == [d, d]
+    assert checked == [d]
+    checked.clear()
+    assert Decomposition(dec.suspension, 1, d, Pi1Kind.MIXED).stabilization == d
+    assert checked == [d]
+
+
+def test_t_is_checked_where_decompose_builds_its_splitting():
+    # _assemble checks t with Decomposition's own line, and after d, as before.
+    line = "^bundle class t must be an integer, got {}$"
+    with pytest.raises(DecompositionError, match=line.format("1.5")):
+        decompose(MIXED_SPEC, 1.5)
+    with pytest.raises(DecompositionError, match=line.format("True")):
+        mixed_decomposition(MIXED_SPEC, True)
+    with pytest.raises(TermError, match="^stabilization count must be >= 0, got -1$"):
+        decompose(MIXED_SPEC, 1.5, d=-1)
 
 
 def test_blocks_grow_with_distinct_summands_not_b2(hang_guard):

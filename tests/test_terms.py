@@ -34,11 +34,12 @@ from gauge4.terms import (
     COPIES_PER_PART,
     FACTOR_JSON,
     FACTOR_TEXT,
+    JSON,
+    TEXT,
     _atom_key,
     _factor_json,
     _factor_text,
     as_wedge,
-    block_pieces,
     join_blocks,
     loop_pair,
 )
@@ -47,7 +48,7 @@ from gauge4.value import digits
 
 def render_blocks(blocks, sep):
     """Sorted (term, count) blocks, count copies each, joined by sep, as a wedge is written."""
-    return "".join(join_blocks([], block_pieces(blocks), sep))
+    return "".join(join_blocks(blocks, TEXT, sep)[0])
 
 
 def test_a_wedge_sorts_flattens_and_drops_points():
@@ -287,14 +288,12 @@ def test_only_constructors_merge_and_no_consumer_normalizes():
 
 
 def test_every_written_copy_passes_the_one_cap():
-    # join_blocks is the one writer of repeated summands, text or --json, and
-    # the only reader of MAX_COPIES, so no writer can leave the cap out.  It
-    # appends to its caller's parts: the two --json lists, the two text halves
-    # of a splitting, and a wedge's blocks.
+    # join_blocks is the one writer of repeated summands and loop factors, text
+    # or --json, and the only reader of MAX_COPIES, so no writer can leave the cap
+    # out.  Each caller writes all it needs in one call: both --json lists, both
+    # text halves of a splitting, and a wedge's blocks.
     assert _calls("join_blocks") == [
-        ("cli", "_splitting_json"), ("cli", "_splitting_json"),
-        ("decomposer", "splitting_parts"), ("decomposer", "splitting_parts"),
-        ("terms", "render")]
+        ("cli", "_splitting_json"), ("decomposer", "splitting_parts"), ("terms", "render")]
     assert _calls("MAX_COPIES", reads=True) == [("terms", "join_blocks")]
     # the per-copy list is gone: nothing in src defines, calls or reads it
     for gone in ("copies", "_capped", "summands"):
@@ -434,8 +433,8 @@ def test_loop_pair_keeps_the_summand_order_on_its_domain():
     random.Random(36).shuffle(domain)
     pairs = [loop_pair(x) for x in sorted(domain, key=_atom_key)]
     assert pairs == sorted(pairs, key=lambda pair: (-pair[0], pair[1] is not None, pair[1] or 0))
-    assert [text for text, _ in block_pieces(Wedge([(x, 1) for x in domain]).blocks, False,
-                                             FACTOR_TEXT)] == [
+    blocks = Wedge([(Sphere(5), 1), *[(x, 1) for x in domain]]).blocks
+    assert join_blocks(blocks, TEXT, " v ", FACTOR_TEXT, " x ")[1][::2] == [
         f"O^{k}G" if q is None else f"O^{k}G{{{q}}}" for k, q in pairs]
 
 
@@ -527,44 +526,53 @@ def test_counts_are_checked_and_merged_where_blocks_are_built():
 
 def test_no_part_holds_more_than_copies_per_part():
     # A long piece is cut into repeats of COPIES_PER_PART copies, one str object
-    # appended again, and one more for the rest; no part is empty.
+    # appended again, and one more for the rest; no part is empty.  The loop
+    # factors of the blocks after the base are cut the same way.
     n = COPIES_PER_PART
     for count in (1, 2, n, n + 1, n + 2, 2 * n + 1, 3 * n + 7):
-        parts = join_blocks([], [("S^3", count), ("S^2", 1)], " v ")
-        assert "".join(parts) == " v ".join(["S^3"] * count + ["S^2"]), count
-        assert all(parts) and max(part.count("S^3") for part in parts) <= n
-        assert len({id(part) for part in parts if part.count("S^3") == n}) <= 1
+        blocks = [(Sphere(5), 1), (Sphere(3), count), (Sphere(2), 1)]
+        suspension, factors = join_blocks(blocks, TEXT, " v ", FACTOR_TEXT, " x ")
+        assert "".join(suspension) == " v ".join(["S^5"] + ["S^3"] * count + ["S^2"]), count
+        assert "".join(factors) == " x ".join(["O^2G"] * count + ["O^1G"]), count
+        for parts, text in ((suspension, "S^3"), (factors, "O^2G")):
+            assert all(parts) and max(part.count(text) for part in parts) <= n
+            assert len({id(part) for part in parts if part.count(text) == n}) <= 1
 
 
 def test_written_out_copies_are_capped_before_expanding(hang_guard):
-    parts = ["[", "x"]  # join_blocks appends to its caller's parts
-    assert join_blocks(parts, [("S^3", 2), ("P^3(5)", 0), ("S^2", 1)], ", ") is parts
-    assert "".join(parts) == "[xS^3, S^3, S^2"
-    text = "".join(join_blocks([], [("{}", MAX_COPIES - 1), ("[]", 1)], ", "))
-    assert text.split(", ") == ["{}"] * (MAX_COPIES - 1) + ["[]"]
-    assert render_blocks([(Sphere(3), 2), (Moore(3, 5), 0), (Sphere(2), 1)], " v ") == (
-        "S^3 v S^3 v S^2")
-    text = render_blocks([(Sphere(3), MAX_COPIES - 1), (Sphere(2), 1)], " v ")
-    assert len(text.split(" v ")) == MAX_COPIES
-    for huge in ([(Sphere(3), MAX_COPIES), (Sphere(2), 1)], [(Sphere(3), 10**18)]):
-        parts = ["["]
-        with pytest.raises(ValueError, match="limit of 10\\*\\*6"):
-            join_blocks(parts, [(render(atom), n) for atom, n in huge], ", ")
-        assert parts == ["["]  # nothing appended
-        with pytest.raises(ValueError, match="limit of 10\\*\\*6"):
-            render_blocks(huge, " v ")
-    # the G_t(...) head of a product is not one of the copies
+    # Exactly MAX_COPIES copies are written, in text and in --json alike.
+    blocks = [(Sphere(3), MAX_COPIES - 1), (Sphere(2), 1)]
+    assert render_blocks(blocks, " v ").split(" v ") == ["S^3"] * (MAX_COPIES - 1) + ["S^2"]
+    text = "".join(join_blocks(blocks, JSON, ", ")[0])
+    s3, s2 = ('{"dim": %d, "kind": "sphere", "modulus": null}' % dim for dim in (3, 2))
+    assert text == ", ".join([s3] * (MAX_COPIES - 1) + [s2])
+    # Zero blocks vanish where the wedge is built, so none reaches the writer.
+    assert render(Wedge([(Sphere(3), 2), (Moore(3, 5), 0), (Sphere(2), 1)])) == "S^3 v S^3 v S^2"
+    # One copy more is refused, with one line, before any string repeat is built:
+    # 10^18 copies would not fit in memory.
+    for huge, total in (([(Sphere(3), MAX_COPIES), (Sphere(2), 1)], MAX_COPIES + 1),
+                        ([(Sphere(3), 10**18)], 10**18)):
+        line = f"^the answer writes out {total} copies, more than the limit of 10\\*\\*6$"
+        for column in (TEXT, JSON):
+            with pytest.raises(ValueError, match=line):
+                join_blocks(huge, column, ", ")
+    # The cap counts the suspension's copies, the base among them; the loop
+    # factors, one fewer, are each written, and the G_t(...) head is not a copy.
     for n in (MAX_COPIES, MAX_COPIES + 1):
-        parts = ["G_0(S^4)", " x "]
-        pieces = block_pieces([(Sphere(3), n)], False, FACTOR_TEXT)
+        blocks = [(Sphere(5), 1), (Sphere(3), n - 1)]
         if n == MAX_COPIES:
-            assert len("".join(join_blocks(parts, pieces, " x ")).split(" x ")) == n + 1
+            factors = join_blocks(blocks, TEXT, " v ", FACTOR_TEXT, " x ")[1]
+            assert "".join(factors).split(" x ") == ["O^2G"] * (n - 1)
+            assert _product(Sphere(5), 0, blocks[1:]).split(" x ") == (
+                ["G_0(S^4)"] + ["O^2G"] * (n - 1))
         else:
             with pytest.raises(ValueError, match="limit of 10\\*\\*6"):
-                join_blocks(parts, pieces, " x ")
-    # the symbolic (S^3)^{n+2d} block, and its (O^2G)^{n+2d}, is one piece, whatever n
-    pieces = block_pieces([(Sphere(5), 1), (Sphere(3), 10**18)], True)
-    assert "".join(join_blocks([], pieces, " v ")) == "S^5 v (S^3)^{1000000000000000000+2d}"
+                join_blocks(blocks, TEXT, " v ", FACTOR_TEXT, " x ")
+    # the symbolic (S^3)^{n+2d} block, and its (O^2G)^{n+2d}, is one copy, whatever n
+    halves = join_blocks([(Sphere(5), 1), (Sphere(3), 10**18)], TEXT, " v ", FACTOR_TEXT, " x ",
+                         True)
+    assert ["".join(half) for half in halves] == [
+        "S^5 v (S^3)^{1000000000000000000+2d}", "(O^2G)^{1000000000000000000+2d}"]
     assert _product(Sphere(5), 0, [(Sphere(3), 10**18)], SYMBOLIC) == (
         "G_0(S^4) x (O^2G)^{1000000000000000000+2d}")
 
