@@ -169,14 +169,13 @@ def splitting_parts(dec: Decomposition, gauge: bool) -> list[str]:
     the product ``G_t(base) x ...`` from the loop factor of each summand after the base."""
     t, stab = dec.t, dec.stabilization
     symbolic = stab == SYMBOLIC
-    suspension, factors = join_blocks(dec.suspension.blocks, TEXT, " v ",
-                                      FACTOR_TEXT if gauge else None, " x ", symbolic)
-    parts = ["SM = " if stab == 0 else f"S(M #_{'d' if symbolic else stab}(S^2xS^2)) = ",
-             *suspension]
+    parts, factors = join_blocks(dec.suspension.blocks, TEXT, " v ",
+                                 FACTOR_TEXT if gauge else None, " x ", symbolic)
+    parts.insert(0, "SM = " if stab == 0 else f"S(M #_{'d' if symbolic else stab}(S^2xS^2)) = ")
     if gauge:
         power = "{2d}" if symbolic else 2 * stab
-        relation = f"; G_{t}(M) = " if stab == 0 else f"; G_{t}(M) x (O^2G)^{power} ~ "
-        parts.append(f"{relation}G_{t}({BASE_NAMES[dec.base]})")
+        parts.append(f"; G_{t}(M) = " if stab == 0 else f"; G_{t}(M) x (O^2G)^{power} ~ ")
+        parts.append(f"G_{t}({BASE_NAMES[dec.base]})")
         if factors:
             parts += (" x ", *factors)
     return parts

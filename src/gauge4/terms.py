@@ -36,8 +36,6 @@ dimension n after the base gives ``Map*(S^n, G) = O^{n-1}G`` and
 gauge group instead, named ``S4`` or ``CP2`` and written as ``BASE_NAMES`` says.
 """
 
-from operator import itemgetter
-
 from .arith import MAX_COPIES
 from .value import Value, integer
 
@@ -241,15 +239,15 @@ def join_blocks(blocks: "Sequence[tuple[SpaceTerm, int]]", column: int, sep: str
     More than MAX_COPIES copies of the blocks, that piece counted as one, raise
     ValueError before any string repeat is built."""
     texts, factors, key = [], [], _atom_key(SPHERE[3]) if symbolic else None
-    at, n = len(blocks), 0  # the S^3 block's place and count
+    at, n, total = len(blocks), 0, 0  # the S^3 block's place and count, and all copies
     for term, count in blocks:
+        total += count
         row = _ATOMS[term.__class__]
         if key is not None and (k := row[0](term)) >= key:
             at, n, key = len(texts), count if k == key else 0, None
         if factor_column and texts:  # a block after the base
             factors.append((row[factor_column](term), count))
         texts.append((row[column](term), count))
-    total = sum(map(itemgetter(1), blocks))
     if symbolic:
         total += 1 - n
         row, power, end = _ATOMS[Sphere], f"{n}+2d" if n else "2d", at + 1 if n else at

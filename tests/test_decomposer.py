@@ -237,7 +237,7 @@ def test_decompose_takes_the_wedge_it_built_as_given():
 ], ids=["render, d=2", "render, symbolic d", "--json, symbolic d"])
 def test_both_halves_are_written_in_one_pass_over_the_blocks(d, write, bound):
     # Line events in gauge4 frames, not a clock, for writing a splitting built
-    # beforehand: 180, 192 and 177 when one join_blocks pass writes the suspension
+    # beforehand: 185, 196 and 184 when one join_blocks pass writes the suspension
     # and the loop factors, 243, 260 and 241 when each half was cut into pieces by a
     # pass of its own and then written.
     dec = decompose(manifold("Z*Z/3*Z/9", 3, spin=False), 2, d=d)
