@@ -3,18 +3,19 @@
 
     python3 scripts/mutants.py
 
-For each row of ``MUTANTS``, one after another, the script extracts ``git
-archive HEAD`` into a temporary directory, replaces the row's old text in its
-file with the new one, and runs the whole tier-1 command there, one pytest
-process at a time, for at most ``TIMEOUT_S`` seconds.  A mutant's kill set is
-the sorted ids of the tests that fail or error, ``"timeout"``, or pytest's
-exit status if it stopped for another reason (a module that fails to import
-while pytest loads ``conftest.py``, say).  The anchor test,
-``tests/test_mutants.py``, checks the unmutated table, so it fails on every
-mutated copy and is left out of each kill set.  A row with a fifth field is
-an equivalent mutant: the same answers, for the reason that field gives.
-The file records the commit and the Python version; the committed files are
-tested, so commit before running.  About 20 s a mutant on a 2-core machine.
+For each row of ``MUTANTS``, one after another, the script extracts HEAD's
+commit into a temporary directory with ``bench_pairs.checkout``, as every script
+here extracts a commit, replaces the row's old text in its file with the new
+one, and runs the whole tier-1 command there, one pytest process at a time, for
+at most ``TIMEOUT_S`` seconds.  A mutant's kill set is the sorted ids of the
+tests that fail or error, ``"timeout"``, or pytest's exit status if it stopped
+for another reason (a module that fails to import while pytest loads
+``conftest.py``, say).  The anchor test, ``tests/test_mutants.py``, checks the
+unmutated table, so it fails on every mutated copy and is left out of each kill
+set.  A row with a fifth field is an equivalent mutant: the same answers, for
+the reason that field gives.  The file records the commit and the Python
+version; the committed files are tested, so commit before running.  About 20 s a
+mutant on a 2-core machine.
 """
 
 import json
@@ -142,6 +143,23 @@ MUTANTS = [
      "spin is not None and trivial == spin"),
     ("usage_wraps_at_80", "cli.py", "len(lines[-1]) + 1 + len(part) > 78",
      "len(lines[-1]) + 1 + len(part) > 80"),
+    # cli: the top level, one more row of the reader table
+    ("top_dash_dash_anywhere_a_word", "cli.py", 'token == "--" and (command or i == n)',
+     'token == "--" and command'),
+    ("dash_dash_matched_as_a_flag", "cli.py", 'token[:1] == "-" and token not in ("-", "--")',
+     'token[:1] == "-" and token != "-"'),
+    ("empty_word_names_the_top", "cli.py", "if token not in COMMANDS:",
+     "if token not in _READERS:"),
+    ("subcommand_drops_extras", "cli.py", "return _read(token, argv, i, extras)",
+     "return _read(token, argv, i, [])"),
+    ("top_requires_no_command", "cli.py", '{"command": None}, [("command", "command")])',
+     '{"command": None}, [])'),
+    ("help_loses_to_extras", "cli.py", "if stop is _HELP:", "if stop is _HELP and not extras:"),
+    ("extras_before_required", "cli.py", "if missing:", "if missing and not extras:"),
+    ("no_subcommand_first_call", "cli.py", "if argv and argv[0] in COMMANDS else",
+     "if argv and argv[0] in () else",
+     "the top level's row hands a first word that names a subcommand to that subcommand's "
+     f"row, with no extras, so reading it there {_SLOWER}"),
 ]
 
 
@@ -161,14 +179,14 @@ def failing(tree: Path) -> list[str] | str:
 
 
 def main() -> None:
-    git = lambda *args: subprocess.run(["git", *args], cwd=ROOT, capture_output=True,
-                                       check=True).stdout
-    archive, commit = git("archive", "HEAD"), git("rev-parse", "HEAD").decode().strip()
+    import bench_pairs  # beside this script, which tests load by path
+
+    commit = bench_pairs.git("rev-parse", "HEAD").decode().strip()
     kills = {}
     for name, file, old, new, *_ in MUTANTS:
         start = time.monotonic()
         with tempfile.TemporaryDirectory() as tmp:
-            subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+            bench_pairs.checkout(commit, Path(tmp))
             path = Path(tmp) / "src" / "gauge4" / file
             text = path.read_text()
             if text.count(old) != 1:

@@ -16,7 +16,9 @@ usage and --help text and the ``error:`` line of each flag misuse, and fills the
 namespace a handler reads, each as Python's standard option parser did: the same
 words and order of checks, a unique prefix of a long flag, ``--flag=value``, and a
 negative number as a value; only ``--flag=--`` differs, read as the value ``--``.
-The --help text is laid out for 80 columns, whatever the terminal's width.
+The top level is one more row of the reader's table, with only the help flags and
+the subcommand's name, read by the same loop.  The --help text is laid out for 80
+columns, whatever the terminal's width.
 """
 
 import os
@@ -238,6 +240,7 @@ def _reader(flags: dict, fixed: dict):
 
 
 _READERS = {name: _reader(flags, fixed) for name, (_, flags, fixed) in COMMANDS.items()}
+_READERS[""] = (_TOP, ["--help"], {"command": None}, [("command", "command")])
 
 
 def _negative_number(token: str) -> bool:
@@ -275,27 +278,36 @@ def _ignored(name: str, token: str, value: str | None) -> str | None:
     return f"argument {name}: ignored explicit argument {left!r}" if left or not value else None
 
 
-def _read(command: str, argv: list[str], start: int):
-    """(the namespace of command's flags in argv[start:], or its --help text; the tokens
-    left unread).  A token is looked up as it is, and only a miss is matched further.
-    At the first error, or a help flag, the tokens after it are matched too: an
-    ambiguous prefix anywhere before "--" is refused first."""
+def _read(command: str, argv: list[str], start: int, extras: list[str]):
+    """The namespace of command's flags in argv[start:], or its --help text.  A token is
+    looked up as it is, and only a miss is matched further.  At the top level, command
+    "", the first token that is no flag names the subcommand whose row reads on, and "--"
+    ends the flags only as the last token.  At the first error, or a help flag, the
+    tokens after it are matched too: an ambiguous prefix anywhere before "--" is refused
+    first.  Unknown tokens, with the extras read before argv[start], are refused after
+    a missing required flag."""
     options, longs, values, required = _READERS[command]
-    values, extras, stop = dict(values), [], None
+    values, stop = dict(values), None
     i, n = start, len(argv)
     while i < n:
         token = argv[i]
         i += 1
         found = options.get(token)
         if found is None:
-            if token == "--":  # every token after it is a value
+            if token == "--" and (command or i == n):  # every token after it is a value
                 extras += argv[i - 1 :]
                 break
-            if token[:1] == "-" and token != "-":
+            if token[:1] == "-" and token not in ("-", "--"):
                 found = _match(options, longs, token)
             if found is None:
-                extras.append(token)
-                continue
+                if command:
+                    extras.append(token)
+                    continue
+                if token not in COMMANDS:
+                    choices = ", ".join(map(repr, COMMANDS))
+                    raise UsageError(
+                        f"argument command: invalid choice: {token!r} (choose from {choices})")
+                return _read(token, argv, i, extras)
         (name, key, read), value = found
         if name is None:
             extras.append(token)
@@ -331,37 +343,14 @@ def _read(command: str, argv: list[str], start: int):
             if token[:1] == "-" and len(token) > 1 and token not in options:
                 _match(options, longs, token)
         if stop is _HELP:
-            return _help(command), []
+            return _help(command)
         raise UsageError(stop)
     missing = [name for name, key in required if values[key] is None]
     if missing:
         raise UsageError(f"the following arguments are required: {', '.join(missing)}")
-    return SimpleNamespace(**values), extras
-
-
-def _read_top(argv: list[str]):
-    """_read for an argv whose first word names no subcommand: -h or unknown flags, up
-    to the first other token, which must name a subcommand that reads the rest."""
-    extras = []
-    for i, token in enumerate(argv):
-        found = None
-        if token[:1] == "-" and token not in ("-", "--"):
-            found = _TOP.get(token) or _match(_TOP, ["--help"], token)
-        if found is None and not (token == "--" and i == len(argv) - 1):
-            if token not in COMMANDS:
-                choices = ", ".join(map(repr, COMMANDS))
-                raise UsageError(
-                    f"argument command: invalid choice: {token!r} (choose from {choices})")
-            args, more = _read(token, argv, i + 1)
-            return (args, []) if type(args) is str else (args, extras + more)
-        if found is None or found[0] is _UNKNOWN:
-            extras.append(token)
-            continue
-        line = _ignored(_HELP[0], token, found[1])
-        if line:
-            raise UsageError(line)
-        return _help(""), []
-    raise UsageError("the following arguments are required: command")
+    if extras:
+        raise UsageError(f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(**values)
 
 
 def _usage(prog: str, parts: list[str]) -> str:
@@ -385,10 +374,8 @@ def _sections(sections: list[tuple[str, list[tuple[int, str, str]]]]) -> str:
             width = at - indent - 2
             if not text:
                 lines.append(" " * indent + shown)
-            elif len(shown) <= width:
+            else:  # no invocation with a help line is wider than its column
                 lines.append(f"{' ' * indent}{shown:<{width}}  {text}")
-            else:
-                lines.append(f"{' ' * indent}{shown}\n{' ' * at}{text}")
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + "\n"
 
@@ -413,14 +400,9 @@ def _help(command: str) -> str:
 
 def parse_argv(argv: list[str]):
     """The namespace argv's handler reads, or the --help text to print; UsageError
-    for flag misuse."""
-    if argv and argv[0] in COMMANDS:
-        args, extras = _read(argv[0], argv, 1)
-    else:
-        args, extras = _read_top(argv)
-    if extras:
-        raise UsageError(f"unrecognized arguments: {' '.join(extras)}")
-    return args
+    for flag misuse.  A first word that names a subcommand goes straight to its row,
+    as the top level's row would send it on."""
+    return _read(argv[0], argv, 1, []) if argv and argv[0] in COMMANDS else _read("", argv, 0, [])
 
 
 def run(argv: list[str]) -> int:

@@ -50,15 +50,10 @@ class GradedAbelianGroup(Value):
         fixed = []
         for rank, torsion in groups:
             integer(rank, "free rank", 0)
-            if torsion:
-                entries = [abs(integer(q, "torsion entry")) for q in torsion]
-                if 0 in entries:  # Z/0 is Z: a rank, never a torsion entry
-                    raise ValueError("torsion entry must be nonzero, got 0")
-                torsion = tuple(sorted(q for q in entries if q > 1))
-            else:  # no entry to check: iter fails only on what the loop could not iterate
-                iter(torsion)
-                torsion = ()
-            fixed.append((rank, torsion))
+            entries = [abs(integer(q, "torsion entry")) for q in torsion]
+            if 0 in entries:  # Z/0 is Z: a rank, never a torsion entry
+                raise ValueError("torsion entry must be nonzero, got 0")
+            fixed.append((rank, tuple(sorted(q for q in entries if q > 1))))
         self._set(tuple(fixed))
 
     def __eq__(self, other: object):

@@ -956,6 +956,14 @@ TOP_USAGE = "usage: gauge4 [-h] {decompose,suspension,homology,classify,snf,pars
         (["decompose", "-h", "--b2", "x"], 0, help_texts()["decompose"], ""),
         (["classify"], 1, "",
          "error: the following arguments are required: --group, --t, --s\n"),
+        # at the top level "--" ends the flags only as the last token, "-" and a
+        # negative number name a subcommand, and -h wins over the unknown flags before it
+        (["--"], 1, "", "error: the following arguments are required: command\n"),
+        (["-"], 1, "", f"error: argument command: invalid choice: '-' {CHOICES}\n"),
+        (["-5", "parse"], 1, "", f"error: argument command: invalid choice: '-5' {CHOICES}\n"),
+        (["-h=1"], 1, "", "error: argument -h/--help: ignored explicit argument '1'\n"),
+        (["-x", "--help"], 0, help_texts()[""], ""),
+        (["-x", "parse", "--nope"], 1, "", "error: unrecognized arguments: -x --nope\n"),
     ],
 )
 def test_dispatch_edges_print_what_the_top_level_parser_printed(capsys, argv, code, out, err):
