@@ -54,8 +54,7 @@ MUTANTS = [
     ("bound_strict", "classifier.py", "self.odd_prime_bound <= (p - 1) ** 2 + 1",
      "self.odd_prime_bound < (p - 1) ** 2 + 1"),
     ("odd_scope_at_2", "classifier.py", "if p == 2:", "if p == 3:"),
-    ("sp_bound_n", "classifier.py", "ODD_PRIMES, odd_prime_bound=2 * n)",
-     "ODD_PRIMES, odd_prime_bound=n)"),
+    ("sp_bound_n", "classifier.py", "ODD_PRIMES, 2 * n)", "ODD_PRIMES, n)"),
     ("stabilized_not_trivial", "classifier.py", "classify_pi1(spec.pi1) == Pi1Kind.MIXED",
      "classify_pi1(spec.pi1) != Pi1Kind.TRIVIAL"),
     # arith: one per base of Jaeschke's row, then trial division and powers
@@ -71,10 +70,15 @@ MUTANTS = [
     ("integer_takes_bool", "value.py", "if type(value) is not int:",
      "if not isinstance(value, int):"),
     ("decimal_plus_only", "value.py", 'if run[:1] in "+-" else run', 'if run[:1] in "+" else run'),
+    ("as_given_swaps_two", "value.py", "lambda v0, v1: s0(value := new(c), v0) or s1(value, v1)",
+     "lambda v0, v1: s0(value := new(c), v1) or s1(value, v0)"),
     # manifold
     ("mixed_read_as_cyclic", "manifold.py", "if not has_free and n_cyclic == 1:",
      "if n_cyclic == 1:"),
-    ("even_prime_accepted", "manifold.py", "if any(p % 2 == 0 for", "if any(p % 4 == 0 for"),
+    ("even_prime_accepted", "manifold.py", "cyclic_factors[0][0] == 2:",
+     "cyclic_factors[0][0] == 4:"),
+    ("even_prime_read_last", "manifold.py", "cyclic_factors[0][0] == 2:",
+     "cyclic_factors[-1][0] == 2:"),
     ("pi1_strip_left_only", "manifold.py", "q = q.strip()", "q = q.lstrip()"),
     ("connected_sum_or", "manifold.py", "a.sigma_f_trivial and b.sigma_f_trivial",
      "a.sigma_f_trivial or b.sigma_f_trivial"),
@@ -88,6 +92,12 @@ MUTANTS = [
     ("copies_limit_plus_one", "terms.py", "if total > MAX_COPIES:", "if total > MAX_COPIES + 1:"),
     ("symbolic_one_copy", "terms.py", 'f"{n}+2d" if n else "2d"', 'f"{n}+2d" if n > 1 else "2d"'),
     ("symbolic_fold_counts_n", "terms.py", "total += 1 - n", "total += not n"),
+    ("repeat_before_copy_check", "terms.py",
+     "    if total > MAX_COPIES:\n        raise ValueError(f\"the answer writes out {total} copies, "
+     "more than the limit of 10**6\")\n    texts, factors = [], []\n    for term, count in blocks:\n",
+     "    texts, factors = [], []\n    for term, count in blocks:\n        if total > MAX_COPIES "
+     "and texts:\n            raise ValueError(f\"the answer writes out {total} copies, more than "
+     "the limit of 10**6\")\n"),
     ("s5_in_loop_domain", "terms.py", "cls is Sphere and 2 <= summand.dim <= 4",
      "cls is Sphere and 2 <= summand.dim <= 5"),
     # decomposer

@@ -141,9 +141,9 @@ def _rows(group: LieGroupSpec, base: str, spin: bool | None) -> tuple[ClassRule,
     specific = _ROWS.get((group.family, group.n, key))
     n = group.n
     if group.family == "SU" and base != CP2:
-        generic = ClassRule(n * (n * n - 1), ODD_PRIMES, odd_prime_bound=n)
+        generic = ClassRule._as_given(n * (n * n - 1), ODD_PRIMES, n)
     elif group.family == "Sp" and base == S4:
-        generic = ClassRule(4 * n * (2 * n + 1), ODD_PRIMES, odd_prime_bound=2 * n)
+        generic = ClassRule._as_given(4 * n * (2 * n + 1), ODD_PRIMES, 2 * n)
     else:
         return () if specific is None else (specific,)
     return (generic,) if specific is None else (specific, generic)
@@ -176,7 +176,7 @@ def _decide(rows: tuple[ClassRule, ...], t: int, s: int, primes: tuple[int, ...]
     else:
         integral = UNKNOWN
     if integral == YES:
-        return EquivalenceVerdict(YES, dict.fromkeys(primes, YES), rule, stabilized)
+        return EquivalenceVerdict._as_given(YES, dict.fromkeys(primes, YES), rule, stabilized)
 
     # An integral "no" settles no prime: the first wider row that reaches p does.
     local: dict[int, str] = {}
@@ -189,7 +189,7 @@ def _decide(rows: tuple[ClassRule, ...], t: int, s: int, primes: tuple[int, ...]
                     k *= p
                 local[p] = YES if gcd(k, t) == gcd(k, s) else NO
                 break
-    return EquivalenceVerdict(integral, local, rule, stabilized)
+    return EquivalenceVerdict._as_given(integral, local, rule, stabilized)
 
 
 def _check_primes(primes) -> tuple[int, ...]:

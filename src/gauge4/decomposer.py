@@ -12,12 +12,12 @@ A splitting is stored once, as a Wedge, one block or many, whose (summand,
 count) blocks are in display order; equal cyclic factors of pi1 enter as
 one Moore block per dimension, and no block of count 0 is entered.  That
 is the normal form terms._merge gives, and the base comes first, so
-_assemble takes both its Wedge and its Decomposition as given, past their
-checks; the box test of tests/test_cli.py checks, for every splitting it
-builds, that Wedge and Decomposition give back the same values.  The gauge
-product is not stored: one terms.join_blocks pass over the blocks writes
-both halves, each summand after the base read by the loop-factor columns
-of terms._ATOMS, which take its loop factor from terms.loop_pair.  An
+_assemble takes its Wedge and its Decomposition as given, each made in one
+frame past its checks; the box test of tests/test_cli.py checks, for every
+splitting it builds, that Wedge and Decomposition give back the same values.
+The gauge product is not stored: terms.join_blocks adds up the copies, then
+one pass over the blocks writes both halves, each summand after the base read
+by the loop-factor columns of terms._ATOMS, from terms.loop_pair.  An
 answer, in text or in --json, is one list of string parts: fixed heads,
 and per repeated block one string repeat, for the text by splitting_parts
 and for --json by the CLI.  render_decomposition joins the text once; the

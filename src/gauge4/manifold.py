@@ -103,7 +103,7 @@ class ManifoldSpec(Value):
         if not isinstance(sigma_f_trivial, bool):
             raise InvalidSpecError(f"sigma-f flag must be a bool, got {sigma_f_trivial!r}")
         errors = []
-        if any(p % 2 == 0 for p, _ in pi1.cyclic_factors):
+        if pi1.cyclic_factors and pi1.cyclic_factors[0][0] == 2:  # sorted: a 2 comes first
             errors.append("even torsion prime")
         if not sigma_f_trivial and b2 == 0:
             errors.append("nontrivial sigma-f with b2 = 0")

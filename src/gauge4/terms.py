@@ -22,11 +22,11 @@ distinct terms, not of copies.  ``as_wedge`` gives any
 term as its wedge, an atom as one block of one copy, so a reader of blocks
 meets one form.
 
-Text and --json are written as lists of string parts joined once.  In one
-pass over sorted blocks, ``join_blocks`` writes each summand's text or --json
-object and, for a splitting, each loop factor's, from two columns of
-``_ATOMS``, in string repeats of at most ``COPIES_PER_PART`` copies, after
-checking ``MAX_COPIES`` from the counts.
+Text and --json are written as lists of string parts joined once.
+``join_blocks`` adds up the copies of sorted blocks and checks ``MAX_COPIES``,
+then in one pass appends each summand's text or --json object and, for a
+splitting, each loop factor's, from two columns of ``_ATOMS``, straight into
+two lists, in string repeats of at most ``COPIES_PER_PART`` copies.
 
 ``loop_pair`` is the one rule between the two sides: a wedge summand of
 dimension n after the base gives ``Map*(S^n, G) = O^{n-1}G`` and
@@ -197,6 +197,10 @@ _ATOMS = {
               lambda _: '{"dim": 5, "kind": "susp_cp2", "modulus": null}', None),
 }
 
+#: join_blocks' row for the one S^3 piece at a symbolic d, its term the power: (X)^{power}.
+_POWER = (None, *[lambda power, text=write(SPHERE[3]): f"({text})^{{{power}}}"
+                  for write in _ATOMS[Sphere][1:]])
+
 
 # --------------------------------------------------------------------------
 # rendering
@@ -236,37 +240,40 @@ def join_blocks(blocks: "Sequence[tuple[SpaceTerm, int]]", column: int, sep: str
     With ``symbolic`` (d symbolic), the S^3 block, which each S^2 x S^2 adds two
     copies to, is written whether present or not as one piece where S^3 sorts:
     ``(X)^{n+2d}``, or ``(X)^{2d}`` when n = 0, X being the column's S^3 or O^2G.
-    More than MAX_COPIES copies of the blocks, that piece counted as one, raise
-    ValueError before any string repeat is built."""
-    texts, factors, key = [], [], _atom_key(SPHERE[3]) if symbolic else None
-    at, n, total = len(blocks), 0, 0  # the S^3 block's place and count, and all copies
-    for term, count in blocks:
+    The copies are added up first: more than MAX_COPIES of them, that piece
+    counted as one, raise ValueError before any string repeat is built."""
+    total = 0
+    for _, count in blocks:
         total += count
-        row = _ATOMS[term.__class__]
-        if key is not None and (k := row[0](term)) >= key:
-            at, n, key = len(texts), count if k == key else 0, None
-        if factor_column and texts:  # a block after the base
-            factors.append((row[factor_column](term), count))
-        texts.append((row[column](term), count))
-    if symbolic:
+    if symbolic:  # the S^3 block, found by _atom_key, present or not, is one _POWER piece
+        at, n, key = len(blocks), 0, _atom_key(SPHERE[3])
+        for i, (term, count) in enumerate(blocks):
+            if (k := _ATOMS[term.__class__][0](term)) >= key:
+                at, n = i, count if k == key else 0
+                break
         total += 1 - n
-        row, power, end = _ATOMS[Sphere], f"{n}+2d" if n else "2d", at + 1 if n else at
-        texts[at:end] = [(f"({row[column](SPHERE[3])})^{{{power}}}", 1)]
-        if factor_column:  # the factors leave the base out, so they sit one place earlier
-            factors[at - 1 : end - 1] = [(f"({row[factor_column](SPHERE[3])})^{{{power}}}", 1)]
+        blocks = (*blocks[:at], (f"{n}+2d" if n else "2d", 1), *blocks[at + 1 if n else at :])
     if total > MAX_COPIES:
         raise ValueError(f"the answer writes out {total} copies, more than the limit of 10**6")
-    written = []
-    for pieces, between in ((texts, sep), (factors, factor_sep)):
-        parts = []
-        for text, count in pieces:
+    texts, factors = [], []
+    for term, count in blocks:
+        row = _ATOMS.get(term.__class__, _POWER)
+        if factor_column and texts:  # a block after the base
+            text = row[factor_column](term)
             if count > 1:
                 full, rest = divmod(count - 1, COPIES_PER_PART)
                 if full:
-                    parts += [(text + between) * COPIES_PER_PART] * full
+                    factors += [(text + factor_sep) * COPIES_PER_PART] * full
                 if rest:
-                    parts.append((text + between) * rest)
-            parts += (text, between)
-        del parts[-1:]  # the separator after the last piece
-        written.append(parts)
-    return written
+                    factors.append((text + factor_sep) * rest)
+            factors += (text, factor_sep)
+        text = row[column](term)
+        if count > 1:
+            full, rest = divmod(count - 1, COPIES_PER_PART)
+            if full:
+                texts += [(text + sep) * COPIES_PER_PART] * full
+            if rest:
+                texts.append((text + sep) * rest)
+        texts += (text, sep)
+    del texts[-1:], factors[-1:]  # the separator after the last piece
+    return [texts, factors]

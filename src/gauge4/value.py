@@ -1,14 +1,15 @@
 """The one base of all of gauge4's value classes, a hundredth of a frozen dataclass's cost
 to define; gauge4 defines no dataclass, so importing it loads neither ``dataclasses`` nor
 ``inspect``.  A subclass names its fields in ``__slots__`` and sets them in ``__init__``
-through ``_set``, after its own checks.  ``_as_given`` is the one constructor past those
-checks, for a caller in gauge4 that builds the fields in the form ``__init__`` stores:
-``decomposer._assemble`` for a ``Wedge`` and a ``Decomposition``, and ``homology``'s
-closed forms and ``chain_homology`` for a ``GradedAbelianGroup``.  A value equals only values of its own
-class with equal fields, so ``Moore(3, 3) != (3, 3)`` though both hash alike; it hashes by
-them, has the dataclass repr, and cannot be changed: copy and pickle build it again through
-``__init__``.  Only ``GradedAbelianGroup`` compares and hashes by a key of its field, its
-invariant factors.
+through ``_set``, after its own checks.  ``_as_given``, which makes the instance and sets
+its fields in one frame, is the one constructor past those checks, for a caller in gauge4
+that builds the fields in the form ``__init__`` stores: ``decomposer._assemble``, the closed
+forms and ``chain_homology`` of ``homology``, and ``classifier``'s ``_rows`` and ``_decide``,
+whose ``ClassRule`` and ``EquivalenceVerdict`` check nothing.  A value equals only values of
+its own class with equal fields, so ``Moore(3, 3) != (3, 3)`` though both hash alike; it
+hashes by them, has the dataclass repr, and cannot be changed: copy and pickle build it again
+through ``__init__``.  Only ``GradedAbelianGroup`` compares and hashes by a key of its field,
+its invariant factors.
 
 ``integer`` is the one check of an integer a value holds: a count, a dimension, a modulus,
 a rank, a class t or s, a prime.  Each module passes its own error class.  ``decimal`` is the
@@ -31,9 +32,12 @@ class Value:
 
     def __init_subclass__(cls) -> None:
         # _values reads the fields in one C call; _set writes them unrolled, as a dataclass
-        # does, each through its slot's own setter, which looks up no name (see _SET).
+        # does, each through its slot's own setter, which looks up no name, and _as_given
+        # makes the instance and writes them so in the same frame (see _SET).
         cls._values = attrgetter(*cls.__slots__ or ("__class__",))
-        cls._set = _SET[len(cls.__slots__)](*[vars(cls)[name].__set__ for name in cls.__slots__])
+        setters = [vars(cls)[name].__set__ for name in cls.__slots__]
+        cls._set = _SET[len(setters)](*setters)
+        cls._as_given = staticmethod(_AS_GIVEN[len(setters)](cls, cls.__new__, *setters))
 
     def __eq__(self, other: object):
         if other.__class__ is self.__class__:
@@ -55,18 +59,11 @@ class Value:
 
     __delattr__ = __setattr__
 
-    @classmethod
-    def _as_given(cls, *fields: object) -> "Value":
-        """The value of the fields as given, past the checks of ``__init__``: for a caller
-        that builds them in the form ``__init__`` would store."""
-        value = cls.__new__(cls)
-        value._set(*fields)
-        return value
-
 
 # By field count 0-4, what binds slot setters s0, s1, ... into a _set(self, v0, v1, ...)
 # calling s0(self, v0), s1(self, v1), ... in turn (a setter returns None, so ``or`` runs
-# each); every _set of a count shares one code object.
+# each), and with a class c and its __new__ into an _as_given(v0, v1, ...) that does so to
+# an instance of c it makes; every _set, and every _as_given, of a count shares one code object.
 _SET = (
     lambda: lambda self: None,
     lambda s0: lambda self, v0: s0(self, v0),
@@ -74,6 +71,15 @@ _SET = (
     lambda s0, s1, s2: lambda self, v0, v1, v2: s0(self, v0) or s1(self, v1) or s2(self, v2),
     lambda s0, s1, s2, s3: lambda self, v0, v1, v2, v3: (
         s0(self, v0) or s1(self, v1) or s2(self, v2) or s3(self, v3)),
+)
+_AS_GIVEN = (
+    lambda c, new: lambda: new(c),
+    lambda c, new, s0: lambda v0: s0(value := new(c), v0) or value,
+    lambda c, new, s0, s1: lambda v0, v1: s0(value := new(c), v0) or s1(value, v1) or value,
+    lambda c, new, s0, s1, s2: lambda v0, v1, v2: (
+        s0(value := new(c), v0) or s1(value, v1) or s2(value, v2) or value),
+    lambda c, new, s0, s1, s2, s3: lambda v0, v1, v2, v3: (
+        s0(value := new(c), v0) or s1(value, v1) or s2(value, v2) or s3(value, v3) or value),
 )
 
 

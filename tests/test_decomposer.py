@@ -222,24 +222,26 @@ def test_one_pass_check_refuses_what_the_full_scan_did_at_random():
 
 
 def test_decompose_takes_the_wedge_it_built_as_given():
-    # Line events in gauge4 frames, not a clock: 89 when _assemble builds its blocks
-    # in display order and takes both its wedge and its Decomposition as given, 106
+    # Line events in gauge4 frames, not a clock: 83 when _assemble builds its blocks
+    # in display order and takes both its wedge and its Decomposition as given, each
+    # made and set in one frame; 89 when _as_given called _set in a second frame, 106
     # when the Decomposition passes through Decomposition(...), 212 when the wedge
     # passes through Wedge(...) too.
     spec = manifold("Z*Z/3*Z/9", 3, spin=False)
-    assert line_events(lambda: decompose(spec, 2, d=2), limit=97) <= 97
+    assert line_events(lambda: decompose(spec, 2, d=2), limit=86) <= 86
 
 
 @pytest.mark.parametrize("d,write,bound", [
-    (2, render_decomposition, 196),
-    (SYMBOLIC, render_decomposition, 208),
-    (SYMBOLIC, lambda dec: _splitting_json(dec, True), 192),
+    (2, render_decomposition, 172),
+    (SYMBOLIC, render_decomposition, 183),
+    (SYMBOLIC, lambda dec: _splitting_json(dec, True), 172),
 ], ids=["render, d=2", "render, symbolic d", "--json, symbolic d"])
 def test_both_halves_are_written_in_one_pass_over_the_blocks(d, write, bound):
     # Line events in gauge4 frames, not a clock, for writing a splitting built
-    # beforehand: 185, 196 and 184 when one join_blocks pass writes the suspension
-    # and the loop factors, 243, 260 and 241 when each half was cut into pieces by a
-    # pass of its own and then written.
+    # beforehand: 160, 170 and 159 when join_blocks adds up the copies and then
+    # writes each block's parts straight into both lists; 185, 196 and 184 when it
+    # gathered (text, count) pieces and walked them a second time; 243, 260 and 241
+    # when each half was cut into pieces by a pass of its own and then written.
     dec = decompose(manifold("Z*Z/3*Z/9", 3, spin=False), 2, d=d)
     assert line_events(write, dec, limit=bound) <= bound
 

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from conftest import random_pi1, random_spec
+from conftest import line_events, random_pi1, random_spec
 from gauge4 import (
     SYMBOLIC,
     Decomposition,
@@ -230,6 +230,15 @@ def test_descriptor_canonicalises_prime_power_bases():
     assert Pi1Descriptor(0, ((9, 1),)) == Pi1Descriptor(0, ((3, 2),))
     assert Pi1Descriptor(1, ((27, 2), (5, 1))).cyclic_factors == ((3, 6), (5, 1))
     assert render_pi1(Pi1Descriptor(0, ((25, 1), (3, 1)))) == "Z/3*Z/25"
+
+
+def test_the_even_prime_check_reads_the_first_factor_alone():
+    # The factors are sorted (p, r) pairs, so a 2 comes first: line events in gauge4
+    # frames, not a clock, are the same for 1 and for 300 cyclic factors, 12 each,
+    # where a generator over every factor took 14 and 313.
+    few, many = (line_events(ManifoldSpec, Pi1Descriptor(1, tuple((3, r) for r in range(1, n))),
+                             2, False) for n in (2, 301))
+    assert few == many <= 12, (few, many)
 
 
 def test_descriptor_keeps_p_2_for_validate_to_reject():

@@ -24,11 +24,14 @@ def test_the_collector_names_the_functions_a_call_reaches():
     with lines.collecting():
         gauge4.render_decomposition(gauge4.decompose(gauge4.manifold("Z*Z/3", 1)))
     found = lines.functions()
-    assert {"decomposer.decompose", "decomposer._assemble", "value.Value._as_given",
-            "decomposer.splitting_parts", "terms.join_blocks", "terms._factor_text",
-            "manifold.parse_pi1"} <= found
-    # decompose takes the Decomposition it builds as given
-    assert not {"decomposer.mixed_decomposition", "decomposer.Decomposition.__init__"} & found
+    assert {"decomposer.decompose", "decomposer._assemble", "decomposer.splitting_parts",
+            "terms.join_blocks", "terms._factor_text", "manifold.parse_pi1"} <= found
+    # decompose takes the Wedge and the Decomposition it builds as given: their one-frame
+    # constructors ran, module-level lambdas named for no function, and no __init__ did
+    given = gauge4.Wedge._as_given, gauge4.Decomposition._as_given
+    assert {fn.__code__ for fn in given} <= lines.code
+    assert not {"decomposer.mixed_decomposition", "decomposer.Decomposition.__init__",
+                "terms.Wedge.__init__"} & found
     # a lambda or comprehension counts for the function around it, module code for none
     assert not [name for name in found if "<" in name]
 

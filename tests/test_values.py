@@ -135,6 +135,19 @@ def test_a_value_is_built_again_from_its_fields(build, text):
     assert type(value)(*[getattr(value, name) for name in type(value).__slots__]) == value
 
 
+#: The rows of ROWS whose class has fields, and their ids.
+FIELDED = [(row, name) for row, name in zip(ROWS, IDS) if row[0]().__slots__]
+
+
+@pytest.mark.parametrize("build,text", [row for row, _ in FIELDED], ids=[i for _, i in FIELDED])
+def test_the_one_frame_constructor_gives_the_checked_value(build, text):
+    # _as_given takes stored fields past __init__'s checks and gives what __init__ gives
+    value = build()
+    cls, fields = type(value), [getattr(value, name) for name in type(value).__slots__]
+    given = cls._as_given(*fields)
+    assert type(given) is cls and given == cls(*fields) == value and repr(given) == text
+
+
 def test_a_wedge_does_not_depend_on_the_order_of_its_blocks():
     value = VALUES[IDS.index("Wedge")][0]()
     again = Wedge(value.blocks[::-1])
@@ -270,11 +283,13 @@ def test_json_is_never_loaded(capsys):
 
 def test_value_classes_of_one_field_count_share_one_set():
     # _set is written out once per field count and bound to each class's slot setters, so
-    # defining a value class builds no code, only a closure over its setters.
-    codes: dict[int, set] = {}
+    # defining a value class builds no code, only a closure over its setters; so is
+    # _as_given, which makes the instance and sets its fields in the one frame.
     classes = Value.__subclasses__()
-    for cls in classes:
-        codes.setdefault(len(cls.__slots__), set()).add(cls._set.__code__)
-    assert sorted(codes) == [0, 1, 2, 3, 4]
-    assert all(len(shared) == 1 for shared in codes.values())
+    for method in ("_set", "_as_given"):
+        codes: dict[int, set] = {}
+        for cls in classes:
+            codes.setdefault(len(cls.__slots__), set()).add(getattr(cls, method).__code__)
+        assert sorted(codes) == [0, 1, 2, 3, 4]
+        assert all(len(shared) == 1 for shared in codes.values()), method
     assert len(classes) > len(codes)
