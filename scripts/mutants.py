@@ -88,7 +88,9 @@ MUTANTS = [
      "return summand.dim - 2, summand.modulus"),
     ("moore_modulus_down", "terms.py", "(lambda m: (-m.dim, 1, m.modulus)",
      "(lambda m: (-m.dim, 1, -m.modulus)"),
-    ("merge_keeps_zero", "terms.py", "        elif count:\n", "        else:\n"),
+    ("merge_keeps_zero", "terms.py", "        if count:  # a wedge", "        if True:  # a wedge"),
+    ("merge_nested_adds", "terms.py", "count * times", "count + times - 1"),
+    ("render_empty_not_pt", "terms.py", 'TEXT, " v ")[0]) or "pt"', 'TEXT, " v ")[0])'),
     ("copies_limit_plus_one", "terms.py", "if total > MAX_COPIES:", "if total > MAX_COPIES + 1:"),
     ("symbolic_one_copy", "terms.py", 'f"{n}+2d" if n else "2d"', 'f"{n}+2d" if n > 1 else "2d"'),
     ("symbolic_fold_counts_n", "terms.py", "total += 1 - n", "total += not n"),
@@ -113,6 +115,12 @@ MUTANTS = [
     ("moore_blocks_swapped", "decomposer.py", "upper, lower = [(Moore(4, q)",
      "lower, upper = [(Moore(4, q)"),
     ("runs_by_factor", "decomposer.py", "runs = sorted([(p**r,", "runs = ([(p**r,"),
+    # decomposer: the check of a splitting
+    ("splitting_bases_uncounted", "decomposer.py", "if len(bases) != 1 or bases[0][1] != 1:",
+     "if bases[0][1] != 1:"),
+    ("splitting_base_copies_uncounted", "decomposer.py",
+     "if len(bases) != 1 or bases[0][1] != 1:", "if len(bases) != 1:"),
+    ("splitting_first_end_only", "decomposer.py", "in rest[:1] + rest[-1:]:", "in rest[:1]:"),
     # homology: the SNF routes, chain complexes and closed forms
     ("square_sent_modulo_d", "homology.py", "if rows and rank == len(rows) == len(rows[0]):",
      "if rows and rank == len(rows) == len(rows[0]) == 0:",
@@ -134,6 +142,8 @@ MUTANTS = [
     ("exponents_ascending", "homology.py", "exponents.sort(reverse=True)", "exponents.sort()",
      "only equality and hashing read the invariant factors, and sorting every base's "
      "exponents up writes them in reverse for both groups compared"),
+    ("graded_eq_by_entries", "homology.py", "return self._key() == other._key()",
+     "return self.groups == other.groups"),
     ("suspend_keeps_rank0", "homology.py", "[(rank0 - 1, torsion0)]", "[(rank0, torsion0)]"),
     ("h2_without_torsion", "homology.py", "(spec.b2, torsion)", "(spec.b2, ())"),
     ("scp2_top_in_4", "homology.py", "ranks[5] += count", "ranks[4] += count"),

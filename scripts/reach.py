@@ -16,8 +16,10 @@ which a line runs, twice, in one interpreter:
   checkout, as the tier-1 command runs it.
 
 A function is reached when one of its lines runs; a lambda or comprehension
-counts for the function around it.  The script prints, one per line as
-``module.qualname``, the functions that tier-1 reaches and no user path does,
+counts for the function around it, and one with no function around it for the
+module-level assignment that holds it, as ``module.name`` (``value._AS_GIVEN``,
+``terms._POWER``).  The script prints, one per line as ``module.qualname``,
+the functions that tier-1 reaches and no user path does,
 and writes the same lines to ``tests/data/reach.txt``, so a change to the list
 shows as a diff.  ``bench/`` is imported and run, never changed.  Tracing makes
 the suite several times slower, so a test with a clock budget may fail here;
@@ -27,7 +29,9 @@ status (a module that failed to import, an interrupted run) leaves the list as
 it was and is the script's own exit status.
 """
 
+import ast
 import contextlib
+import functools
 import io
 import json
 import random
@@ -71,15 +75,30 @@ class Lines:
             sys.settrace(previous)
 
     def functions(self) -> set[str]:
-        """module.qualname of each function reached; module-level code is left out."""
+        """module.qualname of each function reached, and module.name of each module-level
+        assignment a lambda or comprehension that ran lies in; other module code is left out."""
         names = set()
         for code in self.code:
             parts = code.co_qualname.split(".")
             while parts and parts[-1].startswith("<"):  # <lambda>, <listcomp>, <locals>, ...
                 parts.pop()
+            if not parts and code.co_name != "<module>":
+                parts = [name for first, last, name in _assignments(code.co_filename)
+                         if first <= code.co_firstlineno <= last]
             if parts:
                 names.add(f"{Path(code.co_filename).stem}.{'.'.join(parts)}")
         return names
+
+
+@functools.cache
+def _assignments(filename: str) -> list[tuple[int, int, str]]:
+    """(first line, last line, name) of each module-level assignment to one name in the
+    module at filename, read from its ast once."""
+    tree = ast.parse(Path(filename).read_text())
+    return [(node.lineno, node.end_lineno, target.id) for node in tree.body
+            if isinstance(node, (ast.Assign, ast.AnnAssign))
+            for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            if isinstance(target, ast.Name)]
 
 
 def help_queries(cli) -> list[list[str]]:

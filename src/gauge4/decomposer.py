@@ -15,15 +15,16 @@ is the normal form terms._merge gives, and the base comes first, so
 _assemble takes its Wedge and its Decomposition as given, each made in one
 frame past its checks; the box test of tests/test_cli.py checks, for every
 splitting it builds, that Wedge and Decomposition give back the same values.
+Decomposition's one check lists the base blocks and past them reads the two
+ends of the rest alone, since loop_pair's domain is an interval of the order.
 The gauge product is not stored: terms.join_blocks adds up the copies, then
 one pass over the blocks writes both halves, each summand after the base read
 by the loop-factor columns of terms._ATOMS, from terms.loop_pair.  An
 answer, in text or in --json, is one list of string parts: fixed heads,
 and per repeated block one string repeat, for the text by splitting_parts
 and for --json by the CLI.  render_decomposition joins the text once; the
-CLI writes either in turn.
-Every view costs the number of distinct summands, and a written answer
-that plus its bytes.
+CLI writes either in turn.  Every view costs the number of distinct summands,
+and a written answer that plus its bytes.
 
 Four fundamental-group shapes are handled.  Trivial and free pi1, and a
 single odd prime-power cyclic pi1, split on the nose.  A genuinely mixed
@@ -63,12 +64,12 @@ class DecompositionError(ValueError):
 class Decomposition(Value):
     """Both halves of one splitting, plus how it was obtained.
 
-    ``suspension`` is a Wedge, an atom given being wrapped as one block of one copy; its
-    first block must be the one base summand (S^5 or SCP^2), of count 1, and every other
-    block must lie in loop_pair's domain.  ``stabilization`` is 0 for the on-the-nose
-    cases, a d >= 0 or SYMBOLIC for the stabilized one; with SYMBOLIC the S^3 count is
-    the d-independent part.  ``case_used`` is a Pi1Kind label, one of PI1_KINDS.  These
-    are checked for a library caller; _assemble builds its own past them (_as_given).
+    ``suspension`` is a Wedge, an atom given being wrapped as one block of one copy; it
+    must hold one base summand (S^5 or SCP^2), of count 1, and every other block must lie
+    in loop_pair's domain: one check lists the base blocks and past them reads only the two
+    ends of the rest.  ``stabilization`` is 0 for the on-the-nose cases, a d >= 0 or
+    SYMBOLIC for the stabilized one, with the d-independent S^3 count.  ``case_used`` is
+    one of PI1_KINDS.  _assemble builds its own past these checks (_as_given).
     """
 
     __slots__ = ("suspension", "t", "stabilization", "case_used")
@@ -80,21 +81,15 @@ class Decomposition(Value):
         if case_used not in PI1_KINDS:
             raise DecompositionError(f"case_used must be a Pi1Kind, got {case_used!r}")
         susp = as_wedge(suspension)
-        parts = susp.blocks
-        # Both bases sort before loop_pair's domain, an interval of the blocks' order, so the
-        # first block, a base of count 1, and the two ends of the rest decide a splitting.
-        if not (parts and parts[0][0] in GAUGE_BASE and parts[0][1] == 1 and (
-                len(parts) == 1 or loop_pair(parts[1][0]) and loop_pair(parts[-1][0]))):
-            # only a refusal reads every block, to choose its line
-            bases = [block for block in parts if block[0] in GAUGE_BASE]
-            if len(bases) != 1 or bases[0][1] != 1:
-                raise DecompositionError("a splitting needs exactly one base summand")
-            # one base of count 1, so the rest holds no base, and a summand outside the
-            # domain at one end of it: the first such end is named
-            rest = [block for block in parts if block is not bases[0]]
-            atom = next(atom for atom, _ in rest[:1] + rest[-1:] if not loop_pair(atom))
-            raise DecompositionError(
-                f"summand outside the correspondence: no loop factor for summand: {atom!r}")
+        bases = [block for block in susp.blocks if block[0] in GAUGE_BASE]
+        if len(bases) != 1 or bases[0][1] != 1:
+            raise DecompositionError("a splitting needs exactly one base summand")
+        # the rest lies in loop_pair's domain, an interval of the order, when its two ends do
+        rest = [block for block in susp.blocks if block is not bases[0]]
+        for atom, _ in rest[:1] + rest[-1:]:
+            if not loop_pair(atom):
+                raise DecompositionError(
+                    f"summand outside the correspondence: no loop factor for summand: {atom!r}")
         self._set(susp, t, stabilization, case_used)
 
     @property

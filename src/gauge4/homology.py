@@ -58,7 +58,7 @@ class GradedAbelianGroup(Value):
 
     def __eq__(self, other: object):
         if other.__class__ is self.__class__:
-            return self.groups == other.groups or self._key() == other._key()
+            return self._key() == other._key()
         return NotImplemented
 
     def __hash__(self) -> int:

@@ -12,15 +12,15 @@ mod-``q`` variant ``O^kG{q}`` given by pointed maps out of a Moore space.
 No value stands for a loop factor; its text is written from the summand.
 
 Wedges are multisets of ``(term, count)`` blocks, which ``Wedge(...)`` builds
-in one normal form (nested wedges flattened, merged, zero-free, sorted by
-``_atom_key``).  The one caller that builds a wedge past it,
+in one normal form (nested wedges flattened, merged, zero-free, sorted and
+merged by ``_atom_key``).  The one caller that builds a wedge past it,
 ``decomposer._assemble``, writes its blocks in that form and takes them as
 given (``Wedge._as_given``); the box test of ``tests/test_cli.py`` checks
 that ``Wedge`` gives back the same blocks on each of its splittings.  So no
 raw wedge exists: wedges compare by plain equality and cost the number of
-distinct terms, not of copies.  ``as_wedge`` gives any
-term as its wedge, an atom as one block of one copy, so a reader of blocks
-meets one form.
+distinct terms, not of copies.  ``as_wedge`` gives any term as its wedge, an
+atom as one block of one copy, so its readers, ``Decomposition``,
+``homology_of_term`` and ``render``, meet one form, as ``_merge`` does.
 
 Text and --json are written as lists of string parts joined once.
 ``join_blocks`` adds up the copies of sorted blocks and checks ``MAX_COPIES``,
@@ -110,23 +110,20 @@ def _atom_key(term: "Sphere | Moore | SuspCP2") -> tuple[int, int, int]:
 
 def _merge(blocks: "Iterable[tuple[SpaceTerm, int]]") -> tuple:
     """Blocks in normal form, in one pass: each term must be a space term (else
-    TermError) and each count an int >= 0 (else TermError); a nested wedge, in
-    normal form already, gives its blocks, their counts multiplied; zero
-    blocks are dropped, equal atoms merged, and the blocks sorted by _atom_key."""
+    TermError) and each count an int >= 0 (else TermError); a wedge gives its blocks,
+    in normal form already, their counts multiplied, and an atom one block of one
+    copy; zero blocks are dropped, and equal atoms merged and sorted by _atom_key."""
     # _atom_key is one-to-one on summands, so it is the merge key as well as the sort key.
     merged: dict = {}
     for term, count in blocks:
-        row = _ATOMS.get(term.__class__)  # an atom's row; None for a wedge
-        if row is None and term.__class__ is not Wedge:
+        wedge = term.__class__ is Wedge
+        if not wedge and term.__class__ not in _ATOMS:
             raise TermError(f"not a space term: {term!r}")
         integer(count, "block count", 0, TermError)
-        if count and row is None:
-            for atom, times in term.blocks:
-                key, n = _ATOMS[atom.__class__][0](atom), count * times  # _atom_key, inlined
+        if count:  # a wedge is read as its blocks, an atom as one block of one copy
+            for atom, times in term.blocks if wedge else ((term, 1),):
+                key, n = _atom_key(atom), count * times
                 merged[key] = (atom, merged[key][1] + n) if key in merged else (atom, n)
-        elif count:
-            key = row[0](term)
-            merged[key] = (term, merged[key][1] + count) if key in merged else (term, count)
     return tuple([merged[key] for key in sorted(merged)])
 
 
@@ -207,17 +204,14 @@ _POWER = (None, *[lambda power, text=write(SPHERE[3]): f"({text})^{{{power}}}"
 
 
 def render(obj: SpaceTerm) -> str:
-    """Plain-text form of a space term.
+    """Plain-text form of a space term, read as its wedge (as_wedge).
 
     A wedge is built in normal form, so it renders in the canonical order
     (``S^3 v P^3(9)``), and the empty wedge as ``pt``.
     """
-    row = _ATOMS.get(obj.__class__)
-    if row:
-        return row[1](obj)
-    if isinstance(obj, Wedge):
-        return "".join(join_blocks(obj.blocks, TEXT, " v ")[0]) or "pt"
-    raise TermError(f"cannot render {obj!r}")
+    if obj.__class__ is not Wedge and obj.__class__ not in _ATOMS:
+        raise TermError(f"cannot render {obj!r}")
+    return "".join(join_blocks(as_wedge(obj).blocks, TEXT, " v ")[0]) or "pt"
 
 
 #: The most copies one string repeat of join_blocks holds, so no part of an answer is

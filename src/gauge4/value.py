@@ -7,9 +7,10 @@ that builds the fields in the form ``__init__`` stores: ``decomposer._assemble``
 forms and ``chain_homology`` of ``homology``, and ``classifier``'s ``_rows`` and ``_decide``,
 whose ``ClassRule`` and ``EquivalenceVerdict`` check nothing.  A value equals only values of
 its own class with equal fields, so ``Moore(3, 3) != (3, 3)`` though both hash alike; it
-hashes by them, has the dataclass repr, and cannot be changed: copy and pickle build it again
-through ``__init__``.  Only ``GradedAbelianGroup`` compares and hashes by a key of its field,
-its invariant factors.
+hashes by them, has the dataclass repr, and no field can be assigned: copy and pickle build
+it again through ``__init__``.  Only ``GradedAbelianGroup`` compares and hashes by a key of
+its field, its invariant factors; an ``EquivalenceVerdict`` does not hash, and its ``local``
+dict can be changed in place.
 
 ``integer`` is the one check of an integer a value holds: a count, a dimension, a modulus,
 a rank, a class t or s, a prime.  Each module passes its own error class.  ``decimal`` is the

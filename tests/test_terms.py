@@ -279,12 +279,12 @@ def _imported():
 
 def test_only_constructors_merge_and_no_consumer_normalizes():
     # Blocks are put in normal form where a wedge is built, and nothing collapses
-    # a wedge to an atom: the two readers of a term's blocks, a splitting and its
-    # homology, take the term as its wedge.
+    # a wedge to an atom: the three readers of a term's blocks, a splitting, its
+    # homology and its text, take the term as its wedge.
     assert _calls("_merge") == [("terms", "Wedge.__init__")]
     assert _calls("normalize") == _calls("normalize", reads=True) == []
     assert _calls("as_wedge") == [("decomposer", "Decomposition.__init__"),
-                                  ("homology", "homology_of_term")]
+                                  ("homology", "homology_of_term"), ("terms", "render")]
 
 
 def test_every_written_copy_passes_the_one_cap():
@@ -335,8 +335,7 @@ def test_one_table_of_base_summands_and_one_splitting_check():
     # decomposer reads the table only in Decomposition, the one check of a
     # splitting, and writes a base's name only in the gauge half.
     assert _calls("GAUGE_BASE", reads=True) == [
-        ("decomposer", "Decomposition.__init__"), ("decomposer", "Decomposition.__init__"),
-        ("decomposer", "Decomposition.base")]
+        ("decomposer", "Decomposition.__init__"), ("decomposer", "Decomposition.base")]
     assert _calls("BASE_NAMES", reads=True) == [("decomposer", "splitting_parts")]
 
 
@@ -355,7 +354,6 @@ def test_the_loop_order_rule_is_written_once():
     sources = [path.read_text() for path in Path(gauge4.__file__).parent.glob("*.py")]
     assert sum(text.count(".dim - 1") for text in sources) == 1
     assert _calls("loop_pair") == [
-        ("decomposer", "Decomposition.__init__"), ("decomposer", "Decomposition.__init__"),
         ("decomposer", "Decomposition.__init__"), ("terms", "_factor_text"),
         ("terms", "_factor_json")]
     assert [row[FACTOR_TEXT] for row in (_ATOMS[Sphere], _ATOMS[Moore])] == [_factor_text] * 2
@@ -586,7 +584,7 @@ def test_block_joiner_matches_joining_every_copy(hang_guard):
     dec = decompose(manifold("1", MAX_COPIES - 1))
     blocks = dec.suspension.blocks
     assert blocks == ((Sphere(5), 1), (Sphere(3), MAX_COPIES - 1))
-    assert render_blocks(blocks, " v ") == " v ".join(map(render, expand(blocks)))
+    assert render_blocks(blocks, " v ") == " v ".join(expand([(render(a), n) for a, n in blocks]))
     assert gauge_product(dec) == product_every_copy(dec) == " x ".join(
         ["G_0(S^4)", *["O^2G"] * (MAX_COPIES - 1)])
 
