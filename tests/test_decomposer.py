@@ -229,12 +229,22 @@ def test_decompose_takes_the_wedge_it_built_as_given():
     # passes through Wedge(...) too.
     spec = manifold("Z*Z/3*Z/9", 3, spin=False)
     assert line_events(lambda: decompose(spec, 2, d=2), limit=86) <= 86
-    # and Decomposition(...) takes each splitting it builds unchanged, for 5 and for
-    # 500 distinct cyclic factors (14 and 1 004 blocks)
+
+
+def test_the_splitting_check_reads_every_block_of_a_long_splitting():
+    # Decomposition(...) takes each splitting decompose builds unchanged, for 5 and
+    # for 500 distinct cyclic factors (14 and 1 004 blocks); its one check lists
+    # every block for the bases, so a second base is refused wherever it sits, and
+    # a summand outside loop_pair's domain is named.
     for n in (5, 500):
         pi1 = Pi1Descriptor(1, tuple((3, r) for r in range(1, n + 1)))
         susp = decompose(ManifoldSpec(pi1, 2, False)).suspension
         assert Decomposition(susp, 0, 0, Pi1Kind.MIXED).suspension == susp
+        blocks = list(susp.blocks)
+        with pytest.raises(DecompositionError, match="^a splitting needs exactly one base summand$"):
+            Decomposition(Wedge(blocks + [(SCP2, 1)]), 0, 0, Pi1Kind.MIXED)
+        with pytest.raises(DecompositionError, match=r"no loop factor for summand: Sphere\(dim=7\)$"):
+            Decomposition(Wedge(blocks + [(Sphere(7), 1)]), 0, 0, Pi1Kind.MIXED)
 
 
 @pytest.mark.parametrize("d,write,bound", [
